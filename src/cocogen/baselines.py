@@ -11,7 +11,6 @@ from .model import Market, Scenario, StrategyProfile, validate_scenario
 from .scenario import FAMILY, family_stream
 
 __all__ = [
-    "BaselineKind",
     "vcfl_profile",
     "wco_scenario",
     "wco_solve",
@@ -19,12 +18,6 @@ __all__ = [
     "radg_profile",
     "radg_profiles",
 ]
-
-
-class BaselineKind:
-    VCFL = "VCFL"
-    WCO = "WCO"
-    RADG = "RaDG"
 
 
 def vcfl_profile(s: Scenario) -> StrategyProfile:

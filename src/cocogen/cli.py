@@ -219,21 +219,63 @@ def _realized_gamma_bar(gamma: np.ndarray) -> float:
 
 
 def _radg_rows_stats(s, seed: int, count: int):
-    rng_profiles = baselines.radg_profiles(s, seed, count)
-    welfares, means, bb_sums = [], [], []
-    ir_all = True
-    for prof in rng_profiles:
-        ev = economics.evaluate_profile(s, prof)
-        welfares.append(ev.welfare)
-        means.append(float(np.mean(prof.d_gen)))
-        bb_sums.append(ev.bb_sum)
-        ir_all = ir_all and all(ev.ir)
+    profiles = baselines.radg_profiles(s, seed, count)
+    draws = np.array([p.d_gen for p in profiles]).reshape(count, s.n)
+    ev = economics.evaluate_profiles(s, draws)
     return (
-        float(np.mean(welfares)),
-        float(np.mean(means)),
-        ir_all,
-        float(np.mean(bb_sums)),
+        float(np.mean(ev.welfare)),
+        float(np.mean(draws.mean(axis=1))),
+        bool(ev.ir.all()),
+        float(np.mean(ev.bb_sum)),
     )
+
+
+def _failed_row(scheme: str, exc: CocogenError) -> dict:
+    return {"scheme": scheme, "welfare": math.nan, "mean_d_gen": math.nan,
+            "ir_all": False, "bb_sum": math.nan, "converged": False,
+            "status": f"error:{type(exc).__name__}"}
+
+
+def scheme_rows(
+    s, cfg: solver.SolverConfig, radg_seed: int, radg_count: int
+) -> tuple[list[dict], float]:
+    """The CoCoGen, VCFL, WCO and RaDG rows for one scenario, in that order.
+
+    A failed CoCoGen or WCO solve gives its row the status ``error:<Type>``.
+    Also returns the WCO profile's welfare under its zero-competition clone
+    (NaN if that solve failed).
+    """
+    rows = []
+
+    def row(scheme, welfare, mean_d, ir_all, bb_sum, converged):
+        rows.append(
+            {"scheme": scheme, "welfare": welfare, "mean_d_gen": mean_d,
+             "ir_all": ir_all, "bb_sum": bb_sum, "converged": converged, "status": "ok"}
+        )
+
+    try:
+        rep = solver.fpi_solve(s, cfg)
+        row("CoCoGen", rep.welfare, float(np.mean(rep.profile.d_gen)),
+            all(rep.ir), rep.bb["sum"], rep.converged)
+    except CocogenError as exc:
+        rows.append(_failed_row("CoCoGen", exc))
+
+    prof = baselines.vcfl_profile(s)
+    ev = economics.evaluate_profile(s, prof)
+    row("VCFL", ev.welfare, float(np.mean(prof.d_gen)), all(ev.ir), ev.bb_sum, True)
+
+    clone_welfare = math.nan
+    try:
+        wco = baselines.wco_solve(s, cfg)
+        row("WCO", wco.welfare_original, float(np.mean(wco.profile.d_gen)),
+            all(wco.evaluation_original.ir), wco.evaluation_original.bb_sum,
+            wco.clone_report.converged)
+        clone_welfare = wco.clone_report.welfare
+    except CocogenError as exc:
+        rows.append(_failed_row("WCO", exc))
+
+    row("RaDG", *_radg_rows_stats(s, radg_seed, radg_count), True)
+    return rows, clone_welfare
 
 
 def run_sweep_job(grid: SweepGrid, job: SweepJob, cfg: solver.SolverConfig) -> list[dict]:
@@ -247,45 +289,12 @@ def run_sweep_job(grid: SweepGrid, job: SweepJob, cfg: solver.SolverConfig) -> l
         s = sample_scenario(grid, job.cell, job.seed)
     except CocogenError as exc:
         return [
-            {**base, "scheme": scheme, "welfare": math.nan, "mean_d_gen": math.nan,
-             "ir_all": False, "bb_sum": math.nan, "converged": False,
-             "realized_gamma_bar": math.nan, "status": f"error:{type(exc).__name__}"}
+            {**base, **_failed_row(scheme, exc), "realized_gamma_bar": math.nan}
             for scheme in SCHEMES
         ]
     gbar = _realized_gamma_bar(s.market.gamma)
-    rows = []
-
-    def row(scheme, welfare, mean_d, ir_all, bb_sum, converged, status="ok"):
-        rows.append(
-            {**base, "scheme": scheme, "welfare": welfare, "mean_d_gen": mean_d,
-             "ir_all": ir_all, "bb_sum": bb_sum, "converged": converged,
-             "realized_gamma_bar": gbar, "status": status}
-        )
-
-    try:
-        rep = solver.fpi_solve(s, cfg)
-        row("CoCoGen", rep.welfare, float(np.mean(rep.profile.d_gen)),
-            all(rep.ir), rep.bb["sum"], rep.converged)
-    except CocogenError as exc:
-        row("CoCoGen", math.nan, math.nan, False, math.nan, False,
-            f"error:{type(exc).__name__}")
-
-    prof = baselines.vcfl_profile(s)
-    ev = economics.evaluate_profile(s, prof)
-    row("VCFL", ev.welfare, float(np.mean(prof.d_gen)), all(ev.ir), ev.bb_sum, True)
-
-    try:
-        wco = baselines.wco_solve(s, cfg)
-        row("WCO", wco.welfare_original, float(np.mean(wco.profile.d_gen)),
-            all(wco.evaluation_original.ir), wco.evaluation_original.bb_sum,
-            wco.clone_report.converged)
-    except CocogenError as exc:
-        row("WCO", math.nan, math.nan, False, math.nan, False,
-            f"error:{type(exc).__name__}")
-
-    welfare, mean_d, ir_all, bb_sum = _radg_rows_stats(s, job.seed, grid.radg_repetitions)
-    row("RaDG", welfare, mean_d, ir_all, bb_sum, True)
-    return rows
+    rows, _ = scheme_rows(s, cfg, job.seed, grid.radg_repetitions)
+    return [{**base, **r, "realized_gamma_bar": gbar} for r in rows]
 
 
 def _job_worker(payload):
@@ -403,33 +412,12 @@ def cmd_compare(args) -> int:
         return EXIT_INPUT
     cfg = _solver_config_from_args(args)
 
-    rows = []
-    rep = solver.fpi_solve(s, cfg)
-    rows.append(
-        {"scheme": "CoCoGen", "welfare": rep.welfare,
-         "mean_d_gen": float(np.mean(rep.profile.d_gen)), "ir_all": all(rep.ir),
-         "bb_sum": rep.bb["sum"], "converged": rep.converged}
-    )
-    prof = baselines.vcfl_profile(s)
-    ev = economics.evaluate_profile(s, prof)
-    rows.append(
-        {"scheme": "VCFL", "welfare": ev.welfare,
-         "mean_d_gen": float(np.mean(prof.d_gen)), "ir_all": all(ev.ir),
-         "bb_sum": ev.bb_sum, "converged": True}
-    )
-    wco = baselines.wco_solve(s, cfg)
-    rows.append(
-        {"scheme": "WCO", "welfare": wco.welfare_original,
-         "mean_d_gen": float(np.mean(wco.profile.d_gen)),
-         "ir_all": all(wco.evaluation_original.ir),
-         "bb_sum": wco.evaluation_original.bb_sum,
-         "converged": wco.clone_report.converged}
-    )
-    welfare, mean_d, ir_all, bb_sum = _radg_rows_stats(s, s.seed, args.radg_reps)
-    rows.append(
-        {"scheme": "RaDG", "welfare": welfare, "mean_d_gen": mean_d,
-         "ir_all": ir_all, "bb_sum": bb_sum, "converged": True}
-    )
+    rows, clone_welfare = scheme_rows(s, cfg, s.seed, args.radg_reps)
+    failed = [r for r in rows if r["status"] != "ok"]
+    for r in failed:
+        print(f"error: {r['scheme']}: {r['status']}", file=sys.stderr)
+    if failed:
+        return 1
 
     header = f"{'scheme':<8} {'welfare':>16} {'mean_d_gen':>12} {'ir_all':>7} {'bb_sum':>14} {'conv':>5}"
     print(header)
@@ -440,12 +428,12 @@ def cmd_compare(args) -> int:
             f"{str(r['ir_all']).lower():>7} {r['bb_sum']:>14.6g} "
             f"{str(r['converged']).lower():>5}"
         )
-    print(f"(WCO welfare under its zero-competition clone: {wco.clone_report.welfare:.6f})")
+    print(f"(WCO welfare under its zero-competition clone: {clone_welfare:.6f})")
     if args.out:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")
         _write_rows_csv(args.out, columns, rows)
         _write_json(args.out + ".manifest.json", {"manifest": clock.finish().to_dict()})
-    if not rep.converged and not args.allow_nonconverged:
+    if not rows[0]["converged"] and not args.allow_nonconverged:
         return EXIT_NONCONVERGED
     return EXIT_OK
 

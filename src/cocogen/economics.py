@@ -5,6 +5,10 @@ conventions follow the printed transfer formulas: the contribution gap
 ``global_error(d) - counterfactual_error(d, n)`` is non-positive, so raw
 pairwise payoffs and the coopetition loss are non-positive as well; callers
 see the raw signed values.
+
+One batched core, :func:`evaluate_profiles`, computes every utility term for
+an (m, N) matrix of profiles; the per-organization functions are views of
+it on a single row.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, SameOrganization, ZeroTotalData
+from .errors import DimensionMismatch, IndexOutOfRange, SameOrganization, ZeroTotalData
 from .model import (
     Eps0Mode,
     Organization,
@@ -27,6 +31,7 @@ from .model import (
 __all__ = [
     "UtilityBreakdown",
     "ProfileEvaluation",
+    "ProfileMatrixEvaluation",
     "local_error",
     "local_errors",
     "global_error",
@@ -44,6 +49,7 @@ __all__ = [
     "check_ir",
     "check_bb",
     "evaluate_profile",
+    "evaluate_profiles",
     "IR_TOLERANCE",
     "BB_RELATIVE_TOLERANCE",
 ]
@@ -63,17 +69,6 @@ class UtilityBreakdown:
     coopetition_loss: float
     utility: float
 
-    @staticmethod
-    def compose(revenue, payoff_in, cost, server_fee, coopetition_loss):
-        return UtilityBreakdown(
-            revenue=revenue,
-            payoff_in=payoff_in,
-            cost=cost,
-            server_fee=server_fee,
-            coopetition_loss=coopetition_loss,
-            utility=revenue + payoff_in - cost - server_fee - coopetition_loss,
-        )
-
     def to_dict(self) -> dict:
         return {
             "revenue": self.revenue,
@@ -92,17 +87,25 @@ def local_error(law: ScalingLaw, d_loc: float, d_gen: float) -> float:
 
 def local_errors(s: Scenario, profile: ProfileLike) -> np.ndarray:
     """Vector of per-organization local errors at the given profile."""
-    d = as_dgen(profile, s.n)
+    return _local_errors(s, as_dgen(profile, s.n))
+
+
+def _local_errors(s: Scenario, d: np.ndarray) -> np.ndarray:
+    """Local errors of any array whose last axis runs over organizations."""
     totals = s.d_locs() + d
     if np.any(totals <= 0):
         raise ZeroTotalData("some organization has zero local plus generated data")
     return s.alphas() * np.power(totals, -s.betas()) - s.deltas()
 
 
+def _aggregate(s: Scenario, eps: np.ndarray):
+    """Exponential aggregation of the mean over the last (organization) axis."""
+    return np.exp((eps.mean(axis=-1) - 1.0) / s.economy.varrho)
+
+
 def global_error(s: Scenario, profile: ProfileLike) -> float:
     """Global model error: exponential aggregation of the mean local error."""
-    eps = local_errors(s, profile)
-    return float(np.exp((eps.mean() - 1.0) / s.economy.varrho))
+    return float(_aggregate(s, local_errors(s, profile)))
 
 
 def epsilon_zero(s: Scenario, profile: ProfileLike | None = None) -> float:
@@ -118,100 +121,17 @@ def _check_index(s: Scenario, n: int) -> None:
         raise IndexOutOfRange(f"organization index {n} outside [0, {s.n})")
 
 
-def counterfactual_error(s: Scenario, profile: ProfileLike, n: int) -> float:
-    """Global error with organization ``n`` held at the minimum strategy."""
-    _check_index(s, n)
-    d = as_dgen(profile, s.n).copy()
-    d[n] = float(s.bounds.d_min)
-    return global_error(s, d)
+def energy(org: Organization, d_gen: float | np.ndarray) -> float | np.ndarray:
+    """Energy spent training on the mixed data and generating ``d_gen`` samples.
 
-
-def marginal_contribution(s: Scenario, profile: ProfileLike, n: int) -> float:
-    """Contribution gap of organization ``n``; always <= 0."""
-    return global_error(s, profile) - counterfactual_error(s, profile, n)
-
-
-def energy(org: Organization, d_gen: float) -> float:
-    """Energy spent training on the mixed data and generating ``d_gen`` samples."""
+    ``d_gen`` may be one volume or an array of volumes for this organization.
+    """
     d_mix = org.d_loc + d_gen
     return org.kappa * (org.eta * d_mix + org.mu * d_gen) * org.f**2
 
 
-def compute_cost(org: Organization, d_gen: float) -> float:
+def compute_cost(org: Organization, d_gen: float | np.ndarray) -> float | np.ndarray:
     return org.c_cmp * energy(org, d_gen)
-
-
-def revenue(s: Scenario, profile: ProfileLike, n: int) -> float:
-    _check_index(s, n)
-    return s.orgs[n].psi * (epsilon_zero(s) - global_error(s, profile))
-
-
-def payoff_transfer(s: Scenario, profile: ProfileLike, n: int, n_other: int) -> float:
-    """Pairwise transfer from competitor ``n_other`` toward organization ``n``."""
-    _check_index(s, n)
-    _check_index(s, n_other)
-    if n == n_other:
-        raise SameOrganization(f"no self-transfer for organization {n}")
-    rate = s.market.xi * float(s.market.gamma[n, n_other])
-    if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
-        gap = marginal_contribution(s, profile, n) - marginal_contribution(
-            s, profile, n_other
-        )
-    else:
-        gap = marginal_contribution(s, profile, n)
-    return rate * gap
-
-
-def total_payoff(s: Scenario, profile: ProfileLike, n: int) -> float:
-    """Sum of pairwise transfers into organization ``n``."""
-    _check_index(s, n)
-    gamma_row = np.asarray(s.market.gamma[n])
-    if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
-        mc = np.array([marginal_contribution(s, profile, m) for m in range(s.n)])
-        gaps = mc[n] - mc
-    else:
-        gaps = np.full(s.n, marginal_contribution(s, profile, n))
-    terms = s.market.xi * gamma_row * gaps
-    terms[n] = 0.0
-    return float(terms.sum())
-
-
-def coopetition_loss(s: Scenario, profile: ProfileLike, n: int) -> float:
-    """Competitors' revenue attributed to ``n``'s contribution (signed)."""
-    _check_index(s, n)
-    mc = marginal_contribution(s, profile, n)
-    terms = np.asarray(s.market.phi) * np.asarray(s.market.gamma[n]) * mc
-    terms[n] = 0.0
-    return float(terms.sum())
-
-
-def utility(s: Scenario, profile: ProfileLike, n: int) -> UtilityBreakdown:
-    _check_index(s, n)
-    d = as_dgen(profile, s.n)
-    return UtilityBreakdown.compose(
-        revenue=revenue(s, profile, n),
-        payoff_in=total_payoff(s, profile, n),
-        cost=compute_cost(s.orgs[n], float(d[n])),
-        server_fee=s.economy.c0,
-        coopetition_loss=coopetition_loss(s, profile, n),
-    )
-
-
-def social_welfare(s: Scenario, profile: ProfileLike) -> float:
-    return float(sum(utility(s, profile, n).utility for n in range(s.n)))
-
-
-def check_ir(s: Scenario, profile: ProfileLike) -> list[bool]:
-    """Individual rationality: non-negative utility, up to rounding slack."""
-    return [utility(s, profile, n).utility >= -IR_TOLERANCE for n in range(s.n)]
-
-
-def check_bb(s: Scenario, profile: ProfileLike) -> dict:
-    """Budget balance: total transfers, and whether they net out to zero."""
-    payoffs = [total_payoff(s, profile, n) for n in range(s.n)]
-    total = float(sum(payoffs))
-    scale = 1.0 + float(sum(abs(p) for p in payoffs))
-    return {"sum": total, "balanced": abs(total) <= BB_RELATIVE_TOLERANCE * scale}
 
 
 @dataclass(frozen=True)
@@ -225,13 +145,190 @@ class ProfileEvaluation:
     bb_balanced: bool
 
 
-def evaluate_profile(s: Scenario, profile: ProfileLike) -> ProfileEvaluation:
-    utilities = tuple(utility(s, profile, n) for n in range(s.n))
-    bb = check_bb(s, profile)
-    return ProfileEvaluation(
-        utilities=utilities,
-        welfare=float(sum(u.utility for u in utilities)),
-        ir=tuple(u.utility >= -IR_TOLERANCE for u in utilities),
-        bb_sum=bb["sum"],
-        bb_balanced=bb["balanced"],
+@dataclass(frozen=True, eq=False)
+class ProfileMatrixEvaluation:
+    """Economic read-out of an (m, N) profile matrix; row k is profile k.
+
+    Per-organization terms are (m, N) arrays; ``welfare``, ``bb_sum`` and
+    ``bb_balanced`` are (m,).
+    """
+
+    counterfactual: np.ndarray
+    marginal: np.ndarray
+    revenue: np.ndarray
+    payoff_in: np.ndarray
+    cost: np.ndarray
+    server_fee: float
+    coopetition_loss: np.ndarray
+    utility: np.ndarray
+    welfare: np.ndarray
+    ir: np.ndarray
+    bb_sum: np.ndarray
+    bb_balanced: np.ndarray
+
+    def breakdown(self, k: int, n: int) -> UtilityBreakdown:
+        return UtilityBreakdown(
+            revenue=float(self.revenue[k, n]),
+            payoff_in=float(self.payoff_in[k, n]),
+            cost=float(self.cost[k, n]),
+            server_fee=self.server_fee,
+            coopetition_loss=float(self.coopetition_loss[k, n]),
+            utility=float(self.utility[k, n]),
+        )
+
+    def row(self, k: int) -> ProfileEvaluation:
+        return ProfileEvaluation(
+            utilities=tuple(self.breakdown(k, n) for n in range(self.utility.shape[1])),
+            welfare=float(self.welfare[k]),
+            ir=tuple(bool(x) for x in self.ir[k]),
+            bb_sum=float(self.bb_sum[k]),
+            bb_balanced=bool(self.bb_balanced[k]),
+        )
+
+
+def _offdiagonal_sums(terms: np.ndarray) -> np.ndarray:
+    """Zero the n == n' entries of (m, N, N) pairwise terms; sum over n'."""
+    idx = np.arange(terms.shape[1])
+    terms[:, idx, idx] = 0.0
+    return terms.sum(axis=2)
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Row totals added one organization at a time, as Python's ``sum`` does."""
+    total = np.zeros(a.shape[0])
+    for n in range(a.shape[1]):
+        total = total + a[:, n]
+    return total
+
+
+def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluation:
+    """Evaluate every row of an (m, N) profile matrix in one numpy pass.
+
+    Each row's numbers equal those of evaluating it alone, bit for bit: the
+    counterfactual errors are means over an (m, N, N) tensor of local errors
+    whose entry (k, n, n) holds organization n at ``d_min``, so every mean
+    reduces the same N values in the same order as a single profile does;
+    sums over organizations run column by column.
+    """
+    d = np.asarray(profiles, dtype=np.float64)
+    if d.ndim != 2 or d.shape[1] != s.n:
+        raise DimensionMismatch(f"profile matrix has shape {d.shape}, expected (m, {s.n})")
+    m, n = d.shape
+    eps = _local_errors(s, d)
+    eps_min = _local_errors(s, np.full(n, float(s.bounds.d_min)))
+    err = _aggregate(s, eps)
+    held = np.repeat(eps[:, None, :], n, axis=1)
+    idx = np.arange(n)
+    held[:, idx, idx] = eps_min
+    counterfactual = _aggregate(s, held)
+    marginal = err[:, None] - counterfactual
+
+    gamma = s.market.gamma
+    if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
+        gaps = marginal[:, :, None] - marginal[:, None, :]
+    else:
+        gaps = marginal[:, :, None]
+    payoff_in = _offdiagonal_sums(s.market.xi * gamma * gaps)
+    loss = _offdiagonal_sums(s.market.phi * gamma * marginal[:, :, None])
+
+    revenue = s.psis() * (epsilon_zero(s) - err)[:, None]
+    # One column per organization through the scalar cost formula, so its
+    # operation order (and hence every last digit) is the one-profile order.
+    cost = np.empty((m, n))
+    for i, org in enumerate(s.orgs):
+        cost[:, i] = compute_cost(org, d[:, i])
+    c0 = s.economy.c0
+    utility = revenue + payoff_in - cost - c0 - loss
+    bb_sum = _column_sums(payoff_in)
+    scale = 1.0 + _column_sums(np.abs(payoff_in))
+    return ProfileMatrixEvaluation(
+        counterfactual=counterfactual,
+        marginal=marginal,
+        revenue=revenue,
+        payoff_in=payoff_in,
+        cost=cost,
+        server_fee=c0,
+        coopetition_loss=loss,
+        utility=utility,
+        welfare=_column_sums(utility),
+        ir=utility >= -IR_TOLERANCE,
+        bb_sum=bb_sum,
+        bb_balanced=np.abs(bb_sum) <= BB_RELATIVE_TOLERANCE * scale,
     )
+
+
+# ---------------------------------------------------------------------------
+# One-profile views of the core.
+# ---------------------------------------------------------------------------
+
+
+def _evaluate_one(s: Scenario, profile: ProfileLike) -> ProfileMatrixEvaluation:
+    return evaluate_profiles(s, as_dgen(profile, s.n)[None, :])
+
+
+def evaluate_profile(s: Scenario, profile: ProfileLike) -> ProfileEvaluation:
+    return _evaluate_one(s, profile).row(0)
+
+
+def counterfactual_error(s: Scenario, profile: ProfileLike, n: int) -> float:
+    """Global error with organization ``n`` held at the minimum strategy."""
+    _check_index(s, n)
+    return float(_evaluate_one(s, profile).counterfactual[0, n])
+
+
+def marginal_contribution(s: Scenario, profile: ProfileLike, n: int) -> float:
+    """Contribution gap of organization ``n``; always <= 0."""
+    _check_index(s, n)
+    return float(_evaluate_one(s, profile).marginal[0, n])
+
+
+def revenue(s: Scenario, profile: ProfileLike, n: int) -> float:
+    _check_index(s, n)
+    return float(_evaluate_one(s, profile).revenue[0, n])
+
+
+def payoff_transfer(s: Scenario, profile: ProfileLike, n: int, n_other: int) -> float:
+    """Pairwise transfer from competitor ``n_other`` toward organization ``n``."""
+    _check_index(s, n)
+    _check_index(s, n_other)
+    if n == n_other:
+        raise SameOrganization(f"no self-transfer for organization {n}")
+    mc = _evaluate_one(s, profile).marginal[0]
+    rate = s.market.xi * float(s.market.gamma[n, n_other])
+    if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
+        gap = mc[n] - mc[n_other]
+    else:
+        gap = mc[n]
+    return float(rate * gap)
+
+
+def total_payoff(s: Scenario, profile: ProfileLike, n: int) -> float:
+    """Sum of pairwise transfers into organization ``n``."""
+    _check_index(s, n)
+    return float(_evaluate_one(s, profile).payoff_in[0, n])
+
+
+def coopetition_loss(s: Scenario, profile: ProfileLike, n: int) -> float:
+    """Competitors' revenue attributed to ``n``'s contribution (signed)."""
+    _check_index(s, n)
+    return float(_evaluate_one(s, profile).coopetition_loss[0, n])
+
+
+def utility(s: Scenario, profile: ProfileLike, n: int) -> UtilityBreakdown:
+    _check_index(s, n)
+    return _evaluate_one(s, profile).breakdown(0, n)
+
+
+def social_welfare(s: Scenario, profile: ProfileLike) -> float:
+    return float(_evaluate_one(s, profile).welfare[0])
+
+
+def check_ir(s: Scenario, profile: ProfileLike) -> list[bool]:
+    """Individual rationality: non-negative utility, up to rounding slack."""
+    return [bool(x) for x in _evaluate_one(s, profile).ir[0]]
+
+
+def check_bb(s: Scenario, profile: ProfileLike) -> dict:
+    """Budget balance: total transfers, and whether they net out to zero."""
+    ev = _evaluate_one(s, profile)
+    return {"sum": float(ev.bb_sum[0]), "balanced": bool(ev.bb_balanced[0])}

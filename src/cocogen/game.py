@@ -21,7 +21,6 @@ from .errors import ConvexityViolation, NonNegativeZWeight
 from .model import ProfileLike, Scenario, as_dgen
 
 __all__ = [
-    "PotentialEvaluation",
     "z_weight",
     "z_weights",
     "potential",
@@ -43,18 +42,13 @@ def z_weight(s: Scenario, n: int) -> float:
 
 
 def z_weights(s: Scenario) -> np.ndarray:
-    return np.array([z_weight(s, n) for n in range(s.n)])
+    """Every organization's weight, computed once per scenario (read-only)."""
+    return s.cached("z_weights", lambda: [z_weight(s, n) for n in range(s.n)])
 
 
 def _linear_coeffs(s: Scenario) -> np.ndarray:
     """Coefficient of d_gen[n] in F: -cost_coeff_n / z_n (positive)."""
     return -s.marginal_cost_coeffs() / z_weights(s)
-
-
-@dataclass(frozen=True)
-class PotentialEvaluation:
-    value: float
-    gradient: np.ndarray
 
 
 def potential(s: Scenario, profile: ProfileLike) -> float:
@@ -84,12 +78,6 @@ def potential_gradient(s: Scenario, profile: ProfileLike) -> np.ndarray:
     )
     a2 = s.marginal_cost_coeffs() / z_weights(s)
     return -benefit - a2
-
-
-def evaluate_potential(s: Scenario, profile: ProfileLike) -> PotentialEvaluation:
-    return PotentialEvaluation(
-        value=potential(s, profile), gradient=potential_gradient(s, profile)
-    )
 
 
 def weighted_potential_residual(

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -58,6 +58,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
     return a
+
+
+def _check_number(out: list, where: str, value, ok: Callable, detail: str) -> None:
+    """Record a violation of ``where`` if the number, or any entry of the
+    array, is NaN or infinite, or else if ``ok(value)`` is false."""
+    if isinstance(value, np.ndarray):
+        finite = bool(np.isfinite(value).all())
+    else:
+        finite = math.isfinite(value)
+    if not finite:
+        out.append(InvariantViolation(where, "must be finite"))
+    elif not ok(value):
+        out.append(InvariantViolation(where, detail))
+
+
+def _positive(v) -> bool:
+    return v > 0
+
+
+def _non_negative(v) -> bool:
+    return v >= 0
 
 
 @dataclass(frozen=True)
@@ -108,10 +129,12 @@ class Organization:
         if self.d_loc < 0:
             out.append(InvariantViolation(f"{prefix}.d_loc", "must be >= 0"))
         for name in ("f", "kappa", "eta", "mu", "c_cmp"):
-            if not (getattr(self, name) > 0):
-                out.append(InvariantViolation(f"{prefix}.{name}", "must be > 0"))
-        if not (self.psi >= 0):
-            out.append(InvariantViolation(f"{prefix}.psi", "must be >= 0"))
+            _check_number(out, f"{prefix}.{name}", getattr(self, name), _positive, "must be > 0")
+        _check_number(out, f"{prefix}.psi", self.psi, _non_negative, "must be >= 0")
+        law = self.law
+        _check_number(out, f"{prefix}.law.alpha", law.alpha, _positive, "must be > 0")
+        _check_number(out, f"{prefix}.law.beta", law.beta, _positive, "must be > 0")
+        _check_number(out, f"{prefix}.law.delta", law.delta, _non_negative, "must be >= 0")
         return out
 
 
@@ -146,15 +169,16 @@ class Market:
                 )
             )
             return out
-        if np.any(g < 0) or np.any(g > 1):
-            out.append(InvariantViolation("market.gamma", "entries must lie in [0, 1]"))
+        _check_number(
+            out, "market.gamma", g, lambda v: ((v >= 0) & (v <= 1)).all(),
+            "entries must lie in [0, 1]",
+        )
         if np.any(np.diagonal(g) != 0):
             out.append(InvariantViolation("market.gamma", "diagonal must be zero"))
-        if not (self.xi >= 0):
-            out.append(InvariantViolation("market.xi", "must be >= 0"))
-        if np.any(self.phi <= 0):
-            out.append(InvariantViolation("market.phi", "entries must be > 0"))
-        elif self.xi > float(np.min(self.phi)):
+        n_before = len(out)
+        _check_number(out, "market.xi", self.xi, _non_negative, "must be >= 0")
+        _check_number(out, "market.phi", self.phi, lambda v: (v > 0).all(), "entries must be > 0")
+        if len(out) == n_before and self.xi > float(np.min(self.phi)):
             out.append(
                 InvariantViolation(
                     "market.xi", "must not exceed min(phi) (cooperation stability)"
@@ -187,16 +211,13 @@ class EconomyParams:
 
     def _violations(self) -> list[CocogenError]:
         out: list[CocogenError] = []
-        if not (self.varrho > 0):
-            out.append(InvariantViolation("economy.varrho", "must be > 0"))
-        if not (self.c0 >= 0):
-            out.append(InvariantViolation("economy.c0", "must be >= 0"))
-        if self.eps0_mode is Eps0Mode.FIXED:
-            v = self.eps0_value
-            if v is None or not (0 < v <= 1):
-                out.append(
-                    InvariantViolation("economy.eps0_value", "must lie in (0, 1]")
-                )
+        _check_number(out, "economy.varrho", self.varrho, _positive, "must be > 0")
+        _check_number(out, "economy.c0", self.c0, _non_negative, "must be >= 0")
+        v = self.eps0_value
+        if v is not None and not math.isfinite(v):
+            out.append(InvariantViolation("economy.eps0_value", "must be finite"))
+        elif self.eps0_mode is Eps0Mode.FIXED and (v is None or not (0 < v <= 1)):
+            out.append(InvariantViolation("economy.eps0_value", "must lie in (0, 1]"))
         return out
 
 
@@ -231,26 +252,44 @@ class Scenario:
     def n(self) -> int:
         return len(self.orgs)
 
+    def cached(self, key: str, build: Callable[[], object]) -> np.ndarray:
+        """Read-only float array derived from this scenario, built on first use.
+
+        The cache lives on the instance: copies made with
+        ``dataclasses.replace`` or the constructor start empty, and pickling
+        drops it (see ``__getstate__``), so no copy sees another's arrays.
+        """
+        cache = self.__dict__.setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = _readonly(build())
+        return cache[key]
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_cache", None)
+        return state
+
     # Per-organization parameter vectors, used throughout the numerics.
     def alphas(self) -> np.ndarray:
-        return np.array([o.law.alpha for o in self.orgs])
+        return self.cached("alphas", lambda: [o.law.alpha for o in self.orgs])
 
     def betas(self) -> np.ndarray:
-        return np.array([o.law.beta for o in self.orgs])
+        return self.cached("betas", lambda: [o.law.beta for o in self.orgs])
 
     def deltas(self) -> np.ndarray:
-        return np.array([o.law.delta for o in self.orgs])
+        return self.cached("deltas", lambda: [o.law.delta for o in self.orgs])
 
     def d_locs(self) -> np.ndarray:
-        return np.array([float(o.d_loc) for o in self.orgs])
+        return self.cached("d_locs", lambda: [float(o.d_loc) for o in self.orgs])
 
     def psis(self) -> np.ndarray:
-        return np.array([o.psi for o in self.orgs])
+        return self.cached("psis", lambda: [o.psi for o in self.orgs])
 
     def marginal_cost_coeffs(self) -> np.ndarray:
         """c_cmp * kappa * (eta + mu) * f^2 per organization."""
-        return np.array(
-            [o.c_cmp * o.kappa * (o.eta + o.mu) * o.f**2 for o in self.orgs]
+        return self.cached(
+            "marginal_cost_coeffs",
+            lambda: [o.c_cmp * o.kappa * (o.eta + o.mu) * o.f**2 for o in self.orgs],
         )
 
 
@@ -306,12 +345,6 @@ def validate_scenario(s: Scenario) -> Scenario:
         if org.id != i:
             violations.append(
                 InvariantViolation(f"organizations[{i}].id", f"must equal index {i}")
-            )
-        try:
-            ScalingLaw(org.law.alpha, org.law.beta, org.law.delta)
-        except InvariantViolation as exc:
-            violations.append(
-                InvariantViolation(f"organizations[{i}].law.{exc.field}", exc.detail)
             )
         violations.extend(org._violations())
     violations.extend(s.market._violations(s.n))
@@ -387,13 +420,22 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _as_int(value, where: str) -> int:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvariantViolation(where, "must be finite")
+    return int(value)
+
+
 def _law_from_dict(obj: dict, where: str) -> ScalingLaw:
     _check_keys(obj, ("alpha", "beta", "delta"), where)
-    return ScalingLaw(
-        alpha=float(_require(obj, "alpha", where)),
-        beta=float(_require(obj, "beta", where)),
-        delta=float(obj.get("delta", 0.0)),
-    )
+    try:
+        return ScalingLaw(
+            alpha=float(_require(obj, "alpha", where)),
+            beta=float(_require(obj, "beta", where)),
+            delta=float(obj.get("delta", 0.0)),
+        )
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{where}.{exc.field}", exc.detail) from None
 
 
 def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
@@ -406,7 +448,7 @@ def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
         orgs.append(
             Organization(
                 id=i,
-                d_loc=int(_require(raw, "d_loc", where)),
+                d_loc=_as_int(_require(raw, "d_loc", where), f"{where}.d_loc"),
                 f=float(_require(raw, "f", where)),
                 kappa=float(_require(raw, "kappa", where)),
                 eta=float(raw.get("eta", DEFAULT_ETA)),
@@ -436,14 +478,15 @@ def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
     raw_b = obj.get("bounds", {})
     _check_keys(raw_b, ("d_min", "d_max"), "bounds")
     bounds = StrategyBounds(
-        d_min=int(raw_b.get("d_min", 0)), d_max=int(raw_b.get("d_max", 3000))
+        d_min=_as_int(raw_b.get("d_min", 0), "bounds.d_min"),
+        d_max=_as_int(raw_b.get("d_max", 3000), "bounds.d_max"),
     )
     s = Scenario(
         orgs=tuple(orgs),
         market=market,
         economy=economy,
         bounds=bounds,
-        seed=int(obj.get("seed", 0)),
+        seed=_as_int(obj.get("seed", 0), "seed"),
     )
     return validate_scenario(s) if validate else s
 

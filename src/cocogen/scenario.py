@@ -64,7 +64,6 @@ class FAMILY:
     FREQ = 5
     GAMMA = 6
     RADG = 7
-    PROBE = 8
 
 
 def family_stream(seed: int, family: int) -> np.random.Generator:

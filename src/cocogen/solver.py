@@ -436,8 +436,9 @@ def verify_ne(s: Scenario, profile: ProfileLike, grid_step: float = 1.0) -> NeCe
     worst_org = 0
     worst_alt = float(d[0])
     is_ne = True
+    current = economics.evaluate_profile(s, d).utilities
     for n in range(s.n):
-        u_ref = economics.utility(s, d, n).utility
+        u_ref = current[n].utility
         gains = _unilateral_utilities(s, d, n, xs) - u_ref
         k = int(np.argmax(gains))
         if gains[k] > worst_gain:

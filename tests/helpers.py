@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from cocogen.errors import ZeroTotalData
 from cocogen.model import (
     EconomyParams,
     Eps0Mode,
@@ -125,3 +126,90 @@ def random_profile(s, seed, lo=None, hi=None):
     lo = float(s.bounds.d_min) if lo is None else lo
     hi = float(s.bounds.d_max) if hi is None else hi
     return rng.uniform(lo, hi, size=s.n)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-organization economics exactly as first written
+# (one scalar call per organization and per counterfactual). The batched
+# core in ``cocogen.economics`` must reproduce it bit for bit; nothing here
+# calls into that module.
+# ---------------------------------------------------------------------------
+
+
+def _ref_local_errors(s, d):
+    d_locs = np.array([float(o.d_loc) for o in s.orgs])
+    totals = d_locs + d
+    if np.any(totals <= 0):
+        raise ZeroTotalData("some organization has zero local plus generated data")
+    alphas = np.array([o.law.alpha for o in s.orgs])
+    betas = np.array([o.law.beta for o in s.orgs])
+    deltas = np.array([o.law.delta for o in s.orgs])
+    return alphas * np.power(totals, -betas) - deltas
+
+
+def _ref_global_error(s, d):
+    eps = _ref_local_errors(s, d)
+    return float(np.exp((eps.mean() - 1.0) / s.economy.varrho))
+
+
+def _ref_marginal_contribution(s, d, n):
+    held = d.copy()
+    held[n] = float(s.bounds.d_min)
+    return _ref_global_error(s, d) - _ref_global_error(s, held)
+
+
+def _ref_total_payoff(s, d, n):
+    gamma_row = np.asarray(s.market.gamma[n])
+    if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
+        mc = np.array([_ref_marginal_contribution(s, d, m) for m in range(s.n)])
+        gaps = mc[n] - mc
+    else:
+        gaps = np.full(s.n, _ref_marginal_contribution(s, d, n))
+    terms = s.market.xi * gamma_row * gaps
+    terms[n] = 0.0
+    return float(terms.sum())
+
+
+def _ref_coopetition_loss(s, d, n):
+    mc = _ref_marginal_contribution(s, d, n)
+    terms = np.asarray(s.market.phi) * np.asarray(s.market.gamma[n]) * mc
+    terms[n] = 0.0
+    return float(terms.sum())
+
+
+def _ref_utility(s, d, n):
+    if s.economy.eps0_mode is Eps0Mode.FIXED:
+        eps0 = float(s.economy.eps0_value)
+    else:
+        eps0 = _ref_global_error(s, np.full(s.n, float(s.bounds.d_min)))
+    org = s.orgs[n]
+    d_gen = float(d[n])
+    energy = org.kappa * (org.eta * (org.d_loc + d_gen) + org.mu * d_gen) * org.f**2
+    parts = {
+        "revenue": org.psi * (eps0 - _ref_global_error(s, d)),
+        "payoff_in": _ref_total_payoff(s, d, n),
+        "cost": org.c_cmp * energy,
+        "server_fee": s.economy.c0,
+        "coopetition_loss": _ref_coopetition_loss(s, d, n),
+    }
+    parts["utility"] = (
+        parts["revenue"] + parts["payoff_in"] - parts["cost"]
+        - parts["server_fee"] - parts["coopetition_loss"]
+    )
+    return parts
+
+
+def reference_evaluation(s, profile, ir_tolerance=1e-9, bb_tolerance=1e-6):
+    """Utilities (dicts), welfare, IR verdicts and budget-balance read-out."""
+    d = np.asarray(profile, dtype=np.float64)
+    utilities = [_ref_utility(s, d, n) for n in range(s.n)]
+    payoffs = [_ref_total_payoff(s, d, n) for n in range(s.n)]
+    bb_sum = float(sum(payoffs))
+    scale = 1.0 + float(sum(abs(p) for p in payoffs))
+    return {
+        "utilities": utilities,
+        "welfare": float(sum(u["utility"] for u in utilities)),
+        "ir": [u["utility"] >= -ir_tolerance for u in utilities],
+        "bb_sum": bb_sum,
+        "bb_balanced": abs(bb_sum) <= bb_tolerance * scale,
+    }

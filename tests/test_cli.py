@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -119,6 +120,28 @@ class TestSolveCommand:
         bad = tmp_path / "invalid.json"
         bad.write_text(json.dumps(payload), encoding="utf-8")
         assert cli.main(["solve", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("market", "gamma", 0, 1), math.nan, "market.gamma"),
+            (("organizations", 0, "psi"), math.inf, "organizations[0].psi"),
+        ],
+    )
+    def test_non_finite_input_is_input_error(self, tmp_path, capsys, command, path, value, field):
+        from importlib import resources
+
+        src = resources.files("cocogen").joinpath("data/scenario_example.json")
+        payload = json.loads(src.read_text(encoding="utf-8"))
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main([command, str(bad)]) == 2
+        assert f"{field}: must be finite" in capsys.readouterr().err
 
     def test_loose_tolerance_uses_fewer_iterations(self, tmp_path, capsys):
         path = write_scenario(tmp_path, example_scenario())

@@ -9,7 +9,7 @@ from cocogen import scaling
 from cocogen.errors import IndexOutOfRange, SameOrganization, ZeroTotalData
 from cocogen.model import Eps0Mode, Market, PayoffMode, ScalingLaw
 
-from helpers import build_scenario, random_profile, table1_scenario
+from helpers import build_scenario, random_profile, reference_evaluation, table1_scenario
 
 
 class TestLocalError:
@@ -349,3 +349,61 @@ class TestWelfareAndConstraints:
         out = eco.check_bb(s, p)
         assert out["sum"] < 0  # printed transfers are one-sided outflows
         assert not out["balanced"]
+
+
+def _profile_matrix(s, seed):
+    """All-d_min and all-d_max rows, integer RaDG-style rows and real rows."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 13], dtype=np.uint64)))
+    lo, hi = s.bounds.d_min, s.bounds.d_max
+    return np.vstack(
+        [
+            np.full(s.n, float(lo)),
+            np.full(s.n, float(hi)),
+            rng.integers(lo, hi, size=(6, s.n), endpoint=True).astype(np.float64),
+            rng.uniform(lo, hi, size=(4, s.n)),
+        ]
+    )
+
+
+def _assert_matches_reference(got, ref):
+    """``got`` is a ProfileEvaluation; every field must equal the oracle."""
+    for u, r in zip(got.utilities, ref["utilities"], strict=True):
+        assert u.to_dict() == r
+    assert got.welfare == ref["welfare"]
+    assert list(got.ir) == ref["ir"]
+    assert got.bb_sum == ref["bb_sum"]
+    assert got.bb_balanced == ref["bb_balanced"]
+
+
+class TestBatchedCore:
+    """``evaluate_profiles`` against the per-organization reference oracle."""
+
+    @pytest.mark.parametrize("bb_mode", list(PayoffMode))
+    @pytest.mark.parametrize("eps0_mode", list(Eps0Mode))
+    def test_matrix_equals_reference_exactly(self, bb_mode, eps0_mode):
+        eps0_value = 1.0 if eps0_mode is Eps0Mode.FIXED else None
+        for seed in range(3):
+            s = table1_scenario(
+                seed=1400 + seed, bb_mode=bb_mode, eps0_mode=eps0_mode, eps0_value=eps0_value
+            )
+            profiles = _profile_matrix(s, seed)
+            batch = eco.evaluate_profiles(s, profiles)
+            for k, row in enumerate(profiles):
+                ref = reference_evaluation(s, row)
+                _assert_matches_reference(batch.row(k), ref)
+                _assert_matches_reference(eco.evaluate_profile(s, row), ref)
+                assert eco.check_ir(s, row) == ref["ir"]
+                assert eco.check_bb(s, row) == {
+                    "sum": ref["bb_sum"], "balanced": ref["bb_balanced"]
+                }
+                assert eco.social_welfare(s, row) == ref["welfare"]
+
+    def test_zero_total_data_still_raises(self):
+        s = build_scenario(n=2, d_loc=[0, 1500], d_min=0, validate=False)
+        for profile in ([0.0, 500.0], [500.0, 500.0]):
+            # The second profile has positive totals, but organization 0's
+            # counterfactual at d_min does not.
+            with pytest.raises(ZeroTotalData):
+                eco.evaluate_profiles(s, np.array([[700.0, 700.0], profile]))
+            with pytest.raises(ZeroTotalData):
+                eco.evaluate_profile(s, profile)

@@ -1,11 +1,16 @@
+import argparse
 import json
+import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cocogen import game
+from cocogen import baselines, cli, game, solver
+from cocogen import economics as eco
 from cocogen.errors import (
+    CocogenError,
     InvariantViolation,
     NonNegativeZWeight,
     ScenarioValidationError,
@@ -14,15 +19,18 @@ from cocogen.errors import (
 from cocogen.model import (
     Eps0Mode,
     Market,
+    PayoffMode,
     ScalingLaw,
+    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,
+    with_payoff_mode,
 )
 from cocogen.scenario import GammaLevel, SweepCell, default_sweep_grid, sample_scenario
 from cocogen.scaling import heterogeneity_presets
 
-from helpers import build_scenario
+from helpers import build_scenario, random_profile, table1_scenario
 
 
 class TestScalingLaw:
@@ -106,6 +114,102 @@ class TestValidation:
         s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, validate=False)
         with pytest.raises(NonNegativeZWeight):
             game.z_weight(s, 0)
+
+
+NON_FINITE_FIELDS = [
+    (("organizations", 1, "f"), math.nan, "organizations[1].f"),
+    (("organizations", 0, "kappa"), math.inf, "organizations[0].kappa"),
+    (("organizations", 0, "eta"), math.inf, "organizations[0].eta"),
+    (("organizations", 1, "mu"), -math.inf, "organizations[1].mu"),
+    (("organizations", 0, "c_cmp"), math.inf, "organizations[0].c_cmp"),
+    (("organizations", 1, "psi"), math.inf, "organizations[1].psi"),
+    (("organizations", 0, "d_loc"), math.inf, "organizations[0].d_loc"),
+    (("organizations", 0, "law", "alpha"), math.inf, "organizations[0].law.alpha"),
+    (("organizations", 1, "law", "beta"), math.nan, "organizations[1].law.beta"),
+    (("organizations", 1, "law", "delta"), math.inf, "organizations[1].law.delta"),
+    (("market", "gamma", 0, 1), math.nan, "market.gamma"),
+    (("market", "gamma", 1, 0), math.inf, "market.gamma"),
+    (("market", "xi"), math.inf, "market.xi"),
+    (("market", "phi", 1), math.nan, "market.phi"),
+    (("economy", "varrho"), math.inf, "economy.varrho"),
+    (("economy", "c0"), math.nan, "economy.c0"),
+    (("economy", "eps0_value"), math.inf, "economy.eps0_value"),
+    (("bounds", "d_max"), math.inf, "bounds.d_max"),
+]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("path, value, field", NON_FINITE_FIELDS)
+    def test_rejected_with_the_field_named(self, path, value, field):
+        payload = scenario_to_dict(build_scenario(n=2))
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(CocogenError) as exc:
+            scenario_from_dict(payload)
+        assert field in str(exc.value)
+
+    def test_validation_reports_every_non_finite_field(self):
+        g = np.array([[0.0, math.nan], [0.5, 0.0]])
+        s = build_scenario(n=2, gamma=g, psi=[700.0, math.inf], validate=False)
+        with pytest.raises(ScenarioValidationError) as exc:
+            validate_scenario(s)
+        named = {(v.field, v.detail) for v in exc.value.violations}
+        assert ("market.gamma", "must be finite") in named
+        assert ("organizations[1].psi", "must be finite") in named
+
+
+COLUMNS = ("alphas", "betas", "deltas", "d_locs", "psis", "marginal_cost_coeffs")
+
+
+def _cached_arrays(s):
+    return [getattr(s, name)() for name in COLUMNS] + [game.z_weights(s)]
+
+
+class TestScenarioCache:
+    def test_cached_arrays_are_built_once_and_read_only(self):
+        s = table1_scenario(seed=21)
+        first = _cached_arrays(s)
+        for a, b in zip(first, _cached_arrays(s), strict=True):
+            assert a is b
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_copies_rebuild_their_own_caches(self, tmp_path):
+        s = table1_scenario(seed=22)
+        warm = _cached_arrays(s)
+        clone = baselines.wco_scenario(s)
+        assert not np.array_equal(game.z_weights(clone), game.z_weights(s))
+        assert np.array_equal(game.z_weights(clone), -s.psis())
+
+        path = tmp_path / "scenario.json"
+        save_scenario(s, path)
+        args = argparse.Namespace(scenario=str(path), payoff_mode="antisymmetric", seed=5)
+        reloaded = cli._load_scenario_for_args(args)
+        assert reloaded.seed == 5 and reloaded.economy.bb_mode is PayoffMode.ANTISYMMETRIC
+
+        for copy in (clone, with_payoff_mode(s, PayoffMode.ANTISYMMETRIC), reloaded):
+            for old, new in zip(warm, _cached_arrays(copy), strict=True):
+                assert new is not old
+                assert not new.flags.writeable
+        # Only the WCO clone changes a weight; the others keep every value.
+        for copy in (with_payoff_mode(s, PayoffMode.ANTISYMMETRIC), reloaded):
+            for old, new in zip(warm, _cached_arrays(copy), strict=True):
+                assert np.array_equal(old, new)
+
+    def test_pickle_round_trip_gives_identical_results(self):
+        s = table1_scenario(seed=23, bb_mode=PayoffMode.ANTISYMMETRIC)
+        warm = _cached_arrays(s)
+        copy = pickle.loads(pickle.dumps(s))
+        for old, new in zip(warm, _cached_arrays(copy), strict=True):
+            assert np.array_equal(old, new)
+            assert not new.flags.writeable
+        profiles = np.vstack([random_profile(s, 30 + k) for k in range(5)])
+        a, b = eco.evaluate_profiles(s, profiles), eco.evaluate_profiles(copy, profiles)
+        for k in range(len(profiles)):
+            assert a.row(k) == b.row(k)
+        assert solver.fpi_solve(copy).to_dict() == solver.fpi_solve(s).to_dict()
 
 
 class TestSerialization:
