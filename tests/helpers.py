@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from cocogen.errors import ZeroTotalData
@@ -213,3 +215,155 @@ def reference_evaluation(s, profile, ir_tolerance=1e-9, bb_tolerance=1e-6):
         "bb_sum": bb_sum,
         "bb_balanced": abs(bb_sum) <= bb_tolerance * scale,
     }
+
+
+# ---------------------------------------------------------------------------
+# Reference solver: the fixed-point loop exactly as first written, with one
+# potential evaluation per iterate on top of the Jacobi targets, case labels
+# classified one organization at a time and integer restoration through 2N
+# full potential evaluations. ``cocogen.solver.fpi_solve`` must reproduce
+# its report bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _ref_potential(s, d):
+    from cocogen import economics, game
+
+    return economics.global_error(s, d) + float(
+        np.dot(-s.marginal_cost_coeffs() / game.z_weights(s), d)
+    )
+
+
+def _ref_case_quantities(s, d, n):
+    from cocogen import economics, game
+
+    eps = economics.local_errors(s, d)
+    total_n = s.orgs[n].d_loc + d[n]
+    return (
+        float(eps.mean()),
+        s.marginal_cost_coeffs()[n] / game.z_weight(s, n),
+        float(total_n ** (-s.orgs[n].law.beta - 1.0)),
+    )
+
+
+def _ref_benefit(s, n, total, a1):
+    law = s.orgs[n].law
+    if total <= 0:
+        raise ZeroTotalData(f"organization {n} has zero total data")
+    return (
+        law.alpha
+        * law.beta
+        / (s.n * s.economy.varrho)
+        * total ** (-law.beta - 1.0)
+        * math.exp((a1 - 1.0) / s.economy.varrho)
+    )
+
+
+def _ref_stationary_point(s, n, a1, a2):
+    org = s.orgs[n]
+    law = org.law
+    varrho = s.economy.varrho
+    bracket = -a2 * s.n * varrho / (law.alpha * law.beta) * math.exp(-(a1 - 1.0) / varrho)
+    if bracket <= 0.0:
+        return math.inf
+    return bracket ** (-1.0 / (law.beta + 1.0)) - org.d_loc
+
+
+def _ref_classify_case(s, d, n, case_mode):
+    a1, a2, a3 = _ref_case_quantities(s, d, n)
+    if case_mode == "printed":
+        benefit = a3 * s.orgs[n].law.alpha * s.orgs[n].law.beta / (
+            s.n * s.economy.varrho
+        ) * math.exp((a1 - 1.0) / s.economy.varrho)
+        if benefit > -a2:
+            return "lower_bound"
+        if benefit < -a2:
+            return "upper_bound"
+        return "interior"
+    d_star = _ref_stationary_point(s, n, a1, a2)
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    if d_star < lo:
+        if -_ref_benefit(s, n, s.orgs[n].d_loc + lo, a1) - a2 >= 0:
+            return "lower_bound"
+    if d_star > hi:
+        if -_ref_benefit(s, n, s.orgs[n].d_loc + hi, a1) - a2 <= 0:
+            return "upper_bound"
+    return "interior"
+
+
+def _ref_sweep_targets(s, d):
+    from cocogen import economics, game
+
+    eps = economics.local_errors(s, d)
+    a1 = float(eps.mean())
+    a2s = s.marginal_cost_coeffs() / game.z_weights(s)
+    out = np.empty(s.n)
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    for n in range(s.n):
+        t = _ref_stationary_point(s, n, a1, a2s[n])
+        out[n] = min(max(t, lo), hi)
+    return out
+
+
+def _ref_restore_integers(s, d):
+    out = d.copy()
+    for n in range(s.n):
+        lo = math.floor(out[n])
+        hi = math.ceil(out[n])
+        if lo == hi:
+            out[n] = float(lo)
+            continue
+        trial = out.copy()
+        trial[n] = float(lo)
+        f_lo = _ref_potential(s, trial)
+        trial[n] = float(hi)
+        f_hi = _ref_potential(s, trial)
+        out[n] = float(lo) if f_lo <= f_hi else float(hi)
+    return out
+
+
+def reference_fpi_solve(s, cfg=None):
+    """The damped Jacobi loop, case labels and rounding as first written."""
+    from cocogen import economics, solver
+    from cocogen.model import StrategyProfile, validate_scenario
+
+    validate_scenario(s)
+    cfg = cfg or solver.SolverConfig()
+    d = solver._initial_profile(s, cfg)
+    f_prev = _ref_potential(s, d)
+    trace = [f_prev]
+    converged = False
+    iterations = 0
+    for k in range(1, cfg.max_iters + 1):
+        iterations = k
+        targets = _ref_sweep_targets(s, d)
+        d = (1.0 - cfg.damping) * d + cfg.damping * targets
+        f_k = _ref_potential(s, d)
+        trace.append(f_k)
+        if abs(f_k - f_prev) <= cfg.tol:
+            converged = True
+            break
+        f_prev = f_k
+
+    disagreements = 0
+    if cfg.case_mode == "printed":
+        grad_labels = [_ref_classify_case(s, d, n, "gradient") for n in range(s.n)]
+        cases = [_ref_classify_case(s, d, n, "printed") for n in range(s.n)]
+        disagreements = sum(g != p for g, p in zip(grad_labels, cases))
+    else:
+        cases = [_ref_classify_case(s, d, n, "gradient") for n in range(s.n)]
+
+    d_final = _ref_restore_integers(s, d)
+    ev = economics.evaluate_profile(s, d_final)
+    return solver.SolveReport(
+        profile=StrategyProfile(d_final),
+        cases=tuple(cases),
+        iterations=iterations,
+        potential_trace=tuple(trace),
+        converged=converged,
+        utilities=ev.utilities,
+        welfare=ev.welfare,
+        ir=ev.ir,
+        bb={"sum": ev.bb_sum, "balanced": ev.bb_balanced},
+        case_disagreements=disagreements,
+    )

@@ -9,11 +9,11 @@ import pytest
 from cocogen import economics as eco
 from cocogen import game, solver
 from cocogen.errors import InstanceTooLarge, ScenarioValidationError
-from cocogen.model import Market, StrategyProfile
+from cocogen.model import Market, PayoffMode, StrategyProfile
 from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 from cocogen.solver import CaseLabel, SolverConfig
 
-from helpers import build_scenario, random_profile, table1_scenario
+from helpers import build_scenario, random_profile, reference_fpi_solve, table1_scenario
 
 
 class TestCaseQuantities:
@@ -196,6 +196,49 @@ class TestFpiSolve:
                 mean_d_gen.append(float(np.mean(rep.profile.d_gen)))
             assert welfare[0] <= welfare[1] <= welfare[2]
             assert mean_d_gen[0] <= mean_d_gen[1] <= mean_d_gen[2]
+
+
+def assert_same_report(s, cfg=None):
+    got = solver.fpi_solve(s, cfg)
+    want = reference_fpi_solve(s, cfg)
+    assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(
+        want.to_dict(), sort_keys=True
+    )
+    assert np.array_equal(got.profile.d_gen, want.profile.d_gen)
+    assert got.potential_trace == want.potential_trace
+    return got
+
+
+class TestReferenceEquivalence:
+    """The solver reproduces the loop as first written, bit for bit."""
+
+    @pytest.mark.parametrize("init", ["all_min", "all_max", "midpoint"])
+    @pytest.mark.parametrize("case_mode", ["gradient", "printed"])
+    @pytest.mark.parametrize("bb_mode", [PayoffMode.LITERAL, PayoffMode.ANTISYMMETRIC])
+    def test_table1_scenarios(self, init, case_mode, bb_mode):
+        cfg = SolverConfig(init=init, case_mode=case_mode)
+        for seed, n in ((60, 10), (61, 10), (62, 3)):
+            assert_same_report(table1_scenario(seed=seed, n=n, bb_mode=bb_mode), cfg)
+
+    @pytest.mark.parametrize("cost_scale", [1e6, 1e-6])
+    def test_edge_cost_scenarios(self, cost_scale):
+        s = table1_scenario(seed=63, cost_scale=cost_scale)
+        for case_mode in ("gradient", "printed"):
+            assert_same_report(s, SolverConfig(tol=1e-12, max_iters=2000, case_mode=case_mode))
+
+    def test_nonconverged_run(self):
+        s = table1_scenario(seed=64)
+        rep = assert_same_report(s, SolverConfig(tol=1e-16, max_iters=2, init="midpoint"))
+        assert not rep.converged and rep.iterations == 2
+
+    def test_sweep_preset_scenarios_and_wco_clones(self):
+        from cocogen import baselines
+
+        grid = default_sweep_grid()
+        for job in expand_sweep(grid)[:: grid.repetitions // 4]:
+            s = sample_scenario(grid, job.cell, job.seed)
+            assert_same_report(s)
+            assert_same_report(baselines.wco_scenario(s))
 
 
 class TestGridOracle:
