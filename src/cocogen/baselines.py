@@ -59,13 +59,14 @@ def wco_solve(s: Scenario, cfg: solver.SolverConfig | None = None) -> WcoOutcome
     )
 
 
-def radg_profiles(s: Scenario, seed: int, count: int) -> list[StrategyProfile]:
-    """``count`` independent integer-uniform profiles from one seeded stream."""
+def radg_profiles(s: Scenario, seed: int, count: int) -> np.ndarray:
+    """(count, N) float matrix of independent integer-uniform profiles, one
+    row per draw, from one seeded stream."""
     rng = family_stream(seed, FAMILY.RADG)
     draws = rng.integers(s.bounds.d_min, s.bounds.d_max, size=(count, s.n), endpoint=True)
-    return [StrategyProfile(row.astype(np.float64)) for row in draws]
+    return draws.astype(np.float64)
 
 
 def radg_profile(s: Scenario, seed: int) -> StrategyProfile:
     """Independent integer-uniform generation volumes, deterministic in seed."""
-    return radg_profiles(s, seed, 1)[0]
+    return StrategyProfile(radg_profiles(s, seed, 1)[0])

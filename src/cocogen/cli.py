@@ -219,8 +219,7 @@ def _realized_gamma_bar(gamma: np.ndarray) -> float:
 
 
 def _radg_rows_stats(s, seed: int, count: int):
-    profiles = baselines.radg_profiles(s, seed, count)
-    draws = np.array([p.d_gen for p in profiles]).reshape(count, s.n)
+    draws = baselines.radg_profiles(s, seed, count)
     ev = economics.evaluate_profiles(s, draws)
     return (
         float(np.mean(ev.welfare)),

@@ -121,17 +121,28 @@ def _check_index(s: Scenario, n: int) -> None:
         raise IndexOutOfRange(f"organization index {n} outside [0, {s.n})")
 
 
+def _energy(kappa, eta, mu, f2, d_loc, d_gen):
+    return kappa * (eta * (d_loc + d_gen) + mu * d_gen) * f2
+
+
 def energy(org: Organization, d_gen: float | np.ndarray) -> float | np.ndarray:
     """Energy spent training on the mixed data and generating ``d_gen`` samples.
 
     ``d_gen`` may be one volume or an array of volumes for this organization.
     """
-    d_mix = org.d_loc + d_gen
-    return org.kappa * (org.eta * d_mix + org.mu * d_gen) * org.f**2
+    return _energy(org.kappa, org.eta, org.mu, org.f**2, org.d_loc, d_gen)
 
 
 def compute_cost(org: Organization, d_gen: float | np.ndarray) -> float | np.ndarray:
     return org.c_cmp * energy(org, d_gen)
+
+
+def _cost_columns(s: Scenario) -> np.ndarray:
+    """Rows c_cmp, kappa, eta, mu and f**2 (Python's square), per organization."""
+    return s.cached(
+        "cost_columns",
+        lambda: [[o.c_cmp, o.kappa, o.eta, o.mu, o.f**2] for o in s.orgs],
+    ).T
 
 
 @dataclass(frozen=True)
@@ -213,7 +224,7 @@ def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluat
     d = np.asarray(profiles, dtype=np.float64)
     if d.ndim != 2 or d.shape[1] != s.n:
         raise DimensionMismatch(f"profile matrix has shape {d.shape}, expected (m, {s.n})")
-    m, n = d.shape
+    n = d.shape[1]
     eps = _local_errors(s, d)
     eps_min = _local_errors(s, np.full(n, float(s.bounds.d_min)))
     err = _aggregate(s, eps)
@@ -232,11 +243,10 @@ def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluat
     loss = _offdiagonal_sums(s.market.phi * gamma * marginal[:, :, None])
 
     revenue = s.psis() * (epsilon_zero(s) - err)[:, None]
-    # One column per organization through the scalar cost formula, so its
-    # operation order (and hence every last digit) is the one-profile order.
-    cost = np.empty((m, n))
-    for i, org in enumerate(s.orgs):
-        cost[:, i] = compute_cost(org, d[:, i])
+    # Elementwise products and sums only, in compute_cost's order, so each
+    # entry equals the one-organization value to the last digit.
+    c_cmp, kappa, eta, mu, f2 = _cost_columns(s)
+    cost = c_cmp * _energy(kappa, eta, mu, f2, s.d_locs(), d)
     c0 = s.economy.c0
     utility = revenue + payoff_in - cost - c0 - loss
     bb_sum = _column_sums(payoff_in)

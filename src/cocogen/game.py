@@ -24,6 +24,7 @@ __all__ = [
     "z_weight",
     "z_weights",
     "potential",
+    "potential_from_errors",
     "potential_batch",
     "potential_gradient",
     "weighted_potential_residual",
@@ -47,13 +48,18 @@ def z_weights(s: Scenario) -> np.ndarray:
 
 
 def _linear_coeffs(s: Scenario) -> np.ndarray:
-    """Coefficient of d_gen[n] in F: -cost_coeff_n / z_n (positive)."""
-    return -s.marginal_cost_coeffs() / z_weights(s)
+    """Coefficient of d_gen[n] in F: -cost_coeff_n / z_n (positive), cached."""
+    return s.cached("linear_coeffs", lambda: -s.marginal_cost_coeffs() / z_weights(s))
 
 
 def potential(s: Scenario, profile: ProfileLike) -> float:
     d = as_dgen(profile, s.n)
-    return economics.global_error(s, profile) + float(np.dot(_linear_coeffs(s), d))
+    return potential_from_errors(s, economics.local_errors(s, d), d)
+
+
+def potential_from_errors(s: Scenario, eps: np.ndarray, d: np.ndarray) -> float:
+    """F at the profile ``d`` whose local-error vector ``eps`` is already known."""
+    return float(economics._aggregate(s, eps)) + float(np.dot(_linear_coeffs(s), d))
 
 
 def potential_batch(s: Scenario, profiles: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence, Union
@@ -258,6 +259,7 @@ class Scenario:
         The cache lives on the instance: copies made with
         ``dataclasses.replace`` or the constructor start empty, and pickling
         drops it (see ``__getstate__``), so no copy sees another's arrays.
+        The same holds for the mark :func:`validate_scenario` leaves.
         """
         cache = self.__dict__.setdefault("_cache", {})
         if key not in cache:
@@ -267,6 +269,7 @@ class Scenario:
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_cache", None)
+        state.pop("_validated", None)
         return state
 
     # Per-organization parameter vectors, used throughout the numerics.
@@ -334,8 +337,12 @@ def validate_scenario(s: Scenario) -> Scenario:
     """Return ``s`` unchanged iff every invariant holds.
 
     Raises :class:`ScenarioValidationError` carrying the complete violation
-    list otherwise. Idempotent: validating a validated scenario is a no-op.
+    list otherwise. Idempotent: a success is remembered on the instance
+    (which is frozen, with read-only arrays), so validating it again is a
+    no-op; copies start unvalidated.
     """
+    if s.__dict__.get("_validated"):
+        return s
     violations: list[CocogenError] = []
     if len(s.orgs) < 1:
         violations.append(InvariantViolation("organizations", "need at least one"))
@@ -347,6 +354,13 @@ def validate_scenario(s: Scenario) -> Scenario:
                 InvariantViolation(f"organizations[{i}].id", f"must equal index {i}")
             )
         violations.extend(org._violations())
+        if org.d_loc == 0 and s.bounds.d_min == 0:
+            violations.append(
+                InvariantViolation(
+                    f"organizations[{i}].d_loc",
+                    "must be > 0 when bounds.d_min is 0 (zero total training data)",
+                )
+            )
     violations.extend(s.market._violations(s.n))
     violations.extend(s.economy._violations())
     violations.extend(s.bounds._violations())
@@ -366,6 +380,7 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     if violations:
         raise ScenarioValidationError(violations)
+    s.__dict__["_validated"] = True
     return s
 
 
@@ -421,8 +436,14 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def _as_int(value, where: str) -> int:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise InvariantViolation(where, "must be finite")
+    """An integral number from a config value; bools and fractions are errors."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
+        raise InvariantViolation(where, f"must be an integer, got {value!r}")
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InvariantViolation(where, "must be finite")
+        if not value.is_integer():
+            raise InvariantViolation(where, f"must be an integer, got {value!r}")
     return int(value)
 
 

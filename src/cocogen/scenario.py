@@ -30,6 +30,7 @@ from .model import (
     ScalingLaw,
     Scenario,
     StrategyBounds,
+    _as_int,
     validate_scenario,
 )
 
@@ -272,16 +273,17 @@ def sweep_from_dict(obj: dict) -> SweepGrid:
     return SweepGrid(
         gamma_levels=tuple(levels),
         alpha_d_levels=tuple(float(x) for x in obj["alpha_d_levels"]),
-        repetitions=int(obj["repetitions"]),
-        base_seed=int(obj["base_seed"]),
-        n_orgs=int(obj.get("n_orgs", 10)),
+        repetitions=_as_int(obj["repetitions"], "repetitions"),
+        base_seed=_as_int(obj["base_seed"], "base_seed"),
+        n_orgs=_as_int(obj.get("n_orgs", 10), "n_orgs"),
         xi=float(obj.get("xi", 20.0)),
         org_defaults=defaults,
         economy=economy,
         bounds=StrategyBounds(
-            d_min=int(raw_bounds.get("d_min", 0)), d_max=int(raw_bounds.get("d_max", 3000))
+            d_min=_as_int(raw_bounds.get("d_min", 0), "bounds.d_min"),
+            d_max=_as_int(raw_bounds.get("d_max", 3000), "bounds.d_max"),
         ),
-        radg_repetitions=int(obj.get("radg_repetitions", 100)),
+        radg_repetitions=_as_int(obj.get("radg_repetitions", 100), "radg_repetitions"),
     )
 
 

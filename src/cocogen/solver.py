@@ -120,106 +120,162 @@ class SolveReport:
         return out
 
 
-def case_quantities(s: Scenario, profile: ProfileLike, n: int) -> CaseQuantities:
-    d = as_dgen(profile, s.n)
-    eps = economics.local_errors(s, d)
-    total_n = s.orgs[n].d_loc + d[n]
-    return CaseQuantities(
-        a1=float(eps.mean()),
-        a2=s.marginal_cost_coeffs()[n] / game.z_weight(s, n),
-        a3=float(total_n ** (-s.orgs[n].law.beta - 1.0)),
+@dataclass(frozen=True)
+class _Stationarity:
+    """Per-scenario constants of the stationarity analysis, as Python floats.
+
+    Each entry is the leading factor of a closed form below, computed with
+    correctly rounded array arithmetic in the closed form's left-to-right
+    order, so the iterates are the same to the last bit as without it.
+    """
+
+    a2: tuple[float, ...]  # cost coefficient over the game weight
+    factor: tuple[float, ...]  # -a2 * N * varrho / (alpha * beta)
+    exponent: tuple[float, ...]  # -1 / (beta + 1)
+    benefit: tuple[float, ...]  # alpha * beta / (N * varrho)
+    benefit_exponent: tuple[float, ...]  # -beta - 1
+    d_loc: tuple[float, ...]
+    varrho: float
+    lo: float
+    hi: float
+
+
+def _stationarity(s: Scenario) -> _Stationarity:
+    varrho = s.economy.varrho
+    alphas, betas = s.alphas(), s.betas()
+    a2 = s.marginal_cost_coeffs() / game.z_weights(s)
+    return _Stationarity(
+        a2=tuple(a2.tolist()),
+        factor=tuple((-a2 * s.n * varrho / (alphas * betas)).tolist()),
+        exponent=tuple((-1.0 / (betas + 1.0)).tolist()),
+        benefit=tuple((alphas * betas / (s.n * varrho)).tolist()),
+        benefit_exponent=tuple((-betas - 1.0).tolist()),
+        d_loc=tuple(s.d_locs().tolist()),
+        varrho=varrho,
+        lo=float(s.bounds.d_min),
+        hi=float(s.bounds.d_max),
     )
 
 
-def _benefit(s: Scenario, n: int, total: float, a1: float) -> float:
-    """Marginal reduction of the global error term per generated sample."""
-    org = s.orgs[n]
-    law = org.law
+def _exp(x: float) -> float:
+    """``math.exp`` that saturates to +inf instead of raising on overflow.
+
+    The transcendental calls stay scalar libm calls: numpy's SIMD ``exp``
+    and ``power`` may differ from libm in the last bit.
+    """
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _stationary_points(c: _Stationarity, a1: float) -> list[float]:
+    """Closed-form unconstrained stationary value of every coordinate, given a1.
+
+    An overflowing exponential puts the stationary point below every
+    feasible volume (it tends to ``-d_loc``); clipping handles the rest.
+    """
+    growth = _exp(-(a1 - 1.0) / c.varrho)
+    out = []
+    for factor, exponent, d_loc in zip(c.factor, c.exponent, c.d_loc):
+        bracket = factor * growth
+        try:
+            # A bracket that underflowed to zero (or whose power overflows)
+            # has its stationary point above every volume.
+            out.append(bracket**exponent - d_loc if bracket > 0.0 else math.inf)
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
+def _benefit(c: _Stationarity, n: int, total: float, growth: float) -> float:
+    """Marginal reduction of the global error term per generated sample,
+    where ``growth = exp((a1 - 1) / varrho)``."""
     if total <= 0:
         raise ZeroTotalData(f"organization {n} has zero total data")
-    return (
-        law.alpha
-        * law.beta
-        / (s.n * s.economy.varrho)
-        * total ** (-law.beta - 1.0)
-        * math.exp((a1 - 1.0) / s.economy.varrho)
+    return c.benefit[n] * total ** c.benefit_exponent[n] * growth
+
+
+def _labels(c: _Stationarity, d: np.ndarray, a1: float, case_mode: str) -> list[str]:
+    """Every organization's case label at ``d``, whose mean local error is a1."""
+    growth = _exp((a1 - 1.0) / c.varrho)
+    labels = []
+    if case_mode == CASE_PRINTED:
+        for n, a2 in enumerate(c.a2):
+            benefit = _benefit(c, n, c.d_loc[n] + d[n], growth)
+            if benefit > -a2:
+                labels.append(CaseLabel.LOWER_BOUND)
+            elif benefit < -a2:
+                labels.append(CaseLabel.UPPER_BOUND)
+            else:
+                labels.append(CaseLabel.INTERIOR)
+        return labels
+
+    for n, d_star in enumerate(_stationary_points(c, a1)):
+        label = CaseLabel.INTERIOR
+        if d_star < c.lo and -_benefit(c, n, c.d_loc[n] + c.lo, growth) - c.a2[n] >= 0:
+            label = CaseLabel.LOWER_BOUND
+        elif d_star > c.hi and -_benefit(c, n, c.d_loc[n] + c.hi, growth) - c.a2[n] <= 0:
+            label = CaseLabel.UPPER_BOUND
+        labels.append(label)
+    return labels
+
+
+def _mean_error(s: Scenario, profile: ProfileLike) -> tuple[np.ndarray, float]:
+    d = as_dgen(profile, s.n)
+    return d, float(economics.local_errors(s, d).mean())
+
+
+def case_quantities(s: Scenario, profile: ProfileLike, n: int) -> CaseQuantities:
+    d, a1 = _mean_error(s, profile)
+    c = _stationarity(s)
+    return CaseQuantities(
+        a1=a1,
+        a2=c.a2[n],
+        a3=float((c.d_loc[n] + d[n]) ** c.benefit_exponent[n]),
     )
-
-
-def _stationary_point(s: Scenario, n: int, a1: float, a2: float) -> float:
-    """Closed-form unconstrained stationary value of d_gen[n], given a1."""
-    org = s.orgs[n]
-    law = org.law
-    varrho = s.economy.varrho
-    bracket = -a2 * s.n * varrho / (law.alpha * law.beta) * math.exp(-(a1 - 1.0) / varrho)
-    if bracket <= 0.0:  # cost coefficient underflowed to zero
-        return math.inf
-    return bracket ** (-1.0 / (law.beta + 1.0)) - org.d_loc
 
 
 def classify_case(
     s: Scenario, profile: ProfileLike, n: int, case_mode: str = CASE_GRADIENT
 ) -> str:
     """Label organization ``n``'s coordinate as bound-pinned or interior."""
-    q = case_quantities(s, profile, n)
-    if case_mode == CASE_PRINTED:
-        benefit = q.a3 * s.orgs[n].law.alpha * s.orgs[n].law.beta / (
-            s.n * s.economy.varrho
-        ) * math.exp((q.a1 - 1.0) / s.economy.varrho)
-        if benefit > -q.a2:
-            return CaseLabel.LOWER_BOUND
-        if benefit < -q.a2:
-            return CaseLabel.UPPER_BOUND
-        return CaseLabel.INTERIOR
-
-    d_star = _stationary_point(s, n, q.a1, q.a2)
-    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    if d_star < lo:
-        grad_lo = -_benefit(s, n, s.orgs[n].d_loc + lo, q.a1) - q.a2
-        if grad_lo >= 0:
-            return CaseLabel.LOWER_BOUND
-    if d_star > hi:
-        grad_hi = -_benefit(s, n, s.orgs[n].d_loc + hi, q.a1) - q.a2
-        if grad_hi <= 0:
-            return CaseLabel.UPPER_BOUND
-    return CaseLabel.INTERIOR
+    d, a1 = _mean_error(s, profile)
+    return _labels(_stationarity(s), d, a1, case_mode)[n]
 
 
 def interior_update(s: Scenario, profile: ProfileLike, n: int) -> float:
     """Stationary value with the mean error frozen at the iterate, clipped."""
-    q = case_quantities(s, profile, n)
-    d_star = _stationary_point(s, n, q.a1, q.a2)
-    return float(min(max(d_star, float(s.bounds.d_min)), float(s.bounds.d_max)))
+    _, a1 = _mean_error(s, profile)
+    c = _stationarity(s)
+    return float(min(max(_stationary_points(c, a1)[n], c.lo), c.hi))
 
 
-def _sweep_targets(s: Scenario, d: np.ndarray) -> np.ndarray:
-    """Clipped stationary targets for every coordinate (one Jacobi sweep)."""
-    eps = economics.local_errors(s, d)
-    a1 = float(eps.mean())
-    a2s = s.marginal_cost_coeffs() / game.z_weights(s)
-    out = np.empty(s.n)
-    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+def _restore_integers(s: Scenario, d: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Round each coordinate to the better of floor/ceil by potential value.
+
+    ``eps`` is the local-error vector of ``d``. A trial profile differs
+    from the running one in one coordinate, so its error vector is the
+    running one with that entry taken from the errors of the all-floor or
+    all-ceiling profile; ``local_errors`` computes each entry on its own,
+    so these are the values a full recomputation gives.
+    """
+    floor, ceil = np.floor(d), np.ceil(d)
+    eps_floor = economics.local_errors(s, floor)
+    eps_ceil = economics.local_errors(s, ceil)
+    out, eps = d.copy(), eps.copy()
     for n in range(s.n):
-        t = _stationary_point(s, n, a1, a2s[n])
-        out[n] = min(max(t, lo), hi)
-    return out
-
-
-def _restore_integers(s: Scenario, d: np.ndarray) -> np.ndarray:
-    """Round each coordinate to the better of floor/ceil by potential value."""
-    out = d.copy()
-    for n in range(s.n):
-        lo = math.floor(out[n])
-        hi = math.ceil(out[n])
-        if lo == hi:
-            out[n] = float(lo)
+        if floor[n] == ceil[n]:
             continue
-        trial = out.copy()
-        trial[n] = float(lo)
-        f_lo = game.potential(s, trial)
-        trial[n] = float(hi)
-        f_hi = game.potential(s, trial)
-        out[n] = float(lo) if f_lo <= f_hi else float(hi)
+        trial, trial_eps = out.copy(), eps.copy()
+        trial[n], trial_eps[n] = floor[n], eps_floor[n]
+        f_lo = game.potential_from_errors(s, trial_eps, trial)
+        trial[n], trial_eps[n] = ceil[n], eps_ceil[n]
+        f_hi = game.potential_from_errors(s, trial_eps, trial)
+        if f_lo <= f_hi:
+            out[n], eps[n] = floor[n], eps_floor[n]
+        else:
+            out[n], eps[n] = ceil[n], eps_ceil[n]
     return out
 
 
@@ -239,31 +295,37 @@ def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
 
     Stops on ``|F_k - F_{k-1}| <= tol`` or on iteration exhaustion
     (reported, never raised). The converged real-relaxed profile is then
-    rounded coordinate-wise to the better integer neighbour.
+    rounded coordinate-wise to the better integer neighbour. Each iterate's
+    local-error vector is computed once and serves both its potential and
+    the next sweep's targets.
     """
     validate_scenario(s)
     cfg = cfg or SolverConfig()
+    c = _stationarity(s)
     d = _initial_profile(s, cfg)
-    f_prev = game.potential(s, d)
+    eps = economics.local_errors(s, d)
+    f_prev = game.potential_from_errors(s, eps, d)
     trace = [f_prev]
     converged = False
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
         iterations = k
-        targets = _sweep_targets(s, d)
-        d = (1.0 - cfg.damping) * d + cfg.damping * targets
-        f_k = game.potential(s, d)
+        targets = [min(max(t, c.lo), c.hi) for t in _stationary_points(c, float(eps.mean()))]
+        d = (1.0 - cfg.damping) * d + cfg.damping * np.array(targets)
+        eps = economics.local_errors(s, d)
+        f_k = game.potential_from_errors(s, eps, d)
         trace.append(f_k)
         if abs(f_k - f_prev) <= cfg.tol:
             converged = True
             break
         f_prev = f_k
 
+    a1 = float(eps.mean())
+    cases = _labels(c, d, a1, cfg.case_mode)
     disagreements = 0
     if cfg.case_mode == CASE_PRINTED:
-        grad_labels = [classify_case(s, d, n, CASE_GRADIENT) for n in range(s.n)]
-        printed_labels = [classify_case(s, d, n, CASE_PRINTED) for n in range(s.n)]
-        disagreements = sum(g != p for g, p in zip(grad_labels, printed_labels))
+        grad_labels = _labels(c, d, a1, CASE_GRADIENT)
+        disagreements = sum(g != p for g, p in zip(grad_labels, cases))
         if disagreements:
             logger.warning(
                 "printed case directions disagree with gradient signs for "
@@ -271,11 +333,8 @@ def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
                 disagreements,
                 s.n,
             )
-        cases = printed_labels
-    else:
-        cases = [classify_case(s, d, n, CASE_GRADIENT) for n in range(s.n)]
 
-    d_final = _restore_integers(s, d)
+    d_final = _restore_integers(s, d, eps)
     ev = economics.evaluate_profile(s, d_final)
     return SolveReport(
         profile=StrategyProfile(d_final),

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from cocogen import baselines, economics as eco, game, solver
+from cocogen.model import StrategyProfile
+from cocogen.scenario import FAMILY, family_stream
 
 from helpers import build_scenario, table1_scenario
 
@@ -74,16 +76,24 @@ class TestRadg:
 
     def test_profiles_are_integers_within_bounds(self):
         s = table1_scenario(seed=69)
-        for p in baselines.radg_profiles(s, seed=7, count=20):
-            assert p.within(s.bounds)
-            assert np.all(p.d_gen == np.round(p.d_gen))
+        draws = baselines.radg_profiles(s, seed=7, count=20)
+        assert draws.shape == (20, s.n) and draws.dtype == np.float64
+        for row in draws:
+            assert StrategyProfile(row).within(s.bounds)
+            assert np.all(row == np.round(row))
 
     def test_first_draw_matches_single_profile(self):
         s = table1_scenario(seed=70)
         assert np.array_equal(
-            baselines.radg_profiles(s, seed=8, count=5)[0].d_gen,
+            baselines.radg_profiles(s, seed=8, count=5)[0],
             baselines.radg_profile(s, seed=8).d_gen,
         )
+
+    def test_draws_follow_the_radg_family_stream(self):
+        s = table1_scenario(seed=72)
+        stream = family_stream(9, FAMILY.RADG)
+        expected = stream.integers(s.bounds.d_min, s.bounds.d_max, size=(50, s.n), endpoint=True)
+        assert np.array_equal(baselines.radg_profiles(s, seed=9, count=50), expected)
 
     def test_mean_welfare_below_equilibrium(self):
         s = table1_scenario(seed=71)

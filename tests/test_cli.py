@@ -37,6 +37,21 @@ def write_small_sweep(tmp_path, reps=2, radg=5, seed=11):
     return str(path)
 
 
+def shipped_example_with(tmp_path, path, value):
+    """The shipped example scenario file with one field replaced."""
+    from importlib import resources
+
+    src = resources.files("cocogen").joinpath("data/scenario_example.json")
+    payload = json.loads(src.read_text(encoding="utf-8"))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload), encoding="utf-8")
+    return str(edited)
+
+
 def example_scenario(seed=7):
     grid = default_sweep_grid()
     cell = SweepCell(
@@ -130,18 +145,39 @@ class TestSolveCommand:
         ],
     )
     def test_non_finite_input_is_input_error(self, tmp_path, capsys, command, path, value, field):
-        from importlib import resources
-
-        src = resources.files("cocogen").joinpath("data/scenario_example.json")
-        payload = json.loads(src.read_text(encoding="utf-8"))
-        target = payload
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        bad = tmp_path / "non_finite.json"
-        bad.write_text(json.dumps(payload), encoding="utf-8")
-        assert cli.main([command, str(bad)]) == 2
+        bad = shipped_example_with(tmp_path, path, value)
+        assert cli.main([command, bad]) == 2
         assert f"{field}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("seed",), True, "seed"),
+            (("organizations", 0, "d_loc"), 1500.7, "organizations[0].d_loc"),
+            (("organizations", 0, "d_loc"), 0, "organizations[0].d_loc"),
+        ],
+    )
+    def test_unusable_integer_input_is_input_error(
+        self, tmp_path, capsys, command, path, value, field
+    ):
+        # d_loc = 0 with the shipped d_min = 0 leaves no training data.
+        bad = shipped_example_with(tmp_path, path, value)
+        assert cli.main([command, bad]) == 2
+        assert f"{field}: must be" in capsys.readouterr().err
+
+    def test_overflowing_stationary_point_clips_to_the_floor(self, tmp_path, capsys):
+        path = shipped_example_with(tmp_path, ("economy", "varrho"), 1e-3)
+        out = tmp_path / "r.json"
+        assert cli.main(["solve", path, "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"] is True and payload["iterations"] == 1
+        assert payload["profile"] == [0.0] * 10
+        assert set(payload["cases"]) == {"lower_bound"}
+        assert math.isfinite(payload["welfare"])
+        capsys.readouterr()
+        assert cli.main(["compare", path]) == 0
+        assert "CoCoGen" in capsys.readouterr().out
 
     def test_loose_tolerance_uses_fewer_iterations(self, tmp_path, capsys):
         path = write_scenario(tmp_path, example_scenario())

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cocogen.model import (
     Market,
     PayoffMode,
     ScalingLaw,
+    StrategyBounds,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -110,6 +112,34 @@ class TestValidation:
             build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0)
         assert any(isinstance(v, NonNegativeZWeight) for v in exc.value.violations)
 
+    def test_zero_total_data_rejected_with_the_field_named(self):
+        s = build_scenario(n=3, d_loc=[1500, 0, 800], d_min=0, validate=False)
+        with pytest.raises(ScenarioValidationError) as exc:
+            validate_scenario(s)
+        assert [v.field for v in exc.value.violations] == ["organizations[1].d_loc"]
+        # A positive floor keeps every total positive.
+        validate_scenario(replace(s, bounds=StrategyBounds(d_min=1, d_max=3000)))
+
+    def test_success_is_remembered_on_the_instance_only(self, monkeypatch):
+        s = build_scenario(n=3)
+        calls = []
+        real = game.z_weight
+        monkeypatch.setattr(game, "z_weight", lambda s, n: calls.append(n) or real(s, n))
+        assert validate_scenario(s) is s
+        assert calls == []
+        copies = (
+            replace(s),
+            type(s)(orgs=s.orgs, market=s.market, economy=s.economy, bounds=s.bounds),
+            pickle.loads(pickle.dumps(s)),
+        )
+        for copy in copies:
+            assert validate_scenario(copy) is copy
+        assert calls == [0, 1, 2] * 3
+        bad = replace(s, economy=replace(s.economy, c0=-1.0))
+        for _ in range(2):
+            with pytest.raises(ScenarioValidationError):
+                validate_scenario(bad)
+
     def test_z_weight_raises_directly_for_degenerate_org(self):
         s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, validate=False)
         with pytest.raises(NonNegativeZWeight):
@@ -135,6 +165,12 @@ NON_FINITE_FIELDS = [
     (("economy", "c0"), math.nan, "economy.c0"),
     (("economy", "eps0_value"), math.inf, "economy.eps0_value"),
     (("bounds", "d_max"), math.inf, "bounds.d_max"),
+    # Integer fields: booleans and fractional numbers are not integers.
+    (("seed",), True, "seed"),
+    (("organizations", 0, "d_loc"), 1500.7, "organizations[0].d_loc"),
+    (("organizations", 1, "d_loc"), False, "organizations[1].d_loc"),
+    (("bounds", "d_min"), 0.5, "bounds.d_min"),
+    (("bounds", "d_max"), "3000", "bounds.d_max"),
 ]
 
 
