@@ -4,7 +4,8 @@ Each layer is timed with ``timeit`` as the minimum over ``--repeat`` runs,
 divided by the calls per run. The per-call layers run on the first preset
 sweep job's scenario, on one warm instance (column caches built, already
 validated), so they measure the layer alone; ``cli.run_sweep_job`` runs the
-first 90 preset jobs from scratch and is what a sweep pays per job.
+first 90 preset jobs end to end, sampling included, and is what a sweep
+pays per job.
 
 Time two checkouts with the same script and collect both in one file.
 Each invocation appends its numbers under its label, and the file keeps the

@@ -153,3 +153,20 @@ class TestSweepConfig:
                     "bogus": True,
                 }
             )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("repetitions", 2.5), ("base_seed", True), ("n_orgs", "10"), ("radg_repetitions", 1e2 + 0.5)],
+    )
+    def test_integer_fields_reject_non_integers(self, key, value):
+        payload = {
+            "gamma_levels": [{"lo": 0, "hi": 1}],
+            "alpha_d_levels": [0.5],
+            "repetitions": 1,
+            "base_seed": 0,
+        }
+        assert sweep_from_dict(payload).repetitions == 1
+        payload[key] = value
+        with pytest.raises(InvariantViolation) as exc:
+            sweep_from_dict(payload)
+        assert exc.value.field == key
