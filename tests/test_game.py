@@ -10,6 +10,44 @@ from cocogen.errors import ConvexityViolation
 from helpers import build_scenario, random_profile, table1_scenario
 
 
+def _equivalence_scenarios():
+    """Ten homogeneous Table-1 draws and two with one error law per organization."""
+    out = [table1_scenario(seed=700 + k) for k in range(10)]
+    for k, n in enumerate((3, 7)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([k, 71], dtype=np.uint64)))
+        out.append(
+            build_scenario(
+                n=n,
+                alpha=rng.uniform(5.0, 30.0, size=n),
+                beta=rng.uniform(0.2, 0.9, size=n),
+                delta=rng.uniform(0.0, 0.2, size=n),
+                d_loc=rng.integers(1000, 3001, size=n),
+                seed=720 + k,
+            )
+        )
+    return out
+
+
+def _first_potential_batch(s, profiles):
+    """``game.potential_batch`` as first written, with its own closed form."""
+    p = np.asarray(profiles, dtype=np.float64)
+    totals = s.d_locs()[None, :] + p
+    eps = s.alphas()[None, :] * np.power(totals, -s.betas()[None, :]) - s.deltas()[None, :]
+    err = np.exp((eps.mean(axis=1) - 1.0) / s.economy.varrho)
+    return err + p @ (-s.marginal_cost_coeffs() / game.z_weights(s))
+
+
+def _first_potential_gradient(s, d):
+    """``game.potential_gradient`` as first written, with its own benefit term."""
+    eps = eco.local_errors(s, d)
+    err = np.exp((float(eps.mean()) - 1.0) / s.economy.varrho)
+    alphas, betas = s.alphas(), s.betas()
+    benefit = (
+        alphas * betas / (s.n * s.economy.varrho) * np.power(s.d_locs() + d, -betas - 1.0) * err
+    )
+    return -benefit - s.marginal_cost_coeffs() / game.z_weights(s)
+
+
 class TestZWeight:
     def test_isolated_org(self):
         s = build_scenario(n=1, gamma=[[0.0]], psi=700.0, xi=0.0)
@@ -64,6 +102,15 @@ class TestPotential:
         for row, expected in zip(profiles, batch):
             assert game.potential(s, row) == pytest.approx(expected, rel=1e-12)
 
+    def test_batch_equals_its_first_closed_form_bitwise(self):
+        for s in _equivalence_scenarios():
+            rng = np.random.Generator(np.random.Philox(key=np.array([s.seed, 3], dtype=np.uint64)))
+            profiles = rng.uniform(s.bounds.d_min, s.bounds.d_max, size=(150, s.n))
+            profiles[:50] = np.round(profiles[:50])
+            assert np.array_equal(
+                game.potential_batch(s, profiles), _first_potential_batch(s, profiles)
+            )
+
 
 class TestGradient:
     def test_matches_central_finite_differences(self):
@@ -78,6 +125,17 @@ class TestGradient:
                 dn[n] -= h
                 fd = (game.potential(s, up) - game.potential(s, dn)) / (2 * h)
                 assert grad[n] == pytest.approx(fd, rel=1e-6)
+
+    def test_matches_its_first_closed_form(self):
+        for s in _equivalence_scenarios():
+            for k in range(20):
+                p = random_profile(s, 500 + k)
+                if k < 5:
+                    p = np.round(p)
+                np.testing.assert_allclose(
+                    game.potential_gradient(s, p), _first_potential_gradient(s, p),
+                    rtol=1e-12, atol=0.0,
+                )
 
     def test_symmetric_scenario_gives_equal_entries(self):
         s = build_scenario(n=4)
