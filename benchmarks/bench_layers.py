@@ -5,7 +5,10 @@ divided by the calls per run. The per-call layers run on the first preset
 sweep job's scenario, on one warm instance (column caches built, already
 validated), so they measure the layer alone; ``cli.run_sweep_job`` runs the
 first 90 preset jobs end to end, sampling included, and is what a sweep
-pays per job.
+pays per job. ``solver.grid_oracle.n2`` and ``.n3`` run the exhaustive
+oracle on the first preset job's cell drawn with 2 and 3 organizations,
+over the full 3001-point axes: a 2-axis scan of 9M points, and a 3-axis
+scan that reduces its innermost axis through a lower envelope.
 
 Time two checkouts with the same script and collect both in one file.
 Each invocation appends its numbers under its label, and the file keeps the
@@ -71,6 +74,13 @@ def measure(repeat: int) -> dict:
         )
         / 90,
     }
+    for n in (2, 3):
+        small = replace(grid, n_orgs=n)
+        first = expand_sweep(small)[0]
+        oracle_s = sample_scenario(small, first.cell, first.seed)
+        layers[f"solver.grid_oracle.n{n}"] = _per_call_us(
+            lambda: solver.grid_oracle(oracle_s), 1, repeat
+        )
     layers["solver.fpi_solve.per_iteration"] = layers["solver.fpi_solve"] / report.iterations
     return {k: round(v, 2) for k, v in layers.items()}
 

@@ -409,6 +409,9 @@ def cmd_compare(args) -> int:
     except (OSError, ValueError, KeyError, CocogenError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.radg_reps < 1:
+        print("error: --radg-reps must be >= 1", file=sys.stderr)
+        return EXIT_INPUT
     cfg = _solver_config_from_args(args)
 
     rows, clone_welfare = scheme_rows(s, cfg, s.seed, args.radg_reps)
@@ -442,10 +445,30 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _solver_field(name: str, convert):
+    """argparse type for a flag that sets ``SolverConfig.<name>``: the value
+    must pass the config's own check, so a bad one is a usage error (exit 2)
+    that names the flag."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            solver.SolverConfig(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid float value" wording
+    return parse
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-9, help="stop when |F_k - F_{k-1}| <= tol")
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--damping", type=float, default=0.5)
+    p.add_argument(
+        "--tol", type=_solver_field("tol", float), default=1e-9,
+        help="stop when |F_k - F_{k-1}| <= tol",
+    )
+    p.add_argument("--max-iters", type=_solver_field("max_iters", int), default=500)
+    p.add_argument("--damping", type=_solver_field("damping", float), default=0.5)
     p.add_argument("--init", choices=("min", "max", "midpoint"), default="min")
     p.add_argument("--case-mode", choices=("gradient", "printed"), default="gradient")
     p.add_argument("--payoff-mode", choices=("literal", "antisymmetric"), default=None)

@@ -12,12 +12,13 @@ it, and the identity above only holds with it present.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import economics
-from .errors import ConvexityViolation, NonNegativeZWeight
+from .errors import ConvexityViolation, NonNegativeZWeight, ZeroTotalData
 from .model import ProfileLike, Scenario, as_dgen
 
 __all__ = [
@@ -54,36 +55,87 @@ def _linear_coeffs(s: Scenario) -> np.ndarray:
 
 def potential(s: Scenario, profile: ProfileLike) -> float:
     d = as_dgen(profile, s.n)
-    return potential_from_errors(s, economics.local_errors(s, d), d)
+    return float(potential_from_errors(s, economics.local_errors(s, d), d))
 
 
-def potential_from_errors(s: Scenario, eps: np.ndarray, d: np.ndarray) -> float:
-    """F at the profile ``d`` whose local-error vector ``eps`` is already known."""
-    return float(economics._aggregate(s, eps)) + float(np.dot(_linear_coeffs(s), d))
+def potential_from_errors(s: Scenario, eps: np.ndarray, d: np.ndarray):
+    """F at the profile ``d``, or at each row of an (m, N) matrix of them,
+    whose local errors ``eps`` (same shape) are already known."""
+    return economics._aggregate(s, eps) + d @ _linear_coeffs(s)
 
 
 def potential_batch(s: Scenario, profiles: np.ndarray) -> np.ndarray:
     """Potential values for a (m, N) batch of profiles."""
     p = np.asarray(profiles, dtype=np.float64)
-    totals = s.d_locs()[None, :] + p
-    eps = s.alphas()[None, :] * np.power(totals, -s.betas()[None, :]) - s.deltas()[None, :]
-    err = np.exp((eps.mean(axis=1) - 1.0) / s.economy.varrho)
-    return err + p @ _linear_coeffs(s)
+    return potential_from_errors(s, economics._local_errors(s, p), p)
+
+
+@dataclass(frozen=True)
+class _Stationarity:
+    """Per-scenario constants of the stationarity analysis, as Python floats.
+
+    Each entry is the leading factor of a closed form in ``solver`` or
+    below, computed with correctly rounded array arithmetic in the closed
+    form's left-to-right order, so the solver's iterates are the same to the
+    last bit as without it.
+    """
+
+    a2: tuple[float, ...]  # cost coefficient over the game weight
+    factor: tuple[float, ...]  # -a2 * N * varrho / (alpha * beta)
+    exponent: tuple[float, ...]  # -1 / (beta + 1)
+    benefit: tuple[float, ...]  # alpha * beta / (N * varrho)
+    benefit_exponent: tuple[float, ...]  # -beta - 1
+    d_loc: tuple[float, ...]
+    varrho: float
+    lo: float
+    hi: float
+
+
+def _stationarity(s: Scenario) -> _Stationarity:
+    varrho = s.economy.varrho
+    alphas, betas = s.alphas(), s.betas()
+    a2 = s.marginal_cost_coeffs() / z_weights(s)
+    return _Stationarity(
+        a2=tuple(a2.tolist()),
+        factor=tuple((-a2 * s.n * varrho / (alphas * betas)).tolist()),
+        exponent=tuple((-1.0 / (betas + 1.0)).tolist()),
+        benefit=tuple((alphas * betas / (s.n * varrho)).tolist()),
+        benefit_exponent=tuple((-betas - 1.0).tolist()),
+        d_loc=tuple(s.d_locs().tolist()),
+        varrho=varrho,
+        lo=float(s.bounds.d_min),
+        hi=float(s.bounds.d_max),
+    )
+
+
+def _exp(x: float) -> float:
+    """``math.exp`` that saturates to +inf instead of raising on overflow.
+
+    The transcendental calls stay scalar libm calls: numpy's SIMD ``exp``
+    and ``power`` may differ from libm in the last bit.
+    """
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _benefit(c: _Stationarity, n: int, total: float, growth: float) -> float:
+    """Marginal reduction of the global error term per generated sample,
+    where ``growth = exp((a1 - 1) / varrho)``."""
+    if total <= 0:
+        raise ZeroTotalData(f"organization {n} has zero total data")
+    return c.benefit[n] * total ** c.benefit_exponent[n] * growth
 
 
 def potential_gradient(s: Scenario, profile: ProfileLike) -> np.ndarray:
-    """Analytic coordinate gradient of F at an interior-evaluable profile."""
+    """Analytic coordinate gradient of F: minus the benefit, minus a2."""
     d = as_dgen(profile, s.n)
-    eps = economics.local_errors(s, d)
-    a1 = float(eps.mean())
-    err = np.exp((a1 - 1.0) / s.economy.varrho)
-    totals = s.d_locs() + d
-    alphas, betas = s.alphas(), s.betas()
-    benefit = (
-        alphas * betas / (s.n * s.economy.varrho) * np.power(totals, -betas - 1.0) * err
+    c = _stationarity(s)
+    growth = _exp((float(economics.local_errors(s, d).mean()) - 1.0) / c.varrho)
+    return np.array(
+        [-_benefit(c, n, c.d_loc[n] + d[n], growth) - c.a2[n] for n in range(s.n)]
     )
-    a2 = s.marginal_cost_coeffs() / z_weights(s)
-    return -benefit - a2
 
 
 def weighted_potential_residual(

@@ -1,0 +1,135 @@
+"""Grid-scan kernels of the exhaustive equilibrium oracle, in numpy.
+
+Semantics contract:
+
+* F over the grid is ``bg1[i]*g2[j](*g3[k]) + lin1[i] + lin2[j](+ lin3[k])``
+  where the innermost axis of the 3-d scan is reduced exactly through a
+  precomputed lower envelope of the lines ``q -> q*g3[k] + lin3[k]``.
+* The argmin is the first one in lexicographic (i, j, k) order among exact
+  float ties.
+
+The scans run in row chunks so a temporary holds at most ``_CHUNK`` rows of
+the grid.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = [
+    "Envelope",
+    "build_lower_envelope",
+    "argmin_2d",
+    "argmin_3d",
+    "backend_name",
+]
+
+_CHUNK = 128
+
+
+@dataclass(frozen=True)
+class Envelope:
+    """Lower envelope of the lines q -> slope[k]*q + inter[k] over q > 0."""
+
+    slope: np.ndarray
+    inter: np.ndarray
+    thresh: np.ndarray  # breakpoints between consecutive hull segments
+    k: np.ndarray  # original line index per hull segment
+
+
+def build_lower_envelope(slopes, intercepts) -> Envelope:
+    """Exact lower envelope for lines with non-increasing slopes.
+
+    Ties in value at a breakpoint resolve to the smaller original index,
+    matching the grid oracle's lexicographic tie-break.
+    """
+    slopes = np.asarray(slopes, dtype=np.float64)
+    intercepts = np.asarray(intercepts, dtype=np.float64)
+    if slopes.shape != intercepts.shape or slopes.ndim != 1 or slopes.size == 0:
+        raise ValueError("need equal-length non-empty slope/intercept vectors")
+    if np.any(np.diff(slopes) > 0):
+        raise ValueError("slopes must be non-increasing")
+
+    ks: list[int] = []
+    sl: list[float] = []
+    it: list[float] = []
+    th: list[float] = []
+    for k in range(slopes.size):
+        s = float(slopes[k])
+        c = float(intercepts[k])
+        if sl and s == sl[-1]:
+            if c >= it[-1]:
+                continue  # parallel, never below the kept line
+            # parallel and strictly lower: the kept line is dominated
+            sl.pop(), it.pop(), ks.pop()
+            if th:
+                th.pop()
+        while sl:
+            x = (c - it[-1]) / (sl[-1] - s)
+            # Queries live on q > 0; a line whose takeover point is at or
+            # before its predecessor's is never strictly best.
+            prev = th[-1] if th else 0.0
+            if x <= prev:
+                sl.pop(), it.pop(), ks.pop()
+                if th:
+                    th.pop()
+            else:
+                th.append(x)
+                break
+        sl.append(s)
+        it.append(c)
+        ks.append(k)
+    return Envelope(
+        slope=np.array(sl),
+        inter=np.array(it),
+        thresh=np.array(th),
+        k=np.array(ks, dtype=np.int64),
+    )
+
+
+def backend_name() -> str:
+    """Name of the scan implementation; numpy is the only one."""
+    return "python"
+
+
+def argmin_2d(bg1, lin1, g2, lin2):
+    """(F_min, i, j) over the full 2-axis grid of float64 vectors."""
+    m1 = bg1.shape[0]
+    best_val = np.inf
+    best_i = best_j = 0
+    m2 = g2.shape[0]
+    for i0 in range(0, m1, _CHUNK):
+        i1 = min(i0 + _CHUNK, m1)
+        f = bg1[i0:i1, None] * g2[None, :] + lin1[i0:i1, None] + lin2[None, :]
+        flat = int(np.argmin(f))
+        val = float(f.flat[flat])
+        if val < best_val:
+            best_val = val
+            best_i = i0 + flat // m2
+            best_j = flat % m2
+    return best_val, best_i, best_j
+
+
+def argmin_3d(bg1, lin1, g2, lin2, env: Envelope):
+    """(F_min, i, j, k) with the third axis reduced through ``env``."""
+    m1 = bg1.shape[0]
+    m2 = g2.shape[0]
+    best_val = np.inf
+    best_i = best_j = 0
+    best_k = 0
+    for i0 in range(0, m1, _CHUNK):
+        i1 = min(i0 + _CHUNK, m1)
+        q = bg1[i0:i1, None] * g2[None, :]
+        base = lin1[i0:i1, None] + lin2[None, :]
+        h = np.searchsorted(env.thresh, q, side="left")
+        f = q * env.slope[h] + env.inter[h] + base
+        flat = int(np.argmin(f))
+        val = float(f.flat[flat])
+        if val < best_val:
+            best_val = val
+            best_i = i0 + flat // m2
+            best_j = flat % m2
+            best_k = int(env.k[h.flat[flat]])
+    return best_val, best_i, best_j, best_k

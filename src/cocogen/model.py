@@ -370,6 +370,7 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     if not violations:
         # Only meaningful once the market shape checks passed.
+        from .economics import global_error
         from .game import z_weight
 
         for i in range(s.n):
@@ -377,6 +378,18 @@ def validate_scenario(s: Scenario) -> Scenario:
                 z_weight(s, i)
             except NonNegativeZWeight as exc:
                 violations.append(exc)
+        # Local errors fall as data grows, so the all-d_min profile has the
+        # largest global and counterfactual errors in the box.
+        with np.errstate(over="ignore"):
+            worst = global_error(s, np.full(s.n, float(s.bounds.d_min)))
+        if not math.isfinite(worst):
+            violations.append(
+                InvariantViolation(
+                    "economy.varrho",
+                    "too small for these error laws: the global error at the "
+                    "all-d_min profile overflows",
+                )
+            )
 
     if violations:
         raise ScenarioValidationError(violations)
@@ -459,6 +472,28 @@ def _law_from_dict(obj: dict, where: str) -> ScalingLaw:
         raise InvariantViolation(f"{where}.{exc.field}", exc.detail) from None
 
 
+def _economy_from_dict(obj: dict) -> EconomyParams:
+    """The ``economy`` block of a scenario or sweep file."""
+    _check_keys(obj, ("varrho", "c0", "eps0_mode", "eps0_value", "bb_mode"), "economy")
+    eps0_value = obj.get("eps0_value")
+    return EconomyParams(
+        varrho=float(obj.get("varrho", 20.0)),
+        c0=float(obj.get("c0", DEFAULT_C0)),
+        eps0_mode=Eps0Mode(obj.get("eps0_mode", "at_zero_generation")),
+        eps0_value=None if eps0_value is None else float(eps0_value),
+        bb_mode=PayoffMode(obj.get("bb_mode", "literal")),
+    )
+
+
+def _bounds_from_dict(obj: dict) -> StrategyBounds:
+    """The ``bounds`` block of a scenario or sweep file."""
+    _check_keys(obj, ("d_min", "d_max"), "bounds")
+    return StrategyBounds(
+        d_min=_as_int(obj.get("d_min", 0), "bounds.d_min"),
+        d_max=_as_int(obj.get("d_max", 3000), "bounds.d_max"),
+    )
+
+
 def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
     _check_keys(obj, ("organizations", "market", "economy", "bounds", "seed"), "scenario")
     orgs = []
@@ -486,27 +521,11 @@ def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
         xi=float(_require(raw_m, "xi", "market")),
         phi=np.array(_require(raw_m, "phi", "market"), dtype=np.float64),
     )
-    raw_e = obj.get("economy", {})
-    _check_keys(raw_e, ("varrho", "c0", "eps0_mode", "eps0_value", "bb_mode"), "economy")
-    eps0_value = raw_e.get("eps0_value")
-    economy = EconomyParams(
-        varrho=float(raw_e.get("varrho", 20.0)),
-        c0=float(raw_e.get("c0", DEFAULT_C0)),
-        eps0_mode=Eps0Mode(raw_e.get("eps0_mode", "at_zero_generation")),
-        eps0_value=None if eps0_value is None else float(eps0_value),
-        bb_mode=PayoffMode(raw_e.get("bb_mode", "literal")),
-    )
-    raw_b = obj.get("bounds", {})
-    _check_keys(raw_b, ("d_min", "d_max"), "bounds")
-    bounds = StrategyBounds(
-        d_min=_as_int(raw_b.get("d_min", 0), "bounds.d_min"),
-        d_max=_as_int(raw_b.get("d_max", 3000), "bounds.d_max"),
-    )
     s = Scenario(
         orgs=tuple(orgs),
         market=market,
-        economy=economy,
-        bounds=bounds,
+        economy=_economy_from_dict(obj.get("economy", {})),
+        bounds=_bounds_from_dict(obj.get("bounds", {})),
         seed=_as_int(obj.get("seed", 0), "seed"),
     )
     return validate_scenario(s) if validate else s

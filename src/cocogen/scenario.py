@@ -20,17 +20,18 @@ import numpy as np
 from . import scaling
 from .errors import InvariantViolation
 from .model import (
-    DEFAULT_C0,
     DEFAULT_C_CMP,
     EconomyParams,
-    Eps0Mode,
     Market,
     Organization,
-    PayoffMode,
     ScalingLaw,
     Scenario,
     StrategyBounds,
     _as_int,
+    _bounds_from_dict,
+    _check_keys,
+    _economy_from_dict,
+    _require,
     validate_scenario,
 )
 
@@ -141,6 +142,8 @@ class SweepGrid:
     def __post_init__(self):
         if self.repetitions < 1:
             raise InvariantViolation("repetitions", "must be >= 1")
+        if self.radg_repetitions < 1:
+            raise InvariantViolation("radg_repetitions", "must be >= 1")
         for lv in self.gamma_levels:
             lv._violations()
 
@@ -224,12 +227,6 @@ def expand_sweep(grid: SweepGrid) -> list[SweepJob]:
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise InvariantViolation(where, f"unknown key(s): {sorted(unknown)}")
-
-
 def sweep_from_dict(obj: dict) -> SweepGrid:
     _check_keys(
         obj,
@@ -248,9 +245,12 @@ def sweep_from_dict(obj: dict) -> SweepGrid:
         "sweep",
     )
     levels = []
-    for raw in obj["gamma_levels"]:
-        _check_keys(raw, ("lo", "hi"), "gamma_levels")
-        levels.append(GammaLevel(lo=float(raw["lo"]), hi=float(raw["hi"])))
+    for i, raw in enumerate(_require(obj, "gamma_levels", "sweep")):
+        where = f"gamma_levels[{i}]"
+        _check_keys(raw, ("lo", "hi"), where)
+        levels.append(
+            GammaLevel(lo=float(_require(raw, "lo", where)), hi=float(_require(raw, "hi", where)))
+        )
     raw_defaults = obj.get("org_defaults", {})
     _check_keys(raw_defaults, ("eta", "mu", "c_cmp"), "org_defaults")
     defaults = OrgDefaults(
@@ -258,31 +258,16 @@ def sweep_from_dict(obj: dict) -> SweepGrid:
         mu=float(raw_defaults.get("mu", 1.0e4)),
         c_cmp=float(raw_defaults.get("c_cmp", DEFAULT_C_CMP)),
     )
-    raw_econ = obj.get("economy", {})
-    _check_keys(raw_econ, ("varrho", "c0", "eps0_mode", "eps0_value", "bb_mode"), "economy")
-    eps0_value = raw_econ.get("eps0_value")
-    economy = EconomyParams(
-        varrho=float(raw_econ.get("varrho", 20.0)),
-        c0=float(raw_econ.get("c0", DEFAULT_C0)),
-        eps0_mode=Eps0Mode(raw_econ.get("eps0_mode", "at_zero_generation")),
-        eps0_value=None if eps0_value is None else float(eps0_value),
-        bb_mode=PayoffMode(raw_econ.get("bb_mode", "literal")),
-    )
-    raw_bounds = obj.get("bounds", {})
-    _check_keys(raw_bounds, ("d_min", "d_max"), "bounds")
     return SweepGrid(
         gamma_levels=tuple(levels),
-        alpha_d_levels=tuple(float(x) for x in obj["alpha_d_levels"]),
-        repetitions=_as_int(obj["repetitions"], "repetitions"),
-        base_seed=_as_int(obj["base_seed"], "base_seed"),
+        alpha_d_levels=tuple(float(x) for x in _require(obj, "alpha_d_levels", "sweep")),
+        repetitions=_as_int(_require(obj, "repetitions", "sweep"), "repetitions"),
+        base_seed=_as_int(_require(obj, "base_seed", "sweep"), "base_seed"),
         n_orgs=_as_int(obj.get("n_orgs", 10), "n_orgs"),
         xi=float(obj.get("xi", 20.0)),
         org_defaults=defaults,
-        economy=economy,
-        bounds=StrategyBounds(
-            d_min=_as_int(raw_bounds.get("d_min", 0), "bounds.d_min"),
-            d_max=_as_int(raw_bounds.get("d_max", 3000), "bounds.d_max"),
-        ),
+        economy=_economy_from_dict(obj.get("economy", {})),
+        bounds=_bounds_from_dict(obj.get("bounds", {})),
         radg_repetitions=_as_int(obj.get("radg_repetitions", 100), "radg_repetitions"),
     )
 

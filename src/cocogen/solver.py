@@ -18,6 +18,7 @@ import numpy as np
 
 from . import economics, game
 from .errors import InstanceTooLarge, ZeroTotalData
+from .game import _benefit, _exp, _stationarity, _Stationarity
 from .kernels import argmin_2d, argmin_3d, build_lower_envelope
 from .model import (
     PayoffMode,
@@ -120,55 +121,6 @@ class SolveReport:
         return out
 
 
-@dataclass(frozen=True)
-class _Stationarity:
-    """Per-scenario constants of the stationarity analysis, as Python floats.
-
-    Each entry is the leading factor of a closed form below, computed with
-    correctly rounded array arithmetic in the closed form's left-to-right
-    order, so the iterates are the same to the last bit as without it.
-    """
-
-    a2: tuple[float, ...]  # cost coefficient over the game weight
-    factor: tuple[float, ...]  # -a2 * N * varrho / (alpha * beta)
-    exponent: tuple[float, ...]  # -1 / (beta + 1)
-    benefit: tuple[float, ...]  # alpha * beta / (N * varrho)
-    benefit_exponent: tuple[float, ...]  # -beta - 1
-    d_loc: tuple[float, ...]
-    varrho: float
-    lo: float
-    hi: float
-
-
-def _stationarity(s: Scenario) -> _Stationarity:
-    varrho = s.economy.varrho
-    alphas, betas = s.alphas(), s.betas()
-    a2 = s.marginal_cost_coeffs() / game.z_weights(s)
-    return _Stationarity(
-        a2=tuple(a2.tolist()),
-        factor=tuple((-a2 * s.n * varrho / (alphas * betas)).tolist()),
-        exponent=tuple((-1.0 / (betas + 1.0)).tolist()),
-        benefit=tuple((alphas * betas / (s.n * varrho)).tolist()),
-        benefit_exponent=tuple((-betas - 1.0).tolist()),
-        d_loc=tuple(s.d_locs().tolist()),
-        varrho=varrho,
-        lo=float(s.bounds.d_min),
-        hi=float(s.bounds.d_max),
-    )
-
-
-def _exp(x: float) -> float:
-    """``math.exp`` that saturates to +inf instead of raising on overflow.
-
-    The transcendental calls stay scalar libm calls: numpy's SIMD ``exp``
-    and ``power`` may differ from libm in the last bit.
-    """
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _stationary_points(c: _Stationarity, a1: float) -> list[float]:
     """Closed-form unconstrained stationary value of every coordinate, given a1.
 
@@ -186,14 +138,6 @@ def _stationary_points(c: _Stationarity, a1: float) -> list[float]:
         except OverflowError:
             out.append(math.inf)
     return out
-
-
-def _benefit(c: _Stationarity, n: int, total: float, growth: float) -> float:
-    """Marginal reduction of the global error term per generated sample,
-    where ``growth = exp((a1 - 1) / varrho)``."""
-    if total <= 0:
-        raise ZeroTotalData(f"organization {n} has zero total data")
-    return c.benefit[n] * total ** c.benefit_exponent[n] * growth
 
 
 def _labels(c: _Stationarity, d: np.ndarray, a1: float, case_mode: str) -> list[str]:
@@ -371,8 +315,7 @@ def _axis_arrays(s: Scenario, values: np.ndarray, n: int):
     org = s.orgs[n]
     eps = org.law.error_at(org.d_loc + values)
     g = np.exp(eps / (s.n * s.economy.varrho))
-    w = -s.marginal_cost_coeffs()[n] / game.z_weight(s, n)
-    return g, w * values
+    return g, game._linear_coeffs(s)[n] * values
 
 
 def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:

@@ -179,6 +179,30 @@ class TestSolveCommand:
         assert cli.main(["compare", path]) == 0
         assert "CoCoGen" in capsys.readouterr().out
 
+    def test_overflowing_global_error_is_input_error(self, tmp_path, capsys):
+        # exp((mean error - 1) / varrho) overflows at the all-d_min profile.
+        path = shipped_example_with(tmp_path, ("economy", "varrho"), 0.01)
+        payload = json.loads(open(path, encoding="utf-8").read())
+        for org in payload["organizations"]:
+            org["law"]["alpha"], org["d_loc"] = 200.0, 1
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main(["solve", str(bad), "--allow-nonconverged"]) == 2
+        assert "economy.varrho: too small" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "compare"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "0"), ("--max-iters", "0"), ("--damping", "2")]
+    )
+    def test_invalid_solver_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        path = shipped_example_with(tmp_path, ("seed",), 0)
+        if command == "sweep":
+            path = write_small_sweep(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, path, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
     def test_loose_tolerance_uses_fewer_iterations(self, tmp_path, capsys):
         path = write_scenario(tmp_path, example_scenario())
         iters = {}
@@ -266,6 +290,12 @@ class TestSweepCommand:
         b2 = (out2 / "results.csv").read_bytes()
         assert b1 == b2
 
+    def test_zero_radg_repetitions_is_input_error(self, tmp_path, capsys):
+        sweep = write_small_sweep(tmp_path, radg=0)
+        assert cli.main(["sweep", sweep, "-o", str(tmp_path / "out")]) == 2
+        assert "radg_repetitions: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_overrides_base_seed(self, tmp_path):
         sweep = write_small_sweep(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -284,6 +314,12 @@ class TestCompareCommand:
             rows = {r["scheme"]: r for r in csv.DictReader(fh)}
         assert rows["CoCoGen"]["welfare"] == rows["WCO"]["welfare"]
         assert rows["CoCoGen"]["mean_d_gen"] == rows["WCO"]["mean_d_gen"]
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_radg_reps_below_one_is_input_error(self, tmp_path, capsys, reps):
+        path = write_scenario(tmp_path, example_scenario())
+        assert cli.main(["compare", path, "--radg-reps", reps]) == 2
+        assert "--radg-reps must be >= 1" in capsys.readouterr().err
 
     def test_free_generation_beats_vcfl(self, tmp_path):
         s = table1_scenario(seed=82, cost_scale=1e-6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cocogen import kernels
-from cocogen.kernels import build_lower_envelope, get_backend
+from cocogen.kernels import build_lower_envelope
 
 
 def _random_axes(seed, m, n_axes):
@@ -67,15 +67,16 @@ class TestEnvelope:
 
 
 class TestBackendParity:
+    """The numpy scans against a brute-force scan of the full grid."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_2d_matches_brute_force(self, seed):
         (g1, l1), (g2, l2) = _random_axes(seed, 73, 2)
         bg1 = 0.95 * g1
         expected = _brute_2d(bg1, l1, g2, l2)
-        for name in kernels.available_backends():
-            got = get_backend(name).argmin_2d(bg1, l1, g2, l2)
-            assert (got[1], got[2]) == (expected[1], expected[2])
-            assert got[0] == pytest.approx(expected[0], rel=1e-14)
+        got = kernels.argmin_2d(bg1, l1, g2, l2)
+        assert (got[1], got[2]) == (expected[1], expected[2])
+        assert got[0] == pytest.approx(expected[0], rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_3d_matches_brute_force(self, seed):
@@ -83,31 +84,6 @@ class TestBackendParity:
         bg1 = 0.95 * g1
         env = build_lower_envelope(g3, l3)
         expected = _brute_3d(bg1, l1, g2, l2, g3, l3)
-        for name in kernels.available_backends():
-            got = get_backend(name).argmin_3d(bg1, l1, g2, l2, env)
-            assert (got[1], got[2], got[3]) == expected[1:]
-            assert got[0] == pytest.approx(expected[0], rel=1e-13)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_backends_agree_bitwise(self, seed):
-        names = kernels.available_backends()
-        if len(names) < 2:
-            pytest.skip("compiled backend not built")
-        (g1, l1), (g2, l2), (g3, l3) = _random_axes(seed + 200, 257, 3)
-        bg1 = 0.9 * g1
-        env = build_lower_envelope(g3, l3)
-        results2 = [get_backend(n).argmin_2d(bg1, l1, g2, l2) for n in names]
-        assert results2[0] == results2[1]
-        results3 = [get_backend(n).argmin_3d(bg1, l1, g2, l2, env) for n in names]
-        assert results3[0] == results3[1]
-
-    def test_selected_backend_honors_override_then_prefers_compiled(self):
-        import os
-
-        override = os.environ.get("COCOGEN_KERNELS", "auto").lower()
-        if override in ("python", "compiled"):
-            assert kernels.backend_name() == override
-        elif "compiled" in kernels.available_backends():
-            assert kernels.backend_name() == "compiled"
-        else:
-            assert kernels.backend_name() == "python"
+        got = kernels.argmin_3d(bg1, l1, g2, l2, env)
+        assert (got[1], got[2], got[3]) == expected[1:]
+        assert got[0] == pytest.approx(expected[0], rel=1e-13)

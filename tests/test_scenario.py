@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,3 +171,31 @@ class TestSweepConfig:
         with pytest.raises(InvariantViolation) as exc:
             sweep_from_dict(payload)
         assert exc.value.field == key
+
+    @pytest.mark.parametrize(
+        "key, field",
+        [
+            ("gamma_levels", "sweep"),
+            ("alpha_d_levels", "sweep"),
+            ("repetitions", "sweep"),
+            ("base_seed", "sweep"),
+            ("hi", "gamma_levels[0]"),
+        ],
+    )
+    def test_missing_keys_are_named_with_their_block(self, key, field):
+        payload = {
+            "gamma_levels": [{"lo": 0, "hi": 1}],
+            "alpha_d_levels": [0.5],
+            "repetitions": 1,
+            "base_seed": 0,
+        }
+        (payload["gamma_levels"][0] if field != "sweep" else payload).pop(key)
+        with pytest.raises(InvariantViolation) as exc:
+            sweep_from_dict(payload)
+        assert str(exc.value) == f"{field}: missing required key {key!r}"
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_radg_repetitions_below_one_are_rejected(self, count):
+        with pytest.raises(InvariantViolation) as exc:
+            replace(default_sweep_grid(), radg_repetitions=count)
+        assert exc.value.field == "radg_repetitions"
