@@ -61,7 +61,7 @@ def potential(s: Scenario, profile: ProfileLike) -> float:
 def potential_from_errors(s: Scenario, eps: np.ndarray, d: np.ndarray):
     """F at the profile ``d``, or at each row of an (m, N) matrix of them,
     whose local errors ``eps`` (same shape) are already known."""
-    return economics._aggregate(s, eps) + d @ _linear_coeffs(s)
+    return economics._aggregate(s, eps) + np.dot(d, _linear_coeffs(s))
 
 
 def potential_batch(s: Scenario, profiles: np.ndarray) -> np.ndarray:
