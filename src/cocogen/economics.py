@@ -98,6 +98,16 @@ def _local_errors(s: Scenario, d: np.ndarray) -> np.ndarray:
     return s.alphas() * np.power(totals, -s.betas()) - s.deltas()
 
 
+def _floor_errors(s: Scenario) -> np.ndarray:
+    """Local errors of the all-``d_min`` profile, built once per scenario.
+
+    Local errors fall as data grows, so these are the largest in the box.
+    """
+    return s.cached(
+        "floor_errors", lambda: _local_errors(s, np.full(s.n, float(s.bounds.d_min)))
+    )
+
+
 def _aggregate(s: Scenario, eps: np.ndarray):
     """Exponential aggregation of the mean over the last (organization) axis."""
     return np.exp((eps.mean(axis=-1) - 1.0) / s.economy.varrho)
@@ -112,8 +122,7 @@ def epsilon_zero(s: Scenario, profile: ProfileLike | None = None) -> float:
     """Pre-training global error, per the configured mode."""
     if s.economy.eps0_mode is Eps0Mode.FIXED:
         return float(s.economy.eps0_value)
-    baseline = np.full(s.n, float(s.bounds.d_min))
-    return global_error(s, baseline)
+    return float(_aggregate(s, _floor_errors(s)))
 
 
 def _check_index(s: Scenario, n: int) -> None:
@@ -226,7 +235,7 @@ def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluat
         raise DimensionMismatch(f"profile matrix has shape {d.shape}, expected (m, {s.n})")
     n = d.shape[1]
     eps = _local_errors(s, d)
-    eps_min = _local_errors(s, np.full(n, float(s.bounds.d_min)))
+    eps_min = _floor_errors(s)
     err = _aggregate(s, eps)
     held = np.repeat(eps[:, None, :], n, axis=1)
     idx = np.arange(n)

@@ -370,7 +370,7 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     if not violations:
         # Only meaningful once the market shape checks passed.
-        from .economics import global_error
+        from .economics import _aggregate, _floor_errors
         from .game import z_weight
 
         for i in range(s.n):
@@ -378,10 +378,10 @@ def validate_scenario(s: Scenario) -> Scenario:
                 z_weight(s, i)
             except NonNegativeZWeight as exc:
                 violations.append(exc)
-        # Local errors fall as data grows, so the all-d_min profile has the
-        # largest global and counterfactual errors in the box.
+        # The all-d_min profile has the largest global and counterfactual
+        # errors in the box.
         with np.errstate(over="ignore"):
-            worst = global_error(s, np.full(s.n, float(s.bounds.d_min)))
+            worst = float(_aggregate(s, _floor_errors(s)))
         if not math.isfinite(worst):
             violations.append(
                 InvariantViolation(

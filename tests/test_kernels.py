@@ -87,3 +87,17 @@ class TestBackendParity:
         got = kernels.argmin_3d(bg1, l1, g2, l2, env)
         assert (got[1], got[2], got[3]) == expected[1:]
         assert got[0] == pytest.approx(expected[0], rel=1e-13)
+
+    def test_argmin_in_a_later_row_chunk(self):
+        # Reversed first axes put the minimum past the first 128-row chunk.
+        (g1, l1), (g2, l2) = _random_axes(300, 300, 2)
+        bg1, l1 = 0.95 * g1[::-1].copy(), l1[::-1].copy()
+        expected = _brute_2d(bg1, l1, g2, l2)
+        assert expected[1] >= 128
+        assert kernels.argmin_2d(bg1, l1, g2, l2)[1:] == expected[1:]
+        (g1, l1), (g2, l2), (g3, l3) = _random_axes(301, 130, 3)
+        bg1, l1 = 0.95 * g1[::-1].copy(), l1[::-1].copy()
+        env = build_lower_envelope(g3, l3)
+        expected = _brute_3d(bg1, l1, g2, l2, g3, l3)
+        assert expected[1] >= 128
+        assert kernels.argmin_3d(bg1, l1, g2, l2, env)[1:] == expected[1:]
