@@ -9,6 +9,10 @@ pays per job. ``solver.grid_oracle.n2`` and ``.n3`` run the exhaustive
 oracle on the first preset job's cell drawn with 2 and 3 organizations,
 over the full 3001-point axes: a 2-axis scan of 9M points, and a 3-axis
 scan that reduces its innermost axis through a lower envelope.
+``solver.fpi_solve.per_iteration`` divides the solve's time by the report's
+``iterations``, which counts the bracket steps of the scalar root solve. In
+checkouts that still solved by damped Jacobi sweeps it counted sweeps, so
+this layer does not compare across that change.
 
 Time two checkouts with the same script and collect both in one file.
 Each invocation appends its numbers under its label, and the file keeps the
@@ -16,8 +20,9 @@ per-layer median over a label's invocations: on a shared machine the
 minimum moves between processes, so alternate the two a few times:
 
     for i in 1 2 3 4 5; do
-        python benchmarks/bench_layers.py --src /path/to/parent/src --label parent
-        python benchmarks/bench_layers.py --src src --label change
+        python benchmarks/bench_layers.py --src /path/to/parent/src \
+            --label parent --out BENCH_N.json
+        python benchmarks/bench_layers.py --src src --label change --out BENCH_N.json
     done
 
 Standard library and numpy only.
@@ -89,7 +94,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default="src", help="directory holding the cocogen package")
     parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--out", default="BENCH_5.json")
+    parser.add_argument("--out", required=True, help="BENCH JSON file to add this run to")
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args(argv)
 

@@ -1,8 +1,8 @@
 """Coopetitive data-generation equilibria for cross-silo federated learning.
 
 Models organizations' generated-data volumes as a weighted potential game,
-computes Nash equilibria by closed-form case analysis with fixed-point
-iteration, and runs seeded scheme-comparison sweeps.
+computes Nash equilibria by a scalar root solve with integer descent on
+the potential, and runs seeded scheme-comparison sweeps.
 """
 
 __version__ = "0.1.0"

@@ -121,13 +121,7 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _solver_config_from_args(args) -> solver.SolverConfig:
-    return solver.SolverConfig(
-        tol=args.tol,
-        max_iters=args.max_iters,
-        damping=args.damping,
-        init={"min": "all_min", "max": "all_max", "midpoint": "midpoint"}[args.init],
-        case_mode=args.case_mode,
-    )
+    return solver.SolverConfig(tol=args.tol, max_iters=args.max_iters, case_mode=args.case_mode)
 
 
 def _load_scenario_for_args(args):
@@ -465,11 +459,9 @@ def _solver_field(name: str, convert):
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tol", type=_solver_field("tol", float), default=1e-9,
-        help="stop when |F_k - F_{k-1}| <= tol",
+        help="stop when the bracket on the equilibrium's mean local error is at most tol wide",
     )
     p.add_argument("--max-iters", type=_solver_field("max_iters", int), default=500)
-    p.add_argument("--damping", type=_solver_field("damping", float), default=0.5)
-    p.add_argument("--init", choices=("min", "max", "midpoint"), default="min")
     p.add_argument("--case-mode", choices=("gradient", "printed"), default="gradient")
     p.add_argument("--payoff-mode", choices=("literal", "antisymmetric"), default=None)
     p.add_argument("--seed", type=int, default=None)

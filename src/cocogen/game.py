@@ -76,7 +76,7 @@ class _Stationarity:
 
     Each entry is the leading factor of a closed form in ``solver`` or
     below, computed with correctly rounded array arithmetic in the closed
-    form's left-to-right order, so the solver's iterates are the same to the
+    form's left-to-right order, so the stationary points are the same to the
     last bit as without it.
     """
 

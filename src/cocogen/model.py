@@ -405,6 +405,8 @@ def validate_scenario(s: Scenario) -> Scenario:
 
 
 def _check_keys(obj: dict, allowed: Iterable[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise InvariantViolation(where, f"must be an object, got {type(obj).__name__}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise InvariantViolation(where, f"unknown key(s): {sorted(unknown)}")
@@ -414,6 +416,13 @@ def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise InvariantViolation(where, f"missing required key {key!r}")
     return obj[key]
+
+
+def _require_list(obj: dict, key: str, where: str) -> list:
+    value = _require(obj, key, where)
+    if not isinstance(value, list):
+        raise InvariantViolation(key, f"must be an array, got {type(value).__name__}")
+    return value
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -497,7 +506,7 @@ def _bounds_from_dict(obj: dict) -> StrategyBounds:
 def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
     _check_keys(obj, ("organizations", "market", "economy", "bounds", "seed"), "scenario")
     orgs = []
-    raw_orgs = _require(obj, "organizations", "scenario")
+    raw_orgs = _require_list(obj, "organizations", "scenario")
     for i, raw in enumerate(raw_orgs):
         where = f"organizations[{i}]"
         _check_keys(raw, ("d_loc", "f", "kappa", "eta", "mu", "c_cmp", "psi", "law"), where)

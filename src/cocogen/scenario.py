@@ -32,6 +32,7 @@ from .model import (
     _check_keys,
     _economy_from_dict,
     _require,
+    _require_list,
     validate_scenario,
 )
 
@@ -245,7 +246,7 @@ def sweep_from_dict(obj: dict) -> SweepGrid:
         "sweep",
     )
     levels = []
-    for i, raw in enumerate(_require(obj, "gamma_levels", "sweep")):
+    for i, raw in enumerate(_require_list(obj, "gamma_levels", "sweep")):
         where = f"gamma_levels[{i}]"
         _check_keys(raw, ("lo", "hi"), where)
         levels.append(
@@ -260,7 +261,7 @@ def sweep_from_dict(obj: dict) -> SweepGrid:
     )
     return SweepGrid(
         gamma_levels=tuple(levels),
-        alpha_d_levels=tuple(float(x) for x in _require(obj, "alpha_d_levels", "sweep")),
+        alpha_d_levels=tuple(float(x) for x in _require_list(obj, "alpha_d_levels", "sweep")),
         repetitions=_as_int(_require(obj, "repetitions", "sweep"), "repetitions"),
         base_seed=_as_int(_require(obj, "base_seed", "sweep"), "base_seed"),
         n_orgs=_as_int(obj.get("n_orgs", 10), "n_orgs"),

@@ -1,5 +1,6 @@
-"""Nash-equilibrium computation: case analysis, fixed-point iteration,
-an exhaustive grid oracle, and equilibrium certification.
+"""Nash-equilibrium computation: case analysis, the equilibrium solve (a
+scalar root in the mean local error, then rounding and ±1 descent on the
+potential), an exhaustive grid oracle, and equilibrium certification.
 
 Case classification follows the sign of the coordinate gradient of the
 potential at the box-projected stationary point. The printed-direction
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,18 +61,15 @@ class CaseLabel:
 class CaseQuantities:
     """The three per-organization quantities of the stationarity analysis."""
 
-    a1: float  # mean local error at the current iterate
+    a1: float  # mean local error at the given profile
     a2: float  # cost coefficient over the (negative) game weight
     a3: float  # (d_loc + d_gen)^(-beta - 1)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-9
-    max_iters: int = 500
-    damping: float = 0.5
-    init: str = "all_min"  # all_min | all_max | midpoint | given
-    init_profile: np.ndarray | None = None
+    tol: float = 1e-9  # width of the final bracket on the mean local error
+    max_iters: int = 500  # bracket steps
     case_mode: str = CASE_GRADIENT
 
     def __post_init__(self):
@@ -79,12 +77,6 @@ class SolverConfig:
             raise ValueError("tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (0 < self.damping <= 1):
-            raise ValueError("damping must lie in (0, 1]")
-        if self.init not in ("all_min", "all_max", "midpoint", "given"):
-            raise ValueError(f"unknown init mode {self.init!r}")
-        if self.init == "given" and self.init_profile is None:
-            raise ValueError("init='given' requires init_profile")
         if self.case_mode not in (CASE_GRADIENT, CASE_PRINTED):
             raise ValueError(f"unknown case mode {self.case_mode!r}")
 
@@ -189,81 +181,83 @@ def classify_case(
 
 
 def interior_update(s: Scenario, profile: ProfileLike, n: int) -> float:
-    """Stationary value with the mean error frozen at the iterate, clipped."""
+    """Stationary value with the mean error frozen at the profile, clipped."""
     _, a1 = _mean_error(s, profile)
     c = _stationarity(s)
     return float(min(max(_stationary_points(c, a1)[n], c.lo), c.hi))
 
 
-def _restore_integers(s: Scenario, d: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Round each coordinate to the better of floor/ceil by potential value.
-
-    ``eps`` is the local-error vector of ``d``. A trial profile differs
-    from the running one in one coordinate, so its error vector is the
-    running one with that entry taken from the errors of the all-floor or
-    all-ceiling profile; ``local_errors`` computes each entry on its own,
-    so these are the values a full recomputation gives.
-    """
-    floor, ceil = np.floor(d), np.ceil(d)
-    eps_floor = economics.local_errors(s, floor)
-    eps_ceil = economics.local_errors(s, ceil)
-    out, eps = d.copy(), eps.copy()
-    for n in range(s.n):
-        if floor[n] == ceil[n]:
-            continue
-        trial, trial_eps = out.copy(), eps.copy()
-        trial[n], trial_eps[n] = floor[n], eps_floor[n]
-        f_lo = game.potential_from_errors(s, trial_eps, trial)
-        trial[n], trial_eps[n] = ceil[n], eps_ceil[n]
-        f_hi = game.potential_from_errors(s, trial_eps, trial)
-        if f_lo <= f_hi:
-            out[n], eps[n] = floor[n], eps_floor[n]
-        else:
-            out[n], eps[n] = ceil[n], eps_ceil[n]
-    return out
+def _relaxed(s: Scenario, c: _Stationarity, t: float):
+    """``g(t) = t - mean eps(d(t))``, the clipped stationary profile ``d(t)``
+    at mean local error t, and its local errors."""
+    d = np.array([min(max(x, c.lo), c.hi) for x in _stationary_points(c, t)])
+    eps = economics._local_errors(s, d)
+    return t - float(eps.mean()), d, eps
 
 
-def _initial_profile(s: Scenario, cfg: SolverConfig) -> np.ndarray:
-    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    if cfg.init == "all_min":
-        return np.full(s.n, lo)
-    if cfg.init == "all_max":
-        return np.full(s.n, hi)
-    if cfg.init == "midpoint":
-        return np.full(s.n, 0.5 * (lo + hi))
-    return np.clip(as_dgen(cfg.init_profile, s.n).copy(), lo, hi)
+def _descend(s: Scenario, c: _Stationarity, d: np.ndarray) -> np.ndarray:
+    """Move one coordinate by one sample while that strictly lowers F. The
+    profile and its ±1 neighbours are priced in one batch, so that they are
+    compared on values computed the same way."""
+    steps = np.vstack([np.zeros(s.n), np.eye(s.n), -np.eye(s.n)])
+    while True:
+        rows = d + steps
+        rows = rows[np.all((rows >= c.lo) & (rows <= c.hi), axis=1)]
+        f = game.potential_batch(s, rows)
+        k = int(np.argmin(f))  # row 0 wins ties
+        if k == 0:
+            return d
+        d = rows[k]
 
 
 def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
-    """Fixed-point iteration on the potential with damped Jacobi sweeps.
+    """Equilibrium of the integer game: a scalar root, rounding, then descent.
 
-    Stops on ``|F_k - F_{k-1}| <= tol`` or on iteration exhaustion
-    (reported, never raised). The converged real-relaxed profile is then
-    rounded coordinate-wise to the better integer neighbour. Each iterate's
-    local-error vector is computed once and serves both its potential and
-    the next sweep's targets.
+    Each coordinate's clipped stationary point rises with the mean local
+    error t, so ``g(t) = t - mean eps(d(t))`` is strictly increasing, with
+    one root between the mean errors of the all-``d_max`` and all-``d_min``
+    profiles. Illinois regula falsi, guarded by bisection, narrows that
+    bracket to width ``tol`` in at most ``max_iters`` steps (else the report
+    says not converged); the trace holds F at each step's profile. The case
+    labels come from the last evaluated point, whose profile is rounded half
+    up and then descended by ±1 moves. F is convex along every coordinate,
+    so no organization gains from any unilateral lattice deviation after.
     """
     validate_scenario(s)
     cfg = cfg or SolverConfig()
     c = _stationarity(s)
-    d = _initial_profile(s, cfg)
-    eps = economics.local_errors(s, d)
-    f_prev = game.potential_from_errors(s, eps, d)
-    trace = [f_prev]
-    converged = False
-    iterations = 0
-    for k in range(1, cfg.max_iters + 1):
-        iterations = k
-        targets = [min(max(t, c.lo), c.hi) for t in _stationary_points(c, float(eps.mean()))]
-        d = (1.0 - cfg.damping) * d + cfg.damping * np.array(targets)
-        eps = economics.local_errors(s, d)
-        f_k = game.potential_from_errors(s, eps, d)
-        trace.append(f_k)
-        if abs(f_k - f_prev) <= cfg.tol:
-            converged = True
-            break
-        f_prev = f_k
+    a = float(economics._local_errors(s, np.full(s.n, c.hi)).mean())
+    b = float(economics._floor_errors(s).mean())
+    g_a, g_b = _relaxed(s, c, a), _relaxed(s, c, b)
+    point = g_a if -g_a[0] <= g_b[0] else g_b
+    if g_a[0] >= 0:
+        b = a
+    elif g_b[0] <= 0:
+        a = b
+    fa, fb = g_a[0], g_b[0]
+    side = 0
+    trace = []
+    while b - a > cfg.tol and len(trace) < cfg.max_iters:
+        t = (a * fb - b * fa) / (fb - fa)
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        point = _relaxed(s, c, t)
+        g_t, d, eps = point
+        trace.append(float(game.potential_from_errors(s, eps, d)))
+        if g_t < 0:
+            a, fa = t, g_t
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        elif g_t > 0:
+            b, fb = t, g_t
+            if side > 0:
+                fa *= 0.5
+            side = 1
+        else:
+            a = b = t
 
+    _, d, eps = point
     a1 = float(eps.mean())
     cases = _labels(c, d, a1, cfg.case_mode)
     disagreements = 0
@@ -278,14 +272,14 @@ def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
                 s.n,
             )
 
-    d_final = _restore_integers(s, d, eps)
+    d_final = _descend(s, c, np.floor(d + 0.5))
     ev = economics.evaluate_profile(s, d_final)
     return SolveReport(
         profile=StrategyProfile(d_final),
         cases=tuple(cases),
-        iterations=iterations,
+        iterations=len(trace),
         potential_trace=tuple(trace),
-        converged=converged,
+        converged=b - a <= cfg.tol,
         utilities=ev.utilities,
         welfare=ev.welfare,
         ir=ev.ir,

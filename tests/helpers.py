@@ -221,8 +221,8 @@ def reference_evaluation(s, profile, ir_tolerance=1e-9, bb_tolerance=1e-6):
 # Reference solver: the fixed-point loop exactly as first written, with one
 # potential evaluation per iterate on top of the Jacobi targets, case labels
 # classified one organization at a time and integer restoration through 2N
-# full potential evaluations. ``cocogen.solver.fpi_solve`` must reproduce
-# its report bit for bit.
+# full potential evaluations. Run to ``tol=1e-14``, it lands on the integer
+# profile that ``cocogen.solver.fpi_solve`` finds by root and descent.
 # ---------------------------------------------------------------------------
 
 
@@ -322,14 +322,23 @@ def _ref_restore_integers(s, d):
     return out
 
 
-def reference_fpi_solve(s, cfg=None):
-    """The damped Jacobi loop, case labels and rounding as first written."""
+def _ref_initial_profile(s, init):
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    return np.full(s.n, {"all_min": lo, "all_max": hi, "midpoint": 0.5 * (lo + hi)}[init])
+
+
+def reference_fpi_solve(s, cfg=None, damping=0.5, init="all_min"):
+    """The damped Jacobi loop, case labels and rounding as first written.
+
+    ``cfg.tol`` bounds ``|F_k - F_{k-1}|`` and ``cfg.max_iters`` the Jacobi
+    sweeps; ``init`` is ``all_min``, ``all_max`` or ``midpoint``.
+    """
     from cocogen import economics, solver
     from cocogen.model import StrategyProfile, validate_scenario
 
     validate_scenario(s)
     cfg = cfg or solver.SolverConfig()
-    d = solver._initial_profile(s, cfg)
+    d = _ref_initial_profile(s, init)
     f_prev = _ref_potential(s, d)
     trace = [f_prev]
     converged = False
@@ -337,7 +346,7 @@ def reference_fpi_solve(s, cfg=None):
     for k in range(1, cfg.max_iters + 1):
         iterations = k
         targets = _ref_sweep_targets(s, d)
-        d = (1.0 - cfg.damping) * d + cfg.damping * targets
+        d = (1.0 - damping) * d + damping * targets
         f_k = _ref_potential(s, d)
         trace.append(f_k)
         if abs(f_k - f_prev) <= cfg.tol:
@@ -367,3 +376,21 @@ def reference_fpi_solve(s, cfg=None):
         bb={"sum": ev.bb_sum, "balanced": ev.bb_balanced},
         case_disagreements=disagreements,
     )
+
+
+def assert_lattice_equilibrium(s, d):
+    """No ±1 move of one organization lowers the potential at the integer
+    profile ``d``. F is convex along every coordinate, so this holds
+    exactly when no organization gains from any unilateral lattice
+    deviation. The profile and its feasible neighbours are priced in one
+    batch, so the comparison is between values computed the same way."""
+    from cocogen import game
+
+    d = np.asarray(d, dtype=np.float64)
+    assert np.array_equal(d, np.round(d)), d
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    assert np.all((lo <= d) & (d <= hi)), d
+    rows = d + np.vstack([np.zeros(s.n), np.eye(s.n), -np.eye(s.n)])
+    rows = rows[np.all((rows >= lo) & (rows <= hi), axis=1)]
+    f = game.potential_batch(s, rows)
+    assert np.all(f[0] <= f[1:]), (d, f[0] - f[1:])

@@ -128,6 +128,7 @@ def test_criterion_4_oracle_equivalence():
     cfg = SolverConfig(tol=1e-13, max_iters=4000)
     worst_f = 0.0
     worst_profile = 0.0
+    mismatches = 0
     count = 0
     for n_orgs in (1, 2, 3):
         for seed in range(50):
@@ -137,16 +138,17 @@ def test_criterion_4_oracle_equivalence():
             res = solver.grid_oracle(s, step=1.0)
             f_fpi = game.potential(s, rep.profile)
             worst_f = max(worst_f, abs(f_fpi - res.f_min) / (1 + abs(res.f_min)))
-            worst_profile = max(
-                worst_profile, float(np.max(np.abs(rep.profile.d_gen - res.profile.d_gen)))
-            )
+            offset = float(np.max(np.abs(rep.profile.d_gen - res.profile.d_gen)))
+            worst_profile = max(worst_profile, offset)
+            mismatches += offset > 0
             count += 1
     elapsed = time.perf_counter() - start
     _report(
         "4",
-        worst_f <= 1e-6 and worst_profile <= 1.0 and elapsed < 300,
+        worst_f <= 1e-6 and mismatches == 0 and elapsed < 300,
         f"{count} instances, worst relative F gap {worst_f:.2e}, "
-        f"worst profile offset {worst_profile:.1f} samples, {elapsed:.1f}s",
+        f"{mismatches} profiles differ from the oracle's (worst offset "
+        f"{worst_profile:.1f} samples), {elapsed:.1f}s",
     )
 
 
