@@ -3,9 +3,14 @@
 Each layer is timed with ``timeit`` as the minimum over ``--repeat`` runs,
 divided by the calls per run. The per-call layers run on the first preset
 sweep job's scenario, on one warm instance (column caches built, already
-validated), so they measure the layer alone; ``cli.run_sweep_job`` runs the
-first 90 preset jobs end to end, sampling included, and is what a sweep
-pays per job. ``solver.grid_oracle.n2`` and ``.n3`` run the exhaustive
+validated), so they measure the layer alone; ``cli.scheme_rows`` is one
+job's work after sampling (both solves and the one batched pricing of the
+CoCoGen, VCFL and WCO profiles and the RaDG draws). ``cli.run_sweep_job``
+runs the first 90 preset jobs end to end, sampling included, and is what a
+sweep pays per job. ``cli.sweep.preset.jobs1`` and ``.jobs2`` are one
+wall-clock run each of ``cocogen sweep`` on the full 900-job preset, CSV
+writing included, at ``--jobs 1`` and ``--jobs 2``; being single runs, they
+are the noisiest layers. ``solver.grid_oracle.n2`` and ``.n3`` run the exhaustive
 oracle on the first preset job's cell drawn with 2 and 3 organizations,
 over the full 3001-point axes: a 2-axis scan of 9M points, and a 3-axis
 scan that reduces its innermost axis through a lower envelope.
@@ -31,17 +36,36 @@ Standard library and numpy only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import sys
+import tempfile
+import time
 import timeit
 from dataclasses import replace
+from importlib import resources
 
 
 def _per_call_us(fn, number: int, repeat: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
+
+
+def _preset_sweep_us(cli, jobs: int) -> float:
+    """Wall time of one ``cocogen sweep`` of the shipped preset, in us."""
+    preset = str(resources.files("cocogen").joinpath("data/sweep_default.json"))
+    with tempfile.TemporaryDirectory() as out:
+        args = cli.build_parser().parse_args(["sweep", preset, "-o", out, "--jobs", str(jobs)])
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = args.func(args)
+        elapsed = time.perf_counter() - t0
+    if code != 0:
+        raise RuntimeError(f"preset sweep at --jobs {jobs} exited {code}")
+    return elapsed * 1e6
 
 
 def measure(repeat: int) -> dict:
@@ -65,8 +89,8 @@ def measure(repeat: int) -> dict:
         "economics.evaluate_profile": _per_call_us(
             lambda: economics.evaluate_profile(s, report.profile), 500, repeat
         ),
-        "radg.price_100_draws": _per_call_us(
-            lambda: cli._radg_rows_stats(s, job.seed, grid.radg_repetitions), 100, repeat
+        "cli.scheme_rows": _per_call_us(
+            lambda: cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions), 100, repeat
         ),
         "model.validate_scenario.fresh_copy": _per_call_us(
             lambda: validate_scenario(replace(wco)), 500, repeat
@@ -87,6 +111,8 @@ def measure(repeat: int) -> dict:
             lambda: solver.grid_oracle(oracle_s), 1, repeat
         )
     layers["solver.fpi_solve.per_iteration"] = layers["solver.fpi_solve"] / report.iterations
+    for jobs in (1, 2):
+        layers[f"cli.sweep.preset.jobs{jobs}"] = _preset_sweep_us(cli, jobs)
     return {k: round(v, 2) for k, v in layers.items()}
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,10 +35,15 @@ def wco_scenario(s: Scenario) -> Scenario:
 
 @dataclass(frozen=True)
 class WcoOutcome:
-    """Competition-blind solve, plus its value in the real competitive market."""
+    """Competition-blind solve, plus its value in the real competitive market
+    (priced when first read)."""
 
     clone_report: solver.SolveReport
-    evaluation_original: economics.ProfileEvaluation
+    original: Scenario = field(compare=False, repr=False)
+
+    @cached_property
+    def evaluation_original(self) -> economics.ProfileEvaluation:
+        return economics.evaluate_profile(self.original, self.profile)
 
     @property
     def profile(self) -> StrategyProfile:
@@ -49,14 +55,9 @@ class WcoOutcome:
 
 
 def wco_solve(s: Scenario, cfg: solver.SolverConfig | None = None) -> WcoOutcome:
-    """Solve with competition ignored, then price the profile under the
+    """Solve with competition ignored; the profile is priced under the
     original market (the comparison figure)."""
-    clone = wco_scenario(s)
-    report = solver.fpi_solve(clone, cfg)
-    return WcoOutcome(
-        clone_report=report,
-        evaluation_original=economics.evaluate_profile(s, report.profile),
-    )
+    return WcoOutcome(clone_report=solver.fpi_solve(wco_scenario(s), cfg), original=s)
 
 
 def radg_profiles(s: Scenario, seed: int, count: int) -> np.ndarray:

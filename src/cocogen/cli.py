@@ -212,63 +212,61 @@ def _realized_gamma_bar(gamma: np.ndarray) -> float:
     return float(off)
 
 
-def _radg_rows_stats(s, seed: int, count: int):
-    draws = baselines.radg_profiles(s, seed, count)
-    ev = economics.evaluate_profiles(s, draws)
-    return (
-        float(np.mean(ev.welfare)),
-        float(np.mean(draws.mean(axis=1))),
-        bool(ev.ir.all()),
-        float(np.mean(ev.bb_sum)),
-    )
-
-
 def _failed_row(scheme: str, exc: CocogenError) -> dict:
     return {"scheme": scheme, "welfare": math.nan, "mean_d_gen": math.nan,
             "ir_all": False, "bb_sum": math.nan, "converged": False,
             "status": f"error:{type(exc).__name__}"}
 
 
+def _ok_row(scheme: str, welfare, mean_d, ir_all, bb_sum, converged) -> dict:
+    return {"scheme": scheme, "welfare": float(welfare), "mean_d_gen": float(mean_d),
+            "ir_all": bool(ir_all), "bb_sum": float(bb_sum), "converged": bool(converged),
+            "status": "ok"}
+
+
 def scheme_rows(
     s, cfg: solver.SolverConfig, radg_seed: int, radg_count: int
-) -> tuple[list[dict], float]:
+) -> tuple[list[dict], baselines.WcoOutcome | None]:
     """The CoCoGen, VCFL, WCO and RaDG rows for one scenario, in that order.
 
-    A failed CoCoGen or WCO solve gives its row the status ``error:<Type>``.
-    Also returns the WCO profile's welfare under its zero-competition clone
-    (NaN if that solve failed).
+    The CoCoGen, VCFL and WCO profiles and the RaDG draws are priced as one
+    profile matrix; ``evaluate_profiles`` prices each row as if alone, bit
+    for bit. A failed CoCoGen or WCO solve gives its row the status
+    ``error:<Type>`` and is left out of the matrix. Also returns the WCO
+    outcome (None if that solve failed), whose clone report is priced on
+    first read.
     """
-    rows = []
-
-    def row(scheme, welfare, mean_d, ir_all, bb_sum, converged):
-        rows.append(
-            {"scheme": scheme, "welfare": welfare, "mean_d_gen": mean_d,
-             "ir_all": ir_all, "bb_sum": bb_sum, "converged": converged, "status": "ok"}
-        )
-
+    # Scheme -> (profile, converged), or the error that stopped its solve.
+    solved: dict[str, tuple | CocogenError] = {}
     try:
         rep = solver.fpi_solve(s, cfg)
-        row("CoCoGen", rep.welfare, float(np.mean(rep.profile.d_gen)),
-            all(rep.ir), rep.bb["sum"], rep.converged)
+        solved["CoCoGen"] = (rep.profile.d_gen, rep.converged)
     except CocogenError as exc:
-        rows.append(_failed_row("CoCoGen", exc))
-
-    prof = baselines.vcfl_profile(s)
-    ev = economics.evaluate_profile(s, prof)
-    row("VCFL", ev.welfare, float(np.mean(prof.d_gen)), all(ev.ir), ev.bb_sum, True)
-
-    clone_welfare = math.nan
+        solved["CoCoGen"] = exc
+    solved["VCFL"] = (baselines.vcfl_profile(s).d_gen, True)
+    wco = None
     try:
         wco = baselines.wco_solve(s, cfg)
-        row("WCO", wco.welfare_original, float(np.mean(wco.profile.d_gen)),
-            all(wco.evaluation_original.ir), wco.evaluation_original.bb_sum,
-            wco.clone_report.converged)
-        clone_welfare = wco.clone_report.welfare
+        solved["WCO"] = (wco.profile.d_gen, wco.clone_report.converged)
     except CocogenError as exc:
-        rows.append(_failed_row("WCO", exc))
+        solved["WCO"] = exc
 
-    row("RaDG", *_radg_rows_stats(s, radg_seed, radg_count), True)
-    return rows, clone_welfare
+    priced = [v[0] for v in solved.values() if not isinstance(v, CocogenError)]
+    draws = baselines.radg_profiles(s, radg_seed, radg_count)
+    ev = economics.evaluate_profiles(s, np.vstack(priced + [draws]))
+    rows, k = [], 0
+    for scheme, v in solved.items():
+        if isinstance(v, CocogenError):
+            rows.append(_failed_row(scheme, v))
+            continue
+        d, converged = v
+        rows.append(_ok_row(scheme, ev.welfare[k], np.mean(d), ev.ir[k].all(),
+                            ev.bb_sum[k], converged))
+        k += 1
+    radg = slice(k, None)
+    rows.append(_ok_row("RaDG", np.mean(ev.welfare[radg]), np.mean(draws.mean(axis=1)),
+                        ev.ir[radg].all(), np.mean(ev.bb_sum[radg]), True))
+    return rows, wco
 
 
 def run_sweep_job(grid: SweepGrid, job: SweepJob, cfg: solver.SolverConfig) -> list[dict]:
@@ -408,7 +406,7 @@ def cmd_compare(args) -> int:
         return EXIT_INPUT
     cfg = _solver_config_from_args(args)
 
-    rows, clone_welfare = scheme_rows(s, cfg, s.seed, args.radg_reps)
+    rows, wco = scheme_rows(s, cfg, s.seed, args.radg_reps)
     failed = [r for r in rows if r["status"] != "ok"]
     for r in failed:
         print(f"error: {r['scheme']}: {r['status']}", file=sys.stderr)
@@ -424,7 +422,7 @@ def cmd_compare(args) -> int:
             f"{str(r['ir_all']).lower():>7} {r['bb_sum']:>14.6g} "
             f"{str(r['converged']).lower():>5}"
         )
-    print(f"(WCO welfare under its zero-competition clone: {clone_welfare:.6f})")
+    print(f"(WCO welfare under its zero-competition clone: {wco.clone_report.welfare:.6f})")
     if args.out:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")
         _write_rows_csv(args.out, columns, rows)

@@ -34,18 +34,33 @@ __all__ = [
 ]
 
 
+def _raw_z_weights(s: Scenario) -> np.ndarray:
+    """Every organization's weight, signs unchecked, computed once per
+    scenario (read-only)."""
+
+    def build():
+        rates = s.market.xi - s.market.phi
+        return [float(np.dot(row, rates) - o.psi) for row, o in zip(s.market.gamma, s.orgs)]
+
+    return s.cached("raw_z_weights", build)
+
+
 def z_weight(s: Scenario, n: int) -> float:
     """Potential weight of organization ``n``; strictly negative by assumption."""
-    gamma_row = np.asarray(s.market.gamma[n])
-    z = float(np.dot(gamma_row, s.market.xi - np.asarray(s.market.phi)) - s.orgs[n].psi)
+    z = float(_raw_z_weights(s)[n])
     if z >= 0:
         raise NonNegativeZWeight(n, z)
     return z
 
 
 def z_weights(s: Scenario) -> np.ndarray:
-    """Every organization's weight, computed once per scenario (read-only)."""
-    return s.cached("z_weights", lambda: [z_weight(s, n) for n in range(s.n)])
+    """Every organization's weight (read-only); raises for the first that is
+    not negative."""
+    z = _raw_z_weights(s)
+    bad = np.flatnonzero(z >= 0)
+    if bad.size:
+        raise NonNegativeZWeight(int(bad[0]), float(z[bad[0]]))
+    return z
 
 
 def _linear_coeffs(s: Scenario) -> np.ndarray:

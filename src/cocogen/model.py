@@ -371,13 +371,10 @@ def validate_scenario(s: Scenario) -> Scenario:
     if not violations:
         # Only meaningful once the market shape checks passed.
         from .economics import _aggregate, _floor_errors
-        from .game import z_weight
+        from .game import _raw_z_weights
 
-        for i in range(s.n):
-            try:
-                z_weight(s, i)
-            except NonNegativeZWeight as exc:
-                violations.append(exc)
+        z = _raw_z_weights(s)
+        violations.extend(NonNegativeZWeight(int(n), float(z[n])) for n in np.flatnonzero(z >= 0))
         # The all-d_min profile has the largest global and counterfactual
         # errors in the box.
         with np.errstate(over="ignore"):
@@ -469,13 +466,29 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
+def _as_float(value, where: str) -> float:
+    """A real number from a config value; bools, null, strings, arrays and
+    objects are errors. NaN and infinities pass, for validation to name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvariantViolation(where, f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_float_array(value, where: str) -> np.ndarray:
+    """A float array from a config value; validation checks its shape."""
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvariantViolation(where, "must be an array of numbers") from None
+
+
 def _law_from_dict(obj: dict, where: str) -> ScalingLaw:
     _check_keys(obj, ("alpha", "beta", "delta"), where)
     try:
         return ScalingLaw(
-            alpha=float(_require(obj, "alpha", where)),
-            beta=float(_require(obj, "beta", where)),
-            delta=float(obj.get("delta", 0.0)),
+            alpha=_as_float(_require(obj, "alpha", where), "alpha"),
+            beta=_as_float(_require(obj, "beta", where), "beta"),
+            delta=_as_float(obj.get("delta", 0.0), "delta"),
         )
     except InvariantViolation as exc:
         raise InvariantViolation(f"{where}.{exc.field}", exc.detail) from None
@@ -486,10 +499,10 @@ def _economy_from_dict(obj: dict) -> EconomyParams:
     _check_keys(obj, ("varrho", "c0", "eps0_mode", "eps0_value", "bb_mode"), "economy")
     eps0_value = obj.get("eps0_value")
     return EconomyParams(
-        varrho=float(obj.get("varrho", 20.0)),
-        c0=float(obj.get("c0", DEFAULT_C0)),
+        varrho=_as_float(obj.get("varrho", 20.0), "economy.varrho"),
+        c0=_as_float(obj.get("c0", DEFAULT_C0), "economy.c0"),
         eps0_mode=Eps0Mode(obj.get("eps0_mode", "at_zero_generation")),
-        eps0_value=None if eps0_value is None else float(eps0_value),
+        eps0_value=None if eps0_value is None else _as_float(eps0_value, "economy.eps0_value"),
         bb_mode=PayoffMode(obj.get("bb_mode", "literal")),
     )
 
@@ -514,21 +527,21 @@ def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
             Organization(
                 id=i,
                 d_loc=_as_int(_require(raw, "d_loc", where), f"{where}.d_loc"),
-                f=float(_require(raw, "f", where)),
-                kappa=float(_require(raw, "kappa", where)),
-                eta=float(raw.get("eta", DEFAULT_ETA)),
-                mu=float(raw.get("mu", DEFAULT_MU)),
-                c_cmp=float(raw.get("c_cmp", DEFAULT_C_CMP)),
-                psi=float(_require(raw, "psi", where)),
+                f=_as_float(_require(raw, "f", where), f"{where}.f"),
+                kappa=_as_float(_require(raw, "kappa", where), f"{where}.kappa"),
+                eta=_as_float(raw.get("eta", DEFAULT_ETA), f"{where}.eta"),
+                mu=_as_float(raw.get("mu", DEFAULT_MU), f"{where}.mu"),
+                c_cmp=_as_float(raw.get("c_cmp", DEFAULT_C_CMP), f"{where}.c_cmp"),
+                psi=_as_float(_require(raw, "psi", where), f"{where}.psi"),
                 law=_law_from_dict(_require(raw, "law", where), f"{where}.law"),
             )
         )
     raw_m = _require(obj, "market", "scenario")
     _check_keys(raw_m, ("gamma", "xi", "phi"), "market")
     market = Market(
-        gamma=np.array(_require(raw_m, "gamma", "market"), dtype=np.float64),
-        xi=float(_require(raw_m, "xi", "market")),
-        phi=np.array(_require(raw_m, "phi", "market"), dtype=np.float64),
+        gamma=_as_float_array(_require(raw_m, "gamma", "market"), "market.gamma"),
+        xi=_as_float(_require(raw_m, "xi", "market"), "market.xi"),
+        phi=_as_float_array(_require(raw_m, "phi", "market"), "market.phi"),
     )
     s = Scenario(
         orgs=tuple(orgs),

@@ -27,6 +27,7 @@ from .model import (
     ScalingLaw,
     Scenario,
     StrategyBounds,
+    _as_float,
     _as_int,
     _bounds_from_dict,
     _check_keys,
@@ -250,22 +251,28 @@ def sweep_from_dict(obj: dict) -> SweepGrid:
         where = f"gamma_levels[{i}]"
         _check_keys(raw, ("lo", "hi"), where)
         levels.append(
-            GammaLevel(lo=float(_require(raw, "lo", where)), hi=float(_require(raw, "hi", where)))
+            GammaLevel(
+                lo=_as_float(_require(raw, "lo", where), f"{where}.lo"),
+                hi=_as_float(_require(raw, "hi", where), f"{where}.hi"),
+            )
         )
     raw_defaults = obj.get("org_defaults", {})
     _check_keys(raw_defaults, ("eta", "mu", "c_cmp"), "org_defaults")
     defaults = OrgDefaults(
-        eta=float(raw_defaults.get("eta", 1.0e4)),
-        mu=float(raw_defaults.get("mu", 1.0e4)),
-        c_cmp=float(raw_defaults.get("c_cmp", DEFAULT_C_CMP)),
+        eta=_as_float(raw_defaults.get("eta", 1.0e4), "org_defaults.eta"),
+        mu=_as_float(raw_defaults.get("mu", 1.0e4), "org_defaults.mu"),
+        c_cmp=_as_float(raw_defaults.get("c_cmp", DEFAULT_C_CMP), "org_defaults.c_cmp"),
     )
     return SweepGrid(
         gamma_levels=tuple(levels),
-        alpha_d_levels=tuple(float(x) for x in _require_list(obj, "alpha_d_levels", "sweep")),
+        alpha_d_levels=tuple(
+            _as_float(x, f"alpha_d_levels[{i}]")
+            for i, x in enumerate(_require_list(obj, "alpha_d_levels", "sweep"))
+        ),
         repetitions=_as_int(_require(obj, "repetitions", "sweep"), "repetitions"),
         base_seed=_as_int(_require(obj, "base_seed", "sweep"), "base_seed"),
         n_orgs=_as_int(obj.get("n_orgs", 10), "n_orgs"),
-        xi=float(obj.get("xi", 20.0)),
+        xi=_as_float(obj.get("xi", 20.0), "xi"),
         org_defaults=defaults,
         economy=_economy_from_dict(obj.get("economy", {})),
         bounds=_bounds_from_dict(obj.get("bounds", {})),

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,17 +84,37 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """An equilibrium and how it was found; priced on the scenario it was
+    solved on when ``utilities``, ``welfare``, ``ir`` or ``bb`` is first read."""
+
     profile: StrategyProfile
     cases: tuple[str, ...]
     iterations: int
     potential_trace: tuple[float, ...]
     converged: bool
-    utilities: tuple[economics.UtilityBreakdown, ...]
-    welfare: float
-    ir: tuple[bool, ...]
-    bb: dict
+    scenario: Scenario = field(compare=False, repr=False)
     case_disagreements: int = 0
     ne_certificate: "NeCertificate | None" = None
+
+    @cached_property
+    def evaluation(self) -> economics.ProfileEvaluation:
+        return economics.evaluate_profile(self.scenario, self.profile)
+
+    @property
+    def utilities(self) -> tuple[economics.UtilityBreakdown, ...]:
+        return self.evaluation.utilities
+
+    @property
+    def welfare(self) -> float:
+        return self.evaluation.welfare
+
+    @property
+    def ir(self) -> tuple[bool, ...]:
+        return self.evaluation.ir
+
+    @property
+    def bb(self) -> dict:
+        return {"sum": self.evaluation.bb_sum, "balanced": self.evaluation.bb_balanced}
 
     def to_dict(self) -> dict:
         out = {
@@ -272,18 +293,13 @@ def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
                 s.n,
             )
 
-    d_final = _descend(s, c, np.floor(d + 0.5))
-    ev = economics.evaluate_profile(s, d_final)
     return SolveReport(
-        profile=StrategyProfile(d_final),
+        profile=StrategyProfile(_descend(s, c, np.floor(d + 0.5))),
         cases=tuple(cases),
         iterations=len(trace),
         potential_trace=tuple(trace),
         converged=b - a <= cfg.tol,
-        utilities=ev.utilities,
-        welfare=ev.welfare,
-        ir=ev.ir,
-        bb={"sum": ev.bb_sum, "balanced": ev.bb_balanced},
+        scenario=s,
         case_disagreements=disagreements,
     )
 

@@ -333,7 +333,7 @@ def reference_fpi_solve(s, cfg=None, damping=0.5, init="all_min"):
     ``cfg.tol`` bounds ``|F_k - F_{k-1}|`` and ``cfg.max_iters`` the Jacobi
     sweeps; ``init`` is ``all_min``, ``all_max`` or ``midpoint``.
     """
-    from cocogen import economics, solver
+    from cocogen import solver
     from cocogen.model import StrategyProfile, validate_scenario
 
     validate_scenario(s)
@@ -362,18 +362,13 @@ def reference_fpi_solve(s, cfg=None, damping=0.5, init="all_min"):
     else:
         cases = [_ref_classify_case(s, d, n, "gradient") for n in range(s.n)]
 
-    d_final = _ref_restore_integers(s, d)
-    ev = economics.evaluate_profile(s, d_final)
     return solver.SolveReport(
-        profile=StrategyProfile(d_final),
+        profile=StrategyProfile(_ref_restore_integers(s, d)),
         cases=tuple(cases),
         iterations=iterations,
         potential_trace=tuple(trace),
         converged=converged,
-        utilities=ev.utilities,
-        welfare=ev.welfare,
-        ir=ev.ir,
-        bb={"sum": ev.bb_sum, "balanced": ev.bb_balanced},
+        scenario=s,
         case_disagreements=disagreements,
     )
 
@@ -394,3 +389,57 @@ def assert_lattice_equilibrium(s, d):
     rows = rows[np.all((rows >= lo) & (rows <= hi), axis=1)]
     f = game.potential_batch(s, rows)
     assert np.all(f[0] <= f[1:]), (d, f[0] - f[1:])
+
+
+def reference_scheme_rows(s, cfg, radg_seed, radg_count):
+    """Scheme rows as first written: the CoCoGen, VCFL and WCO profiles each
+    priced alone through ``economics.evaluate_profile`` and the RaDG draws as
+    their own matrix. Also returns the WCO profile's welfare under its
+    zero-competition clone (NaN if that solve failed)."""
+    from cocogen import baselines, economics, solver
+    from cocogen.errors import CocogenError
+
+    rows = []
+
+    def row(scheme, welfare, mean_d, ir_all, bb_sum, converged):
+        rows.append(
+            {"scheme": scheme, "welfare": welfare, "mean_d_gen": mean_d,
+             "ir_all": ir_all, "bb_sum": bb_sum, "converged": converged, "status": "ok"}
+        )
+
+    def failed(scheme, exc):
+        rows.append(
+            {"scheme": scheme, "welfare": math.nan, "mean_d_gen": math.nan,
+             "ir_all": False, "bb_sum": math.nan, "converged": False,
+             "status": f"error:{type(exc).__name__}"}
+        )
+
+    try:
+        rep = solver.fpi_solve(s, cfg)
+        ev = economics.evaluate_profile(s, rep.profile)
+        row("CoCoGen", ev.welfare, float(np.mean(rep.profile.d_gen)), all(ev.ir), ev.bb_sum,
+            rep.converged)
+    except CocogenError as exc:
+        failed("CoCoGen", exc)
+
+    prof = baselines.vcfl_profile(s)
+    ev = economics.evaluate_profile(s, prof)
+    row("VCFL", ev.welfare, float(np.mean(prof.d_gen)), all(ev.ir), ev.bb_sum, True)
+
+    clone_welfare = math.nan
+    try:
+        wco = baselines.wco_solve(s, cfg)
+        ev = economics.evaluate_profile(s, wco.profile)
+        row("WCO", ev.welfare, float(np.mean(wco.profile.d_gen)), all(ev.ir), ev.bb_sum,
+            wco.clone_report.converged)
+        clone_welfare = economics.evaluate_profile(
+            baselines.wco_scenario(s), wco.profile
+        ).welfare
+    except CocogenError as exc:
+        failed("WCO", exc)
+
+    draws = baselines.radg_profiles(s, radg_seed, radg_count)
+    ev = economics.evaluate_profiles(s, draws)
+    row("RaDG", float(np.mean(ev.welfare)), float(np.mean(draws.mean(axis=1))),
+        bool(ev.ir.all()), float(np.mean(ev.bb_sum)), True)
+    return rows, clone_welfare

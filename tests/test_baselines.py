@@ -50,6 +50,16 @@ class TestWco:
         assert out.clone_report.converged
         assert float(np.mean(out.profile.d_gen)) < float(np.mean(rep.profile.d_gen))
 
+    def test_original_market_evaluation_is_priced_on_first_read(self):
+        s = table1_scenario(seed=73)
+        out = baselines.wco_solve(s)
+        ev = eco.evaluate_profile(s, out.profile)
+        assert out.welfare_original == ev.welfare
+        assert out.evaluation_original == ev
+        assert out.evaluation_original is out.evaluation_original
+        clone = baselines.wco_scenario(s)
+        assert out.clone_report.welfare == eco.evaluate_profile(clone, out.profile).welfare
+
     def test_original_market_welfare_is_the_comparison_number(self):
         s = table1_scenario(seed=67)
         out = baselines.wco_solve(s)

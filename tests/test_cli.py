@@ -5,12 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from cocogen import cli
-from cocogen.model import ScalingLaw, save_scenario, scenario_to_dict
+from cocogen import cli, economics, solver
+from cocogen.errors import ZeroTotalData
+from cocogen.model import (
+    PayoffMode,
+    ScalingLaw,
+    save_scenario,
+    scenario_to_dict,
+    with_payoff_mode,
+)
 from cocogen.scaling import heterogeneity_presets
-from cocogen.scenario import GammaLevel, SweepCell, default_sweep_grid, sample_scenario
+from cocogen.scenario import (
+    GammaLevel,
+    SweepCell,
+    default_sweep_grid,
+    expand_sweep,
+    sample_scenario,
+)
 
-from helpers import table1_scenario
+from helpers import reference_scheme_rows, table1_scenario
 
 
 def write_scenario(tmp_path, s, name="scenario.json"):
@@ -183,6 +196,37 @@ class TestSolveCommand:
         assert cli.main([command, bad, "-o", str(tmp_path / "out")]) == 2
         assert f"{field}: must be an" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, name, path, value, message",
+        [
+            ("solve", "scenario_example.json", ("market", "xi"), None,
+             "market.xi: must be a number"),
+            ("solve", "scenario_example.json", ("organizations", 0, "f"), [1],
+             "organizations[0].f: must be a number"),
+            ("solve", "scenario_example.json", ("organizations", 0, "law", "alpha"), {},
+             "organizations[0].law.alpha: must be a number"),
+            ("solve", "scenario_example.json", ("market", "gamma"), {},
+             "market.gamma: must be an array of numbers"),
+            ("compare", "scenario_example.json", ("economy", "varrho"), None,
+             "economy.varrho: must be a number"),
+            ("sweep", "sweep_default.json", ("xi",), None, "xi: must be a number"),
+            ("sweep", "sweep_default.json", ("gamma_levels", 0, "lo"), [0.0],
+             "gamma_levels[0].lo: must be a number"),
+            ("sweep", "sweep_default.json", ("alpha_d_levels", 1), {},
+             "alpha_d_levels[1]: must be a number"),
+            ("sweep", "sweep_default.json", ("org_defaults", "eta"), None,
+             "org_defaults.eta: must be a number"),
+            ("sweep", "sweep_default.json", ("economy", "eps0_value"), [1.0],
+             "economy.eps0_value: must be a number"),
+        ],
+    )
+    def test_non_numeric_field_is_input_error(
+        self, tmp_path, capsys, command, name, path, value, message
+    ):
+        bad = shipped_example_with(tmp_path, path, value, name)
+        assert cli.main([command, bad, "-o", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_overflowing_stationary_point_clips_to_the_floor(self, tmp_path, capsys):
         path = shipped_example_with(tmp_path, ("economy", "varrho"), 1e-3)
         out = tmp_path / "r.json"
@@ -319,6 +363,67 @@ class TestSweepCommand:
         assert cli.main(["sweep", sweep, "-o", str(out1), "--jobs", "1", "--seed", "123"]) == 0
         assert cli.main(["sweep", sweep, "-o", str(out2), "--jobs", "1", "--seed", "124"]) == 0
         assert (out1 / "results.csv").read_bytes() != (out2 / "results.csv").read_bytes()
+
+
+def _preset_job(k=0):
+    grid = default_sweep_grid()
+    job = expand_sweep(grid)[k]
+    return grid, job, sample_scenario(grid, job.cell, job.seed)
+
+
+def _row_types(rows):
+    return [{key: type(v) for key, v in r.items()} for r in rows]
+
+
+class TestSchemeRows:
+    @pytest.mark.parametrize("mode", [PayoffMode.LITERAL, PayoffMode.ANTISYMMETRIC])
+    def test_equal_to_pricing_each_scheme_alone(self, mode):
+        grid = default_sweep_grid()
+        cfg = solver.SolverConfig()
+        for job in expand_sweep(grid)[:90]:
+            s = with_payoff_mode(sample_scenario(grid, job.cell, job.seed), mode)
+            rows, wco = cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions)
+            expected, clone_welfare = reference_scheme_rows(
+                s, cfg, job.seed, grid.radg_repetitions
+            )
+            assert rows == expected
+            assert _row_types(rows) == _row_types(expected)
+            assert wco.clone_report.welfare == clone_welfare
+
+    @pytest.mark.parametrize("failing", ["CoCoGen", "WCO"])
+    def test_failed_solve_leaves_the_other_rows(self, monkeypatch, failing):
+        grid, job, s = _preset_job()
+        cfg = solver.SolverConfig()
+        expected, _ = cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions)
+        real = solver.fpi_solve
+
+        def fpi_solve(scenario, cfg=None):
+            # The real scenario is CoCoGen's; WCO solves a clone of it.
+            if (scenario is s) == (failing == "CoCoGen"):
+                raise ZeroTotalData("injected")
+            return real(scenario, cfg)
+
+        monkeypatch.setattr(solver, "fpi_solve", fpi_solve)
+        rows, wco = cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions)
+        k = cli.SCHEMES.index(failing)
+        assert [r["scheme"] for r in rows] == list(cli.SCHEMES)
+        assert rows[k]["status"] == "error:ZeroTotalData"
+        assert math.isnan(rows[k]["welfare"]) and rows[k]["converged"] is False
+        assert rows[:k] + rows[k + 1:] == expected[:k] + expected[k + 1:]
+        assert (wco is None) == (failing == "WCO")
+
+    def test_sweep_job_prices_its_scenario_in_one_call(self, monkeypatch):
+        grid, job, _ = _preset_job()
+        calls = []
+        for name in ("evaluate_profile", "evaluate_profiles"):
+            real = getattr(economics, name)
+            monkeypatch.setattr(
+                economics, name,
+                lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a),
+            )
+        rows = cli.run_sweep_job(grid, job, solver.SolverConfig())
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        assert calls == ["evaluate_profiles"]
 
 
 class TestCompareCommand:

@@ -123,8 +123,8 @@ class TestValidation:
     def test_success_is_remembered_on_the_instance_only(self, monkeypatch):
         s = build_scenario(n=3)
         calls = []
-        real = game.z_weight
-        monkeypatch.setattr(game, "z_weight", lambda s, n: calls.append(n) or real(s, n))
+        real = game._raw_z_weights
+        monkeypatch.setattr(game, "_raw_z_weights", lambda s: calls.append(s) or real(s))
         assert validate_scenario(s) is s
         assert calls == []
         copies = (
@@ -134,11 +134,36 @@ class TestValidation:
         )
         for copy in copies:
             assert validate_scenario(copy) is copy
-        assert calls == [0, 1, 2] * 3
+        assert len(calls) == len(copies)
+        assert all(c is copy for c, copy in zip(calls, copies))
         bad = replace(s, economy=replace(s.economy, c0=-1.0))
         for _ in range(2):
             with pytest.raises(ScenarioValidationError):
                 validate_scenario(bad)
+
+    def test_every_non_negative_weight_is_reported_in_order(self):
+        s = build_scenario(
+            n=3, gamma=np.zeros((3, 3)), psi=[0.0, 700.0, 0.0], xi=0.0, validate=False
+        )
+        with pytest.raises(ScenarioValidationError) as exc:
+            validate_scenario(s)
+        found = [(v.org, v.value) for v in exc.value.violations]
+        assert found == [(0, 0.0), (2, 0.0)]
+        assert all(isinstance(v, NonNegativeZWeight) for v in exc.value.violations)
+        with pytest.raises(NonNegativeZWeight) as first:
+            game.z_weights(s)
+        assert first.value.org == 0
+        assert game.z_weight(s, 1) == -700.0
+
+    def test_z_weights_match_the_per_organization_formula(self):
+        s = table1_scenario(seed=74)
+        z = game.z_weights(s)
+        by_row = [
+            float(np.dot(s.market.gamma[n], s.market.xi - s.market.phi) - s.orgs[n].psi)
+            for n in range(s.n)
+        ]
+        assert z.tolist() == by_row == [game.z_weight(s, n) for n in range(s.n)]
+        assert game._linear_coeffs(s).tolist() == (-s.marginal_cost_coeffs() / z).tolist()
 
     def test_z_weight_raises_directly_for_degenerate_org(self):
         s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, validate=False)

@@ -254,6 +254,49 @@ class TestEveryInputSolvesOrFailsValidation:
         assert_lattice_equilibrium(s, rep.profile.d_gen)
 
 
+class TestLazyPricing:
+    def test_priced_fields_equal_a_direct_evaluation(self):
+        s = table1_scenario(seed=41)
+        rep = solver.fpi_solve(s)
+        ev = eco.evaluate_profile(s, rep.profile)
+        assert rep.welfare == ev.welfare
+        assert rep.utilities == ev.utilities
+        assert rep.ir == ev.ir
+        assert rep.bb == {"sum": ev.bb_sum, "balanced": ev.bb_balanced}
+        assert rep.evaluation is rep.evaluation
+
+    def test_to_dict_on_the_shipped_example(self):
+        s = scenario_from_dict(_shipped_example())
+        rep = solver.fpi_solve(s)
+        out = rep.to_dict()
+        assert list(out) == [
+            "profile", "cases", "iterations", "potential_trace", "converged",
+            "utilities", "welfare", "ir", "bb", "case_disagreements",
+        ]
+        ev = eco.evaluate_profile(s, rep.profile)
+        assert out["profile"] == [
+            3000.0, 1278.0, 3000.0, 3000.0, 1343.0, 1139.0, 90.0, 1198.0, 305.0, 1874.0
+        ]
+        assert out["utilities"] == [u.to_dict() for u in ev.utilities]
+        assert out["welfare"] == ev.welfare
+        assert out["ir"] == list(ev.ir)
+        assert out["bb"] == {"sum": ev.bb_sum, "balanced": ev.bb_balanced}
+        assert (out["iterations"], out["converged"], out["case_disagreements"]) == (
+            rep.iterations, True, 0
+        )
+        cert = solver.verify_ne(s, rep.profile)
+        certified = replace(rep, ne_certificate=cert).to_dict()
+        assert certified == {**out, "ne_certificate": cert.to_dict()}
+
+    def test_reports_differing_only_in_scenario_compare_equal(self):
+        s = table1_scenario(seed=42)
+        rep = solver.fpi_solve(s)
+        other = replace(rep, scenario=table1_scenario(seed=43))
+        assert other == rep
+        assert other.welfare != rep.welfare
+        assert "scenario" not in repr(rep)
+
+
 def assert_same_equilibrium(s, cfg, init="all_min"):
     """The solver and the Jacobi reference started from ``init`` agree on
     the integer profile (and, under the gradient rule, the case labels) at
