@@ -29,7 +29,7 @@ from .errors import (
     InsufficientPoints,
     NonPositiveShifted,
 )
-from .model import PayoffMode, load_scenario, with_payoff_mode
+from .model import PayoffMode, load_scenario, validate_scenario, with_payoff_mode
 from .scenario import (
     PRNG_ID,
     SweepGrid,
@@ -121,7 +121,7 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _solver_config_from_args(args) -> solver.SolverConfig:
-    return solver.SolverConfig(tol=args.tol, max_iters=args.max_iters, case_mode=args.case_mode)
+    return solver.SolverConfig(tol=args.tol, max_iters=args.max_iters)
 
 
 def _load_scenario_for_args(args):
@@ -129,10 +129,8 @@ def _load_scenario_for_args(args):
     if args.payoff_mode is not None:
         s = with_payoff_mode(s, PayoffMode(args.payoff_mode))
     if args.seed is not None:
-        s = type(s)(
-            orgs=s.orgs, market=s.market, economy=s.economy, bounds=s.bounds, seed=args.seed
-        )
-    return s
+        s = replace(s, seed=args.seed)
+    return validate_scenario(s)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +458,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="stop when the bracket on the equilibrium's mean local error is at most tol wide",
     )
     p.add_argument("--max-iters", type=_solver_field("max_iters", int), default=500)
-    p.add_argument("--case-mode", choices=("gradient", "printed"), default="gradient")
     p.add_argument("--payoff-mode", choices=("literal", "antisymmetric"), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--allow-nonconverged", action="store_true")

@@ -1,17 +1,15 @@
-"""Nash-equilibrium computation: case analysis, the equilibrium solve (a
-scalar root in the mean local error, then rounding and ±1 descent on the
-potential), an exhaustive grid oracle, and equilibrium certification.
+"""Nash-equilibrium computation: the equilibrium solve (a scalar root in
+the mean local error, then rounding and ±1 descent on the potential), an
+exhaustive grid oracle, and equilibrium certification.
 
-Case classification follows the sign of the coordinate gradient of the
-potential at the box-projected stationary point. The printed-direction
-variant (which assigns the lower bound where the gradient analysis assigns
-the upper, and vice versa) is retained behind ``case_mode="printed"`` for
-comparison; disagreements between the two are counted and logged.
+Each report labels every organization's coordinate as bound-pinned or
+interior by the sign of the potential's coordinate gradient at the
+box-projected stationary point of the root. The labels are a diagnostic:
+the profile comes from the root and the descent alone.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,24 +31,14 @@ from .model import (
 
 __all__ = [
     "CaseLabel",
-    "CaseQuantities",
     "SolverConfig",
     "SolveReport",
-    "case_quantities",
-    "classify_case",
-    "interior_update",
     "fpi_solve",
     "grid_oracle",
     "GridOracleResult",
     "verify_ne",
     "NeCertificate",
 ]
-
-logger = logging.getLogger(__name__)
-
-CASE_GRADIENT = "gradient"
-CASE_PRINTED = "printed"
-
 
 class CaseLabel:
     LOWER_BOUND = "lower_bound"
@@ -59,27 +47,15 @@ class CaseLabel:
 
 
 @dataclass(frozen=True)
-class CaseQuantities:
-    """The three per-organization quantities of the stationarity analysis."""
-
-    a1: float  # mean local error at the given profile
-    a2: float  # cost coefficient over the (negative) game weight
-    a3: float  # (d_loc + d_gen)^(-beta - 1)
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-9  # width of the final bracket on the mean local error
     max_iters: int = 500  # bracket steps
-    case_mode: str = CASE_GRADIENT
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.case_mode not in (CASE_GRADIENT, CASE_PRINTED):
-            raise ValueError(f"unknown case mode {self.case_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +69,6 @@ class SolveReport:
     potential_trace: tuple[float, ...]
     converged: bool
     scenario: Scenario = field(compare=False, repr=False)
-    case_disagreements: int = 0
     ne_certificate: "NeCertificate | None" = None
 
     @cached_property
@@ -127,7 +102,6 @@ class SolveReport:
             "welfare": self.welfare,
             "ir": list(self.ir),
             "bb": dict(self.bb),
-            "case_disagreements": self.case_disagreements,
         }
         if self.ne_certificate is not None:
             out["ne_certificate"] = self.ne_certificate.to_dict()
@@ -153,21 +127,10 @@ def _stationary_points(c: _Stationarity, a1: float) -> list[float]:
     return out
 
 
-def _labels(c: _Stationarity, d: np.ndarray, a1: float, case_mode: str) -> list[str]:
-    """Every organization's case label at ``d``, whose mean local error is a1."""
+def _labels(c: _Stationarity, a1: float) -> tuple[str, ...]:
+    """Every organization's gradient-rule case label at mean local error a1."""
     growth = _exp((a1 - 1.0) / c.varrho)
     labels = []
-    if case_mode == CASE_PRINTED:
-        for n, a2 in enumerate(c.a2):
-            benefit = _benefit(c, n, c.d_loc[n] + d[n], growth)
-            if benefit > -a2:
-                labels.append(CaseLabel.LOWER_BOUND)
-            elif benefit < -a2:
-                labels.append(CaseLabel.UPPER_BOUND)
-            else:
-                labels.append(CaseLabel.INTERIOR)
-        return labels
-
     for n, d_star in enumerate(_stationary_points(c, a1)):
         label = CaseLabel.INTERIOR
         if d_star < c.lo and -_benefit(c, n, c.d_loc[n] + c.lo, growth) - c.a2[n] >= 0:
@@ -175,37 +138,7 @@ def _labels(c: _Stationarity, d: np.ndarray, a1: float, case_mode: str) -> list[
         elif d_star > c.hi and -_benefit(c, n, c.d_loc[n] + c.hi, growth) - c.a2[n] <= 0:
             label = CaseLabel.UPPER_BOUND
         labels.append(label)
-    return labels
-
-
-def _mean_error(s: Scenario, profile: ProfileLike) -> tuple[np.ndarray, float]:
-    d = as_dgen(profile, s.n)
-    return d, float(economics.local_errors(s, d).mean())
-
-
-def case_quantities(s: Scenario, profile: ProfileLike, n: int) -> CaseQuantities:
-    d, a1 = _mean_error(s, profile)
-    c = _stationarity(s)
-    return CaseQuantities(
-        a1=a1,
-        a2=c.a2[n],
-        a3=float((c.d_loc[n] + d[n]) ** c.benefit_exponent[n]),
-    )
-
-
-def classify_case(
-    s: Scenario, profile: ProfileLike, n: int, case_mode: str = CASE_GRADIENT
-) -> str:
-    """Label organization ``n``'s coordinate as bound-pinned or interior."""
-    d, a1 = _mean_error(s, profile)
-    return _labels(_stationarity(s), d, a1, case_mode)[n]
-
-
-def interior_update(s: Scenario, profile: ProfileLike, n: int) -> float:
-    """Stationary value with the mean error frozen at the profile, clipped."""
-    _, a1 = _mean_error(s, profile)
-    c = _stationarity(s)
-    return float(min(max(_stationary_points(c, a1)[n], c.lo), c.hi))
+    return tuple(labels)
 
 
 def _relaxed(s: Scenario, c: _Stationarity, t: float):
@@ -279,28 +212,13 @@ def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
             a = b = t
 
     _, d, eps = point
-    a1 = float(eps.mean())
-    cases = _labels(c, d, a1, cfg.case_mode)
-    disagreements = 0
-    if cfg.case_mode == CASE_PRINTED:
-        grad_labels = _labels(c, d, a1, CASE_GRADIENT)
-        disagreements = sum(g != p for g, p in zip(grad_labels, cases))
-        if disagreements:
-            logger.warning(
-                "printed case directions disagree with gradient signs for "
-                "%d of %d organizations",
-                disagreements,
-                s.n,
-            )
-
     return SolveReport(
         profile=StrategyProfile(_descend(s, c, np.floor(d + 0.5))),
-        cases=tuple(cases),
+        cases=_labels(c, float(eps.mean())),
         iterations=len(trace),
         potential_trace=tuple(trace),
         converged=b - a <= cfg.tol,
         scenario=s,
-        case_disagreements=disagreements,
     )
 
 

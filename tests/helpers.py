@@ -234,16 +234,11 @@ def _ref_potential(s, d):
     )
 
 
-def _ref_case_quantities(s, d, n):
+def _ref_mean_error_and_a2(s, d, n):
     from cocogen import economics, game
 
     eps = economics.local_errors(s, d)
-    total_n = s.orgs[n].d_loc + d[n]
-    return (
-        float(eps.mean()),
-        s.marginal_cost_coeffs()[n] / game.z_weight(s, n),
-        float(total_n ** (-s.orgs[n].law.beta - 1.0)),
-    )
+    return float(eps.mean()), s.marginal_cost_coeffs()[n] / game.z_weight(s, n)
 
 
 def _ref_benefit(s, n, total, a1):
@@ -269,17 +264,8 @@ def _ref_stationary_point(s, n, a1, a2):
     return bracket ** (-1.0 / (law.beta + 1.0)) - org.d_loc
 
 
-def _ref_classify_case(s, d, n, case_mode):
-    a1, a2, a3 = _ref_case_quantities(s, d, n)
-    if case_mode == "printed":
-        benefit = a3 * s.orgs[n].law.alpha * s.orgs[n].law.beta / (
-            s.n * s.economy.varrho
-        ) * math.exp((a1 - 1.0) / s.economy.varrho)
-        if benefit > -a2:
-            return "lower_bound"
-        if benefit < -a2:
-            return "upper_bound"
-        return "interior"
+def _ref_case_label(s, d, n):
+    a1, a2 = _ref_mean_error_and_a2(s, d, n)
     d_star = _ref_stationary_point(s, n, a1, a2)
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     if d_star < lo:
@@ -354,22 +340,13 @@ def reference_fpi_solve(s, cfg=None, damping=0.5, init="all_min"):
             break
         f_prev = f_k
 
-    disagreements = 0
-    if cfg.case_mode == "printed":
-        grad_labels = [_ref_classify_case(s, d, n, "gradient") for n in range(s.n)]
-        cases = [_ref_classify_case(s, d, n, "printed") for n in range(s.n)]
-        disagreements = sum(g != p for g, p in zip(grad_labels, cases))
-    else:
-        cases = [_ref_classify_case(s, d, n, "gradient") for n in range(s.n)]
-
     return solver.SolveReport(
         profile=StrategyProfile(_ref_restore_integers(s, d)),
-        cases=tuple(cases),
+        cases=tuple(_ref_case_label(s, d, n) for n in range(s.n)),
         iterations=iterations,
         potential_trace=tuple(trace),
         converged=converged,
         scenario=s,
-        case_disagreements=disagreements,
     )
 
 

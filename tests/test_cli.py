@@ -227,6 +227,15 @@ class TestSolveCommand:
         assert cli.main([command, bad, "-o", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_flag_is_input_error(self, tmp_path, capsys, command, seed):
+        path = shipped_example_with(tmp_path, ("seed",), 0)
+        assert cli.main([command, path, "--seed", seed, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "seed: must fit in 64 unsigned bits" in err
+        assert "Traceback" not in err
+
     def test_overflowing_stationary_point_clips_to_the_floor(self, tmp_path, capsys):
         path = shipped_example_with(tmp_path, ("economy", "varrho"), 1e-3)
         out = tmp_path / "r.json"
@@ -301,14 +310,6 @@ class TestSolveCommand:
         anti = json.loads(out_a.read_text())
         assert not lit["bb"]["balanced"]
         assert anti["bb"]["balanced"]
-
-    def test_case_mode_printed_is_available(self, tmp_path):
-        path = write_scenario(tmp_path, example_scenario())
-        code = cli.main(
-            ["solve", path, "-o", str(tmp_path / "r.json"), "--case-mode", "printed",
-             "--allow-nonconverged"]
-        )
-        assert code in (0, 4)
 
 
 class TestSweepCommand:

@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 from dataclasses import replace
 
@@ -23,82 +22,29 @@ from helpers import (
 )
 
 
-class TestCaseQuantities:
+class TestStationarityConstants:
     def test_single_org_plug_in(self):
         s = build_scenario(n=1, alpha=1.0, beta=1.0, delta=0.0, d_loc=100, gamma=[[0.0]])
-        q = solver.case_quantities(s, [0.0], 0)
-        assert q.a1 == pytest.approx(0.01, rel=1e-15)
-        assert q.a3 == pytest.approx(1e-4, rel=1e-12)
+        c = game._stationarity(s)
+        assert float(eco.local_errors(s, [0.0]).mean()) == pytest.approx(0.01, rel=1e-15)
+        assert (c.d_loc[0] + 0.0) ** c.benefit_exponent[0] == pytest.approx(1e-4, rel=1e-12)
 
     def test_a2_is_always_negative(self):
         s = table1_scenario(seed=31)
-        for n in range(s.n):
-            assert solver.case_quantities(s, random_profile(s, n), n).a2 < 0
+        assert all(a2 < 0 for a2 in game._stationarity(s).a2)
 
     def test_matches_independent_recomputation(self):
         s = table1_scenario(seed=32)
-        p = random_profile(s, 5)
-        for n in range(s.n):
-            q = solver.case_quantities(s, p, n)
-            org = s.orgs[n]
-            a1 = math.fsum(
-                o.law.error_at(o.d_loc + p[i]) for i, o in enumerate(s.orgs)
-            ) / s.n
+        c = game._stationarity(s)
+        for n, org in enumerate(s.orgs):
             a2 = (
                 org.kappa * org.c_cmp * (org.eta + org.mu) * org.f**2
                 / game.z_weight(s, n)
             )
-            a3 = (org.d_loc + p[n]) ** (-org.law.beta - 1.0)
-            assert q.a1 == pytest.approx(a1, rel=1e-14)
-            assert q.a2 == pytest.approx(a2, rel=1e-14)
-            assert q.a3 == pytest.approx(a3, rel=1e-14)
-
-
-class TestClassifyCase:
-    def test_dominating_cost_pins_to_lower_bound(self):
-        s = table1_scenario(seed=33, cost_scale=1e6)
-        p = np.full(s.n, 500.0)
-        assert all(
-            solver.classify_case(s, p, n) == CaseLabel.LOWER_BOUND for n in range(s.n)
-        )
-
-    def test_vanishing_cost_pins_to_upper_bound(self):
-        s = table1_scenario(seed=34, cost_scale=1e-6)
-        p = np.full(s.n, 500.0)
-        assert all(
-            solver.classify_case(s, p, n) == CaseLabel.UPPER_BOUND for n in range(s.n)
-        )
-
-    def test_moderate_cost_interior_confirmed_by_oracle(self):
-        s = table1_scenario(seed=35, n=2, cost_scale=4.0, d_max=2000)
-        rep = solver.fpi_solve(s, SolverConfig(tol=1e-13, max_iters=2000))
-        assert all(c == CaseLabel.INTERIOR for c in rep.cases)
-        res = solver.grid_oracle(s, step=1.0)
-        assert s.bounds.d_min < res.profile.d_gen[0] < s.bounds.d_max
-        assert s.bounds.d_min < res.profile.d_gen[1] < s.bounds.d_max
-
-
-class TestInteriorUpdate:
-    def test_fixed_point_property(self):
-        s = table1_scenario(seed=36, n=3, cost_scale=4.0)
-        rep = solver.fpi_solve(s, SolverConfig(tol=1e-14, max_iters=5000))
-        d = rep.profile.d_gen
-        for n in range(s.n):
-            if rep.cases[n] == CaseLabel.INTERIOR:
-                # restoration rounds to integers, so allow the half-sample gap
-                assert solver.interior_update(s, d, n) == pytest.approx(d[n], abs=0.51)
-
-    def test_symmetric_orgs_update_identically(self):
-        s = build_scenario(n=3)
-        p = np.full(3, 900.0)
-        updates = {solver.interior_update(s, p, n) for n in range(3)}
-        assert len(updates) == 1
-
-    def test_two_org_symmetric_matches_grid_argmin(self):
-        s = build_scenario(n=2, alpha=21.2, beta=0.52, delta=0.12, d_loc=1500, d_max=3000)
-        rep = solver.fpi_solve(s, SolverConfig(tol=1e-13, max_iters=3000))
-        res = solver.grid_oracle(s, step=1.0)
-        assert np.all(np.abs(rep.profile.d_gen - res.profile.d_gen) <= 1.0)
+            benefit = org.law.alpha * org.law.beta / (s.n * s.economy.varrho)
+            assert c.a2[n] == pytest.approx(a2, rel=1e-14)
+            assert c.benefit[n] == pytest.approx(benefit, rel=1e-14)
+            assert c.benefit_exponent[n] == pytest.approx(-org.law.beta - 1.0, rel=1e-14)
 
 
 class TestFpiSolve:
@@ -181,14 +127,13 @@ class TestFpiSolve:
             else:
                 assert grad[n] <= 1e-12
 
-    def test_printed_case_mode_logs_disagreements(self, caplog):
-        s = table1_scenario(seed=45)
-        with caplog.at_level(logging.WARNING, logger="cocogen.solver"):
-            rep = solver.fpi_solve(
-                s, SolverConfig(tol=1e-9, max_iters=50, case_mode="printed")
-            )
-        assert rep.case_disagreements > 0
-        assert any("printed case" in r.message for r in caplog.records)
+    def test_moderate_cost_interior_confirmed_by_oracle(self):
+        s = table1_scenario(seed=35, n=2, cost_scale=4.0, d_max=2000)
+        rep = solver.fpi_solve(s, SolverConfig(tol=1e-13, max_iters=2000))
+        assert all(c == CaseLabel.INTERIOR for c in rep.cases)
+        res = solver.grid_oracle(s, step=1.0)
+        assert s.bounds.d_min < res.profile.d_gen[0] < s.bounds.d_max
+        assert s.bounds.d_min < res.profile.d_gen[1] < s.bounds.d_max
 
     def test_more_competition_shifts_equilibrium_up(self):
         # Paired draws: only gamma is scaled, so the psi/phi/kappa/d_loc
@@ -271,7 +216,7 @@ class TestLazyPricing:
         out = rep.to_dict()
         assert list(out) == [
             "profile", "cases", "iterations", "potential_trace", "converged",
-            "utilities", "welfare", "ir", "bb", "case_disagreements",
+            "utilities", "welfare", "ir", "bb",
         ]
         ev = eco.evaluate_profile(s, rep.profile)
         assert out["profile"] == [
@@ -281,9 +226,7 @@ class TestLazyPricing:
         assert out["welfare"] == ev.welfare
         assert out["ir"] == list(ev.ir)
         assert out["bb"] == {"sum": ev.bb_sum, "balanced": ev.bb_balanced}
-        assert (out["iterations"], out["converged"], out["case_disagreements"]) == (
-            rep.iterations, True, 0
-        )
+        assert (out["iterations"], out["converged"]) == (rep.iterations, True)
         cert = solver.verify_ne(s, rep.profile)
         certified = replace(rep, ne_certificate=cert).to_dict()
         assert certified == {**out, "ne_certificate": cert.to_dict()}
@@ -299,16 +242,13 @@ class TestLazyPricing:
 
 def assert_same_equilibrium(s, cfg, init="all_min"):
     """The solver and the Jacobi reference started from ``init`` agree on
-    the integer profile (and, under the gradient rule, the case labels) at
-    ``cfg``, and the profile passes the ±1 lattice check."""
+    the integer profile and the case labels at ``cfg``, and the profile
+    passes the ±1 lattice check."""
     got = solver.fpi_solve(s, cfg)
     want = reference_fpi_solve(s, replace(cfg, max_iters=5000), init=init)
     assert got.converged and want.converged
     assert np.array_equal(got.profile.d_gen, want.profile.d_gen)
-    if cfg.case_mode == "gradient":
-        # The printed rule compares the benefit with the cost at the relaxed
-        # solution itself, where the two agree up to rounding.
-        assert got.cases == want.cases
+    assert got.cases == want.cases
     assert_lattice_equilibrium(s, got.profile.d_gen)
 
 
@@ -317,10 +257,9 @@ class TestReferenceEquivalence:
     Jacobi loop as first written, run to ``tol=1e-14``."""
 
     @pytest.mark.parametrize("init", ["all_min", "all_max", "midpoint"])
-    @pytest.mark.parametrize("case_mode", ["gradient", "printed"])
     @pytest.mark.parametrize("bb_mode", [PayoffMode.LITERAL, PayoffMode.ANTISYMMETRIC])
-    def test_table1_scenarios(self, init, case_mode, bb_mode):
-        cfg = SolverConfig(tol=1e-14, case_mode=case_mode)
+    def test_table1_scenarios(self, init, bb_mode):
+        cfg = SolverConfig(tol=1e-14)
         for seed, n in ((60, 10), (61, 10), (62, 3)):
             s = table1_scenario(seed=seed, n=n, bb_mode=bb_mode)
             assert_same_equilibrium(s, cfg, init)
@@ -328,8 +267,7 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("cost_scale", [1e6, 1e-6])
     def test_edge_cost_scenarios(self, cost_scale):
         s = table1_scenario(seed=63, cost_scale=cost_scale)
-        for case_mode in ("gradient", "printed"):
-            assert_same_equilibrium(s, SolverConfig(tol=1e-14, case_mode=case_mode))
+        assert_same_equilibrium(s, SolverConfig(tol=1e-14))
 
     def test_nonconverged_run(self):
         s = table1_scenario(seed=64)
@@ -359,6 +297,12 @@ class TestGridOracle:
         s = table1_scenario(seed=47, n=2, cost_scale=1e6)
         res = solver.grid_oracle(s, step=1.0)
         assert np.all(res.profile.d_gen == s.bounds.d_min)
+
+    def test_two_org_symmetric_matches_grid_argmin(self):
+        s = build_scenario(n=2, alpha=21.2, beta=0.52, delta=0.12, d_loc=1500, d_max=3000)
+        rep = solver.fpi_solve(s, SolverConfig(tol=1e-13, max_iters=3000))
+        res = solver.grid_oracle(s, step=1.0)
+        assert np.all(np.abs(rep.profile.d_gen - res.profile.d_gen) <= 1.0)
 
     def test_symmetric_two_org_argmin_is_symmetric(self):
         s = build_scenario(n=2, alpha=21.2, beta=0.52, delta=0.12, d_loc=1500)
