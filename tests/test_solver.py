@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 from cocogen.solver import CaseLabel, SolverConfig
 
 from helpers import (
+    _ref_case_label,
+    _ref_stationary_point,
     assert_lattice_equilibrium,
     build_scenario,
     random_profile,
@@ -45,6 +47,80 @@ class TestStationarityConstants:
             assert c.a2[n] == pytest.approx(a2, rel=1e-14)
             assert c.benefit[n] == pytest.approx(benefit, rel=1e-14)
             assert c.benefit_exponent[n] == pytest.approx(-org.law.beta - 1.0, rel=1e-14)
+
+
+def _mean_local_error(s, d):
+    return float(eco.local_errors(s, d).mean())
+
+
+class TestStationaryPoints:
+    def test_matches_independent_formula(self):
+        s = table1_scenario(seed=37)
+        c = game._stationarity(s)
+        for seed in range(3):
+            a1 = _mean_local_error(s, random_profile(s, seed))
+            got = solver._stationary_points(c, a1)
+            for n in range(s.n):
+                want = _ref_stationary_point(s, n, a1, c.a2[n])
+                assert got[n] == pytest.approx(want, rel=1e-12)
+
+    def test_interior_equilibrium_is_its_own_stationary_point(self):
+        s = table1_scenario(seed=36, n=3, cost_scale=4.0)
+        rep = solver.fpi_solve(s, SolverConfig(tol=1e-14, max_iters=5000))
+        d = rep.profile.d_gen
+        d_star = solver._stationary_points(game._stationarity(s), _mean_local_error(s, d))
+        assert CaseLabel.INTERIOR in rep.cases
+        for n in range(s.n):
+            if rep.cases[n] == CaseLabel.INTERIOR:
+                # restoration rounds to integers, so allow the half-sample gap
+                assert d_star[n] == pytest.approx(d[n], abs=0.51)
+
+    def test_symmetric_orgs_share_one_stationary_point(self):
+        s = build_scenario(n=3)
+        d_star = solver._stationary_points(
+            game._stationarity(s), _mean_local_error(s, np.full(3, 900.0))
+        )
+        assert len(set(d_star)) == 1
+
+
+class TestGradientLabels:
+    """``solver._labels`` at the mean local error of arbitrary profiles, not
+    only at the solver's root."""
+
+    def test_dominating_cost_pins_to_lower_bound(self):
+        s = table1_scenario(seed=33, cost_scale=1e6)
+        a1 = _mean_local_error(s, np.full(s.n, 500.0))
+        assert solver._labels(game._stationarity(s), a1) == (CaseLabel.LOWER_BOUND,) * s.n
+
+    def test_vanishing_cost_pins_to_upper_bound(self):
+        s = table1_scenario(seed=34, cost_scale=1e-6)
+        a1 = _mean_local_error(s, np.full(s.n, 500.0))
+        assert solver._labels(game._stationarity(s), a1) == (CaseLabel.UPPER_BOUND,) * s.n
+
+    def test_matches_reference_rule_off_equilibrium(self):
+        seen = set()
+        for seed, cost_scale in ((38, 1.0), (39, 4.0), (40, 0.05)):
+            s = table1_scenario(seed=seed, cost_scale=cost_scale)
+            c = game._stationarity(s)
+            for k in range(3):
+                p = random_profile(s, k)
+                got = solver._labels(c, _mean_local_error(s, p))
+                assert got == tuple(_ref_case_label(s, p, n) for n in range(s.n))
+                seen.update(got)
+        assert len(seen) >= 2  # the draws exercise more than one label
+
+
+class TestSolverConfig:
+    def test_fields_are_tol_and_max_iters(self):
+        assert [f.name for f in fields(SolverConfig)] == ["tol", "max_iters"]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan}, {"max_iters": 0}],
+    )
+    def test_rejects_unusable_settings(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SolverConfig(**kwargs)
 
 
 class TestFpiSolve:
