@@ -1,4 +1,4 @@
-"""Per-layer timings of the sweep path, written to a BENCH JSON file.
+"""Per-layer timings of the sweep and request paths, written to a BENCH JSON file.
 
 Each layer is timed with ``timeit`` as the minimum over ``--repeat`` runs,
 divided by the calls per run. The per-call layers run on the first preset
@@ -17,7 +17,12 @@ scan that reduces its innermost axis through a lower envelope.
 ``solver.fpi_solve.per_iteration`` divides the solve's time by the report's
 ``iterations``, which counts the bracket steps of the scalar root solve. In
 checkouts that still solved by damped Jacobi sweeps it counted sweeps, so
-this layer does not compare across that change.
+this layer does not compare across that change. ``scaling.fit_scaling_law``
+fits a noiseless 12-point curve of the shipped law. ``cli.main.solve`` and
+``cli.main.fit`` are one in-process request each (``solve`` of the shipped
+example, ``fit`` of that curve), argument parsing and file I/O included;
+being minima over repeated calls in one process, they leave out what only
+a process's first request pays.
 
 Time two checkouts with the same script and collect both in one file.
 Each invocation appends its numbers under its label, and the file keeps the
@@ -61,15 +66,55 @@ def _preset_sweep_us(cli, jobs: int) -> float:
         args = cli.build_parser().parse_args(["sweep", preset, "-o", out, "--jobs", str(jobs)])
         t0 = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
-            code = args.func(args)
+            code = cli.cmd_sweep(args)
         elapsed = time.perf_counter() - t0
     if code != 0:
         raise RuntimeError(f"preset sweep at --jobs {jobs} exited {code}")
     return elapsed * 1e6
 
 
+def _request_us(cli, argv, number: int, repeat: int) -> float:
+    """Time of one in-process ``cli.main(argv)`` request, in us."""
+
+    def request():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"cocogen {argv[0]} exited {code}")
+
+    return _per_call_us(request, number, repeat)
+
+
+def _request_layers(cli, scaling, repeat: int) -> dict:
+    """``scaling.fit_scaling_law`` on a 12-point curve, and one ``solve`` of
+    the shipped example and one ``fit`` of that curve through ``cli.main``."""
+    import numpy as np
+
+    from cocogen.model import ScalingLaw
+
+    law = ScalingLaw(alpha=21.2, beta=0.52, delta=0.12)
+    ds = np.unique(np.geomspace(200, 20000, 12).astype(int))
+    points = [scaling.CurvePoint(d=int(d), eps=float(law.error_at(float(d)))) for d in ds]
+    example = str(resources.files("cocogen").joinpath("data/scenario_example.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        curve = os.path.join(tmp, "curve.csv")
+        with open(curve, "w", encoding="utf-8") as fh:
+            fh.write("d,eps\n" + "".join(f"{p.d},{p.eps!r}\n" for p in points))
+        return {
+            "scaling.fit_scaling_law": _per_call_us(
+                lambda: scaling.fit_scaling_law(points), 50, repeat
+            ),
+            "cli.main.solve": _request_us(
+                cli, ["solve", example, "-o", os.path.join(tmp, "solve.json")], 20, repeat
+            ),
+            "cli.main.fit": _request_us(
+                cli, ["fit", curve, "-o", os.path.join(tmp, "fit.json")], 20, repeat
+            ),
+        }
+
+
 def measure(repeat: int) -> dict:
-    from cocogen import baselines, cli, economics, solver
+    from cocogen import baselines, cli, economics, scaling, solver
     from cocogen.model import validate_scenario
     from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 
@@ -113,6 +158,8 @@ def measure(repeat: int) -> dict:
     layers["solver.fpi_solve.per_iteration"] = layers["solver.fpi_solve"] / report.iterations
     for jobs in (1, 2):
         layers[f"cli.sweep.preset.jobs{jobs}"] = _preset_sweep_us(cli, jobs)
+    # Last: cli.main turns on the per-job progress log that a sweep writes.
+    layers.update(_request_layers(cli, scaling, repeat))
     return {k: round(v, 2) for k, v in layers.items()}
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -114,10 +115,15 @@ class _ManifestClock:
         )
 
 
+def _json_text(payload: dict) -> str:
+    """The indented JSON document and its final newline, built in memory so
+    that it reaches the file in one write."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(payload))
 
 
 def _solver_config_from_args(args) -> solver.SolverConfig:
@@ -180,8 +186,7 @@ def cmd_solve(args) -> int:
     if args.out:
         _write_json(args.out, payload)
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        sys.stdout.write(_json_text(payload))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -464,6 +469,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the four subcommands; ``command`` names the one given."""
     parser = argparse.ArgumentParser(
         prog="cocogen",
         description="Coopetitive data-generation equilibria: fit, solve, sweep, compare.",
@@ -474,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit an error law to a learning-curve CSV")
     p_fit.add_argument("curve", help="CSV with header d,eps")
     p_fit.add_argument("-o", "--out", default="fit.json")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_solve = sub.add_parser("solve", help="solve one scenario to equilibrium")
     p_solve.add_argument("scenario")
@@ -482,28 +487,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", default=None, help="write iteration,F CSV here")
     p_solve.add_argument("--verify-ne", action="store_true")
     _add_solver_flags(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="run the full scheme-comparison sweep")
     p_sweep.add_argument("sweep")
     p_sweep.add_argument("-o", "--out-dir", default="sweep-out")
     p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_solver_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="all four schemes on one scenario")
     p_cmp.add_argument("scenario")
     p_cmp.add_argument("-o", "--out", default=None)
     p_cmp.add_argument("--radg-reps", type=int, default=100)
     _add_solver_flags(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first ``main`` call; parsing
+    leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    The ``cmd_<command>`` function is looked up in this module on each call,
+    so a name rebound after the first call is the one that runs.
+    """
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _shared_parser().parse_args(argv)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -41,6 +41,8 @@ class CurvePoint:
     def __post_init__(self):
         if self.d <= 0:
             raise InvariantViolation("curve point d", "must be > 0")
+        if not math.isfinite(self.eps):
+            raise InvariantViolation("curve point eps", f"must be finite, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -67,25 +69,41 @@ class FitConfig:
     max_refine: int = 60
 
 
-def _loglinear_fit(log_d: np.ndarray, eps: np.ndarray, delta: float):
-    """Least squares of log(eps + delta) on log d; None if infeasible."""
-    shifted = eps + delta
-    if np.any(shifted <= 0):
-        return None
-    y = np.log(shifted)
-    # Normal equations of the two-parameter line y = b0 - beta * log_d.
-    x_mean = log_d.mean()
-    y_mean = y.mean()
-    sxx = float(np.dot(log_d - x_mean, log_d - x_mean))
-    sxy = float(np.dot(log_d - x_mean, y - y_mean))
-    slope = sxy / sxx
-    beta = -slope
-    alpha = math.exp(y_mean - slope * x_mean)
-    if not (alpha > 0 and beta > 0):
-        return None
-    pred = alpha * np.exp(-beta * log_d) - delta
-    rmse = float(np.sqrt(np.mean((pred - eps) ** 2)))
-    return alpha, beta, rmse
+class _LogLinear:
+    """Least squares of log(eps + delta) on log d for one curve.
+
+    The parts of the normal equations that do not depend on the offset (the
+    mean of log d, its centred vector and ``sxx``) are computed once per
+    curve; ``fit`` does the rest for one offset. ``sum() / n`` is the sum
+    and division that ``mean()`` makes, without its Python overhead, so the
+    results are bit for bit those of ``mean()``.
+    """
+
+    def __init__(self, points: list[CurvePoint]):
+        self.log_d = np.log(np.array([float(p.d) for p in points]))
+        self.eps = np.array([p.eps for p in points])
+        self.n = len(points)
+        self.x_mean = self.log_d.mean()
+        self.x_centred = self.log_d - self.x_mean
+        self.sxx = float(np.dot(self.x_centred, self.x_centred))
+
+    def fit(self, delta: float):
+        """(alpha, beta, rmse) of the line through log(eps + delta); None if infeasible."""
+        shifted = self.eps + delta
+        if (shifted <= 0).any():
+            return None
+        y = np.log(shifted)
+        # Normal equations of the two-parameter line y = b0 - beta * log_d.
+        y_mean = y.sum() / self.n
+        sxy = float(np.dot(self.x_centred, y - y_mean))
+        slope = sxy / self.sxx
+        beta = -slope
+        alpha = math.exp(y_mean - slope * self.x_mean)
+        if not (alpha > 0 and beta > 0):
+            return None
+        pred = alpha * np.exp(-beta * self.log_d) - delta
+        rmse = math.sqrt(((pred - self.eps) ** 2).sum() / self.n)
+        return alpha, beta, rmse
 
 
 def fit_scaling_law(points: list[CurvePoint], cfg: FitConfig | None = None) -> FitResult:
@@ -93,16 +111,14 @@ def fit_scaling_law(points: list[CurvePoint], cfg: FitConfig | None = None) -> F
     cfg = cfg or FitConfig()
     if len(points) < 3 or len({p.d for p in points}) < 3:
         raise InsufficientPoints("need at least 3 points with 3 distinct d values")
-    d = np.array([float(p.d) for p in points])
-    eps = np.array([p.eps for p in points])
-    log_d = np.log(d)
+    curve = _LogLinear(points)
 
     evaluated: dict[float, tuple] = {}
 
     def try_delta(delta: float):
         delta = max(0.0, float(delta))
         if delta not in evaluated:
-            evaluated[delta] = _loglinear_fit(log_d, eps, delta)
+            evaluated[delta] = curve.fit(delta)
         return evaluated[delta]
 
     grid = sorted(set(float(x) for x in cfg.delta_grid))
@@ -155,14 +171,28 @@ def predict(law: ScalingLaw, d) -> float:
 
 
 def read_curve_csv(path) -> list[CurvePoint]:
-    """Read learning-curve points from a CSV with header ``d,eps``."""
+    """Read learning-curve points from a CSV with header ``d,eps``.
+
+    Every data row must hold exactly the header's two fields, an integer
+    ``d > 0`` and a finite ``eps``; otherwise the InvariantViolation names
+    the 1-based data row (blank lines are skipped and not counted).
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["d", "eps"]:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != ["d", "eps"]:
             raise InvariantViolation("curve csv", "expected header 'd,eps'")
         points = []
         for row in reader:
-            points.append(CurvePoint(d=int(row["d"]), eps=float(row["eps"])))
+            if not row:
+                continue
+            where = f"curve csv row {len(points) + 1}"
+            if len(row) != 2:
+                raise InvariantViolation(where, f"has {len(row)} fields, expected 2 (d,eps)")
+            try:
+                points.append(CurvePoint(d=int(row[0]), eps=float(row[1])))
+            except (ValueError, InvariantViolation) as exc:
+                raise InvariantViolation(where, str(exc)) from None
     return points
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ class TestFitCommand:
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert cli.main(["fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_non_finite_eps_is_input_error(self, tmp_path, capsys, eps):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"d,eps\n500,0.3\n1000,{eps}\n2000,0.1\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["fit", str(curve), "-o", str(tmp_path / "o.json")]) == 2
+        assert "curve csv row 2: curve point eps: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("row, count", [("1000,0.2,7", 3), ("1000", 1)])
+    def test_wrong_field_count_is_input_error(self, tmp_path, capsys, row, count):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"d,eps\n500,0.3\n\n{row}\n2000,0.1\n", encoding="utf-8")
+        assert cli.main(["fit", str(curve), "-o", str(tmp_path / "o.json")]) == 2
+        assert f"curve csv row 2: has {count} fields" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -291,6 +309,21 @@ class TestSolveCommand:
         assert cli.main(args) == 4
         assert cli.main(args + ["--allow-nonconverged"]) == 0
 
+    def test_stdout_report_is_the_file_report(self, tmp_path, capsys):
+        path = shipped_example_with(tmp_path, ("seed",), 0)
+        out = tmp_path / "r.json"
+        assert cli.main(["solve", path, "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["solve", path]) == 0
+        printed, written = capsys.readouterr().out, out.read_text(encoding="utf-8")
+        payloads = []
+        for text in (printed, written):
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            payload = json.loads(text)
+            del payload["manifest"]["started"], payload["manifest"]["finished"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
     def test_payoff_mode_flag_changes_bb(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(key=np.array([1, 1], dtype=np.uint64)))
         g = rng.uniform(0, 1, size=(10, 10))
@@ -364,6 +397,46 @@ class TestSweepCommand:
         assert cli.main(["sweep", sweep, "-o", str(out1), "--jobs", "1", "--seed", "123"]) == 0
         assert cli.main(["sweep", sweep, "-o", str(out2), "--jobs", "1", "--seed", "124"]) == 0
         assert (out1 / "results.csv").read_bytes() != (out2 / "results.csv").read_bytes()
+
+
+class TestDispatch:
+    """``main`` reuses one parser per process; nothing else carries over."""
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_command_rebound_after_a_call_is_the_one_that_runs(
+        self, tmp_path, monkeypatch, command
+    ):
+        path = shipped_example_with(tmp_path, ("seed",), 0)
+        if command == "sweep":
+            path = write_small_sweep(tmp_path, reps=1, radg=2)
+        assert cli.main([command, path, "-o", str(tmp_path / "first")]) == 0
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 7)
+        assert cli.main([command, path, "-o", str(tmp_path / "second")]) == 7
+        assert [a.command for a in seen] == [command]
+        assert not (tmp_path / "second").exists()
+
+    def test_verify_ne_does_not_carry_over(self, tmp_path):
+        path = shipped_example_with(tmp_path, ("seed",), 0)
+        first, second = tmp_path / "ne.json", tmp_path / "plain.json"
+        assert cli.main(["solve", path, "-o", str(first), "--verify-ne"]) == 0
+        assert cli.main(["solve", path, "-o", str(second)]) == 0
+        assert "ne_certificate" in json.loads(first.read_text())
+        assert "ne_certificate" not in json.loads(second.read_text())
+
+    def test_seed_flag_does_not_carry_over(self, tmp_path):
+        sweep = write_small_sweep(tmp_path, reps=1, radg=2, seed=11)
+        out = {k: tmp_path / k for k in ("seed5", "plain", "seed11")}
+        assert cli.main(["sweep", sweep, "-o", str(out["seed5"]), "--jobs", "1", "--seed", "5"]) == 0
+        assert cli.main(["sweep", sweep, "-o", str(out["plain"]), "--jobs", "1"]) == 0
+        assert cli.main(["sweep", sweep, "-o", str(out["seed11"]), "--jobs", "1", "--seed", "11"]) == 0
+        results = {k: (v / "results.csv").read_bytes() for k, v in out.items()}
+        assert results["plain"] == results["seed11"] != results["seed5"]
+        manifest = json.loads((out["plain"] / "results.csv.manifest.json").read_text())
+        assert manifest["manifest"]["seed"] is None
 
 
 def _preset_job(k=0):

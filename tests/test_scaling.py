@@ -19,6 +19,7 @@ def synth_points(law, ds, sigma=0.0, seed=0):
 
 
 DS = (500, 1000, 2000, 4000, 8000)
+D12 = (200, 303, 462, 702, 1067, 1622, 2465, 3747, 5696, 8657, 13158, 20000)
 
 
 class TestFit:
@@ -73,13 +74,33 @@ class TestFit:
         pts = synth_points(truth, DS, sigma=0.002, seed=3)
         cfg = FitConfig()
         fit = fit_scaling_law(pts, cfg)
-        d = np.array([p.d for p in pts], dtype=float)
-        eps = np.array([p.eps for p in pts])
-        log_d = np.log(d)
+        curve = scaling._LogLinear(pts)
         for delta in cfg.delta_grid:
-            cand = scaling._loglinear_fit(log_d, eps, delta)
+            cand = curve.fit(delta)
             if cand is not None:
                 assert fit.rmse <= cand[2] + 1e-15
+
+    # repr of (alpha, beta, delta, rmse) from the fit that recomputed every
+    # term of the normal equations per offset; hoisting the offset-free
+    # terms must reproduce them bit for bit.
+    @pytest.mark.parametrize(
+        "truth, ds, sigma, seed, expected",
+        [
+            (ScalingLaw(5.0, 0.4, 0.08), DS, 0.0, 0,
+             ("4.999999999999995", "0.3999999999999999", "0.08", "5.822058658345462e-17")),
+            (ScalingLaw(5.0, 0.4, 0.283), DS, 0.002, 3,
+             ("4.749420163461221", "0.38805973354623075", "0.29222638010631385",
+              "0.000635010802030905")),
+            (ScalingLaw(21.2, 0.52, 0.12), D12, 0.005, 11,
+             ("21.60554996620844", "0.5228350161796718", "0.11989905094656442",
+              "0.004981200884629676")),
+        ],
+    )
+    def test_exact_fit_is_pinned(self, truth, ds, sigma, seed, expected):
+        fit = fit_scaling_law(synth_points(truth, ds, sigma=sigma, seed=seed))
+        got = (fit.law.alpha, fit.law.beta, fit.law.delta, fit.rmse)
+        assert tuple(repr(x) for x in got) == expected
+        assert all(type(x) is float for x in got)
 
 
 class TestPredict:
@@ -114,6 +135,30 @@ class TestCurveCsv:
         path.write_text("x,y\n1,2\n", encoding="utf-8")
         with pytest.raises(InvariantViolation):
             scaling.read_curve_csv(path)
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_eps(self, tmp_path, eps):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"d,eps\n500,0.31\n1000,{eps}\n", encoding="utf-8")
+        with pytest.raises(InvariantViolation, match="curve csv row 2: curve point eps"):
+            scaling.read_curve_csv(path)
+
+    @pytest.mark.parametrize("row, count", [("1000,0.22,7", 3), ("1000", 1), ("1000,0.22,", 3)])
+    def test_rejects_wrong_field_count(self, tmp_path, row, count):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"d,eps\n500,0.31\n{row}\n", encoding="utf-8")
+        with pytest.raises(InvariantViolation, match=f"curve csv row 2: has {count} fields"):
+            scaling.read_curve_csv(path)
+
+    def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("d,eps\n\n500,0.31\n\n1000,x\n", encoding="utf-8")
+        with pytest.raises(InvariantViolation, match="curve csv row 2: "):
+            scaling.read_curve_csv(path)
+
+    def test_curve_point_rejects_non_finite_eps(self):
+        with pytest.raises(InvariantViolation, match="curve point eps: must be finite"):
+            CurvePoint(500, float("nan"))
 
 
 class TestPresets:
