@@ -5,12 +5,16 @@ divided by the calls per run. The per-call layers run on the first preset
 sweep job's scenario, on one warm instance (column caches built, already
 validated), so they measure the layer alone; ``cli.scheme_rows`` is one
 job's work after sampling (both solves and the one batched pricing of the
-CoCoGen, VCFL and WCO profiles and the RaDG draws). ``cli.run_sweep_job``
+CoCoGen, VCFL and WCO profiles and the RaDG draws).
+``baselines.wco_scenario`` builds and checks the zero-competition clone of
+that (validated) scenario. ``cli.run_sweep_job``
 runs the first 90 preset jobs end to end, sampling included, and is what a
 sweep pays per job. ``cli.sweep.preset.jobs1`` and ``.jobs2`` are one
 wall-clock run each of ``cocogen sweep`` on the full 900-job preset, CSV
 writing included, at ``--jobs 1`` and ``--jobs 2``; being single runs, they
-are the noisiest layers. ``solver.grid_oracle.n2`` and ``.n3`` run the exhaustive
+are the noisiest layers. ``cli._aggregate`` computes the per-cell means and
+standard deviations of the 3,600 rows of one in-process ``--jobs 1`` run of
+that preset. ``solver.grid_oracle.n2`` and ``.n3`` run the exhaustive
 oracle on the first preset job's cell drawn with 2 and 3 organizations,
 over the full 3001-point axes: a 2-axis scan of 9M points, and a 3-axis
 scan that reduces its innermost axis through a lower envelope.
@@ -131,6 +135,7 @@ def measure(repeat: int) -> dict:
         ),
         "solver.fpi_solve": _per_call_us(lambda: solver.fpi_solve(s, cfg), 100, repeat),
         "baselines.wco_solve": _per_call_us(lambda: baselines.wco_solve(s, cfg), 100, repeat),
+        "baselines.wco_scenario": _per_call_us(lambda: baselines.wco_scenario(s), 500, repeat),
         "economics.evaluate_profile": _per_call_us(
             lambda: economics.evaluate_profile(s, report.profile), 500, repeat
         ),
@@ -156,9 +161,11 @@ def measure(repeat: int) -> dict:
             lambda: solver.grid_oracle(oracle_s), 1, repeat
         )
     layers["solver.fpi_solve.per_iteration"] = layers["solver.fpi_solve"] / report.iterations
+    rows = cli.run_sweep(grid, cfg, jobs=1)
+    layers["cli._aggregate"] = _per_call_us(lambda: cli._aggregate(rows), 3, repeat)
     for jobs in (1, 2):
         layers[f"cli.sweep.preset.jobs{jobs}"] = _preset_sweep_us(cli, jobs)
-    # Last: cli.main turns on the per-job progress log that a sweep writes.
+    # Last: cli.main turns on the progress log that a sweep writes.
     layers.update(_request_layers(cli, scaling, repeat))
     return {k: round(v, 2) for k, v in layers.items()}
 

@@ -11,7 +11,6 @@ from .model import (  # noqa: F401
     EconomyParams,
     Eps0Mode,
     Market,
-    Organization,
     PayoffMode,
     ScalingLaw,
     Scenario,

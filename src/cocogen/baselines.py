@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from . import economics, solver
-from .model import Market, Scenario, StrategyProfile, validate_scenario
+from .model import Market, Scenario, StrategyProfile, _accept, _weight_violations, validate_scenario
 from .scenario import FAMILY, family_stream
 
 __all__ = [
@@ -27,10 +27,17 @@ def vcfl_profile(s: Scenario) -> StrategyProfile:
 
 
 def wco_scenario(s: Scenario) -> Scenario:
-    """Clone of the scenario with all competitive intensities zeroed."""
-    gamma = np.zeros_like(np.asarray(s.market.gamma))
+    """Validated clone of the (validated) scenario with all competitive
+    intensities zeroed.
+
+    The clone shares the source's columns, economy and bounds, and its
+    zeroed market passes every market check, so only the game weights need
+    checking again: with no competition, ``z_n = -psi_n``.
+    """
+    validate_scenario(s)
+    gamma = np.zeros_like(s.market.gamma)
     clone = replace(s, market=Market(gamma=gamma, xi=s.market.xi, phi=s.market.phi))
-    return validate_scenario(clone)
+    return _accept(clone, _weight_violations(clone))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ RFC 4180 bodies with the run manifest in a JSON sidecar next to them.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import csv
 import functools
 import json
@@ -17,6 +19,7 @@ import math
 import os
 import statistics
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -27,6 +30,7 @@ from . import __version__, baselines, economics, scaling, solver
 from .errors import (
     CocogenError,
     DegenerateFit,
+    InstanceTooLarge,
     InsufficientPoints,
     NonPositiveShifted,
 )
@@ -180,7 +184,11 @@ def cmd_solve(args) -> int:
         return EXIT_INPUT
     report = solver.fpi_solve(s, _solver_config_from_args(args))
     if args.verify_ne:
-        cert = solver.verify_ne(s, report.profile)
+        try:
+            cert = solver.verify_ne(s, report.profile)
+        except InstanceTooLarge as exc:
+            print(f"error: --verify-ne: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         report = replace(report, ne_certificate=cert)
     payload = {"manifest": clock.finish().to_dict(), **report.to_dict()}
     if args.out:
@@ -222,9 +230,12 @@ def _failed_row(scheme: str, exc: CocogenError) -> dict:
 
 
 def _ok_row(scheme: str, welfare, mean_d, ir_all, bb_sum, converged) -> dict:
-    return {"scheme": scheme, "welfare": float(welfare), "mean_d_gen": float(mean_d),
-            "ir_all": bool(ir_all), "bb_sum": float(bb_sum), "converged": bool(converged),
-            "status": "ok"}
+    """A priced row: ``ok`` if its welfare and transfer sum are finite."""
+    welfare, bb_sum = float(welfare), float(bb_sum)
+    finite = math.isfinite(welfare) and math.isfinite(bb_sum)
+    return {"scheme": scheme, "welfare": welfare, "mean_d_gen": float(mean_d),
+            "ir_all": bool(ir_all), "bb_sum": bb_sum, "converged": bool(converged),
+            "status": "ok" if finite else "error:NonFiniteWelfare"}
 
 
 def scheme_rows(
@@ -304,6 +315,22 @@ def _write_rows_csv(path, columns, rows) -> None:
             writer.writerow([_fmt(r[c]) for c in columns])
 
 
+def _stdev(values: list[float]) -> float:
+    """``statistics.stdev`` of at least two finite floats, in integer
+    arithmetic: with every value m / 2**k, the variance is exactly p / q
+    below; its square root is rounded once, from an integer root of at
+    least 55 bits rounded to odd."""
+    ratios = [x.as_integer_ratio() for x in values]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    ms = [num << (k + 1 - den.bit_length()) for num, den in ratios]
+    n, total = len(ms), sum(ms)
+    p, q = n * sum(m * m for m in ms) - total * total, n * (n - 1) << 2 * k
+    e = (p.bit_length() - q.bit_length()) // 2 - 56
+    a, rem = divmod(p, q << 2 * e) if e >= 0 else divmod(p << -2 * e, q)
+    r = math.isqrt(a)
+    return math.ldexp(r | (rem > 0 or r * r != a), e)
+
+
 def _aggregate(rows):
     """Per-cell, per-scheme mean and sample standard deviation."""
     groups: dict[tuple, dict[str, list[float]]] = {}
@@ -325,9 +352,9 @@ def _aggregate(rows):
                 "scheme": scheme,
                 "n": len(w),
                 "welfare_mean": statistics.fmean(w),
-                "welfare_std": statistics.stdev(w) if len(w) > 1 else 0.0,
+                "welfare_std": _stdev(w) if len(w) > 1 else 0.0,
                 "mean_d_gen_mean": statistics.fmean(m),
-                "mean_d_gen_std": statistics.stdev(m) if len(m) > 1 else 0.0,
+                "mean_d_gen_std": _stdev(m) if len(m) > 1 else 0.0,
             }
         )
     return out
@@ -335,18 +362,20 @@ def _aggregate(rows):
 
 def run_sweep(grid: SweepGrid, cfg: solver.SolverConfig, jobs: int = 1):
     """Execute every sweep job; the row order is independent of scheduling."""
-    job_list = expand_sweep(grid)
-    payloads = [(grid, job, cfg) for job in job_list]
-    all_rows = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, rows in enumerate(pool.map(_job_worker, payloads, chunksize=4)):
-                logger.info("job %d/%d done", i + 1, len(job_list))
-                all_rows.extend(rows)
-    else:
-        for i, payload in enumerate(payloads):
-            all_rows.extend(_job_worker(payload))
-            logger.info("job %d/%d done", i + 1, len(job_list))
+    payloads = [(grid, job, cfg) for job in expand_sweep(grid)]
+    every = -(-len(payloads) // 10)  # at most ten progress lines
+    all_rows, t0 = [], time.perf_counter()
+    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        results = map(_job_worker, payloads) if pool is None else pool.map(
+            _job_worker, payloads, chunksize=4
+        )
+        for i, rows in enumerate(results, 1):
+            all_rows.extend(rows)
+            if i % every == 0 or i == len(payloads):
+                rate = i / (time.perf_counter() - t0)
+                logger.info("sweep: %d/%d jobs done, %.0f jobs/s", i, len(payloads), rate)
+    statuses = sorted(collections.Counter(r["status"] for r in all_rows).items())
+    logger.info("sweep: %d rows: %s", len(all_rows), ", ".join(f"{c} {s}" for s, c in statuses))
     return all_rows
 
 

@@ -20,10 +20,8 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, SameOrganization, ZeroTotalData
 from .model import (
     Eps0Mode,
-    Organization,
     PayoffMode,
     ProfileLike,
-    ScalingLaw,
     Scenario,
     as_dgen,
 )
@@ -32,22 +30,16 @@ __all__ = [
     "UtilityBreakdown",
     "ProfileEvaluation",
     "ProfileMatrixEvaluation",
-    "local_error",
     "local_errors",
     "global_error",
     "epsilon_zero",
     "counterfactual_error",
     "marginal_contribution",
-    "energy",
-    "compute_cost",
     "revenue",
     "payoff_transfer",
     "total_payoff",
     "coopetition_loss",
     "utility",
-    "social_welfare",
-    "check_ir",
-    "check_bb",
     "evaluate_profile",
     "evaluate_profiles",
     "IR_TOLERANCE",
@@ -80,11 +72,6 @@ class UtilityBreakdown:
         }
 
 
-def local_error(law: ScalingLaw, d_loc: float, d_gen: float) -> float:
-    """Local model error at ``d_loc + d_gen`` training samples."""
-    return law.error_at(d_loc + d_gen)
-
-
 def local_errors(s: Scenario, profile: ProfileLike) -> np.ndarray:
     """Vector of per-organization local errors at the given profile."""
     return _local_errors(s, as_dgen(profile, s.n))
@@ -92,10 +79,15 @@ def local_errors(s: Scenario, profile: ProfileLike) -> np.ndarray:
 
 def _local_errors(s: Scenario, d: np.ndarray) -> np.ndarray:
     """Local errors of any array whose last axis runs over organizations."""
-    totals = s.d_locs() + d
-    if np.any(totals <= 0):
+    totals = s.d_loc + d
+    if (totals <= 0).any():
         raise ZeroTotalData("some organization has zero local plus generated data")
-    return s.alphas() * np.power(totals, -s.betas()) - s.deltas()
+    return s.alpha * np.power(totals, -s.beta) - s.delta
+
+
+def _own_errors(s: Scenario, n: int, d):
+    """Organization ``n``'s local errors at generated volume(s) ``d``."""
+    return s.alpha[n] * np.power(s.d_loc[n] + d, -s.beta[n]) - s.delta[n]
 
 
 def _floor_errors(s: Scenario) -> np.ndarray:
@@ -109,8 +101,12 @@ def _floor_errors(s: Scenario) -> np.ndarray:
 
 
 def _aggregate(s: Scenario, eps: np.ndarray):
-    """Exponential aggregation of the mean over the last (organization) axis."""
-    return np.exp((eps.mean(axis=-1) - 1.0) / s.economy.varrho)
+    """Exponential aggregation of the mean over the last (organization) axis.
+
+    The mean is the sum over the count, which is how ``np.mean`` computes
+    it (same bits), without its wrapper's cost on this hot path.
+    """
+    return np.exp((eps.sum(axis=-1) / eps.shape[-1] - 1.0) / s.economy.varrho)
 
 
 def global_error(s: Scenario, profile: ProfileLike) -> float:
@@ -130,28 +126,16 @@ def _check_index(s: Scenario, n: int) -> None:
         raise IndexOutOfRange(f"organization index {n} outside [0, {s.n})")
 
 
-def _energy(kappa, eta, mu, f2, d_loc, d_gen):
-    return kappa * (eta * (d_loc + d_gen) + mu * d_gen) * f2
+def _f_squared(s: Scenario) -> np.ndarray:
+    """``f**2`` per organization as Python squares a float (libm ``pow``,
+    which differs from ``f * f`` in the last bit for some ``f``)."""
+    return s.cached("f_squared", lambda: [f**2 for f in s.f.tolist()])
 
 
-def energy(org: Organization, d_gen: float | np.ndarray) -> float | np.ndarray:
-    """Energy spent training on the mixed data and generating ``d_gen`` samples.
-
-    ``d_gen`` may be one volume or an array of volumes for this organization.
-    """
-    return _energy(org.kappa, org.eta, org.mu, org.f**2, org.d_loc, d_gen)
-
-
-def compute_cost(org: Organization, d_gen: float | np.ndarray) -> float | np.ndarray:
-    return org.c_cmp * energy(org, d_gen)
-
-
-def _cost_columns(s: Scenario) -> np.ndarray:
-    """Rows c_cmp, kappa, eta, mu and f**2 (Python's square), per organization."""
-    return s.cached(
-        "cost_columns",
-        lambda: [[o.c_cmp, o.kappa, o.eta, o.mu, o.f**2] for o in s.orgs],
-    ).T
+def _marginal_costs(s: Scenario) -> np.ndarray:
+    """c_cmp * kappa * (eta + mu) * f^2 per organization: the cost of one
+    more generated sample."""
+    return s.c_cmp * s.kappa * (s.eta + s.mu) * _f_squared(s)
 
 
 @dataclass(frozen=True)
@@ -251,11 +235,10 @@ def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluat
     payoff_in = _offdiagonal_sums(s.market.xi * gamma * gaps)
     loss = _offdiagonal_sums(s.market.phi * gamma * marginal[:, :, None])
 
-    revenue = s.psis() * (epsilon_zero(s) - err)[:, None]
-    # Elementwise products and sums only, in compute_cost's order, so each
-    # entry equals the one-organization value to the last digit.
-    c_cmp, kappa, eta, mu, f2 = _cost_columns(s)
-    cost = c_cmp * _energy(kappa, eta, mu, f2, s.d_locs(), d)
+    revenue = s.psi * (epsilon_zero(s) - err)[:, None]
+    # The price times the energy spent training on the mixed data and
+    # generating d samples.
+    cost = s.c_cmp * (s.kappa * (s.eta * (s.d_loc + d) + s.mu * d) * _f_squared(s))
     c0 = s.economy.c0
     utility = revenue + payoff_in - cost - c0 - loss
     bb_sum = _column_sums(payoff_in)
@@ -336,18 +319,3 @@ def coopetition_loss(s: Scenario, profile: ProfileLike, n: int) -> float:
 def utility(s: Scenario, profile: ProfileLike, n: int) -> UtilityBreakdown:
     _check_index(s, n)
     return _evaluate_one(s, profile).breakdown(0, n)
-
-
-def social_welfare(s: Scenario, profile: ProfileLike) -> float:
-    return float(_evaluate_one(s, profile).welfare[0])
-
-
-def check_ir(s: Scenario, profile: ProfileLike) -> list[bool]:
-    """Individual rationality: non-negative utility, up to rounding slack."""
-    return [bool(x) for x in _evaluate_one(s, profile).ir[0]]
-
-
-def check_bb(s: Scenario, profile: ProfileLike) -> dict:
-    """Budget balance: total transfers, and whether they net out to zero."""
-    ev = _evaluate_one(s, profile)
-    return {"sum": float(ev.bb_sum[0]), "balanced": bool(ev.bb_balanced[0])}

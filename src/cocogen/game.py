@@ -40,7 +40,7 @@ def _raw_z_weights(s: Scenario) -> np.ndarray:
 
     def build():
         rates = s.market.xi - s.market.phi
-        return [float(np.dot(row, rates) - o.psi) for row, o in zip(s.market.gamma, s.orgs)]
+        return [np.dot(row, rates) for row in s.market.gamma] - s.psi
 
     return s.cached("raw_z_weights", build)
 
@@ -65,7 +65,7 @@ def z_weights(s: Scenario) -> np.ndarray:
 
 def _linear_coeffs(s: Scenario) -> np.ndarray:
     """Coefficient of d_gen[n] in F: -cost_coeff_n / z_n (positive), cached."""
-    return s.cached("linear_coeffs", lambda: -s.marginal_cost_coeffs() / z_weights(s))
+    return s.cached("linear_coeffs", lambda: -economics._marginal_costs(s) / z_weights(s))
 
 
 def potential(s: Scenario, profile: ProfileLike) -> float:
@@ -108,15 +108,15 @@ class _Stationarity:
 
 def _stationarity(s: Scenario) -> _Stationarity:
     varrho = s.economy.varrho
-    alphas, betas = s.alphas(), s.betas()
-    a2 = s.marginal_cost_coeffs() / z_weights(s)
+    alphas, betas = s.alpha, s.beta
+    a2 = economics._marginal_costs(s) / z_weights(s)
     return _Stationarity(
         a2=tuple(a2.tolist()),
         factor=tuple((-a2 * s.n * varrho / (alphas * betas)).tolist()),
         exponent=tuple((-1.0 / (betas + 1.0)).tolist()),
         benefit=tuple((alphas * betas / (s.n * varrho)).tolist()),
         benefit_exponent=tuple((-betas - 1.0).tolist()),
-        d_loc=tuple(s.d_locs().tolist()),
+        d_loc=tuple(s.d_loc.tolist()),
         varrho=varrho,
         lo=float(s.bounds.d_min),
         hi=float(s.bounds.d_max),
@@ -188,7 +188,7 @@ def convexity_probe(s: Scenario, trials: int = 1000, seed: int = 0) -> Convexity
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC0], dtype=np.uint64)))
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     # Keep totals strictly positive even when d_loc = d_min = 0.
-    if lo == 0 and any(o.d_loc == 0 for o in s.orgs):
+    if lo == 0 and np.any(s.d_loc == 0):
         lo = 1.0
     p = rng.uniform(lo, hi, size=(trials, s.n))
     q = rng.uniform(lo, hi, size=(trials, s.n))

@@ -1,8 +1,10 @@
 """Domain types for one stage game: organizations, market, economy, bounds.
 
-Everything is an immutable dataclass. Construction is permissive except for
-``ScalingLaw`` (checked eagerly); :func:`validate_scenario` collects the full
-list of invariant violations so a config file can be diagnosed in one pass.
+Everything is an immutable dataclass. A scenario holds each organization
+parameter as a read-only column. Construction is permissive except for
+``ScalingLaw`` and the columns' shapes (checked eagerly);
+:func:`validate_scenario` collects the full list of invariant violations so
+a config file can be diagnosed in one pass.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence, Union
 
@@ -27,7 +29,6 @@ from .errors import (
 
 __all__ = [
     "ScalingLaw",
-    "Organization",
     "Market",
     "EconomyParams",
     "Eps0Mode",
@@ -55,7 +56,12 @@ DEFAULT_C_CMP = 0.3438 / 3.6e6
 DEFAULT_C0 = 0.0
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
+    """A read-only float64 copy of ``a``; one that already is (and owns its
+    data) is kept."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.owndata:
+        if not a.flags.writeable:
+            return a
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
     return a
@@ -110,35 +116,6 @@ class ScalingLaw:
         return float(out) if np.isscalar(d_total) or d.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class Organization:
-    """One silo: local data, compute profile, valuation, and its error law."""
-
-    id: int
-    d_loc: int
-    f: float
-    kappa: float
-    law: ScalingLaw
-    eta: float = DEFAULT_ETA
-    mu: float = DEFAULT_MU
-    c_cmp: float = DEFAULT_C_CMP
-    psi: float = 700.0
-
-    def _violations(self) -> list[CocogenError]:
-        out: list[CocogenError] = []
-        prefix = f"organizations[{self.id}]"
-        if self.d_loc < 0:
-            out.append(InvariantViolation(f"{prefix}.d_loc", "must be >= 0"))
-        for name in ("f", "kappa", "eta", "mu", "c_cmp"):
-            _check_number(out, f"{prefix}.{name}", getattr(self, name), _positive, "must be > 0")
-        _check_number(out, f"{prefix}.psi", self.psi, _non_negative, "must be >= 0")
-        law = self.law
-        _check_number(out, f"{prefix}.law.alpha", law.alpha, _positive, "must be > 0")
-        _check_number(out, f"{prefix}.law.beta", law.beta, _positive, "must be > 0")
-        _check_number(out, f"{prefix}.law.delta", law.delta, _non_negative, "must be >= 0")
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class Market:
     """Pairwise competitive intensities plus the transfer rate parameters."""
@@ -174,12 +151,12 @@ class Market:
             out, "market.gamma", g, lambda v: ((v >= 0) & (v <= 1)).all(),
             "entries must lie in [0, 1]",
         )
-        if np.any(np.diagonal(g) != 0):
+        if g.diagonal().any():
             out.append(InvariantViolation("market.gamma", "diagonal must be zero"))
         n_before = len(out)
         _check_number(out, "market.xi", self.xi, _non_negative, "must be >= 0")
         _check_number(out, "market.phi", self.phi, lambda v: (v > 0).all(), "entries must be > 0")
-        if len(out) == n_before and self.xi > float(np.min(self.phi)):
+        if len(out) == n_before and self.xi > float(self.phi.min()):
             out.append(
                 InvariantViolation(
                     "market.xi", "must not exceed min(phi) (cooperation stability)"
@@ -236,22 +213,54 @@ class StrategyBounds:
         return out
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A complete game instance. Immutable; safe to share across workers."""
+# A scenario's per-organization parameter columns, in the order their
+# violations are reported, with each one's name under ``organizations[i]``.
+ORG_COLUMNS = ("d_loc", "f", "kappa", "eta", "mu", "c_cmp", "psi", "alpha", "beta", "delta")
+# Whether each column must be > 0 (else >= 0).
+_STRICT = np.array([[name not in ("d_loc", "psi", "delta")] for name in ORG_COLUMNS])
+# Validation codes one column can earn, 0 meaning none; the last field is the
+# zero-total-data check, appended to the columns.
+_FIELDS = [f"law.{c}" if c in ("alpha", "beta", "delta") else c for c in ORG_COLUMNS] + ["d_loc"]
+_RANGE_CODE = np.where(_STRICT, 2, 3)
+_DETAILS = (
+    None, "must be finite", "must be > 0", "must be >= 0",
+    "must be > 0 when bounds.d_min is 0 (zero total training data)",
+)
 
-    orgs: tuple[Organization, ...]
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """A complete game instance. Immutable; safe to share across workers.
+
+    Each organization parameter is a read-only float column with one entry
+    per organization; ``alpha``, ``beta`` and ``delta`` are the error laws.
+    """
+
+    d_loc: np.ndarray
+    f: np.ndarray
+    kappa: np.ndarray
+    eta: np.ndarray
+    mu: np.ndarray
+    c_cmp: np.ndarray
+    psi: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    delta: np.ndarray
     market: Market
     economy: EconomyParams
     bounds: StrategyBounds
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "orgs", tuple(self.orgs))
+        for name in ORG_COLUMNS:
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        shape = self.d_loc.shape
+        if len(shape) != 1 or any(getattr(self, name).shape != shape for name in ORG_COLUMNS):
+            raise DimensionMismatch("organization columns must be 1-d and of one length")
 
     @property
     def n(self) -> int:
-        return len(self.orgs)
+        return self.d_loc.shape[0]
 
     def cached(self, key: str, build: Callable[[], object]) -> np.ndarray:
         """Read-only float array derived from this scenario, built on first use.
@@ -272,28 +281,9 @@ class Scenario:
         state.pop("_validated", None)
         return state
 
-    # Per-organization parameter vectors, used throughout the numerics.
-    def alphas(self) -> np.ndarray:
-        return self.cached("alphas", lambda: [o.law.alpha for o in self.orgs])
-
-    def betas(self) -> np.ndarray:
-        return self.cached("betas", lambda: [o.law.beta for o in self.orgs])
-
-    def deltas(self) -> np.ndarray:
-        return self.cached("deltas", lambda: [o.law.delta for o in self.orgs])
-
-    def d_locs(self) -> np.ndarray:
-        return self.cached("d_locs", lambda: [float(o.d_loc) for o in self.orgs])
-
-    def psis(self) -> np.ndarray:
-        return self.cached("psis", lambda: [o.psi for o in self.orgs])
-
-    def marginal_cost_coeffs(self) -> np.ndarray:
-        """c_cmp * kappa * (eta + mu) * f^2 per organization."""
-        return self.cached(
-            "marginal_cost_coeffs",
-            lambda: [o.c_cmp * o.kappa * (o.eta + o.mu) * o.f**2 for o in self.orgs],
-        )
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,6 +323,38 @@ def as_dgen(profile: ProfileLike, n_orgs: int | None = None) -> np.ndarray:
     return d
 
 
+def _org_violations(s: Scenario) -> list[CocogenError]:
+    """Every organization's violations, organization by organization, each
+    in ``ORG_COLUMNS`` order and then the zero-total-data check."""
+    values = np.array([getattr(s, name) for name in ORG_COLUMNS])  # (column, organization)
+    out_of_range = np.where(_STRICT, values <= 0, values < 0)
+    codes = np.where(np.isfinite(values), out_of_range * _RANGE_CODE, 1)
+    zero_total = (s.d_loc == 0) & (s.bounds.d_min == 0)
+    if not (codes.any() or zero_total.any()):
+        return []
+    codes = np.vstack([codes, 4 * zero_total]).T
+    return [
+        InvariantViolation(f"organizations[{i}].{_FIELDS[j]}", _DETAILS[codes[i, j]])
+        for i, j in zip(*np.nonzero(codes))  # row-major: organization by organization
+    ]
+
+
+def _weight_violations(s: Scenario) -> list[CocogenError]:
+    """One violation per organization whose game weight is not negative."""
+    from .game import _raw_z_weights
+
+    z = _raw_z_weights(s)
+    return [NonNegativeZWeight(int(n), float(z[n])) for n in np.flatnonzero(z >= 0)]
+
+
+def _accept(s: Scenario, violations: list[CocogenError]) -> Scenario:
+    """Raise for the violations, if any; else mark ``s`` validated."""
+    if violations:
+        raise ScenarioValidationError(violations)
+    s.__dict__["_validated"] = True
+    return s
+
+
 def validate_scenario(s: Scenario) -> Scenario:
     """Return ``s`` unchanged iff every invariant holds.
 
@@ -343,24 +365,11 @@ def validate_scenario(s: Scenario) -> Scenario:
     """
     if s.__dict__.get("_validated"):
         return s
-    violations: list[CocogenError] = []
-    if len(s.orgs) < 1:
-        violations.append(InvariantViolation("organizations", "need at least one"))
-        raise ScenarioValidationError(violations)
-
-    for i, org in enumerate(s.orgs):
-        if org.id != i:
-            violations.append(
-                InvariantViolation(f"organizations[{i}].id", f"must equal index {i}")
-            )
-        violations.extend(org._violations())
-        if org.d_loc == 0 and s.bounds.d_min == 0:
-            violations.append(
-                InvariantViolation(
-                    f"organizations[{i}].d_loc",
-                    "must be > 0 when bounds.d_min is 0 (zero total training data)",
-                )
-            )
+    if s.n < 1:
+        raise ScenarioValidationError(
+            [InvariantViolation("organizations", "need at least one")]
+        )
+    violations = _org_violations(s)
     violations.extend(s.market._violations(s.n))
     violations.extend(s.economy._violations())
     violations.extend(s.bounds._violations())
@@ -371,10 +380,8 @@ def validate_scenario(s: Scenario) -> Scenario:
     if not violations:
         # Only meaningful once the market shape checks passed.
         from .economics import _aggregate, _floor_errors
-        from .game import _raw_z_weights
 
-        z = _raw_z_weights(s)
-        violations.extend(NonNegativeZWeight(int(n), float(z[n])) for n in np.flatnonzero(z >= 0))
+        violations.extend(_weight_violations(s))
         # The all-d_min profile has the largest global and counterfactual
         # errors in the box.
         with np.errstate(over="ignore"):
@@ -387,11 +394,7 @@ def validate_scenario(s: Scenario) -> Scenario:
                     "all-d_min profile overflows",
                 )
             )
-
-    if violations:
-        raise ScenarioValidationError(violations)
-    s.__dict__["_validated"] = True
-    return s
+    return _accept(s, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +426,14 @@ def _require_list(obj: dict, key: str, where: str) -> list:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
+    rows = zip(*(getattr(s, name).tolist() for name in ORG_COLUMNS))
     return {
         "organizations": [
             {
-                "d_loc": int(o.d_loc),
-                "f": o.f,
-                "kappa": o.kappa,
-                "eta": o.eta,
-                "mu": o.mu,
-                "c_cmp": o.c_cmp,
-                "psi": o.psi,
-                "law": {"alpha": o.law.alpha, "beta": o.law.beta, "delta": o.law.delta},
+                "d_loc": int(d_loc), "f": f, "kappa": kappa, "eta": eta, "mu": mu,
+                "c_cmp": c_cmp, "psi": psi, "law": {"alpha": alpha, "beta": beta, "delta": delta},
             }
-            for o in s.orgs
+            for d_loc, f, kappa, eta, mu, c_cmp, psi, alpha, beta, delta in rows
         ],
         "market": {
             "gamma": [[float(x) for x in row] for row in s.market.gamma],
@@ -518,24 +516,23 @@ def _bounds_from_dict(obj: dict) -> StrategyBounds:
 
 def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
     _check_keys(obj, ("organizations", "market", "economy", "bounds", "seed"), "scenario")
-    orgs = []
-    raw_orgs = _require_list(obj, "organizations", "scenario")
-    for i, raw in enumerate(raw_orgs):
+    rows = []
+    for i, raw in enumerate(_require_list(obj, "organizations", "scenario")):
         where = f"organizations[{i}]"
         _check_keys(raw, ("d_loc", "f", "kappa", "eta", "mu", "c_cmp", "psi", "law"), where)
-        orgs.append(
-            Organization(
-                id=i,
-                d_loc=_as_int(_require(raw, "d_loc", where), f"{where}.d_loc"),
-                f=_as_float(_require(raw, "f", where), f"{where}.f"),
-                kappa=_as_float(_require(raw, "kappa", where), f"{where}.kappa"),
-                eta=_as_float(raw.get("eta", DEFAULT_ETA), f"{where}.eta"),
-                mu=_as_float(raw.get("mu", DEFAULT_MU), f"{where}.mu"),
-                c_cmp=_as_float(raw.get("c_cmp", DEFAULT_C_CMP), f"{where}.c_cmp"),
-                psi=_as_float(_require(raw, "psi", where), f"{where}.psi"),
-                law=_law_from_dict(_require(raw, "law", where), f"{where}.law"),
+        rows.append(
+            (
+                _as_int(_require(raw, "d_loc", where), f"{where}.d_loc"),
+                _as_float(_require(raw, "f", where), f"{where}.f"),
+                _as_float(_require(raw, "kappa", where), f"{where}.kappa"),
+                _as_float(raw.get("eta", DEFAULT_ETA), f"{where}.eta"),
+                _as_float(raw.get("mu", DEFAULT_MU), f"{where}.mu"),
+                _as_float(raw.get("c_cmp", DEFAULT_C_CMP), f"{where}.c_cmp"),
+                _as_float(_require(raw, "psi", where), f"{where}.psi"),
+                *astuple(_law_from_dict(_require(raw, "law", where), f"{where}.law")),
             )
         )
+    columns = np.array(rows, dtype=np.float64).reshape(-1, len(ORG_COLUMNS)).T
     raw_m = _require(obj, "market", "scenario")
     _check_keys(raw_m, ("gamma", "xi", "phi"), "market")
     market = Market(
@@ -544,7 +541,7 @@ def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
         phi=_as_float_array(_require(raw_m, "phi", "market"), "market.phi"),
     )
     s = Scenario(
-        orgs=tuple(orgs),
+        **dict(zip(ORG_COLUMNS, columns)),
         market=market,
         economy=_economy_from_dict(obj.get("economy", {})),
         bounds=_bounds_from_dict(obj.get("bounds", {})),

@@ -23,7 +23,6 @@ from .model import (
     DEFAULT_C_CMP,
     EconomyParams,
     Market,
-    Organization,
     ScalingLaw,
     Scenario,
     StrategyBounds,
@@ -173,22 +172,18 @@ def sample_scenario(grid: SweepGrid, cell: SweepCell, seed: int) -> Scenario:
     )
     np.fill_diagonal(gamma, 0.0)
 
-    orgs = tuple(
-        Organization(
-            id=i,
-            d_loc=int(d_loc[i]),
-            f=float(freq[i]),
-            kappa=float(kappa[i]),
-            eta=grid.org_defaults.eta,
-            mu=grid.org_defaults.mu,
-            c_cmp=grid.org_defaults.c_cmp,
-            psi=float(psi[i]),
-            law=cell.law,
-        )
-        for i in range(n)
-    )
+    defaults, law = grid.org_defaults, cell.law
     s = Scenario(
-        orgs=orgs,
+        d_loc=d_loc,
+        f=freq,
+        kappa=kappa,
+        eta=np.full(n, defaults.eta),
+        mu=np.full(n, defaults.mu),
+        c_cmp=np.full(n, defaults.c_cmp),
+        psi=psi,
+        alpha=np.full(n, law.alpha),
+        beta=np.full(n, law.beta),
+        delta=np.full(n, law.delta),
         market=Market(gamma=gamma, xi=grid.xi, phi=phi),
         economy=grid.economy,
         bounds=grid.bounds,

@@ -146,7 +146,7 @@ def _relaxed(s: Scenario, c: _Stationarity, t: float):
     at mean local error t, and its local errors."""
     d = np.array([min(max(x, c.lo), c.hi) for x in _stationary_points(c, t)])
     eps = economics._local_errors(s, d)
-    return t - float(eps.mean()), d, eps
+    return t - float(eps.sum() / s.n), d, eps  # np.mean's bits, without its wrapper
 
 
 def _descend(s: Scenario, c: _Stationarity, d: np.ndarray) -> np.ndarray:
@@ -240,8 +240,7 @@ class GridOracleResult:
 
 
 def _axis_arrays(s: Scenario, values: np.ndarray, n: int):
-    org = s.orgs[n]
-    eps = org.law.error_at(org.d_loc + values)
+    eps = economics._own_errors(s, n, values)
     g = np.exp(eps / (s.n * s.economy.varrho))
     return g, game._linear_coeffs(s)[n] * values
 
@@ -263,7 +262,7 @@ def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
             f"{count} points per axis exceeds the {MAX_POINTS_PER_AXIS} guard"
         )
     values = lo + step * np.arange(count)
-    if any(o.d_loc + values[0] <= 0 for o in s.orgs):
+    if np.any(s.d_loc + values[0] <= 0):
         raise ZeroTotalData("grid includes a zero-total-data point")
 
     b = math.exp(-1.0 / s.economy.varrho)
@@ -319,9 +318,8 @@ def _unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs: np.ndarr
     Composes the same terms, in the same order, as :func:`economics.utility`.
     """
     eps_base = economics.local_errors(s, profile)
-    org = s.orgs[n]
     varrho = s.economy.varrho
-    eps_n = org.law.error_at(org.d_loc + xs)
+    eps_n = economics._own_errors(s, n, xs)
     others = float(eps_base.sum() - eps_base[n])
     err = np.exp(((others + eps_n) / s.n - 1.0) / varrho)
 
@@ -330,7 +328,7 @@ def _unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs: np.ndarr
     gamma_row[n] = 0.0
 
     # Counterfactual with n itself at d_min: constant in the deviation.
-    eps_n_min = org.law.error_at(org.d_loc + d_min)
+    eps_n_min = float(economics._own_errors(s, n, d_min))
     err_cf_n = math.exp(((others + eps_n_min) / s.n - 1.0) / varrho)
     mc_n = err - err_cf_n
 
@@ -339,7 +337,7 @@ def _unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs: np.ndarr
         for m in range(s.n):
             if m == n or gamma_row[m] == 0.0:
                 continue
-            eps_m_min = s.orgs[m].law.error_at(s.orgs[m].d_loc + d_min)
+            eps_m_min = float(economics._own_errors(s, m, d_min))
             others_m = others - eps_base[m] + eps_m_min
             err_cf_m = np.exp(((others_m + eps_n) / s.n - 1.0) / varrho)
             payoff += s.market.xi * gamma_row[m] * (mc_n - (err - err_cf_m))
@@ -347,20 +345,27 @@ def _unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs: np.ndarr
         payoff = s.market.xi * float(gamma_row.sum()) * mc_n
 
     eps0 = economics.epsilon_zero(s)
-    rev = org.psi * (eps0 - err)
-    cost = org.c_cmp * org.kappa * (org.eta * (org.d_loc + xs) + org.mu * xs) * org.f**2
+    rev = s.psi[n] * (eps0 - err)
+    f2 = economics._f_squared(s)[n]
+    cost = s.c_cmp[n] * s.kappa[n] * (s.eta[n] * (s.d_loc[n] + xs) + s.mu[n] * xs) * f2
     loss = float(np.dot(np.asarray(s.market.phi), gamma_row)) * mc_n
     return rev + payoff - cost - s.economy.c0 - loss
 
 
 NE_IMPROVEMENT_TOLERANCE = 1e-6
+MAX_NE_POINTS_PER_AXIS = 10**7  # the scan holds several float arrays this long
 
 
 def verify_ne(s: Scenario, profile: ProfileLike, grid_step: float = 1.0) -> NeCertificate:
-    """Scan every unilateral lattice deviation for a profitable improvement."""
+    """Scan every unilateral lattice deviation for a profitable improvement;
+    a box too large for the scan is refused before any allocation."""
     d = as_dgen(profile, s.n)
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     count = int(math.floor((hi - lo) / grid_step)) + 1
+    if count > MAX_NE_POINTS_PER_AXIS:
+        raise InstanceTooLarge(
+            f"bounds.d_max: {count} points per axis exceed the NE scan's {MAX_NE_POINTS_PER_AXIS}"
+        )
     xs = lo + grid_step * np.arange(count)
     worst_gain = -math.inf
     worst_org = 0

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from cocogen.errors import ZeroTotalData
 from cocogen.model import (
+    ORG_COLUMNS,
     EconomyParams,
     Eps0Mode,
     Market,
-    Organization,
     PayoffMode,
     ScalingLaw,
     Scenario,
@@ -58,32 +59,22 @@ def build_scenario(
             return [cast(x) for _ in range(n)]
         return [cast(v) for v in x]
 
-    laws = (
-        [ScalingLaw(a, b, dl) for a, b, dl in zip(vec(alpha), vec(beta), vec(delta))]
-        if any(not np.isscalar(v) for v in (alpha, beta, delta))
-        else [ScalingLaw(alpha, beta, delta)] * n
-    )
-    orgs = tuple(
-        Organization(
-            id=i,
-            d_loc=vec(d_loc, int)[i],
-            f=vec(f)[i],
-            kappa=vec(kappa)[i],
-            eta=vec(eta)[i],
-            mu=vec(mu)[i],
-            c_cmp=vec(c_cmp)[i],
-            psi=vec(psi)[i],
-            law=laws[i],
-        )
-        for i in range(n)
-    )
     if gamma is None:
         g = np.full((n, n), 0.5)
         np.fill_diagonal(g, 0.0)
     else:
         g = np.asarray(gamma, dtype=float)
     s = Scenario(
-        orgs=orgs,
+        d_loc=vec(d_loc, int),
+        f=vec(f),
+        kappa=vec(kappa),
+        eta=vec(eta),
+        mu=vec(mu),
+        c_cmp=vec(c_cmp),
+        psi=vec(psi),
+        alpha=vec(alpha),
+        beta=vec(beta),
+        delta=vec(delta),
         market=Market(gamma=g, xi=xi, phi=np.asarray(vec(phi))),
         economy=EconomyParams(
             varrho=varrho,
@@ -123,6 +114,51 @@ def table1_scenario(seed, n=10, gamma_range=(0.0, 1.0), cost_scale=1.0, law=None
     )
 
 
+def reference_sample_scenario(grid, cell, seed):
+    """The sweep sampler as first written: one record per organization,
+    built from the same family streams in the same order, then turned into
+    the scenario's columns."""
+    from cocogen.scenario import FAMILY, family_stream
+
+    n = grid.n_orgs
+    kappa = family_stream(seed, FAMILY.KAPPA).uniform(2e-18, 5e-18, size=n)
+    d_loc = family_stream(seed, FAMILY.D_LOC).integers(1000, 3000, size=n, endpoint=True)
+    phi = family_stream(seed, FAMILY.PHI).uniform(2e2, 3e2, size=n)
+    psi = family_stream(seed, FAMILY.PSI).uniform(6e2, 9e2, size=n)
+    freq = family_stream(seed, FAMILY.FREQ).uniform(1.0, 2.0, size=n)
+    gamma = family_stream(seed, FAMILY.GAMMA).uniform(
+        cell.gamma.lo, cell.gamma.hi, size=(n, n)
+    )
+    np.fill_diagonal(gamma, 0.0)
+    orgs = [
+        SimpleNamespace(
+            d_loc=int(d_loc[i]),
+            f=float(freq[i]),
+            kappa=float(kappa[i]),
+            eta=grid.org_defaults.eta,
+            mu=grid.org_defaults.mu,
+            c_cmp=grid.org_defaults.c_cmp,
+            psi=float(psi[i]),
+            alpha=cell.law.alpha,
+            beta=cell.law.beta,
+            delta=cell.law.delta,
+        )
+        for i in range(n)
+    ]
+    return Scenario(
+        **{name: [getattr(o, name) for o in orgs] for name in ORG_COLUMNS},
+        market=Market(gamma=gamma, xi=grid.xi, phi=phi),
+        economy=grid.economy,
+        bounds=grid.bounds,
+        seed=seed,
+    )
+
+
+def org_row(s, n):
+    """Organization ``n``'s parameters as Python floats, by column name."""
+    return SimpleNamespace(**{name: float(getattr(s, name)[n]) for name in ORG_COLUMNS})
+
+
 def random_profile(s, seed, lo=None, hi=None):
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 7], dtype=np.uint64)))
     lo = float(s.bounds.d_min) if lo is None else lo
@@ -139,13 +175,14 @@ def random_profile(s, seed, lo=None, hi=None):
 
 
 def _ref_local_errors(s, d):
-    d_locs = np.array([float(o.d_loc) for o in s.orgs])
+    orgs = [org_row(s, n) for n in range(s.n)]
+    d_locs = np.array([o.d_loc for o in orgs])
     totals = d_locs + d
     if np.any(totals <= 0):
         raise ZeroTotalData("some organization has zero local plus generated data")
-    alphas = np.array([o.law.alpha for o in s.orgs])
-    betas = np.array([o.law.beta for o in s.orgs])
-    deltas = np.array([o.law.delta for o in s.orgs])
+    alphas = np.array([o.alpha for o in orgs])
+    betas = np.array([o.beta for o in orgs])
+    deltas = np.array([o.delta for o in orgs])
     return alphas * np.power(totals, -betas) - deltas
 
 
@@ -184,7 +221,7 @@ def _ref_utility(s, d, n):
         eps0 = float(s.economy.eps0_value)
     else:
         eps0 = _ref_global_error(s, np.full(s.n, float(s.bounds.d_min)))
-    org = s.orgs[n]
+    org = org_row(s, n)
     d_gen = float(d[n])
     energy = org.kappa * (org.eta * (org.d_loc + d_gen) + org.mu * d_gen) * org.f**2
     parts = {
@@ -230,7 +267,7 @@ def _ref_potential(s, d):
     from cocogen import economics, game
 
     return economics.global_error(s, d) + float(
-        np.dot(-s.marginal_cost_coeffs() / game.z_weights(s), d)
+        np.dot(-economics._marginal_costs(s) / game.z_weights(s), d)
     )
 
 
@@ -238,11 +275,11 @@ def _ref_mean_error_and_a2(s, d, n):
     from cocogen import economics, game
 
     eps = economics.local_errors(s, d)
-    return float(eps.mean()), s.marginal_cost_coeffs()[n] / game.z_weight(s, n)
+    return float(eps.mean()), economics._marginal_costs(s)[n] / game.z_weight(s, n)
 
 
 def _ref_benefit(s, n, total, a1):
-    law = s.orgs[n].law
+    law = org_row(s, n)
     if total <= 0:
         raise ZeroTotalData(f"organization {n} has zero total data")
     return (
@@ -255,8 +292,7 @@ def _ref_benefit(s, n, total, a1):
 
 
 def _ref_stationary_point(s, n, a1, a2):
-    org = s.orgs[n]
-    law = org.law
+    org = law = org_row(s, n)
     varrho = s.economy.varrho
     bracket = -a2 * s.n * varrho / (law.alpha * law.beta) * math.exp(-(a1 - 1.0) / varrho)
     if bracket <= 0.0:
@@ -269,10 +305,10 @@ def _ref_case_label(s, d, n):
     d_star = _ref_stationary_point(s, n, a1, a2)
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     if d_star < lo:
-        if -_ref_benefit(s, n, s.orgs[n].d_loc + lo, a1) - a2 >= 0:
+        if -_ref_benefit(s, n, org_row(s, n).d_loc + lo, a1) - a2 >= 0:
             return "lower_bound"
     if d_star > hi:
-        if -_ref_benefit(s, n, s.orgs[n].d_loc + hi, a1) - a2 <= 0:
+        if -_ref_benefit(s, n, org_row(s, n).d_loc + hi, a1) - a2 <= 0:
             return "upper_bound"
     return "interior"
 
@@ -282,7 +318,7 @@ def _ref_sweep_targets(s, d):
 
     eps = economics.local_errors(s, d)
     a1 = float(eps.mean())
-    a2s = s.marginal_cost_coeffs() / game.z_weights(s)
+    a2s = economics._marginal_costs(s) / game.z_weights(s)
     out = np.empty(s.n)
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     for n in range(s.n):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cocogen import baselines, economics as eco, game, solver
-from cocogen.model import StrategyProfile
+from cocogen.errors import NonNegativeZWeight, ScenarioValidationError
+from cocogen.model import ORG_COLUMNS, ScalingLaw, StrategyProfile, validate_scenario
 from cocogen.scenario import FAMILY, family_stream
 
 from helpers import build_scenario, table1_scenario
@@ -19,14 +20,16 @@ class TestVcfl:
         s = table1_scenario(seed=62)
         p = baselines.vcfl_profile(s)
         ev = eco.evaluate_profile(s, p)
-        assert ev.welfare == pytest.approx(eco.social_welfare(s, p), rel=1e-12)
+        batch = eco.evaluate_profiles(s, p.d_gen[None])
+        assert ev.welfare == pytest.approx(batch.welfare[0], rel=1e-12)
 
     def test_zero_floor_leaves_local_data_only(self):
         s = table1_scenario(seed=63, d_min=0)
         p = baselines.vcfl_profile(s)
         errs = eco.local_errors(s, p)
-        for n, org in enumerate(s.orgs):
-            assert errs[n] == org.law.error_at(org.d_loc)
+        for n in range(s.n):
+            law = ScalingLaw(s.alpha[n], s.beta[n], s.delta[n])
+            assert errs[n] == law.error_at(s.d_loc[n])
 
 
 class TestWco:
@@ -41,7 +44,27 @@ class TestWco:
         s = table1_scenario(seed=65)
         clone = baselines.wco_scenario(s)
         for n in range(s.n):
-            assert game.z_weight(clone, n) == -s.orgs[n].psi
+            assert game.z_weight(clone, n) == -s.psi[n]
+
+    def test_clone_rejects_an_organization_without_a_stake(self):
+        # Competition alone makes organization 0's weight negative; its clone
+        # has z_0 = -psi_0 = 0.
+        s = build_scenario(n=2, psi=[0.0, 700.0])
+        assert game.z_weight(s, 0) < 0
+        with pytest.raises(ScenarioValidationError) as exc:
+            baselines.wco_scenario(s)
+        assert [(type(v), v.org, v.value) for v in exc.value.violations] == [
+            (NonNegativeZWeight, 0, 0.0)
+        ]
+        with pytest.raises(ScenarioValidationError):
+            baselines.wco_solve(s)
+
+    def test_clone_is_validated_and_shares_the_columns(self):
+        s = table1_scenario(seed=69)
+        clone = baselines.wco_scenario(s)
+        assert validate_scenario(clone) is clone
+        assert all(getattr(clone, name) is getattr(s, name) for name in ORG_COLUMNS)
+        assert not clone.market.gamma.any()
 
     def test_clone_passes_validation_and_generates_less(self):
         s = table1_scenario(seed=66)
@@ -64,7 +87,7 @@ class TestWco:
         s = table1_scenario(seed=67)
         out = baselines.wco_solve(s)
         assert out.welfare_original == pytest.approx(
-            eco.social_welfare(s, out.profile), rel=1e-12
+            eco.evaluate_profile(s, out.profile).welfare, rel=1e-12
         )
         rep = solver.fpi_solve(s)
         assert out.welfare_original <= rep.welfare

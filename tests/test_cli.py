@@ -1,7 +1,11 @@
 import csv
 import json
+import logging
 import math
+import re
+import statistics
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,6 +258,13 @@ class TestSolveCommand:
         assert "seed: must fit in 64 unsigned bits" in err
         assert "Traceback" not in err
 
+    def test_verify_ne_on_a_huge_box_is_input_error(self, tmp_path, capsys):
+        path = shipped_example_with(tmp_path, ("bounds", "d_max"), 2**40)
+        assert cli.main(["solve", path, "-o", str(tmp_path / "r.json"), "--verify-ne"]) == 2
+        err = capsys.readouterr().err
+        assert "bounds.d_max" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_overflowing_stationary_point_clips_to_the_floor(self, tmp_path, capsys):
         path = shipped_example_with(tmp_path, ("economy", "varrho"), 1e-3)
         out = tmp_path / "r.json"
@@ -391,6 +402,18 @@ class TestSweepCommand:
         assert "radg_repetitions: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_progress_log_is_short(self, tmp_path, caplog):
+        sweep = write_small_sweep(tmp_path, reps=9, radg=2)  # 36 jobs
+        with caplog.at_level(logging.INFO, logger="cocogen"):
+            assert cli.main(["sweep", sweep, "-o", str(tmp_path / "out"), "--jobs", "1"]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "cocogen"]
+        pattern = r"sweep: \d+/36 jobs done, \d+ jobs/s"
+        progress = [line for line in lines if re.fullmatch(pattern, line)]
+        assert 1 <= len(progress) <= 10
+        assert progress[-1].startswith("sweep: 36/36 jobs done")
+        assert lines[-1] == "sweep: 144 rows: 144 ok"
+        assert len(lines) == len(progress) + 1
+
     def test_seed_flag_overrides_base_seed(self, tmp_path):
         sweep = write_small_sweep(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -498,6 +521,51 @@ class TestSchemeRows:
         rows = cli.run_sweep_job(grid, job, solver.SolverConfig())
         assert [r["status"] for r in rows] == ["ok"] * 4
         assert calls == ["evaluate_profiles"]
+
+
+class TestNonFiniteWelfare:
+    @pytest.fixture
+    def nan_pricing(self, monkeypatch):
+        real = economics.evaluate_profiles
+
+        def evaluate_profiles(s, profiles):
+            ev = real(s, profiles)
+            return replace(ev, welfare=np.full_like(ev.welfare, np.nan))
+
+        monkeypatch.setattr(economics, "evaluate_profiles", evaluate_profiles)
+
+    def test_sweep_rows_carry_the_status(self, nan_pricing):
+        grid, job, _ = _preset_job()
+        rows = cli.run_sweep_job(grid, job, solver.SolverConfig())
+        assert [r["status"] for r in rows] == ["error:NonFiniteWelfare"] * 4
+        assert all(math.isnan(r["welfare"]) for r in rows)
+
+    def test_compare_exits_one(self, tmp_path, capsys, nan_pricing):
+        path = write_scenario(tmp_path, example_scenario())
+        assert cli.main(["compare", path, "--radg-reps", "3"]) == 1
+        assert "error: CoCoGen: error:NonFiniteWelfare" in capsys.readouterr().err
+
+    def test_aggregate_leaves_the_rows_out(self):
+        ok = cli._ok_row("VCFL", 1.0, 0.0, True, 0.0, True)
+        bad = cli._ok_row("VCFL", 2.0, 0.0, True, math.inf, True)
+        assert (ok["status"], bad["status"]) == ("ok", "error:NonFiniteWelfare")
+        base = {"gamma_level": 0, "alpha_d": 0.5}
+        agg = cli._aggregate([{**base, **ok}, {**base, **bad}])
+        assert [a["n"] for a in agg] == [1]
+
+
+class TestStdev:
+    def test_bitwise_equal_to_statistics_stdev(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            n = int(rng.choice([2, 3, 5, 100]))
+            scale = 10.0 ** rng.uniform(-9, 9)
+            values = (rng.normal(size=n) * scale + rng.normal() * scale).tolist()
+            assert cli._stdev(values) == statistics.stdev(values), values
+        for values in ([1.5, 1.5], [0.1] * 7, [-3.25, 7.0], [1e-9, 1e9], [5e-324, 0.0]):
+            got = cli._stdev(values)
+            assert got == statistics.stdev(values) and type(got) is float, values
+        assert cli._stdev([2.0, 2.0]) == 0.0
 
 
 class TestCompareCommand:

@@ -9,30 +9,39 @@ from cocogen import scaling
 from cocogen.errors import IndexOutOfRange, SameOrganization, ZeroTotalData
 from cocogen.model import Eps0Mode, Market, PayoffMode, ScalingLaw
 
-from helpers import build_scenario, random_profile, reference_evaluation, table1_scenario
+from helpers import (
+    build_scenario,
+    org_row,
+    random_profile,
+    reference_evaluation,
+    table1_scenario,
+)
 
 
 class TestLocalError:
     def test_direct_power_law(self):
-        assert eco.local_error(ScalingLaw(1.0, 1.0, 0.0), 100, 0) == pytest.approx(
-            0.01, rel=1e-15
-        )
+        s = build_scenario(n=1, gamma=[[0.0]], alpha=1.0, beta=1.0, delta=0.0, d_loc=100)
+        assert eco.local_errors(s, [0.0])[0] == pytest.approx(0.01, rel=1e-15)
 
     def test_offset_cancellation(self):
-        assert eco.local_error(ScalingLaw(1.0, 1.0, 0.01), 100, 0) == 0.0
+        s = build_scenario(n=1, gamma=[[0.0]], alpha=1.0, beta=1.0, delta=0.01, d_loc=100)
+        assert eco.local_errors(s, [0.0])[0] == 0.0
 
     def test_zero_total_data(self):
+        s = build_scenario(n=1, gamma=[[0.0]], d_loc=0, validate=False)
         with pytest.raises(ZeroTotalData):
-            eco.local_error(ScalingLaw(1.0, 1.0), 0, 0)
+            eco.local_errors(s, [0.0])
 
     def test_matches_fit_prediction(self):
         truth = ScalingLaw(5.0, 0.4, 0.08)
         points = [scaling.CurvePoint(d, truth.error_at(d)) for d in (500, 1000, 2000, 4000, 8000)]
         fit = scaling.fit_scaling_law(points)
-        assert eco.local_error(fit.law, 1000, 2000) == scaling.predict(fit.law, 3000)
-        assert eco.local_error(fit.law, 1000, 2000) == pytest.approx(
-            truth.error_at(3000), rel=1e-6
+        law = fit.law
+        s = build_scenario(
+            n=1, gamma=[[0.0]], alpha=law.alpha, beta=law.beta, delta=law.delta, d_loc=1000
         )
+        assert eco.local_errors(s, [2000.0])[0] == scaling.predict(law, 3000)
+        assert eco.local_errors(s, [2000.0])[0] == pytest.approx(truth.error_at(3000), rel=1e-6)
 
 
 class TestGlobalError:
@@ -52,7 +61,7 @@ class TestGlobalError:
         s = table1_scenario(seed=5)
         p = random_profile(s, 11)
         expected = math.exp(
-            (math.fsum(o.law.error_at(o.d_loc + p[i]) for i, o in enumerate(s.orgs)) / s.n - 1.0)
+            (math.fsum(s.alpha * (s.d_loc + p) ** -s.beta - s.delta) / s.n - 1.0)
             / s.economy.varrho
         )
         assert eco.global_error(s, p) == pytest.approx(expected, rel=1e-12)
@@ -127,40 +136,50 @@ class TestContribution:
             eco.marginal_contribution(s, [0.0, 0.0], 2)
 
 
+def _costs(s, profiles):
+    return eco.evaluate_profiles(s, np.atleast_2d(np.asarray(profiles, dtype=float))).cost
+
+
 class TestEnergyAndCost:
     def test_unit_plug_in(self):
-        s = build_scenario(n=1, gamma=[[0.0]], kappa=2e-18, eta=1.0, mu=1.0, d_loc=1, f=1.0)
-        assert eco.energy(s.orgs[0], 0.0) == 2e-18
+        s = build_scenario(
+            n=1, gamma=[[0.0]], kappa=2e-18, eta=1.0, mu=1.0, d_loc=1, f=1.0, c_cmp=1.0
+        )
+        assert _costs(s, [0.0])[0, 0] == 2e-18
 
     def test_zero_generation_has_no_generation_term(self):
         s = table1_scenario(seed=10)
-        for org in s.orgs:
-            assert eco.energy(org, 0.0) == pytest.approx(
-                org.kappa * org.eta * org.d_loc * org.f**2, rel=1e-15
+        cost = _costs(s, np.zeros(s.n))[0]
+        for n in range(s.n):
+            org = org_row(s, n)
+            assert cost[n] == pytest.approx(
+                org.c_cmp * org.kappa * org.eta * org.d_loc * org.f**2, rel=1e-15
             )
 
     def test_energy_slope_is_constant(self):
         s = table1_scenario(seed=11)
-        for org in s.orgs:
-            slope = org.kappa * (org.eta + org.mu) * org.f**2
+        for n in range(s.n):
+            org = org_row(s, n)
+            slope = org.c_cmp * org.kappa * (org.eta + org.mu) * org.f**2
             for d in (0.0, 17.0, 512.0, 2999.0):
-                assert eco.energy(org, d + 1.0) - eco.energy(org, d) == pytest.approx(
-                    slope, rel=1e-9
-                )
+                cost = _costs(s, np.full((2, s.n), [[d], [d + 1.0]]))[:, n]
+                assert cost[1] - cost[0] == pytest.approx(slope, rel=1e-9)
 
     def test_cost_zero_price_and_linearity(self):
         s1 = build_scenario(n=1, gamma=[[0.0]], c_cmp=1e-9)
         s2 = build_scenario(n=1, gamma=[[0.0]], c_cmp=2e-9)
-        assert eco.compute_cost(s1.orgs[0], 100.0) * 2 == pytest.approx(
-            eco.compute_cost(s2.orgs[0], 100.0), rel=1e-15
+        assert _costs(s1, [100.0])[0, 0] * 2 == pytest.approx(
+            _costs(s2, [100.0])[0, 0], rel=1e-15
         )
 
     def test_cost_matches_hand_product(self):
         s = table1_scenario(seed=12)
-        org = s.orgs[3]
+        org = org_row(s, 3)
         d = 1234.0
         hand = org.c_cmp * (org.kappa * (org.eta * (org.d_loc + d) + org.mu * d) * org.f**2)
-        assert eco.compute_cost(org, d) == pytest.approx(hand, rel=1e-15)
+        p = np.zeros(s.n)
+        p[3] = d
+        assert _costs(s, p)[0, 3] == pytest.approx(hand, rel=1e-15)
 
 
 class TestRevenue:
@@ -268,7 +287,7 @@ class TestUtility:
         s = table1_scenario(seed=16)
         p = random_profile(s, 700)
         for n in range(s.n):
-            org = s.orgs[n]
+            org = org_row(s, n)
             err = eco.global_error(s, p)
             mc = err - eco.counterfactual_error(s, p, n)
             gamma_row = np.asarray(s.market.gamma[n])
@@ -295,14 +314,14 @@ class TestWelfareAndConstraints:
     def test_single_org_zero_economics(self):
         s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, c_cmp=1e-300,
                            validate=False)
-        assert eco.social_welfare(s, [0.0]) == pytest.approx(0.0, abs=1e-250)
+        assert eco.evaluate_profile(s, [0.0]).welfare == pytest.approx(0.0, abs=1e-250)
 
     def test_duplicating_noncompeting_org_doubles_welfare(self):
         s1 = build_scenario(n=1, gamma=[[0.0]], xi=0.0)
         s2 = build_scenario(n=2, gamma=np.zeros((2, 2)), xi=0.0)
         p1, p2 = [640.0], [640.0, 640.0]
-        assert eco.social_welfare(s2, p2) == pytest.approx(
-            2 * eco.social_welfare(s1, p1), rel=1e-12
+        assert eco.evaluate_profile(s2, p2).welfare == pytest.approx(
+            2 * eco.evaluate_profile(s1, p1).welfare, rel=1e-12
         )
 
     def test_welfare_identity_against_termwise_accumulation(self):
@@ -316,19 +335,19 @@ class TestWelfareAndConstraints:
             + sum(u.payoff_in for u in parts)
             - sum(u.coopetition_loss for u in parts)
         )
-        assert eco.social_welfare(s, p) == pytest.approx(expected, rel=1e-9)
+        assert eco.evaluate_profile(s, p).welfare == pytest.approx(expected, rel=1e-9)
 
     def test_ir_trivial_cases(self):
         s_zero = build_scenario(n=2, gamma=np.zeros((2, 2)), psi=0.0, xi=0.0,
                                 c_cmp=1e-300, validate=False)
-        assert eco.check_ir(s_zero, [10.0, 10.0]) == [True, True]
+        assert eco.evaluate_profile(s_zero, [10.0, 10.0]).ir == (True, True)
         s_fee = build_scenario(n=2, c0=1e9)
-        assert eco.check_ir(s_fee, [10.0, 10.0]) == [False, False]
+        assert eco.evaluate_profile(s_fee, [10.0, 10.0]).ir == (False, False)
 
     def test_bb_zero_gamma_balanced(self):
         s = build_scenario(n=3, gamma=np.zeros((3, 3)))
-        out = eco.check_bb(s, [100.0, 200.0, 300.0])
-        assert out == {"sum": 0.0, "balanced": True}
+        out = eco.evaluate_profile(s, [100.0, 200.0, 300.0])
+        assert (out.bb_sum, out.bb_balanced) == (0.0, True)
 
     def test_bb_antisymmetric_mode_with_symmetric_gamma(self):
         rng = np.random.Generator(np.random.Philox(key=np.array([3, 3], dtype=np.uint64)))
@@ -338,17 +357,17 @@ class TestWelfareAndConstraints:
         s = build_scenario(n=4, gamma=g, bb_mode=PayoffMode.ANTISYMMETRIC)
         for k in range(5):
             p = random_profile(s, 1000 + k)
-            out = eco.check_bb(s, p)
+            out = eco.evaluate_profile(s, p)
             scale = sum(abs(eco.total_payoff(s, p, n)) for n in range(s.n))
-            assert out["balanced"]
-            assert abs(out["sum"]) <= 1e-9 * (scale + 1)
+            assert out.bb_balanced
+            assert abs(out.bb_sum) <= 1e-9 * (scale + 1)
 
     def test_bb_literal_mode_generally_unbalanced(self):
         s = table1_scenario(seed=19)
         p = random_profile(s, 1100, lo=500.0)
-        out = eco.check_bb(s, p)
-        assert out["sum"] < 0  # printed transfers are one-sided outflows
-        assert not out["balanced"]
+        out = eco.evaluate_profile(s, p)
+        assert out.bb_sum < 0  # printed transfers are one-sided outflows
+        assert not out.bb_balanced
 
 
 def _profile_matrix(s, seed):
@@ -392,11 +411,6 @@ class TestBatchedCore:
                 ref = reference_evaluation(s, row)
                 _assert_matches_reference(batch.row(k), ref)
                 _assert_matches_reference(eco.evaluate_profile(s, row), ref)
-                assert eco.check_ir(s, row) == ref["ir"]
-                assert eco.check_bb(s, row) == {
-                    "sum": ref["bb_sum"], "balanced": ref["bb_balanced"]
-                }
-                assert eco.social_welfare(s, row) == ref["welfare"]
 
     def test_zero_total_data_still_raises(self):
         s = build_scenario(n=2, d_loc=[0, 1500], d_min=0, validate=False)

@@ -31,21 +31,21 @@ def _equivalence_scenarios():
 def _first_potential_batch(s, profiles):
     """``game.potential_batch`` as first written, with its own closed form."""
     p = np.asarray(profiles, dtype=np.float64)
-    totals = s.d_locs()[None, :] + p
-    eps = s.alphas()[None, :] * np.power(totals, -s.betas()[None, :]) - s.deltas()[None, :]
+    totals = s.d_loc[None, :] + p
+    eps = s.alpha[None, :] * np.power(totals, -s.beta[None, :]) - s.delta[None, :]
     err = np.exp((eps.mean(axis=1) - 1.0) / s.economy.varrho)
-    return err + p @ (-s.marginal_cost_coeffs() / game.z_weights(s))
+    return err + p @ (-eco._marginal_costs(s) / game.z_weights(s))
 
 
 def _first_potential_gradient(s, d):
     """``game.potential_gradient`` as first written, with its own benefit term."""
     eps = eco.local_errors(s, d)
     err = np.exp((float(eps.mean()) - 1.0) / s.economy.varrho)
-    alphas, betas = s.alphas(), s.betas()
+    alphas, betas = s.alpha, s.beta
     benefit = (
-        alphas * betas / (s.n * s.economy.varrho) * np.power(s.d_locs() + d, -betas - 1.0) * err
+        alphas * betas / (s.n * s.economy.varrho) * np.power(s.d_loc + d, -betas - 1.0) * err
     )
-    return -benefit - s.marginal_cost_coeffs() / game.z_weights(s)
+    return -benefit - eco._marginal_costs(s) / game.z_weights(s)
 
 
 class TestZWeight:
@@ -63,7 +63,7 @@ class TestZWeight:
         for n in range(s.n):
             hand = math.fsum(
                 s.market.gamma[n, m] * (s.market.xi - s.market.phi[m]) for m in range(s.n)
-            ) - s.orgs[n].psi
+            ) - s.psi[n]
             assert game.z_weight(s, n) == pytest.approx(hand, rel=1e-14)
             assert game.z_weight(s, n) < 0
 
@@ -81,7 +81,7 @@ class TestPotential:
         for n in range(0, s.n, 4):
             bumped = p.copy()
             bumped[n] += delta
-            a2 = s.marginal_cost_coeffs()[n] / game.z_weight(s, n)
+            a2 = eco._marginal_costs(s)[n] / game.z_weight(s, n)
             linear_change = (game.potential(s, bumped) - game.potential(s, p)) - (
                 eco.global_error(s, bumped) - eco.global_error(s, p)
             )
@@ -91,7 +91,7 @@ class TestPotential:
         s = table1_scenario(seed=24)
         p = random_profile(s, 2)
         expected = eco.global_error(s, p) - math.fsum(
-            s.marginal_cost_coeffs()[n] * p[n] / game.z_weight(s, n) for n in range(s.n)
+            eco._marginal_costs(s)[n] * p[n] / game.z_weight(s, n) for n in range(s.n)
         )
         assert game.potential(s, p) == pytest.approx(expected, rel=1e-12)
 
@@ -146,7 +146,7 @@ class TestGradient:
         s = build_scenario(n=2)
         huge = np.full(2, 1e12)
         grad = game.potential_gradient(s, huge)
-        a2 = s.marginal_cost_coeffs() / np.array([game.z_weight(s, n) for n in range(2)])
+        a2 = eco._marginal_costs(s) / np.array([game.z_weight(s, n) for n in range(2)])
         assert np.allclose(grad, -a2, rtol=1e-9)
         assert np.all(-a2 > 0)
 

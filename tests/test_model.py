@@ -12,12 +12,14 @@ from cocogen import baselines, cli, game, solver
 from cocogen import economics as eco
 from cocogen.errors import (
     CocogenError,
+    DimensionMismatch,
     InvariantViolation,
     NonNegativeZWeight,
     ScenarioValidationError,
     ZeroTotalData,
 )
 from cocogen.model import (
+    ORG_COLUMNS,
     Eps0Mode,
     Market,
     PayoffMode,
@@ -93,6 +95,45 @@ class TestValidation:
         assert "xi" in text and "c0" in text and "d_max" in text
         assert len(exc.value.violations) >= 3
 
+    def test_violations_keep_their_order_across_organizations(self):
+        s = build_scenario(
+            n=3, validate=False,
+            d_loc=[1500, 0, -3], f=[math.nan, 1.5, 0.0], kappa=[-1.0, 3.5e-18, math.inf],
+            psi=[-5.0, 700.0, math.nan], mu=[1.79e20, 0.0, 1.79e20],
+            eta=[1.79e20, -math.inf, 1.79e20], c_cmp=[0.0, 1e-7, 1e-7],
+            alpha=[math.inf, 5.0, 5.0], beta=[0.5, math.inf, 0.5], delta=[0.0, 0.0, math.inf],
+            xi=500.0, c0=-1.0, d_min=0, d_max=-1, seed=-2,
+        )
+        with pytest.raises(ScenarioValidationError) as exc:
+            validate_scenario(s)
+        assert [str(v) for v in exc.value.violations] == [
+            "organizations[0].f: must be finite",
+            "organizations[0].kappa: must be > 0",
+            "organizations[0].c_cmp: must be > 0",
+            "organizations[0].psi: must be >= 0",
+            "organizations[0].law.alpha: must be finite",
+            "organizations[1].eta: must be finite",
+            "organizations[1].mu: must be > 0",
+            "organizations[1].law.beta: must be finite",
+            "organizations[1].d_loc: must be > 0 when bounds.d_min is 0 (zero total training data)",
+            "organizations[2].d_loc: must be >= 0",
+            "organizations[2].f: must be > 0",
+            "organizations[2].kappa: must be finite",
+            "organizations[2].psi: must be finite",
+            "organizations[2].law.delta: must be finite",
+            "market.xi: must not exceed min(phi) (cooperation stability)",
+            "economy.c0: must be >= 0",
+            "bounds.d_max: must be >= d_min",
+            "seed: must fit in 64 unsigned bits",
+        ]
+
+    def test_columns_of_different_lengths_are_rejected(self):
+        s = build_scenario(n=3)
+        with pytest.raises(DimensionMismatch):
+            replace(s, psi=s.psi[:2])
+        with pytest.raises(DimensionMismatch):
+            replace(s, alpha=np.ones((3, 1)))
+
     def test_gamma_dimension_mismatch(self):
         g = [[0.0, 0.1], [0.1, 0.0]]
         with pytest.raises(ScenarioValidationError) as exc:
@@ -129,7 +170,10 @@ class TestValidation:
         assert calls == []
         copies = (
             replace(s),
-            type(s)(orgs=s.orgs, market=s.market, economy=s.economy, bounds=s.bounds),
+            type(s)(
+                **{name: getattr(s, name) for name in ORG_COLUMNS},
+                market=s.market, economy=s.economy, bounds=s.bounds,
+            ),
             pickle.loads(pickle.dumps(s)),
         )
         for copy in copies:
@@ -159,11 +203,11 @@ class TestValidation:
         s = table1_scenario(seed=74)
         z = game.z_weights(s)
         by_row = [
-            float(np.dot(s.market.gamma[n], s.market.xi - s.market.phi) - s.orgs[n].psi)
+            float(np.dot(s.market.gamma[n], s.market.xi - s.market.phi) - s.psi[n])
             for n in range(s.n)
         ]
         assert z.tolist() == by_row == [game.z_weight(s, n) for n in range(s.n)]
-        assert game._linear_coeffs(s).tolist() == (-s.marginal_cost_coeffs() / z).tolist()
+        assert game._linear_coeffs(s).tolist() == (-eco._marginal_costs(s) / z).tolist()
 
     def test_z_weight_raises_directly_for_degenerate_org(self):
         s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, validate=False)
@@ -221,18 +265,21 @@ class TestNonFiniteInputs:
         assert ("organizations[1].psi", "must be finite") in named
 
 
-COLUMNS = ("alphas", "betas", "deltas", "d_locs", "psis", "marginal_cost_coeffs")
+COLUMNS = ("d_loc", "f", "kappa", "eta", "mu", "c_cmp", "psi", "alpha", "beta", "delta")
 
 
 def _cached_arrays(s):
-    return [getattr(s, name)() for name in COLUMNS] + [game.z_weights(s)]
+    return [
+        game.z_weights(s), game._linear_coeffs(s), eco._floor_errors(s), eco._f_squared(s)
+    ]
 
 
 class TestScenarioCache:
     def test_cached_arrays_are_built_once_and_read_only(self):
         s = table1_scenario(seed=21)
-        first = _cached_arrays(s)
-        for a, b in zip(first, _cached_arrays(s), strict=True):
+        first = _cached_arrays(s) + [getattr(s, name) for name in COLUMNS]
+        second = _cached_arrays(s) + [getattr(s, name) for name in COLUMNS]
+        for a, b in zip(first, second, strict=True):
             assert a is b
             with pytest.raises(ValueError):
                 a[0] = 1.0
@@ -242,7 +289,7 @@ class TestScenarioCache:
         warm = _cached_arrays(s)
         clone = baselines.wco_scenario(s)
         assert not np.array_equal(game.z_weights(clone), game.z_weights(s))
-        assert np.array_equal(game.z_weights(clone), -s.psis())
+        assert np.array_equal(game.z_weights(clone), -s.psi)
 
         path = tmp_path / "scenario.json"
         save_scenario(s, path)
@@ -254,6 +301,10 @@ class TestScenarioCache:
             for old, new in zip(warm, _cached_arrays(copy), strict=True):
                 assert new is not old
                 assert not new.flags.writeable
+            # The read-only columns are shared by copies, not copied.
+            for name in COLUMNS:
+                assert np.array_equal(getattr(copy, name), getattr(s, name))
+                assert (getattr(copy, name) is getattr(s, name)) is (copy is not reloaded)
         # Only the WCO clone changes a weight; the others keep every value.
         for copy in (with_payoff_mode(s, PayoffMode.ANTISYMMETRIC), reloaded):
             for old, new in zip(warm, _cached_arrays(copy), strict=True):
@@ -266,6 +317,9 @@ class TestScenarioCache:
         for old, new in zip(warm, _cached_arrays(copy), strict=True):
             assert np.array_equal(old, new)
             assert not new.flags.writeable
+        for name in COLUMNS:
+            assert np.array_equal(getattr(copy, name), getattr(s, name))
+            assert not getattr(copy, name).flags.writeable
         profiles = np.vstack([random_profile(s, 30 + k) for k in range(5)])
         a, b = eco.evaluate_profiles(s, profiles), eco.evaluate_profiles(copy, profiles)
         for k in range(len(profiles)):
@@ -285,7 +339,8 @@ class TestSerialization:
         second = json.dumps(scenario_to_dict(reread), sort_keys=True)
         assert first == second
         assert np.array_equal(reread.market.gamma, s.market.gamma)
-        assert reread.orgs == s.orgs
+        for name in COLUMNS:
+            assert getattr(reread, name).tobytes() == getattr(s, name).tobytes()
 
     def test_unknown_keys_are_rejected(self):
         payload = scenario_to_dict(build_scenario(n=1, gamma=[[0.0]]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cocogen.errors import InvariantViolation
-from cocogen.model import scenario_to_dict
+from cocogen.model import ORG_COLUMNS, scenario_to_dict
 from cocogen.scaling import heterogeneity_presets
 from cocogen.scenario import (
     GammaLevel,
@@ -17,6 +17,8 @@ from cocogen.scenario import (
     stable_job_hash,
     sweep_from_dict,
 )
+
+from helpers import reference_sample_scenario
 
 
 def mid_cell():
@@ -41,11 +43,11 @@ class TestSampling:
         for seed in range(8):
             s = sample_scenario(grid, mid_cell(), seed=seed)
             assert s.n == 10
-            for org in s.orgs:
-                assert 2e-18 <= org.kappa <= 5e-18
-                assert 1000 <= org.d_loc <= 3000
-                assert 1.0 <= org.f <= 2.0
-                assert 600.0 <= org.psi <= 900.0
+            assert np.all((2e-18 <= s.kappa) & (s.kappa <= 5e-18))
+            assert np.all((1000 <= s.d_loc) & (s.d_loc <= 3000))
+            assert np.array_equal(s.d_loc, np.round(s.d_loc))
+            assert np.all((1.0 <= s.f) & (s.f <= 2.0))
+            assert np.all((600.0 <= s.psi) & (s.psi <= 900.0))
             assert np.all((s.market.phi >= 200.0) & (s.market.phi <= 300.0))
             off = ~np.eye(10, dtype=bool)
             assert np.all((s.market.gamma[off] >= 0.0) & (s.market.gamma[off] <= 1.0))
@@ -63,6 +65,20 @@ class TestSampling:
             off = ~np.eye(10, dtype=bool)
             means.append(float(np.mean(s.market.gamma[off])))
         assert np.mean(means) == pytest.approx(0.25, abs=0.01)
+
+    def test_every_preset_scenario_equals_the_reference_sampler(self):
+        grid = default_sweep_grid()
+        jobs = expand_sweep(grid)
+        assert len(jobs) == 900
+        for job in jobs:
+            s = sample_scenario(grid, job.cell, job.seed)
+            ref = reference_sample_scenario(grid, job.cell, job.seed)
+            for name in ORG_COLUMNS:
+                assert getattr(s, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert s.market.gamma.tobytes() == ref.market.gamma.tobytes()
+            assert s.market.phi.tobytes() == ref.market.phi.tobytes()
+            assert s.market.xi == ref.market.xi
+            assert (s.economy, s.bounds, s.seed) == (ref.economy, ref.bounds, ref.seed)
 
     def test_every_sample_validates(self):
         grid = default_sweep_grid()

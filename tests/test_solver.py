@@ -18,6 +18,7 @@ from helpers import (
     _ref_stationary_point,
     assert_lattice_equilibrium,
     build_scenario,
+    org_row,
     random_profile,
     reference_fpi_solve,
     table1_scenario,
@@ -38,15 +39,16 @@ class TestStationarityConstants:
     def test_matches_independent_recomputation(self):
         s = table1_scenario(seed=32)
         c = game._stationarity(s)
-        for n, org in enumerate(s.orgs):
+        for n in range(s.n):
+            org = org_row(s, n)
             a2 = (
                 org.kappa * org.c_cmp * (org.eta + org.mu) * org.f**2
                 / game.z_weight(s, n)
             )
-            benefit = org.law.alpha * org.law.beta / (s.n * s.economy.varrho)
+            benefit = org.alpha * org.beta / (s.n * s.economy.varrho)
             assert c.a2[n] == pytest.approx(a2, rel=1e-14)
             assert c.benefit[n] == pytest.approx(benefit, rel=1e-14)
-            assert c.benefit_exponent[n] == pytest.approx(-org.law.beta - 1.0, rel=1e-14)
+            assert c.benefit_exponent[n] == pytest.approx(-org.beta - 1.0, rel=1e-14)
 
 
 def _mean_local_error(s, d):
@@ -417,6 +419,11 @@ class TestVerifyNe:
         assert not cert.is_ne
         assert cert.worst_gain > 0
         assert cert.worst_d_alt > 0  # upper-direction witness
+
+    def test_huge_box_is_refused_before_any_allocation(self):
+        s = table1_scenario(seed=55, d_max=2**40)
+        with pytest.raises(InstanceTooLarge, match="bounds.d_max"):
+            solver.verify_ne(s, np.zeros(s.n), grid_step=1.0)
 
     def test_single_org_ne_iff_potential_coordinate_minimal(self):
         s = table1_scenario(seed=52, n=1, cost_scale=5.0, gamma_range=(0.0, 0.0))
