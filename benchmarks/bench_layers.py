@@ -7,10 +7,14 @@ validated), so they measure the layer alone; ``cli.scheme_rows`` is one
 job's work after sampling (both solves and the one batched pricing of the
 CoCoGen, VCFL and WCO profiles and the RaDG draws).
 ``baselines.wco_scenario`` builds and checks the zero-competition clone of
-that (validated) scenario. ``cli.run_sweep_job``
-runs the first 90 preset jobs end to end, sampling included, and is what a
-sweep pays per job. ``cli.sweep.preset.jobs1`` and ``.jobs2`` are one
-wall-clock run each of ``cocogen sweep`` on the full 900-job preset, CSV
+that (validated) scenario. ``solver.verify_ne`` certifies that scenario's
+CoCoGen profile over the full 3001-point deviation lattice of each
+organization, and ``solver.verify_ne.antisymmetric`` does the same for a
+copy under antisymmetric payoffs, at that copy's CoCoGen profile.
+``cli.run_sweep_job`` runs the first 90 preset jobs end to end, sampling
+included, and is what a sweep pays per job. ``cli.sweep.preset.jobs1`` and
+``.jobs2`` are one wall-clock run each of ``cocogen sweep`` on the full
+900-job preset, CSV
 writing included, at ``--jobs 1`` and ``--jobs 2``; being single runs, they
 are the noisiest layers. ``cli._aggregate`` computes the per-cell means and
 standard deviations of the 3,600 rows of one in-process ``--jobs 1`` run of
@@ -119,7 +123,7 @@ def _request_layers(cli, scaling, repeat: int) -> dict:
 
 def measure(repeat: int) -> dict:
     from cocogen import baselines, cli, economics, scaling, solver
-    from cocogen.model import validate_scenario
+    from cocogen.model import PayoffMode, validate_scenario, with_payoff_mode
     from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 
     grid = default_sweep_grid()
@@ -129,6 +133,8 @@ def measure(repeat: int) -> dict:
     s = sample_scenario(grid, job.cell, job.seed)
     report = solver.fpi_solve(s, cfg)
     wco = baselines.wco_scenario(s)
+    anti = with_payoff_mode(s, PayoffMode.ANTISYMMETRIC)
+    anti_profile = solver.fpi_solve(anti, cfg).profile
     layers = {
         "scenario.sample_scenario": _per_call_us(
             lambda: sample_scenario(grid, job.cell, job.seed), 200, repeat
@@ -141,6 +147,12 @@ def measure(repeat: int) -> dict:
         ),
         "cli.scheme_rows": _per_call_us(
             lambda: cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions), 100, repeat
+        ),
+        "solver.verify_ne": _per_call_us(
+            lambda: solver.verify_ne(s, report.profile), 100, repeat
+        ),
+        "solver.verify_ne.antisymmetric": _per_call_us(
+            lambda: solver.verify_ne(anti, anti_profile), 100, repeat
         ),
         "model.validate_scenario.fresh_copy": _per_call_us(
             lambda: validate_scenario(replace(wco)), 500, repeat

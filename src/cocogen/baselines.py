@@ -16,7 +16,6 @@ __all__ = [
     "wco_scenario",
     "wco_solve",
     "WcoOutcome",
-    "radg_profile",
     "radg_profiles",
 ]
 
@@ -74,7 +73,3 @@ def radg_profiles(s: Scenario, seed: int, count: int) -> np.ndarray:
     draws = rng.integers(s.bounds.d_min, s.bounds.d_max, size=(count, s.n), endpoint=True)
     return draws.astype(np.float64)
 
-
-def radg_profile(s: Scenario, seed: int) -> StrategyProfile:
-    """Independent integer-uniform generation volumes, deterministic in seed."""
-    return StrategyProfile(radg_profiles(s, seed, 1)[0])

@@ -2,13 +2,12 @@
 
 All functions are pure in (scenario, profile) and reentrant. Sign
 conventions follow the printed transfer formulas: the contribution gap
-``global_error(d) - counterfactual_error(d, n)`` is non-positive, so raw
-pairwise payoffs and the coopetition loss are non-positive as well; callers
-see the raw signed values.
+(global error minus the counterfactual error with the organization held at
+``d_min``) is non-positive, so raw pairwise payoffs and the coopetition
+loss are non-positive as well; callers see the raw signed values.
 
 One batched core, :func:`evaluate_profiles`, computes every utility term for
-an (m, N) matrix of profiles; the per-organization functions are views of
-it on a single row.
+an (m, N) matrix of profiles; :func:`evaluate_profile` reads one row of it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, SameOrganization, ZeroTotalData
+from .errors import DimensionMismatch, ZeroTotalData
 from .model import (
     Eps0Mode,
     PayoffMode,
@@ -33,13 +32,6 @@ __all__ = [
     "local_errors",
     "global_error",
     "epsilon_zero",
-    "counterfactual_error",
-    "marginal_contribution",
-    "revenue",
-    "payoff_transfer",
-    "total_payoff",
-    "coopetition_loss",
-    "utility",
     "evaluate_profile",
     "evaluate_profiles",
     "IR_TOLERANCE",
@@ -114,16 +106,11 @@ def global_error(s: Scenario, profile: ProfileLike) -> float:
     return float(_aggregate(s, local_errors(s, profile)))
 
 
-def epsilon_zero(s: Scenario, profile: ProfileLike | None = None) -> float:
+def epsilon_zero(s: Scenario) -> float:
     """Pre-training global error, per the configured mode."""
     if s.economy.eps0_mode is Eps0Mode.FIXED:
         return float(s.economy.eps0_value)
     return float(_aggregate(s, _floor_errors(s)))
-
-
-def _check_index(s: Scenario, n: int) -> None:
-    if not (0 <= n < s.n):
-        raise IndexOutOfRange(f"organization index {n} outside [0, {s.n})")
 
 
 def _f_squared(s: Scenario) -> np.ndarray:
@@ -259,63 +246,6 @@ def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluat
     )
 
 
-# ---------------------------------------------------------------------------
-# One-profile views of the core.
-# ---------------------------------------------------------------------------
-
-
-def _evaluate_one(s: Scenario, profile: ProfileLike) -> ProfileMatrixEvaluation:
-    return evaluate_profiles(s, as_dgen(profile, s.n)[None, :])
-
-
 def evaluate_profile(s: Scenario, profile: ProfileLike) -> ProfileEvaluation:
-    return _evaluate_one(s, profile).row(0)
-
-
-def counterfactual_error(s: Scenario, profile: ProfileLike, n: int) -> float:
-    """Global error with organization ``n`` held at the minimum strategy."""
-    _check_index(s, n)
-    return float(_evaluate_one(s, profile).counterfactual[0, n])
-
-
-def marginal_contribution(s: Scenario, profile: ProfileLike, n: int) -> float:
-    """Contribution gap of organization ``n``; always <= 0."""
-    _check_index(s, n)
-    return float(_evaluate_one(s, profile).marginal[0, n])
-
-
-def revenue(s: Scenario, profile: ProfileLike, n: int) -> float:
-    _check_index(s, n)
-    return float(_evaluate_one(s, profile).revenue[0, n])
-
-
-def payoff_transfer(s: Scenario, profile: ProfileLike, n: int, n_other: int) -> float:
-    """Pairwise transfer from competitor ``n_other`` toward organization ``n``."""
-    _check_index(s, n)
-    _check_index(s, n_other)
-    if n == n_other:
-        raise SameOrganization(f"no self-transfer for organization {n}")
-    mc = _evaluate_one(s, profile).marginal[0]
-    rate = s.market.xi * float(s.market.gamma[n, n_other])
-    if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
-        gap = mc[n] - mc[n_other]
-    else:
-        gap = mc[n]
-    return float(rate * gap)
-
-
-def total_payoff(s: Scenario, profile: ProfileLike, n: int) -> float:
-    """Sum of pairwise transfers into organization ``n``."""
-    _check_index(s, n)
-    return float(_evaluate_one(s, profile).payoff_in[0, n])
-
-
-def coopetition_loss(s: Scenario, profile: ProfileLike, n: int) -> float:
-    """Competitors' revenue attributed to ``n``'s contribution (signed)."""
-    _check_index(s, n)
-    return float(_evaluate_one(s, profile).coopetition_loss[0, n])
-
-
-def utility(s: Scenario, profile: ProfileLike, n: int) -> UtilityBreakdown:
-    _check_index(s, n)
-    return _evaluate_one(s, profile).breakdown(0, n)
+    """One profile's read-out: row 0 of a one-row :func:`evaluate_profiles`."""
+    return evaluate_profiles(s, as_dgen(profile, s.n)[None, :]).row(0)

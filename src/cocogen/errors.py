@@ -46,14 +46,6 @@ class ZeroTotalData(CocogenError):
     """Local plus generated data is zero, so the error law is undefined."""
 
 
-class IndexOutOfRange(CocogenError, IndexError):
-    """Organization index outside [0, N)."""
-
-
-class SameOrganization(CocogenError):
-    """A pairwise transfer was requested between an organization and itself."""
-
-
 class InstanceTooLarge(CocogenError):
     """Exhaustive grid search refused: too many organizations or grid points."""
 

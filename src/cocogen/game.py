@@ -1,13 +1,22 @@
 """Weighted potential function of the stage game and its analysis probes.
 
-The game admits the potential
+The game's potential is
 
     F(d) = global_error(d) - sum_n cost_coeff_n * d_gen[n] / z_n
 
-with per-organization weights z_n < 0, so that any unilateral deviation
-satisfies  U_n(alt) - U_n(cur) = z_n * (F(alt) - F(cur)).  The cost
-coefficient includes the per-energy price: the utility's cost term carries
-it, and the identity above only holds with it present.
+with per-organization weights z_n < 0. A unilateral move of organization n
+changes its utility by
+
+    U_n(alt) - U_n(cur) = A_n * (err(alt) - err(cur)) - cost_coeff_n * (alt_n - cur_n).
+
+Under literal payoffs A_n = z_n, so U_n(alt) - U_n(cur) = z_n * (F(alt) -
+F(cur)) and the game is a weighted potential game. Under antisymmetric
+payoffs A_n = z_n + xi * sum_m gamma_nm * (r_m - 1), where
+r_m = exp((eps_m(d_min) - eps_m(d_m)) / (N varrho)) >= 1 does not depend on
+d_n but does on the others' volumes (:func:`_deviation_weights`); there the
+identity holds with A_n and not with z_n. The cost coefficient includes the
+per-energy price: the utility's cost term carries it, and the identities
+only hold with it present.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 
 from . import economics
 from .errors import ConvexityViolation, NonNegativeZWeight, ZeroTotalData
-from .model import ProfileLike, Scenario, as_dgen
+from .model import PayoffMode, ProfileLike, Scenario, as_dgen
 
 __all__ = [
     "z_weight",
@@ -43,6 +52,21 @@ def _raw_z_weights(s: Scenario) -> np.ndarray:
         return [np.dot(row, rates) for row in s.market.gamma] - s.psi
 
     return s.cached("raw_z_weights", build)
+
+
+def _deviation_weights(s: Scenario, eps: np.ndarray) -> np.ndarray:
+    """Every organization's weight A_n on the global error change of its own
+    unilateral moves, at a profile whose local errors are ``eps``.
+
+    ``z`` under literal payoffs; under antisymmetric payoffs
+    ``z + xi * gamma @ (r - 1)``, where r_m is organization m's
+    counterfactual error over the global error, unchanged by n's move.
+    """
+    z = _raw_z_weights(s)
+    if s.economy.bb_mode is not PayoffMode.ANTISYMMETRIC:
+        return z
+    r = np.exp((economics._floor_errors(s) - eps) / (s.n * s.economy.varrho))
+    return z + s.market.xi * (s.market.gamma @ (r - 1.0))
 
 
 def z_weight(s: Scenario, n: int) -> float:
@@ -156,18 +180,20 @@ def potential_gradient(s: Scenario, profile: ProfileLike) -> np.ndarray:
 def weighted_potential_residual(
     s: Scenario, profile: ProfileLike, n: int, d_alt: float
 ) -> float:
-    """Defect of the weighted-potential identity for one unilateral deviation.
+    """Defect of the weighted-potential identity ``dU_n = z_n dF`` for one
+    unilateral deviation.
 
-    Zero (up to float noise) for every profile, organization, and feasible
-    alternative; this is the executable statement of the game being a
-    weighted potential game.
+    Under literal payoffs it is zero (up to float noise) for every profile,
+    organization and feasible alternative; this is the executable statement
+    of the game being a weighted potential game. Under antisymmetric payoffs
+    it is ``(A_n - z_n) * dErr`` (module docstring).
     """
     base = as_dgen(profile, s.n)
     alt = base.copy()
     alt[n] = float(d_alt)
-    du = economics.utility(s, alt, n).utility - economics.utility(s, base, n).utility
+    u = economics.evaluate_profiles(s, np.vstack([base, alt])).utility[:, n]
     df = potential(s, alt) - potential(s, base)
-    return du - z_weight(s, n) * df
+    return float(u[1] - u[0]) - z_weight(s, n) * df
 
 
 @dataclass(frozen=True)

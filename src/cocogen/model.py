@@ -452,30 +452,40 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+_FLOAT_RANGE = "must be within the float64 range"
+
+
 def _as_int(value, where: str) -> int:
-    """An integral number from a config value; bools and fractions are errors."""
+    """An integral number from a config value; bools, fractions and integers
+    beyond the float64 range are errors."""
     if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
         raise InvariantViolation(where, f"must be an integer, got {value!r}")
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise InvariantViolation(where, "must be finite")
-        if not value.is_integer():
-            raise InvariantViolation(where, f"must be an integer, got {value!r}")
+    number = _as_float(value, where)
+    if not math.isfinite(number):
+        raise InvariantViolation(where, "must be finite")
+    if not number.is_integer():
+        raise InvariantViolation(where, f"must be an integer, got {value!r}")
     return int(value)
 
 
 def _as_float(value, where: str) -> float:
-    """A real number from a config value; bools, null, strings, arrays and
-    objects are errors. NaN and infinities pass, for validation to name."""
+    """A real number from a config value; bools, null, strings, arrays,
+    objects and integers beyond the float64 range are errors. NaN and
+    infinities pass, for validation to name."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvariantViolation(where, f"must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvariantViolation(where, _FLOAT_RANGE) from None
 
 
 def _as_float_array(value, where: str) -> np.ndarray:
     """A float array from a config value; validation checks its shape."""
     try:
         return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise InvariantViolation(where, _FLOAT_RANGE) from None
     except (TypeError, ValueError):
         raise InvariantViolation(where, "must be an array of numbers") from None
 

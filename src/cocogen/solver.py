@@ -21,7 +21,6 @@ from .errors import InstanceTooLarge, ZeroTotalData
 from .game import _benefit, _exp, _stationarity, _Stationarity
 from .kernels import argmin_2d, argmin_3d, build_lower_envelope
 from .model import (
-    PayoffMode,
     ProfileLike,
     Scenario,
     StrategyProfile,
@@ -312,48 +311,29 @@ class NeCertificate:
         }
 
 
-def _unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs: np.ndarray):
-    """Utility of organization ``n`` at every deviation in ``xs`` (vectorized).
-
-    Composes the same terms, in the same order, as :func:`economics.utility`.
-    """
-    eps_base = economics.local_errors(s, profile)
-    varrho = s.economy.varrho
-    eps_n = economics._own_errors(s, n, xs)
-    others = float(eps_base.sum() - eps_base[n])
-    err = np.exp(((others + eps_n) / s.n - 1.0) / varrho)
-
-    d_min = float(s.bounds.d_min)
-    gamma_row = np.asarray(s.market.gamma[n]).copy()
-    gamma_row[n] = 0.0
-
-    # Counterfactual with n itself at d_min: constant in the deviation.
-    eps_n_min = float(economics._own_errors(s, n, d_min))
-    err_cf_n = math.exp(((others + eps_n_min) / s.n - 1.0) / varrho)
-    mc_n = err - err_cf_n
-
-    if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
-        payoff = np.zeros_like(xs, dtype=np.float64)
-        for m in range(s.n):
-            if m == n or gamma_row[m] == 0.0:
-                continue
-            eps_m_min = float(economics._own_errors(s, m, d_min))
-            others_m = others - eps_base[m] + eps_m_min
-            err_cf_m = np.exp(((others_m + eps_n) / s.n - 1.0) / varrho)
-            payoff += s.market.xi * gamma_row[m] * (mc_n - (err - err_cf_m))
-    else:
-        payoff = s.market.xi * float(gamma_row.sum()) * mc_n
-
-    eps0 = economics.epsilon_zero(s)
-    rev = s.psi[n] * (eps0 - err)
-    f2 = economics._f_squared(s)[n]
-    cost = s.c_cmp[n] * s.kappa[n] * (s.eta[n] * (s.d_loc[n] + xs) + s.mu[n] * xs) * f2
-    loss = float(np.dot(np.asarray(s.market.phi), gamma_row)) * mc_n
-    return rev + payoff - cost - s.economy.c0 - loss
-
-
 NE_IMPROVEMENT_TOLERANCE = 1e-6
 MAX_NE_POINTS_PER_AXIS = 10**7  # the scan holds several float arrays this long
+
+
+def _deviation_gains(s: Scenario, d: np.ndarray, xs: np.ndarray):
+    """Each organization's gain from every unilateral move to a volume in
+    ``xs``, one array per organization in turn.
+
+    Organization n's gain from moving to x is
+    ``A_n * (err(x, d_-n) - err(d)) - c_n * (x - d_n)``, with A_n from
+    :func:`game._deviation_weights` and c_n the marginal cost of one sample.
+    ``err(d)`` comes from the same ``exp`` call as the deviations' errors,
+    so the null deviation gains exactly 0.0.
+    """
+    eps = economics._local_errors(s, d)
+    weights = game._deviation_weights(s, eps)
+    costs = economics._marginal_costs(s)
+    total = eps.sum()
+    for n in range(s.n):
+        eps_n = economics._own_errors(s, n, np.append(xs, d[n]))
+        err = np.exp(((total - eps[n] + eps_n) / s.n - 1.0) / s.economy.varrho)
+        # Adding the cost term keeps the null deviation's 0.0 unsigned.
+        yield weights[n] * (err[:-1] - err[-1]) + costs[n] * (d[n] - xs)
 
 
 def verify_ne(s: Scenario, profile: ProfileLike, grid_step: float = 1.0) -> NeCertificate:
@@ -367,20 +347,18 @@ def verify_ne(s: Scenario, profile: ProfileLike, grid_step: float = 1.0) -> NeCe
             f"bounds.d_max: {count} points per axis exceed the NE scan's {MAX_NE_POINTS_PER_AXIS}"
         )
     xs = lo + grid_step * np.arange(count)
+    utilities = economics.evaluate_profiles(s, d[None, :]).utility[0].tolist()
     worst_gain = -math.inf
     worst_org = 0
     worst_alt = float(d[0])
     is_ne = True
-    current = economics.evaluate_profile(s, d).utilities
-    for n in range(s.n):
-        u_ref = current[n].utility
-        gains = _unilateral_utilities(s, d, n, xs) - u_ref
+    for n, gains in enumerate(_deviation_gains(s, d, xs)):
         k = int(np.argmax(gains))
         if gains[k] > worst_gain:
             worst_gain = float(gains[k])
             worst_org = n
             worst_alt = float(xs[k])
-        if gains[k] > NE_IMPROVEMENT_TOLERANCE * (1.0 + abs(u_ref)):
+        if gains[k] > NE_IMPROVEMENT_TOLERANCE * (1.0 + abs(utilities[n])):
             is_ne = False
     return NeCertificate(
         is_ne=is_ne, worst_org=worst_org, worst_d_alt=worst_alt, worst_gain=worst_gain

@@ -255,6 +255,79 @@ def reference_evaluation(s, profile, ir_tolerance=1e-9, bb_tolerance=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# Reference NE scan: each deviation's utility composed term by term, as
+# ``cocogen.solver.verify_ne`` priced it before it took gains from the
+# deviation identity. The identity must reproduce these gains to 1e-12
+# relative to 1 + |u_n|.
+# ---------------------------------------------------------------------------
+
+
+def reference_unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs: np.ndarray):
+    """Utility of organization ``n`` at every deviation in ``xs`` (vectorized).
+
+    Composes the same terms, in the same order, as one row of
+    :func:`economics.evaluate_profiles`.
+    """
+    from cocogen import economics
+
+    eps_base = economics.local_errors(s, profile)
+    varrho = s.economy.varrho
+    eps_n = economics._own_errors(s, n, xs)
+    others = float(eps_base.sum() - eps_base[n])
+    err = np.exp(((others + eps_n) / s.n - 1.0) / varrho)
+
+    d_min = float(s.bounds.d_min)
+    gamma_row = np.asarray(s.market.gamma[n]).copy()
+    gamma_row[n] = 0.0
+
+    # Counterfactual with n itself at d_min: constant in the deviation.
+    eps_n_min = float(economics._own_errors(s, n, d_min))
+    err_cf_n = math.exp(((others + eps_n_min) / s.n - 1.0) / varrho)
+    mc_n = err - err_cf_n
+
+    if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
+        payoff = np.zeros_like(xs, dtype=np.float64)
+        for m in range(s.n):
+            if m == n or gamma_row[m] == 0.0:
+                continue
+            eps_m_min = float(economics._own_errors(s, m, d_min))
+            others_m = others - eps_base[m] + eps_m_min
+            err_cf_m = np.exp(((others_m + eps_n) / s.n - 1.0) / varrho)
+            payoff += s.market.xi * gamma_row[m] * (mc_n - (err - err_cf_m))
+    else:
+        payoff = s.market.xi * float(gamma_row.sum()) * mc_n
+
+    eps0 = economics.epsilon_zero(s)
+    rev = s.psi[n] * (eps0 - err)
+    f2 = economics._f_squared(s)[n]
+    cost = s.c_cmp[n] * s.kappa[n] * (s.eta[n] * (s.d_loc[n] + xs) + s.mu[n] * xs) * f2
+    loss = float(np.dot(np.asarray(s.market.phi), gamma_row)) * mc_n
+    return rev + payoff - cost - s.economy.c0 - loss
+
+
+def reference_ne_gains(s, profile, grid_step=1.0):
+    """The unilateral lattice scan of ``cocogen.solver.verify_ne`` as it
+    priced utilities before the deviation identity: per organization, the
+    deviation lattice, the gains ``u_n(x) - u_n(d)`` and the verdict with
+    the solver's tolerance."""
+    from cocogen import economics, solver
+
+    d = np.asarray(profile, dtype=np.float64)
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    xs = lo + grid_step * np.arange(int(math.floor((hi - lo) / grid_step)) + 1)
+    current = economics.evaluate_profile(s, d).utilities
+    gains = []
+    is_ne = True
+    for n in range(s.n):
+        u_ref = current[n].utility
+        g = reference_unilateral_utilities(s, d, n, xs) - u_ref
+        gains.append(g)
+        if g.max() > solver.NE_IMPROVEMENT_TOLERANCE * (1.0 + abs(u_ref)):
+            is_ne = False
+    return xs, gains, is_ne
+
+
+# ---------------------------------------------------------------------------
 # Reference solver: the fixed-point loop exactly as first written, with one
 # potential evaluation per iterate on top of the Jacobi targets, case labels
 # classified one organization at a time and integer restoration through 2N

@@ -58,7 +58,8 @@ def test_criterion_1_weighted_potential_identity():
             alt = float(rng.uniform(s.bounds.d_min, s.bounds.d_max))
             trial = p.copy()
             trial[n] = alt
-            du = eco.utility(s, trial, n).utility - eco.utility(s, p, n).utility
+            u = eco.evaluate_profiles(s, np.vstack([p, trial])).utility[:, n]
+            du = u[1] - u[0]
             res = game.weighted_potential_residual(s, p, n, alt)
             rel = abs(res) / (1.0 + abs(du))
             worst = max(worst, rel)
@@ -358,7 +359,7 @@ def test_criterion_10_constraint_verification():
 
         s = replace(s, market=Market(gamma=g, xi=s.market.xi, phi=s.market.phi))
         p = random_profile(s, 9800 + seed)
-        payoffs = [eco.total_payoff(s, p, n) for n in range(s.n)]
+        payoffs = [u.payoff_in for u in eco.evaluate_profile(s, p).utilities]
         scale = sum(abs(x) for x in payoffs)
         if scale > 0:
             worst = max(worst, abs(sum(payoffs)) / scale)

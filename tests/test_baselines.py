@@ -96,16 +96,15 @@ class TestWco:
 class TestRadg:
     def test_degenerate_bounds_give_constant_profile(self):
         s = build_scenario(n=3, d_min=1200, d_max=1200)
-        p = baselines.radg_profile(s, seed=5)
-        assert np.all(p.d_gen == 1200.0)
+        assert np.all(baselines.radg_profiles(s, seed=5, count=1) == 1200.0)
 
     def test_same_seed_reproduces(self):
         s = table1_scenario(seed=68)
-        a = baselines.radg_profile(s, seed=99)
-        b = baselines.radg_profile(s, seed=99)
-        assert np.array_equal(a.d_gen, b.d_gen)
-        c = baselines.radg_profile(s, seed=100)
-        assert not np.array_equal(a.d_gen, c.d_gen)
+        a = baselines.radg_profiles(s, seed=99, count=1)
+        b = baselines.radg_profiles(s, seed=99, count=1)
+        assert np.array_equal(a, b)
+        c = baselines.radg_profiles(s, seed=100, count=1)
+        assert not np.array_equal(a, c)
 
     def test_profiles_are_integers_within_bounds(self):
         s = table1_scenario(seed=69)
@@ -119,7 +118,7 @@ class TestRadg:
         s = table1_scenario(seed=70)
         assert np.array_equal(
             baselines.radg_profiles(s, seed=8, count=5)[0],
-            baselines.radg_profile(s, seed=8).d_gen,
+            baselines.radg_profiles(s, seed=8, count=1)[0],
         )
 
     def test_draws_follow_the_radg_family_stream(self):

@@ -249,6 +249,27 @@ class TestSolveCommand:
         assert cli.main([command, bad, "-o", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, name, path, field",
+        [
+            ("solve", "scenario_example.json", ("organizations", 0, "d_loc"),
+             "organizations[0].d_loc"),
+            ("solve", "scenario_example.json", ("organizations", 0, "f"), "organizations[0].f"),
+            ("solve", "scenario_example.json", ("bounds", "d_max"), "bounds.d_max"),
+            ("solve", "scenario_example.json", ("market", "gamma", 0, 1), "market.gamma"),
+            ("solve", "scenario_example.json", ("market", "phi", 1), "market.phi"),
+            ("sweep", "sweep_default.json", ("xi",), "xi"),
+        ],
+    )
+    def test_number_beyond_float64_is_input_error(
+        self, tmp_path, capsys, command, name, path, field
+    ):
+        bad = shipped_example_with(tmp_path, path, 10**400, name)
+        assert cli.main([command, bad, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: must be within the float64 range" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["solve", "compare"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_out_of_range_seed_flag_is_input_error(self, tmp_path, capsys, command, seed):

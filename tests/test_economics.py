@@ -6,7 +6,7 @@ import pytest
 
 from cocogen import economics as eco
 from cocogen import scaling
-from cocogen.errors import IndexOutOfRange, SameOrganization, ZeroTotalData
+from cocogen.errors import ZeroTotalData
 from cocogen.model import Eps0Mode, Market, PayoffMode, ScalingLaw
 
 from helpers import (
@@ -93,47 +93,45 @@ class TestEpsilonZero:
         assert eco.epsilon_zero(s_fixed) == v
 
 
+def _one(s, profile):
+    """``evaluate_profiles`` of one profile: per-organization fields are (1, N)."""
+    return eco.evaluate_profiles(s, np.atleast_2d(np.asarray(profile, dtype=float)))
+
+
 class TestContribution:
     def test_counterfactual_noop_at_lower_bound(self):
         s = build_scenario(n=2)
         p = np.array([0.0, 1200.0])
-        assert eco.counterfactual_error(s, p, 0) == eco.global_error(s, p)
+        assert _one(s, p).counterfactual[0, 0] == eco.global_error(s, p)
 
     def test_counterfactual_symmetric(self):
         s = build_scenario(n=2)
-        p = np.array([800.0, 800.0])
-        assert eco.counterfactual_error(s, p, 0) == eco.counterfactual_error(s, p, 1)
+        cf = _one(s, [800.0, 800.0]).counterfactual[0]
+        assert cf[0] == cf[1]
 
     def test_counterfactual_never_below_global(self):
         s = table1_scenario(seed=8)
         for k in range(20):
             p = random_profile(s, 100 + k)
-            for n in range(s.n):
-                assert eco.counterfactual_error(s, p, n) >= eco.global_error(s, p)
+            assert np.all(_one(s, p).counterfactual[0] >= eco.global_error(s, p))
 
     def test_marginal_contribution_against_re_evaluation(self):
         s = table1_scenario(seed=9)
         for k in range(10):
             p = random_profile(s, 200 + k)
+            marginal = _one(s, p).marginal[0]
             for n in range(s.n):
                 zeroed = p.copy()
                 zeroed[n] = s.bounds.d_min
                 expected = eco.global_error(s, p) - eco.global_error(s, zeroed)
-                assert eco.marginal_contribution(s, p, n) == pytest.approx(
-                    expected, rel=1e-12, abs=1e-18
-                )
-                assert eco.marginal_contribution(s, p, n) <= 0
+                assert marginal[n] == pytest.approx(expected, rel=1e-12, abs=1e-18)
+                assert marginal[n] <= 0
 
     def test_marginal_zero_at_lower_bound_and_symmetry(self):
         s = build_scenario(n=2)
-        assert eco.marginal_contribution(s, [0.0, 500.0], 0) == 0.0
-        p = [650.0, 650.0]
-        assert eco.marginal_contribution(s, p, 0) == eco.marginal_contribution(s, p, 1)
-
-    def test_index_out_of_range(self):
-        s = build_scenario(n=2)
-        with pytest.raises(IndexOutOfRange):
-            eco.marginal_contribution(s, [0.0, 0.0], 2)
+        assert _one(s, [0.0, 500.0]).marginal[0, 0] == 0.0
+        marginal = _one(s, [650.0, 650.0]).marginal[0]
+        assert marginal[0] == marginal[1]
 
 
 def _costs(s, profiles):
@@ -187,66 +185,63 @@ class TestRevenue:
         # A zero-valuation org fails validation (no stake); the formula
         # itself is still well-defined.
         s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, validate=False)
-        assert eco.revenue(s, [1000.0], 0) == 0.0
+        assert _one(s, [1000.0]).revenue[0, 0] == 0.0
 
     def test_cancels_at_baseline_profile(self):
         s = build_scenario(n=3, d_min=0)
-        assert eco.revenue(s, np.zeros(3), 0) == 0.0
+        assert _one(s, np.zeros(3)).revenue[0, 0] == 0.0
 
     def test_monotone_in_profiles(self):
         s = table1_scenario(seed=13)
         for k in range(10):
             p1 = random_profile(s, 300 + k, hi=1500.0)
             p2 = p1 + random_profile(s, 400 + k, hi=1400.0)
-            for n in range(s.n):
-                assert eco.revenue(s, p1, n) <= eco.revenue(s, p2, n)
+            assert np.all(_one(s, p1).revenue[0] <= _one(s, p2).revenue[0])
 
 
 class TestTransfers:
+    # With two organizations, payoff_in[0] is the one transfer from 1 to 0.
     def test_zero_gamma_gives_zero_in_both_modes(self):
         for mode in (PayoffMode.LITERAL, PayoffMode.ANTISYMMETRIC):
             s = build_scenario(n=2, gamma=np.zeros((2, 2)), bb_mode=mode)
-            assert eco.payoff_transfer(s, [100.0, 900.0], 0, 1) == 0.0
+            assert _one(s, [100.0, 900.0]).payoff_in[0, 0] == 0.0
 
     def test_antisymmetric_identical_orgs_cancel(self):
         s = build_scenario(n=2, bb_mode=PayoffMode.ANTISYMMETRIC)
-        assert eco.payoff_transfer(s, [700.0, 700.0], 0, 1) == 0.0
+        assert _one(s, [700.0, 700.0]).payoff_in[0, 0] == 0.0
 
     def test_literal_zero_at_lower_bound(self):
         s = build_scenario(n=2)
-        assert eco.payoff_transfer(s, [0.0, 1500.0], 0, 1) == 0.0
-
-    def test_self_transfer_rejected(self):
-        s = build_scenario(n=2)
-        with pytest.raises(SameOrganization):
-            eco.payoff_transfer(s, [0.0, 0.0], 1, 1)
+        assert _one(s, [0.0, 1500.0]).payoff_in[0, 0] == 0.0
 
     def test_total_payoff_sums_pairwise_terms(self):
         for mode in (PayoffMode.LITERAL, PayoffMode.ANTISYMMETRIC):
             s = table1_scenario(seed=14, bb_mode=mode)
-            p = random_profile(s, 500)
+            out = _one(s, random_profile(s, 500))
+            mc = out.marginal[0]
             for n in range(0, s.n, 3):
+                gaps = mc[n] - mc if mode is PayoffMode.ANTISYMMETRIC else np.full(s.n, mc[n])
                 expected = sum(
-                    eco.payoff_transfer(s, p, n, m) for m in range(s.n) if m != n
+                    s.market.xi * s.market.gamma[n, m] * gaps[m] for m in range(s.n) if m != n
                 )
-                assert eco.total_payoff(s, p, n) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+                assert out.payoff_in[0, n] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_coopetition_loss_zero_cases_and_sign(self):
         s0 = build_scenario(n=2, gamma=np.zeros((2, 2)))
-        assert eco.coopetition_loss(s0, [500.0, 500.0], 0) == 0.0
+        assert _one(s0, [500.0, 500.0]).coopetition_loss[0, 0] == 0.0
         s = table1_scenario(seed=15)
-        assert eco.coopetition_loss(s, np.full(s.n, float(s.bounds.d_min)), 0) == 0.0
+        assert _one(s, np.full(s.n, float(s.bounds.d_min))).coopetition_loss[0, 0] == 0.0
         for k in range(10):
             p = random_profile(s, 600 + k)
-            for n in range(s.n):
-                assert eco.coopetition_loss(s, p, n) <= 0.0
+            assert np.all(_one(s, p).coopetition_loss[0] <= 0.0)
 
     def test_literal_competitive_term_is_non_negative_and_linear_in_gamma(self):
         # In literal mode payoff_in - coopetition_loss collapses to
         # sum_n' gamma[n,n'] (xi - phi[n']) * gap_n; with gap_n <= 0 and
         # xi <= min(phi) it adds a non-negative amount that scales with gamma.
         def term(s, p, n):
-            return eco.total_payoff(s, p, n) - eco.coopetition_loss(s, p, n)
+            out = _one(s, p)
+            return out.payoff_in[0, n] - out.coopetition_loss[0, n]
 
         for seed in range(5):
             s = table1_scenario(seed=1200 + seed)
@@ -259,7 +254,7 @@ class TestTransfers:
                 for n in range(s.n):
                     others = np.arange(s.n) != n
                     rate = float(np.dot(s.market.gamma[n][others], s.market.xi - phi[others]))
-                    expected = rate * eco.marginal_contribution(s, p, n)
+                    expected = rate * _one(s, p).marginal[0, n]
                     got = term(s, p, n)
                     assert got == pytest.approx(expected, rel=1e-12)
                     assert got >= 0.0
@@ -272,24 +267,24 @@ class TestUtility:
             n=2, gamma=np.zeros((2, 2)), psi=0.0, xi=0.0, c_cmp=1e-300, c0=0.0,
             validate=False,
         )
-        u = eco.utility(s, [100.0, 100.0], 0)
-        assert u.utility == pytest.approx(0.0, abs=1e-250)
+        assert _one(s, [100.0, 100.0]).utility[0, 0] == pytest.approx(0.0, abs=1e-250)
 
     def test_server_fee_shifts_utility_by_delta(self):
         s0 = build_scenario(n=2, c0=0.0)
         s1 = build_scenario(n=2, c0=2.5)
         p = [400.0, 900.0]
-        assert eco.utility(s0, p, 0).utility - eco.utility(s1, p, 0).utility == (
+        assert _one(s0, p).utility[0, 0] - _one(s1, p).utility[0, 0] == (
             pytest.approx(2.5, rel=1e-12)
         )
 
     def test_matches_single_expression_oracle(self):
         s = table1_scenario(seed=16)
         p = random_profile(s, 700)
+        out = _one(s, p)
         for n in range(s.n):
             org = org_row(s, n)
             err = eco.global_error(s, p)
-            mc = err - eco.counterfactual_error(s, p, n)
+            mc = err - out.counterfactual[0, n]
             gamma_row = np.asarray(s.market.gamma[n])
             expected = (
                 org.psi * (eco.epsilon_zero(s) - err)
@@ -298,13 +293,11 @@ class TestUtility:
                 - s.economy.c0
                 - float(np.dot(np.asarray(s.market.phi), gamma_row)) * mc
             )
-            assert eco.utility(s, p, n).utility == pytest.approx(expected, rel=1e-12)
+            assert out.utility[0, n] == pytest.approx(expected, rel=1e-12)
 
     def test_breakdown_identity_is_bitwise(self):
         s = table1_scenario(seed=17)
-        p = random_profile(s, 800)
-        for n in range(s.n):
-            u = eco.utility(s, p, n)
+        for u in eco.evaluate_profile(s, random_profile(s, 800)).utilities:
             assert u.utility == (
                 u.revenue + u.payoff_in - u.cost - u.server_fee - u.coopetition_loss
             )
@@ -327,7 +320,7 @@ class TestWelfareAndConstraints:
     def test_welfare_identity_against_termwise_accumulation(self):
         s = table1_scenario(seed=18)
         p = random_profile(s, 900)
-        parts = [eco.utility(s, p, n) for n in range(s.n)]
+        parts = eco.evaluate_profile(s, p).utilities
         expected = (
             sum(u.revenue for u in parts)
             - sum(u.cost for u in parts)
@@ -358,7 +351,7 @@ class TestWelfareAndConstraints:
         for k in range(5):
             p = random_profile(s, 1000 + k)
             out = eco.evaluate_profile(s, p)
-            scale = sum(abs(eco.total_payoff(s, p, n)) for n in range(s.n))
+            scale = sum(abs(u.payoff_in) for u in out.utilities)
             assert out.bb_balanced
             assert abs(out.bb_sum) <= 1e-9 * (scale + 1)
 

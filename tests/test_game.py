@@ -6,8 +6,17 @@ import pytest
 from cocogen import economics as eco
 from cocogen import game
 from cocogen.errors import ConvexityViolation
+from cocogen.model import PayoffMode
 
 from helpers import build_scenario, random_profile, table1_scenario
+
+
+def _utility_change(s, p, n, alt):
+    """Organization ``n``'s utility change when it alone moves to ``alt``."""
+    trial = p.copy()
+    trial[n] = alt
+    u = eco.evaluate_profiles(s, np.vstack([p, trial])).utility[:, n]
+    return u[1] - u[0]
 
 
 def _equivalence_scenarios():
@@ -165,10 +174,7 @@ class TestWeightedPotentialIdentity:
             for _ in range(5):
                 n = int(rng.integers(0, s.n))
                 alt = float(rng.uniform(s.bounds.d_min, s.bounds.d_max))
-                du = (
-                    eco.utility(s, np.concatenate([p[:n], [alt], p[n + 1 :]]), n).utility
-                    - eco.utility(s, p, n).utility
-                )
+                du = _utility_change(s, p, n, alt)
                 res = game.weighted_potential_residual(s, p, n, alt)
                 assert abs(res) <= 1e-9 * (1 + abs(du))
 
@@ -176,13 +182,53 @@ class TestWeightedPotentialIdentity:
         s = build_scenario(n=3, gamma=np.zeros((3, 3)), xi=0.0, psi=650.0)
         p = random_profile(s, 80)
         n, alt = 1, 1730.0
-        du = (
-            eco.utility(s, np.concatenate([p[:1], [alt], p[2:]]), n).utility
-            - eco.utility(s, p, n).utility
-        )
+        du = _utility_change(s, p, n, alt)
         df = game.potential(s, np.concatenate([p[:1], [alt], p[2:]])) - game.potential(s, p)
         assert game.z_weight(s, n) == -650.0
         assert du == pytest.approx(-650.0 * df, rel=1e-9)
+
+
+class TestDeviationIdentity:
+    """``dU_n = A_n * dErr - c_n * dd_n`` with ``A_n`` from
+    ``game._deviation_weights``, in both payoff modes."""
+
+    @staticmethod
+    def _residuals(mode, weights_of):
+        rng = np.random.Generator(np.random.Philox(key=np.array([6, 6], dtype=np.uint64)))
+        out = []
+        for seed in range(20):
+            s = table1_scenario(seed=1500 + seed, bb_mode=mode)
+            p = random_profile(s, 1600 + seed)
+            eps = eco.local_errors(s, p)
+            weights = weights_of(s, eps)
+            costs = eco._marginal_costs(s)
+            for _ in range(5):
+                n = int(rng.integers(0, s.n))
+                alt = float(rng.uniform(s.bounds.d_min, s.bounds.d_max))
+                trial = p.copy()
+                trial[n] = alt
+                d_err = eco.global_error(s, trial) - eco.global_error(s, p)
+                du = _utility_change(s, p, n, alt)
+                predicted = weights[n] * d_err - costs[n] * (alt - p[n])
+                out.append(abs(du - predicted) / (1.0 + abs(du)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_identity_holds(self, mode):
+        assert self._residuals(mode, game._deviation_weights).max() <= 1e-9
+
+    def test_literal_weights_are_the_potential_weights(self):
+        s = table1_scenario(seed=1520)
+        eps = eco.local_errors(s, random_profile(s, 1521))
+        assert np.array_equal(game._deviation_weights(s, eps), game.z_weights(s))
+
+    def test_potential_weights_miss_under_antisymmetric_payoffs(self):
+        residuals = self._residuals(
+            PayoffMode.ANTISYMMETRIC, lambda s, eps: game._raw_z_weights(s)
+        )
+        # Every deviation misses the identity's bound, the worst by 1e4 times.
+        assert residuals.min() > 1e-9
+        assert residuals.max() > 1e4 * 1e-9
 
 
 class TestConvexityProbe:
@@ -219,10 +265,8 @@ class TestArgminRepresentationInvariance:
         d = res.profile.d_gen
         xs = np.arange(s.bounds.d_min, s.bounds.d_max + 1, dtype=float)
         for n in range(2):
-            us = []
-            for x in xs:
-                trial = d.copy()
-                trial[n] = x
-                us.append(eco.utility(s, trial, n).utility)
-            best = float(np.max(us))
-            assert eco.utility(s, d, n).utility >= best - 1e-9 * (1 + abs(best))
+            trials = np.tile(d, (len(xs), 1))
+            trials[:, n] = xs
+            best = float(np.max(eco.evaluate_profiles(s, trials).utility[:, n]))
+            u = eco.evaluate_profile(s, d).utilities[n].utility
+            assert u >= best - 1e-9 * (1 + abs(best))

@@ -21,6 +21,8 @@ from helpers import (
     org_row,
     random_profile,
     reference_fpi_solve,
+    reference_ne_gains,
+    reference_unilateral_utilities,
     table1_scenario,
 )
 
@@ -432,18 +434,55 @@ class TestVerifyNe:
         off = StrategyProfile(res.profile.d_gen + 200.0)
         assert not solver.verify_ne(s, off, grid_step=1.0).is_ne
 
-    def test_vectorized_matches_scalar_utilities(self):
-        from cocogen.model import PayoffMode
-
+    def test_reference_scan_prices_deviations_like_the_batched_core(self):
         for mode in (PayoffMode.LITERAL, PayoffMode.ANTISYMMETRIC):
             s = table1_scenario(seed=53, n=4, bb_mode=mode)
             p = random_profile(s, 54)
             xs = np.array([0.0, 123.0, 1777.0, 3000.0])
             for n in range(s.n):
-                vec = solver._unilateral_utilities(s, p, n, xs)
-                for x, got in zip(xs, vec):
-                    trial = p.copy()
-                    trial[n] = x
-                    assert got == pytest.approx(
-                        eco.utility(s, trial, n).utility, rel=1e-12
-                    )
+                trials = np.tile(p, (len(xs), 1))
+                trials[:, n] = xs
+                np.testing.assert_allclose(
+                    reference_unilateral_utilities(s, p, n, xs),
+                    eco.evaluate_profiles(s, trials).utility[:, n],
+                    rtol=1e-12,
+                )
+
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_gains_match_the_reference_scan(self, mode):
+        # 72 instances per mode: N in {2, 4, 10} and cost scales 1e-6, 1 and
+        # 5, each at the solver's profile, a random lattice profile and a
+        # random real profile.
+        verdicts = set()
+        for seed in range(24):
+            s = table1_scenario(
+                seed=5600 + seed, n=(2, 4, 10)[seed % 3], cost_scale=(1e-6, 1.0, 5.0)[seed // 8],
+                bb_mode=mode,
+            )
+            rough = random_profile(s, 5700 + seed)
+            for p in (solver.fpi_solve(s).profile.d_gen, np.floor(rough), rough):
+                xs, expected, is_ne = reference_ne_gains(s, p)
+                utilities = eco.evaluate_profiles(s, p[None, :]).utility[0]
+                for n, gains in enumerate(solver._deviation_gains(s, p, xs)):
+                    bound = 1e-12 * (1.0 + abs(utilities[n]))
+                    assert np.max(np.abs(gains - expected[n])) <= bound, (seed, n)
+                assert solver.verify_ne(s, p).is_ne == is_ne, seed
+                verdicts.add(is_ne)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_null_deviation_gains_exactly_zero(self, mode):
+        s = table1_scenario(seed=56, bb_mode=mode)
+        d = np.floor(random_profile(s, 57))
+        xs = np.arange(s.bounds.d_min, s.bounds.d_max + 1, dtype=np.float64)
+        for n, gains in enumerate(solver._deviation_gains(s, d, xs)):
+            null = gains[xs == d[n]]
+            assert null.tolist() == [0.0]
+            assert math.copysign(1.0, null[0]) == 1.0
+
+    def test_exact_equilibrium_reports_the_null_deviation(self):
+        s = table1_scenario(seed=58)
+        d = solver.fpi_solve(s).profile.d_gen
+        cert = solver.verify_ne(s, d)
+        assert (cert.is_ne, cert.worst_org, cert.worst_d_alt) == (True, 0, d[0])
+        assert cert.worst_gain == 0.0 and math.copysign(1.0, cert.worst_gain) == 1.0
