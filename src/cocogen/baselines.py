@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import replace
 
 import numpy as np
 
-from . import economics, solver
+from . import solver
 from .model import Market, Scenario, StrategyProfile, _accept, _weight_violations, validate_scenario
 from .scenario import FAMILY, family_stream
 
@@ -15,7 +14,6 @@ __all__ = [
     "vcfl_profile",
     "wco_scenario",
     "wco_solve",
-    "WcoOutcome",
     "radg_profiles",
 ]
 
@@ -39,31 +37,11 @@ def wco_scenario(s: Scenario) -> Scenario:
     return _accept(clone, _weight_violations(clone))
 
 
-@dataclass(frozen=True)
-class WcoOutcome:
-    """Competition-blind solve, plus its value in the real competitive market
-    (priced when first read)."""
-
-    clone_report: solver.SolveReport
-    original: Scenario = field(compare=False, repr=False)
-
-    @cached_property
-    def evaluation_original(self) -> economics.ProfileEvaluation:
-        return economics.evaluate_profile(self.original, self.profile)
-
-    @property
-    def profile(self) -> StrategyProfile:
-        return self.clone_report.profile
-
-    @property
-    def welfare_original(self) -> float:
-        return self.evaluation_original.welfare
-
-
-def wco_solve(s: Scenario, cfg: solver.SolverConfig | None = None) -> WcoOutcome:
-    """Solve with competition ignored; the profile is priced under the
-    original market (the comparison figure)."""
-    return WcoOutcome(clone_report=solver.fpi_solve(wco_scenario(s), cfg), original=s)
+def wco_solve(s: Scenario, cfg: solver.SolverConfig | None = None) -> solver.SolveReport:
+    """Solve with competition ignored: the equilibrium of the zero-competition
+    clone, whose report is priced on that clone. The comparison prices the
+    profile under the original market."""
+    return solver.fpi_solve(wco_scenario(s), cfg)
 
 
 def radg_profiles(s: Scenario, seed: int, count: int) -> np.ndarray:

@@ -240,15 +240,15 @@ def _ok_row(scheme: str, welfare, mean_d, ir_all, bb_sum, converged) -> dict:
 
 def scheme_rows(
     s, cfg: solver.SolverConfig, radg_seed: int, radg_count: int
-) -> tuple[list[dict], baselines.WcoOutcome | None]:
+) -> tuple[list[dict], solver.SolveReport | None]:
     """The CoCoGen, VCFL, WCO and RaDG rows for one scenario, in that order.
 
     The CoCoGen, VCFL and WCO profiles and the RaDG draws are priced as one
     profile matrix; ``evaluate_profiles`` prices each row as if alone, bit
     for bit. A failed CoCoGen or WCO solve gives its row the status
     ``error:<Type>`` and is left out of the matrix. Also returns the WCO
-    outcome (None if that solve failed), whose clone report is priced on
-    first read.
+    solve's report on the zero-competition clone (None if that solve
+    failed), priced on that clone when first read.
     """
     # Scheme -> (profile, converged), or the error that stopped its solve.
     solved: dict[str, tuple | CocogenError] = {}
@@ -261,7 +261,7 @@ def scheme_rows(
     wco = None
     try:
         wco = baselines.wco_solve(s, cfg)
-        solved["WCO"] = (wco.profile.d_gen, wco.clone_report.converged)
+        solved["WCO"] = (wco.profile.d_gen, wco.converged)
     except CocogenError as exc:
         solved["WCO"] = exc
 
@@ -454,7 +454,7 @@ def cmd_compare(args) -> int:
             f"{str(r['ir_all']).lower():>7} {r['bb_sum']:>14.6g} "
             f"{str(r['converged']).lower():>5}"
         )
-    print(f"(WCO welfare under its zero-competition clone: {wco.clone_report.welfare:.6f})")
+    print(f"(WCO welfare under its zero-competition clone: {wco.welfare:.6f})")
     if args.out:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")
         _write_rows_csv(args.out, columns, rows)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import economics
-from .errors import ConvexityViolation, NonNegativeZWeight, ZeroTotalData
-from .model import PayoffMode, ProfileLike, Scenario, as_dgen
+from .errors import ConvexityViolation, NonNegativeZWeight
+from .model import PayoffMode, ProfileLike, Scenario, _readonly, as_dgen
 
 __all__ = [
     "z_weight",
@@ -111,20 +111,15 @@ def potential_batch(s: Scenario, profiles: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Stationarity:
-    """Per-scenario constants of the stationarity analysis, as Python floats.
+    """Per-scenario constants of the stationarity closed forms: read-only
+    float64 columns, one entry per organization, and the box."""
 
-    Each entry is the leading factor of a closed form in ``solver`` or
-    below, computed with correctly rounded array arithmetic in the closed
-    form's left-to-right order, so the stationary points are the same to the
-    last bit as without it.
-    """
-
-    a2: tuple[float, ...]  # cost coefficient over the game weight
-    factor: tuple[float, ...]  # -a2 * N * varrho / (alpha * beta)
-    exponent: tuple[float, ...]  # -1 / (beta + 1)
-    benefit: tuple[float, ...]  # alpha * beta / (N * varrho)
-    benefit_exponent: tuple[float, ...]  # -beta - 1
-    d_loc: tuple[float, ...]
+    a2: np.ndarray  # cost coefficient over the game weight (negative)
+    factor: np.ndarray  # -a2 * N * varrho / (alpha * beta)
+    exponent: np.ndarray  # -1 / (beta + 1)
+    benefit: np.ndarray  # alpha * beta / (N * varrho)
+    benefit_exponent: np.ndarray  # -beta - 1
+    d_loc: np.ndarray
     varrho: float
     lo: float
     hi: float
@@ -133,48 +128,42 @@ class _Stationarity:
 def _stationarity(s: Scenario) -> _Stationarity:
     varrho = s.economy.varrho
     alphas, betas = s.alpha, s.beta
-    a2 = economics._marginal_costs(s) / z_weights(s)
+    a2 = -_linear_coeffs(s)
     return _Stationarity(
-        a2=tuple(a2.tolist()),
-        factor=tuple((-a2 * s.n * varrho / (alphas * betas)).tolist()),
-        exponent=tuple((-1.0 / (betas + 1.0)).tolist()),
-        benefit=tuple((alphas * betas / (s.n * varrho)).tolist()),
-        benefit_exponent=tuple((-betas - 1.0).tolist()),
-        d_loc=tuple(s.d_loc.tolist()),
+        a2=_readonly(a2),
+        factor=_readonly(-a2 * s.n * varrho / (alphas * betas)),
+        exponent=_readonly(-1.0 / (betas + 1.0)),
+        benefit=_readonly(alphas * betas / (s.n * varrho)),
+        benefit_exponent=_readonly(-betas - 1.0),
+        d_loc=s.d_loc,
         varrho=varrho,
         lo=float(s.bounds.d_min),
         hi=float(s.bounds.d_max),
     )
 
 
-def _exp(x: float) -> float:
-    """``math.exp`` that saturates to +inf instead of raising on overflow.
-
-    The transcendental calls stay scalar libm calls: numpy's SIMD ``exp``
-    and ``power`` may differ from libm in the last bit.
-    """
+def _growth(c: _Stationarity, a1: float) -> float:
+    """``exp((a1 - 1) / varrho)`` at mean local error a1, saturating to +inf
+    instead of raising on overflow."""
     try:
-        return math.exp(x)
+        return math.exp((a1 - 1.0) / c.varrho)
     except OverflowError:
         return math.inf
 
 
-def _benefit(c: _Stationarity, n: int, total: float, growth: float) -> float:
-    """Marginal reduction of the global error term per generated sample,
-    where ``growth = exp((a1 - 1) / varrho)``."""
-    if total <= 0:
-        raise ZeroTotalData(f"organization {n} has zero total data")
-    return c.benefit[n] * total ** c.benefit_exponent[n] * growth
+def _benefit(c: _Stationarity, totals: np.ndarray, growth: float) -> np.ndarray:
+    """Every organization's marginal reduction of the global error term per
+    generated sample at total data ``totals``, where ``growth`` is
+    :func:`_growth` of the mean local error."""
+    return c.benefit * totals**c.benefit_exponent * growth
 
 
 def potential_gradient(s: Scenario, profile: ProfileLike) -> np.ndarray:
     """Analytic coordinate gradient of F: minus the benefit, minus a2."""
     d = as_dgen(profile, s.n)
     c = _stationarity(s)
-    growth = _exp((float(economics.local_errors(s, d).mean()) - 1.0) / c.varrho)
-    return np.array(
-        [-_benefit(c, n, c.d_loc[n] + d[n], growth) - c.a2[n] for n in range(s.n)]
-    )
+    growth = _growth(c, float(economics.local_errors(s, d).mean()))
+    return -_benefit(c, c.d_loc + d, growth) - c.a2
 
 
 def weighted_potential_residual(

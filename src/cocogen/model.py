@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence, Union
 
@@ -490,16 +490,15 @@ def _as_float_array(value, where: str) -> np.ndarray:
         raise InvariantViolation(where, "must be an array of numbers") from None
 
 
-def _law_from_dict(obj: dict, where: str) -> ScalingLaw:
+def _law_from_dict(obj: dict, where: str) -> tuple[float, float, float]:
+    """An organization's error law as ``(alpha, beta, delta)``; validation
+    checks their ranges."""
     _check_keys(obj, ("alpha", "beta", "delta"), where)
-    try:
-        return ScalingLaw(
-            alpha=_as_float(_require(obj, "alpha", where), "alpha"),
-            beta=_as_float(_require(obj, "beta", where), "beta"),
-            delta=_as_float(obj.get("delta", 0.0), "delta"),
-        )
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"{where}.{exc.field}", exc.detail) from None
+    return (
+        _as_float(_require(obj, "alpha", where), f"{where}.alpha"),
+        _as_float(_require(obj, "beta", where), f"{where}.beta"),
+        _as_float(obj.get("delta", 0.0), f"{where}.delta"),
+    )
 
 
 def _economy_from_dict(obj: dict) -> EconomyParams:
@@ -539,7 +538,7 @@ def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
                 _as_float(raw.get("mu", DEFAULT_MU), f"{where}.mu"),
                 _as_float(raw.get("c_cmp", DEFAULT_C_CMP), f"{where}.c_cmp"),
                 _as_float(_require(raw, "psi", where), f"{where}.psi"),
-                *astuple(_law_from_dict(_require(raw, "law", where), f"{where}.law")),
+                *_law_from_dict(_require(raw, "law", where), f"{where}.law"),
             )
         )
     columns = np.array(rows, dtype=np.float64).reshape(-1, len(ORG_COLUMNS)).T

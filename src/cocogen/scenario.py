@@ -141,6 +141,8 @@ class SweepGrid:
     radg_repetitions: int = 100
 
     def __post_init__(self):
+        if self.n_orgs < 1:
+            raise InvariantViolation("n_orgs", "must be >= 1")
         if self.repetitions < 1:
             raise InvariantViolation("repetitions", "must be >= 1")
         if self.radg_repetitions < 1:
@@ -192,16 +194,22 @@ def sample_scenario(grid: SweepGrid, cell: SweepCell, seed: int) -> Scenario:
     return validate_scenario(s)
 
 
+def _preset_laws(alpha_d_levels) -> dict[float, ScalingLaw]:
+    """The error-law presets by heterogeneity level; raises for the first
+    level that has none."""
+    presets = scaling.heterogeneity_presets()
+    for alpha_d in alpha_d_levels:
+        if alpha_d not in presets:
+            raise InvariantViolation("alpha_d_levels", f"no heterogeneity preset for {alpha_d!r}")
+    return presets
+
+
 def expand_sweep(grid: SweepGrid) -> list[SweepJob]:
     """Deterministic job list: cartesian product of levels and repetitions."""
-    presets = scaling.heterogeneity_presets()
+    presets = _preset_laws(grid.alpha_d_levels)
     jobs: list[SweepJob] = []
     for gi, level in enumerate(grid.gamma_levels):
         for ai, alpha_d in enumerate(grid.alpha_d_levels):
-            if alpha_d not in presets:
-                raise InvariantViolation(
-                    "alpha_d_levels", f"no heterogeneity preset for {alpha_d!r}"
-                )
             cell = SweepCell(gamma=level, alpha_d=alpha_d, law=presets[alpha_d])
             for rep in range(grid.repetitions):
                 seed = (
@@ -258,12 +266,14 @@ def sweep_from_dict(obj: dict) -> SweepGrid:
         mu=_as_float(raw_defaults.get("mu", 1.0e4), "org_defaults.mu"),
         c_cmp=_as_float(raw_defaults.get("c_cmp", DEFAULT_C_CMP), "org_defaults.c_cmp"),
     )
+    alpha_d_levels = tuple(
+        _as_float(x, f"alpha_d_levels[{i}]")
+        for i, x in enumerate(_require_list(obj, "alpha_d_levels", "sweep"))
+    )
+    _preset_laws(alpha_d_levels)
     return SweepGrid(
         gamma_levels=tuple(levels),
-        alpha_d_levels=tuple(
-            _as_float(x, f"alpha_d_levels[{i}]")
-            for i, x in enumerate(_require_list(obj, "alpha_d_levels", "sweep"))
-        ),
+        alpha_d_levels=alpha_d_levels,
         repetitions=_as_int(_require(obj, "repetitions", "sweep"), "repetitions"),
         base_seed=_as_int(_require(obj, "base_seed", "sweep"), "base_seed"),
         n_orgs=_as_int(obj.get("n_orgs", 10), "n_orgs"),

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import economics, game
 from .errors import InstanceTooLarge, ZeroTotalData
-from .game import _benefit, _exp, _stationarity, _Stationarity
+from .game import _benefit, _growth, _stationarity, _Stationarity
 from .kernels import argmin_2d, argmin_3d, build_lower_envelope
 from .model import (
     ProfileLike,
@@ -107,43 +107,35 @@ class SolveReport:
         return out
 
 
-def _stationary_points(c: _Stationarity, a1: float) -> list[float]:
+def _stationary_points(c: _Stationarity, a1: float) -> np.ndarray:
     """Closed-form unconstrained stationary value of every coordinate, given a1.
 
-    An overflowing exponential puts the stationary point below every
-    feasible volume (it tends to ``-d_loc``); clipping handles the rest.
+    A bracket ``factor / growth`` that overflows puts the stationary point
+    below every feasible volume (it tends to ``-d_loc``); one that
+    underflows to zero, or whose power overflows, puts it above every
+    volume (``+inf``). Clipping handles the rest.
     """
-    growth = _exp(-(a1 - 1.0) / c.varrho)
-    out = []
-    for factor, exponent, d_loc in zip(c.factor, c.exponent, c.d_loc):
-        bracket = factor * growth
-        try:
-            # A bracket that underflowed to zero (or whose power overflows)
-            # has its stationary point above every volume.
-            out.append(bracket**exponent - d_loc if bracket > 0.0 else math.inf)
-        except OverflowError:
-            out.append(math.inf)
-    return out
+    with np.errstate(over="ignore", divide="ignore"):
+        return (c.factor / _growth(c, a1)) ** c.exponent - c.d_loc
 
 
 def _labels(c: _Stationarity, a1: float) -> tuple[str, ...]:
     """Every organization's gradient-rule case label at mean local error a1."""
-    growth = _exp((a1 - 1.0) / c.varrho)
-    labels = []
-    for n, d_star in enumerate(_stationary_points(c, a1)):
-        label = CaseLabel.INTERIOR
-        if d_star < c.lo and -_benefit(c, n, c.d_loc[n] + c.lo, growth) - c.a2[n] >= 0:
-            label = CaseLabel.LOWER_BOUND
-        elif d_star > c.hi and -_benefit(c, n, c.d_loc[n] + c.hi, growth) - c.a2[n] <= 0:
-            label = CaseLabel.UPPER_BOUND
-        labels.append(label)
-    return tuple(labels)
+    d_star = _stationary_points(c, a1)
+    growth = _growth(c, a1)
+    with np.errstate(over="ignore"):
+        lower = (d_star < c.lo) & (-_benefit(c, c.d_loc + c.lo, growth) - c.a2 >= 0)
+        upper = (d_star > c.hi) & (-_benefit(c, c.d_loc + c.hi, growth) - c.a2 <= 0)
+    return tuple(
+        CaseLabel.LOWER_BOUND if lo else CaseLabel.UPPER_BOUND if up else CaseLabel.INTERIOR
+        for lo, up in zip(lower.tolist(), upper.tolist())
+    )
 
 
 def _relaxed(s: Scenario, c: _Stationarity, t: float):
     """``g(t) = t - mean eps(d(t))``, the clipped stationary profile ``d(t)``
     at mean local error t, and its local errors."""
-    d = np.array([min(max(x, c.lo), c.hi) for x in _stationary_points(c, t)])
+    d = np.minimum(np.maximum(_stationary_points(c, t), c.lo), c.hi)
     eps = economics._local_errors(s, d)
     return t - float(eps.sum() / s.n), d, eps  # np.mean's bits, without its wrapper
 

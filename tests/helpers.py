@@ -517,7 +517,7 @@ def reference_scheme_rows(s, cfg, radg_seed, radg_count):
         wco = baselines.wco_solve(s, cfg)
         ev = economics.evaluate_profile(s, wco.profile)
         row("WCO", ev.welfare, float(np.mean(wco.profile.d_gen)), all(ev.ir), ev.bb_sum,
-            wco.clone_report.converged)
+            wco.converged)
         clone_welfare = economics.evaluate_profile(
             baselines.wco_scenario(s), wco.profile
         ).welfare
@@ -529,3 +529,130 @@ def reference_scheme_rows(s, cfg, radg_seed, radg_count):
     row("RaDG", float(np.mean(ev.welfare)), float(np.mean(draws.mean(axis=1))),
         bool(ev.ir.all()), float(np.mean(ev.bb_sum)), True)
     return rows, clone_welfare
+
+
+# ---------------------------------------------------------------------------
+# Reference stationarity: the closed forms of ``cocogen.solver`` as first
+# written for the root solve, one organization at a time in Python floats,
+# with scalar libm ``exp`` and ``pow``. ``reference_root_solve`` runs the
+# root solve, rounding and ±1 descent on this path; ``fpi_solve`` must land
+# on exactly its integer profile and case labels.
+# ---------------------------------------------------------------------------
+
+
+def _scalar_stationarity(s):
+    from cocogen import economics, game
+
+    varrho = s.economy.varrho
+    alphas, betas = s.alpha, s.beta
+    a2 = economics._marginal_costs(s) / game.z_weights(s)
+    return SimpleNamespace(
+        a2=tuple(a2.tolist()),
+        factor=tuple((-a2 * s.n * varrho / (alphas * betas)).tolist()),
+        exponent=tuple((-1.0 / (betas + 1.0)).tolist()),
+        benefit=tuple((alphas * betas / (s.n * varrho)).tolist()),
+        benefit_exponent=tuple((-betas - 1.0).tolist()),
+        d_loc=tuple(s.d_loc.tolist()),
+        varrho=varrho,
+        lo=float(s.bounds.d_min),
+        hi=float(s.bounds.d_max),
+    )
+
+
+def _scalar_exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _scalar_stationary_points(c, a1):
+    growth = _scalar_exp(-(a1 - 1.0) / c.varrho)
+    out = []
+    for factor, exponent, d_loc in zip(c.factor, c.exponent, c.d_loc):
+        bracket = factor * growth
+        try:
+            out.append(bracket**exponent - d_loc if bracket > 0.0 else math.inf)
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
+def _scalar_labels(c, a1):
+    growth = _scalar_exp((a1 - 1.0) / c.varrho)
+
+    def gradient(n, total):
+        return -c.benefit[n] * total ** c.benefit_exponent[n] * growth - c.a2[n]
+
+    labels = []
+    for n, d_star in enumerate(_scalar_stationary_points(c, a1)):
+        label = "interior"
+        if d_star < c.lo and gradient(n, c.d_loc[n] + c.lo) >= 0:
+            label = "lower_bound"
+        elif d_star > c.hi and gradient(n, c.d_loc[n] + c.hi) <= 0:
+            label = "upper_bound"
+        labels.append(label)
+    return tuple(labels)
+
+
+def _scalar_relaxed(s, c, t):
+    from cocogen import economics
+
+    d = np.array([min(max(x, c.lo), c.hi) for x in _scalar_stationary_points(c, t)])
+    eps = economics._local_errors(s, d)
+    return t - float(eps.sum() / s.n), d, eps
+
+
+def _reference_descend(s, d):
+    from cocogen import game
+
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    steps = np.vstack([np.zeros(s.n), np.eye(s.n), -np.eye(s.n)])
+    while True:
+        rows = d + steps
+        rows = rows[np.all((rows >= lo) & (rows <= hi), axis=1)]
+        k = int(np.argmin(game.potential_batch(s, rows)))
+        if k == 0:
+            return d
+        d = rows[k]
+
+
+def reference_root_solve(s, cfg=None):
+    """The Illinois root solve of ``cocogen.solver.fpi_solve`` on the scalar
+    stationarity path, then rounding half up and ±1 descent. Returns the
+    integer profile and the case labels."""
+    from cocogen import economics, solver
+
+    cfg = cfg or solver.SolverConfig()
+    c = _scalar_stationarity(s)
+    a = float(economics._local_errors(s, np.full(s.n, c.hi)).mean())
+    b = float(economics._floor_errors(s).mean())
+    g_a, g_b = _scalar_relaxed(s, c, a), _scalar_relaxed(s, c, b)
+    point = g_a if -g_a[0] <= g_b[0] else g_b
+    if g_a[0] >= 0:
+        b = a
+    elif g_b[0] <= 0:
+        a = b
+    fa, fb = g_a[0], g_b[0]
+    side, steps = 0, 0
+    while b - a > cfg.tol and steps < cfg.max_iters:
+        steps += 1
+        t = (a * fb - b * fa) / (fb - fa)
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        point = _scalar_relaxed(s, c, t)
+        g_t = point[0]
+        if g_t < 0:
+            a, fa = t, g_t
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        elif g_t > 0:
+            b, fb = t, g_t
+            if side > 0:
+                fa *= 0.5
+            side = 1
+        else:
+            a = b = t
+    _, d, eps = point
+    return _reference_descend(s, np.floor(d + 0.5)), _scalar_labels(c, float(eps.mean()))

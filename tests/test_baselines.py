@@ -38,7 +38,8 @@ class TestWco:
         out = baselines.wco_solve(s)
         direct = solver.fpi_solve(s)
         assert np.array_equal(out.profile.d_gen, direct.profile.d_gen)
-        assert out.welfare_original == pytest.approx(direct.welfare, rel=1e-12)
+        welfare = eco.evaluate_profile(s, out.profile).welfare
+        assert welfare == pytest.approx(direct.welfare, rel=1e-12)
 
     def test_clone_weights_reduce_to_valuation(self):
         s = table1_scenario(seed=65)
@@ -70,27 +71,23 @@ class TestWco:
         s = table1_scenario(seed=66)
         out = baselines.wco_solve(s)
         rep = solver.fpi_solve(s)
-        assert out.clone_report.converged
+        assert out.converged
         assert float(np.mean(out.profile.d_gen)) < float(np.mean(rep.profile.d_gen))
 
-    def test_original_market_evaluation_is_priced_on_first_read(self):
+    def test_report_is_the_clone_solve_priced_on_the_clone(self):
         s = table1_scenario(seed=73)
         out = baselines.wco_solve(s)
-        ev = eco.evaluate_profile(s, out.profile)
-        assert out.welfare_original == ev.welfare
-        assert out.evaluation_original == ev
-        assert out.evaluation_original is out.evaluation_original
         clone = baselines.wco_scenario(s)
-        assert out.clone_report.welfare == eco.evaluate_profile(clone, out.profile).welfare
+        direct = solver.fpi_solve(clone)
+        assert np.array_equal(out.profile.d_gen, direct.profile.d_gen)
+        assert (out.cases, out.potential_trace) == (direct.cases, direct.potential_trace)
+        assert out.welfare == eco.evaluate_profile(clone, out.profile).welfare
 
     def test_original_market_welfare_is_the_comparison_number(self):
         s = table1_scenario(seed=67)
         out = baselines.wco_solve(s)
-        assert out.welfare_original == pytest.approx(
-            eco.evaluate_profile(s, out.profile).welfare, rel=1e-12
-        )
         rep = solver.fpi_solve(s)
-        assert out.welfare_original <= rep.welfare
+        assert eco.evaluate_profile(s, out.profile).welfare <= rep.welfare
 
 
 class TestRadg:

@@ -202,6 +202,29 @@ class TestSolveCommand:
         assert cli.main([command, bad]) == 2
         assert f"{field}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_bad_error_law_is_reported_with_every_other_violation(
+        self, tmp_path, capsys, command
+    ):
+        from importlib import resources
+
+        from cocogen.errors import ScenarioValidationError
+        from cocogen.model import scenario_from_dict
+
+        src = resources.files("cocogen").joinpath("data/scenario_example.json")
+        payload = json.loads(src.read_text(encoding="utf-8"))
+        payload["organizations"][0]["law"]["alpha"] = -1
+        payload["organizations"][3]["psi"] = -5
+        want = ["organizations[0].law.alpha: must be > 0", "organizations[3].psi: must be >= 0"]
+        with pytest.raises(ScenarioValidationError) as exc:
+            scenario_from_dict(payload)
+        assert [str(v) for v in exc.value.violations] == want
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert all(w in err for w in want)
+
     @pytest.mark.parametrize(
         "command, name, path, value, field",
         [
@@ -423,6 +446,23 @@ class TestSweepCommand:
         assert "radg_repetitions: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_orgs", -3, "n_orgs: must be >= 1"),
+            ("n_orgs", 0, "n_orgs: must be >= 1"),
+            ("alpha_d_levels", [0.3], "alpha_d_levels: no heterogeneity preset for 0.3"),
+        ],
+    )
+    def test_unusable_grid_is_input_error(self, tmp_path, capsys, jobs, key, value, message):
+        sweep = shipped_example_with(tmp_path, (key,), value, name="sweep_default.json")
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", sweep, "-o", str(out_dir), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_progress_log_is_short(self, tmp_path, caplog):
         sweep = write_small_sweep(tmp_path, reps=9, radg=2)  # 36 jobs
         with caplog.at_level(logging.INFO, logger="cocogen"):
@@ -506,7 +546,7 @@ class TestSchemeRows:
             )
             assert rows == expected
             assert _row_types(rows) == _row_types(expected)
-            assert wco.clone_report.welfare == clone_welfare
+            assert wco.welfare == clone_welfare
 
     @pytest.mark.parametrize("failing", ["CoCoGen", "WCO"])
     def test_failed_solve_leaves_the_other_rows(self, monkeypatch, failing):

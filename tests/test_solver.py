@@ -21,6 +21,7 @@ from helpers import (
     org_row,
     random_profile,
     reference_fpi_solve,
+    reference_root_solve,
     reference_ne_gains,
     reference_unilateral_utilities,
     table1_scenario,
@@ -85,6 +86,44 @@ class TestStationaryPoints:
             game._stationarity(s), _mean_local_error(s, np.full(3, 900.0))
         )
         assert len(set(d_star)) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_saturates_without_warnings(self):
+        s = table1_scenario(seed=37)
+        c = game._stationarity(s)
+        # growth underflows to 0: the point tends to -d_loc, below the box
+        assert np.array_equal(solver._stationary_points(c, -1e6), -s.d_loc)
+        # growth overflows to inf: the point lies above every volume
+        assert np.all(solver._stationary_points(c, 1e6) == np.inf)
+        # a subnormal bracket whose power overflows (beta near 0)
+        flat = game._stationarity(build_scenario(n=2, beta=0.001))
+        a1 = 1.0 + flat.varrho * math.log(1e308)
+        assert 0 < flat.factor[0] / game._growth(flat, a1) < 1e-300
+        assert np.all(solver._stationary_points(flat, a1) == np.inf)
+        assert solver._labels(c, -1e6) == (CaseLabel.LOWER_BOUND,) * s.n
+        assert solver._labels(c, 1e6) == (CaseLabel.UPPER_BOUND,) * s.n
+
+
+class TestScalarStationarityGate:
+    """Every preset sweep job and its zero-competition clone, solved at the
+    default config, lands on exactly the integer profile and case labels of
+    the root solve and descent on the scalar stationarity path as first
+    written (``tests/helpers.reference_root_solve``)."""
+
+    def test_sweep_preset_and_wco_clones(self):
+        from cocogen import baselines
+
+        grid = default_sweep_grid()
+        solved = 0
+        for job in expand_sweep(grid):
+            s = sample_scenario(grid, job.cell, job.seed)
+            for x in (s, baselines.wco_scenario(s)):
+                rep = solver.fpi_solve(x)
+                want_d, want_cases = reference_root_solve(x)
+                assert np.array_equal(rep.profile.d_gen, want_d), job
+                assert rep.cases == want_cases, job
+                solved += 1
+        assert solved == 1800
 
 
 class TestGradientLabels:
