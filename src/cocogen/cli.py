@@ -1,7 +1,8 @@
 """Command-line entry point: fit, solve, sweep, and compare.
 
-Exit codes: 0 success, 2 unusable input, 3 degenerate or infeasible curve
-fit, 4 solver non-convergence (suppressed by ``--allow-nonconverged``).
+Exit codes: 0 success, 2 unusable input, 3 curve fit with too few points or
+no feasible offset, 4 solver non-convergence (suppressed by
+``--allow-nonconverged``).
 All numeric CSV fields carry 17 significant digits; result CSVs are plain
 RFC 4180 bodies with the run manifest in a JSON sidecar next to them.
 """
@@ -21,7 +22,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,7 +30,6 @@ import numpy as np
 from . import __version__, baselines, economics, scaling, solver
 from .errors import (
     CocogenError,
-    DegenerateFit,
     InstanceTooLarge,
     InsufficientPoints,
     NonPositiveShifted,
@@ -78,45 +78,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_paths: tuple[str, ...]
-    seed: int | None
-    tool_version: str
-    prng_id: str
-    started: str
-    finished: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_paths": list(self.config_paths),
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "prng_id": self.prng_id,
-            "started": self.started,
-            "finished": self.finished,
-        }
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
 
 
-class _ManifestClock:
-    def __init__(self, command: str, config_paths, seed=None):
-        self.command = command
-        self.config_paths = tuple(str(p) for p in config_paths)
-        self.seed = seed
-        self.started = datetime.now(timezone.utc).isoformat()
-
-    def finish(self) -> RunManifest:
-        return RunManifest(
-            command=self.command,
-            config_paths=self.config_paths,
-            seed=self.seed,
-            tool_version=__version__,
-            prng_id=PRNG_ID,
-            started=self.started,
-            finished=datetime.now(timezone.utc).isoformat(),
-        )
+def _manifest(command: str, config_paths, seed, started: str) -> dict:
+    """The run manifest of a command started at ``started``, finished now."""
+    return {
+        "command": command,
+        "config_paths": [str(p) for p in config_paths],
+        "seed": seed,
+        "tool_version": __version__,
+        "prng_id": PRNG_ID,
+        "started": started,
+        "finished": _now(),
+    }
 
 
 def _json_text(payload: dict) -> str:
@@ -149,7 +125,7 @@ def _load_scenario_for_args(args):
 
 
 def cmd_fit(args) -> int:
-    clock = _ManifestClock("fit", [args.curve], seed=None)
+    started = _now()
     try:
         points = scaling.read_curve_csv(args.curve)
     except (OSError, ValueError, CocogenError) as exc:
@@ -157,11 +133,11 @@ def cmd_fit(args) -> int:
         return EXIT_INPUT
     try:
         result = scaling.fit_scaling_law(points)
-    except (InsufficientPoints, DegenerateFit, NonPositiveShifted) as exc:
+    except (InsufficientPoints, NonPositiveShifted) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FIT
     payload = result.to_dict()
-    payload["manifest"] = clock.finish().to_dict()
+    payload["manifest"] = _manifest("fit", [args.curve], None, started)
     _write_json(args.out, payload)
     print(
         f"fitted alpha={result.law.alpha:.6g} beta={result.law.beta:.6g} "
@@ -176,7 +152,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    clock = _ManifestClock("solve", [args.scenario], seed=args.seed)
+    started = _now()
     try:
         s = _load_scenario_for_args(args)
     except (OSError, ValueError, KeyError, CocogenError) as exc:
@@ -190,7 +166,8 @@ def cmd_solve(args) -> int:
             print(f"error: --verify-ne: {exc}", file=sys.stderr)
             return EXIT_INPUT
         report = replace(report, ne_certificate=cert)
-    payload = {"manifest": clock.finish().to_dict(), **report.to_dict()}
+    payload = {"manifest": _manifest("solve", [args.scenario], args.seed, started),
+               **report.to_dict()}
     if args.out:
         _write_json(args.out, payload)
     else:
@@ -380,7 +357,7 @@ def run_sweep(grid: SweepGrid, cfg: solver.SolverConfig, jobs: int = 1):
 
 
 def cmd_sweep(args) -> int:
-    clock = _ManifestClock("sweep", [args.sweep], seed=args.seed)
+    started = _now()
     try:
         grid = load_sweep(args.sweep)
         if args.seed is not None:
@@ -411,7 +388,7 @@ def cmd_sweep(args) -> int:
     fig4_columns = ("gamma_level", "alpha_d", "scheme", "n", "welfare_mean", "welfare_std")
     _write_rows_csv(os.path.join(args.out_dir, "fig4_schemes.csv"), fig4_columns, agg)
 
-    manifest = clock.finish().to_dict()
+    manifest = _manifest("sweep", [args.sweep], args.seed, started)
     for name in ("results.csv", "aggregate.csv", "fig3_cocogen.csv", "fig4_schemes.csv"):
         _write_json(
             os.path.join(args.out_dir, name + ".manifest.json"),
@@ -427,7 +404,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    clock = _ManifestClock("compare", [args.scenario], seed=args.seed)
+    started = _now()
     try:
         s = _load_scenario_for_args(args)
     except (OSError, ValueError, KeyError, CocogenError) as exc:
@@ -458,7 +435,8 @@ def cmd_compare(args) -> int:
     if args.out:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")
         _write_rows_csv(args.out, columns, rows)
-        _write_json(args.out + ".manifest.json", {"manifest": clock.finish().to_dict()})
+        manifest = _manifest("compare", [args.scenario], args.seed, started)
+        _write_json(args.out + ".manifest.json", {"manifest": manifest})
     if not rows[0]["converged"] and not args.allow_nonconverged:
         return EXIT_NONCONVERGED
     return EXIT_OK

@@ -7,7 +7,7 @@ conventions follow the printed transfer formulas: the contribution gap
 loss are non-positive as well; callers see the raw signed values.
 
 One batched core, :func:`evaluate_profiles`, computes every utility term for
-an (m, N) matrix of profiles; :func:`evaluate_profile` reads one row of it.
+an (m, N) matrix of profiles; :func:`evaluate_profile` is its one-row case.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .model import (
 )
 
 __all__ = [
-    "UtilityBreakdown",
-    "ProfileEvaluation",
     "ProfileMatrixEvaluation",
     "local_errors",
     "global_error",
@@ -40,28 +38,6 @@ __all__ = [
 
 IR_TOLERANCE = 1e-9
 BB_RELATIVE_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class UtilityBreakdown:
-    """One organization's utility and its components, in currency units."""
-
-    revenue: float
-    payoff_in: float
-    cost: float
-    server_fee: float
-    coopetition_loss: float
-    utility: float
-
-    def to_dict(self) -> dict:
-        return {
-            "revenue": self.revenue,
-            "payoff_in": self.payoff_in,
-            "cost": self.cost,
-            "server_fee": self.server_fee,
-            "coopetition_loss": self.coopetition_loss,
-            "utility": self.utility,
-        }
 
 
 def local_errors(s: Scenario, profile: ProfileLike) -> np.ndarray:
@@ -125,17 +101,6 @@ def _marginal_costs(s: Scenario) -> np.ndarray:
     return s.c_cmp * s.kappa * (s.eta + s.mu) * _f_squared(s)
 
 
-@dataclass(frozen=True)
-class ProfileEvaluation:
-    """Full economic read-out of one profile, shared by every scheme."""
-
-    utilities: tuple[UtilityBreakdown, ...]
-    welfare: float
-    ir: tuple[bool, ...]
-    bb_sum: float
-    bb_balanced: bool
-
-
 @dataclass(frozen=True, eq=False)
 class ProfileMatrixEvaluation:
     """Economic read-out of an (m, N) profile matrix; row k is profile k.
@@ -156,25 +121,6 @@ class ProfileMatrixEvaluation:
     ir: np.ndarray
     bb_sum: np.ndarray
     bb_balanced: np.ndarray
-
-    def breakdown(self, k: int, n: int) -> UtilityBreakdown:
-        return UtilityBreakdown(
-            revenue=float(self.revenue[k, n]),
-            payoff_in=float(self.payoff_in[k, n]),
-            cost=float(self.cost[k, n]),
-            server_fee=self.server_fee,
-            coopetition_loss=float(self.coopetition_loss[k, n]),
-            utility=float(self.utility[k, n]),
-        )
-
-    def row(self, k: int) -> ProfileEvaluation:
-        return ProfileEvaluation(
-            utilities=tuple(self.breakdown(k, n) for n in range(self.utility.shape[1])),
-            welfare=float(self.welfare[k]),
-            ir=tuple(bool(x) for x in self.ir[k]),
-            bb_sum=float(self.bb_sum[k]),
-            bb_balanced=bool(self.bb_balanced[k]),
-        )
 
 
 def _offdiagonal_sums(terms: np.ndarray) -> np.ndarray:
@@ -246,6 +192,6 @@ def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluat
     )
 
 
-def evaluate_profile(s: Scenario, profile: ProfileLike) -> ProfileEvaluation:
-    """One profile's read-out: row 0 of a one-row :func:`evaluate_profiles`."""
-    return evaluate_profiles(s, as_dgen(profile, s.n)[None, :]).row(0)
+def evaluate_profile(s: Scenario, profile: ProfileLike) -> ProfileMatrixEvaluation:
+    """One profile's read-out: :func:`evaluate_profiles` of a one-row matrix."""
+    return evaluate_profiles(s, as_dgen(profile, s.n)[None, :])

@@ -54,10 +54,6 @@ class InsufficientPoints(CocogenError):
     """Too few distinct curve points to fit the error law."""
 
 
-class DegenerateFit(CocogenError):
-    """Curve fit produced non-positive scale or exponent."""
-
-
 class NonPositiveShifted(CocogenError):
     """No offset candidate keeps every shifted error value positive."""
 

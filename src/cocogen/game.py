@@ -151,19 +151,13 @@ def _growth(c: _Stationarity, a1: float) -> float:
         return math.inf
 
 
-def _benefit(c: _Stationarity, totals: np.ndarray, growth: float) -> np.ndarray:
-    """Every organization's marginal reduction of the global error term per
-    generated sample at total data ``totals``, where ``growth`` is
-    :func:`_growth` of the mean local error."""
-    return c.benefit * totals**c.benefit_exponent * growth
-
-
 def potential_gradient(s: Scenario, profile: ProfileLike) -> np.ndarray:
-    """Analytic coordinate gradient of F: minus the benefit, minus a2."""
+    """Analytic coordinate gradient of F: minus the marginal reduction of the
+    global error per generated sample, minus a2."""
     d = as_dgen(profile, s.n)
     c = _stationarity(s)
     growth = _growth(c, float(economics.local_errors(s, d).mean()))
-    return -_benefit(c, c.d_loc + d, growth) - c.a2
+    return -(c.benefit * (c.d_loc + d) ** c.benefit_exponent * growth) - c.a2
 
 
 def weighted_potential_residual(

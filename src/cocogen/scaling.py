@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DegenerateFit, InsufficientPoints, InvariantViolation, NonPositiveShifted
+from .errors import InsufficientPoints, InvariantViolation, NonPositiveShifted
 from .model import ScalingLaw
 
 __all__ = [
@@ -156,8 +156,6 @@ def fit_scaling_law(points: list[CurvePoint], cfg: FitConfig | None = None) -> F
         key=lambda item: item[1][2],
     )
     alpha, beta, rmse = winner
-    if not (alpha > 0 and beta > 0):
-        raise DegenerateFit(f"fit produced alpha={alpha!r}, beta={beta!r}")
     return FitResult(
         law=ScalingLaw(alpha=alpha, beta=beta, delta=winner_delta),
         rmse=rmse,

@@ -147,6 +147,9 @@ class SweepGrid:
             raise InvariantViolation("repetitions", "must be >= 1")
         if self.radg_repetitions < 1:
             raise InvariantViolation("radg_repetitions", "must be >= 1")
+        for name in ("gamma_levels", "alpha_d_levels"):
+            if not getattr(self, name):
+                raise InvariantViolation(name, "must not be empty")
         for lv in self.gamma_levels:
             lv._violations()
 

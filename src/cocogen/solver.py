@@ -3,9 +3,9 @@ the mean local error, then rounding and ±1 descent on the potential), an
 exhaustive grid oracle, and equilibrium certification.
 
 Each report labels every organization's coordinate as bound-pinned or
-interior by the sign of the potential's coordinate gradient at the
-box-projected stationary point of the root. The labels are a diagnostic:
-the profile comes from the root and the descent alone.
+interior by where its stationary point at the root lies against the box.
+The labels are a diagnostic: the profile comes from the root and the
+descent alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import economics, game
 from .errors import InstanceTooLarge, ZeroTotalData
-from .game import _benefit, _growth, _stationarity, _Stationarity
+from .game import _growth, _stationarity, _Stationarity
 from .kernels import argmin_2d, argmin_3d, build_lower_envelope
 from .model import (
     ProfileLike,
@@ -60,7 +60,7 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """An equilibrium and how it was found; priced on the scenario it was
-    solved on when ``utilities``, ``welfare``, ``ir`` or ``bb`` is first read."""
+    solved on when ``evaluation`` or ``welfare`` is first read."""
 
     profile: StrategyProfile
     cases: tuple[str, ...]
@@ -71,36 +71,32 @@ class SolveReport:
     ne_certificate: "NeCertificate | None" = None
 
     @cached_property
-    def evaluation(self) -> economics.ProfileEvaluation:
+    def evaluation(self) -> economics.ProfileMatrixEvaluation:
+        """The profile's one-row read-out."""
         return economics.evaluate_profile(self.scenario, self.profile)
 
     @property
-    def utilities(self) -> tuple[economics.UtilityBreakdown, ...]:
-        return self.evaluation.utilities
-
-    @property
     def welfare(self) -> float:
-        return self.evaluation.welfare
-
-    @property
-    def ir(self) -> tuple[bool, ...]:
-        return self.evaluation.ir
-
-    @property
-    def bb(self) -> dict:
-        return {"sum": self.evaluation.bb_sum, "balanced": self.evaluation.bb_balanced}
+        return float(self.evaluation.welfare[0])
 
     def to_dict(self) -> dict:
+        ev = self.evaluation
+        columns = zip(ev.revenue[0].tolist(), ev.payoff_in[0].tolist(), ev.cost[0].tolist(),
+                      ev.coopetition_loss[0].tolist(), ev.utility[0].tolist())
         out = {
             "profile": [float(x) for x in self.profile.d_gen],
             "cases": list(self.cases),
             "iterations": self.iterations,
             "potential_trace": [float(x) for x in self.potential_trace],
             "converged": self.converged,
-            "utilities": [u.to_dict() for u in self.utilities],
+            "utilities": [
+                {"revenue": r, "payoff_in": p, "cost": c, "server_fee": ev.server_fee,
+                 "coopetition_loss": loss, "utility": u}
+                for r, p, c, loss, u in columns
+            ],
             "welfare": self.welfare,
-            "ir": list(self.ir),
-            "bb": dict(self.bb),
+            "ir": ev.ir[0].tolist(),
+            "bb": {"sum": float(ev.bb_sum[0]), "balanced": bool(ev.bb_balanced[0])},
         }
         if self.ne_certificate is not None:
             out["ne_certificate"] = self.ne_certificate.to_dict()
@@ -120,15 +116,14 @@ def _stationary_points(c: _Stationarity, a1: float) -> np.ndarray:
 
 
 def _labels(c: _Stationarity, a1: float) -> tuple[str, ...]:
-    """Every organization's gradient-rule case label at mean local error a1."""
-    d_star = _stationary_points(c, a1)
-    growth = _growth(c, a1)
-    with np.errstate(over="ignore"):
-        lower = (d_star < c.lo) & (-_benefit(c, c.d_loc + c.lo, growth) - c.a2 >= 0)
-        upper = (d_star > c.hi) & (-_benefit(c, c.d_loc + c.hi, growth) - c.a2 <= 0)
+    """Every organization's case label at mean local error a1: where its
+    stationary point lies against the box. F is convex along each
+    coordinate, so a point below (above) the box is the potential's
+    gradient being positive (negative) at that bound."""
     return tuple(
-        CaseLabel.LOWER_BOUND if lo else CaseLabel.UPPER_BOUND if up else CaseLabel.INTERIOR
-        for lo, up in zip(lower.tolist(), upper.tolist())
+        CaseLabel.LOWER_BOUND if d < c.lo else CaseLabel.UPPER_BOUND if d > c.hi
+        else CaseLabel.INTERIOR
+        for d in _stationary_points(c, a1).tolist()
     )
 
 

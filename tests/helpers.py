@@ -315,11 +315,11 @@ def reference_ne_gains(s, profile, grid_step=1.0):
     d = np.asarray(profile, dtype=np.float64)
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     xs = lo + grid_step * np.arange(int(math.floor((hi - lo) / grid_step)) + 1)
-    current = economics.evaluate_profile(s, d).utilities
+    current = economics.evaluate_profile(s, d).utility[0].tolist()
     gains = []
     is_ne = True
     for n in range(s.n):
-        u_ref = current[n].utility
+        u_ref = current[n]
         g = reference_unilateral_utilities(s, d, n, xs) - u_ref
         gains.append(g)
         if g.max() > solver.NE_IMPROVEMENT_TOLERANCE * (1.0 + abs(u_ref)):
@@ -503,24 +503,25 @@ def reference_scheme_rows(s, cfg, radg_seed, radg_count):
     try:
         rep = solver.fpi_solve(s, cfg)
         ev = economics.evaluate_profile(s, rep.profile)
-        row("CoCoGen", ev.welfare, float(np.mean(rep.profile.d_gen)), all(ev.ir), ev.bb_sum,
-            rep.converged)
+        row("CoCoGen", ev.welfare.item(), float(np.mean(rep.profile.d_gen)), all(ev.ir[0]),
+            ev.bb_sum.item(), rep.converged)
     except CocogenError as exc:
         failed("CoCoGen", exc)
 
     prof = baselines.vcfl_profile(s)
     ev = economics.evaluate_profile(s, prof)
-    row("VCFL", ev.welfare, float(np.mean(prof.d_gen)), all(ev.ir), ev.bb_sum, True)
+    row("VCFL", ev.welfare.item(), float(np.mean(prof.d_gen)), all(ev.ir[0]), ev.bb_sum.item(),
+        True)
 
     clone_welfare = math.nan
     try:
         wco = baselines.wco_solve(s, cfg)
         ev = economics.evaluate_profile(s, wco.profile)
-        row("WCO", ev.welfare, float(np.mean(wco.profile.d_gen)), all(ev.ir), ev.bb_sum,
-            wco.converged)
+        row("WCO", ev.welfare.item(), float(np.mean(wco.profile.d_gen)), all(ev.ir[0]),
+            ev.bb_sum.item(), wco.converged)
         clone_welfare = economics.evaluate_profile(
             baselines.wco_scenario(s), wco.profile
-        ).welfare
+        ).welfare.item()
     except CocogenError as exc:
         failed("WCO", exc)
 

@@ -345,7 +345,10 @@ def test_criterion_10_constraint_verification():
     emitted = True
     for seed in (0, 1, 2):
         rep = solver.fpi_solve(table1_scenario(seed=9500 + seed))
-        emitted = emitted and len(rep.ir) == 10 and "sum" in rep.bb and "balanced" in rep.bb
+        out = rep.to_dict()
+        emitted = (
+            emitted and len(out["ir"]) == 10 and "sum" in out["bb"] and "balanced" in out["bb"]
+        )
 
     worst = 0.0
     for seed in range(10):
@@ -359,7 +362,7 @@ def test_criterion_10_constraint_verification():
 
         s = replace(s, market=Market(gamma=g, xi=s.market.xi, phi=s.market.phi))
         p = random_profile(s, 9800 + seed)
-        payoffs = [u.payoff_in for u in eco.evaluate_profile(s, p).utilities]
+        payoffs = eco.evaluate_profile(s, p).payoff_in[0].tolist()
         scale = sum(abs(x) for x in payoffs)
         if scale > 0:
             worst = max(worst, abs(sum(payoffs)) / scale)

@@ -453,6 +453,8 @@ class TestSweepCommand:
             ("n_orgs", -3, "n_orgs: must be >= 1"),
             ("n_orgs", 0, "n_orgs: must be >= 1"),
             ("alpha_d_levels", [0.3], "alpha_d_levels: no heterogeneity preset for 0.3"),
+            ("gamma_levels", [], "gamma_levels: must not be empty"),
+            ("alpha_d_levels", [], "alpha_d_levels: must not be empty"),
         ],
     )
     def test_unusable_grid_is_input_error(self, tmp_path, capsys, jobs, key, value, message):

@@ -297,9 +297,11 @@ class TestUtility:
 
     def test_breakdown_identity_is_bitwise(self):
         s = table1_scenario(seed=17)
-        for u in eco.evaluate_profile(s, random_profile(s, 800)).utilities:
-            assert u.utility == (
-                u.revenue + u.payoff_in - u.cost - u.server_fee - u.coopetition_loss
+        u = eco.evaluate_profile(s, random_profile(s, 800))
+        for n in range(s.n):
+            assert u.utility[0, n] == (
+                u.revenue[0, n] + u.payoff_in[0, n] - u.cost[0, n] - u.server_fee
+                - u.coopetition_loss[0, n]
             )
 
 
@@ -320,22 +322,22 @@ class TestWelfareAndConstraints:
     def test_welfare_identity_against_termwise_accumulation(self):
         s = table1_scenario(seed=18)
         p = random_profile(s, 900)
-        parts = eco.evaluate_profile(s, p).utilities
+        parts = eco.evaluate_profile(s, p)
         expected = (
-            sum(u.revenue for u in parts)
-            - sum(u.cost for u in parts)
+            sum(parts.revenue[0].tolist())
+            - sum(parts.cost[0].tolist())
             - s.n * s.economy.c0
-            + sum(u.payoff_in for u in parts)
-            - sum(u.coopetition_loss for u in parts)
+            + sum(parts.payoff_in[0].tolist())
+            - sum(parts.coopetition_loss[0].tolist())
         )
         assert eco.evaluate_profile(s, p).welfare == pytest.approx(expected, rel=1e-9)
 
     def test_ir_trivial_cases(self):
         s_zero = build_scenario(n=2, gamma=np.zeros((2, 2)), psi=0.0, xi=0.0,
                                 c_cmp=1e-300, validate=False)
-        assert eco.evaluate_profile(s_zero, [10.0, 10.0]).ir == (True, True)
+        assert eco.evaluate_profile(s_zero, [10.0, 10.0]).ir[0].tolist() == [True, True]
         s_fee = build_scenario(n=2, c0=1e9)
-        assert eco.evaluate_profile(s_fee, [10.0, 10.0]).ir == (False, False)
+        assert eco.evaluate_profile(s_fee, [10.0, 10.0]).ir[0].tolist() == [False, False]
 
     def test_bb_zero_gamma_balanced(self):
         s = build_scenario(n=3, gamma=np.zeros((3, 3)))
@@ -351,7 +353,7 @@ class TestWelfareAndConstraints:
         for k in range(5):
             p = random_profile(s, 1000 + k)
             out = eco.evaluate_profile(s, p)
-            scale = sum(abs(u.payoff_in) for u in out.utilities)
+            scale = sum(abs(x) for x in out.payoff_in[0].tolist())
             assert out.bb_balanced
             assert abs(out.bb_sum) <= 1e-9 * (scale + 1)
 
@@ -377,14 +379,18 @@ def _profile_matrix(s, seed):
     )
 
 
-def _assert_matches_reference(got, ref):
-    """``got`` is a ProfileEvaluation; every field must equal the oracle."""
-    for u, r in zip(got.utilities, ref["utilities"], strict=True):
-        assert u.to_dict() == r
-    assert got.welfare == ref["welfare"]
-    assert list(got.ir) == ref["ir"]
-    assert got.bb_sum == ref["bb_sum"]
-    assert got.bb_balanced == ref["bb_balanced"]
+def _assert_matches_reference(got, k, ref):
+    """Row ``k`` of the evaluation ``got``: every field must equal the oracle."""
+    for n, r in enumerate(ref["utilities"]):
+        u = {"revenue": got.revenue[k, n], "payoff_in": got.payoff_in[k, n],
+             "cost": got.cost[k, n], "server_fee": got.server_fee,
+             "coopetition_loss": got.coopetition_loss[k, n], "utility": got.utility[k, n]}
+        assert u == r
+    assert got.utility.shape[1] == len(ref["utilities"])
+    assert got.welfare[k] == ref["welfare"]
+    assert got.ir[k].tolist() == ref["ir"]
+    assert got.bb_sum[k] == ref["bb_sum"]
+    assert got.bb_balanced[k] == ref["bb_balanced"]
 
 
 class TestBatchedCore:
@@ -402,8 +408,8 @@ class TestBatchedCore:
             batch = eco.evaluate_profiles(s, profiles)
             for k, row in enumerate(profiles):
                 ref = reference_evaluation(s, row)
-                _assert_matches_reference(batch.row(k), ref)
-                _assert_matches_reference(eco.evaluate_profile(s, row), ref)
+                _assert_matches_reference(batch, k, ref)
+                _assert_matches_reference(eco.evaluate_profile(s, row), 0, ref)
 
     def test_zero_total_data_still_raises(self):
         s = build_scenario(n=2, d_loc=[0, 1500], d_min=0, validate=False)

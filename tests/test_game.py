@@ -268,5 +268,5 @@ class TestArgminRepresentationInvariance:
             trials = np.tile(d, (len(xs), 1))
             trials[:, n] = xs
             best = float(np.max(eco.evaluate_profiles(s, trials).utility[:, n]))
-            u = eco.evaluate_profile(s, d).utilities[n].utility
+            u = float(eco.evaluate_profile(s, d).utility[0, n])
             assert u >= best - 1e-9 * (1 + abs(best))

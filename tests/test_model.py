@@ -338,7 +338,10 @@ class TestScenarioCache:
         profiles = np.vstack([random_profile(s, 30 + k) for k in range(5)])
         a, b = eco.evaluate_profiles(s, profiles), eco.evaluate_profiles(copy, profiles)
         for k in range(len(profiles)):
-            assert a.row(k) == b.row(k)
+            for name in ("revenue", "payoff_in", "cost", "coopetition_loss", "utility",
+                         "welfare", "ir", "bb_sum", "bb_balanced"):
+                assert np.array_equal(getattr(a, name)[k], getattr(b, name)[k]), name
+            assert a.server_fee == b.server_fee
         assert solver.fpi_solve(copy).to_dict() == solver.fpi_solve(s).to_dict()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import fields, replace
@@ -9,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 from cocogen import economics as eco
 from cocogen import game, solver
 from cocogen.errors import InstanceTooLarge, ScenarioValidationError
-from cocogen.model import Market, PayoffMode, StrategyProfile, scenario_from_dict
+from cocogen.model import (
+    Market,
+    PayoffMode,
+    StrategyProfile,
+    scenario_from_dict,
+    with_payoff_mode,
+)
 from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 from cocogen.solver import CaseLabel, SolverConfig
 
@@ -142,8 +149,9 @@ class TestGradientLabels:
 
     def test_matches_reference_rule_off_equilibrium(self):
         seen = set()
-        for seed, cost_scale in ((38, 1.0), (39, 4.0), (40, 0.05)):
-            s = table1_scenario(seed=seed, cost_scale=cost_scale)
+        scales = ((38, 1.0), (39, 4.0), (40, 0.05), (41, 1e-3), (42, 1e3))
+        for (seed, cost_scale), mode in itertools.product(scales, PayoffMode):
+            s = with_payoff_mode(table1_scenario(seed=seed, cost_scale=cost_scale), mode)
             c = game._stationarity(s)
             for k in range(3):
                 p = random_profile(s, k)
@@ -151,6 +159,7 @@ class TestGradientLabels:
                 assert got == tuple(_ref_case_label(s, p, n) for n in range(s.n))
                 seen.update(got)
         assert len(seen) >= 2  # the draws exercise more than one label
+        assert seen == {CaseLabel.LOWER_BOUND, CaseLabel.UPPER_BOUND, CaseLabel.INTERIOR}
 
 
 class TestSolverConfig:
@@ -215,10 +224,11 @@ class TestFpiSolve:
     def test_report_carries_constraint_verdicts(self):
         s = table1_scenario(seed=42)
         rep = solver.fpi_solve(s)
-        assert len(rep.ir) == s.n
-        assert set(rep.bb) == {"sum", "balanced"}
+        out = rep.to_dict()
+        assert len(out["ir"]) == s.n
+        assert set(out["bb"]) == {"sum", "balanced"}
         assert rep.welfare == pytest.approx(
-            sum(u.utility for u in rep.utilities), rel=1e-12
+            sum(u["utility"] for u in out["utilities"]), rel=1e-12
         )
 
     def test_looser_tolerance_stops_earlier(self):
@@ -314,7 +324,7 @@ class TestEveryInputSolvesOrFailsValidation:
         rep = solver.fpi_solve(s)
         assert rep.converged
         assert math.isfinite(rep.welfare)
-        assert all(math.isfinite(u.utility) for u in rep.utilities)
+        assert all(math.isfinite(u) for u in rep.evaluation.utility[0].tolist())
         assert_lattice_equilibrium(s, rep.profile.d_gen)
 
 
@@ -323,10 +333,11 @@ class TestLazyPricing:
         s = table1_scenario(seed=41)
         rep = solver.fpi_solve(s)
         ev = eco.evaluate_profile(s, rep.profile)
-        assert rep.welfare == ev.welfare
-        assert rep.utilities == ev.utilities
-        assert rep.ir == ev.ir
-        assert rep.bb == {"sum": ev.bb_sum, "balanced": ev.bb_balanced}
+        assert rep.welfare == ev.welfare[0]
+        for name in ("revenue", "payoff_in", "cost", "coopetition_loss", "utility", "ir",
+                     "bb_sum", "bb_balanced"):
+            assert np.array_equal(getattr(rep.evaluation, name), getattr(ev, name)), name
+        assert rep.evaluation.server_fee == ev.server_fee
         assert rep.evaluation is rep.evaluation
 
     def test_to_dict_on_the_shipped_example(self):
@@ -341,10 +352,15 @@ class TestLazyPricing:
         assert out["profile"] == [
             3000.0, 1278.0, 3000.0, 3000.0, 1343.0, 1139.0, 90.0, 1198.0, 305.0, 1874.0
         ]
-        assert out["utilities"] == [u.to_dict() for u in ev.utilities]
-        assert out["welfare"] == ev.welfare
-        assert out["ir"] == list(ev.ir)
-        assert out["bb"] == {"sum": ev.bb_sum, "balanced": ev.bb_balanced}
+        assert out["utilities"] == [
+            {"revenue": ev.revenue[0, n], "payoff_in": ev.payoff_in[0, n],
+             "cost": ev.cost[0, n], "server_fee": ev.server_fee,
+             "coopetition_loss": ev.coopetition_loss[0, n], "utility": ev.utility[0, n]}
+            for n in range(s.n)
+        ]
+        assert out["welfare"] == ev.welfare[0]
+        assert out["ir"] == ev.ir[0].tolist()
+        assert out["bb"] == {"sum": ev.bb_sum[0], "balanced": ev.bb_balanced[0]}
         assert (out["iterations"], out["converged"]) == (rep.iterations, True)
         cert = solver.verify_ne(s, rep.profile)
         certified = replace(rep, ne_certificate=cert).to_dict()
