@@ -20,8 +20,10 @@ are the noisiest layers. ``cli._aggregate`` computes the per-cell means and
 standard deviations of the 3,600 rows of one in-process ``--jobs 1`` run of
 that preset. ``solver.grid_oracle.n2`` and ``.n3`` run the exhaustive
 oracle on the first preset job's cell drawn with 2 and 3 organizations,
-over the full 3001-point axes: a 2-axis scan of 9M points, and a 3-axis
-scan that reduces its innermost axis through a lower envelope.
+over the full 3001-point axes of a 9M-point grid (at N = 3 the innermost
+axis is reduced through a lower envelope); the oracle scans only the rows
+of the first axis that its chord bounds cannot rule out, usually two to a
+dozen, so its time is mostly the envelope build and a few kernel rows.
 ``solver.fpi_solve.per_iteration`` divides the solve's time by the report's
 ``iterations``, which counts the bracket steps of the scalar root solve. In
 checkouts that still solved by damped Jacobi sweeps it counted sweeps, so

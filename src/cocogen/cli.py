@@ -39,6 +39,7 @@ from .scenario import (
     PRNG_ID,
     SweepGrid,
     SweepJob,
+    check_radg_count,
     expand_sweep,
     load_sweep,
     sample_scenario,
@@ -338,11 +339,20 @@ def _aggregate(rows):
 
 
 def run_sweep(grid: SweepGrid, cfg: solver.SolverConfig, jobs: int = 1):
-    """Execute every sweep job; the row order is independent of scheduling."""
+    """Execute every sweep job; the row order is independent of scheduling.
+
+    The pool gets at most one worker per job and per CPU: it starts every
+    worker at once.
+    """
     payloads = [(grid, job, cfg) for job in expand_sweep(grid)]
+    cpus = os.cpu_count() or 1
+    workers = min(jobs, len(payloads), cpus)
+    if workers < jobs:
+        logger.info("sweep: --jobs %d capped at %d workers (%d jobs, %d CPUs)",
+                    jobs, workers, len(payloads), cpus)
     every = -(-len(payloads) // 10)  # at most ten progress lines
     all_rows, t0 = [], time.perf_counter()
-    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         results = map(_job_worker, payloads) if pool is None else pool.map(
             _job_worker, payloads, chunksize=4
         )
@@ -412,6 +422,11 @@ def cmd_compare(args) -> int:
         return EXIT_INPUT
     if args.radg_reps < 1:
         print("error: --radg-reps must be >= 1", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        check_radg_count(args.radg_reps, s.n, "--radg-reps")
+    except CocogenError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     cfg = _solver_config_from_args(args)
 

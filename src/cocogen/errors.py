@@ -55,7 +55,8 @@ class InsufficientPoints(CocogenError):
 
 
 class NonPositiveShifted(CocogenError):
-    """No offset candidate keeps every shifted error value positive."""
+    """No offset candidate gives a usable fit: some shifted error value is not
+    positive, or the fitted alpha or beta is not positive."""
 
 
 class ConvexityViolation(CocogenError):

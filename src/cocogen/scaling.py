@@ -125,7 +125,11 @@ def fit_scaling_law(points: list[CurvePoint], cfg: FitConfig | None = None) -> F
     feasible = [(g, try_delta(g)) for g in grid]
     feasible = [(g, fit) for g, fit in feasible if fit is not None]
     if not feasible:
-        raise NonPositiveShifted("eps + delta <= 0 for every offset candidate")
+        # eps + delta rises with delta, so the largest candidate shows whether
+        # every candidate was refused for its sign or for its line's slope.
+        if (curve.eps + max(0.0, grid[-1]) <= 0).any():
+            raise NonPositiveShifted("eps + delta <= 0 for every offset candidate")
+        raise NonPositiveShifted("no offset candidate gives a positive alpha and beta")
     best_delta, best_fit = min(feasible, key=lambda item: item[1][2])
 
     # Golden-section refinement of the offset around the grid winner.

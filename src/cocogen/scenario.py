@@ -50,11 +50,28 @@ __all__ = [
     "load_sweep",
     "sweep_from_dict",
     "default_sweep_grid",
+    "MAX_RADG_ELEMENTS",
+    "check_radg_count",
 ]
 
 PRNG_ID = "philox4x64-10/numpy"
 
 MASK64 = (1 << 64) - 1
+
+# A job prices its RaDG draws through (count, N, N) float64 tensors of
+# counterfactual errors; this caps one tensor at 128 MiB.
+MAX_RADG_ELEMENTS = 2**24
+
+
+def check_radg_count(count: int, n_orgs: int, field: str) -> None:
+    """Refuse a RaDG draw count whose pricing would pass
+    ``MAX_RADG_ELEMENTS``, before anything is allocated."""
+    if count * n_orgs * n_orgs > MAX_RADG_ELEMENTS:
+        raise InvariantViolation(
+            field,
+            f"{count} draws of {n_orgs} organizations price {count * n_orgs * n_orgs} "
+            f"elements (count x N^2), above the bound of {MAX_RADG_ELEMENTS}",
+        )
 
 
 class FAMILY:
@@ -147,6 +164,7 @@ class SweepGrid:
             raise InvariantViolation("repetitions", "must be >= 1")
         if self.radg_repetitions < 1:
             raise InvariantViolation("radg_repetitions", "must be >= 1")
+        check_radg_count(self.radg_repetitions, self.n_orgs, "radg_repetitions")
         for name in ("gamma_levels", "alpha_d_levels"):
             if not getattr(self, name):
                 raise InvariantViolation(name, "must not be empty")

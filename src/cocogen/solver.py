@@ -10,6 +10,7 @@ descent alone.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -212,7 +213,8 @@ def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
 # Exhaustive grid oracle. The potential factorizes over coordinates as
 #   F(d) = exp(-1/varrho) * prod_n exp(eps_n(d_n) / (N varrho)) + sum_n w_n d_n,
 # so the innermost axis of the 3-d scan reduces exactly to a lower-envelope
-# query; the 2-d scan is a plain full scan. See cocogen.kernels.
+# query (see cocogen.kernels); the first axis is searched row by row under
+# chord bounds.
 # ---------------------------------------------------------------------------
 
 MAX_ORACLE_ORGS = 3
@@ -231,9 +233,96 @@ def _axis_arrays(s: Scenario, values: np.ndarray, n: int):
     return g, game._linear_coeffs(s)[n] * values
 
 
+# Margin of a row bound, relative to the magnitudes it is made of. The
+# kernels price each point with a few roundings of positive terms, and near
+# a breakpoint the 3-d kernel may price a line a few ulps above the exact
+# lower envelope, so every computed row minimum lies within about 1e-15 of
+# the exact one, relatively; 1e-12 is far above that error.
+_BOUND_MARGIN = 1e-12
+
+
+def _row_scan(s: Scenario, values: np.ndarray, bg0: np.ndarray, lin0: np.ndarray):
+    """``scan(r)``: the kernel's exact scan of first-axis row ``r`` for N =
+    2 or 3, as (F, 0, other indices), pricing every point as the full scan
+    does. ``bg0`` and ``lin0`` are the first axis's factors."""
+    g1, lin1 = _axis_arrays(s, values, 1)
+    if s.n == 2:
+        return lambda r: argmin_2d(bg0[r : r + 1], lin0[r : r + 1], g1, lin1)
+    env = build_lower_envelope(*_axis_arrays(s, values, 2))
+    return lambda r: argmin_3d(bg0[r : r + 1], lin0[r : r + 1], g1, lin1, env)
+
+
+def _chord_bounds(rows: np.ndarray, bg0: np.ndarray, lin0: np.ndarray, fa: float, fb: float):
+    """Lower bounds on the row minima of ``rows[1:-1]``, from the computed
+    minima ``fa`` and ``fb`` of the end rows; ``rows`` ascend in ``bg0``.
+
+    Row r's minimum is H(bg0[r]) + lin0[r], where H(q) is the minimum over
+    the other axes of q * g1[j] (* g2[k]) + lin1[j] (+ lin2[k]). H is a
+    minimum of lines in q, so it is concave for every scenario, and between
+    the end rows' q it lies on or above the chord through their H values.
+    """
+    q, lin = bg0[rows], lin0[rows]
+    ha, hb = fa - lin[0], fb - lin[-1]
+    if q[-1] > q[0]:
+        h = ha + (q[1:-1] - q[0]) / (q[-1] - q[0]) * (hb - ha)
+    else:
+        h = np.full(rows.size - 2, min(ha, hb))
+    bound = h + lin[1:-1] - _BOUND_MARGIN * (max(abs(fa), abs(fb)) + np.abs(lin[1:-1]))
+    return np.where(np.isnan(bound), -np.inf, bound)
+
+
+def _row_search(scan, bg0: np.ndarray, lin0: np.ndarray):
+    """(F, row, other indices) of the lexicographically first grid argmin.
+
+    Rows are taken in ascending ``bg0``. The first and last are scanned
+    exactly; then the run of unscanned rows between two scanned ones whose
+    smallest chord bound is lowest has the row at that bound scanned (kept
+    a quarter of the run from either end, so runs shrink geometrically),
+    which splits the run in two. Candidates compare by (F, row), and the
+    search stops once no run's bound is below the best F: the margin makes
+    every bound strictly less than the F its row computes, so no unscanned
+    row can then hold a smaller F, nor an equal F in an earlier row.
+    """
+    order = np.argsort(bg0, kind="stable")
+    m = order.size
+    f = np.empty(m)
+    best = (math.inf, m, ())
+    heap: list[tuple[float, int, int, int]] = []
+
+    def visit(p: int):
+        nonlocal best
+        r = int(order[p])
+        val, _, *rest = scan(r)
+        f[p] = val
+        best = min(best, (val, r, tuple(rest)))
+
+    def push(a: int, b: int):
+        if b - a >= 2:
+            bound = _chord_bounds(order[a : b + 1], bg0, lin0, f[a], f[b])
+            k = int(np.argmin(bound))
+            heapq.heappush(heap, (float(bound[k]), a, b, a + 1 + k))
+
+    visit(0)
+    if m > 1:
+        visit(m - 1)
+        push(0, m - 1)
+    while heap and heap[0][0] < best[0]:
+        _, a, b, p = heapq.heappop(heap)
+        quarter = (b - a) // 4
+        p = min(max(p, a + quarter), b - quarter)
+        visit(p)
+        push(a, p)
+        push(p, b)
+    return best
+
+
 def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
     """Exhaustively minimize the potential over the strategy lattice.
 
+    The result is that of a scan of every grid point: the row search skips
+    only first-axis rows that its chord bounds show cannot hold the first
+    minimum, and prices every point it scans as the full scan does. It
+    assumes nothing of the scenario's shape and uses no solver output.
     Ties break toward the lexicographically smallest profile. The reported
     minimum re-evaluates the winning profile through :func:`game.potential`
     so it is directly comparable with solver output.
@@ -258,16 +347,9 @@ def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
         f = bg0 + lin0
         i = int(np.argmin(f))
         idx = (i,)
-    elif s.n == 2:
-        g1, lin1 = _axis_arrays(s, values, 1)
-        _, i, j = argmin_2d(bg0, lin0, g1, lin1)
-        idx = (i, j)
     else:
-        g1, lin1 = _axis_arrays(s, values, 1)
-        g2, lin2 = _axis_arrays(s, values, 2)
-        env = build_lower_envelope(g2, lin2)
-        _, i, j, k = argmin_3d(bg0, lin0, g1, lin1, env)
-        idx = (i, j, k)
+        _, i, rest = _row_search(_row_scan(s, values, bg0, lin0), bg0, lin0)
+        idx = (i, *rest)
 
     profile = np.array([values[i] for i in idx])
     return GridOracleResult(

@@ -657,3 +657,64 @@ def reference_root_solve(s, cfg=None):
             a = b = t
     _, d, eps = point
     return _reference_descend(s, np.floor(d + 0.5)), _scalar_labels(c, float(eps.mean()))
+
+
+# ---------------------------------------------------------------------------
+# Reference grid oracle: the exhaustive scan of every first-axis row, in the
+# kernels' row chunks and with the kernels' float expressions, as
+# ``cocogen.solver.grid_oracle`` ran it before its row search. The search
+# must return this scan's profile and a bitwise-equal ``f_min``, and every
+# row bound it uses must lie below the row minimum this scan computes.
+# ---------------------------------------------------------------------------
+
+
+def reference_grid_axes(s, step=1.0):
+    """The lattice values and the first axis's factors of F:
+    ``bg0 = exp(-1/varrho) * g0`` and ``lin0``."""
+    from cocogen import solver
+
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    values = lo + step * np.arange(int(math.floor((hi - lo) / step)) + 1)
+    g0, lin0 = solver._axis_arrays(s, values, 0)
+    return values, math.exp(-1.0 / s.economy.varrho) * g0, lin0
+
+
+def reference_grid_scan(s, step=1.0):
+    """The full scan of the N <= 3 lattice: the lattice values, each
+    first-axis row's smallest F, and the lexicographically first argmin's
+    indices (the innermost axis of N = 3 through the lower envelope)."""
+    from cocogen import kernels, solver
+
+    values, bg0, lin0 = reference_grid_axes(s, step)
+    if s.n == 1:
+        f = bg0 + lin0
+        return values, f, (int(np.argmin(f)),)
+    g1, lin1 = solver._axis_arrays(s, values, 1)
+    env = kernels.build_lower_envelope(*solver._axis_arrays(s, values, 2)) if s.n == 3 else None
+    row_min = np.empty(values.size)
+    best_val, best = np.inf, None
+    for i0 in range(0, values.size, kernels._CHUNK):
+        i1 = min(i0 + kernels._CHUNK, values.size)
+        if env is None:
+            f = bg0[i0:i1, None] * g1[None, :] + lin0[i0:i1, None] + lin1[None, :]
+        else:
+            q = bg0[i0:i1, None] * g1[None, :]
+            h = np.searchsorted(env.thresh, q, side="left")
+            f = q * env.slope[h] + env.inter[h] + (lin0[i0:i1, None] + lin1[None, :])
+        row_min[i0:i1] = f.min(axis=1)
+        flat = int(np.argmin(f))
+        if f.flat[flat] < best_val:
+            best_val = f.flat[flat]
+            best = (i0 + flat // values.size, flat % values.size)
+            if env is not None:
+                best += (int(env.k[h.flat[flat]]),)
+    return values, row_min, best
+
+
+def reference_grid_oracle(s, step=1.0):
+    """(profile, f_min) of the full scan, ``f_min`` through ``game.potential``."""
+    from cocogen import game
+
+    values, _, idx = reference_grid_scan(s, step)
+    profile = values[list(idx)]
+    return profile, game.potential(s, profile)

@@ -55,6 +55,10 @@ def write_small_sweep(tmp_path, reps=2, radg=5, seed=11):
     return str(path)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("refused input reached the solve or the pricing")
+
+
 def shipped_example_with(tmp_path, path, value, name="scenario_example.json"):
     """A shipped data file (the example scenario by default) with one field
     replaced."""
@@ -115,6 +119,21 @@ class TestFitCommand:
             assert cli.main(["fit", str(curve), "-o", str(tmp_path / "o.json")]) == 2
         assert "curve csv row 2: curve point eps: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("100,0.1\n200,0.2\n400,0.3", "no offset candidate gives a positive alpha and beta"),
+            ("100,-5\n200,-5\n400,-5", "eps + delta <= 0 for every offset candidate"),
+        ],
+    )
+    def test_infeasible_curve_is_fit_error_with_its_cause(self, tmp_path, capsys, rows, message):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"d,eps\n{rows}\n", encoding="utf-8")
+        assert cli.main(["fit", str(curve), "-o", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"error: NonPositiveShifted: {message}" in err
+        assert "Traceback" not in err and not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("row, count", [("1000,0.2,7", 3), ("1000", 1)])
     def test_wrong_field_count_is_input_error(self, tmp_path, capsys, row, count):
@@ -446,6 +465,46 @@ class TestSweepCommand:
         assert "radg_repetitions: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_radg_count_past_the_pricing_bound_is_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+        sweep = write_small_sweep(tmp_path, radg=10**13)
+        assert cli.main(["sweep", sweep, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "radg_repetitions: 10000000000000 draws of 4 organizations price" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, cpus, reps, workers",
+        [(10**6, 3, 2, 3), (10**6, 64, 2, 8), (5, 64, 2, 5), (2, 1, 2, None), (10**6, 8, 1, 4)],
+    )
+    def test_jobs_are_capped_before_the_pool_exists(
+        self, tmp_path, monkeypatch, caplog, flag, cpus, reps, workers
+    ):
+        pools = []
+
+        class FakePool:  # records its size and runs the jobs in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        sweep = write_small_sweep(tmp_path, reps=reps, radg=2)  # 4 * reps jobs
+        with caplog.at_level(logging.INFO, logger="cocogen"):
+            assert cli.main(["sweep", sweep, "-o", str(tmp_path / "out"), "--jobs", str(flag)]) == 0
+        assert pools == ([] if workers is None else [workers])
+        capped = [r.getMessage() for r in caplog.records if "capped" in r.getMessage()]
+        expected = f"sweep: --jobs {flag} capped at {workers or 1} workers ({4 * reps} jobs, {cpus} CPUs)"
+        assert capped == ([] if workers == flag else [expected])
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         "key, value, message",
@@ -647,6 +706,14 @@ class TestCompareCommand:
         path = write_scenario(tmp_path, example_scenario())
         assert cli.main(["compare", path, "--radg-reps", reps]) == 2
         assert "--radg-reps must be >= 1" in capsys.readouterr().err
+
+    def test_radg_reps_past_the_pricing_bound_is_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "scheme_rows", _must_not_run)
+        path = write_scenario(tmp_path, example_scenario())
+        assert cli.main(["compare", path, "--radg-reps", str(10**13)]) == 2
+        err = capsys.readouterr().err
+        assert "error: --radg-reps: 10000000000000 draws of 10 organizations price" in err
+        assert "Traceback" not in err
 
     def test_free_generation_beats_vcfl(self, tmp_path):
         s = table1_scenario(seed=82, cost_scale=1e-6)

@@ -51,6 +51,11 @@ class TestFit:
         with pytest.raises(NonPositiveShifted):
             fit_scaling_law(pts, FitConfig(delta_grid=(0.0, 0.5), max_refine=0))
 
+    def test_rising_curve_names_the_slope(self):
+        pts = [CurvePoint(100, 0.1), CurvePoint(200, 0.2), CurvePoint(400, 0.3)]
+        with pytest.raises(NonPositiveShifted, match="no offset candidate gives a positive alpha"):
+            fit_scaling_law(pts)
+
     def test_noisy_beta_recovery_95th_percentile(self):
         # Geometric design: offset and exponent are only jointly identifiable
         # with wide coverage in log d.

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -28,6 +29,9 @@ from helpers import (
     org_row,
     random_profile,
     reference_fpi_solve,
+    reference_grid_axes,
+    reference_grid_oracle,
+    reference_grid_scan,
     reference_root_solve,
     reference_ne_gains,
     reference_unilateral_utilities,
@@ -461,6 +465,122 @@ class TestGridOracle:
             f_fpi = game.potential(s, rep.profile)
             assert abs(f_fpi - res.f_min) <= 1e-6 * (1 + abs(res.f_min))
             assert np.all(np.abs(rep.profile.d_gen - res.profile.d_gen) <= 1.0)
+
+
+def _record_row_bounds(monkeypatch):
+    """Make every grid oracle call record the chord bounds it computes, as
+    (rows, bounds) pairs, in the returned list."""
+    bounds = []
+    real = solver._chord_bounds
+
+    def recording_chord_bounds(rows, *args):
+        out = real(rows, *args)
+        bounds.append((rows[1:-1].copy(), out))
+        return out
+
+    monkeypatch.setattr(solver, "_chord_bounds", recording_chord_bounds)
+    return bounds
+
+
+def _assert_matches_full_scan(s):
+    res = solver.grid_oracle(s, step=1.0)
+    profile, f_min = reference_grid_oracle(s)
+    assert np.array_equal(res.profile.d_gen, profile), (res.profile.d_gen, profile)
+    assert res.f_min == f_min  # bitwise: the same profile through game.potential
+
+
+def _criterion_4_instance(n_orgs, seed):
+    scale = (0.5, 1.0, 2.0, 5.0, 20.0)[seed % 5]
+    return table1_scenario(seed=7000 + 100 * n_orgs + seed, n=n_orgs, cost_scale=scale)
+
+
+class TestRowSearch:
+    """The oracle's first-axis row search against the full scan of every
+    row (``helpers.reference_grid_scan``)."""
+
+    @pytest.mark.parametrize("n_orgs", [1, 2, 3])
+    def test_criterion_4_instances_match_the_full_scan(self, monkeypatch, n_orgs):
+        recorded = _record_row_bounds(monkeypatch)
+        for seed in range(50):
+            s = _criterion_4_instance(n_orgs, seed)
+            recorded.clear()
+            res = solver.grid_oracle(s, step=1.0)
+            values, row_min, idx = reference_grid_scan(s)
+            assert np.array_equal(res.profile.d_gen, values[list(idx)]), (seed, idx)
+            assert res.f_min == game.potential(s, values[list(idx)])  # bitwise
+            assert bool(recorded) == (n_orgs > 1)  # N = 1 keeps its one-axis argmin
+            # Every bound the search used is below the full scan's row minimum.
+            for rows, bound in recorded:
+                assert np.all(bound < row_min[rows]), (seed, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_orgs=st.sampled_from([2, 3]),
+        seed=st.integers(0, 10**6),
+        log_cost=st.floats(-3.0, 3.0),
+        varrho=st.sampled_from([0.5, 5.0, 20.0, 200.0]),
+        d_max=st.integers(0, 40),
+    )
+    def test_every_chord_bound_is_below_the_full_scan(self, n_orgs, seed, log_cost, varrho, d_max):
+        s = table1_scenario(seed=seed, n=n_orgs, cost_scale=10.0**log_cost, varrho=varrho,
+                            d_max=d_max)
+        values, row_min, _ = reference_grid_scan(s)
+        _, bg0, lin0 = reference_grid_axes(s)
+        scan = solver._row_scan(s, values, bg0, lin0)
+        for r in range(values.size):
+            assert scan(r)[0] == row_min[r]  # a scanned row is priced as the full scan does
+        order = np.argsort(bg0, kind="stable")
+        for a in range(values.size):
+            for b in range(a + 2, values.size):
+                rows = order[a : b + 1]
+                bound = solver._chord_bounds(rows, bg0, lin0, row_min[rows[0]], row_min[rows[-1]])
+                assert np.all(bound < row_min[rows[1:-1]]), (a, b)
+
+    @pytest.mark.parametrize("n_orgs", [2, 3])
+    @pytest.mark.parametrize("d_max", [0, 5, 40])
+    def test_small_boxes_match_the_full_scan(self, n_orgs, d_max):
+        for seed in range(8):
+            scale = (0.1, 1.0, 10.0, 1e3)[seed % 4]
+            _assert_matches_full_scan(
+                table1_scenario(seed=900 + seed, n=n_orgs, cost_scale=scale, d_max=d_max)
+            )
+
+    @pytest.mark.parametrize("n_orgs", [2, 3])
+    @pytest.mark.parametrize("alpha", [5.0, 21.2])
+    def test_symmetric_ties_break_to_the_first_profile(self, n_orgs, alpha):
+        s = build_scenario(n=n_orgs, alpha=alpha, beta=0.52, delta=0.12, d_loc=1500)
+        _assert_matches_full_scan(s)
+
+    @pytest.mark.parametrize("n_orgs", [2, 3])
+    def test_cost_dominated_optimum_is_the_floor(self, n_orgs):
+        s = table1_scenario(seed=47, n=n_orgs, cost_scale=1e6)
+        assert np.all(solver.grid_oracle(s, step=1.0).profile.d_gen == s.bounds.d_min)
+        _assert_matches_full_scan(s)
+
+    @pytest.mark.parametrize("n_orgs", [2, 3])
+    def test_optimum_in_the_last_row(self, n_orgs):
+        s = table1_scenario(seed=48, n=n_orgs, cost_scale=1e-3)
+        _, _, idx = reference_grid_scan(s)
+        assert idx[0] == s.bounds.d_max
+        _assert_matches_full_scan(s)
+
+    @pytest.mark.parametrize("n_orgs", [2, 3])
+    def test_rows_are_scanned_through_the_solver_names(self, monkeypatch, n_orgs):
+        # Span tracing wraps the kernels where ``solver`` looks them up.
+        calls = collections.Counter()
+        for name in ("argmin_2d", "argmin_3d", "build_lower_envelope"):
+            real = getattr(solver, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        s = _criterion_4_instance(n_orgs, 3)
+        _assert_matches_full_scan(s)
+        kernel = "argmin_2d" if n_orgs == 2 else "argmin_3d"
+        assert 0 < calls[kernel] < s.bounds.d_max
+        assert calls["build_lower_envelope"] == (n_orgs == 3)
 
 
 class TestVerifyNe:
