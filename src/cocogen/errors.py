@@ -57,11 +57,3 @@ class InsufficientPoints(CocogenError):
 class NonPositiveShifted(CocogenError):
     """No offset candidate gives a usable fit: some shifted error value is not
     positive, or the fitted alpha or beta is not positive."""
-
-
-class ConvexityViolation(CocogenError):
-    """Numerical convexity probe found a counterexample."""
-
-    def __init__(self, message: str, witness: dict):
-        super().__init__(message)
-        self.witness = witness

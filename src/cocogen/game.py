@@ -1,4 +1,5 @@
-"""Weighted potential function of the stage game and its analysis probes.
+"""Weighted potential function of the stage game and the constants of its
+stationarity closed forms.
 
 The game's potential is
 
@@ -17,6 +18,9 @@ d_n but does on the others' volumes (:func:`_deviation_weights`); there the
 identity holds with A_n and not with z_n. The cost coefficient includes the
 per-energy price: the utility's cost term carries it, and the identities
 only hold with it present.
+
+F's gradient and convexity are checked by the tests (``tests/helpers.py``);
+this module holds only what the solver and the certificate run.
 """
 
 from __future__ import annotations
@@ -27,20 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import economics
-from .errors import ConvexityViolation, NonNegativeZWeight
+from .errors import NonNegativeZWeight
 from .model import PayoffMode, ProfileLike, Scenario, _readonly, as_dgen
 
-__all__ = [
-    "z_weight",
-    "z_weights",
-    "potential",
-    "potential_from_errors",
-    "potential_batch",
-    "potential_gradient",
-    "weighted_potential_residual",
-    "convexity_probe",
-    "ConvexityReport",
-]
+__all__ = ["z_weights", "potential", "potential_from_errors", "potential_batch"]
 
 
 def _raw_z_weights(s: Scenario) -> np.ndarray:
@@ -67,14 +61,6 @@ def _deviation_weights(s: Scenario, eps: np.ndarray) -> np.ndarray:
         return z
     r = np.exp((economics._floor_errors(s) - eps) / (s.n * s.economy.varrho))
     return z + s.market.xi * (s.market.gamma @ (r - 1.0))
-
-
-def z_weight(s: Scenario, n: int) -> float:
-    """Potential weight of organization ``n``; strictly negative by assumption."""
-    z = float(_raw_z_weights(s)[n])
-    if z >= 0:
-        raise NonNegativeZWeight(n, z)
-    return z
 
 
 def z_weights(s: Scenario) -> np.ndarray:
@@ -149,94 +135,3 @@ def _growth(c: _Stationarity, a1: float) -> float:
         return math.exp((a1 - 1.0) / c.varrho)
     except OverflowError:
         return math.inf
-
-
-def potential_gradient(s: Scenario, profile: ProfileLike) -> np.ndarray:
-    """Analytic coordinate gradient of F: minus the marginal reduction of the
-    global error per generated sample, minus a2."""
-    d = as_dgen(profile, s.n)
-    c = _stationarity(s)
-    growth = _growth(c, float(economics.local_errors(s, d).mean()))
-    return -(c.benefit * (c.d_loc + d) ** c.benefit_exponent * growth) - c.a2
-
-
-def weighted_potential_residual(
-    s: Scenario, profile: ProfileLike, n: int, d_alt: float
-) -> float:
-    """Defect of the weighted-potential identity ``dU_n = z_n dF`` for one
-    unilateral deviation.
-
-    Under literal payoffs it is zero (up to float noise) for every profile,
-    organization and feasible alternative; this is the executable statement
-    of the game being a weighted potential game. Under antisymmetric payoffs
-    it is ``(A_n - z_n) * dErr`` (module docstring).
-    """
-    base = as_dgen(profile, s.n)
-    alt = base.copy()
-    alt[n] = float(d_alt)
-    u = economics.evaluate_profiles(s, np.vstack([base, alt])).utility[:, n]
-    df = potential(s, alt) - potential(s, base)
-    return float(u[1] - u[0]) - z_weight(s, n) * df
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    trials: int
-    worst_midpoint_gap: float
-    worst_second_difference: float
-
-
-def convexity_probe(s: Scenario, trials: int = 1000, seed: int = 0) -> ConvexityReport:
-    """Randomized convexity check of F over the strategy box.
-
-    Samples profile pairs and mixing weights, asserting midpoint convexity
-    within 1e-12 * |F|, plus non-negative second differences along random
-    coordinate directions. Raises :class:`ConvexityViolation` with the
-    witness on failure; otherwise reports the worst margins observed.
-    """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC0], dtype=np.uint64)))
-    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    # Keep totals strictly positive even when d_loc = d_min = 0.
-    if lo == 0 and np.any(s.d_loc == 0):
-        lo = 1.0
-    p = rng.uniform(lo, hi, size=(trials, s.n))
-    q = rng.uniform(lo, hi, size=(trials, s.n))
-    lam = rng.uniform(0.0, 1.0, size=trials)
-
-    f_p = potential_batch(s, p)
-    f_q = potential_batch(s, q)
-    mid = lam[:, None] * p + (1.0 - lam)[:, None] * q
-    f_mid = potential_batch(s, mid)
-    chord = lam * f_p + (1.0 - lam) * f_q
-    gaps = f_mid - chord
-    tol = 1e-12 * np.maximum(np.abs(f_mid), np.abs(chord))
-    worst_gap = float(np.max(gaps - tol))
-    if worst_gap > 0:
-        k = int(np.argmax(gaps - tol))
-        raise ConvexityViolation(
-            f"midpoint convexity violated by {gaps[k]:.3e}",
-            witness={"p": p[k].tolist(), "q": q[k].tolist(), "lam": float(lam[k])},
-        )
-
-    # Second differences along random coordinates, step sized to the box.
-    h = max((hi - lo) * 1e-3, 1e-3)
-    coords = rng.integers(0, s.n, size=trials)
-    centers = np.clip(p, lo + h, hi - h)
-    plus = centers.copy()
-    minus = centers.copy()
-    rows = np.arange(trials)
-    plus[rows, coords] += h
-    minus[rows, coords] -= h
-    second = potential_batch(s, plus) - 2.0 * potential_batch(s, centers) + potential_batch(s, minus)
-    worst_second = float(second.min())
-    if worst_second < -1e-9:
-        k = int(np.argmin(second))
-        raise ConvexityViolation(
-            f"negative second difference {worst_second:.3e}",
-            witness={"profile": centers[k].tolist(), "coord": int(coords[k]), "step": h},
-        )
-    return ConvexityReport(
-        trials=trials,
-        worst_midpoint_gap=float(np.max(gaps)),
-        worst_second_difference=worst_second,
-    )

@@ -8,8 +8,8 @@ Semantics contract:
 * The argmin is the first one in lexicographic (i, j, k) order among exact
   float ties.
 
-The scans run in row chunks so a temporary holds at most ``_CHUNK`` rows of
-the grid.
+Each scan is one numpy expression over the rows it is given; the oracle's
+row search hands it one first-axis row per call.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "argmin_3d",
     "backend_name",
 ]
-
-_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -95,41 +93,16 @@ def backend_name() -> str:
 
 
 def argmin_2d(bg1, lin1, g2, lin2):
-    """(F_min, i, j) over the full 2-axis grid of float64 vectors."""
-    m1 = bg1.shape[0]
-    best_val = np.inf
-    best_i = best_j = 0
-    m2 = g2.shape[0]
-    for i0 in range(0, m1, _CHUNK):
-        i1 = min(i0 + _CHUNK, m1)
-        f = bg1[i0:i1, None] * g2[None, :] + lin1[i0:i1, None] + lin2[None, :]
-        flat = int(np.argmin(f))
-        val = float(f.flat[flat])
-        if val < best_val:
-            best_val = val
-            best_i = i0 + flat // m2
-            best_j = flat % m2
-    return best_val, best_i, best_j
+    """(F_min, i, j) over the 2-axis grid of float64 vectors."""
+    f = bg1[:, None] * g2[None, :] + lin1[:, None] + lin2[None, :]
+    i, j = divmod(int(np.argmin(f)), g2.shape[0])
+    return float(f[i, j]), i, j
 
 
 def argmin_3d(bg1, lin1, g2, lin2, env: Envelope):
     """(F_min, i, j, k) with the third axis reduced through ``env``."""
-    m1 = bg1.shape[0]
-    m2 = g2.shape[0]
-    best_val = np.inf
-    best_i = best_j = 0
-    best_k = 0
-    for i0 in range(0, m1, _CHUNK):
-        i1 = min(i0 + _CHUNK, m1)
-        q = bg1[i0:i1, None] * g2[None, :]
-        base = lin1[i0:i1, None] + lin2[None, :]
-        h = np.searchsorted(env.thresh, q, side="left")
-        f = q * env.slope[h] + env.inter[h] + base
-        flat = int(np.argmin(f))
-        val = float(f.flat[flat])
-        if val < best_val:
-            best_val = val
-            best_i = i0 + flat // m2
-            best_j = flat % m2
-            best_k = int(env.k[h.flat[flat]])
-    return best_val, best_i, best_j, best_k
+    q = bg1[:, None] * g2[None, :]
+    h = np.searchsorted(env.thresh, q, side="left")
+    f = q * env.slope[h] + env.inter[h] + (lin1[:, None] + lin2[None, :])
+    i, j = divmod(int(np.argmin(f)), g2.shape[0])
+    return float(f[i, j]), i, j, int(env.k[h[i, j]])

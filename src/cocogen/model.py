@@ -298,16 +298,6 @@ class StrategyProfile:
     def __len__(self) -> int:
         return self.d_gen.shape[0]
 
-    def within(self, bounds: StrategyBounds) -> bool:
-        return bool(
-            np.all(self.d_gen >= bounds.d_min) and np.all(self.d_gen <= bounds.d_max)
-        )
-
-    def replaced(self, n: int, value: float) -> "StrategyProfile":
-        d = self.d_gen.copy()
-        d[n] = value
-        return StrategyProfile(d)
-
 
 ProfileLike = Union[StrategyProfile, np.ndarray, Sequence[float]]
 

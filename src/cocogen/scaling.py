@@ -23,14 +23,18 @@ from .model import ScalingLaw
 __all__ = [
     "CurvePoint",
     "FitResult",
-    "FitConfig",
+    "DELTA_GRID",
+    "MAX_REFINE",
     "fit_scaling_law",
-    "predict",
     "heterogeneity_presets",
     "read_curve_csv",
 ]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Offset candidates of the grid pass, ascending and distinct, and the
+# golden-section steps that refine the grid winner.
+DELTA_GRID = tuple(round(0.01 * i, 2) for i in range(51))
+MAX_REFINE = 60
 
 
 @dataclass(frozen=True)
@@ -61,12 +65,6 @@ class FitResult:
             "rmse": self.rmse,
             "n_points": self.n_points,
         }
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    delta_grid: tuple[float, ...] = tuple(round(0.01 * i, 2) for i in range(51))
-    max_refine: int = 60
 
 
 class _LogLinear:
@@ -106,9 +104,8 @@ class _LogLinear:
         return alpha, beta, rmse
 
 
-def fit_scaling_law(points: list[CurvePoint], cfg: FitConfig | None = None) -> FitResult:
+def fit_scaling_law(points: list[CurvePoint]) -> FitResult:
     """Fit (alpha, beta, delta) to observed (d, eps) learning-curve points."""
-    cfg = cfg or FitConfig()
     if len(points) < 3 or len({p.d for p in points}) < 3:
         raise InsufficientPoints("need at least 3 points with 3 distinct d values")
     curve = _LogLinear(points)
@@ -121,21 +118,21 @@ def fit_scaling_law(points: list[CurvePoint], cfg: FitConfig | None = None) -> F
             evaluated[delta] = curve.fit(delta)
         return evaluated[delta]
 
-    grid = sorted(set(float(x) for x in cfg.delta_grid))
+    grid = DELTA_GRID
     feasible = [(g, try_delta(g)) for g in grid]
     feasible = [(g, fit) for g, fit in feasible if fit is not None]
     if not feasible:
         # eps + delta rises with delta, so the largest candidate shows whether
         # every candidate was refused for its sign or for its line's slope.
-        if (curve.eps + max(0.0, grid[-1]) <= 0).any():
+        if (curve.eps + grid[-1] <= 0).any():
             raise NonPositiveShifted("eps + delta <= 0 for every offset candidate")
         raise NonPositiveShifted("no offset candidate gives a positive alpha and beta")
     best_delta, best_fit = min(feasible, key=lambda item: item[1][2])
 
     # Golden-section refinement of the offset around the grid winner.
     idx = grid.index(best_delta)
-    lo = grid[idx - 1] if idx > 0 else max(0.0, best_delta - (grid[1] - grid[0] if len(grid) > 1 else 0.01))
-    hi = grid[idx + 1] if idx + 1 < len(grid) else best_delta + (grid[-1] - grid[-2] if len(grid) > 1 else 0.01)
+    lo = grid[idx - 1] if idx > 0 else max(0.0, best_delta - (grid[1] - grid[0]))
+    hi = grid[idx + 1] if idx + 1 < len(grid) else best_delta + (grid[-1] - grid[-2])
 
     def rmse_at(delta: float) -> float:
         fit = try_delta(delta)
@@ -145,7 +142,7 @@ def fit_scaling_law(points: list[CurvePoint], cfg: FitConfig | None = None) -> F
     c = b - GOLDEN * (b - a)
     e = a + GOLDEN * (b - a)
     fc, fe = rmse_at(c), rmse_at(e)
-    for _ in range(max(0, cfg.max_refine)):
+    for _ in range(MAX_REFINE):
         if fc <= fe:
             b, e, fe = e, c, fc
             c = b - GOLDEN * (b - a)
@@ -165,11 +162,6 @@ def fit_scaling_law(points: list[CurvePoint], cfg: FitConfig | None = None) -> F
         rmse=rmse,
         n_points=len(points),
     )
-
-
-def predict(law: ScalingLaw, d) -> float:
-    """Predicted error at total data volume ``d``; same path as the economics."""
-    return law.error_at(d)
 
 
 def read_curve_csv(path) -> list[CurvePoint]:

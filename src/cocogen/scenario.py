@@ -51,6 +51,7 @@ __all__ = [
     "sweep_from_dict",
     "default_sweep_grid",
     "MAX_RADG_ELEMENTS",
+    "MAX_SWEEP_JOBS",
     "check_radg_count",
 ]
 
@@ -61,6 +62,11 @@ MASK64 = (1 << 64) - 1
 # A job prices its RaDG draws through (count, N, N) float64 tensors of
 # counterfactual errors; this caps one tensor at 128 MiB.
 MAX_RADG_ELEMENTS = 2**24
+
+# The job list and every job's rows stay in memory until the sweep's CSVs are
+# written, about 2.6 kB per job; this caps them near 260 MB (111 times the
+# shipped preset's 900 jobs).
+MAX_SWEEP_JOBS = 10**5
 
 
 def check_radg_count(count: int, n_orgs: int, field: str) -> None:
@@ -168,6 +174,11 @@ class SweepGrid:
         for name in ("gamma_levels", "alpha_d_levels"):
             if not getattr(self, name):
                 raise InvariantViolation(name, "must not be empty")
+        jobs = len(self.gamma_levels) * len(self.alpha_d_levels) * self.repetitions
+        if jobs > MAX_SWEEP_JOBS:
+            raise InvariantViolation(
+                "repetitions", f"the grid has {jobs} jobs, more than {MAX_SWEEP_JOBS}"
+            )
         for lv in self.gamma_levels:
             lv._violations()
 

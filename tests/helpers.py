@@ -328,6 +328,55 @@ def reference_ne_gains(s, profile, grid_step=1.0):
 
 
 # ---------------------------------------------------------------------------
+# Potential analysis: F's analytic gradient and a randomized convexity check
+# (criteria 2 and 3).
+# ---------------------------------------------------------------------------
+
+
+def reference_potential_gradient(s, d):
+    """F's coordinate gradient in closed form: minus each organization's
+    marginal reduction of the global error, minus a2."""
+    from cocogen import economics, game
+
+    eps = economics.local_errors(s, d)
+    err = np.exp((float(eps.mean()) - 1.0) / s.economy.varrho)
+    alphas, betas = s.alpha, s.beta
+    benefit = (
+        alphas * betas / (s.n * s.economy.varrho) * np.power(s.d_loc + d, -betas - 1.0) * err
+    )
+    return -benefit - economics._marginal_costs(s) / game.z_weights(s)
+
+
+def convexity_margins(s, trials, seed):
+    """Worst midpoint gap ``F(mid) - chord`` relative to ``|F|`` over random
+    profile pairs, and worst second difference of F along random coordinates,
+    from Philox draws keyed ``[seed, 0xC0]``."""
+    from cocogen.game import potential_batch
+
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC0], dtype=np.uint64)))
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    if lo == 0 and np.any(s.d_loc == 0):
+        lo = 1.0  # keep totals strictly positive
+    p = rng.uniform(lo, hi, size=(trials, s.n))
+    q = rng.uniform(lo, hi, size=(trials, s.n))
+    lam = rng.uniform(0.0, 1.0, size=(trials, 1))
+    f_mid = potential_batch(s, lam * p + (1.0 - lam) * q)
+    chord = lam[:, 0] * potential_batch(s, p) + (1.0 - lam[:, 0]) * potential_batch(s, q)
+    gap = np.max((f_mid - chord) / np.maximum(np.abs(f_mid), np.abs(chord)))
+
+    h = max((hi - lo) * 1e-3, 1e-3)
+    centers = np.clip(p, lo + h, hi - h)
+    step = np.zeros_like(centers)
+    step[np.arange(trials), rng.integers(0, s.n, size=trials)] = h
+    second = (
+        potential_batch(s, centers + step)
+        - 2.0 * potential_batch(s, centers)
+        + potential_batch(s, centers - step)
+    )
+    return float(gap), float(second.min())
+
+
+# ---------------------------------------------------------------------------
 # Reference solver: the fixed-point loop exactly as first written, with one
 # potential evaluation per iterate on top of the Jacobi targets, case labels
 # classified one organization at a time and integer restoration through 2N
@@ -348,7 +397,7 @@ def _ref_mean_error_and_a2(s, d, n):
     from cocogen import economics, game
 
     eps = economics.local_errors(s, d)
-    return float(eps.mean()), economics._marginal_costs(s)[n] / game.z_weight(s, n)
+    return float(eps.mean()), economics._marginal_costs(s)[n] / game.z_weights(s)[n]
 
 
 def _ref_benefit(s, n, total, a1):
@@ -679,6 +728,9 @@ def reference_grid_axes(s, step=1.0):
     return values, math.exp(-1.0 / s.economy.varrho) * g0, lin0
 
 
+_SCAN_ROWS = 128  # rows per temporary of the full scan
+
+
 def reference_grid_scan(s, step=1.0):
     """The full scan of the N <= 3 lattice: the lattice values, each
     first-axis row's smallest F, and the lexicographically first argmin's
@@ -693,8 +745,8 @@ def reference_grid_scan(s, step=1.0):
     env = kernels.build_lower_envelope(*solver._axis_arrays(s, values, 2)) if s.n == 3 else None
     row_min = np.empty(values.size)
     best_val, best = np.inf, None
-    for i0 in range(0, values.size, kernels._CHUNK):
-        i1 = min(i0 + kernels._CHUNK, values.size)
+    for i0 in range(0, values.size, _SCAN_ROWS):
+        i1 = min(i0 + _SCAN_ROWS, values.size)
         if env is None:
             f = bg0[i0:i1, None] * g1[None, :] + lin0[i0:i1, None] + lin1[None, :]
         else:

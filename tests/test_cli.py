@@ -514,6 +514,7 @@ class TestSweepCommand:
             ("alpha_d_levels", [0.3], "alpha_d_levels: no heterogeneity preset for 0.3"),
             ("gamma_levels", [], "gamma_levels: must not be empty"),
             ("alpha_d_levels", [], "alpha_d_levels: must not be empty"),
+            ("repetitions", 1e12, "repetitions: the grid has 9000000000000 jobs, more than 100000"),
         ],
     )
     def test_unusable_grid_is_input_error(self, tmp_path, capsys, jobs, key, value, message):

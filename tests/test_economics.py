@@ -40,7 +40,7 @@ class TestLocalError:
         s = build_scenario(
             n=1, gamma=[[0.0]], alpha=law.alpha, beta=law.beta, delta=law.delta, d_loc=1000
         )
-        assert eco.local_errors(s, [2000.0])[0] == scaling.predict(law, 3000)
+        assert eco.local_errors(s, [2000.0])[0] == law.error_at(3000)
         assert eco.local_errors(s, [2000.0])[0] == pytest.approx(truth.error_at(3000), rel=1e-6)
 
 

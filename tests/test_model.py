@@ -81,7 +81,7 @@ class TestValidation:
     def test_single_org_no_competition_is_valid(self):
         s = build_scenario(n=1, gamma=[[0.0]], xi=0.0, phi=250.0, psi=700.0)
         assert validate_scenario(s) is s
-        assert game.z_weight(s, 0) == -700.0
+        assert game.z_weights(s)[0] == -700.0
 
     def test_gamma_above_one_rejected(self):
         g = [[0.0, 1.2], [0.3, 0.0]]
@@ -96,7 +96,7 @@ class TestValidation:
         )
         s = sample_scenario(grid, cell, seed=123)  # validates internally
         assert s.n == 10
-        assert all(game.z_weight(s, n) < 0 for n in range(s.n))
+        assert np.all(game.z_weights(s) < 0)
 
     def test_validation_is_idempotent(self):
         s = build_scenario(n=3)
@@ -212,7 +212,7 @@ class TestValidation:
         with pytest.raises(NonNegativeZWeight) as first:
             game.z_weights(s)
         assert first.value.org == 0
-        assert game.z_weight(s, 1) == -700.0
+        assert game._raw_z_weights(s)[1] == -700.0
 
     def test_z_weights_match_the_per_organization_formula(self):
         s = table1_scenario(seed=74)
@@ -221,13 +221,13 @@ class TestValidation:
             float(np.dot(s.market.gamma[n], s.market.xi - s.market.phi) - s.psi[n])
             for n in range(s.n)
         ]
-        assert z.tolist() == by_row == [game.z_weight(s, n) for n in range(s.n)]
+        assert z.tolist() == by_row
         assert game._linear_coeffs(s).tolist() == (-eco._marginal_costs(s) / z).tolist()
 
     def test_z_weight_raises_directly_for_degenerate_org(self):
         s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, validate=False)
         with pytest.raises(NonNegativeZWeight):
-            game.z_weight(s, 0)
+            game.z_weights(s)
 
 
 NON_FINITE_FIELDS = [

@@ -6,7 +6,7 @@ import pytest
 from cocogen import scaling
 from cocogen.errors import InsufficientPoints, InvariantViolation, NonPositiveShifted
 from cocogen.model import ScalingLaw
-from cocogen.scaling import CurvePoint, FitConfig, fit_scaling_law, heterogeneity_presets
+from cocogen.scaling import CurvePoint, fit_scaling_law, heterogeneity_presets
 
 
 def synth_points(law, ds, sigma=0.0, seed=0):
@@ -49,7 +49,7 @@ class TestFit:
     def test_all_candidates_nonpositive(self):
         pts = [CurvePoint(d, -5.0) for d in (10, 20, 40)]
         with pytest.raises(NonPositiveShifted):
-            fit_scaling_law(pts, FitConfig(delta_grid=(0.0, 0.5), max_refine=0))
+            fit_scaling_law(pts)
 
     def test_rising_curve_names_the_slope(self):
         pts = [CurvePoint(100, 0.1), CurvePoint(200, 0.2), CurvePoint(400, 0.3)]
@@ -77,10 +77,9 @@ class TestFit:
     def test_returned_rmse_beats_every_grid_candidate(self):
         truth = ScalingLaw(5.0, 0.4, 0.283)  # off-grid offset
         pts = synth_points(truth, DS, sigma=0.002, seed=3)
-        cfg = FitConfig()
-        fit = fit_scaling_law(pts, cfg)
+        fit = fit_scaling_law(pts)
         curve = scaling._LogLinear(pts)
-        for delta in cfg.delta_grid:
+        for delta in scaling.DELTA_GRID:
             cand = curve.fit(delta)
             if cand is not None:
                 assert fit.rmse <= cand[2] + 1e-15
@@ -110,7 +109,7 @@ class TestFit:
 
 class TestPredict:
     def test_direct_value(self):
-        assert scaling.predict(ScalingLaw(1.0, 1.0, 0.0), 100) == pytest.approx(
+        assert ScalingLaw(1.0, 1.0, 0.0).error_at(100) == pytest.approx(
             0.01, rel=1e-15
         )
 
@@ -118,7 +117,7 @@ class TestPredict:
         truth = ScalingLaw(5.0, 0.4, 0.08)
         pts = synth_points(truth, DS, sigma=0.004, seed=5)
         fit = fit_scaling_law(pts)
-        resid = [scaling.predict(fit.law, p.d) - p.eps for p in pts]
+        resid = [fit.law.error_at(p.d) - p.eps for p in pts]
         assert fit.rmse == pytest.approx(float(np.sqrt(np.mean(np.square(resid)))), rel=1e-12)
 
     def test_monotone_decreasing(self):
@@ -172,9 +171,9 @@ class TestPresets:
         assert set(presets) == {0.1, 0.5, 0.9}
         for d in (500, 3000, 6000):
             assert (
-                scaling.predict(presets[0.1], d)
-                > scaling.predict(presets[0.5], d)
-                > scaling.predict(presets[0.9], d)
+                presets[0.1].error_at(d)
+                > presets[0.5].error_at(d)
+                > presets[0.9].error_at(d)
             )
 
     def test_curves_do_not_cross_on_range(self):

@@ -8,6 +8,7 @@ from cocogen.errors import InvariantViolation
 from cocogen.model import ORG_COLUMNS, scenario_to_dict
 from cocogen.scaling import heterogeneity_presets
 from cocogen.scenario import (
+    MAX_SWEEP_JOBS,
     GammaLevel,
     SweepCell,
     SweepGrid,
@@ -215,3 +216,12 @@ class TestSweepConfig:
         with pytest.raises(InvariantViolation) as exc:
             replace(default_sweep_grid(), radg_repetitions=count)
         assert exc.value.field == "radg_repetitions"
+
+    def test_job_count_is_capped(self):
+        grid = default_sweep_grid()
+        # One level on each axis, so the job count is the repetition count.
+        at_cap = replace(grid, gamma_levels=grid.gamma_levels[:1], alpha_d_levels=(0.5,),
+                         repetitions=MAX_SWEEP_JOBS)
+        with pytest.raises(InvariantViolation) as exc:
+            replace(at_cap, repetitions=MAX_SWEEP_JOBS + 1)
+        assert exc.value.field == "repetitions"

@@ -34,6 +34,7 @@ from helpers import (
     reference_grid_scan,
     reference_root_solve,
     reference_ne_gains,
+    reference_potential_gradient,
     reference_unilateral_utilities,
     table1_scenario,
 )
@@ -57,7 +58,7 @@ class TestStationarityConstants:
             org = org_row(s, n)
             a2 = (
                 org.kappa * org.c_cmp * (org.eta + org.mu) * org.f**2
-                / game.z_weight(s, n)
+                / game.z_weights(s)[n]
             )
             benefit = org.alpha * org.beta / (s.n * s.economy.varrho)
             assert c.a2[n] == pytest.approx(a2, rel=1e-14)
@@ -245,15 +246,14 @@ class TestFpiSolve:
     def test_gauss_like_interior_gradient_vanishes(self):
         s = table1_scenario(seed=44, cost_scale=3.0)
         rep = solver.fpi_solve(s, SolverConfig(tol=1e-14, max_iters=5000))
-        grad = game.potential_gradient(s, rep.profile.d_gen)
+        grad = reference_potential_gradient(s, rep.profile.d_gen)
         scale = float(np.max(np.abs(grad)))
         for n in range(s.n):
             if rep.cases[n] == CaseLabel.INTERIOR:
                 # integer restoration leaves at most a half-sample offset
-                curv = abs(
-                    game.potential_gradient(s, rep.profile.replaced(n, rep.profile.d_gen[n] + 1.0).d_gen)[n]
-                    - grad[n]
-                )
+                up = rep.profile.d_gen.copy()
+                up[n] += 1.0
+                curv = abs(reference_potential_gradient(s, up)[n] - grad[n])
                 assert abs(grad[n]) <= max(1e-6 * scale, 0.75 * curv)
             elif rep.cases[n] == CaseLabel.LOWER_BOUND:
                 assert grad[n] >= -1e-12
