@@ -8,9 +8,14 @@ job's work after sampling (both solves and the one batched pricing of the
 CoCoGen, VCFL and WCO profiles and the RaDG draws).
 ``baselines.wco_scenario`` builds and checks the zero-competition clone of
 that (validated) scenario. ``solver.verify_ne`` certifies that scenario's
-CoCoGen profile over the full 3001-point deviation lattice of each
-organization, and ``solver.verify_ne.antisymmetric`` does the same for a
-copy under antisymmetric payoffs, at that copy's CoCoGen profile.
+CoCoGen profile against every unilateral move on each organization's
+3001-point lattice (at an equilibrium it prices each organization's two
+lattice neighbours; checkouts before that scanned every move), and
+``solver.verify_ne.antisymmetric`` does the same for a copy under
+antisymmetric payoffs, at that copy's CoCoGen profile.
+``solver.verify_ne.not_ne`` certifies the all-``d_min`` profile of a copy
+whose generation costs are scaled by 1e-6, where every organization gains
+by moving up, so the certificate searches each gain for its maximum.
 ``cli.run_sweep_job`` runs the first 90 preset jobs end to end, sampling
 included, and is what a sweep pays per job. ``cli.sweep.preset.jobs1`` and
 ``.jobs2`` are one wall-clock run each of ``cocogen sweep`` on the full
@@ -32,7 +37,10 @@ fits a noiseless 12-point curve of the shipped law. ``cli.main.solve`` and
 ``cli.main.fit`` are one in-process request each (``solve`` of the shipped
 example, ``fit`` of that curve), argument parsing and file I/O included;
 being minima over repeated calls in one process, they leave out what only
-a process's first request pays.
+a process's first request pays. ``tier1.pytest`` is the wall time of one
+Tier-1 run (``python -m pytest -q --continue-on-collection-errors`` in the
+checkout holding ``--src``, with that directory on ``PYTHONPATH``), a
+single run like the preset sweeps.
 
 Time two checkouts with the same script and collect both in one file.
 Each invocation appends its numbers under its label, and the file keeps the
@@ -57,6 +65,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -123,7 +132,22 @@ def _request_layers(cli, scaling, repeat: int) -> dict:
         }
 
 
+def _tier1_us(src: str) -> float:
+    """Wall time of one Tier-1 run of the checkout holding ``src``, in us."""
+    src = os.path.abspath(src)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=os.path.dirname(src), env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"Tier-1 exited {proc.returncode}:\n{proc.stdout[-2000:]}")
+    return elapsed * 1e6
+
+
 def measure(repeat: int) -> dict:
+    import numpy as np
+
     from cocogen import baselines, cli, economics, scaling, solver
     from cocogen.model import PayoffMode, validate_scenario, with_payoff_mode
     from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
@@ -137,6 +161,10 @@ def measure(repeat: int) -> dict:
     wco = baselines.wco_scenario(s)
     anti = with_payoff_mode(s, PayoffMode.ANTISYMMETRIC)
     anti_profile = solver.fpi_solve(anti, cfg).profile
+    cheap = replace(s, eta=s.eta * 1e-6, mu=s.mu * 1e-6)
+    floor = np.full(s.n, float(s.bounds.d_min))
+    if solver.verify_ne(cheap, floor).is_ne:
+        raise RuntimeError("the near-free floor profile was certified")
     layers = {
         "scenario.sample_scenario": _per_call_us(
             lambda: sample_scenario(grid, job.cell, job.seed), 200, repeat
@@ -155,6 +183,9 @@ def measure(repeat: int) -> dict:
         ),
         "solver.verify_ne.antisymmetric": _per_call_us(
             lambda: solver.verify_ne(anti, anti_profile), 100, repeat
+        ),
+        "solver.verify_ne.not_ne": _per_call_us(
+            lambda: solver.verify_ne(cheap, floor), 100, repeat
         ),
         "model.validate_scenario.fresh_copy": _per_call_us(
             lambda: validate_scenario(replace(wco)), 500, repeat
@@ -196,6 +227,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     layers = measure(args.repeat)
+    layers["tier1.pytest"] = round(_tier1_us(args.src), 2)
     payload = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

@@ -1,7 +1,8 @@
 """Command-line entry point: fit, solve, sweep, and compare.
 
-Exit codes: 0 success, 2 unusable input, 3 curve fit with too few points or
-no feasible offset, 4 solver non-convergence (suppressed by
+Exit codes: 0 success, 2 unusable input or output path (and any package
+error a command does not handle), 3 curve fit with too few points or no
+feasible offset, 4 solver non-convergence (suppressed by
 ``--allow-nonconverged``).
 All numeric CSV fields carry 17 significant digits; result CSVs are plain
 RFC 4180 bodies with the run manifest in a JSON sidecar next to them.
@@ -14,6 +15,7 @@ import collections
 import contextlib
 import csv
 import functools
+import io
 import json
 import logging
 import math
@@ -30,9 +32,9 @@ import numpy as np
 from . import __version__, baselines, economics, scaling, solver
 from .errors import (
     CocogenError,
-    InstanceTooLarge,
     InsufficientPoints,
     NonPositiveShifted,
+    UnwritableOutput,
 )
 from .model import PayoffMode, load_scenario, validate_scenario, with_payoff_mode
 from .scenario import (
@@ -102,9 +104,23 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(payload))
+def _csv_text(header, rows) -> str:
+    """An RFC 4180 body: the header, then every row's fields through ``_fmt``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write_text(path, text: str, flag: str) -> None:
+    """Write one output file in one call; a path that cannot be written is
+    reported against the flag that gave it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UnwritableOutput(f"{flag}: cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
 
 def _solver_config_from_args(args) -> solver.SolverConfig:
@@ -139,7 +155,7 @@ def cmd_fit(args) -> int:
         return EXIT_FIT
     payload = result.to_dict()
     payload["manifest"] = _manifest("fit", [args.curve], None, started)
-    _write_json(args.out, payload)
+    _write_text(args.out, _json_text(payload), "-o/--out")
     print(
         f"fitted alpha={result.law.alpha:.6g} beta={result.law.beta:.6g} "
         f"delta={result.law.delta:.6g} rmse={result.rmse:.3e}"
@@ -161,24 +177,16 @@ def cmd_solve(args) -> int:
         return EXIT_INPUT
     report = solver.fpi_solve(s, _solver_config_from_args(args))
     if args.verify_ne:
-        try:
-            cert = solver.verify_ne(s, report.profile)
-        except InstanceTooLarge as exc:
-            print(f"error: --verify-ne: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        report = replace(report, ne_certificate=cert)
+        report = replace(report, ne_certificate=solver.verify_ne(s, report.profile))
     payload = {"manifest": _manifest("solve", [args.scenario], args.seed, started),
                **report.to_dict()}
     if args.out:
-        _write_json(args.out, payload)
+        _write_text(args.out, _json_text(payload), "-o/--out")
     else:
         sys.stdout.write(_json_text(payload))
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "F"])
-            for i, f_val in enumerate(report.potential_trace):
-                writer.writerow([i, _fmt(f_val)])
+        trace = _csv_text(["iteration", "F"], enumerate(report.potential_trace))
+        _write_text(args.trace, trace, "--trace")
     if not report.converged and not args.allow_nonconverged:
         print(
             f"error: not converged after {report.iterations} iterations",
@@ -285,12 +293,8 @@ def _job_worker(payload):
     return run_sweep_job(grid, job, cfg)
 
 
-def _write_rows_csv(path, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_fmt(r[c]) for c in columns])
+def _write_rows_csv(path, columns, rows, flag: str) -> None:
+    _write_text(path, _csv_text(columns, ([r[c] for c in columns] for r in rows)), flag)
 
 
 def _stdev(values: list[float]) -> float:
@@ -376,7 +380,12 @@ def cmd_sweep(args) -> int:
         print(f"error: invalid sweep file: {exc}", file=sys.stderr)
         return EXIT_INPUT
     cfg = _solver_config_from_args(args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UnwritableOutput(
+            f"-o/--out-dir: cannot make directory {args.out_dir!r}: {exc.strerror or exc}"
+        ) from None
 
     rows = run_sweep(grid, cfg, jobs=args.jobs)
     ok = sum(1 for r in rows if r["status"] == "ok")
@@ -384,25 +393,27 @@ def cmd_sweep(args) -> int:
         print("error: every sweep job failed", file=sys.stderr)
         return 1
 
+    flag = "-o/--out-dir"
     results_path = os.path.join(args.out_dir, "results.csv")
-    _write_rows_csv(results_path, SWEEP_COLUMNS, rows)
+    _write_rows_csv(results_path, SWEEP_COLUMNS, rows, flag)
 
     agg = _aggregate(rows)
     agg_columns = (
         "gamma_level", "alpha_d", "scheme", "n",
         "welfare_mean", "welfare_std", "mean_d_gen_mean", "mean_d_gen_std",
     )
-    _write_rows_csv(os.path.join(args.out_dir, "aggregate.csv"), agg_columns, agg)
+    _write_rows_csv(os.path.join(args.out_dir, "aggregate.csv"), agg_columns, agg, flag)
     fig3 = [r for r in agg if r["scheme"] == "CoCoGen"]
-    _write_rows_csv(os.path.join(args.out_dir, "fig3_cocogen.csv"), agg_columns, fig3)
+    _write_rows_csv(os.path.join(args.out_dir, "fig3_cocogen.csv"), agg_columns, fig3, flag)
     fig4_columns = ("gamma_level", "alpha_d", "scheme", "n", "welfare_mean", "welfare_std")
-    _write_rows_csv(os.path.join(args.out_dir, "fig4_schemes.csv"), fig4_columns, agg)
+    _write_rows_csv(os.path.join(args.out_dir, "fig4_schemes.csv"), fig4_columns, agg, flag)
 
     manifest = _manifest("sweep", [args.sweep], args.seed, started)
     for name in ("results.csv", "aggregate.csv", "fig3_cocogen.csv", "fig4_schemes.csv"):
-        _write_json(
+        _write_text(
             os.path.join(args.out_dir, name + ".manifest.json"),
-            {"manifest": manifest, "for_file": name},
+            _json_text({"manifest": manifest, "for_file": name}),
+            flag,
         )
     print(f"wrote {len(rows)} rows ({ok} ok) to {results_path}")
     return EXIT_OK
@@ -449,9 +460,9 @@ def cmd_compare(args) -> int:
     print(f"(WCO welfare under its zero-competition clone: {wco.welfare:.6f})")
     if args.out:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")
-        _write_rows_csv(args.out, columns, rows)
+        _write_rows_csv(args.out, columns, rows, "-o/--out")
         manifest = _manifest("compare", [args.scenario], args.seed, started)
-        _write_json(args.out + ".manifest.json", {"manifest": manifest})
+        _write_text(args.out + ".manifest.json", _json_text({"manifest": manifest}), "-o/--out")
     if not rows[0]["converged"] and not args.allow_nonconverged:
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -535,11 +546,17 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
     The ``cmd_<command>`` function is looked up in this module on each call,
-    so a name rebound after the first call is the one that runs.
+    so a name rebound after the first call is the one that runs. A package
+    error that the command does not handle exits 2 with its type and
+    message.
     """
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = _shared_parser().parse_args(argv)
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        return globals()[f"cmd_{args.command}"](args)
+    except CocogenError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -50,6 +50,10 @@ class InstanceTooLarge(CocogenError):
     """Exhaustive grid search refused: too many organizations or grid points."""
 
 
+class UnwritableOutput(CocogenError):
+    """An output path given on the command line cannot be written."""
+
+
 class InsufficientPoints(CocogenError):
     """Too few distinct curve points to fit the error law."""
 

@@ -1,6 +1,8 @@
 """Nash-equilibrium computation: the equilibrium solve (a scalar root in
 the mean local error, then rounding and ±1 descent on the potential), an
-exhaustive grid oracle, and equilibrium certification.
+exhaustive grid oracle, and equilibrium certification, which finds each
+organization's best unilateral lattice move from its lattice neighbours
+(or the lattice's ends) and the shape of its gain.
 
 Each report labels every organization's coordinate as bound-pinned or
 interior by where its stationary point at the root lies against the box.
@@ -358,7 +360,14 @@ def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
 
 
 # ---------------------------------------------------------------------------
-# Equilibrium certification by exhaustive unilateral deviation scan.
+# Equilibrium certification from each organization's lattice neighbours.
+# Organization n's gain from moving to volume x is
+#   g_n(x) = A_n * (err(x, d_-n) - err(d)) - c_n * (x - d_n),
+# with A_n from game._deviation_weights, which does not depend on d_n, and
+# err convex in x. So g_n is concave when A_n < 0, and its lattice maximum
+# lies next to d_n or, on the side where a neighbour gains, where the
+# discrete slope changes sign; when A_n >= 0 it is convex, and its maximum
+# lies at an end of the lattice.
 # ---------------------------------------------------------------------------
 
 
@@ -381,54 +390,109 @@ class NeCertificate:
 
 
 NE_IMPROVEMENT_TOLERANCE = 1e-6
-MAX_NE_POINTS_PER_AXIS = 10**7  # the scan holds several float arrays this long
+_SEARCH_PROBES = 64
+_PROBE_FRACTIONS = np.arange(_SEARCH_PROBES) / (_SEARCH_PROBES - 1)
 
 
-def _deviation_gains(s: Scenario, d: np.ndarray, xs: np.ndarray):
-    """Each organization's gain from every unilateral move to a volume in
-    ``xs``, one array per organization in turn.
+def _best_deviations(s: Scenario, d: np.ndarray, grid_step: float):
+    """Every organization's best unilateral move on the lattice
+    ``d_min + grid_step * k`` and its gain, as two (N,) arrays; ties go to
+    the smallest volume, and not moving gains 0.0.
 
-    Organization n's gain from moving to x is
-    ``A_n * (err(x, d_-n) - err(d)) - c_n * (x - d_n)``, with A_n from
-    :func:`game._deviation_weights` and c_n the marginal cost of one sample.
-    ``err(d)`` comes from the same ``exp`` call as the deviations' errors,
-    so the null deviation gains exactly 0.0.
+    Prices 3 volumes per organization, plus ``2 * _SEARCH_PROBES`` per
+    search step for each organization whose concave gain rises away from
+    ``d_n``; a step divides the index range it searches by about
+    ``_SEARCH_PROBES``.
     """
+    lo = float(s.bounds.d_min)
+    last = float(math.floor((float(s.bounds.d_max) - lo) / grid_step))
     eps = economics._local_errors(s, d)
     weights = game._deviation_weights(s, eps)
     costs = economics._marginal_costs(s)
-    total = eps.sum()
-    for n in range(s.n):
-        eps_n = economics._own_errors(s, n, np.append(xs, d[n]))
-        err = np.exp(((total - eps[n] + eps_n) / s.n - 1.0) / s.economy.varrho)
-        # Adding the cost term keeps the null deviation's 0.0 unsigned.
-        yield weights[n] * (err[:-1] - err[-1]) + costs[n] * (d[n] - xs)
+    rest = eps.sum() - eps  # the others' errors, summed as the whole is
+
+    def volumes(k):
+        return lo + grid_step * k
+
+    def errors(orgs, x):
+        return np.exp(((rest[orgs] + economics._own_errors(s, orgs, x)) / s.n - 1.0)
+                      / s.economy.varrho)
+
+    # The lattice neighbours of d_n: k is the lattice index nearest to it,
+    # and d_n is on the lattice if k's volume is d_n.
+    k = np.clip(np.rint((d - lo) / grid_step), 0.0, last)
+    near = volumes(k)
+    on = near == d
+    concave = weights < 0
+    # Concave: the neighbours below and above d_n; convex: the two ends. A
+    # neighbour past an end of the lattice is priced at that end.
+    lower = np.where(concave, k - (near >= d), 0.0)
+    upper = np.where(concave, k + (near <= d), last)
+    x = np.empty((s.n, 3))
+    x[:, 0] = volumes(np.maximum(lower, 0.0))
+    x[:, 1] = d  # err(d), priced in the same call as the moves' errors
+    x[:, 2] = volumes(np.minimum(upper, last))
+    every = np.s_[:, None]
+    err = errors(every, x)
+    err_d = err[:, 1]
+
+    def gains(orgs, x, err):
+        # Adding the cost term keeps a zero gain unsigned.
+        return weights[orgs] * (err - err_d[orgs]) + costs[orgs] * (d[orgs] - x)
+
+    g = gains(every, x, err)
+    g[:, 1] = np.where(concave & on, 0.0, -np.inf)  # not moving
+    col = np.argmax(g, axis=1)  # the columns ascend in volume
+    idx = np.arange(s.n)
+    best_x, best_g = x[idx, col], g[idx, col]
+
+    # Where a concave gain rises away from d_n, search that side for the
+    # first index whose successor gains no more. Each step prices evenly
+    # spaced probes from a to b - 1 of the range [a, b] and their
+    # successors, and keeps the part between the last probe whose slope is
+    # positive and the first whose slope is not; a range of one index stays
+    # as it is.
+    rising = np.flatnonzero(concave & (best_g > 0))
+    if rising.size:
+        r = rising[:, None]
+        up = best_x[rising] > d[rising]
+        a = np.where(up, np.minimum(upper[rising], last), 0.0)
+        b = np.where(up, last, np.maximum(lower[rising], 0.0))
+        rows = np.arange(rising.size)
+        while np.any(a < b):
+            probes = a[:, None] + np.floor((b - 1.0 - a)[:, None] * _PROBE_FRACTIONS)
+            x = volumes(np.concatenate([probes, probes + 1.0], axis=1))
+            pair = gains(r, x, errors(r, x))
+            slope_up = pair[:, _SEARCH_PROBES:] > pair[:, :_SEARCH_PROBES]
+            j = slope_up.cumprod(axis=1).sum(axis=1)  # the first probe not rising
+            ends = np.concatenate([(a - 1.0)[:, None], probes, b[:, None]], axis=1)
+            b = ends[rows, j + 1]
+            a = np.minimum(ends[rows, j] + 1.0, b)
+        x = volumes(a)
+        top = gains(rising, x, errors(rising, x))
+        better = (top > best_g[rising]) | ((top == best_g[rising]) & (x < best_x[rising]))
+        best_x[rising] = np.where(better, x, best_x[rising])
+        best_g[rising] = np.where(better, top, best_g[rising])
+    return best_x, best_g
 
 
 def verify_ne(s: Scenario, profile: ProfileLike, grid_step: float = 1.0) -> NeCertificate:
-    """Scan every unilateral lattice deviation for a profitable improvement;
-    a box too large for the scan is refused before any allocation."""
+    """Certify that no organization gains more than the tolerance from any
+    unilateral move on the lattice, as a scan of every move would: the
+    worst deviation is the first organization's with the largest gain. The
+    profile's utilities are priced only if some move gains more than 0."""
     d = as_dgen(profile, s.n)
-    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    count = int(math.floor((hi - lo) / grid_step)) + 1
-    if count > MAX_NE_POINTS_PER_AXIS:
-        raise InstanceTooLarge(
-            f"bounds.d_max: {count} points per axis exceed the NE scan's {MAX_NE_POINTS_PER_AXIS}"
-        )
-    xs = lo + grid_step * np.arange(count)
-    utilities = economics.evaluate_profiles(s, d[None, :]).utility[0].tolist()
+    alts, gains = _best_deviations(s, d, grid_step)
     worst_gain = -math.inf
     worst_org = 0
     worst_alt = float(d[0])
+    for n, (alt, gain) in enumerate(zip(alts.tolist(), gains.tolist())):
+        if gain > worst_gain:
+            worst_gain, worst_org, worst_alt = gain, n, alt
     is_ne = True
-    for n, gains in enumerate(_deviation_gains(s, d, xs)):
-        k = int(np.argmax(gains))
-        if gains[k] > worst_gain:
-            worst_gain = float(gains[k])
-            worst_org = n
-            worst_alt = float(xs[k])
-        if gains[k] > NE_IMPROVEMENT_TOLERANCE * (1.0 + abs(utilities[n])):
-            is_ne = False
+    if worst_gain > 0:
+        utilities = economics.evaluate_profiles(s, d[None, :]).utility[0]
+        is_ne = not np.any(gains > NE_IMPROVEMENT_TOLERANCE * (1.0 + np.abs(utilities)))
     return NeCertificate(
         is_ne=is_ne, worst_org=worst_org, worst_d_alt=worst_alt, worst_gain=worst_gain
     )

@@ -255,10 +255,12 @@ def reference_evaluation(s, profile, ir_tolerance=1e-9, bb_tolerance=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# Reference NE scan: each deviation's utility composed term by term, as
-# ``cocogen.solver.verify_ne`` priced it before it took gains from the
-# deviation identity. The identity must reproduce these gains to 1e-12
-# relative to 1 + |u_n|.
+# Reference NE scans. The first composes each deviation's utility term by
+# term, as ``cocogen.solver.verify_ne`` priced it before it took gains from
+# the deviation identity; the identity must reproduce these gains to 1e-12
+# relative to 1 + |u_n|. The second prices every lattice move from that
+# identity, as ``verify_ne`` did before it certified from each
+# organization's neighbours.
 # ---------------------------------------------------------------------------
 
 
@@ -325,6 +327,55 @@ def reference_ne_gains(s, profile, grid_step=1.0):
         if g.max() > solver.NE_IMPROVEMENT_TOLERANCE * (1.0 + abs(u_ref)):
             is_ne = False
     return xs, gains, is_ne
+
+
+def reference_deviation_gains(s, d, xs):
+    """Each organization's gain from every unilateral move to a volume in
+    ``xs``, one array per organization in turn, from the deviation
+    identity.
+
+    Organization n's gain from moving to x is
+    ``A_n * (err(x, d_-n) - err(d)) - c_n * (x - d_n)``, with A_n from
+    ``game._deviation_weights`` and c_n the marginal cost of one sample.
+    ``err(d)`` comes from the same ``exp`` call as the deviations' errors,
+    so the null deviation gains exactly 0.0.
+    """
+    from cocogen import economics, game
+
+    eps = economics._local_errors(s, d)
+    weights = game._deviation_weights(s, eps)
+    costs = economics._marginal_costs(s)
+    total = eps.sum()
+    for n in range(s.n):
+        eps_n = economics._own_errors(s, n, np.append(xs, d[n]))
+        err = np.exp(((total - eps[n] + eps_n) / s.n - 1.0) / s.economy.varrho)
+        # Adding the cost term keeps the null deviation's 0.0 unsigned.
+        yield weights[n] * (err[:-1] - err[-1]) + costs[n] * (d[n] - xs)
+
+
+def reference_verify_ne(s, profile, grid_step=1.0):
+    """``cocogen.solver.verify_ne`` as a scan of every lattice move of every
+    organization: the certificate, the lattice, and each organization's
+    gains on it (the first maximum wins, so ties go to the smallest
+    volume)."""
+    from cocogen import economics, solver
+
+    d = np.asarray(profile, dtype=np.float64)
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    xs = lo + grid_step * np.arange(int(math.floor((hi - lo) / grid_step)) + 1)
+    utilities = economics.evaluate_profiles(s, d[None, :]).utility[0].tolist()
+    gains = list(reference_deviation_gains(s, d, xs))
+    worst_gain, worst_org, worst_alt, is_ne = -math.inf, 0, float(d[0]), True
+    for n, g in enumerate(gains):
+        k = int(np.argmax(g))
+        if g[k] > worst_gain:
+            worst_gain, worst_org, worst_alt = float(g[k]), n, float(xs[k])
+        if g[k] > solver.NE_IMPROVEMENT_TOLERANCE * (1.0 + abs(utilities[n])):
+            is_ne = False
+    cert = solver.NeCertificate(
+        is_ne=is_ne, worst_org=worst_org, worst_d_alt=worst_alt, worst_gain=worst_gain
+    )
+    return cert, xs, gains
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cocogen import cli, economics, solver
-from cocogen.errors import ZeroTotalData
+from cocogen.errors import InvalidScenario, ZeroTotalData
 from cocogen.model import (
     PayoffMode,
     ScalingLaw,
@@ -109,6 +109,17 @@ class TestFitCommand:
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert cli.main(["fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "o.json")]) == 2
+
+    def test_output_in_a_missing_directory_is_input_error(self, tmp_path, capsys):
+        law = ScalingLaw(5.0, 0.4, 0.08)
+        curve = tmp_path / "curve.csv"
+        rows = ["d,eps"] + [f"{d},{law.error_at(d)!r}" for d in (500, 1000, 2000, 4000)]
+        curve.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "missing" / "fit.json"
+        assert cli.main(["fit", str(curve), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: UnwritableOutput: -o/--out: cannot write" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
     def test_non_finite_eps_is_input_error(self, tmp_path, capsys, eps):
@@ -321,12 +332,46 @@ class TestSolveCommand:
         assert "seed: must fit in 64 unsigned bits" in err
         assert "Traceback" not in err
 
-    def test_verify_ne_on_a_huge_box_is_input_error(self, tmp_path, capsys):
+    def test_verify_ne_certifies_a_huge_box(self, tmp_path, capsys, monkeypatch):
+        # 2**40 + 1 volumes per organization: the certificate prices each
+        # organization's neighbours, plus a probe search where a gain rises.
+        priced = []
+        own_errors = economics._own_errors
+
+        def counted(s, n, d):
+            priced.append(np.size(d))
+            return own_errors(s, n, d)
+
+        monkeypatch.setattr(economics, "_own_errors", counted)
         path = shipped_example_with(tmp_path, ("bounds", "d_max"), 2**40)
-        assert cli.main(["solve", path, "-o", str(tmp_path / "r.json"), "--verify-ne"]) == 2
+        out = tmp_path / "r.json"
+        assert cli.main(["solve", path, "-o", str(out), "--verify-ne"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        cert = json.loads(out.read_text())["ne_certificate"]
+        worst = cert["worst_deviation"]
+        assert cert["is_ne"] is True
+        assert all(math.isfinite(worst[key]) for key in ("d_alt", "gain"))
+        assert 0.0 <= worst["d_alt"] <= 2**40
+        assert 0 < sum(priced) <= 3 * 10
+
+    @pytest.mark.parametrize("flag", ["-o", "--trace"])
+    def test_output_in_a_missing_directory_is_input_error(self, tmp_path, capsys, flag):
+        path = shipped_example_with(tmp_path, ("seed",), 0)
+        assert cli.main(["solve", path, flag, str(tmp_path / "missing" / "out")]) == 2
         err = capsys.readouterr().err
-        assert "bounds.d_max" in err and "Traceback" not in err
-        assert not (tmp_path / "r.json").exists()
+        assert f"error: UnwritableOutput: {'-o/--out' if flag == '-o' else flag}: cannot write" in err
+        assert "Traceback" not in err
+
+    def test_package_error_escaping_a_command_is_input_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise InvalidScenario("no equilibrium for this one")
+
+        monkeypatch.setattr(solver, "fpi_solve", fail)
+        path = shipped_example_with(tmp_path, ("seed",), 0)
+        assert cli.main(["solve", path]) == 2
+        err = capsys.readouterr().err
+        assert "error: InvalidScenario: no equilibrium for this one" in err
+        assert "Traceback" not in err
 
     def test_overflowing_stationary_point_clips_to_the_floor(self, tmp_path, capsys):
         path = shipped_example_with(tmp_path, ("economy", "varrho"), 1e-3)
@@ -458,6 +503,17 @@ class TestSweepCommand:
         b1 = (out1 / "results.csv").read_bytes()
         b2 = (out2 / "results.csv").read_bytes()
         assert b1 == b2
+
+    def test_output_onto_an_existing_file_is_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+        sweep = write_small_sweep(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("not a directory", encoding="utf-8")
+        assert cli.main(["sweep", sweep, "-o", str(out), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: UnwritableOutput: -o/--out-dir: cannot make directory" in err
+        assert "Traceback" not in err
+        assert out.read_text(encoding="utf-8") == "not a directory"
 
     def test_zero_radg_repetitions_is_input_error(self, tmp_path, capsys):
         sweep = write_small_sweep(tmp_path, radg=0)
@@ -714,6 +770,14 @@ class TestCompareCommand:
         assert cli.main(["compare", path, "--radg-reps", str(10**13)]) == 2
         err = capsys.readouterr().err
         assert "error: --radg-reps: 10000000000000 draws of 10 organizations price" in err
+        assert "Traceback" not in err
+
+    def test_output_in_a_missing_directory_is_input_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, example_scenario())
+        out = tmp_path / "missing" / "cmp.csv"
+        assert cli.main(["compare", path, "-o", str(out), "--radg-reps", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "error: UnwritableOutput: -o/--out: cannot write" in err
         assert "Traceback" not in err
 
     def test_free_generation_beats_vcfl(self, tmp_path):

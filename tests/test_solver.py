@@ -32,10 +32,12 @@ from helpers import (
     reference_grid_axes,
     reference_grid_oracle,
     reference_grid_scan,
+    reference_deviation_gains,
     reference_root_solve,
     reference_ne_gains,
     reference_potential_gradient,
     reference_unilateral_utilities,
+    reference_verify_ne,
     table1_scenario,
 )
 
@@ -583,6 +585,22 @@ class TestRowSearch:
         assert calls["build_lower_envelope"] == (n_orgs == 3)
 
 
+def _assert_certified_like_the_scan(s, p, grid_step=1.0):
+    """``verify_ne`` gives the full scan's verdict, and every organization's
+    best move gains what the scan's best gains, within 1e-12 * (1 + |u_n|),
+    at a volume where the scan prices that gain. Returns the scan's
+    certificate."""
+    cert, xs, scan_gains = reference_verify_ne(s, p, grid_step)
+    assert solver.verify_ne(s, p, grid_step).is_ne == cert.is_ne
+    alts, gains = solver._best_deviations(s, p, grid_step)
+    bounds = 1e-12 * (1.0 + np.abs(eco.evaluate_profiles(s, p[None, :]).utility[0]))
+    for n, g in enumerate(scan_gains):
+        at = np.flatnonzero(xs == alts[n])
+        assert abs(gains[n] - g.max()) <= bounds[n], n
+        assert at.size == 1 and abs(g[at[0]] - gains[n]) <= bounds[n], n
+    return cert
+
+
 class TestVerifyNe:
     def test_solver_output_is_certified(self):
         s = table1_scenario(seed=50)
@@ -596,11 +614,6 @@ class TestVerifyNe:
         assert not cert.is_ne
         assert cert.worst_gain > 0
         assert cert.worst_d_alt > 0  # upper-direction witness
-
-    def test_huge_box_is_refused_before_any_allocation(self):
-        s = table1_scenario(seed=55, d_max=2**40)
-        with pytest.raises(InstanceTooLarge, match="bounds.d_max"):
-            solver.verify_ne(s, np.zeros(s.n), grid_step=1.0)
 
     def test_single_org_ne_iff_potential_coordinate_minimal(self):
         s = table1_scenario(seed=52, n=1, cost_scale=5.0, gamma_range=(0.0, 0.0))
@@ -638,19 +651,84 @@ class TestVerifyNe:
             for p in (solver.fpi_solve(s).profile.d_gen, np.floor(rough), rough):
                 xs, expected, is_ne = reference_ne_gains(s, p)
                 utilities = eco.evaluate_profiles(s, p[None, :]).utility[0]
-                for n, gains in enumerate(solver._deviation_gains(s, p, xs)):
+                for n, gains in enumerate(reference_deviation_gains(s, p, xs)):
                     bound = 1e-12 * (1.0 + abs(utilities[n]))
                     assert np.max(np.abs(gains - expected[n])) <= bound, (seed, n)
-                assert solver.verify_ne(s, p).is_ne == is_ne, seed
+                assert _assert_certified_like_the_scan(s, p).is_ne == is_ne, seed
                 verdicts.add(is_ne)
         assert verdicts == {True, False}
+
+    def test_criterion_5_instances_match_the_full_scan(self):
+        cfg = SolverConfig(tol=1e-11, max_iters=2000)
+        for s in [table1_scenario(seed=0)] + [table1_scenario(seed=8000 + k) for k in range(20)]:
+            assert _assert_certified_like_the_scan(s, solver.fpi_solve(s, cfg).profile.d_gen).is_ne
+
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_rising_gains_are_searched_to_the_scan_maximum(self, mode):
+        # Near-free generation from the floor rises towards the top of the
+        # box; dear generation from the ceiling falls towards the bottom.
+        for seed, n, cost_scale, start in [
+            (51, 10, 1e-6, 0.0), (59, 4, 1e-6, 0.0), (60, 2, 1e-6, 1.0),
+            (61, 10, 20.0, 3000.0), (62, 4, 5.0, 2999.0),
+        ]:
+            s = table1_scenario(seed=seed, n=n, cost_scale=cost_scale, bb_mode=mode)
+            p = np.full(s.n, start)
+            assert not _assert_certified_like_the_scan(s, p).is_ne
+            alts, gains = solver._best_deviations(s, p, 1.0)
+            assert np.all(gains > 0) and np.all(np.abs(alts - start) > 1.0)
+
+    def test_convex_gains_are_priced_at_the_lattice_ends(self, monkeypatch):
+        # At a small varrho the others' counterfactual ratios r_m grow large,
+        # so under antisymmetric payoffs some weights A_n are not negative.
+        priced = []
+        own_errors = eco._own_errors
+
+        def counted(s, n, d):
+            priced.append(np.size(d))
+            return own_errors(s, n, d)
+
+        convex = all_convex = 0
+        for seed in range(900, 905):
+            s = table1_scenario(seed=seed, n=4, bb_mode=PayoffMode.ANTISYMMETRIC, varrho=0.01)
+            for p in (np.full(s.n, 3000.0), random_profile(s, seed)):
+                weights = game._deviation_weights(s, eco._local_errors(s, p))
+                convex += int(np.sum(weights >= 0))
+                _assert_certified_like_the_scan(s, p)
+                with monkeypatch.context() as m:
+                    m.setattr(eco, "_own_errors", counted)
+                    priced.clear()
+                    alts, _ = solver._best_deviations(s, p, 1.0)
+                assert np.all(np.isin(alts[weights >= 0], [0.0, 3000.0]))
+                if np.all(weights >= 0):  # the two ends and d_n; no search
+                    all_convex += 1
+                    assert sum(priced) == 3 * s.n
+        assert convex > 0 and all_convex > 0
+
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_equilibria_moved_off_the_lattice(self, mode):
+        for seed in range(4):
+            s = table1_scenario(seed=6500 + seed, n=(4, 10)[seed % 2], bb_mode=mode)
+            d = solver.fpi_solve(s).profile.d_gen
+            for offset in (-0.3, 0.3):
+                _assert_certified_like_the_scan(s, d + offset)
+
+    @pytest.mark.parametrize("grid_step", [7.0, 2.5])
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_profiles_off_a_coarser_lattice(self, mode, grid_step):
+        for seed in range(6):
+            s = table1_scenario(seed=6300 + seed, n=(2, 4, 10)[seed % 3],
+                                cost_scale=(1e-6, 1.0, 5.0)[seed // 2], bb_mode=mode)
+            lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+            for p in (random_profile(s, 6400 + seed), np.full(s.n, lo - 0.5 * grid_step),
+                      np.full(s.n, hi + 0.5), lo + grid_step * np.floor(random_profile(s, seed) / grid_step)):
+                _assert_certified_like_the_scan(s, p, grid_step)
 
     @pytest.mark.parametrize("mode", list(PayoffMode))
     def test_null_deviation_gains_exactly_zero(self, mode):
         s = table1_scenario(seed=56, bb_mode=mode)
         d = np.floor(random_profile(s, 57))
         xs = np.arange(s.bounds.d_min, s.bounds.d_max + 1, dtype=np.float64)
-        for n, gains in enumerate(solver._deviation_gains(s, d, xs)):
+        for n, gains in enumerate(reference_deviation_gains(s, d, xs)):
             null = gains[xs == d[n]]
             assert null.tolist() == [0.0]
             assert math.copysign(1.0, null[0]) == 1.0
