@@ -127,12 +127,12 @@ def _solver_config_from_args(args) -> solver.SolverConfig:
     return solver.SolverConfig(tol=args.tol, max_iters=args.max_iters)
 
 
-def _load_scenario_for_args(args):
+def _load_scenario_for_args(args, seed: int | None = None):
     s = load_scenario(args.scenario)
     if args.payoff_mode is not None:
         s = with_payoff_mode(s, PayoffMode(args.payoff_mode))
-    if args.seed is not None:
-        s = replace(s, seed=args.seed)
+    if seed is not None:
+        s = replace(s, seed=seed)
     return validate_scenario(s)
 
 
@@ -178,7 +178,7 @@ def cmd_solve(args) -> int:
     report = solver.fpi_solve(s, _solver_config_from_args(args))
     if args.verify_ne:
         report = replace(report, ne_certificate=solver.verify_ne(s, report.profile))
-    payload = {"manifest": _manifest("solve", [args.scenario], args.seed, started),
+    payload = {"manifest": _manifest("solve", [args.scenario], None, started),
                **report.to_dict()}
     if args.out:
         _write_text(args.out, _json_text(payload), "-o/--out")
@@ -427,12 +427,9 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     started = _now()
     try:
-        s = _load_scenario_for_args(args)
+        s = _load_scenario_for_args(args, args.seed)
     except (OSError, ValueError, KeyError, CocogenError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.radg_reps < 1:
-        print("error: --radg-reps must be >= 1", file=sys.stderr)
         return EXIT_INPUT
     try:
         check_radg_count(args.radg_reps, s.n, "--radg-reps")
@@ -496,8 +493,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="stop when the bracket on the equilibrium's mean local error is at most tol wide",
     )
     p.add_argument("--max-iters", type=_solver_field("max_iters", int), default=500)
+
+
+def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of a command that solves one scenario file: its payoff mode,
+    and whether a solve that does not converge still exits 0."""
     p.add_argument("--payoff-mode", choices=("literal", "antisymmetric"), default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--allow-nonconverged", action="store_true")
 
 
@@ -520,18 +521,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", default=None, help="write iteration,F CSV here")
     p_solve.add_argument("--verify-ne", action="store_true")
     _add_solver_flags(p_solve)
+    _add_scenario_flags(p_solve)
 
     p_sweep = sub.add_parser("sweep", help="run the full scheme-comparison sweep")
     p_sweep.add_argument("sweep")
     p_sweep.add_argument("-o", "--out-dir", default="sweep-out")
     p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_sweep.add_argument("--seed", type=int, default=None, help="replaces the file's base_seed")
     _add_solver_flags(p_sweep)
 
     p_cmp = sub.add_parser("compare", help="all four schemes on one scenario")
     p_cmp.add_argument("scenario")
     p_cmp.add_argument("-o", "--out", default=None)
     p_cmp.add_argument("--radg-reps", type=int, default=100)
+    p_cmp.add_argument(
+        "--seed", type=int, default=None, help="replaces the scenario's seed, which keys the RaDG draws"
+    )
     _add_solver_flags(p_cmp)
+    _add_scenario_flags(p_cmp)
     return parser
 
 

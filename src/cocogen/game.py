@@ -1,5 +1,4 @@
-"""Weighted potential function of the stage game and the constants of its
-stationarity closed forms.
+"""Weighted potential function of the stage game and its weights.
 
 The game's potential is
 
@@ -25,16 +24,13 @@ this module holds only what the solver and the certificate run.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import economics
 from .errors import NonNegativeZWeight
-from .model import PayoffMode, ProfileLike, Scenario, _readonly, as_dgen
+from .model import PayoffMode, ProfileLike, Scenario, as_dgen
 
-__all__ = ["z_weights", "potential", "potential_from_errors", "potential_batch"]
+__all__ = ["z_weights", "potential", "potential_from_errors"]
 
 
 def _raw_z_weights(s: Scenario) -> np.ndarray:
@@ -87,51 +83,3 @@ def potential_from_errors(s: Scenario, eps: np.ndarray, d: np.ndarray):
     """F at the profile ``d``, or at each row of an (m, N) matrix of them,
     whose local errors ``eps`` (same shape) are already known."""
     return economics._aggregate(s, eps) + np.dot(d, _linear_coeffs(s))
-
-
-def potential_batch(s: Scenario, profiles: np.ndarray) -> np.ndarray:
-    """Potential values for a (m, N) batch of profiles."""
-    p = np.asarray(profiles, dtype=np.float64)
-    return potential_from_errors(s, economics._local_errors(s, p), p)
-
-
-@dataclass(frozen=True)
-class _Stationarity:
-    """Per-scenario constants of the stationarity closed forms: read-only
-    float64 columns, one entry per organization, and the box."""
-
-    a2: np.ndarray  # cost coefficient over the game weight (negative)
-    factor: np.ndarray  # -a2 * N * varrho / (alpha * beta)
-    exponent: np.ndarray  # -1 / (beta + 1)
-    benefit: np.ndarray  # alpha * beta / (N * varrho)
-    benefit_exponent: np.ndarray  # -beta - 1
-    d_loc: np.ndarray
-    varrho: float
-    lo: float
-    hi: float
-
-
-def _stationarity(s: Scenario) -> _Stationarity:
-    varrho = s.economy.varrho
-    alphas, betas = s.alpha, s.beta
-    a2 = -_linear_coeffs(s)
-    return _Stationarity(
-        a2=_readonly(a2),
-        factor=_readonly(-a2 * s.n * varrho / (alphas * betas)),
-        exponent=_readonly(-1.0 / (betas + 1.0)),
-        benefit=_readonly(alphas * betas / (s.n * varrho)),
-        benefit_exponent=_readonly(-betas - 1.0),
-        d_loc=s.d_loc,
-        varrho=varrho,
-        lo=float(s.bounds.d_min),
-        hi=float(s.bounds.d_max),
-    )
-
-
-def _growth(c: _Stationarity, a1: float) -> float:
-    """``exp((a1 - 1) / varrho)`` at mean local error a1, saturating to +inf
-    instead of raising on overflow."""
-    try:
-        return math.exp((a1 - 1.0) / c.varrho)
-    except OverflowError:
-        return math.inf

@@ -9,6 +9,7 @@ a config file can be diagnosed in one pass.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -491,26 +492,44 @@ def _law_from_dict(obj: dict, where: str) -> tuple[float, float, float]:
     )
 
 
+def _as_enum(kind: type[Enum], value, where: str):
+    """A member of ``kind`` from its config value; anything else is an error
+    that lists the allowed values."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(repr(m.value) for m in kind)
+        raise InvariantViolation(where, f"must be one of {allowed}, got {value!r}") from None
+
+
+def _given(obj: dict, parsers: dict, where: str = "") -> dict:
+    """Each key of ``parsers`` that ``obj`` holds, parsed and named
+    ``where.key`` (``key`` when ``where`` is empty); an absent key is left
+    out, so that it takes its dataclass default."""
+    prefix = f"{where}." if where else ""
+    return {key: parse(obj[key], prefix + key) for key, parse in parsers.items() if key in obj}
+
+
+_ECONOMY_PARSERS = {
+    "varrho": _as_float,
+    "c0": _as_float,
+    "eps0_mode": functools.partial(_as_enum, Eps0Mode),
+    "eps0_value": lambda value, where: None if value is None else _as_float(value, where),
+    "bb_mode": functools.partial(_as_enum, PayoffMode),
+}
+
+
 def _economy_from_dict(obj: dict) -> EconomyParams:
     """The ``economy`` block of a scenario or sweep file."""
-    _check_keys(obj, ("varrho", "c0", "eps0_mode", "eps0_value", "bb_mode"), "economy")
-    eps0_value = obj.get("eps0_value")
-    return EconomyParams(
-        varrho=_as_float(obj.get("varrho", 20.0), "economy.varrho"),
-        c0=_as_float(obj.get("c0", DEFAULT_C0), "economy.c0"),
-        eps0_mode=Eps0Mode(obj.get("eps0_mode", "at_zero_generation")),
-        eps0_value=None if eps0_value is None else _as_float(eps0_value, "economy.eps0_value"),
-        bb_mode=PayoffMode(obj.get("bb_mode", "literal")),
-    )
+    _check_keys(obj, _ECONOMY_PARSERS, "economy")
+    return EconomyParams(**_given(obj, _ECONOMY_PARSERS, "economy"))
 
 
 def _bounds_from_dict(obj: dict) -> StrategyBounds:
     """The ``bounds`` block of a scenario or sweep file."""
-    _check_keys(obj, ("d_min", "d_max"), "bounds")
-    return StrategyBounds(
-        d_min=_as_int(obj.get("d_min", 0), "bounds.d_min"),
-        d_max=_as_int(obj.get("d_max", 3000), "bounds.d_max"),
-    )
+    parsers = {"d_min": _as_int, "d_max": _as_int}
+    _check_keys(obj, parsers, "bounds")
+    return StrategyBounds(**_given(obj, parsers, "bounds"))
 
 
 def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:

@@ -18,9 +18,11 @@ from importlib import resources
 import numpy as np
 
 from . import scaling
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ScenarioValidationError
 from .model import (
     DEFAULT_C_CMP,
+    DEFAULT_ETA,
+    DEFAULT_MU,
     EconomyParams,
     Market,
     ScalingLaw,
@@ -30,7 +32,11 @@ from .model import (
     _as_int,
     _bounds_from_dict,
     _check_keys,
+    _check_number,
     _economy_from_dict,
+    _given,
+    _non_negative,
+    _positive,
     _require,
     _require_list,
     validate_scenario,
@@ -70,8 +76,10 @@ MAX_SWEEP_JOBS = 10**5
 
 
 def check_radg_count(count: int, n_orgs: int, field: str) -> None:
-    """Refuse a RaDG draw count whose pricing would pass
+    """Refuse a RaDG draw count below 1, or one whose pricing would pass
     ``MAX_RADG_ELEMENTS``, before anything is allocated."""
+    if count < 1:
+        raise InvariantViolation(field, "must be >= 1")
     if count * n_orgs * n_orgs > MAX_RADG_ELEMENTS:
         raise InvariantViolation(
             field,
@@ -136,8 +144,8 @@ class GammaLevel:
 class OrgDefaults:
     """Per-organization parameters not drawn from Table-style ranges."""
 
-    eta: float
-    mu: float
+    eta: float = DEFAULT_ETA
+    mu: float = DEFAULT_MU
     c_cmp: float = DEFAULT_C_CMP
 
 
@@ -156,9 +164,7 @@ class SweepGrid:
     base_seed: int
     n_orgs: int = 10
     xi: float = 20.0
-    org_defaults: OrgDefaults = field(
-        default_factory=lambda: OrgDefaults(eta=1.0e4, mu=1.0e4)
-    )
+    org_defaults: OrgDefaults = field(default_factory=OrgDefaults)
     economy: EconomyParams = field(default_factory=EconomyParams)
     bounds: StrategyBounds = field(default_factory=StrategyBounds)
     radg_repetitions: int = 100
@@ -168,8 +174,6 @@ class SweepGrid:
             raise InvariantViolation("n_orgs", "must be >= 1")
         if self.repetitions < 1:
             raise InvariantViolation("repetitions", "must be >= 1")
-        if self.radg_repetitions < 1:
-            raise InvariantViolation("radg_repetitions", "must be >= 1")
         check_radg_count(self.radg_repetitions, self.n_orgs, "radg_repetitions")
         for name in ("gamma_levels", "alpha_d_levels"):
             if not getattr(self, name):
@@ -181,12 +185,20 @@ class SweepGrid:
             )
         for lv in self.gamma_levels:
             lv._violations()
+        # The blocks every job's scenario shares; the checks that depend on
+        # the draws (xi <= min(phi), the game weights) stay with each job.
+        violations = self.economy._violations() + self.bounds._violations()
+        _check_number(violations, "xi", self.xi, _non_negative, "must be >= 0")
+        for name in ("eta", "mu", "c_cmp"):
+            value = getattr(self.org_defaults, name)
+            _check_number(violations, f"org_defaults.{name}", value, _positive, "must be > 0")
+        if violations:
+            raise ScenarioValidationError(violations)
 
 
 @dataclass(frozen=True)
 class SweepJob:
     gamma_index: int
-    alpha_index: int
     repetition: int
     cell: SweepCell
     seed: int
@@ -241,7 +253,7 @@ def expand_sweep(grid: SweepGrid) -> list[SweepJob]:
     presets = _preset_laws(grid.alpha_d_levels)
     jobs: list[SweepJob] = []
     for gi, level in enumerate(grid.gamma_levels):
-        for ai, alpha_d in enumerate(grid.alpha_d_levels):
+        for alpha_d in grid.alpha_d_levels:
             cell = SweepCell(gamma=level, alpha_d=alpha_d, law=presets[alpha_d])
             for rep in range(grid.repetitions):
                 seed = (
@@ -250,7 +262,6 @@ def expand_sweep(grid: SweepGrid) -> list[SweepJob]:
                 jobs.append(
                     SweepJob(
                         gamma_index=gi,
-                        alpha_index=ai,
                         repetition=rep,
                         cell=cell,
                         seed=seed,
@@ -292,12 +303,9 @@ def sweep_from_dict(obj: dict) -> SweepGrid:
             )
         )
     raw_defaults = obj.get("org_defaults", {})
-    _check_keys(raw_defaults, ("eta", "mu", "c_cmp"), "org_defaults")
-    defaults = OrgDefaults(
-        eta=_as_float(raw_defaults.get("eta", 1.0e4), "org_defaults.eta"),
-        mu=_as_float(raw_defaults.get("mu", 1.0e4), "org_defaults.mu"),
-        c_cmp=_as_float(raw_defaults.get("c_cmp", DEFAULT_C_CMP), "org_defaults.c_cmp"),
-    )
+    default_parsers = {"eta": _as_float, "mu": _as_float, "c_cmp": _as_float}
+    _check_keys(raw_defaults, default_parsers, "org_defaults")
+    defaults = OrgDefaults(**_given(raw_defaults, default_parsers, "org_defaults"))
     alpha_d_levels = tuple(
         _as_float(x, f"alpha_d_levels[{i}]")
         for i, x in enumerate(_require_list(obj, "alpha_d_levels", "sweep"))
@@ -308,12 +316,10 @@ def sweep_from_dict(obj: dict) -> SweepGrid:
         alpha_d_levels=alpha_d_levels,
         repetitions=_as_int(_require(obj, "repetitions", "sweep"), "repetitions"),
         base_seed=_as_int(_require(obj, "base_seed", "sweep"), "base_seed"),
-        n_orgs=_as_int(obj.get("n_orgs", 10), "n_orgs"),
-        xi=_as_float(obj.get("xi", 20.0), "xi"),
+        **_given(obj, {"n_orgs": _as_int, "xi": _as_float, "radg_repetitions": _as_int}),
         org_defaults=defaults,
         economy=_economy_from_dict(obj.get("economy", {})),
         bounds=_bounds_from_dict(obj.get("bounds", {})),
-        radg_repetitions=_as_int(obj.get("radg_repetitions", 100), "radg_repetitions"),
     )
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import economics, game
 from .errors import InstanceTooLarge, ZeroTotalData
-from .game import _growth, _stationarity, _Stationarity
 from .kernels import argmin_2d, argmin_3d, build_lower_envelope
 from .model import (
     ProfileLike,
@@ -106,47 +105,62 @@ class SolveReport:
         return out
 
 
-def _stationary_points(c: _Stationarity, a1: float) -> np.ndarray:
-    """Closed-form unconstrained stationary value of every coordinate, given a1.
+def _growth(s: Scenario, a1: float) -> float:
+    """``exp((a1 - 1) / varrho)`` at mean local error a1, saturating to +inf
+    instead of raising on overflow."""
+    try:
+        return math.exp((a1 - 1.0) / s.economy.varrho)
+    except OverflowError:
+        return math.inf
+
+
+def _stationary_points(s: Scenario, factor: np.ndarray, a1: float) -> np.ndarray:
+    """Closed-form unconstrained stationary value of every coordinate, given
+    a1 and the stationary factor ``N varrho lin / (alpha beta)``, where
+    ``lin`` is F's linear coefficient (:func:`game._linear_coeffs`).
 
     A bracket ``factor / growth`` that overflows puts the stationary point
     below every feasible volume (it tends to ``-d_loc``); one that
     underflows to zero, or whose power overflows, puts it above every
     volume (``+inf``). Clipping handles the rest.
     """
+    exponent = s.cached("stationary_exponent", lambda: -1.0 / (s.beta + 1.0))
     with np.errstate(over="ignore", divide="ignore"):
-        return (c.factor / _growth(c, a1)) ** c.exponent - c.d_loc
+        return (factor / _growth(s, a1)) ** exponent - s.d_loc
 
 
-def _labels(c: _Stationarity, a1: float) -> tuple[str, ...]:
+def _labels(s: Scenario, factor: np.ndarray, a1: float) -> tuple[str, ...]:
     """Every organization's case label at mean local error a1: where its
     stationary point lies against the box. F is convex along each
     coordinate, so a point below (above) the box is the potential's
     gradient being positive (negative) at that bound."""
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     return tuple(
-        CaseLabel.LOWER_BOUND if d < c.lo else CaseLabel.UPPER_BOUND if d > c.hi
+        CaseLabel.LOWER_BOUND if d < lo else CaseLabel.UPPER_BOUND if d > hi
         else CaseLabel.INTERIOR
-        for d in _stationary_points(c, a1).tolist()
+        for d in _stationary_points(s, factor, a1).tolist()
     )
 
 
-def _relaxed(s: Scenario, c: _Stationarity, t: float):
+def _relaxed(s: Scenario, factor: np.ndarray, t: float):
     """``g(t) = t - mean eps(d(t))``, the clipped stationary profile ``d(t)``
     at mean local error t, and its local errors."""
-    d = np.minimum(np.maximum(_stationary_points(c, t), c.lo), c.hi)
+    d = _stationary_points(s, factor, t)
+    d = np.minimum(np.maximum(d, float(s.bounds.d_min)), float(s.bounds.d_max))
     eps = economics._local_errors(s, d)
     return t - float(eps.sum() / s.n), d, eps  # np.mean's bits, without its wrapper
 
 
-def _descend(s: Scenario, c: _Stationarity, d: np.ndarray) -> np.ndarray:
+def _descend(s: Scenario, d: np.ndarray) -> np.ndarray:
     """Move one coordinate by one sample while that strictly lowers F. The
     profile and its ±1 neighbours are priced in one batch, so that they are
     compared on values computed the same way."""
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     steps = np.vstack([np.zeros(s.n), np.eye(s.n), -np.eye(s.n)])
     while True:
         rows = d + steps
-        rows = rows[np.all((rows >= c.lo) & (rows <= c.hi), axis=1)]
-        f = game.potential_batch(s, rows)
+        rows = rows[np.all((rows >= lo) & (rows <= hi), axis=1)]
+        f = game.potential_from_errors(s, economics._local_errors(s, rows), rows)
         k = int(np.argmin(f))  # row 0 wins ties
         if k == 0:
             return d
@@ -168,10 +182,10 @@ def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
     """
     validate_scenario(s)
     cfg = cfg or SolverConfig()
-    c = _stationarity(s)
-    a = float(economics._local_errors(s, np.full(s.n, c.hi)).mean())
+    factor = game._linear_coeffs(s) * s.n * s.economy.varrho / (s.alpha * s.beta)
+    a = float(economics._local_errors(s, np.full(s.n, float(s.bounds.d_max))).mean())
     b = float(economics._floor_errors(s).mean())
-    g_a, g_b = _relaxed(s, c, a), _relaxed(s, c, b)
+    g_a, g_b = _relaxed(s, factor, a), _relaxed(s, factor, b)
     point = g_a if -g_a[0] <= g_b[0] else g_b
     if g_a[0] >= 0:
         b = a
@@ -184,7 +198,7 @@ def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
         t = (a * fb - b * fa) / (fb - fa)
         if not a < t < b:
             t = 0.5 * (a + b)
-        point = _relaxed(s, c, t)
+        point = _relaxed(s, factor, t)
         g_t, d, eps = point
         trace.append(float(game.potential_from_errors(s, eps, d)))
         if g_t < 0:
@@ -202,8 +216,8 @@ def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
 
     _, d, eps = point
     return SolveReport(
-        profile=StrategyProfile(_descend(s, c, np.floor(d + 0.5))),
-        cases=_labels(c, float(eps.mean())),
+        profile=StrategyProfile(_descend(s, np.floor(d + 0.5))),
+        cases=_labels(s, factor, float(eps.mean())),
         iterations=len(trace),
         potential_trace=tuple(trace),
         converged=b - a <= cfg.tol,

@@ -398,12 +398,19 @@ def reference_potential_gradient(s, d):
     return -benefit - economics._marginal_costs(s) / game.z_weights(s)
 
 
+def potential_rows(s, profiles):
+    """F at each row of a (m, N) matrix of profiles, priced as the solver's
+    descent prices them."""
+    from cocogen import economics, game
+
+    p = np.asarray(profiles, dtype=np.float64)
+    return game.potential_from_errors(s, economics._local_errors(s, p), p)
+
+
 def convexity_margins(s, trials, seed):
     """Worst midpoint gap ``F(mid) - chord`` relative to ``|F|`` over random
     profile pairs, and worst second difference of F along random coordinates,
     from Philox draws keyed ``[seed, 0xC0]``."""
-    from cocogen.game import potential_batch
-
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC0], dtype=np.uint64)))
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     if lo == 0 and np.any(s.d_loc == 0):
@@ -411,8 +418,8 @@ def convexity_margins(s, trials, seed):
     p = rng.uniform(lo, hi, size=(trials, s.n))
     q = rng.uniform(lo, hi, size=(trials, s.n))
     lam = rng.uniform(0.0, 1.0, size=(trials, 1))
-    f_mid = potential_batch(s, lam * p + (1.0 - lam) * q)
-    chord = lam[:, 0] * potential_batch(s, p) + (1.0 - lam[:, 0]) * potential_batch(s, q)
+    f_mid = potential_rows(s, lam * p + (1.0 - lam) * q)
+    chord = lam[:, 0] * potential_rows(s, p) + (1.0 - lam[:, 0]) * potential_rows(s, q)
     gap = np.max((f_mid - chord) / np.maximum(np.abs(f_mid), np.abs(chord)))
 
     h = max((hi - lo) * 1e-3, 1e-3)
@@ -420,9 +427,9 @@ def convexity_margins(s, trials, seed):
     step = np.zeros_like(centers)
     step[np.arange(trials), rng.integers(0, s.n, size=trials)] = h
     second = (
-        potential_batch(s, centers + step)
-        - 2.0 * potential_batch(s, centers)
-        + potential_batch(s, centers - step)
+        potential_rows(s, centers + step)
+        - 2.0 * potential_rows(s, centers)
+        + potential_rows(s, centers - step)
     )
     return float(gap), float(second.min())
 
@@ -565,15 +572,13 @@ def assert_lattice_equilibrium(s, d):
     exactly when no organization gains from any unilateral lattice
     deviation. The profile and its feasible neighbours are priced in one
     batch, so the comparison is between values computed the same way."""
-    from cocogen import game
-
     d = np.asarray(d, dtype=np.float64)
     assert np.array_equal(d, np.round(d)), d
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     assert np.all((lo <= d) & (d <= hi)), d
     rows = d + np.vstack([np.zeros(s.n), np.eye(s.n), -np.eye(s.n)])
     rows = rows[np.all((rows >= lo) & (rows <= hi), axis=1)]
-    f = game.potential_batch(s, rows)
+    f = potential_rows(s, rows)
     assert np.all(f[0] <= f[1:]), (d, f[0] - f[1:])
 
 
@@ -705,14 +710,12 @@ def _scalar_relaxed(s, c, t):
 
 
 def _reference_descend(s, d):
-    from cocogen import game
-
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     steps = np.vstack([np.zeros(s.n), np.eye(s.n), -np.eye(s.n)])
     while True:
         rows = d + steps
         rows = rows[np.all((rows >= lo) & (rows <= hi), axis=1)]
-        k = int(np.argmin(game.potential_batch(s, rows)))
+        k = int(np.argmin(potential_rows(s, rows)))
         if k == 0:
             return d
         d = rows[k]

@@ -303,6 +303,22 @@ class TestSolveCommand:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, name, path, value, message",
+        [
+            ("solve", "scenario_example.json", ("economy", "eps0_mode"), "bogus",
+             "economy.eps0_mode: must be one of 'at_zero_generation', 'fixed', got 'bogus'"),
+            ("sweep", "sweep_default.json", ("economy", "bb_mode"), None,
+             "economy.bb_mode: must be one of 'literal', 'antisymmetric', got None"),
+        ],
+    )
+    def test_unknown_enum_value_is_named_with_its_field(
+        self, tmp_path, capsys, command, name, path, value, message
+    ):
+        bad = shipped_example_with(tmp_path, path, value, name)
+        assert cli.main([command, bad, "-o", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, name, path, field",
         [
             ("solve", "scenario_example.json", ("organizations", 0, "d_loc"),
@@ -323,11 +339,10 @@ class TestSolveCommand:
         assert f"{field}: must be within the float64 range" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["solve", "compare"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_out_of_range_seed_flag_is_input_error(self, tmp_path, capsys, command, seed):
+    def test_out_of_range_seed_flag_is_input_error(self, tmp_path, capsys, seed):
         path = shipped_example_with(tmp_path, ("seed",), 0)
-        assert cli.main([command, path, "--seed", seed, "-o", str(tmp_path / "out")]) == 2
+        assert cli.main(["compare", path, "--seed", seed, "-o", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "seed: must fit in 64 unsigned bits" in err
         assert "Traceback" not in err
@@ -412,6 +427,23 @@ class TestSolveCommand:
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("solve", ["--seed", "5"]), ("sweep", ["--payoff-mode", "antisymmetric"]),
+         ("sweep", ["--allow-nonconverged"])],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        monkeypatch.setattr(cli, f"cmd_{command}", _must_not_run)
+        path = shipped_example_with(tmp_path, ("seed",), 0)
+        if command == "sweep":
+            path = write_small_sweep(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, path, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_loose_tolerance_uses_fewer_iterations(self, tmp_path, capsys):
         path = write_scenario(tmp_path, example_scenario())
         iters = {}
@@ -465,6 +497,24 @@ class TestSolveCommand:
 
 
 class TestSweepCommand:
+    def test_fixed_block_violations_fail_at_load(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+        path = write_small_sweep(tmp_path)
+        payload = json.loads(open(path, encoding="utf-8").read())
+        payload["xi"] = -1
+        payload["org_defaults"].update(eta=-1, c_cmp=0)
+        payload["economy"]["varrho"] = 0
+        payload["bounds"]["d_max"] = -1
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", path, "-o", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "error: invalid sweep file: 5 violation(s): economy.varrho: must be > 0; " \
+            "bounds.d_max: must be >= d_min; xi: must be >= 0; " \
+            "org_defaults.eta: must be > 0; org_defaults.c_cmp: must be > 0" in err
+        assert not out_dir.exists()
+
     def test_row_counts_and_schema(self, tmp_path):
         sweep = write_small_sweep(tmp_path)
         out_dir = tmp_path / "out"
@@ -762,7 +812,7 @@ class TestCompareCommand:
     def test_radg_reps_below_one_is_input_error(self, tmp_path, capsys, reps):
         path = write_scenario(tmp_path, example_scenario())
         assert cli.main(["compare", path, "--radg-reps", reps]) == 2
-        assert "--radg-reps must be >= 1" in capsys.readouterr().err
+        assert "error: --radg-reps: must be >= 1" in capsys.readouterr().err
 
     def test_radg_reps_past_the_pricing_bound_is_input_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "scheme_rows", _must_not_run)

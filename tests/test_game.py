@@ -10,6 +10,7 @@ from cocogen.model import PayoffMode
 from helpers import (
     build_scenario,
     convexity_margins,
+    potential_rows,
     random_profile,
     reference_potential_gradient,
     table1_scenario,
@@ -43,7 +44,7 @@ def _equivalence_scenarios():
 
 
 def _first_potential_batch(s, profiles):
-    """``game.potential_batch`` as first written, with its own closed form."""
+    """F over a batch of profiles as first written, with its own closed form."""
     p = np.asarray(profiles, dtype=np.float64)
     totals = s.d_loc[None, :] + p
     eps = s.alpha[None, :] * np.power(totals, -s.beta[None, :]) - s.delta[None, :]
@@ -101,7 +102,7 @@ class TestPotential:
     def test_batch_agrees_with_scalar(self):
         s = table1_scenario(seed=25)
         profiles = np.stack([random_profile(s, 3 + k) for k in range(8)])
-        batch = game.potential_batch(s, profiles)
+        batch = potential_rows(s, profiles)
         for row, expected in zip(profiles, batch):
             assert game.potential(s, row) == pytest.approx(expected, rel=1e-12)
 
@@ -111,7 +112,7 @@ class TestPotential:
             profiles = rng.uniform(s.bounds.d_min, s.bounds.d_max, size=(150, s.n))
             profiles[:50] = np.round(profiles[:50])
             assert np.array_equal(
-                game.potential_batch(s, profiles), _first_potential_batch(s, profiles)
+                potential_rows(s, profiles), _first_potential_batch(s, profiles)
             )
 
 

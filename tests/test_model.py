@@ -308,8 +308,8 @@ class TestScenarioCache:
 
         path = tmp_path / "scenario.json"
         save_scenario(s, path)
-        args = argparse.Namespace(scenario=str(path), payoff_mode="antisymmetric", seed=5)
-        reloaded = cli._load_scenario_for_args(args)
+        args = argparse.Namespace(scenario=str(path), payoff_mode="antisymmetric")
+        reloaded = cli._load_scenario_for_args(args, seed=5)
         assert reloaded.seed == 5 and reloaded.economy.bb_mode is PayoffMode.ANTISYMMETRIC
 
         for copy in (clone, with_payoff_mode(s, PayoffMode.ANTISYMMETRIC), reloaded):

@@ -1,15 +1,23 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cocogen.errors import InvariantViolation
-from cocogen.model import ORG_COLUMNS, scenario_to_dict
+from cocogen.errors import InvariantViolation, ScenarioValidationError
+from cocogen.model import (
+    ORG_COLUMNS,
+    EconomyParams,
+    StrategyBounds,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 from cocogen.scaling import heterogeneity_presets
 from cocogen.scenario import (
     MAX_SWEEP_JOBS,
     GammaLevel,
+    OrgDefaults,
     SweepCell,
     SweepGrid,
     default_sweep_grid,
@@ -153,6 +161,42 @@ class TestStableHash:
 
 
 class TestSweepConfig:
+    _MINIMAL = {
+        "gamma_levels": [{"lo": 0, "hi": 1}],
+        "alpha_d_levels": [0.5],
+        "repetitions": 1,
+        "base_seed": 0,
+    }
+
+    def test_empty_blocks_parse_to_the_dataclass_defaults(self):
+        grid = sweep_from_dict({**self._MINIMAL, "org_defaults": {}, "economy": {}, "bounds": {}})
+        assert grid.org_defaults == OrgDefaults()
+        assert grid.economy == EconomyParams()
+        assert grid.bounds == StrategyBounds()
+        s = scenario_to_dict(sample_scenario(grid, expand_sweep(grid)[0].cell, 1))
+        s["economy"], s["bounds"] = {}, {}
+        parsed = scenario_from_dict(s)
+        assert parsed.economy == EconomyParams() and parsed.bounds == StrategyBounds()
+
+    def test_minimal_file_parses_to_the_grid_defaults(self):
+        assert sweep_from_dict(self._MINIMAL) == SweepGrid(
+            gamma_levels=(GammaLevel(0.0, 1.0),), alpha_d_levels=(0.5,), repetitions=1, base_seed=0
+        )
+
+    def test_fixed_blocks_are_checked_at_construction(self):
+        with pytest.raises(ScenarioValidationError) as exc:
+            sweep_from_dict({**self._MINIMAL, "xi": -1.0, "org_defaults": {"mu": math.nan}})
+        assert [str(v) for v in exc.value.violations] == [
+            "xi: must be >= 0", "org_defaults.mu: must be finite"
+        ]
+
+    def test_draw_dependent_checks_stay_with_each_job(self):
+        # xi above every phi draw passes at load and fails the job's scenario.
+        grid = sweep_from_dict({**self._MINIMAL, "xi": 1e3})
+        with pytest.raises(ScenarioValidationError) as exc:
+            sample_scenario(grid, expand_sweep(grid)[0].cell, 1)
+        assert [v.field for v in exc.value.violations] == ["market.xi"]
+
     def test_default_grid_matches_shipped_file(self):
         grid = default_sweep_grid()
         assert grid.repetitions == 100
@@ -215,7 +259,7 @@ class TestSweepConfig:
     def test_radg_repetitions_below_one_are_rejected(self, count):
         with pytest.raises(InvariantViolation) as exc:
             replace(default_sweep_grid(), radg_repetitions=count)
-        assert exc.value.field == "radg_repetitions"
+        assert str(exc.value) == "radg_repetitions: must be >= 1"
 
     def test_job_count_is_capped(self):
         grid = default_sweep_grid()

@@ -42,30 +42,36 @@ from helpers import (
 )
 
 
+def _factor(s):
+    """The stationary factor ``fpi_solve`` passes to the closed forms."""
+    return game._linear_coeffs(s) * s.n * s.economy.varrho / (s.alpha * s.beta)
+
+
 class TestStationarityConstants:
     def test_single_org_plug_in(self):
         s = build_scenario(n=1, alpha=1.0, beta=1.0, delta=0.0, d_loc=100, gamma=[[0.0]])
-        c = game._stationarity(s)
         assert float(eco.local_errors(s, [0.0]).mean()) == pytest.approx(0.01, rel=1e-15)
-        assert (c.d_loc[0] + 0.0) ** c.benefit_exponent[0] == pytest.approx(1e-4, rel=1e-12)
+        # beta = 1: the stationary point is (factor / growth) ** -1/2 - d_loc
+        a1 = 0.01
+        growth = math.exp((a1 - 1.0) / s.economy.varrho)
+        want = math.sqrt(growth / (game._linear_coeffs(s)[0] * s.economy.varrho)) - 100.0
+        got = solver._stationary_points(s, _factor(s), a1)[0]
+        assert got == pytest.approx(want, rel=1e-12)
 
-    def test_a2_is_always_negative(self):
+    def test_linear_coeffs_are_always_positive(self):
         s = table1_scenario(seed=31)
-        assert all(a2 < 0 for a2 in game._stationarity(s).a2)
+        assert all(lin > 0 for lin in game._linear_coeffs(s))
 
     def test_matches_independent_recomputation(self):
         s = table1_scenario(seed=32)
-        c = game._stationarity(s)
+        lin = game._linear_coeffs(s)
         for n in range(s.n):
             org = org_row(s, n)
             a2 = (
                 org.kappa * org.c_cmp * (org.eta + org.mu) * org.f**2
                 / game.z_weights(s)[n]
             )
-            benefit = org.alpha * org.beta / (s.n * s.economy.varrho)
-            assert c.a2[n] == pytest.approx(a2, rel=1e-14)
-            assert c.benefit[n] == pytest.approx(benefit, rel=1e-14)
-            assert c.benefit_exponent[n] == pytest.approx(-org.beta - 1.0, rel=1e-14)
+            assert -lin[n] == pytest.approx(a2, rel=1e-14)
 
 
 def _mean_local_error(s, d):
@@ -75,19 +81,19 @@ def _mean_local_error(s, d):
 class TestStationaryPoints:
     def test_matches_independent_formula(self):
         s = table1_scenario(seed=37)
-        c = game._stationarity(s)
+        lin = game._linear_coeffs(s)
         for seed in range(3):
             a1 = _mean_local_error(s, random_profile(s, seed))
-            got = solver._stationary_points(c, a1)
+            got = solver._stationary_points(s, _factor(s), a1)
             for n in range(s.n):
-                want = _ref_stationary_point(s, n, a1, c.a2[n])
+                want = _ref_stationary_point(s, n, a1, -lin[n])
                 assert got[n] == pytest.approx(want, rel=1e-12)
 
     def test_interior_equilibrium_is_its_own_stationary_point(self):
         s = table1_scenario(seed=36, n=3, cost_scale=4.0)
         rep = solver.fpi_solve(s, SolverConfig(tol=1e-14, max_iters=5000))
         d = rep.profile.d_gen
-        d_star = solver._stationary_points(game._stationarity(s), _mean_local_error(s, d))
+        d_star = solver._stationary_points(s, _factor(s), _mean_local_error(s, d))
         assert CaseLabel.INTERIOR in rep.cases
         for n in range(s.n):
             if rep.cases[n] == CaseLabel.INTERIOR:
@@ -97,25 +103,25 @@ class TestStationaryPoints:
     def test_symmetric_orgs_share_one_stationary_point(self):
         s = build_scenario(n=3)
         d_star = solver._stationary_points(
-            game._stationarity(s), _mean_local_error(s, np.full(3, 900.0))
+            s, _factor(s), _mean_local_error(s, np.full(3, 900.0))
         )
         assert len(set(d_star)) == 1
 
     @pytest.mark.filterwarnings("error")
     def test_saturates_without_warnings(self):
         s = table1_scenario(seed=37)
-        c = game._stationarity(s)
+        factor = _factor(s)
         # growth underflows to 0: the point tends to -d_loc, below the box
-        assert np.array_equal(solver._stationary_points(c, -1e6), -s.d_loc)
+        assert np.array_equal(solver._stationary_points(s, factor, -1e6), -s.d_loc)
         # growth overflows to inf: the point lies above every volume
-        assert np.all(solver._stationary_points(c, 1e6) == np.inf)
+        assert np.all(solver._stationary_points(s, factor, 1e6) == np.inf)
         # a subnormal bracket whose power overflows (beta near 0)
-        flat = game._stationarity(build_scenario(n=2, beta=0.001))
-        a1 = 1.0 + flat.varrho * math.log(1e308)
-        assert 0 < flat.factor[0] / game._growth(flat, a1) < 1e-300
-        assert np.all(solver._stationary_points(flat, a1) == np.inf)
-        assert solver._labels(c, -1e6) == (CaseLabel.LOWER_BOUND,) * s.n
-        assert solver._labels(c, 1e6) == (CaseLabel.UPPER_BOUND,) * s.n
+        flat = build_scenario(n=2, beta=0.001)
+        a1 = 1.0 + flat.economy.varrho * math.log(1e308)
+        assert 0 < _factor(flat)[0] / solver._growth(flat, a1) < 1e-300
+        assert np.all(solver._stationary_points(flat, _factor(flat), a1) == np.inf)
+        assert solver._labels(s, factor, -1e6) == (CaseLabel.LOWER_BOUND,) * s.n
+        assert solver._labels(s, factor, 1e6) == (CaseLabel.UPPER_BOUND,) * s.n
 
 
 class TestScalarStationarityGate:
@@ -147,22 +153,21 @@ class TestGradientLabels:
     def test_dominating_cost_pins_to_lower_bound(self):
         s = table1_scenario(seed=33, cost_scale=1e6)
         a1 = _mean_local_error(s, np.full(s.n, 500.0))
-        assert solver._labels(game._stationarity(s), a1) == (CaseLabel.LOWER_BOUND,) * s.n
+        assert solver._labels(s, _factor(s), a1) == (CaseLabel.LOWER_BOUND,) * s.n
 
     def test_vanishing_cost_pins_to_upper_bound(self):
         s = table1_scenario(seed=34, cost_scale=1e-6)
         a1 = _mean_local_error(s, np.full(s.n, 500.0))
-        assert solver._labels(game._stationarity(s), a1) == (CaseLabel.UPPER_BOUND,) * s.n
+        assert solver._labels(s, _factor(s), a1) == (CaseLabel.UPPER_BOUND,) * s.n
 
     def test_matches_reference_rule_off_equilibrium(self):
         seen = set()
         scales = ((38, 1.0), (39, 4.0), (40, 0.05), (41, 1e-3), (42, 1e3))
         for (seed, cost_scale), mode in itertools.product(scales, PayoffMode):
             s = with_payoff_mode(table1_scenario(seed=seed, cost_scale=cost_scale), mode)
-            c = game._stationarity(s)
             for k in range(3):
                 p = random_profile(s, k)
-                got = solver._labels(c, _mean_local_error(s, p))
+                got = solver._labels(s, _factor(s), _mean_local_error(s, p))
                 assert got == tuple(_ref_case_label(s, p, n) for n in range(s.n))
                 seen.update(got)
         assert len(seen) >= 2  # the draws exercise more than one label
