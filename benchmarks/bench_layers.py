@@ -28,7 +28,9 @@ oracle on the first preset job's cell drawn with 2 and 3 organizations,
 over the full 3001-point axes of a 9M-point grid (at N = 3 the innermost
 axis is reduced through a lower envelope); the oracle scans only the rows
 of the first axis that its chord bounds cannot rule out, usually two to a
-dozen, so its time is mostly the envelope build and a few kernel rows.
+dozen, so its time is the envelope build and a few kernel rows.
+``kernels.build_lower_envelope`` builds that N = 3 oracle's envelope alone,
+over the 3001 lines of its third axis.
 ``solver.fpi_solve.per_iteration`` divides the solve's time by the report's
 ``iterations``, which counts the bracket steps of the scalar root solve. In
 checkouts that still solved by damped Jacobi sweeps it counted sweeps, so
@@ -148,7 +150,7 @@ def _tier1_us(src: str) -> float:
 def measure(repeat: int) -> dict:
     import numpy as np
 
-    from cocogen import baselines, cli, economics, scaling, solver
+    from cocogen import baselines, cli, economics, kernels, scaling, solver
     from cocogen.model import PayoffMode, validate_scenario, with_payoff_mode
     from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 
@@ -205,6 +207,12 @@ def measure(repeat: int) -> dict:
         layers[f"solver.grid_oracle.n{n}"] = _per_call_us(
             lambda: solver.grid_oracle(oracle_s), 1, repeat
         )
+        if n == 3:
+            lo, hi = float(oracle_s.bounds.d_min), float(oracle_s.bounds.d_max)
+            lines = solver._axis_arrays(oracle_s, lo + np.arange(int(hi - lo) + 1), 2)
+            layers["kernels.build_lower_envelope"] = _per_call_us(
+                lambda: kernels.build_lower_envelope(*lines), 20, repeat
+            )
     layers["solver.fpi_solve.per_iteration"] = layers["solver.fpi_solve"] / report.iterations
     rows = cli.run_sweep(grid, cfg, jobs=1)
     layers["cli._aggregate"] = _per_call_us(lambda: cli._aggregate(rows), 3, repeat)

@@ -40,6 +40,10 @@ class Envelope:
 def build_lower_envelope(slopes, intercepts) -> Envelope:
     """Exact lower envelope for lines with non-increasing slopes.
 
+    Each run of equal slopes keeps its lowest line, the first among equal
+    ones; then, in passes until none is, every line whose successor takes
+    over at or before the point where it took over from its predecessor
+    (``q = 0`` for the first) is dropped, as never strictly best on q > 0.
     Ties in value at a breakpoint resolve to the smaller original index,
     matching the grid oracle's lexicographic tie-break.
     """
@@ -50,41 +54,16 @@ def build_lower_envelope(slopes, intercepts) -> Envelope:
     if np.any(np.diff(slopes) > 0):
         raise ValueError("slopes must be non-increasing")
 
-    ks: list[int] = []
-    sl: list[float] = []
-    it: list[float] = []
-    th: list[float] = []
-    for k in range(slopes.size):
-        s = float(slopes[k])
-        c = float(intercepts[k])
-        if sl and s == sl[-1]:
-            if c >= it[-1]:
-                continue  # parallel, never below the kept line
-            # parallel and strictly lower: the kept line is dominated
-            sl.pop(), it.pop(), ks.pop()
-            if th:
-                th.pop()
-        while sl:
-            x = (c - it[-1]) / (sl[-1] - s)
-            # Queries live on q > 0; a line whose takeover point is at or
-            # before its predecessor's is never strictly best.
-            prev = th[-1] if th else 0.0
-            if x <= prev:
-                sl.pop(), it.pop(), ks.pop()
-                if th:
-                    th.pop()
-            else:
-                th.append(x)
-                break
-        sl.append(s)
-        it.append(c)
-        ks.append(k)
-    return Envelope(
-        slope=np.array(sl),
-        inter=np.array(it),
-        thresh=np.array(th),
-        k=np.array(ks, dtype=np.int64),
-    )
+    new_run = np.r_[True, slopes[1:] != slopes[:-1]]
+    # A stable sort by run, then intercept: each run starts with its first lowest line.
+    k = np.lexsort((intercepts, np.cumsum(new_run)))[new_run]
+    while True:
+        slope, inter = slopes[k], intercepts[k]
+        thresh = (inter[1:] - inter[:-1]) / (slope[:-1] - slope[1:])
+        drop = thresh <= np.r_[0.0, thresh[:-1]]
+        if not drop.any():
+            return Envelope(slope=slope, inter=inter, thresh=thresh, k=k)
+        k = k[np.r_[~drop, True]]
 
 
 def backend_name() -> str:

@@ -105,6 +105,16 @@ def family_stream(seed: int, family: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekeyed(gen: np.random.Generator, seed: int, family: int) -> np.random.Generator:
+    """``gen`` in a new ``family_stream(seed, family)``'s state, without the
+    unused OS entropy that a new ``Philox`` draws."""
+    key = np.array([seed & MASK64, family & MASK64], dtype=np.uint64)
+    gen.bit_generator.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
+                               "state": {"counter": np.zeros(4, np.uint64), "key": key},
+                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
 def _mix64(x: int) -> int:
     """splitmix64 finalizer."""
     x &= MASK64
@@ -207,15 +217,14 @@ class SweepJob:
 def sample_scenario(grid: SweepGrid, cell: SweepCell, seed: int) -> Scenario:
     """Draw one complete scenario for a sweep cell, deterministically."""
     n = grid.n_orgs
-    kappa = family_stream(seed, FAMILY.KAPPA).uniform(2e-18, 5e-18, size=n)
-    d_loc = family_stream(seed, FAMILY.D_LOC).integers(1000, 3000, size=n, endpoint=True)
-    phi = family_stream(seed, FAMILY.PHI).uniform(2e2, 3e2, size=n)
-    psi = family_stream(seed, FAMILY.PSI).uniform(6e2, 9e2, size=n)
-    freq = family_stream(seed, FAMILY.FREQ).uniform(1.0, 2.0, size=n)
+    gen = family_stream(seed, FAMILY.KAPPA)
+    kappa = gen.uniform(2e-18, 5e-18, size=n)
+    d_loc = _rekeyed(gen, seed, FAMILY.D_LOC).integers(1000, 3000, size=n, endpoint=True)
+    phi = _rekeyed(gen, seed, FAMILY.PHI).uniform(2e2, 3e2, size=n)
+    psi = _rekeyed(gen, seed, FAMILY.PSI).uniform(6e2, 9e2, size=n)
+    freq = _rekeyed(gen, seed, FAMILY.FREQ).uniform(1.0, 2.0, size=n)
     # n*n gamma uniforms drawn row-major; the diagonal is forced to zero.
-    gamma = family_stream(seed, FAMILY.GAMMA).uniform(
-        cell.gamma.lo, cell.gamma.hi, size=(n, n)
-    )
+    gamma = _rekeyed(gen, seed, FAMILY.GAMMA).uniform(cell.gamma.lo, cell.gamma.hi, size=(n, n))
     np.fill_diagonal(gamma, 0.0)
 
     defaults, law = grid.org_defaults, cell.law

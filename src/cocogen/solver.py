@@ -15,17 +15,18 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import economics, game
-from .errors import InstanceTooLarge, ZeroTotalData
+from .errors import InstanceTooLarge, InvariantViolation, ZeroTotalData
 from .kernels import argmin_2d, argmin_3d, build_lower_envelope
 from .model import (
     ProfileLike,
     Scenario,
     StrategyProfile,
+    _readonly,
     as_dgen,
     validate_scenario,
 )
@@ -151,12 +152,18 @@ def _relaxed(s: Scenario, factor: np.ndarray, t: float):
     return t - float(eps.sum() / s.n), d, eps  # np.mean's bits, without its wrapper
 
 
+@lru_cache(maxsize=8)
+def _steps(n: int) -> np.ndarray:
+    """The zero move and every ±1 move of one coordinate, as read-only rows."""
+    return _readonly(np.vstack([np.zeros(n), np.eye(n), -np.eye(n)]))
+
+
 def _descend(s: Scenario, d: np.ndarray) -> np.ndarray:
     """Move one coordinate by one sample while that strictly lowers F. The
     profile and its ±1 neighbours are priced in one batch, so that they are
     compared on values computed the same way."""
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    steps = np.vstack([np.zeros(s.n), np.eye(s.n), -np.eye(s.n)])
+    steps = _steps(s.n)
     while True:
         rows = d + steps
         rows = rows[np.all((rows >= lo) & (rows <= hi), axis=1)]
@@ -241,6 +248,14 @@ MAX_POINTS_PER_AXIS = 3001
 class GridOracleResult:
     profile: StrategyProfile
     f_min: float
+
+
+def _last_index(s: Scenario, step: float, name: str) -> int:
+    """The largest k with ``d_min + step * k <= d_max``."""
+    last = (float(s.bounds.d_max) - float(s.bounds.d_min)) / step if step > 0 else math.nan
+    if not (math.isfinite(step) and math.isfinite(last)):
+        raise InvariantViolation(name, f"must be finite, > 0 and index a float lattice, got {step}")
+    return math.floor(last)
 
 
 def _axis_arrays(s: Scenario, values: np.ndarray, n: int):
@@ -346,13 +361,12 @@ def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
     validate_scenario(s)
     if s.n > MAX_ORACLE_ORGS:
         raise InstanceTooLarge(f"grid oracle supports N <= {MAX_ORACLE_ORGS}, got {s.n}")
-    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    count = int(math.floor((hi - lo) / step)) + 1
+    count = _last_index(s, step, "step") + 1
     if count > MAX_POINTS_PER_AXIS:
         raise InstanceTooLarge(
             f"{count} points per axis exceeds the {MAX_POINTS_PER_AXIS} guard"
         )
-    values = lo + step * np.arange(count)
+    values = float(s.bounds.d_min) + step * np.arange(count)
     if np.any(s.d_loc + values[0] <= 0):
         raise ZeroTotalData("grid includes a zero-total-data point")
 
@@ -360,9 +374,7 @@ def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
     g0, lin0 = _axis_arrays(s, values, 0)
     bg0 = b * g0
     if s.n == 1:
-        f = bg0 + lin0
-        i = int(np.argmin(f))
-        idx = (i,)
+        idx = (int(np.argmin(bg0 + lin0)),)
     else:
         _, i, rest = _row_search(_row_scan(s, values, bg0, lin0), bg0, lin0)
         idx = (i, *rest)
@@ -419,7 +431,7 @@ def _best_deviations(s: Scenario, d: np.ndarray, grid_step: float):
     ``_SEARCH_PROBES``.
     """
     lo = float(s.bounds.d_min)
-    last = float(math.floor((float(s.bounds.d_max) - lo) / grid_step))
+    last = float(_last_index(s, grid_step, "grid_step"))
     eps = economics._local_errors(s, d)
     weights = game._deviation_weights(s, eps)
     costs = economics._marginal_costs(s)

@@ -765,10 +765,59 @@ def reference_root_solve(s, cfg=None):
 # ---------------------------------------------------------------------------
 # Reference grid oracle: the exhaustive scan of every first-axis row, in the
 # kernels' row chunks and with the kernels' float expressions, as
-# ``cocogen.solver.grid_oracle`` ran it before its row search. The search
-# must return this scan's profile and a bitwise-equal ``f_min``, and every
-# row bound it uses must lie below the row minimum this scan computes.
+# ``cocogen.solver.grid_oracle`` ran it before its row search, its N = 3
+# envelope built by the stack loop that ``kernels.build_lower_envelope``
+# first ran. The search must return this scan's profile and a bitwise-equal
+# ``f_min``, and every row bound it uses must lie below the row minimum this
+# scan computes.
 # ---------------------------------------------------------------------------
+
+
+def reference_lower_envelope(slopes, intercepts):
+    """The lower envelope as first written: a stack of lines, taken in
+    order, from which each new line pops every line whose takeover point
+    (``q = 0`` for the first) it reaches at or before; a parallel line
+    replaces the kept one only if strictly lower. Slopes must be
+    non-increasing."""
+    from cocogen.kernels import Envelope
+
+    slopes = np.asarray(slopes, dtype=np.float64)
+    intercepts = np.asarray(intercepts, dtype=np.float64)
+    ks: list[int] = []
+    sl: list[float] = []
+    it: list[float] = []
+    th: list[float] = []
+    for k in range(slopes.size):
+        s = float(slopes[k])
+        c = float(intercepts[k])
+        if sl and s == sl[-1]:
+            if c >= it[-1]:
+                continue  # parallel, never below the kept line
+            # parallel and strictly lower: the kept line is dominated
+            sl.pop(), it.pop(), ks.pop()
+            if th:
+                th.pop()
+        while sl:
+            x = (c - it[-1]) / (sl[-1] - s)
+            # Queries live on q > 0; a line whose takeover point is at or
+            # before its predecessor's is never strictly best.
+            prev = th[-1] if th else 0.0
+            if x <= prev:
+                sl.pop(), it.pop(), ks.pop()
+                if th:
+                    th.pop()
+            else:
+                th.append(x)
+                break
+        sl.append(s)
+        it.append(c)
+        ks.append(k)
+    return Envelope(
+        slope=np.array(sl),
+        inter=np.array(it),
+        thresh=np.array(th),
+        k=np.array(ks, dtype=np.int64),
+    )
 
 
 def reference_grid_axes(s, step=1.0):
@@ -788,15 +837,16 @@ _SCAN_ROWS = 128  # rows per temporary of the full scan
 def reference_grid_scan(s, step=1.0):
     """The full scan of the N <= 3 lattice: the lattice values, each
     first-axis row's smallest F, and the lexicographically first argmin's
-    indices (the innermost axis of N = 3 through the lower envelope)."""
-    from cocogen import kernels, solver
+    indices (the innermost axis of N = 3 through the reference lower
+    envelope)."""
+    from cocogen import solver
 
     values, bg0, lin0 = reference_grid_axes(s, step)
     if s.n == 1:
         f = bg0 + lin0
         return values, f, (int(np.argmin(f)),)
     g1, lin1 = solver._axis_arrays(s, values, 1)
-    env = kernels.build_lower_envelope(*solver._axis_arrays(s, values, 2)) if s.n == 3 else None
+    env = reference_lower_envelope(*solver._axis_arrays(s, values, 2)) if s.n == 3 else None
     row_min = np.empty(values.size)
     best_val, best = np.inf, None
     for i0 in range(0, values.size, _SCAN_ROWS):

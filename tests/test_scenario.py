@@ -16,12 +16,14 @@ from cocogen.model import (
 from cocogen.scaling import heterogeneity_presets
 from cocogen.scenario import (
     MAX_SWEEP_JOBS,
+    FAMILY,
     GammaLevel,
     OrgDefaults,
     SweepCell,
     SweepGrid,
     default_sweep_grid,
     expand_sweep,
+    family_stream,
     sample_scenario,
     stable_job_hash,
     sweep_from_dict,
@@ -88,6 +90,28 @@ class TestSampling:
             assert s.market.phi.tobytes() == ref.market.phi.tobytes()
             assert s.market.xi == ref.market.xi
             assert (s.economy, s.bounds, s.seed) == (ref.economy, ref.bounds, ref.seed)
+
+    @pytest.mark.parametrize("seed", [0, 4242, 2**64 - 1])
+    def test_each_column_is_its_own_family_stream(self, seed):
+        # One generator is re-keyed per family; each column must still be
+        # the first draws of a fresh stream for (seed, family).
+        grid, cell = default_sweep_grid(), mid_cell()
+        s = sample_scenario(grid, cell, seed)
+        n = grid.n_orgs
+        gamma = family_stream(seed, FAMILY.GAMMA).uniform(cell.gamma.lo, cell.gamma.hi, (n, n))
+        np.fill_diagonal(gamma, 0.0)
+        expected = {
+            "kappa": family_stream(seed, FAMILY.KAPPA).uniform(2e-18, 5e-18, size=n),
+            "d_loc": family_stream(seed, FAMILY.D_LOC).integers(1000, 3000, n, endpoint=True),
+            "phi": family_stream(seed, FAMILY.PHI).uniform(2e2, 3e2, size=n),
+            "psi": family_stream(seed, FAMILY.PSI).uniform(6e2, 9e2, size=n),
+            "f": family_stream(seed, FAMILY.FREQ).uniform(1.0, 2.0, size=n),
+            "gamma": gamma,
+        }
+        got = {"kappa": s.kappa, "d_loc": s.d_loc, "phi": s.market.phi, "psi": s.psi,
+               "f": s.f, "gamma": s.market.gamma}
+        for name, want in expected.items():
+            assert np.array_equal(got[name], want), name
 
     def test_every_sample_validates(self):
         grid = default_sweep_grid()

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cocogen import economics as eco
 from cocogen import game, solver
-from cocogen.errors import InstanceTooLarge, ScenarioValidationError
+from cocogen.errors import InstanceTooLarge, InvariantViolation, ScenarioValidationError
 from cocogen.model import (
     Market,
     PayoffMode,
@@ -188,6 +188,11 @@ class TestSolverConfig:
 
 
 class TestFpiSolve:
+    def test_descent_steps_are_built_once_per_n_and_read_only(self):
+        steps = solver._steps(3)
+        assert solver._steps(3) is steps and not steps.flags.writeable
+        assert np.array_equal(steps, np.vstack([np.zeros(3), np.eye(3), -np.eye(3)]))
+
     def test_huge_cost_converges_immediately_to_floor(self):
         s = table1_scenario(seed=37, cost_scale=1e6)
         rep = solver.fpi_solve(s)
@@ -461,6 +466,12 @@ class TestGridOracle:
         with pytest.raises(InstanceTooLarge):
             solver.grid_oracle(table1_scenario(seed=49, n=2), step=0.5)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 5e-324])
+    def test_unusable_step_is_refused(self, step):
+        with pytest.raises(InvariantViolation) as err:
+            solver.grid_oracle(table1_scenario(seed=49, n=2), step=step)
+        assert err.value.field == "step"
+
     @pytest.mark.parametrize("n_orgs", [1, 2, 3])
     def test_oracle_agreement_random_instances(self, n_orgs):
         for seed in range(6):
@@ -607,6 +618,13 @@ def _assert_certified_like_the_scan(s, p, grid_step=1.0):
 
 
 class TestVerifyNe:
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 5e-324])
+    def test_unusable_grid_step_is_refused(self, step):
+        s = table1_scenario(seed=51, n=2)
+        with pytest.raises(InvariantViolation) as err:
+            solver.verify_ne(s, np.zeros(s.n), grid_step=step)
+        assert err.value.field == "grid_step"
+
     def test_solver_output_is_certified(self):
         s = table1_scenario(seed=50)
         rep = solver.fpi_solve(s, SolverConfig(tol=1e-11, max_iters=1000))
