@@ -16,6 +16,10 @@ antisymmetric payoffs, at that copy's CoCoGen profile.
 ``solver.verify_ne.not_ne`` certifies the all-``d_min`` profile of a copy
 whose generation costs are scaled by 1e-6, where every organization gains
 by moving up, so the certificate searches each gain for its maximum.
+``solver.solve_games.two_games`` solves that job's CoCoGen game and its
+zero-competition (WCO) game as the two rows of one ``solve_games`` call,
+as ``cli.scheme_rows`` does; in checkouts without ``solve_games`` it is
+``fpi_solve`` plus ``wco_solve``, the two solves a job made there.
 ``cli.run_sweep_job`` runs the first 90 preset jobs end to end, sampling
 included, and is what a sweep pays per job. ``cli.sweep.preset.jobs1`` and
 ``.jobs2`` are one wall-clock run each of ``cocogen sweep`` on the full
@@ -167,12 +171,26 @@ def measure(repeat: int) -> dict:
     floor = np.full(s.n, float(s.bounds.d_min))
     if solver.verify_ne(cheap, floor).is_ne:
         raise RuntimeError("the near-free floor profile was certified")
+    if hasattr(solver, "solve_games"):
+        from cocogen import game
+
+        games = np.vstack([game._linear_coeffs(s), baselines.wco_linear_coeffs(s)])
+
+        def two_games():
+            solver.solve_games(s, games, cfg)
+    else:
+
+        def two_games():
+            solver.fpi_solve(s, cfg)
+            baselines.wco_solve(s, cfg)
+
     layers = {
         "scenario.sample_scenario": _per_call_us(
             lambda: sample_scenario(grid, job.cell, job.seed), 200, repeat
         ),
         "solver.fpi_solve": _per_call_us(lambda: solver.fpi_solve(s, cfg), 100, repeat),
         "baselines.wco_solve": _per_call_us(lambda: baselines.wco_solve(s, cfg), 100, repeat),
+        "solver.solve_games.two_games": _per_call_us(two_games, 100, repeat),
         "baselines.wco_scenario": _per_call_us(lambda: baselines.wco_scenario(s), 500, repeat),
         "economics.evaluate_profile": _per_call_us(
             lambda: economics.evaluate_profile(s, report.profile), 500, repeat

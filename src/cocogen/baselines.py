@@ -6,13 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import solver
+from . import game, solver
+from .errors import ScenarioValidationError
 from .model import Market, Scenario, StrategyProfile, _accept, _weight_violations, validate_scenario
 from .scenario import FAMILY, family_stream
 
 __all__ = [
     "vcfl_profile",
     "wco_scenario",
+    "wco_linear_coeffs",
     "wco_solve",
     "radg_profiles",
 ]
@@ -34,7 +36,20 @@ def wco_scenario(s: Scenario) -> Scenario:
     validate_scenario(s)
     gamma = np.zeros_like(s.market.gamma)
     clone = replace(s, market=Market(gamma=gamma, xi=s.market.xi, phi=s.market.phi))
-    return _accept(clone, _weight_violations(clone))
+    return _accept(clone, _weight_violations(game._raw_z_weights(clone)))
+
+
+def wco_linear_coeffs(s: Scenario) -> np.ndarray:
+    """F's linear coefficient in the zero-competition game on the (valid)
+    scenario's own columns, ``c_n / psi_n``, from the clone's weights
+    ``z_n = -psi_n``, with no clone built; the same bits as the clone's.
+    Raises what :func:`wco_scenario` raises when a weight is not negative."""
+    validate_scenario(s)
+    z = -s.psi
+    violations = _weight_violations(z)
+    if violations:
+        raise ScenarioValidationError(violations)
+    return game._linear_coeffs(s, z)
 
 
 def wco_solve(s: Scenario, cfg: solver.SolverConfig | None = None) -> solver.SolveReport:

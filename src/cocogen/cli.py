@@ -1,11 +1,14 @@
 """Command-line entry point: fit, solve, sweep, and compare.
 
-Exit codes: 0 success, 2 unusable input or output path (and any package
+Exit codes: 0 success, 1 a ``compare`` scheme row that failed or a sweep
+whose every job failed, 2 unusable input or output path (and any package
 error a command does not handle), 3 curve fit with too few points or no
 feasible offset, 4 solver non-convergence (suppressed by
 ``--allow-nonconverged``).
 All numeric CSV fields carry 17 significant digits; result CSVs are plain
-RFC 4180 bodies with the run manifest in a JSON sidecar next to them.
+RFC 4180 bodies with the run manifest in a JSON sidecar next to them. The
+manifest of a command that solves records its full solver configuration
+and the payoff mode it solved under.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, baselines, economics, scaling, solver
+from . import __version__, baselines, economics, game, scaling, solver
 from .errors import (
     CocogenError,
     InsufficientPoints,
@@ -52,6 +55,7 @@ __all__ = ["main"]
 logger = logging.getLogger("cocogen")
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_FIT = 3
 EXIT_NONCONVERGED = 4
@@ -85,9 +89,10 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _manifest(command: str, config_paths, seed, started: str) -> dict:
-    """The run manifest of a command started at ``started``, finished now."""
-    return {
+def _manifest(command: str, config_paths, seed, started: str, solved=None) -> dict:
+    """The run manifest of a command started at ``started``, finished now.
+    ``solved`` is the (SolverConfig, PayoffMode) of a command that solves."""
+    out = {
         "command": command,
         "config_paths": [str(p) for p in config_paths],
         "seed": seed,
@@ -96,6 +101,11 @@ def _manifest(command: str, config_paths, seed, started: str) -> dict:
         "started": started,
         "finished": _now(),
     }
+    if solved is not None:
+        cfg, mode = solved
+        out["solver_config"] = asdict(cfg)
+        out["payoff_mode"] = mode.value
+    return out
 
 
 def _json_text(payload: dict) -> str:
@@ -175,11 +185,12 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError, KeyError, CocogenError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = solver.fpi_solve(s, _solver_config_from_args(args))
+    cfg = _solver_config_from_args(args)
+    report = solver.fpi_solve(s, cfg)
     if args.verify_ne:
         report = replace(report, ne_certificate=solver.verify_ne(s, report.profile))
-    payload = {"manifest": _manifest("solve", [args.scenario], None, started),
-               **report.to_dict()}
+    manifest = _manifest("solve", [args.scenario], None, started, (cfg, s.economy.bb_mode))
+    payload = {"manifest": manifest, **report.to_dict()}
     if args.out:
         _write_text(args.out, _json_text(payload), "-o/--out")
     else:
@@ -229,27 +240,40 @@ def scheme_rows(
 ) -> tuple[list[dict], solver.SolveReport | None]:
     """The CoCoGen, VCFL, WCO and RaDG rows for one scenario, in that order.
 
-    The CoCoGen, VCFL and WCO profiles and the RaDG draws are priced as one
-    profile matrix; ``evaluate_profiles`` prices each row as if alone, bit
-    for bit. A failed CoCoGen or WCO solve gives its row the status
-    ``error:<Type>`` and is left out of the matrix. Also returns the WCO
-    solve's report on the zero-competition clone (None if that solve
-    failed), priced on that clone when first read.
+    CoCoGen's game and WCO's zero-competition game share the scenario's
+    columns and differ only in F's linear coefficient, so both are solved
+    as the two rows of one ``solver.solve_games`` call. A game whose
+    coefficient cannot be built (WCO's when some ``psi_n`` is 0) gives its
+    row the status ``error:<Type>`` and is left out of the solve; a failed
+    solve fails the row of each game in it. The CoCoGen, VCFL and WCO
+    profiles and the RaDG draws are priced as one profile matrix;
+    ``evaluate_profiles`` prices each row as if alone, bit for bit. Also
+    returns WCO's report (None if its game failed), priced on ``s`` when
+    first read.
     """
+    coeffs, failed = {}, {}
+    for scheme, build in (("CoCoGen", game._linear_coeffs), ("WCO", baselines.wco_linear_coeffs)):
+        try:
+            coeffs[scheme] = build(validate_scenario(s))
+        except CocogenError as exc:
+            failed[scheme] = exc
+    reports = {}
+    if coeffs:
+        try:
+            reports = dict(zip(coeffs, solver.solve_games(s, np.vstack(list(coeffs.values())), cfg)))
+        except CocogenError as exc:
+            failed.update(dict.fromkeys(coeffs, exc))
+
+    def outcome(scheme):
+        rep = reports.get(scheme)
+        return failed[scheme] if rep is None else (rep.profile.d_gen, rep.converged)
+
     # Scheme -> (profile, converged), or the error that stopped its solve.
-    solved: dict[str, tuple | CocogenError] = {}
-    try:
-        rep = solver.fpi_solve(s, cfg)
-        solved["CoCoGen"] = (rep.profile.d_gen, rep.converged)
-    except CocogenError as exc:
-        solved["CoCoGen"] = exc
-    solved["VCFL"] = (baselines.vcfl_profile(s).d_gen, True)
-    wco = None
-    try:
-        wco = baselines.wco_solve(s, cfg)
-        solved["WCO"] = (wco.profile.d_gen, wco.converged)
-    except CocogenError as exc:
-        solved["WCO"] = exc
+    solved: dict[str, tuple | CocogenError] = {
+        "CoCoGen": outcome("CoCoGen"),
+        "VCFL": (baselines.vcfl_profile(s).d_gen, True),
+        "WCO": outcome("WCO"),
+    }
 
     priced = [v[0] for v in solved.values() if not isinstance(v, CocogenError)]
     draws = baselines.radg_profiles(s, radg_seed, radg_count)
@@ -266,7 +290,7 @@ def scheme_rows(
     radg = slice(k, None)
     rows.append(_ok_row("RaDG", np.mean(ev.welfare[radg]), np.mean(draws.mean(axis=1)),
                         ev.ir[radg].all(), np.mean(ev.bb_sum[radg]), True))
-    return rows, wco
+    return rows, reports.get("WCO")
 
 
 def run_sweep_job(grid: SweepGrid, job: SweepJob, cfg: solver.SolverConfig) -> list[dict]:
@@ -391,7 +415,7 @@ def cmd_sweep(args) -> int:
     ok = sum(1 for r in rows if r["status"] == "ok")
     if ok == 0:
         print("error: every sweep job failed", file=sys.stderr)
-        return 1
+        return EXIT_FAILED
 
     flag = "-o/--out-dir"
     results_path = os.path.join(args.out_dir, "results.csv")
@@ -408,7 +432,7 @@ def cmd_sweep(args) -> int:
     fig4_columns = ("gamma_level", "alpha_d", "scheme", "n", "welfare_mean", "welfare_std")
     _write_rows_csv(os.path.join(args.out_dir, "fig4_schemes.csv"), fig4_columns, agg, flag)
 
-    manifest = _manifest("sweep", [args.sweep], args.seed, started)
+    manifest = _manifest("sweep", [args.sweep], args.seed, started, (cfg, grid.economy.bb_mode))
     for name in ("results.csv", "aggregate.csv", "fig3_cocogen.csv", "fig4_schemes.csv"):
         _write_text(
             os.path.join(args.out_dir, name + ".manifest.json"),
@@ -443,7 +467,7 @@ def cmd_compare(args) -> int:
     for r in failed:
         print(f"error: {r['scheme']}: {r['status']}", file=sys.stderr)
     if failed:
-        return 1
+        return EXIT_FAILED
 
     header = f"{'scheme':<8} {'welfare':>16} {'mean_d_gen':>12} {'ir_all':>7} {'bb_sum':>14} {'conv':>5}"
     print(header)
@@ -454,11 +478,14 @@ def cmd_compare(args) -> int:
             f"{str(r['ir_all']).lower():>7} {r['bb_sum']:>14.6g} "
             f"{str(r['converged']).lower():>5}"
         )
-    print(f"(WCO welfare under its zero-competition clone: {wco.welfare:.6f})")
+    clone_welfare = replace(wco, scenario=baselines.wco_scenario(s)).welfare
+    print(f"(WCO welfare under its zero-competition clone: {clone_welfare:.6f})")
     if args.out:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")
         _write_rows_csv(args.out, columns, rows, "-o/--out")
-        manifest = _manifest("compare", [args.scenario], args.seed, started)
+        manifest = _manifest(
+            "compare", [args.scenario], args.seed, started, (cfg, s.economy.bb_mode)
+        )
         _write_text(args.out + ".manifest.json", _json_text({"manifest": manifest}), "-o/--out")
     if not rows[0]["converged"] and not args.allow_nonconverged:
         return EXIT_NONCONVERGED

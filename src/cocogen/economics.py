@@ -45,10 +45,14 @@ def local_errors(s: Scenario, profile: ProfileLike) -> np.ndarray:
     return _local_errors(s, as_dgen(profile, s.n))
 
 
-def _local_errors(s: Scenario, d: np.ndarray) -> np.ndarray:
-    """Local errors of any array whose last axis runs over organizations."""
+def _local_errors(s: Scenario, d: np.ndarray, in_box: bool = False) -> np.ndarray:
+    """Local errors of any array whose last axis runs over organizations.
+
+    ``in_box`` skips the zero-total-data check, which no profile inside a
+    validated scenario's box fails.
+    """
     totals = s.d_loc + d
-    if (totals <= 0).any():
+    if not in_box and (totals <= 0).any():
         raise ZeroTotalData("some organization has zero local plus generated data")
     return s.alpha * np.power(totals, -s.beta) - s.delta
 
@@ -56,6 +60,11 @@ def _local_errors(s: Scenario, d: np.ndarray) -> np.ndarray:
 def _own_errors(s: Scenario, n: int, d):
     """Organization ``n``'s local errors at generated volume(s) ``d``."""
     return s.alpha[n] * np.power(s.d_loc[n] + d, -s.beta[n]) - s.delta[n]
+
+
+def _own_error_slopes(s: Scenario, n: int, d):
+    """The derivative of organization ``n``'s local error at volume(s) ``d``."""
+    return -s.alpha[n] * s.beta[n] * np.power(s.d_loc[n] + d, -s.beta[n] - 1.0)
 
 
 def _floor_errors(s: Scenario) -> np.ndarray:

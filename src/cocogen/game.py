@@ -69,9 +69,12 @@ def z_weights(s: Scenario) -> np.ndarray:
     return z
 
 
-def _linear_coeffs(s: Scenario) -> np.ndarray:
-    """Coefficient of d_gen[n] in F: -cost_coeff_n / z_n (positive), cached."""
-    return s.cached("linear_coeffs", lambda: -economics._marginal_costs(s) / z_weights(s))
+def _linear_coeffs(s: Scenario, z: np.ndarray | None = None) -> np.ndarray:
+    """Coefficient of d_gen[n] in F: -cost_coeff_n / z_n (positive) for the
+    negative weights ``z``; the scenario's own weights' are cached."""
+    if z is not None:
+        return -economics._marginal_costs(s) / z
+    return s.cached("linear_coeffs", lambda: _linear_coeffs(s, z_weights(s)))
 
 
 def potential(s: Scenario, profile: ProfileLike) -> float:
@@ -79,7 +82,8 @@ def potential(s: Scenario, profile: ProfileLike) -> float:
     return float(potential_from_errors(s, economics.local_errors(s, d), d))
 
 
-def potential_from_errors(s: Scenario, eps: np.ndarray, d: np.ndarray):
+def potential_from_errors(s: Scenario, eps: np.ndarray, d: np.ndarray, lin=None):
     """F at the profile ``d``, or at each row of an (m, N) matrix of them,
-    whose local errors ``eps`` (same shape) are already known."""
-    return economics._aggregate(s, eps) + np.dot(d, _linear_coeffs(s))
+    whose local errors ``eps`` (same shape) are already known. ``lin`` is
+    F's linear coefficient, the scenario's own by default."""
+    return economics._aggregate(s, eps) + np.dot(d, _linear_coeffs(s) if lin is None else lin)

@@ -330,11 +330,9 @@ def _org_violations(s: Scenario) -> list[CocogenError]:
     ]
 
 
-def _weight_violations(s: Scenario) -> list[CocogenError]:
-    """One violation per organization whose game weight is not negative."""
-    from .game import _raw_z_weights
-
-    z = _raw_z_weights(s)
+def _weight_violations(z: np.ndarray) -> list[CocogenError]:
+    """One violation per organization whose game weight in ``z`` is not
+    negative."""
     return [NonNegativeZWeight(int(n), float(z[n])) for n in np.flatnonzero(z >= 0)]
 
 
@@ -371,8 +369,9 @@ def validate_scenario(s: Scenario) -> Scenario:
     if not violations:
         # Only meaningful once the market shape checks passed.
         from .economics import _aggregate, _floor_errors
+        from .game import _raw_z_weights
 
-        violations.extend(_weight_violations(s))
+        violations.extend(_weight_violations(_raw_z_weights(s)))
         # The all-d_min profile has the largest global and counterfactual
         # errors in the box.
         with np.errstate(over="ignore"):

@@ -36,6 +36,7 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "fpi_solve",
+    "solve_games",
     "grid_oracle",
     "GridOracleResult",
     "verify_ne",
@@ -115,10 +116,11 @@ def _growth(s: Scenario, a1: float) -> float:
         return math.inf
 
 
-def _stationary_points(s: Scenario, factor: np.ndarray, a1: float) -> np.ndarray:
-    """Closed-form unconstrained stationary value of every coordinate, given
-    a1 and the stationary factor ``N varrho lin / (alpha beta)``, where
-    ``lin`` is F's linear coefficient (:func:`game._linear_coeffs`).
+def _stationary_points(s: Scenario, factor: np.ndarray, a1: list[float]) -> np.ndarray:
+    """Closed-form unconstrained stationary value of every coordinate of J
+    games, given each game's mean local error ``a1[j]`` and its row of the
+    (J, N) stationary factor ``N varrho lin / (alpha beta)``, where ``lin``
+    is F's linear coefficient (:func:`game._linear_coeffs`).
 
     A bracket ``factor / growth`` that overflows puts the stationary point
     below every feasible volume (it tends to ``-d_loc``); one that
@@ -126,30 +128,34 @@ def _stationary_points(s: Scenario, factor: np.ndarray, a1: float) -> np.ndarray
     volume (``+inf``). Clipping handles the rest.
     """
     exponent = s.cached("stationary_exponent", lambda: -1.0 / (s.beta + 1.0))
+    growth = [_growth(s, t) for t in a1]
+    # One game divides by a float, which numpy does faster than by a column.
+    growth = growth[0] if len(growth) == 1 else np.array(growth)[:, None]
     with np.errstate(over="ignore", divide="ignore"):
-        return (factor / _growth(s, a1)) ** exponent - s.d_loc
+        return (factor / growth) ** exponent - s.d_loc
 
 
-def _labels(s: Scenario, factor: np.ndarray, a1: float) -> tuple[str, ...]:
-    """Every organization's case label at mean local error a1: where its
-    stationary point lies against the box. F is convex along each
-    coordinate, so a point below (above) the box is the potential's
-    gradient being positive (negative) at that bound."""
+def _labels(s: Scenario, factor: np.ndarray, a1: list[float]) -> list[tuple[str, ...]]:
+    """Every organization's case label in each of J games at its mean local
+    error ``a1[j]``: where its stationary point lies against the box. F is
+    convex along each coordinate, so a point below (above) the box is the
+    potential's gradient being positive (negative) at that bound."""
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    return tuple(
-        CaseLabel.LOWER_BOUND if d < lo else CaseLabel.UPPER_BOUND if d > hi
-        else CaseLabel.INTERIOR
-        for d in _stationary_points(s, factor, a1).tolist()
-    )
+    return [
+        tuple(CaseLabel.LOWER_BOUND if x < lo else CaseLabel.UPPER_BOUND if x > hi
+              else CaseLabel.INTERIOR for x in row)
+        for row in _stationary_points(s, factor, a1).tolist()
+    ]
 
 
-def _relaxed(s: Scenario, factor: np.ndarray, t: float):
-    """``g(t) = t - mean eps(d(t))``, the clipped stationary profile ``d(t)``
-    at mean local error t, and its local errors."""
+def _relaxed(s: Scenario, factor: np.ndarray, t: list[float]):
+    """For row j of the (J, N) factor at mean local error ``t[j]``: the
+    clipped stationary profiles ``d(t)`` and their local errors, as (J, N)
+    arrays, and the mean local errors, as a list."""
     d = _stationary_points(s, factor, t)
     d = np.minimum(np.maximum(d, float(s.bounds.d_min)), float(s.bounds.d_max))
-    eps = economics._local_errors(s, d)
-    return t - float(eps.sum() / s.n), d, eps  # np.mean's bits, without its wrapper
+    eps = economics._local_errors(s, d, in_box=True)
+    return d, eps, (eps.sum(axis=1) / s.n).tolist()  # np.mean's bits, without its wrapper
 
 
 @lru_cache(maxsize=8)
@@ -158,78 +164,153 @@ def _steps(n: int) -> np.ndarray:
     return _readonly(np.vstack([np.zeros(n), np.eye(n), -np.eye(n)]))
 
 
-def _descend(s: Scenario, d: np.ndarray) -> np.ndarray:
-    """Move one coordinate by one sample while that strictly lowers F. The
-    profile and its ±1 neighbours are priced in one batch, so that they are
-    compared on values computed the same way."""
+def _descend(s: Scenario, d: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """Move one coordinate of each row of the (J, N) profiles ``d`` by one
+    sample while that strictly lowers that row's F, whose linear
+    coefficient is the same row of ``lin``. Every moving row's in-box ±1
+    neighbours are priced in one batch, and each row's are compared on
+    values computed as for that row alone; not moving wins ties."""
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     steps = _steps(s.n)
-    while True:
-        rows = d + steps
-        rows = rows[np.all((rows >= lo) & (rows <= hi), axis=1)]
-        f = game.potential_from_errors(s, economics._local_errors(s, rows), rows)
-        k = int(np.argmin(f))  # row 0 wins ties
-        if k == 0:
-            return d
-        d = rows[k]
+    moving = list(range(len(d)))
+    while moving:
+        # The whole matrix while every game moves: a view costs less than a copy.
+        rows = (d if len(moving) == len(d) else d[moving])[:, None, :] + steps
+        inside = ((rows >= lo) & (rows <= hi)).all(axis=2)
+        rows = rows[inside]  # each row's in-box moves in order, one row after another
+        eps = economics._local_errors(s, rows, in_box=True)
+        still, start = [], 0
+        for j, count in zip(moving, inside.sum(axis=1).tolist()):
+            end = start + count
+            f = game.potential_from_errors(s, eps[start:end], rows[start:end], lin[j])
+            k = int(np.argmin(f))
+            if k:
+                d[j] = rows[start + k]
+                still.append(j)
+            start = end
+        moving = still
+    return d
 
 
-def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
-    """Equilibrium of the integer game: a scalar root, rounding, then descent.
+class _Bracket:
+    """One game's Illinois regula falsi on ``g(t) = t - mean eps(d(t))``,
+    guarded by bisection: the bracket [a, b], its g values, the side of the
+    last two steps, the trace of F, and the last point evaluated (its
+    profile and mean local error)."""
+
+    __slots__ = ("a", "b", "fa", "fb", "side", "trace", "point")
+
+    def __init__(self, a: float, b: float, fa: float, fb: float, point):
+        self.a, self.b, self.fa, self.fb = a, b, fa, fb
+        self.side = 0
+        self.trace: list[float] = []
+        self.point = point
+        if fa >= 0:
+            self.b = a
+        elif fb <= 0:
+            self.a = b
+
+    def next_t(self) -> float:
+        a, b, fa, fb = self.a, self.b, self.fa, self.fb
+        t = (a * fb - b * fa) / (fb - fa)
+        return t if a < t < b else 0.5 * (a + b)
+
+    def update(self, t: float, g_t: float) -> None:
+        if g_t < 0:
+            self.a, self.fa = t, g_t
+            if self.side < 0:
+                self.fb *= 0.5
+            self.side = -1
+        elif g_t > 0:
+            self.b, self.fb = t, g_t
+            if self.side > 0:
+                self.fa *= 0.5
+            self.side = 1
+        else:
+            self.a = self.b = t
+
+
+def _error_bracket(s: Scenario) -> list[float]:
+    """The mean local errors of the all-``d_max`` and all-``d_min``
+    profiles, which bracket every game's root; built once per scenario."""
+
+    def build():
+        ceiling = economics._local_errors(s, np.full(s.n, float(s.bounds.d_max)))
+        return np.array([ceiling.sum(), economics._floor_errors(s).sum()]) / s.n  # np.mean's bits
+
+    return s.cached("error_bracket", build).tolist()
+
+
+def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -> list[SolveReport]:
+    """Equilibria of the J integer games on the scenario's columns whose
+    potentials differ only in F's linear coefficient, row j of the (J, N)
+    matrix ``lin``: a scalar root per game, rounding, then descent.
 
     Each coordinate's clipped stationary point rises with the mean local
     error t, so ``g(t) = t - mean eps(d(t))`` is strictly increasing, with
     one root between the mean errors of the all-``d_max`` and all-``d_min``
-    profiles. Illinois regula falsi, guarded by bisection, narrows that
-    bracket to width ``tol`` in at most ``max_iters`` steps (else the report
-    says not converged); the trace holds F at each step's profile. The case
-    labels come from the last evaluated point, whose profile is rounded half
-    up and then descended by ±1 moves. F is convex along every coordinate,
-    so no organization gains from any unilateral lattice deviation after.
+    profiles. Illinois regula falsi, guarded by bisection, narrows each
+    game's bracket to width ``tol`` in at most ``max_iters`` steps (else its
+    report says not converged); the trace holds F at each step's profile.
+    The case labels come from the last evaluated point, whose profile is
+    rounded half up and then descended by ±1 moves. F is convex along every
+    coordinate, so no organization gains from any unilateral lattice
+    deviation after.
+
+    Every game keeps its own bracket, but each step prices every unfinished
+    game in one call, one descent moves every game, and the labels come
+    from one expression. Each report equals the one of solving its game
+    alone, field for field: every numpy step prices a row as it prices that
+    row alone. The reports are priced on ``s`` when read.
     """
     validate_scenario(s)
     cfg = cfg or SolverConfig()
-    factor = game._linear_coeffs(s) * s.n * s.economy.varrho / (s.alpha * s.beta)
-    a = float(economics._local_errors(s, np.full(s.n, float(s.bounds.d_max))).mean())
-    b = float(economics._floor_errors(s).mean())
-    g_a, g_b = _relaxed(s, factor, a), _relaxed(s, factor, b)
-    point = g_a if -g_a[0] <= g_b[0] else g_b
-    if g_a[0] >= 0:
-        b = a
-    elif g_b[0] <= 0:
-        a = b
-    fa, fb = g_a[0], g_b[0]
-    side = 0
-    trace = []
-    while b - a > cfg.tol and len(trace) < cfg.max_iters:
-        t = (a * fb - b * fa) / (fb - fa)
-        if not a < t < b:
-            t = 0.5 * (a + b)
-        point = _relaxed(s, factor, t)
-        g_t, d, eps = point
-        trace.append(float(game.potential_from_errors(s, eps, d)))
-        if g_t < 0:
-            a, fa = t, g_t
-            if side < 0:
-                fb *= 0.5
-            side = -1
-        elif g_t > 0:
-            b, fb = t, g_t
-            if side > 0:
-                fa *= 0.5
-            side = 1
-        else:
-            a = b = t
+    lin = np.asarray(lin, dtype=np.float64)
+    factor = lin * s.n * s.economy.varrho / (s.alpha * s.beta)
+    games = len(lin)
+    a, b = _error_bracket(s)
+    d, _, mean = _relaxed(s, np.concatenate([factor, factor]), [a] * games + [b] * games)
+    brackets = []
+    for j in range(games):
+        g_a, g_b = a - mean[j], b - mean[games + j]
+        k = j if -g_a <= g_b else games + j
+        brackets.append(_Bracket(a, b, g_a, g_b, (d[k], mean[k])))
 
-    _, d, eps = point
-    return SolveReport(
-        profile=StrategyProfile(_descend(s, np.floor(d + 0.5))),
-        cases=_labels(s, factor, float(eps.mean())),
-        iterations=len(trace),
-        potential_trace=tuple(trace),
-        converged=b - a <= cfg.tol,
-        scenario=s,
-    )
+    open_ = list(range(games))
+    while True:
+        open_ = [j for j in open_
+                 if brackets[j].b - brackets[j].a > cfg.tol and len(brackets[j].trace) < cfg.max_iters]
+        if not open_:
+            break
+        ts = [brackets[j].next_t() for j in open_]
+        # The whole factor while every game is open, as in _descend.
+        d, eps, mean = _relaxed(s, factor if len(open_) == games else factor[open_], ts)
+        for i, j in enumerate(open_):
+            r = brackets[j]
+            r.point = (d[i], mean[i])
+            r.trace.append(float(game.potential_from_errors(s, eps[i], d[i], lin[j])))
+            r.update(ts[i], ts[i] - mean[i])
+
+    profiles = _descend(s, np.floor(np.array([r.point[0] for r in brackets]) + 0.5), lin)
+    cases = _labels(s, factor, [r.point[1] for r in brackets])
+    return [
+        SolveReport(
+            profile=StrategyProfile(profile),
+            cases=labels,
+            iterations=len(r.trace),
+            potential_trace=tuple(r.trace),
+            converged=r.b - r.a <= cfg.tol,
+            scenario=s,
+        )
+        for profile, labels, r in zip(profiles, cases, brackets)
+    ]
+
+
+def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
+    """Equilibrium of the scenario's integer game: :func:`solve_games` of
+    its own linear coefficient."""
+    validate_scenario(s)
+    return solve_games(s, game._linear_coeffs(s)[None, :], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +472,9 @@ def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
 #   g_n(x) = A_n * (err(x, d_-n) - err(d)) - c_n * (x - d_n),
 # with A_n from game._deviation_weights, which does not depend on d_n, and
 # err convex in x. So g_n is concave when A_n < 0, and its lattice maximum
-# lies next to d_n or, on the side where a neighbour gains, where the
-# discrete slope changes sign; when A_n >= 0 it is convex, and its maximum
-# lies at an end of the lattice.
+# lies next to d_n or, on a side where g_n still rises past the neighbour,
+# between that neighbour and the lattice's end; when A_n >= 0 it is convex,
+# and its maximum lies at an end of the lattice.
 # ---------------------------------------------------------------------------
 
 
@@ -418,6 +499,7 @@ class NeCertificate:
 NE_IMPROVEMENT_TOLERANCE = 1e-6
 _SEARCH_PROBES = 64
 _PROBE_FRACTIONS = np.arange(_SEARCH_PROBES) / (_SEARCH_PROBES - 1)
+_OUTWARD = np.array([-1.0, 1.0])  # a gain's slope below and above d_n, turned outward
 
 
 def _best_deviations(s: Scenario, d: np.ndarray, grid_step: float):
@@ -425,10 +507,14 @@ def _best_deviations(s: Scenario, d: np.ndarray, grid_step: float):
     ``d_min + grid_step * k`` and its gain, as two (N,) arrays; ties go to
     the smallest volume, and not moving gains 0.0.
 
-    Prices 3 volumes per organization, plus ``2 * _SEARCH_PROBES`` per
-    search step for each organization whose concave gain rises away from
-    ``d_n``; a step divides the index range it searches by about
-    ``_SEARCH_PROBES``.
+    Prices 5 volumes per organization: the lattice's ends, the lattice
+    neighbours of ``d_n`` and ``d_n``. Where a gain is concave, it also
+    searches each side on which it may rise above 0 away from ``d_n``: where
+    the end or the neighbour gains more than 0, or where the gain's
+    derivative at the neighbour points away from ``d_n``. The derivative
+    has no cancellation, so it keeps its sign where the neighbour's error
+    change rounds to 0. A search step prices ``_SEARCH_PROBES`` volumes and
+    divides the index range it searches by about ``_SEARCH_PROBES / 2``.
     """
     lo = float(s.bounds.d_min)
     last = float(_last_index(s, grid_step, "grid_step"))
@@ -445,60 +531,74 @@ def _best_deviations(s: Scenario, d: np.ndarray, grid_step: float):
                       / s.economy.varrho)
 
     # The lattice neighbours of d_n: k is the lattice index nearest to it,
-    # and d_n is on the lattice if k's volume is d_n.
+    # and d_n is on the lattice if k's volume is d_n. A neighbour past an
+    # end of the lattice is priced at that end.
     k = np.clip(np.rint((d - lo) / grid_step), 0.0, last)
     near = volumes(k)
-    on = near == d
-    concave = weights < 0
-    # Concave: the neighbours below and above d_n; convex: the two ends. A
-    # neighbour past an end of the lattice is priced at that end.
-    lower = np.where(concave, k - (near >= d), 0.0)
-    upper = np.where(concave, k + (near <= d), last)
-    x = np.empty((s.n, 3))
-    x[:, 0] = volumes(np.maximum(lower, 0.0))
-    x[:, 1] = d  # err(d), priced in the same call as the moves' errors
-    x[:, 2] = volumes(np.minimum(upper, last))
+    lower, upper = k - (near >= d), k + (near <= d)
+    # Columns ascending in volume: the low end, the lower neighbour, d_n
+    # (its error priced in the same call as the moves'), the upper
+    # neighbour and the high end.
+    x = np.empty((s.n, 5))
+    x[:, 0] = lo
+    x[:, 1] = volumes(np.maximum(lower, 0.0))
+    x[:, 2] = d
+    x[:, 3] = volumes(np.minimum(upper, last))
+    x[:, 4] = volumes(last)
     every = np.s_[:, None]
     err = errors(every, x)
-    err_d = err[:, 1]
+    err_d = err[:, 2]
 
     def gains(orgs, x, err):
         # Adding the cost term keeps a zero gain unsigned.
         return weights[orgs] * (err - err_d[orgs]) + costs[orgs] * (d[orgs] - x)
 
     g = gains(every, x, err)
-    g[:, 1] = np.where(concave & on, 0.0, -np.inf)  # not moving
-    col = np.argmax(g, axis=1)  # the columns ascend in volume
+    concave = weights < 0
+    g[:, 2] = np.where(concave & (near == d), 0.0, -np.inf)  # not moving
+    col = np.argmax(g, axis=1)
     idx = np.arange(s.n)
     best_x, best_g = x[idx, col], g[idx, col]
 
-    # Where a concave gain rises away from d_n, search that side for the
-    # first index whose successor gains no more. Each step prices evenly
-    # spaced probes from a to b - 1 of the range [a, b] and their
-    # successors, and keeps the part between the last probe whose slope is
-    # positive and the first whose slope is not; a range of one index stays
-    # as it is.
-    rising = np.flatnonzero(concave & (best_g > 0))
-    if rising.size:
-        r = rising[:, None]
-        up = best_x[rising] > d[rising]
-        a = np.where(up, np.minimum(upper[rising], last), 0.0)
-        b = np.where(up, last, np.maximum(lower[rising], 0.0))
-        rows = np.arange(rising.size)
-        while np.any(a < b):
-            probes = a[:, None] + np.floor((b - 1.0 - a)[:, None] * _PROBE_FRACTIONS)
-            x = volumes(np.concatenate([probes, probes + 1.0], axis=1))
-            pair = gains(r, x, errors(r, x))
-            slope_up = pair[:, _SEARCH_PROBES:] > pair[:, :_SEARCH_PROBES]
-            j = slope_up.cumprod(axis=1).sum(axis=1)  # the first probe not rising
-            ends = np.concatenate([(a - 1.0)[:, None], probes, b[:, None]], axis=1)
-            b = ends[rows, j + 1]
-            a = np.minimum(ends[rows, j] + 1.0, b)
-        x = volumes(a)
-        top = gains(rising, x, errors(rising, x))
-        better = (top > best_g[rising]) | ((top == best_g[rising]) & (x < best_x[rising]))
-        best_x[rising] = np.where(better, x, best_x[rising])
-        best_g[rising] = np.where(better, top, best_g[rising])
+    # The sides to search: (N, 2) flags for below and above d_n, where the
+    # neighbour is not the end. slope is the gain's derivative at the
+    # neighbour, turned to point away from d_n.
+    ends, nbs = np.s_[:, 0:5:4], np.s_[:, 1:4:2]
+    slope = _OUTWARD * (weights[every] * err[nbs] / (s.n * s.economy.varrho)
+                        * economics._own_error_slopes(s, every, x[nbs]) - costs[every])
+    search = (concave[every] & (x[nbs] != x[ends])
+              & ((np.maximum(g[ends], g[nbs]) > 0) | (slope > 0)))
+    orgs, sides = np.nonzero(search)
+    if not orgs.size:
+        return best_x, best_g
+    # Index ranges [a, b] of at least two lattice points each, from the end
+    # to the neighbour below d_n, or from the neighbour above it to the end.
+    a = np.where(sides == 0, 0.0, upper[orgs])
+    b = np.where(sides == 0, lower[orgs], last)
+    # Each step prices evenly spaced probes from a to b and keeps the range
+    # between the neighbours of the first best probe, which holds the first
+    # lattice maximum of a concave gain; ranges of at most _SEARCH_PROBES
+    # points are then priced whole.
+    r = orgs[:, None]
+    while True:
+        wide = np.flatnonzero(b - a >= _SEARCH_PROBES)
+        if not wide.size:
+            break
+        probes = a[wide, None] + np.floor((b - a)[wide, None] * _PROBE_FRACTIONS)
+        x = volumes(probes)
+        i = np.argmax(gains(r[wide], x, errors(r[wide], x)), axis=1)
+        rows = np.arange(wide.size)
+        a[wide] = probes[rows, np.maximum(i - 1, 0)]
+        b[wide] = probes[rows, np.minimum(i + 1, _SEARCH_PROBES - 1)]
+    x = volumes(np.minimum(a[:, None] + np.arange(_SEARCH_PROBES), b[:, None]))
+    g = gains(r, x, errors(r, x))
+    i = np.argmax(g, axis=1)
+    rows = np.arange(orgs.size)
+    # Each side's best move replaces its organization's if it gains more,
+    # or as much at a smaller volume.
+    for n, tx, tg in zip(orgs.tolist(), x[rows, i].tolist(), g[rows, i].tolist()):
+        if tg > best_g[n] or (tg == best_g[n] and tx < best_x[n]):
+            best_x[n], best_g[n] = tx, tg
     return best_x, best_g
 
 

@@ -378,6 +378,35 @@ def reference_verify_ne(s, profile, grid_step=1.0):
     return cert, xs, gains
 
 
+def reference_probe_deviations(s, profile, grid_step=1.0, probes=4097):
+    """Each organization's best unilateral move and its gain on a lattice
+    too long to scan, found by probing: ``probes`` evenly spaced lattice
+    indices over the whole lattice, then as many over the two spacings
+    around the best probe, and so on until the spacing is one index. Gains
+    come from :func:`reference_deviation_gains`. Returns the moves, the
+    gains and the verdict with the solver's tolerance."""
+    from cocogen import economics, solver
+
+    d = np.asarray(profile, dtype=np.float64)
+    lo = float(s.bounds.d_min)
+    last = math.floor((float(s.bounds.d_max) - lo) / grid_step)
+    utilities = economics.evaluate_profiles(s, d[None, :]).utility[0]
+    best_x, best_g = np.empty(s.n), np.empty(s.n)
+    for n in range(s.n):
+        a, b = 0, last
+        while True:
+            ks = np.unique(np.linspace(a, b, probes).round())
+            xs = lo + grid_step * ks
+            g = list(reference_deviation_gains(s, d, xs))[n]
+            i = int(np.argmax(g))
+            if b - a < probes:
+                break
+            a, b = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
+        best_x[n], best_g[n] = xs[i], g[i]
+    is_ne = not np.any(best_g > solver.NE_IMPROVEMENT_TOLERANCE * (1.0 + np.abs(utilities)))
+    return best_x, best_g, is_ne
+
+
 # ---------------------------------------------------------------------------
 # Potential analysis: F's analytic gradient and a randomized convexity check
 # (criteria 2 and 3).

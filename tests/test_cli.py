@@ -1,21 +1,27 @@
+import contextlib
 import csv
+import io
 import json
 import logging
 import math
+import pathlib
 import re
 import statistics
+import tempfile
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cocogen import cli, economics, solver
+from cocogen import baselines, cli, economics, game, solver
 from cocogen.errors import InvalidScenario, ZeroTotalData
 from cocogen.model import (
     PayoffMode,
     ScalingLaw,
     save_scenario,
+    scenario_from_dict,
     scenario_to_dict,
     with_payoff_mode,
 )
@@ -349,7 +355,8 @@ class TestSolveCommand:
 
     def test_verify_ne_certifies_a_huge_box(self, tmp_path, capsys, monkeypatch):
         # 2**40 + 1 volumes per organization: the certificate prices each
-        # organization's neighbours, plus a probe search where a gain rises.
+        # organization's lattice ends, neighbours and volume, plus a probe
+        # search where a gain rises.
         priced = []
         own_errors = economics._own_errors
 
@@ -367,7 +374,7 @@ class TestSolveCommand:
         assert cert["is_ne"] is True
         assert all(math.isfinite(worst[key]) for key in ("d_alt", "gain"))
         assert 0.0 <= worst["d_alt"] <= 2**40
-        assert 0 < sum(priced) <= 3 * 10
+        assert 0 < sum(priced) <= 5 * 10
 
     @pytest.mark.parametrize("flag", ["-o", "--trace"])
     def test_output_in_a_missing_directory_is_input_error(self, tmp_path, capsys, flag):
@@ -494,6 +501,46 @@ class TestSolveCommand:
         anti = json.loads(out_a.read_text())
         assert not lit["bb"]["balanced"]
         assert anti["bb"]["balanced"]
+
+
+class TestManifest:
+    """Every manifest of a command that solves records the full solver
+    configuration and the payoff mode the scenarios were solved under."""
+
+    def test_solve_and_compare_record_the_flags_they_solved_with(self, tmp_path):
+        path = write_scenario(tmp_path, example_scenario())  # literal payoffs in the file
+        solved = tmp_path / "solve.json"
+        flags = ["--payoff-mode", "antisymmetric", "--tol", "1e-3", "--max-iters", "7"]
+        assert cli.main(["solve", path, "-o", str(solved), *flags]) == 0
+        compared = tmp_path / "cmp.csv"
+        assert cli.main(["compare", path, "-o", str(compared), "--radg-reps", "3", *flags]) == 0
+        for manifest in (json.loads(solved.read_text())["manifest"],
+                         json.loads((tmp_path / "cmp.csv.manifest.json").read_text())["manifest"]):
+            assert manifest["solver_config"] == {"tol": 1e-3, "max_iters": 7}
+            assert manifest["payoff_mode"] == "antisymmetric"
+        assert cli.main(["solve", path, "-o", str(solved)]) == 0
+        manifest = json.loads(solved.read_text())["manifest"]
+        assert manifest["solver_config"] == {"tol": 1e-9, "max_iters": 500}
+        assert manifest["payoff_mode"] == "literal"
+
+    def test_sweep_sidecars_record_the_grid_payoff_mode(self, tmp_path):
+        out_dir = tmp_path / "out"
+        argv = ["sweep", write_small_sweep(tmp_path, reps=1), "-o", str(out_dir), "--jobs", "1"]
+        assert cli.main([*argv, "--max-iters", "40"]) == 0
+        for name in ("results.csv", "aggregate.csv", "fig3_cocogen.csv", "fig4_schemes.csv"):
+            manifest = json.loads((out_dir / (name + ".manifest.json")).read_text())["manifest"]
+            assert manifest["solver_config"] == {"tol": 1e-9, "max_iters": 40}
+            assert manifest["payoff_mode"] == "literal"
+
+    def test_fit_records_no_solver(self, tmp_path):
+        law = ScalingLaw(21.2, 0.52, 0.12)
+        curve = tmp_path / "curve.csv"
+        curve.write_text("d,eps\n" + "".join(
+            f"{d},{law.error_at(float(d))!r}\n" for d in (200, 500, 1000, 2000, 5000, 9000)))
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", str(curve), "-o", str(out)]) == 0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert "solver_config" not in manifest and "payoff_mode" not in manifest
 
 
 class TestSweepCommand:
@@ -714,29 +761,75 @@ class TestSchemeRows:
             )
             assert rows == expected
             assert _row_types(rows) == _row_types(expected)
-            assert wco.welfare == clone_welfare
+            # WCO's report is solved and priced on s's columns, as its row
+            # is; compare prices its profile under the clone itself.
+            assert wco.welfare == rows[2]["welfare"]
+            assert replace(wco, scenario=baselines.wco_scenario(s)).welfare == clone_welfare
 
     @pytest.mark.parametrize("failing", ["CoCoGen", "WCO"])
     def test_failed_solve_leaves_the_other_rows(self, monkeypatch, failing):
+        # A game drops out of the two-game solve when its linear
+        # coefficient cannot be built; the other game is solved alone.
         grid, job, s = _preset_job()
         cfg = solver.SolverConfig()
         expected, _ = cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions)
-        real = solver.fpi_solve
+        solved = []
+        real = solver.solve_games
 
-        def fpi_solve(scenario, cfg=None):
-            # The real scenario is CoCoGen's; WCO solves a clone of it.
-            if (scenario is s) == (failing == "CoCoGen"):
+        def solve_games(scenario, lin, cfg=None):
+            solved.append(len(lin))
+            return real(scenario, lin, cfg)
+
+        def fail(s, z=None, _real=game._linear_coeffs):
+            # CoCoGen's coefficient is the scenario's own; WCO's is built
+            # from the zero-competition weights ``z``.
+            if (z is None) == (failing == "CoCoGen"):
                 raise ZeroTotalData("injected")
-            return real(scenario, cfg)
+            return _real(s, z)
 
-        monkeypatch.setattr(solver, "fpi_solve", fpi_solve)
+        monkeypatch.setattr(game, "_linear_coeffs", fail)
+        monkeypatch.setattr(solver, "solve_games", solve_games)
         rows, wco = cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions)
         k = cli.SCHEMES.index(failing)
+        assert solved == [1]
         assert [r["scheme"] for r in rows] == list(cli.SCHEMES)
         assert rows[k]["status"] == "error:ZeroTotalData"
         assert math.isnan(rows[k]["welfare"]) and rows[k]["converged"] is False
         assert rows[:k] + rows[k + 1:] == expected[:k] + expected[k + 1:]
         assert (wco is None) == (failing == "WCO")
+
+    def test_failed_joint_solve_fails_both_games(self, monkeypatch):
+        grid, job, s = _preset_job()
+        cfg = solver.SolverConfig()
+        expected, _ = cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions)
+
+        def solve_games(scenario, lin, cfg=None):
+            raise ZeroTotalData("injected")
+
+        monkeypatch.setattr(solver, "solve_games", solve_games)
+        rows, wco = cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions)
+        assert [r["status"] for r in rows] == [
+            "error:ZeroTotalData", "ok", "error:ZeroTotalData", "ok"
+        ]
+        assert [rows[1], rows[3]] == [expected[1], expected[3]]
+        assert wco is None
+
+    def test_both_games_share_one_solve_and_build_no_clone(self, monkeypatch):
+        grid, job, s = _preset_job()
+        cfg = solver.SolverConfig()
+        alone = baselines.wco_solve(s, cfg)
+        calls = []
+        real = solver.solve_games
+        monkeypatch.setattr(
+            solver, "solve_games", lambda s, lin, cfg: calls.append(len(lin)) or real(s, lin, cfg)
+        )
+        monkeypatch.setattr(baselines, "wco_scenario", _must_not_run)
+        _, wco = cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions)
+        assert calls == [2]
+        assert np.array_equal(wco.profile.d_gen, alone.profile.d_gen)
+        assert (wco.cases, wco.potential_trace, wco.converged) == (
+            alone.cases, alone.potential_trace, alone.converged
+        )
 
     def test_sweep_job_prices_its_scenario_in_one_call(self, monkeypatch):
         grid, job, _ = _preset_job()
@@ -808,6 +901,23 @@ class TestCompareCommand:
         assert rows["CoCoGen"]["welfare"] == rows["WCO"]["welfare"]
         assert rows["CoCoGen"]["mean_d_gen"] == rows["WCO"]["mean_d_gen"]
 
+    def test_zero_psi_fails_only_the_wco_row(self, tmp_path, capsys):
+        # psi_1 = 0 leaves CoCoGen's weight negative, but WCO's z_1 = -psi_1
+        # is 0, so only WCO's game cannot be solved.
+        base = table1_scenario(seed=84)
+        s = scenario_from_dict({**scenario_to_dict(base), "organizations": [
+            {**org, "psi": 0.0} if n == 1 else org
+            for n, org in enumerate(scenario_to_dict(base)["organizations"])
+        ]})
+        rows, wco = cli.scheme_rows(s, solver.SolverConfig(), s.seed, 5)
+        expected, _ = reference_scheme_rows(s, solver.SolverConfig(), s.seed, 5)
+        assert [r["status"] for r in rows] == ["ok", "ok", "error:ScenarioValidationError", "ok"]
+        assert rows == expected and wco is None
+        path = write_scenario(tmp_path, s)
+        assert cli.main(["compare", path, "--radg-reps", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: WCO: error:ScenarioValidationError"]
+
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_radg_reps_below_one_is_input_error(self, tmp_path, capsys, reps):
         path = write_scenario(tmp_path, example_scenario())
@@ -849,3 +959,121 @@ class TestCompareCommand:
             rows = {r["scheme"]: float(r["welfare"]) for r in csv.DictReader(fh)}
         assert rows["CoCoGen"] >= rows["RaDG"] >= rows["WCO"] >= rows["VCFL"]
         assert "CoCoGen" in table
+
+
+# ---------------------------------------------------------------------------
+# Every drawn input file and flag set exits with a documented code and no
+# traceback. The draws keep every size small: the sweep's organization,
+# repetition and RaDG counts, compare's --radg-reps and --max-iters are
+# drawn from small ranges, and --jobs is always 1, so that no draw starts
+# many processes or allocates a large array; those guards are tested by
+# their messages above.
+# ---------------------------------------------------------------------------
+
+_ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.floats(-10.0, 10.0), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+# Values of the sweep keys that size its work.
+_SMALL_COUNT = st.one_of(
+    st.integers(-2, 3), st.none(), st.text(max_size=3), st.floats(-3.0, 3.0),
+    st.just(math.nan),
+)
+_SIZING_KEYS = ("n_orgs", "repetitions", "radg_repetitions")
+_EXIT_CODES = {0, 1, 2, 3, 4}
+
+
+def _mutated(data, doc):
+    """``doc`` (a JSON value) with up to three entries replaced, deleted or
+    added at drawn places."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        parent = doc
+        while isinstance(parent, (dict, list)) and parent:
+            keys = sorted(parent) if isinstance(parent, dict) else list(range(len(parent)))
+            key = data.draw(st.sampled_from(keys))
+            child = parent[key]
+            if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+                parent = child
+                continue
+            action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+            if action == "add" and isinstance(parent, dict):
+                parent[data.draw(st.text(max_size=4))] = data.draw(_ANY_VALUE)
+            elif action == "delete":
+                del parent[key]
+            else:
+                sizing = parent is doc and key in _SIZING_KEYS
+                parent[key] = data.draw(_SMALL_COUNT if sizing else _ANY_VALUE)
+            break
+    return doc
+
+
+def _drawn_flags(data, command, tmp):
+    flags = []
+    if command != "fit" and data.draw(st.booleans()):
+        tol = data.draw(st.sampled_from(["1e-9", "1e-3", "1e-300", "1e-14", "0", "-1", "nan", "x"]))
+        flags += ["--tol", tol]
+    if command != "fit" and data.draw(st.booleans()):
+        flags += ["--max-iters", str(data.draw(st.integers(-2, 3000)))]
+    if command in ("solve", "compare") and data.draw(st.booleans()):
+        mode = data.draw(st.sampled_from(["literal", "antisymmetric", "antisymmetric", "odd"]))
+        flags += ["--payoff-mode", mode]
+    if command in ("solve", "compare") and data.draw(st.booleans()):
+        flags.append("--allow-nonconverged")
+    if command == "solve":
+        flags += data.draw(st.sampled_from([[], ["--verify-ne"]]))
+        flags += data.draw(st.sampled_from([[], ["--trace", str(tmp / "trace.csv")]]))
+    if command in ("compare", "sweep") and data.draw(st.booleans()):
+        flags += ["--seed", str(data.draw(st.integers(-(2**70), 2**70)))]
+    if command == "compare":
+        flags += ["--radg-reps", str(data.draw(st.integers(-1, 30)))]
+    if command == "sweep":
+        flags += ["--jobs", "1", "-o", str(tmp / "sweep-out")]
+    out = data.draw(st.sampled_from(["file", "missing-directory", "none"]))
+    if command in ("fit", "solve", "compare") and out != "none":
+        flags += ["-o", str(tmp / ("missing/out" if out == "missing-directory" else "out"))]
+    return flags
+
+
+def _drawn_input(data, command, tmp):
+    from importlib import resources
+
+    if command == "fit":
+        law = ScalingLaw(21.2, 0.52, 0.12)
+        rows = [[d, repr(law.error_at(float(d)))] for d in (200, 500, 1000, 2000, 5000, 9000)]
+        rows = _mutated(data, rows)
+        header = data.draw(st.sampled_from(["d,eps", "d,eps", "eps,d", "d", ""]))
+        text = header + "\n" + "".join(
+            ",".join(map(str, r)) + "\n" if isinstance(r, list) else f"{r}\n" for r in rows
+        )
+    elif command == "sweep":
+        with open(write_small_sweep(tmp, reps=1, radg=3), encoding="utf-8") as fh:
+            text = json.dumps(_mutated(data, json.load(fh)))
+    else:
+        example = resources.files("cocogen").joinpath("data/scenario_example.json")
+        text = json.dumps(_mutated(data, json.loads(example.read_text(encoding="utf-8"))))
+    path = tmp / "input"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+class TestEveryInputExitsWithACode:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_drawn_files_and_flags(self, data):
+        command = data.draw(st.sampled_from(["fit", "solve", "compare", "sweep"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            argv = [command, _drawn_input(data, command, tmp), *_drawn_flags(data, command, tmp)]
+            err, out = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+        assert code in _EXIT_CODES, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv

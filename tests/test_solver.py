@@ -36,6 +36,7 @@ from helpers import (
     reference_root_solve,
     reference_ne_gains,
     reference_potential_gradient,
+    reference_probe_deviations,
     reference_unilateral_utilities,
     reference_verify_ne,
     table1_scenario,
@@ -47,6 +48,16 @@ def _factor(s):
     return game._linear_coeffs(s) * s.n * s.economy.varrho / (s.alpha * s.beta)
 
 
+def _points(s, a1, factor=None):
+    """The stationary points of one game (the scenario's own by default) at
+    mean local error a1."""
+    return solver._stationary_points(s, (_factor(s) if factor is None else factor)[None], [a1])[0]
+
+
+def _case_labels(s, a1, factor=None):
+    return solver._labels(s, (_factor(s) if factor is None else factor)[None], [a1])[0]
+
+
 class TestStationarityConstants:
     def test_single_org_plug_in(self):
         s = build_scenario(n=1, alpha=1.0, beta=1.0, delta=0.0, d_loc=100, gamma=[[0.0]])
@@ -55,7 +66,7 @@ class TestStationarityConstants:
         a1 = 0.01
         growth = math.exp((a1 - 1.0) / s.economy.varrho)
         want = math.sqrt(growth / (game._linear_coeffs(s)[0] * s.economy.varrho)) - 100.0
-        got = solver._stationary_points(s, _factor(s), a1)[0]
+        got = _points(s, a1)[0]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_linear_coeffs_are_always_positive(self):
@@ -84,7 +95,7 @@ class TestStationaryPoints:
         lin = game._linear_coeffs(s)
         for seed in range(3):
             a1 = _mean_local_error(s, random_profile(s, seed))
-            got = solver._stationary_points(s, _factor(s), a1)
+            got = _points(s, a1)
             for n in range(s.n):
                 want = _ref_stationary_point(s, n, a1, -lin[n])
                 assert got[n] == pytest.approx(want, rel=1e-12)
@@ -93,7 +104,7 @@ class TestStationaryPoints:
         s = table1_scenario(seed=36, n=3, cost_scale=4.0)
         rep = solver.fpi_solve(s, SolverConfig(tol=1e-14, max_iters=5000))
         d = rep.profile.d_gen
-        d_star = solver._stationary_points(s, _factor(s), _mean_local_error(s, d))
+        d_star = _points(s, _mean_local_error(s, d))
         assert CaseLabel.INTERIOR in rep.cases
         for n in range(s.n):
             if rep.cases[n] == CaseLabel.INTERIOR:
@@ -102,9 +113,7 @@ class TestStationaryPoints:
 
     def test_symmetric_orgs_share_one_stationary_point(self):
         s = build_scenario(n=3)
-        d_star = solver._stationary_points(
-            s, _factor(s), _mean_local_error(s, np.full(3, 900.0))
-        )
+        d_star = _points(s, _mean_local_error(s, np.full(3, 900.0)))
         assert len(set(d_star)) == 1
 
     @pytest.mark.filterwarnings("error")
@@ -112,16 +121,16 @@ class TestStationaryPoints:
         s = table1_scenario(seed=37)
         factor = _factor(s)
         # growth underflows to 0: the point tends to -d_loc, below the box
-        assert np.array_equal(solver._stationary_points(s, factor, -1e6), -s.d_loc)
+        assert np.array_equal(_points(s, -1e6, factor), -s.d_loc)
         # growth overflows to inf: the point lies above every volume
-        assert np.all(solver._stationary_points(s, factor, 1e6) == np.inf)
+        assert np.all(_points(s, 1e6, factor) == np.inf)
         # a subnormal bracket whose power overflows (beta near 0)
         flat = build_scenario(n=2, beta=0.001)
         a1 = 1.0 + flat.economy.varrho * math.log(1e308)
         assert 0 < _factor(flat)[0] / solver._growth(flat, a1) < 1e-300
-        assert np.all(solver._stationary_points(flat, _factor(flat), a1) == np.inf)
-        assert solver._labels(s, factor, -1e6) == (CaseLabel.LOWER_BOUND,) * s.n
-        assert solver._labels(s, factor, 1e6) == (CaseLabel.UPPER_BOUND,) * s.n
+        assert np.all(_points(flat, a1) == np.inf)
+        assert _case_labels(s, -1e6, factor) == (CaseLabel.LOWER_BOUND,) * s.n
+        assert _case_labels(s, 1e6, factor) == (CaseLabel.UPPER_BOUND,) * s.n
 
 
 class TestScalarStationarityGate:
@@ -145,6 +154,58 @@ class TestScalarStationarityGate:
                 solved += 1
         assert solved == 1800
 
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_two_game_solve_equals_each_game_alone(self, mode):
+        # Each job's CoCoGen game and its zero-competition game, solved as
+        # the two rows of one pass on the job's columns, report what each
+        # game solved alone reports, field for field.
+        from cocogen import baselines
+
+        grid = default_sweep_grid()
+        for job in expand_sweep(grid):
+            s = with_payoff_mode(sample_scenario(grid, job.cell, job.seed), mode)
+            clone = baselines.wco_scenario(s)
+            lin = np.vstack([game._linear_coeffs(s), baselines.wco_linear_coeffs(s)])
+            assert lin[1].tolist() == game._linear_coeffs(clone).tolist()
+            two = solver.solve_games(s, lin)
+            for got, alone in zip(two, (solver.fpi_solve(s), solver.fpi_solve(clone))):
+                assert _report_fields(got) == _report_fields(alone), job
+                assert got.scenario is s
+
+
+def _report_fields(rep):
+    return (rep.profile.d_gen.tolist(), rep.cases, rep.iterations, rep.potential_trace,
+            rep.converged, rep.ne_certificate)
+
+
+class TestSolveGames:
+    """Games solved together finish, descend and are labelled on their own."""
+
+    @pytest.mark.parametrize(
+        "cfg", [SolverConfig(), SolverConfig(tol=1e-14, max_iters=5000),
+                SolverConfig(tol=1e-16, max_iters=2)],
+    )
+    def test_every_row_equals_its_one_row_call(self, cfg):
+        for seed, n in ((70, 10), (71, 3), (72, 1)):
+            s = table1_scenario(seed=seed, n=n)
+            lin = game._linear_coeffs(s)
+            # Cost-dominated (pinned at the floor), free (at the ceiling)
+            # and interior games take different numbers of steps.
+            rows = np.vstack([lin, lin * 1e6, lin, lin * 1e-6, lin * 3.0])
+            together = solver.solve_games(s, rows, cfg)
+            assert len(together) == len(rows)
+            for got, row in zip(together, rows):
+                assert _report_fields(got) == _report_fields(solver.solve_games(s, row[None], cfg)[0])
+            assert _report_fields(together[0]) == _report_fields(solver.fpi_solve(s, cfg))
+            assert set(together[1].cases) == {CaseLabel.LOWER_BOUND}
+            assert set(together[3].cases) == {CaseLabel.UPPER_BOUND}
+
+    def test_invalid_scenario_raises(self):
+        s = table1_scenario(seed=73, validate=False)
+        s = replace(s, market=Market(gamma=s.market.gamma, xi=1e9, phi=s.market.phi))
+        with pytest.raises(ScenarioValidationError):
+            solver.solve_games(s, np.ones((2, s.n)))
+
 
 class TestGradientLabels:
     """``solver._labels`` at the mean local error of arbitrary profiles, not
@@ -153,12 +214,12 @@ class TestGradientLabels:
     def test_dominating_cost_pins_to_lower_bound(self):
         s = table1_scenario(seed=33, cost_scale=1e6)
         a1 = _mean_local_error(s, np.full(s.n, 500.0))
-        assert solver._labels(s, _factor(s), a1) == (CaseLabel.LOWER_BOUND,) * s.n
+        assert _case_labels(s, a1) == (CaseLabel.LOWER_BOUND,) * s.n
 
     def test_vanishing_cost_pins_to_upper_bound(self):
         s = table1_scenario(seed=34, cost_scale=1e-6)
         a1 = _mean_local_error(s, np.full(s.n, 500.0))
-        assert solver._labels(s, _factor(s), a1) == (CaseLabel.UPPER_BOUND,) * s.n
+        assert _case_labels(s, a1) == (CaseLabel.UPPER_BOUND,) * s.n
 
     def test_matches_reference_rule_off_equilibrium(self):
         seen = set()
@@ -167,7 +228,7 @@ class TestGradientLabels:
             s = with_payoff_mode(table1_scenario(seed=seed, cost_scale=cost_scale), mode)
             for k in range(3):
                 p = random_profile(s, k)
-                got = solver._labels(s, _factor(s), _mean_local_error(s, p))
+                got = _case_labels(s, _mean_local_error(s, p))
                 assert got == tuple(_ref_case_label(s, p, n) for n in range(s.n))
                 seen.update(got)
         assert len(seen) >= 2  # the draws exercise more than one label
@@ -722,9 +783,9 @@ class TestVerifyNe:
                     priced.clear()
                     alts, _ = solver._best_deviations(s, p, 1.0)
                 assert np.all(np.isin(alts[weights >= 0], [0.0, 3000.0]))
-                if np.all(weights >= 0):  # the two ends and d_n; no search
+                if np.all(weights >= 0):  # the ends, neighbours and d_n; no search
                     all_convex += 1
-                    assert sum(priced) == 3 * s.n
+                    assert sum(priced) == 5 * s.n
         assert convex > 0 and all_convex > 0
 
     @pytest.mark.parametrize("mode", list(PayoffMode))
@@ -755,6 +816,36 @@ class TestVerifyNe:
             null = gains[xs == d[n]]
             assert null.tolist() == [0.0]
             assert math.copysign(1.0, null[0]) == 1.0
+
+    @pytest.mark.parametrize("case", ["tiny_step", "huge_box"])
+    def test_gains_below_rounding_at_the_neighbours_are_searched(self, case):
+        # Where a neighbour's global-error change rounds to 0, its gain is
+        # exactly -c_n * step, so the neighbours alone show no rising side.
+        # tiny_step: free generation from the floor on a 1e-12 lattice,
+        # where every organization gains most at the ceiling. huge_box: a
+        # 2^40 box with generation 1e12 times cheaper, at the all-2^38
+        # profile, where organization 1 gains more than its tolerance
+        # about 1.3e11 samples up, although the upper end gains less than
+        # 0.
+        if case == "tiny_step":
+            s, grid_step = table1_scenario(seed=1, n=3, cost_scale=1e-6), 1e-12
+            p = np.zeros(s.n)
+        else:
+            s = table1_scenario(seed=1, n=3, d_max=2**40)
+            s = replace(s, eta=s.eta * 1e-12, mu=s.mu * 1e-12)
+            p, grid_step = np.full(s.n, 2.0**38), 1.0
+        want_x, want_g, want_ne = reference_probe_deviations(s, p, grid_step)
+        alts, gains = solver._best_deviations(s, p, grid_step)
+        bounds = 1e-12 * (1.0 + np.abs(eco.evaluate_profiles(s, p[None, :]).utility[0]))
+        assert not want_ne and not solver.verify_ne(s, p, grid_step).is_ne
+        assert np.all(gains >= want_g - bounds)
+        for n, x in enumerate(alts):
+            priced = list(reference_deviation_gains(s, p, np.array([x])))[n][0]
+            assert abs(priced - gains[n]) <= bounds[n], n
+        if case == "huge_box":
+            top = list(reference_deviation_gains(s, p, np.array([s.bounds.d_max])))
+            assert all(g[0] < 0 for g in top)
+            assert solver.verify_ne(s, p, grid_step).worst_org == int(np.argmax(want_g)) == 1
 
     def test_exact_equilibrium_reports_the_null_deviation(self):
         s = table1_scenario(seed=58)
