@@ -152,10 +152,14 @@ def _relaxed(s: Scenario, factor: np.ndarray, t: list[float]):
     """For row j of the (J, N) factor at mean local error ``t[j]``: the
     clipped stationary profiles ``d(t)`` and their local errors, as (J, N)
     arrays, and the mean local errors, as a list."""
-    d = _stationary_points(s, factor, t)
+    # One game is priced as an (N,) row: numpy runs that faster than a
+    # (1, N) row broadcast against the scenario's (N,) columns.
+    one = len(t) == 1
+    d = _stationary_points(s, factor[0] if one else factor, t)
     d = np.minimum(np.maximum(d, float(s.bounds.d_min)), float(s.bounds.d_max))
     eps = economics._local_errors(s, d, in_box=True)
-    return d, eps, (eps.sum(axis=1) / s.n).tolist()  # np.mean's bits, without its wrapper
+    mean = (eps.sum(axis=-1) / s.n).tolist()  # np.mean's bits, without its wrapper
+    return (d[None], eps[None], [mean]) if one else (d, eps, mean)
 
 
 @lru_cache(maxsize=8)
