@@ -120,7 +120,8 @@ def _stationary_points(s: Scenario, factor: np.ndarray, a1: list[float]) -> np.n
     """Closed-form unconstrained stationary value of every coordinate of J
     games, given each game's mean local error ``a1[j]`` and its row of the
     (J, N) stationary factor ``N varrho lin / (alpha beta)``, where ``lin``
-    is F's linear coefficient (:func:`game._linear_coeffs`).
+    is F's linear coefficient (:func:`game._linear_coeffs`). For one game
+    the factor may also be its (N,) row, and so is the result.
 
     A bracket ``factor / growth`` that overflows puts the stationary point
     below every feasible volume (it tends to ``-d_loc``); one that
