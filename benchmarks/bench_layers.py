@@ -25,7 +25,11 @@ included, and is what a sweep pays per job. ``cli.sweep.preset.jobs1`` and
 ``.jobs2`` are one wall-clock run each of ``cocogen sweep`` on the full
 900-job preset, CSV
 writing included, at ``--jobs 1`` and ``--jobs 2``; being single runs, they
-are the noisiest layers. ``cli._aggregate`` computes the per-cell means and
+are the noisiest layers. ``cli.sweep.small.jobs1`` and ``.jobs2`` run
+perfbench's sweep unit the same way (the shipped preset with two
+repetitions, 18 jobs, written to a temporary directory), as the minimum
+over repeated runs; at this size a sweep's fixed costs, such as starting
+its worker processes, weigh most. ``cli._aggregate`` computes the per-cell means and
 standard deviations of the 3,600 rows of one in-process ``--jobs 1`` run of
 that preset. ``solver.grid_oracle.n2`` and ``.n3`` run the exhaustive
 oracle on the first preset job's cell drawn with 2 and 3 organizations,
@@ -84,18 +88,43 @@ def _per_call_us(fn, number: int, repeat: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
 
 
+def _sweep_command(cli, path: str, out: str, jobs: int):
+    """One in-process ``cocogen sweep`` of ``path`` into ``out``, as a
+    function of no arguments."""
+    argv = ["sweep", path, "-o", out, "--jobs", str(jobs)]
+    args = cli.build_parser().parse_args(argv)
+    args.argv = argv  # what cli.main records in the manifest
+
+    def sweep():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.cmd_sweep(args)
+        if code != 0:
+            raise RuntimeError(f"sweep of {path} at --jobs {jobs} exited {code}")
+
+    return sweep
+
+
 def _preset_sweep_us(cli, jobs: int) -> float:
     """Wall time of one ``cocogen sweep`` of the shipped preset, in us."""
     preset = str(resources.files("cocogen").joinpath("data/sweep_default.json"))
     with tempfile.TemporaryDirectory() as out:
-        args = cli.build_parser().parse_args(["sweep", preset, "-o", out, "--jobs", str(jobs)])
+        sweep = _sweep_command(cli, preset, out, jobs)
         t0 = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.cmd_sweep(args)
-        elapsed = time.perf_counter() - t0
-    if code != 0:
-        raise RuntimeError(f"preset sweep at --jobs {jobs} exited {code}")
-    return elapsed * 1e6
+        sweep()
+        return (time.perf_counter() - t0) * 1e6
+
+
+def _small_sweep_us(cli, jobs: int, repeat: int) -> float:
+    """Time of one ``cocogen sweep`` of perfbench's sweep unit (the shipped
+    preset with two repetitions, 18 jobs), in us."""
+    shipped = resources.files("cocogen").joinpath("data/sweep_default.json")
+    payload = json.loads(shipped.read_text(encoding="utf-8"))
+    payload["repetitions"] = 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        return _per_call_us(_sweep_command(cli, path, os.path.join(tmp, "out"), jobs), 1, repeat)
 
 
 def _request_us(cli, argv, number: int, repeat: int) -> float:
@@ -236,6 +265,8 @@ def measure(repeat: int) -> dict:
     layers["cli._aggregate"] = _per_call_us(lambda: cli._aggregate(rows), 3, repeat)
     for jobs in (1, 2):
         layers[f"cli.sweep.preset.jobs{jobs}"] = _preset_sweep_us(cli, jobs)
+    for jobs in (1, 2):
+        layers[f"cli.sweep.small.jobs{jobs}"] = _small_sweep_us(cli, jobs, repeat)
     # Last: cli.main turns on the progress log that a sweep writes.
     layers.update(_request_layers(cli, scaling, repeat))
     return {k: round(v, 2) for k, v in layers.items()}

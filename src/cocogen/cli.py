@@ -6,27 +6,29 @@ error a command does not handle), 3 curve fit with too few points or no
 feasible offset, 4 solver non-convergence (suppressed by
 ``--allow-nonconverged``).
 All numeric CSV fields carry 17 significant digits; result CSVs are plain
-RFC 4180 bodies with the run manifest in a JSON sidecar next to them. The
-manifest of a command that solves records its full solver configuration
-and the payoff mode it solved under.
+RFC 4180 bodies with the run manifest in a JSON sidecar next to them. Every
+manifest records the command line and the Python and numpy versions and CPU
+count that ran it; that of a command that solves also records its full
+solver configuration and the payoff mode it solved under.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import csv
 import functools
 import io
 import json
 import logging
 import math
+import multiprocessing
 import os
+import platform
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
@@ -89,11 +91,16 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _manifest(command: str, config_paths, seed, started: str, solved=None) -> dict:
-    """The run manifest of a command started at ``started``, finished now.
-    ``solved`` is the (SolverConfig, PayoffMode) of a command that solves."""
+def _manifest(args, config_paths, seed, started: str, solved=None) -> dict:
+    """The run manifest of the command ``args`` (as parsed by ``main``),
+    started at ``started``, finished now. ``solved`` is the
+    (SolverConfig, PayoffMode) of a command that solves."""
     out = {
-        "command": command,
+        "command": args.command,
+        "argv": args.argv,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
         "config_paths": [str(p) for p in config_paths],
         "seed": seed,
         "tool_version": __version__,
@@ -164,7 +171,7 @@ def cmd_fit(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FIT
     payload = result.to_dict()
-    payload["manifest"] = _manifest("fit", [args.curve], None, started)
+    payload["manifest"] = _manifest(args, [args.curve], None, started)
     _write_text(args.out, _json_text(payload), "-o/--out")
     print(
         f"fitted alpha={result.law.alpha:.6g} beta={result.law.beta:.6g} "
@@ -189,7 +196,7 @@ def cmd_solve(args) -> int:
     report = solver.fpi_solve(s, cfg)
     if args.verify_ne:
         report = replace(report, ne_certificate=solver.verify_ne(s, report.profile))
-    manifest = _manifest("solve", [args.scenario], None, started, (cfg, s.economy.bb_mode))
+    manifest = _manifest(args, [args.scenario], None, started, (cfg, s.economy.bb_mode))
     payload = {"manifest": manifest, **report.to_dict()}
     if args.out:
         _write_text(args.out, _json_text(payload), "-o/--out")
@@ -312,11 +319,6 @@ def run_sweep_job(grid: SweepGrid, job: SweepJob, cfg: solver.SolverConfig) -> l
     return [{**base, **r, "realized_gamma_bar": gbar} for r in rows]
 
 
-def _job_worker(payload):
-    grid, job, cfg = payload
-    return run_sweep_job(grid, job, cfg)
-
-
 def _write_rows_csv(path, columns, rows, flag: str) -> None:
     _write_text(path, _csv_text(columns, ([r[c] for c in columns] for r in rows)), flag)
 
@@ -366,29 +368,84 @@ def _aggregate(rows):
     return out
 
 
+def _share_worker(conn, grid: SweepGrid, share: list[SweepJob], cfg: solver.SolverConfig) -> None:
+    """A worker process's target: run one share of the sweep's jobs and send
+    their rows (a list), or the exception that stopped them and its
+    formatted traceback (a tuple), in one message."""
+    try:
+        message = [run_sweep_job(grid, job, cfg) for job in share]
+    except Exception as exc:
+        message = (exc, traceback.format_exc())
+    conn.send(message)
+    conn.close()
+
+
 def run_sweep(grid: SweepGrid, cfg: solver.SolverConfig, jobs: int = 1):
     """Execute every sweep job; the row order is independent of scheduling.
 
-    The pool gets at most one worker per job and per CPU: it starts every
-    worker at once.
+    ``jobs`` is capped at the job count and the CPU count, giving W workers;
+    job i belongs to share i mod W. This process runs share 0 while W - 1
+    worker processes run the others, each sending its share's rows back in
+    one message; the rows are then put back in job order. At W = 1 no
+    process starts. A worker's exception is raised here, caused by a
+    ``RuntimeError`` that holds the worker's traceback; a worker that exits
+    without sending raises ``RuntimeError`` naming its exit code.
+    Every worker is joined before this returns or raises, and terminated
+    first on a failure.
     """
-    payloads = [(grid, job, cfg) for job in expand_sweep(grid)]
-    cpus = os.cpu_count() or 1
-    workers = min(jobs, len(payloads), cpus)
+    sweep_jobs = expand_sweep(grid)
+    total, cpus = len(sweep_jobs), os.cpu_count() or 1
+    workers = max(1, min(jobs, total, cpus))
     if workers < jobs:
         logger.info("sweep: --jobs %d capped at %d workers (%d jobs, %d CPUs)",
-                    jobs, workers, len(payloads), cpus)
-    every = -(-len(payloads) // 10)  # at most ten progress lines
-    all_rows, t0 = [], time.perf_counter()
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        results = map(_job_worker, payloads) if pool is None else pool.map(
-            _job_worker, payloads, chunksize=4
-        )
-        for i, rows in enumerate(results, 1):
-            all_rows.extend(rows)
-            if i % every == 0 or i == len(payloads):
-                rate = i / (time.perf_counter() - t0)
-                logger.info("sweep: %d/%d jobs done, %.0f jobs/s", i, len(payloads), rate)
+                    jobs, workers, total, cpus)
+    every = -(-total // 10)  # at most ten progress lines
+    done, t0 = 0, time.perf_counter()
+
+    def progress(n: int) -> None:
+        nonlocal done
+        before, done = done, done + n
+        if done // every > before // every or done == total:
+            rate = done / (time.perf_counter() - t0)
+            logger.info("sweep: %d/%d jobs done, %.0f jobs/s", done, total, rate)
+
+    shares = [sweep_jobs[i::workers] for i in range(workers)]
+    results, children = [[]], []
+    if workers > 1:
+        sys.stdout.flush()  # a forked worker flushes the buffers it inherits
+        sys.stderr.flush()
+    try:
+        for share in shares[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_share_worker, args=(send, grid, share, cfg))
+            child.start()
+            children.append((child, recv))
+            send.close()  # the worker holds the only write end, so its exit ends recv
+        for job in shares[0]:
+            results[0].append(run_sweep_job(grid, job, cfg))
+            progress(1)
+        for i, (child, recv) in enumerate(children, 1):
+            try:
+                message = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"sweep worker {i} exited with code {child.exitcode} before sending its rows"
+                ) from None
+            if isinstance(message, tuple):
+                exc, trace = message
+                raise exc from RuntimeError(f"in sweep worker {i}:\n{trace}")
+            results.append(message)
+            progress(len(message))
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    all_rows = [row for k in range(total) for row in results[k % workers][k // workers]]
     statuses = sorted(collections.Counter(r["status"] for r in all_rows).items())
     logger.info("sweep: %d rows: %s", len(all_rows), ", ".join(f"{c} {s}" for s, c in statuses))
     return all_rows
@@ -432,7 +489,7 @@ def cmd_sweep(args) -> int:
     fig4_columns = ("gamma_level", "alpha_d", "scheme", "n", "welfare_mean", "welfare_std")
     _write_rows_csv(os.path.join(args.out_dir, "fig4_schemes.csv"), fig4_columns, agg, flag)
 
-    manifest = _manifest("sweep", [args.sweep], args.seed, started, (cfg, grid.economy.bb_mode))
+    manifest = _manifest(args, [args.sweep], args.seed, started, (cfg, grid.economy.bb_mode))
     for name in ("results.csv", "aggregate.csv", "fig3_cocogen.csv", "fig4_schemes.csv"):
         _write_text(
             os.path.join(args.out_dir, name + ".manifest.json"),
@@ -484,7 +541,7 @@ def cmd_compare(args) -> int:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")
         _write_rows_csv(args.out, columns, rows, "-o/--out")
         manifest = _manifest(
-            "compare", [args.scenario], args.seed, started, (cfg, s.economy.bb_mode)
+            args, [args.scenario], args.seed, started, (cfg, s.economy.bb_mode)
         )
         _write_text(args.out + ".manifest.json", _json_text({"manifest": manifest}), "-o/--out")
     if not rows[0]["converged"] and not args.allow_nonconverged:
@@ -512,6 +569,18 @@ def _solver_field(name: str, convert):
 
     parse.__name__ = convert.__name__  # argparse's "invalid float value" wording
     return parse
+
+
+def _jobs_flag(text: str) -> int:
+    """argparse type for ``--jobs``: a count below 1 is a usage error (exit 2)
+    that names the flag."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("jobs must be >= 1")
+    return value
+
+
+_jobs_flag.__name__ = "int"  # argparse's "invalid int value" wording
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -553,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the full scheme-comparison sweep")
     p_sweep.add_argument("sweep")
     p_sweep.add_argument("-o", "--out-dir", default="sweep-out")
-    p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_sweep.add_argument("--jobs", type=_jobs_flag, default=os.cpu_count() or 1)
     p_sweep.add_argument("--seed", type=int, default=None, help="replaces the file's base_seed")
     _add_solver_flags(p_sweep)
 
@@ -577,7 +646,8 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.
+    """Run one subcommand and return its exit code; ``argv`` defaults to
+    ``sys.argv[1:]``.
 
     The ``cmd_<command>`` function is looked up in this module on each call,
     so a name rebound after the first call is the one that runs. A package
@@ -585,7 +655,9 @@ def main(argv=None) -> int:
     message.
     """
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _shared_parser().parse_args(argv)
+    args.argv = argv  # recorded in the manifest
     try:
         return globals()[f"cmd_{args.command}"](args)
     except CocogenError as exc:

@@ -4,10 +4,14 @@ import io
 import json
 import logging
 import math
+import multiprocessing
+import os
 import pathlib
+import platform
 import re
 import statistics
 import tempfile
+import types
 import warnings
 from dataclasses import replace
 
@@ -31,6 +35,7 @@ from cocogen.scenario import (
     SweepCell,
     default_sweep_grid,
     expand_sweep,
+    load_sweep,
     sample_scenario,
 )
 
@@ -478,7 +483,8 @@ class TestSolveCommand:
         for text in (printed, written):
             assert text == json.dumps(json.loads(text), indent=2) + "\n"
             payload = json.loads(text)
-            del payload["manifest"]["started"], payload["manifest"]["finished"]
+            for key in ("started", "finished", "argv"):  # argv differs by the -o flag
+                del payload["manifest"][key]
             payloads.append(payload)
         assert payloads[0] == payloads[1]
 
@@ -531,6 +537,28 @@ class TestManifest:
             manifest = json.loads((out_dir / (name + ".manifest.json")).read_text())["manifest"]
             assert manifest["solver_config"] == {"tol": 1e-9, "max_iters": 40}
             assert manifest["payoff_mode"] == "literal"
+
+    def test_every_manifest_records_its_command_line_and_platform(self, tmp_path):
+        law = ScalingLaw(21.2, 0.52, 0.12)
+        curve = tmp_path / "curve.csv"
+        curve.write_text("d,eps\n" + "".join(
+            f"{d},{law.error_at(float(d))!r}\n" for d in (200, 500, 1000, 2000, 5000, 9000)))
+        scenario = write_scenario(tmp_path, example_scenario())
+        runs = {
+            "fit.json": ["fit", str(curve), "-o", str(tmp_path / "fit.json")],
+            "solve.json": ["solve", scenario, "-o", str(tmp_path / "solve.json"), "--tol", "1e-3"],
+            "cmp.csv.manifest.json": ["compare", scenario, "-o", str(tmp_path / "cmp.csv"),
+                                      "--radg-reps", "3"],
+            "out/results.csv.manifest.json": ["sweep", write_small_sweep(tmp_path, reps=1),
+                                              "-o", str(tmp_path / "out"), "--jobs", "1"],
+        }
+        for sidecar, argv in runs.items():
+            assert cli.main(argv) == 0
+            manifest = json.loads((tmp_path / sidecar).read_text())["manifest"]
+            assert manifest["argv"] == argv
+            assert manifest["python"] == platform.python_version()
+            assert manifest["numpy"] == np.__version__
+            assert manifest["nproc"] == os.cpu_count()
 
     def test_fit_records_no_solver(self, tmp_path):
         law = ScalingLaw(21.2, 0.52, 0.12)
@@ -592,14 +620,19 @@ class TestSweepCommand:
             row = next(csv.DictReader(fh))
         assert float(row["welfare"]) == float(repr(float(row["welfare"])))
 
-    def test_byte_identical_reruns(self, tmp_path):
-        sweep = write_small_sweep(tmp_path)
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        sweep = write_small_sweep(tmp_path)  # 8 jobs: shares of 3, 3 and 2 at --jobs 3
+        grid, cfg = load_sweep(sweep), solver.SolverConfig()
+        assert cli.run_sweep(grid, cfg, jobs=jobs) == cli.run_sweep(grid, cfg, jobs=1)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert cli.main(["sweep", sweep, "-o", str(out1), "--jobs", "2"]) == 0
+        assert cli.main(["sweep", sweep, "-o", str(out1), "--jobs", str(jobs)]) == 0
         assert cli.main(["sweep", sweep, "-o", str(out2), "--jobs", "1"]) == 0
         b1 = (out1 / "results.csv").read_bytes()
         b2 = (out2 / "results.csv").read_bytes()
         assert b1 == b2
+        assert multiprocessing.active_children() == []
 
     def test_output_onto_an_existing_file_is_input_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_sweep", _must_not_run)
@@ -630,33 +663,101 @@ class TestSweepCommand:
         "flag, cpus, reps, workers",
         [(10**6, 3, 2, 3), (10**6, 64, 2, 8), (5, 64, 2, 5), (2, 1, 2, None), (10**6, 8, 1, 4)],
     )
-    def test_jobs_are_capped_before_the_pool_exists(
+    def test_jobs_are_capped_before_any_worker_starts(
         self, tmp_path, monkeypatch, caplog, flag, cpus, reps, workers
     ):
-        pools = []
+        started = []
 
-        class FakePool:  # records its size and runs the jobs in this process
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+        class FakeConnection:  # one end of a pipe that holds its messages in this process
+            def __init__(self):
+                self.messages = []
 
-            def __enter__(self):
-                return self
+            def send(self, message):
+                self.messages.append(message)
 
-            def __exit__(self, *exc):
-                return False
+            def recv(self):
+                return self.messages.pop(0)
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def close(self):
+                pass
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        class FakeProcess:  # runs its share in this process when started
+            exitcode = 0
+
+            def __init__(self, target, args):
+                self.target, self.args = target, args
+
+            def start(self):
+                started.append(self)
+                self.target(*self.args)
+
+            def join(self):
+                pass
+
+            def terminate(self):
+                pass
+
+        def fake_pipe(duplex=True):
+            conn = FakeConnection()
+            return conn, conn
+
+        fake = types.SimpleNamespace(Process=FakeProcess, Pipe=fake_pipe)
+        monkeypatch.setattr(cli, "multiprocessing", fake)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         sweep = write_small_sweep(tmp_path, reps=reps, radg=2)  # 4 * reps jobs
         with caplog.at_level(logging.INFO, logger="cocogen"):
             assert cli.main(["sweep", sweep, "-o", str(tmp_path / "out"), "--jobs", str(flag)]) == 0
-        assert pools == ([] if workers is None else [workers])
+        assert len(started) == (workers or 1) - 1
         capped = [r.getMessage() for r in caplog.records if "capped" in r.getMessage()]
         expected = f"sweep: --jobs {flag} capped at {workers or 1} workers ({4 * reps} jobs, {cpus} CPUs)"
         assert capped == ([] if workers == flag else [expected])
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+        sweep = write_small_sweep(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", sweep, "-o", str(tmp_path / "out"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs: jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _failing(monkeypatch, fail, in_parent=False):
+        """``cli.run_sweep_job`` that calls ``fail`` in this process if
+        ``in_parent``, else in every other process."""
+        parent, real = os.getpid(), cli.run_sweep_job
+
+        def job(grid, sweep_job, cfg):
+            if (os.getpid() == parent) == in_parent:
+                fail()
+            return real(grid, sweep_job, cfg)
+
+        monkeypatch.setattr(cli, "run_sweep_job", job)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+
+    @pytest.mark.parametrize("in_parent", [False, True])
+    def test_exception_in_any_share_is_raised_here(self, tmp_path, monkeypatch, in_parent):
+        def fail():
+            raise ZeroTotalData("raised in a share")
+
+        self._failing(monkeypatch, fail, in_parent)
+        grid = load_sweep(write_small_sweep(tmp_path))
+        with pytest.raises(ZeroTotalData, match="raised in a share") as raised:
+            cli.run_sweep(grid, solver.SolverConfig(), jobs=3)
+        if not in_parent:  # the worker's traceback comes with its exception
+            cause = str(raised.value.__cause__)
+            assert cause.startswith("in sweep worker 1:\nTraceback") and "in fail" in cause
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_exits_without_sending_is_named_with_its_exit_code(
+        self, tmp_path, monkeypatch
+    ):
+        self._failing(monkeypatch, lambda: os._exit(7))
+        grid = load_sweep(write_small_sweep(tmp_path))
+        with pytest.raises(RuntimeError, match="sweep worker 1 exited with code 7"):
+            cli.run_sweep(grid, solver.SolverConfig(), jobs=3)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
@@ -678,10 +779,12 @@ class TestSweepCommand:
         assert message in err and "Traceback" not in err
         assert not out_dir.exists()
 
-    def test_progress_log_is_short(self, tmp_path, caplog):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_progress_log_is_short(self, tmp_path, caplog, monkeypatch, jobs):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         sweep = write_small_sweep(tmp_path, reps=9, radg=2)  # 36 jobs
         with caplog.at_level(logging.INFO, logger="cocogen"):
-            assert cli.main(["sweep", sweep, "-o", str(tmp_path / "out"), "--jobs", "1"]) == 0
+            assert cli.main(["sweep", sweep, "-o", str(tmp_path / "out"), "--jobs", jobs]) == 0
         lines = [r.getMessage() for r in caplog.records if r.name == "cocogen"]
         pattern = r"sweep: \d+/36 jobs done, \d+ jobs/s"
         progress = [line for line in lines if re.fullmatch(pattern, line)]
@@ -965,9 +1068,9 @@ class TestCompareCommand:
 # Every drawn input file and flag set exits with a documented code and no
 # traceback. The draws keep every size small: the sweep's organization,
 # repetition and RaDG counts, compare's --radg-reps and --max-iters are
-# drawn from small ranges, and --jobs is always 1, so that no draw starts
-# many processes or allocates a large array; those guards are tested by
-# their messages above.
+# drawn from small ranges, and --jobs is 1 or a count below 1 (a usage
+# error), so that no draw starts a process or allocates a large array;
+# those guards are tested by their messages above.
 # ---------------------------------------------------------------------------
 
 _ANY_VALUE = st.one_of(
@@ -1032,7 +1135,8 @@ def _drawn_flags(data, command, tmp):
     if command == "compare":
         flags += ["--radg-reps", str(data.draw(st.integers(-1, 30)))]
     if command == "sweep":
-        flags += ["--jobs", "1", "-o", str(tmp / "sweep-out")]
+        jobs = data.draw(st.sampled_from(["1", "1", "0", "-3"]))
+        flags += ["--jobs", jobs, "-o", str(tmp / "sweep-out")]
     out = data.draw(st.sampled_from(["file", "missing-directory", "none"]))
     if command in ("fit", "solve", "compare") and out != "none":
         flags += ["-o", str(tmp / ("missing/out" if out == "missing-directory" else "out"))]
