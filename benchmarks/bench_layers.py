@@ -20,6 +20,10 @@ by moving up, so the certificate searches each gain for its maximum.
 zero-competition (WCO) game as the two rows of one ``solve_games`` call,
 as ``cli.scheme_rows`` does; in checkouts without ``solve_games`` it is
 ``fpi_solve`` plus ``wco_solve``, the two solves a job made there.
+``model.load_scenario.example`` reads, parses and validates the shipped
+10-organization example scenario file, as every ``solve`` and ``compare``
+does; ``scenario.load_sweep.preset`` reads and parses the shipped preset
+sweep file (the sweep's fixed blocks checked, no job expanded).
 ``cli.run_sweep_job`` runs the first 90 preset jobs end to end, sampling
 included, and is what a sweep pays per job. ``cli.sweep.preset.jobs1`` and
 ``.jobs2`` are one wall-clock run each of ``cocogen sweep`` on the full
@@ -184,8 +188,8 @@ def measure(repeat: int) -> dict:
     import numpy as np
 
     from cocogen import baselines, cli, economics, kernels, scaling, solver
-    from cocogen.model import PayoffMode, validate_scenario, with_payoff_mode
-    from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
+    from cocogen.model import PayoffMode, load_scenario, validate_scenario, with_payoff_mode
+    from cocogen.scenario import default_sweep_grid, expand_sweep, load_sweep, sample_scenario
 
     grid = default_sweep_grid()
     jobs = expand_sweep(grid)
@@ -213,7 +217,11 @@ def measure(repeat: int) -> dict:
             solver.fpi_solve(s, cfg)
             baselines.wco_solve(s, cfg)
 
+    example = str(resources.files("cocogen").joinpath("data/scenario_example.json"))
+    preset = str(resources.files("cocogen").joinpath("data/sweep_default.json"))
     layers = {
+        "model.load_scenario.example": _per_call_us(lambda: load_scenario(example), 200, repeat),
+        "scenario.load_sweep.preset": _per_call_us(lambda: load_sweep(preset), 200, repeat),
         "scenario.sample_scenario": _per_call_us(
             lambda: sample_scenario(grid, job.cell, job.seed), 200, repeat
         ),

@@ -5,6 +5,11 @@ parameter as a read-only column. Construction is permissive except for
 ``ScalingLaw`` and the columns' shapes (checked eagerly);
 :func:`validate_scenario` collects the full list of invariant violations so
 a config file can be diagnosed in one pass.
+
+Scenario files, and the sweep files of :mod:`cocogen.scenario`, are read by
+one table-driven reader (:func:`_fields`, :func:`_block`, :func:`_array`):
+each JSON object is a spec table of its keys' parsers and defaults, read in
+table order, so the first fault of a file is the one reported.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -388,31 +393,57 @@ def validate_scenario(s: Scenario) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# JSON config format. Strict parsing: unknown keys are an error. Floats are
-# serialized via repr (shortest round-trip), so a write/read cycle is
-# bit-identical.
+# JSON config format, read through spec tables (module docstring). Unknown
+# keys are an error. Floats are serialized via repr (shortest round-trip), so
+# a write/read cycle is bit-identical.
 # ---------------------------------------------------------------------------
 
+# The defaults a spec entry can hold besides a value: the key must be given,
+# or an absent key is left out so that the dataclass default applies.
+_REQUIRED = object()
+_OMITTED = object()
 
-def _check_keys(obj: dict, allowed: Iterable[str], where: str) -> None:
+
+def _fields(obj, spec: dict, where: str, prefix: str = "") -> dict:
+    """The fields of the JSON object ``obj``, read by ``spec`` in its order.
+
+    ``spec`` maps each key to ``(parse, default)``: a given value is read by
+    ``parse(value, prefix + key)``; an absent key is an error if ``default``
+    is ``_REQUIRED``, left out if it is ``_OMITTED``, else ``default``.
+    Errors about the object itself name it ``where``.
+    """
     if not isinstance(obj, dict):
         raise InvariantViolation(where, f"must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - set(allowed)
+    unknown = obj.keys() - spec.keys()
     if unknown:
         raise InvariantViolation(where, f"unknown key(s): {sorted(unknown)}")
+    out = {}
+    for key, (parse, default) in spec.items():
+        if key in obj:
+            out[key] = parse(obj[key], prefix + key)
+        elif default is _REQUIRED:
+            raise InvariantViolation(where, f"missing required key {key!r}")
+        elif default is not _OMITTED:
+            out[key] = default
+    return out
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise InvariantViolation(where, f"missing required key {key!r}")
-    return obj[key]
+def _block(spec: dict, build: Callable) -> Callable:
+    """A parser of a nested object: ``build`` called with its fields, each
+    named ``where.key``."""
+    return lambda obj, where: build(**_fields(obj, spec, where, where + "."))
 
 
-def _require_list(obj: dict, key: str, where: str) -> list:
-    value = _require(obj, key, where)
-    if not isinstance(value, list):
-        raise InvariantViolation(key, f"must be an array, got {type(value).__name__}")
-    return value
+def _array(parse: Callable) -> Callable:
+    """A parser of a JSON array: the tuple of its entries, each read by
+    ``parse`` and named ``where[i]``."""
+
+    def parse_array(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise InvariantViolation(where, f"must be an array, got {type(value).__name__}")
+        return tuple(parse(x, f"{where}[{i}]") for i, x in enumerate(value))
+
+    return parse_array
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -462,6 +493,8 @@ def _as_float(value, where: str) -> float:
     """A real number from a config value; bools, null, strings, arrays,
     objects and integers beyond the float64 range are errors. NaN and
     infinities pass, for validation to name."""
+    if type(value) is float:  # a JSON float, without the ABC checks below
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvariantViolation(where, f"must be a number, got {value!r}")
     try:
@@ -480,17 +513,6 @@ def _as_float_array(value, where: str) -> np.ndarray:
         raise InvariantViolation(where, "must be an array of numbers") from None
 
 
-def _law_from_dict(obj: dict, where: str) -> tuple[float, float, float]:
-    """An organization's error law as ``(alpha, beta, delta)``; validation
-    checks their ranges."""
-    _check_keys(obj, ("alpha", "beta", "delta"), where)
-    return (
-        _as_float(_require(obj, "alpha", where), f"{where}.alpha"),
-        _as_float(_require(obj, "beta", where), f"{where}.beta"),
-        _as_float(obj.get("delta", 0.0), f"{where}.delta"),
-    )
-
-
 def _as_enum(kind: type[Enum], value, where: str):
     """A member of ``kind`` from its config value; anything else is an error
     that lists the allowed values."""
@@ -501,69 +523,56 @@ def _as_enum(kind: type[Enum], value, where: str):
         raise InvariantViolation(where, f"must be one of {allowed}, got {value!r}") from None
 
 
-def _given(obj: dict, parsers: dict, where: str = "") -> dict:
-    """Each key of ``parsers`` that ``obj`` holds, parsed and named
-    ``where.key`` (``key`` when ``where`` is empty); an absent key is left
-    out, so that it takes its dataclass default."""
-    prefix = f"{where}." if where else ""
-    return {key: parse(obj[key], prefix + key) for key, parse in parsers.items() if key in obj}
-
-
-_ECONOMY_PARSERS = {
-    "varrho": _as_float,
-    "c0": _as_float,
-    "eps0_mode": functools.partial(_as_enum, Eps0Mode),
-    "eps0_value": lambda value, where: None if value is None else _as_float(value, where),
-    "bb_mode": functools.partial(_as_enum, PayoffMode),
+# The blocks of a scenario file; ``economy`` and ``bounds`` also appear in a
+# sweep file. An organization reads as its row of ``ORG_COLUMNS`` values, its
+# error law as the row's (alpha, beta, delta) tail.
+_LAW = _block(
+    {"alpha": (_as_float, _REQUIRED), "beta": (_as_float, _REQUIRED), "delta": (_as_float, 0.0)},
+    lambda alpha, beta, delta: (alpha, beta, delta),
+)
+_ORGANIZATION = _block(
+    {
+        "d_loc": (_as_int, _REQUIRED),
+        "f": (_as_float, _REQUIRED),
+        "kappa": (_as_float, _REQUIRED),
+        "eta": (_as_float, DEFAULT_ETA),
+        "mu": (_as_float, DEFAULT_MU),
+        "c_cmp": (_as_float, DEFAULT_C_CMP),
+        "psi": (_as_float, _REQUIRED),
+        "law": (_LAW, _REQUIRED),
+    },
+    lambda law, **row: (*row.values(), *law),
+)
+_MARKET = _block(
+    {"gamma": (_as_float_array, _REQUIRED), "xi": (_as_float, _REQUIRED),
+     "phi": (_as_float_array, _REQUIRED)},
+    Market,
+)
+_ECONOMY = _block(
+    {
+        "varrho": (_as_float, _OMITTED),
+        "c0": (_as_float, _OMITTED),
+        "eps0_mode": (functools.partial(_as_enum, Eps0Mode), _OMITTED),
+        "eps0_value": (lambda v, where: None if v is None else _as_float(v, where), _OMITTED),
+        "bb_mode": (functools.partial(_as_enum, PayoffMode), _OMITTED),
+    },
+    EconomyParams,
+)
+_BOUNDS = _block({"d_min": (_as_int, _OMITTED), "d_max": (_as_int, _OMITTED)}, StrategyBounds)
+_SCENARIO = {
+    "organizations": (_array(_ORGANIZATION), _REQUIRED),
+    "market": (_MARKET, _REQUIRED),
+    "economy": (_ECONOMY, EconomyParams()),
+    "bounds": (_BOUNDS, StrategyBounds()),
+    "seed": (_as_int, _OMITTED),
 }
 
 
-def _economy_from_dict(obj: dict) -> EconomyParams:
-    """The ``economy`` block of a scenario or sweep file."""
-    _check_keys(obj, _ECONOMY_PARSERS, "economy")
-    return EconomyParams(**_given(obj, _ECONOMY_PARSERS, "economy"))
-
-
-def _bounds_from_dict(obj: dict) -> StrategyBounds:
-    """The ``bounds`` block of a scenario or sweep file."""
-    parsers = {"d_min": _as_int, "d_max": _as_int}
-    _check_keys(obj, parsers, "bounds")
-    return StrategyBounds(**_given(obj, parsers, "bounds"))
-
-
 def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
-    _check_keys(obj, ("organizations", "market", "economy", "bounds", "seed"), "scenario")
-    rows = []
-    for i, raw in enumerate(_require_list(obj, "organizations", "scenario")):
-        where = f"organizations[{i}]"
-        _check_keys(raw, ("d_loc", "f", "kappa", "eta", "mu", "c_cmp", "psi", "law"), where)
-        rows.append(
-            (
-                _as_int(_require(raw, "d_loc", where), f"{where}.d_loc"),
-                _as_float(_require(raw, "f", where), f"{where}.f"),
-                _as_float(_require(raw, "kappa", where), f"{where}.kappa"),
-                _as_float(raw.get("eta", DEFAULT_ETA), f"{where}.eta"),
-                _as_float(raw.get("mu", DEFAULT_MU), f"{where}.mu"),
-                _as_float(raw.get("c_cmp", DEFAULT_C_CMP), f"{where}.c_cmp"),
-                _as_float(_require(raw, "psi", where), f"{where}.psi"),
-                *_law_from_dict(_require(raw, "law", where), f"{where}.law"),
-            )
-        )
+    fields = _fields(obj, _SCENARIO, "scenario")
+    rows = fields.pop("organizations")
     columns = np.array(rows, dtype=np.float64).reshape(-1, len(ORG_COLUMNS)).T
-    raw_m = _require(obj, "market", "scenario")
-    _check_keys(raw_m, ("gamma", "xi", "phi"), "market")
-    market = Market(
-        gamma=_as_float_array(_require(raw_m, "gamma", "market"), "market.gamma"),
-        xi=_as_float(_require(raw_m, "xi", "market"), "market.xi"),
-        phi=_as_float_array(_require(raw_m, "phi", "market"), "market.phi"),
-    )
-    s = Scenario(
-        **dict(zip(ORG_COLUMNS, columns)),
-        market=market,
-        economy=_economy_from_dict(obj.get("economy", {})),
-        bounds=_bounds_from_dict(obj.get("bounds", {})),
-        seed=_as_int(obj.get("seed", 0), "seed"),
-    )
+    s = Scenario(**dict(zip(ORG_COLUMNS, columns)), **fields)
     return validate_scenario(s) if validate else s
 
 

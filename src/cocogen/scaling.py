@@ -3,17 +3,15 @@
 For a fixed offset the fit is an exactly solvable log-linear least squares
 problem, so the offset is the only searched dimension: a coarse grid pass
 followed by golden-section refinement around the grid winner. Deterministic
-and initialization-free.
+and initialization-free. Also holds the error-law presets of the sweep's
+heterogeneity levels.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-import os
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -193,30 +191,16 @@ def read_curve_csv(path) -> list[CurvePoint]:
 # ---------------------------------------------------------------------------
 # Heterogeneity presets. Illustrative configuration values only: they order
 # the error curves by heterogeneity level and were calibrated so the shipped
-# sweep produces interior equilibria (see README). Overridable by placing a
-# presets.json in $COCOGEN_CONFIG_DIR.
+# sweep produces interior equilibria (see README).
 # ---------------------------------------------------------------------------
 
-PRESETS_ENV_VAR = "COCOGEN_CONFIG_DIR"
-
-
-def _presets_payload() -> dict:
-    override_dir = os.environ.get(PRESETS_ENV_VAR)
-    if override_dir:
-        candidate = os.path.join(override_dir, "presets.json")
-        if os.path.exists(candidate):
-            with open(candidate, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-    ref = resources.files("cocogen").joinpath("data/presets.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+_PRESETS = {
+    0.1: ScalingLaw(alpha=22.23, beta=0.52, delta=0.0),
+    0.5: ScalingLaw(alpha=21.2, beta=0.52, delta=0.12),
+    0.9: ScalingLaw(alpha=19.3, beta=0.52, delta=0.2),
+}
 
 
 def heterogeneity_presets() -> dict[float, ScalingLaw]:
     """Error-law presets keyed by heterogeneity level (Dirichlet parameter)."""
-    payload = _presets_payload()
-    out = {}
-    for key, law in payload.items():
-        out[float(key)] = ScalingLaw(
-            alpha=float(law["alpha"]), beta=float(law["beta"]), delta=float(law["delta"])
-        )
-    return out
+    return dict(_PRESETS)

@@ -28,17 +28,18 @@ from .model import (
     ScalingLaw,
     Scenario,
     StrategyBounds,
+    _BOUNDS,
+    _ECONOMY,
+    _OMITTED,
+    _REQUIRED,
+    _array,
     _as_float,
     _as_int,
-    _bounds_from_dict,
-    _check_keys,
+    _block,
     _check_number,
-    _economy_from_dict,
-    _given,
+    _fields,
     _non_negative,
     _positive,
-    _require,
-    _require_list,
     validate_scenario,
 )
 
@@ -184,6 +185,8 @@ class SweepGrid:
             raise InvariantViolation("n_orgs", "must be >= 1")
         if self.repetitions < 1:
             raise InvariantViolation("repetitions", "must be >= 1")
+        if not (0 <= self.base_seed <= MASK64):
+            raise InvariantViolation("base_seed", "must fit in 64 unsigned bits")
         check_radg_count(self.radg_repetitions, self.n_orgs, "radg_repetitions")
         for name in ("gamma_levels", "alpha_d_levels"):
             if not getattr(self, name):
@@ -265,9 +268,7 @@ def expand_sweep(grid: SweepGrid) -> list[SweepJob]:
         for alpha_d in grid.alpha_d_levels:
             cell = SweepCell(gamma=level, alpha_d=alpha_d, law=presets[alpha_d])
             for rep in range(grid.repetitions):
-                seed = (
-                    grid.base_seed ^ stable_job_hash(level.lo, level.hi, alpha_d, rep)
-                ) & MASK64
+                seed = grid.base_seed ^ stable_job_hash(level.lo, level.hi, alpha_d, rep)
                 jobs.append(
                     SweepJob(
                         gamma_index=gi,
@@ -284,52 +285,35 @@ def expand_sweep(grid: SweepGrid) -> list[SweepJob]:
 # ---------------------------------------------------------------------------
 
 
+def _alpha_d_levels(value, where: str) -> tuple[float, ...]:
+    """The heterogeneity levels; each one needs an error-law preset."""
+    levels = _array(_as_float)(value, where)
+    _preset_laws(levels)
+    return levels
+
+
+_SWEEP = {
+    "gamma_levels": (
+        _array(_block({"lo": (_as_float, _REQUIRED), "hi": (_as_float, _REQUIRED)}, GammaLevel)),
+        _REQUIRED,
+    ),
+    "org_defaults": (
+        _block({key: (_as_float, _OMITTED) for key in ("eta", "mu", "c_cmp")}, OrgDefaults),
+        _OMITTED,
+    ),
+    "alpha_d_levels": (_alpha_d_levels, _REQUIRED),
+    "repetitions": (_as_int, _REQUIRED),
+    "base_seed": (_as_int, _REQUIRED),
+    "n_orgs": (_as_int, _OMITTED),
+    "xi": (_as_float, _OMITTED),
+    "radg_repetitions": (_as_int, _OMITTED),
+    "economy": (_ECONOMY, _OMITTED),
+    "bounds": (_BOUNDS, _OMITTED),
+}
+
+
 def sweep_from_dict(obj: dict) -> SweepGrid:
-    _check_keys(
-        obj,
-        (
-            "gamma_levels",
-            "alpha_d_levels",
-            "repetitions",
-            "base_seed",
-            "n_orgs",
-            "xi",
-            "org_defaults",
-            "economy",
-            "bounds",
-            "radg_repetitions",
-        ),
-        "sweep",
-    )
-    levels = []
-    for i, raw in enumerate(_require_list(obj, "gamma_levels", "sweep")):
-        where = f"gamma_levels[{i}]"
-        _check_keys(raw, ("lo", "hi"), where)
-        levels.append(
-            GammaLevel(
-                lo=_as_float(_require(raw, "lo", where), f"{where}.lo"),
-                hi=_as_float(_require(raw, "hi", where), f"{where}.hi"),
-            )
-        )
-    raw_defaults = obj.get("org_defaults", {})
-    default_parsers = {"eta": _as_float, "mu": _as_float, "c_cmp": _as_float}
-    _check_keys(raw_defaults, default_parsers, "org_defaults")
-    defaults = OrgDefaults(**_given(raw_defaults, default_parsers, "org_defaults"))
-    alpha_d_levels = tuple(
-        _as_float(x, f"alpha_d_levels[{i}]")
-        for i, x in enumerate(_require_list(obj, "alpha_d_levels", "sweep"))
-    )
-    _preset_laws(alpha_d_levels)
-    return SweepGrid(
-        gamma_levels=tuple(levels),
-        alpha_d_levels=alpha_d_levels,
-        repetitions=_as_int(_require(obj, "repetitions", "sweep"), "repetitions"),
-        base_seed=_as_int(_require(obj, "base_seed", "sweep"), "base_seed"),
-        **_given(obj, {"n_orgs": _as_int, "xi": _as_float, "radg_repetitions": _as_int}),
-        org_defaults=defaults,
-        economy=_economy_from_dict(obj.get("economy", {})),
-        bounds=_bounds_from_dict(obj.get("bounds", {})),
-    )
+    return SweepGrid(**_fields(obj, _SWEEP, "sweep"))
 
 
 def load_sweep(path) -> SweepGrid:

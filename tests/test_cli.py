@@ -418,7 +418,7 @@ class TestSolveCommand:
     def test_overflowing_global_error_is_input_error(self, tmp_path, capsys):
         # exp((mean error - 1) / varrho) overflows at the all-d_min profile.
         path = shipped_example_with(tmp_path, ("economy", "varrho"), 0.01)
-        payload = json.loads(open(path, encoding="utf-8").read())
+        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
         for org in payload["organizations"]:
             org["law"]["alpha"], org["d_loc"] = 200.0, 1
         bad = tmp_path / "overflow.json"
@@ -575,7 +575,7 @@ class TestSweepCommand:
     def test_fixed_block_violations_fail_at_load(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_sweep", _must_not_run)
         path = write_small_sweep(tmp_path)
-        payload = json.loads(open(path, encoding="utf-8").read())
+        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
         payload["xi"] = -1
         payload["org_defaults"].update(eta=-1, c_cmp=0)
         payload["economy"]["varrho"] = 0
@@ -589,6 +589,21 @@ class TestSweepCommand:
             "bounds.d_max: must be >= d_min; xi: must be >= 0; " \
             "org_defaults.eta: must be > 0; org_defaults.c_cmp: must be > 0" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("given_by", ["flag", "file"])
+    def test_out_of_range_sweep_seed_is_input_error(
+        self, tmp_path, capsys, monkeypatch, seed, given_by
+    ):
+        monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+        if given_by == "flag":
+            path, flags = write_small_sweep(tmp_path), ["--seed", str(seed)]
+        else:
+            path, flags = write_small_sweep(tmp_path, seed=seed), []
+        assert cli.main(["sweep", path, "-o", str(tmp_path / "out"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "base_seed: must fit in 64 unsigned bits" in err
+        assert "Traceback" not in err
 
     def test_row_counts_and_schema(self, tmp_path):
         sweep = write_small_sweep(tmp_path)

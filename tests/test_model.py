@@ -370,6 +370,56 @@ class TestSerialization:
         with pytest.raises(InvariantViolation):
             scenario_from_dict(payload)
 
+    @staticmethod
+    def _example() -> dict:
+        from importlib import resources
+
+        src = resources.files("cocogen").joinpath("data/scenario_example.json")
+        return json.loads(src.read_text(encoding="utf-8"))
+
+    @staticmethod
+    def _block(payload: dict, path: tuple) -> dict:
+        for key in path:
+            payload = payload[key]
+        return payload
+
+    @pytest.mark.parametrize(
+        "path, key, where",
+        [
+            ((), "organizations", "scenario"),
+            ((), "market", "scenario"),
+            *((("organizations", 1), k, "organizations[1]")
+              for k in ("d_loc", "f", "kappa", "psi", "law")),
+            (("organizations", 1, "law"), "alpha", "organizations[1].law"),
+            (("organizations", 1, "law"), "beta", "organizations[1].law"),
+            *((("market",), k, "market") for k in ("gamma", "xi", "phi")),
+        ],
+    )
+    def test_missing_keys_are_named_with_their_block(self, path, key, where):
+        payload = self._example()
+        del self._block(payload, path)[key]
+        with pytest.raises(InvariantViolation) as exc:
+            scenario_from_dict(payload, validate=False)
+        assert str(exc.value) == f"{where}: missing required key {key!r}"
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            ((), "scenario"),
+            (("organizations", 1), "organizations[1]"),
+            (("organizations", 1, "law"), "organizations[1].law"),
+            (("market",), "market"),
+            (("economy",), "economy"),
+            (("bounds",), "bounds"),
+        ],
+    )
+    def test_unknown_keys_are_named_with_their_block(self, path, where):
+        payload = self._example()
+        self._block(payload, path).update(zz=1, extra=2)
+        with pytest.raises(InvariantViolation) as exc:
+            scenario_from_dict(payload, validate=False)
+        assert str(exc.value) == f"{where}: unknown key(s): ['extra', 'zz']"
+
     def test_market_arrays_are_read_only(self):
         m = Market(gamma=np.zeros((2, 2)), xi=0.0, phi=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -186,10 +184,6 @@ class TestPresets:
         for law in heterogeneity_presets().values():
             assert law.alpha > 0 and law.beta > 0 and law.delta >= 0
 
-    def test_config_dir_override(self, tmp_path, monkeypatch):
-        custom = {"0.1": {"alpha": 2.0, "beta": 0.3, "delta": 0.01}}
-        (tmp_path / "presets.json").write_text(json.dumps(custom), encoding="utf-8")
-        monkeypatch.setenv(scaling.PRESETS_ENV_VAR, str(tmp_path))
-        presets = heterogeneity_presets()
-        assert set(presets) == {0.1}
-        assert presets[0.1].alpha == 2.0
+    def test_each_call_returns_its_own_copy(self):
+        heterogeneity_presets().clear()
+        assert set(heterogeneity_presets()) == {0.1, 0.5, 0.9}

@@ -279,6 +279,14 @@ class TestSweepConfig:
             sweep_from_dict(payload)
         assert str(exc.value) == f"{field}: missing required key {key!r}"
 
+    def test_base_seed_must_fit_in_64_unsigned_bits(self):
+        grid = default_sweep_grid()
+        assert replace(grid, base_seed=2**64 - 1).base_seed == 2**64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(InvariantViolation) as exc:
+                replace(grid, base_seed=seed)
+            assert str(exc.value) == "base_seed: must fit in 64 unsigned bits"
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_radg_repetitions_below_one_are_rejected(self, count):
         with pytest.raises(InvariantViolation) as exc:
