@@ -378,7 +378,7 @@ class TestSerialization:
         return json.loads(src.read_text(encoding="utf-8"))
 
     @staticmethod
-    def _block(payload: dict, path: tuple) -> dict:
+    def _object_at(payload: dict, path: tuple) -> dict:
         for key in path:
             payload = payload[key]
         return payload
@@ -397,7 +397,7 @@ class TestSerialization:
     )
     def test_missing_keys_are_named_with_their_block(self, path, key, where):
         payload = self._example()
-        del self._block(payload, path)[key]
+        del self._object_at(payload, path)[key]
         with pytest.raises(InvariantViolation) as exc:
             scenario_from_dict(payload, validate=False)
         assert str(exc.value) == f"{where}: missing required key {key!r}"
@@ -415,7 +415,7 @@ class TestSerialization:
     )
     def test_unknown_keys_are_named_with_their_block(self, path, where):
         payload = self._example()
-        self._block(payload, path).update(zz=1, extra=2)
+        self._object_at(payload, path).update(zz=1, extra=2)
         with pytest.raises(InvariantViolation) as exc:
             scenario_from_dict(payload, validate=False)
         assert str(exc.value) == f"{where}: unknown key(s): ['extra', 'zz']"
