@@ -6,6 +6,9 @@ sweep job's scenario, on one warm instance (column caches built, already
 validated), so they measure the layer alone; ``cli.scheme_rows`` is one
 job's work after sampling (both solves and the one batched pricing of the
 CoCoGen, VCFL and WCO profiles and the RaDG draws).
+``economics.evaluate_profiles.job`` prices that job's 103-row matrix (the
+CoCoGen, VCFL and WCO profiles, then its 100 RaDG draws) in one call, as
+``cli.scheme_rows`` does.
 ``baselines.wco_scenario`` builds and checks the zero-competition clone of
 that (validated) scenario. ``solver.verify_ne`` certifies that scenario's
 CoCoGen profile against every unilateral move on each organization's
@@ -217,6 +220,11 @@ def measure(repeat: int) -> dict:
             solver.fpi_solve(s, cfg)
             baselines.wco_solve(s, cfg)
 
+    job_profiles = np.vstack([
+        report.profile.d_gen, baselines.vcfl_profile(s).d_gen,
+        baselines.wco_solve(s, cfg).profile.d_gen,
+        baselines.radg_profiles(s, job.seed, grid.radg_repetitions),
+    ])
     example = str(resources.files("cocogen").joinpath("data/scenario_example.json"))
     preset = str(resources.files("cocogen").joinpath("data/sweep_default.json"))
     layers = {
@@ -231,6 +239,9 @@ def measure(repeat: int) -> dict:
         "baselines.wco_scenario": _per_call_us(lambda: baselines.wco_scenario(s), 500, repeat),
         "economics.evaluate_profile": _per_call_us(
             lambda: economics.evaluate_profile(s, report.profile), 500, repeat
+        ),
+        "economics.evaluate_profiles.job": _per_call_us(
+            lambda: economics.evaluate_profiles(s, job_profiles), 500, repeat
         ),
         "cli.scheme_rows": _per_call_us(
             lambda: cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions), 100, repeat

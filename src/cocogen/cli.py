@@ -38,6 +38,7 @@ from . import __version__, baselines, economics, game, scaling, solver
 from .errors import (
     CocogenError,
     InsufficientPoints,
+    InvariantViolation,
     NonPositiveShifted,
     UnwritableOutput,
 )
@@ -189,7 +190,7 @@ def cmd_solve(args) -> int:
     started = _now()
     try:
         s = _load_scenario_for_args(args)
-    except (OSError, ValueError, KeyError, CocogenError) as exc:
+    except (OSError, ValueError, CocogenError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
     cfg = _solver_config_from_args(args)
@@ -455,11 +456,15 @@ def cmd_sweep(args) -> int:
     started = _now()
     try:
         grid = load_sweep(args.sweep)
-        if args.seed is not None:
-            grid = replace(grid, base_seed=args.seed)
-    except (OSError, ValueError, KeyError, CocogenError) as exc:
+    except (OSError, ValueError, CocogenError) as exc:
         print(f"error: invalid sweep file: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.seed is not None:
+        try:
+            grid = replace(grid, base_seed=args.seed)
+        except InvariantViolation as exc:
+            print(f"error: --seed: {exc.detail}", file=sys.stderr)
+            return EXIT_INPUT
     cfg = _solver_config_from_args(args)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -509,7 +514,7 @@ def cmd_compare(args) -> int:
     started = _now()
     try:
         s = _load_scenario_for_args(args, args.seed)
-    except (OSError, ValueError, KeyError, CocogenError) as exc:
+    except (OSError, ValueError, CocogenError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

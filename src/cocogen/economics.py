@@ -6,8 +6,16 @@ conventions follow the printed transfer formulas: the contribution gap
 ``d_min``) is non-positive, so raw pairwise payoffs and the coopetition
 loss are non-positive as well; callers see the raw signed values.
 
+The global error is an exponential of the mean local error, so holding one
+organization at ``d_min`` scales it by a factor of that organization's own
+error alone: the counterfactual error is ``err * (1 + f_n)`` with
+``f_n = expm1((eps_n(d_min) - eps_n) / (N varrho))``, and the gap is
+``-err * f_n``. No counterfactual profile is evaluated, and ``expm1`` keeps
+the gap's digits that a difference of two global errors would cancel.
+
 One batched core, :func:`evaluate_profiles`, computes every utility term for
-an (m, N) matrix of profiles; :func:`evaluate_profile` is its one-row case.
+an (m, N) matrix of profiles in O(mN) work under literal payoffs (O(mN^2)
+under antisymmetric ones); :func:`evaluate_profile` is its one-row case.
 """
 
 from __future__ import annotations
@@ -132,11 +140,37 @@ class ProfileMatrixEvaluation:
     bb_balanced: np.ndarray
 
 
-def _offdiagonal_sums(terms: np.ndarray) -> np.ndarray:
-    """Zero the n == n' entries of (m, N, N) pairwise terms; sum over n'."""
-    idx = np.arange(terms.shape[1])
-    terms[:, idx, idx] = 0.0
-    return terms.sum(axis=2)
+def _contribution_factors(s: Scenario, eps: np.ndarray) -> np.ndarray:
+    """``f_n = expm1((eps_n(d_min) - eps_n) / (N varrho))`` for local errors
+    ``eps`` (last axis over organizations): the global error with
+    organization n held at ``d_min`` is ``err * (1 + f_n)``, and n's
+    contribution gap is ``-err * f_n``. ``f_n`` does not depend on the
+    others' volumes, and ``expm1`` keeps its digits where the gap is small.
+    """
+    return np.expm1((_floor_errors(s) - eps) / (s.n * s.economy.varrho))
+
+
+def _without_diagonal(rates: np.ndarray) -> np.ndarray:
+    """Zero the n == n' entries of an (N, N) array of pairwise rates, in place."""
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
+def _pair_rates(s: Scenario) -> np.ndarray:
+    """``xi * gamma_nn'`` with the n == n' entries zeroed, built once per
+    scenario: the rate at which n is paid on a contribution gap to n'."""
+    return s.cached("pair_rates", lambda: _without_diagonal(s.market.xi * s.market.gamma))
+
+
+def _transfer_rates(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Per-organization transfer rates on its own contribution gap, built
+    once per scenario: ``G_n = sum_{n' != n} xi gamma_nn'`` (payments in)
+    and ``Phi_n = sum_{n' != n} phi_n' gamma_nn'`` (coopetition loss)."""
+    gains = s.cached("payoff_rates", lambda: _pair_rates(s).sum(axis=1))
+    losses = s.cached(
+        "loss_rates", lambda: _without_diagonal(s.market.phi * s.market.gamma).sum(axis=1)
+    )
+    return gains, losses
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
@@ -150,34 +184,31 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluation:
     """Evaluate every row of an (m, N) profile matrix in one numpy pass.
 
-    Each row's numbers equal those of evaluating it alone, bit for bit: the
-    counterfactual errors are means over an (m, N, N) tensor of local errors
-    whose entry (k, n, n) holds organization n at ``d_min``, so every mean
-    reduces the same N values in the same order as a single profile does;
-    sums over organizations run column by column.
+    Organization n's contribution gap is ``marginal = -err * f_n``
+    (:func:`_contribution_factors`), and its counterfactual error
+    ``err - marginal``. Under literal payoffs the transfers are
+    ``payoff_in = marginal * G_n`` and ``loss = marginal * Phi_n``
+    (:func:`_transfer_rates`), so pricing takes O(mN) work; antisymmetric
+    payoffs also subtract ``sum_{n' != n} xi gamma_nn' marginal_n'``, an
+    (m, N, N) product summed over its last axis. Each row's numbers equal
+    those of evaluating it alone, bit for bit: every operation is
+    elementwise or reduces within one row, and sums over organizations run
+    column by column.
     """
     d = np.asarray(profiles, dtype=np.float64)
     if d.ndim != 2 or d.shape[1] != s.n:
         raise DimensionMismatch(f"profile matrix has shape {d.shape}, expected (m, {s.n})")
-    n = d.shape[1]
     eps = _local_errors(s, d)
-    eps_min = _floor_errors(s)
-    err = _aggregate(s, eps)
-    held = np.repeat(eps[:, None, :], n, axis=1)
-    idx = np.arange(n)
-    held[:, idx, idx] = eps_min
-    counterfactual = _aggregate(s, held)
-    marginal = err[:, None] - counterfactual
-
-    gamma = s.market.gamma
+    err = _aggregate(s, eps)[:, None]
+    # 0.0 - f, not -f, so that a zero gap is +0.0.
+    marginal = (0.0 - _contribution_factors(s, eps)) * err
+    gains, losses = _transfer_rates(s)
+    payoff_in = marginal * gains
     if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
-        gaps = marginal[:, :, None] - marginal[:, None, :]
-    else:
-        gaps = marginal[:, :, None]
-    payoff_in = _offdiagonal_sums(s.market.xi * gamma * gaps)
-    loss = _offdiagonal_sums(s.market.phi * gamma * marginal[:, :, None])
+        payoff_in = payoff_in - (_pair_rates(s) * marginal[:, None, :]).sum(axis=2)
+    loss = marginal * losses
 
-    revenue = s.psi * (epsilon_zero(s) - err)[:, None]
+    revenue = s.psi * (epsilon_zero(s) - err)
     # The price times the energy spent training on the mixed data and
     # generating d samples.
     cost = s.c_cmp * (s.kappa * (s.eta * (s.d_loc + d) + s.mu * d) * _f_squared(s))
@@ -186,7 +217,7 @@ def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluat
     bb_sum = _column_sums(payoff_in)
     scale = 1.0 + _column_sums(np.abs(payoff_in))
     return ProfileMatrixEvaluation(
-        counterfactual=counterfactual,
+        counterfactual=err - marginal,
         marginal=marginal,
         revenue=revenue,
         payoff_in=payoff_in,

@@ -11,8 +11,8 @@ changes its utility by
 
 Under literal payoffs A_n = z_n, so U_n(alt) - U_n(cur) = z_n * (F(alt) -
 F(cur)) and the game is a weighted potential game. Under antisymmetric
-payoffs A_n = z_n + xi * sum_m gamma_nm * (r_m - 1), where
-r_m = exp((eps_m(d_min) - eps_m(d_m)) / (N varrho)) >= 1 does not depend on
+payoffs A_n = z_n + xi * sum_m gamma_nm * f_m, where
+f_m = expm1((eps_m(d_min) - eps_m(d_m)) / (N varrho)) >= 0 does not depend on
 d_n but does on the others' volumes (:func:`_deviation_weights`); there the
 identity holds with A_n and not with z_n. The cost coefficient includes the
 per-energy price: the utility's cost term carries it, and the identities
@@ -49,14 +49,14 @@ def _deviation_weights(s: Scenario, eps: np.ndarray) -> np.ndarray:
     unilateral moves, at a profile whose local errors are ``eps``.
 
     ``z`` under literal payoffs; under antisymmetric payoffs
-    ``z + xi * gamma @ (r - 1)``, where r_m is organization m's
-    counterfactual error over the global error, unchanged by n's move.
+    ``z + xi * gamma @ f``, where ``1 + f_m`` is organization m's
+    counterfactual error over the global error, unchanged by n's move
+    (``economics._contribution_factors``).
     """
     z = _raw_z_weights(s)
     if s.economy.bb_mode is not PayoffMode.ANTISYMMETRIC:
         return z
-    r = np.exp((economics._floor_errors(s) - eps) / (s.n * s.economy.varrho))
-    return z + s.market.xi * (s.market.gamma @ (r - 1.0))
+    return z + s.market.xi * (s.market.gamma @ economics._contribution_factors(s, eps))
 
 
 def z_weights(s: Scenario) -> np.ndarray:

@@ -66,8 +66,9 @@ PRNG_ID = "philox4x64-10/numpy"
 
 MASK64 = (1 << 64) - 1
 
-# A job prices its RaDG draws through (count, N, N) float64 tensors of
-# counterfactual errors; this caps one tensor at 128 MiB.
+# Under antisymmetric payoffs a job prices its RaDG draws through a
+# (count, N, N) float64 product of pairwise rates and contribution gaps; this
+# caps it at 128 MiB. Literal pricing allocates only (count, N) arrays.
 MAX_RADG_ELEMENTS = 2**24
 
 # The job list and every job's rows stay in memory until the sweep's CSVs are

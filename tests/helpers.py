@@ -167,10 +167,12 @@ def random_profile(s, seed, lo=None, hi=None):
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the per-organization economics exactly as first written
-# (one scalar call per organization and per counterfactual). The batched
-# core in ``cocogen.economics`` must reproduce it bit for bit; nothing here
-# calls into that module.
+# Reference oracle: the per-organization economics from the contribution
+# factor's identities, one organization at a time. Organization n's
+# contribution gap is -err * f_n with f_n = expm1((eps_n(d_min) - eps_n) /
+# (N varrho)), and its transfers are that gap times sums of its own pairwise
+# rates. The batched core in ``cocogen.economics`` must reproduce it bit for
+# bit; nothing here calls into that module.
 # ---------------------------------------------------------------------------
 
 
@@ -192,28 +194,31 @@ def _ref_global_error(s, d):
 
 
 def _ref_marginal_contribution(s, d, n):
-    held = d.copy()
-    held[n] = float(s.bounds.d_min)
-    return _ref_global_error(s, d) - _ref_global_error(s, held)
+    eps = _ref_local_errors(s, d)
+    eps_min = _ref_local_errors(s, np.full(s.n, float(s.bounds.d_min)))
+    f = np.expm1((eps_min[n] - eps[n]) / (s.n * s.economy.varrho))
+    return float((0.0 - f) * _ref_global_error(s, d))
+
+
+def _ref_pair_rates(s, n, weights):
+    """``weights[n'] * gamma[n, n']`` over n', with the n' == n entry zeroed."""
+    rates = weights * np.asarray(s.market.gamma[n])
+    rates[n] = 0.0
+    return rates
 
 
 def _ref_total_payoff(s, d, n):
-    gamma_row = np.asarray(s.market.gamma[n])
+    rates = _ref_pair_rates(s, n, s.market.xi)
+    payoff = _ref_marginal_contribution(s, d, n) * rates.sum()
     if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
         mc = np.array([_ref_marginal_contribution(s, d, m) for m in range(s.n)])
-        gaps = mc[n] - mc
-    else:
-        gaps = np.full(s.n, _ref_marginal_contribution(s, d, n))
-    terms = s.market.xi * gamma_row * gaps
-    terms[n] = 0.0
-    return float(terms.sum())
+        payoff = payoff - (rates * mc).sum()
+    return float(payoff)
 
 
 def _ref_coopetition_loss(s, d, n):
-    mc = _ref_marginal_contribution(s, d, n)
-    terms = np.asarray(s.market.phi) * np.asarray(s.market.gamma[n]) * mc
-    terms[n] = 0.0
-    return float(terms.sum())
+    rates = _ref_pair_rates(s, n, np.asarray(s.market.phi))
+    return float(_ref_marginal_contribution(s, d, n) * rates.sum())
 
 
 def _ref_utility(s, d, n):
@@ -254,6 +259,42 @@ def reference_evaluation(s, profile, ir_tolerance=1e-9, bb_tolerance=1e-6):
     }
 
 
+def reference_held_out_evaluation(s, profiles):
+    """The transfer terms of an (m, N) profile matrix in the held-out form
+    that priced it before the contribution factor: each counterfactual
+    error is the global error of an (m, N, N) tensor of local errors whose
+    entry (k, n, n) holds organization n at ``d_min``, the gap is the
+    difference of two global errors, and the pairwise transfers are summed
+    over an (m, N, N) tensor. Revenue and cost are taken from
+    ``evaluate_profiles``, which computes them as this form did."""
+    from cocogen import economics
+
+    d = np.asarray(profiles, dtype=np.float64)
+    idx = np.arange(s.n)
+    eps = economics._local_errors(s, d)
+    err = economics._aggregate(s, eps)
+    held = np.repeat(eps[:, None, :], s.n, axis=1)
+    held[:, idx, idx] = economics._floor_errors(s)
+    counterfactual = economics._aggregate(s, held)
+    marginal = err[:, None] - counterfactual
+    gamma = np.array(s.market.gamma)
+    gamma[idx, idx] = 0.0
+    if s.economy.bb_mode is PayoffMode.ANTISYMMETRIC:
+        gaps = marginal[:, :, None] - marginal[:, None, :]
+    else:
+        gaps = marginal[:, :, None]
+    payoff_in = (s.market.xi * gamma * gaps).sum(axis=2)
+    loss = (np.asarray(s.market.phi) * gamma * marginal[:, :, None]).sum(axis=2)
+    ev = economics.evaluate_profiles(s, d)
+    utility = ev.revenue + payoff_in - ev.cost - ev.server_fee - loss
+    return SimpleNamespace(
+        global_error=err, counterfactual=counterfactual, marginal=marginal,
+        payoff_in=payoff_in, coopetition_loss=loss, utility=utility,
+        welfare=np.array([sum(row) for row in utility.tolist()]),
+        bb_sum=np.array([sum(row) for row in payoff_in.tolist()]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Reference NE scans. The first composes each deviation's utility term by
 # term, as ``cocogen.solver.verify_ne`` priced it before it took gains from
@@ -267,8 +308,9 @@ def reference_evaluation(s, profile, ir_tolerance=1e-9, bb_tolerance=1e-6):
 def reference_unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs: np.ndarray):
     """Utility of organization ``n`` at every deviation in ``xs`` (vectorized).
 
-    Composes the same terms, in the same order, as one row of
-    :func:`economics.evaluate_profiles`.
+    Composes the utility's terms as the held-out form does
+    (:func:`reference_held_out_evaluation`): each contribution gap is a
+    difference of two global errors.
     """
     from cocogen import economics
 

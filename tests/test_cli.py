@@ -602,7 +602,10 @@ class TestSweepCommand:
             path, flags = write_small_sweep(tmp_path, seed=seed), []
         assert cli.main(["sweep", path, "-o", str(tmp_path / "out"), *flags]) == 2
         err = capsys.readouterr().err
-        assert "base_seed: must fit in 64 unsigned bits" in err
+        if given_by == "flag":
+            assert "error: --seed: must fit in 64 unsigned bits" in err
+        else:
+            assert "error: invalid sweep file: base_seed: must fit in 64 unsigned bits" in err
         assert "Traceback" not in err
 
     def test_row_counts_and_schema(self, tmp_path):
@@ -1185,7 +1188,10 @@ class TestEveryInputExitsWithACode:
     @given(data=st.data())
     def test_drawn_files_and_flags(self, data):
         command = data.draw(st.sampled_from(["fit", "solve", "compare", "sweep"]))
-        with tempfile.TemporaryDirectory() as tmp:
+        cwd = sorted(os.listdir())
+        # Each command runs in its temporary directory, where a default
+        # output (fit's fit.json) lands and is removed with it.
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
             tmp = pathlib.Path(tmp)
             argv = [command, _drawn_input(data, command, tmp), *_drawn_flags(data, command, tmp)]
             err, out = io.StringIO(), io.StringIO()
@@ -1196,3 +1202,4 @@ class TestEveryInputExitsWithACode:
                     code = exc.code
         assert code in _EXIT_CODES, (argv, err.getvalue())
         assert "Traceback" not in err.getvalue(), argv
+        assert sorted(os.listdir()) == cwd, argv

@@ -1,19 +1,23 @@
+import decimal
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cocogen import baselines, game, solver
 from cocogen import economics as eco
 from cocogen import scaling
 from cocogen.errors import ZeroTotalData
-from cocogen.model import Eps0Mode, Market, PayoffMode, ScalingLaw
+from cocogen.model import Eps0Mode, Market, PayoffMode, ScalingLaw, with_payoff_mode
+from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 
 from helpers import (
     build_scenario,
     org_row,
     random_profile,
     reference_evaluation,
+    reference_held_out_evaluation,
     table1_scenario,
 )
 
@@ -98,6 +102,28 @@ def _one(s, profile):
     return eco.evaluate_profiles(s, np.atleast_2d(np.asarray(profile, dtype=float)))
 
 
+def _decimal_marginals(s, p):
+    """Each organization's contribution gap at profile ``p``: the global
+    error minus the global error with that organization at ``d_min``,
+    computed in 60-digit decimal arithmetic from the scenario's floats."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        dec = decimal.Decimal
+
+        def local(n, x):
+            o = org_row(s, n)
+            return dec(o.alpha) * (dec(o.d_loc) + dec(float(x))) ** -dec(o.beta) - dec(o.delta)
+
+        def global_error(eps):
+            return ((sum(eps) / s.n - 1) / dec(s.economy.varrho)).exp()
+
+        eps = [local(n, p[n]) for n in range(s.n)]
+        err = global_error(eps)
+        return [
+            float(err - global_error(eps[:n] + [local(n, s.bounds.d_min)] + eps[n + 1:]))
+            for n in range(s.n)
+        ]
+
+
 class TestContribution:
     def test_counterfactual_noop_at_lower_bound(self):
         s = build_scenario(n=2)
@@ -116,20 +142,22 @@ class TestContribution:
             assert np.all(_one(s, p).counterfactual[0] >= eco.global_error(s, p))
 
     def test_marginal_contribution_against_re_evaluation(self):
+        # On these draws the difference of two global errors is off by up
+        # to 1.5e-11 relative, from cancellation; the expm1 factor stays
+        # within 4.2e-14 of a 60-digit evaluation.
         s = table1_scenario(seed=9)
         for k in range(10):
             p = random_profile(s, 200 + k)
             marginal = _one(s, p).marginal[0]
+            expected = _decimal_marginals(s, p)
             for n in range(s.n):
-                zeroed = p.copy()
-                zeroed[n] = s.bounds.d_min
-                expected = eco.global_error(s, p) - eco.global_error(s, zeroed)
-                assert marginal[n] == pytest.approx(expected, rel=1e-12, abs=1e-18)
+                assert marginal[n] == pytest.approx(expected[n], rel=1e-13, abs=1e-300)
                 assert marginal[n] <= 0
 
     def test_marginal_zero_at_lower_bound_and_symmetry(self):
         s = build_scenario(n=2)
-        assert _one(s, [0.0, 500.0]).marginal[0, 0] == 0.0
+        zero = _one(s, [0.0, 500.0]).marginal[0, 0]
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0  # +0.0, as err - err is
         marginal = _one(s, [650.0, 650.0]).marginal[0]
         assert marginal[0] == marginal[1]
 
@@ -393,8 +421,42 @@ def _assert_matches_reference(got, k, ref):
     assert got.bb_balanced[k] == ref["bb_balanced"]
 
 
+def _assert_near_held_out(s, profiles):
+    """``evaluate_profiles`` against the held-out tensor form. That form's
+    gaps are differences of two global errors, so they carry an error of a
+    few units in the last place of the global error ``err``: gaps and
+    counterfactuals must agree within ``1e-15 * err``, and each transfer
+    within that times its rate. Utilities, welfare and transfer sums must
+    agree within 1e-12 of their size (for a transfer sum, the sum of its
+    terms' sizes)."""
+    old = reference_held_out_evaluation(s, profiles)
+    new = eco.evaluate_profiles(s, profiles)
+    gamma = np.array(s.market.gamma)
+    np.fill_diagonal(gamma, 0.0)
+    unit = 1e-15 * old.global_error[:, None]
+    assert np.all(np.abs(new.marginal - old.marginal) <= unit)
+    assert np.all(np.abs(new.counterfactual - old.counterfactual) <= unit)
+    assert np.all(np.abs(new.payoff_in - old.payoff_in) <= unit * s.market.xi * gamma.sum(axis=1))
+    assert np.all(np.abs(new.coopetition_loss - old.coopetition_loss)
+                  <= unit * (s.market.phi * gamma).sum(axis=1))
+    assert np.all(np.abs(new.utility - old.utility) <= 1e-12 * np.abs(old.utility))
+    assert np.all(np.abs(new.welfare - old.welfare) <= 1e-12 * np.abs(old.welfare))
+    assert np.all(np.abs(new.bb_sum - old.bb_sum) <= 1e-12 * np.abs(old.payoff_in).sum(axis=1))
+
+
+def _preset_job_profiles(grid, job):
+    """A preset sweep job's scenario and the matrix its job prices: the
+    CoCoGen, VCFL and WCO profiles, then its RaDG draws."""
+    s = sample_scenario(grid, job.cell, job.seed)
+    lin = np.vstack([game._linear_coeffs(s), baselines.wco_linear_coeffs(s)])
+    cocogen, wco = solver.solve_games(s, lin)
+    solved = [cocogen.profile.d_gen, baselines.vcfl_profile(s).d_gen, wco.profile.d_gen]
+    return s, np.vstack(solved + [baselines.radg_profiles(s, job.seed, grid.radg_repetitions)])
+
+
 class TestBatchedCore:
-    """``evaluate_profiles`` against the per-organization reference oracle."""
+    """``evaluate_profiles`` against the per-organization reference oracle
+    and against the held-out tensor form it replaced."""
 
     @pytest.mark.parametrize("bb_mode", list(PayoffMode))
     @pytest.mark.parametrize("eps0_mode", list(Eps0Mode))
@@ -410,6 +472,30 @@ class TestBatchedCore:
                 ref = reference_evaluation(s, row)
                 _assert_matches_reference(batch, k, ref)
                 _assert_matches_reference(eco.evaluate_profile(s, row), 0, ref)
+
+    @pytest.mark.parametrize("bb_mode", list(PayoffMode))
+    def test_matrix_near_held_out_form(self, bb_mode):
+        for seed in range(3):
+            s = table1_scenario(seed=1400 + seed, bb_mode=bb_mode)
+            _assert_near_held_out(s, _profile_matrix(s, seed))
+
+    def test_preset_jobs_near_held_out_form_and_rows_alone(self):
+        # Every preset job's priced matrix in both payoff modes; every 10th
+        # job's rows are also priced alone and must match bit for bit.
+        grid = default_sweep_grid()
+        for k, job in enumerate(expand_sweep(grid)):
+            s, profiles = _preset_job_profiles(grid, job)
+            for mode in PayoffMode:
+                priced = with_payoff_mode(s, mode)
+                _assert_near_held_out(priced, profiles)
+                if k % 10:
+                    continue
+                batch = eco.evaluate_profiles(priced, profiles)
+                for i, row in enumerate(profiles):
+                    alone = eco.evaluate_profile(priced, row)
+                    assert alone.utility[0].tolist() == batch.utility[i].tolist(), job
+                    assert (alone.welfare[0], alone.bb_sum[0]) == (
+                        batch.welfare[i], batch.bb_sum[i]), job
 
     def test_zero_total_data_still_raises(self):
         s = build_scenario(n=2, d_loc=[0, 1500], d_min=0, validate=False)
