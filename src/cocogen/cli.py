@@ -512,6 +512,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     started = _now()
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        print("error: --seed: must fit in 64 unsigned bits", file=sys.stderr)
+        return EXIT_INPUT
     try:
         s = _load_scenario_for_args(args, args.seed)
     except (OSError, ValueError, CocogenError) as exc:

@@ -33,6 +33,9 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps that refine the grid winner.
 DELTA_GRID = tuple(round(0.01 * i, 2) for i in range(51))
 MAX_REFINE = 60
+# Elements of one (K, n) block of offsets priced together, which bounds the
+# fit's temporaries; a curve longer than this is priced one offset at a time.
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,10 @@ class CurvePoint:
     def __post_init__(self):
         if self.d <= 0:
             raise InvariantViolation("curve point d", "must be > 0")
+        try:
+            float(self.d)
+        except OverflowError:
+            raise InvariantViolation("curve point d", "must be within the float64 range") from None
         if not math.isfinite(self.eps):
             raise InvariantViolation("curve point eps", f"must be finite, got {self.eps!r}")
 
@@ -70,36 +77,66 @@ class _LogLinear:
 
     The parts of the normal equations that do not depend on the offset (the
     mean of log d, its centred vector and ``sxx``) are computed once per
-    curve; ``fit`` does the rest for one offset. ``sum() / n`` is the sum
-    and division that ``mean()`` makes, without its Python overhead, so the
-    results are bit for bit those of ``mean()``.
+    curve; ``fit`` does the rest for a sequence of offsets. A row's
+    ``np.add.reduce(y, -1) / n`` is the sum and division that ``mean()``
+    makes, without its Python overhead, so the results are bit for bit those
+    of ``mean()``.
     """
 
     def __init__(self, points: list[CurvePoint]):
         self.log_d = np.log(np.array([float(p.d) for p in points]))
         self.eps = np.array([p.eps for p in points])
+        self.eps_min = float(self.eps.min())
         self.n = len(points)
-        self.x_mean = self.log_d.mean()
+        self.x_mean = float(self.log_d.mean())
         self.x_centred = self.log_d - self.x_mean
         self.sxx = float(np.dot(self.x_centred, self.x_centred))
+        self.block = max(1, _BLOCK // self.n)
 
-    def fit(self, delta: float):
-        """(alpha, beta, rmse) of the line through log(eps + delta); None if infeasible."""
-        shifted = self.eps + delta
-        if (shifted <= 0).any():
-            return None
-        y = np.log(shifted)
-        # Normal equations of the two-parameter line y = b0 - beta * log_d.
-        y_mean = y.sum() / self.n
-        sxy = float(np.dot(self.x_centred, y - y_mean))
-        slope = sxy / self.sxx
-        beta = -slope
-        alpha = math.exp(y_mean - slope * self.x_mean)
-        if not (alpha > 0 and beta > 0):
-            return None
-        pred = alpha * np.exp(-beta * self.log_d) - delta
-        rmse = math.sqrt(((pred - self.eps) ** 2).sum() / self.n)
-        return alpha, beta, rmse
+    def fit(self, deltas) -> list:
+        """(alpha, beta, rmse) of the line through log(eps + delta) for each
+        offset in ``deltas``, in order; None where the offset is infeasible.
+
+        Feasible offsets are priced in blocks of ``block`` offsets, as (K, n)
+        arrays whose elementwise steps and last-axis sums give each row the
+        bits it has alone. ``sxy``'s dot product and ``alpha``'s
+        libm ``exp`` stay per row: a BLAS matrix-vector product can change a
+        row's bits with the row count.
+        """
+        fits = [None] * len(deltas)
+        # Every eps + delta is positive iff the smallest is: rounding is monotone.
+        todo = [k for k, delta in enumerate(deltas) if self.eps_min + delta > 0]
+        for start in range(0, len(todo), self.block):
+            rows = todo[start:start + self.block]
+            # One offset is priced as an (n,) row, which numpy runs faster
+            # than a (1, n) block; the golden-section steps price one each.
+            one = len(rows) == 1
+            offsets = deltas[rows[0]] if one else np.array([deltas[k] for k in rows])[:, None]
+            y = np.log(self.eps + offsets)
+            # Normal equations of the two-parameter line y = b0 - beta * log_d.
+            y_mean = np.add.reduce(y, -1) / self.n
+            centred = y - (y_mean if one else y_mean[:, None])
+            keep, alphas, betas = [], [], []
+            for i, mean in enumerate([y_mean] if one else y_mean.tolist()):
+                slope = float(np.dot(self.x_centred, centred if one else centred[i])) / self.sxx
+                beta = -slope
+                alpha = math.exp(mean - slope * self.x_mean)
+                if alpha > 0 and beta > 0:
+                    keep.append(i)
+                    alphas.append(alpha)
+                    betas.append(beta)
+            if not keep:
+                continue
+            if one:
+                pred = alphas[0] * np.exp(-betas[0] * self.log_d) - offsets
+            else:
+                pred = (np.array(alphas)[:, None] * np.exp(-np.array(betas)[:, None] * self.log_d)
+                        - offsets[keep])
+            mse = np.add.reduce((pred - self.eps) ** 2, -1) / self.n
+            rmses = [math.sqrt(mse)] if one else np.sqrt(mse).tolist()
+            for i, alpha, beta, rmse in zip(keep, alphas, betas, rmses):
+                fits[rows[i]] = (alpha, beta, rmse)
+        return fits
 
 
 def fit_scaling_law(points: list[CurvePoint]) -> FitResult:
@@ -108,24 +145,18 @@ def fit_scaling_law(points: list[CurvePoint]) -> FitResult:
         raise InsufficientPoints("need at least 3 points with 3 distinct d values")
     curve = _LogLinear(points)
 
-    evaluated: dict[float, tuple] = {}
-
-    def try_delta(delta: float):
-        delta = max(0.0, float(delta))
-        if delta not in evaluated:
-            evaluated[delta] = curve.fit(delta)
-        return evaluated[delta]
-
+    # The grid's offsets are distinct and nonnegative, so they key the table
+    # in grid order; the final min then picks the first minimum on a tie.
     grid = DELTA_GRID
-    feasible = [(g, try_delta(g)) for g in grid]
-    feasible = [(g, fit) for g, fit in feasible if fit is not None]
+    evaluated: dict[float, tuple] = dict(zip(grid, curve.fit(grid)))
+    feasible = [(g, fit) for g, fit in evaluated.items() if fit is not None]
     if not feasible:
         # eps + delta rises with delta, so the largest candidate shows whether
         # every candidate was refused for its sign or for its line's slope.
-        if (curve.eps + grid[-1] <= 0).any():
+        if curve.eps_min + grid[-1] <= 0:
             raise NonPositiveShifted("eps + delta <= 0 for every offset candidate")
         raise NonPositiveShifted("no offset candidate gives a positive alpha and beta")
-    best_delta, best_fit = min(feasible, key=lambda item: item[1][2])
+    best_delta = min(feasible, key=lambda item: item[1][2])[0]
 
     # Golden-section refinement of the offset around the grid winner.
     idx = grid.index(best_delta)
@@ -133,7 +164,10 @@ def fit_scaling_law(points: list[CurvePoint]) -> FitResult:
     hi = grid[idx + 1] if idx + 1 < len(grid) else best_delta + (grid[-1] - grid[-2])
 
     def rmse_at(delta: float) -> float:
-        fit = try_delta(delta)
+        delta = max(0.0, float(delta))
+        if delta not in evaluated:
+            evaluated[delta] = curve.fit([delta])[0]
+        fit = evaluated[delta]
         return fit[2] if fit is not None else math.inf
 
     a, b = lo, hi

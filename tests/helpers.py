@@ -945,3 +945,29 @@ def reference_grid_oracle(s, step=1.0):
     values, _, idx = reference_grid_scan(s, step)
     profile = values[list(idx)]
     return profile, game.potential(s, profile)
+
+
+# ---------------------------------------------------------------------------
+# Reference curve fit: ``cocogen.scaling._LogLinear.fit`` as it priced one
+# offset per call, before the grid was priced in blocks. The batched call
+# must return these results bit for bit, None where they are None.
+# ---------------------------------------------------------------------------
+
+
+def reference_log_linear_fit(curve, delta):
+    """(alpha, beta, rmse) of the line through log(eps + delta) on the
+    curve's terms, or None if infeasible."""
+    shifted = curve.eps + delta
+    if (shifted <= 0).any():
+        return None
+    y = np.log(shifted)
+    y_mean = y.sum() / curve.n
+    sxy = float(np.dot(curve.x_centred, y - y_mean))
+    slope = sxy / curve.sxx
+    beta = -slope
+    alpha = math.exp(y_mean - slope * curve.x_mean)
+    if not (alpha > 0 and beta > 0):
+        return None
+    pred = alpha * np.exp(-beta * curve.log_d) - delta
+    rmse = math.sqrt(((pred - curve.eps) ** 2).sum() / curve.n)
+    return alpha, beta, rmse

@@ -142,6 +142,15 @@ class TestFitCommand:
         assert "curve csv row 2: curve point eps: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    def test_d_beyond_the_float_range_is_input_error(self, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"d,eps\n100,0.5\n200,0.4\n{10**400},0.1\n", encoding="utf-8")
+        assert cli.main(["fit", str(curve), "-o", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "curve csv row 3: curve point d: must be within the float64 range" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -355,7 +364,8 @@ class TestSolveCommand:
         path = shipped_example_with(tmp_path, ("seed",), 0)
         assert cli.main(["compare", path, "--seed", seed, "-o", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "seed: must fit in 64 unsigned bits" in err
+        assert "error: --seed: must fit in 64 unsigned bits" in err
+        assert "invalid scenario" not in err
         assert "Traceback" not in err
 
     def test_verify_ne_certifies_a_huge_box(self, tmp_path, capsys, monkeypatch):
@@ -1095,6 +1105,7 @@ _ANY_VALUE = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(2**70), 2**70),
+    st.just(10**400),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=4),
     st.lists(st.floats(-10.0, 10.0), max_size=3),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from cocogen import scaling
 from cocogen.errors import InsufficientPoints, InvariantViolation, NonPositiveShifted
 from cocogen.model import ScalingLaw
 from cocogen.scaling import CurvePoint, fit_scaling_law, heterogeneity_presets
+
+from helpers import reference_log_linear_fit
 
 
 def synth_points(law, ds, sigma=0.0, seed=0):
@@ -77,8 +81,7 @@ class TestFit:
         pts = synth_points(truth, DS, sigma=0.002, seed=3)
         fit = fit_scaling_law(pts)
         curve = scaling._LogLinear(pts)
-        for delta in scaling.DELTA_GRID:
-            cand = curve.fit(delta)
+        for cand in curve.fit(scaling.DELTA_GRID):
             if cand is not None:
                 assert fit.rmse <= cand[2] + 1e-15
 
@@ -103,6 +106,88 @@ class TestFit:
         got = (fit.law.alpha, fit.law.beta, fit.law.delta, fit.rmse)
         assert tuple(repr(x) for x in got) == expected
         assert all(type(x) is float for x in got)
+
+
+def _hex(fit):
+    if fit is None:
+        return None
+    assert all(type(x) is float for x in fit)
+    return tuple(x.hex() for x in fit)
+
+
+def seeded_curves(count=10):
+    """(kind, points) of 3-40 distinct d: noiseless, noisy, partly
+    infeasible (eps shifted below zero at the large d) and rising."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([25, 8], dtype=np.uint64)))
+    for kind in ("noiseless", "noisy", "negative", "rising"):
+        for _ in range(count):
+            n = int(rng.integers(3, 41))
+            ds = np.sort(rng.choice(np.arange(1, 30001), size=n, replace=False))
+            eps = rng.uniform(1.0, 25.0) * ds.astype(float) ** -rng.uniform(0.1, 0.9)
+            eps = eps - rng.uniform(0.0, 0.3)
+            if kind == "noisy":
+                eps = eps + rng.normal(0.0, 0.01, size=n)
+            elif kind == "negative":
+                eps = eps - rng.uniform(0.05, 0.4)
+            elif kind == "rising":
+                eps = eps[::-1]
+            yield kind, [CurvePoint(int(d), float(e)) for d, e in zip(ds, eps)]
+
+
+def long_curve(n):
+    ds = np.arange(1, n + 1)
+    eps = 5.0 * ds.astype(float) ** -0.4 - 0.25 + 0.001 * np.sin(ds)
+    return [CurvePoint(int(d), float(e)) for d, e in zip(ds, eps)]
+
+
+class TestBatchedOffsets:
+    """``_LogLinear.fit`` prices a sequence of offsets, each with the bits
+    of the per-offset reference (``tests/helpers.py``)."""
+
+    def test_grid_equals_reference_bit_for_bit(self):
+        verdicts = {}
+        for kind, points in seeded_curves():
+            curve = scaling._LogLinear(points)
+            got = curve.fit(scaling.DELTA_GRID)
+            want = [reference_log_linear_fit(curve, g) for g in scaling.DELTA_GRID]
+            assert [_hex(f) for f in got] == [_hex(f) for f in want], kind
+            for fit in got:
+                verdicts.setdefault(kind, set()).add(fit is None)
+        # Every kind is covered, and infeasible offsets occur beside feasible ones.
+        assert verdicts["negative"] == {True, False}
+        assert True in verdicts["rising"] and False in verdicts["noisy"]
+
+    def test_single_offsets_equal_reference_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(key=np.array([25, 9], dtype=np.uint64)))
+        for kind, points in seeded_curves(count=5):
+            curve = scaling._LogLinear(points)
+            for delta in [0.0, *rng.uniform(0.0, 0.6, size=6).tolist()]:
+                got = curve.fit([delta])
+                assert [_hex(f) for f in got] == [_hex(reference_log_linear_fit(curve, delta))], kind
+
+    @pytest.mark.parametrize("n", [3000, 2**16 + 5])
+    def test_long_curves_are_priced_in_bounded_blocks(self, n):
+        curve = scaling._LogLinear(long_curve(n))
+        assert curve.block == max(1, 2**16 // n) < len(scaling.DELTA_GRID)
+        got = curve.fit(scaling.DELTA_GRID)
+        want = [reference_log_linear_fit(curve, g) for g in scaling.DELTA_GRID]
+        assert [_hex(f) for f in got] == [_hex(f) for f in want]
+        assert any(f is None for f in got) and any(f is not None for f in got)
+
+    def test_empty_and_mixed_sequences(self):
+        curve = scaling._LogLinear(synth_points(ScalingLaw(5.0, 0.4, 0.08), DS))
+        assert curve.fit([]) == []
+        offsets = [0.3, -10.0, 0.0, -10.0]
+        assert curve.fit(offsets) == [reference_log_linear_fit(curve, dl) for dl in offsets]
+        assert curve.fit(offsets)[1::2] == [None, None]
+
+    def test_offset_that_zeroes_an_eps_is_infeasible_without_a_warning(self):
+        curve = scaling._LogLinear([CurvePoint(10, 0.3), CurvePoint(20, 0.1), CurvePoint(40, -0.05)])
+        assert -0.05 + 0.05 == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert curve.fit([0.05, 0.0, 0.06])[:2] == [None, None]
+            assert curve.fit([0.05]) == [None] == [reference_log_linear_fit(curve, 0.05)]
 
 
 class TestPredict:
@@ -156,6 +241,14 @@ class TestCurveCsv:
         path = tmp_path / "curve.csv"
         path.write_text("d,eps\n\n500,0.31\n\n1000,x\n", encoding="utf-8")
         with pytest.raises(InvariantViolation, match="curve csv row 2: "):
+            scaling.read_curve_csv(path)
+
+    def test_rejects_d_beyond_the_float_range(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"d,eps\n100,0.5\n200,0.4\n{10**400},0.1\n", encoding="utf-8")
+        with pytest.raises(
+            InvariantViolation, match="curve csv row 3: curve point d: must be within the float64 range"
+        ):
             scaling.read_curve_csv(path)
 
     def test_curve_point_rejects_non_finite_eps(self):
