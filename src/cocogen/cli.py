@@ -42,7 +42,7 @@ from .errors import (
     NonPositiveShifted,
     UnwritableOutput,
 )
-from .model import PayoffMode, load_scenario, validate_scenario, with_payoff_mode
+from .model import PayoffMode, check_seed, load_scenario, validate_scenario, with_payoff_mode
 from .scenario import (
     PRNG_ID,
     SweepGrid,
@@ -512,9 +512,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     started = _now()
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("error: --seed: must fit in 64 unsigned bits", file=sys.stderr)
-        return EXIT_INPUT
+    if args.seed is not None:
+        try:
+            check_seed(args.seed, "--seed")
+        except InvariantViolation as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     try:
         s = _load_scenario_for_args(args, args.seed)
     except (OSError, ValueError, CocogenError) as exc:

@@ -42,6 +42,7 @@ __all__ = [
     "StrategyBounds",
     "Scenario",
     "StrategyProfile",
+    "check_seed",
     "validate_scenario",
     "scenario_to_dict",
     "scenario_from_dict",
@@ -349,6 +350,13 @@ def _accept(s: Scenario, violations: list[CocogenError]) -> Scenario:
     return s
 
 
+def check_seed(value: int, field: str) -> None:
+    """Refuse a seed that does not fit in 64 unsigned bits, the width of the
+    generator key it becomes."""
+    if not 0 <= value < 2**64:
+        raise InvariantViolation(field, "must fit in 64 unsigned bits")
+
+
 def validate_scenario(s: Scenario) -> Scenario:
     """Return ``s`` unchanged iff every invariant holds.
 
@@ -368,8 +376,10 @@ def validate_scenario(s: Scenario) -> Scenario:
     violations.extend(s.economy._violations())
     violations.extend(s.bounds._violations())
 
-    if not (0 <= s.seed < 2**64):
-        violations.append(InvariantViolation("seed", "must fit in 64 unsigned bits"))
+    try:
+        check_seed(s.seed, "seed")
+    except InvariantViolation as exc:
+        violations.append(exc)
 
     if not violations:
         # Only meaningful once the market shape checks passed.

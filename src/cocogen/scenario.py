@@ -40,6 +40,7 @@ from .model import (
     _fields,
     _non_negative,
     _positive,
+    check_seed,
     validate_scenario,
 )
 
@@ -186,8 +187,7 @@ class SweepGrid:
             raise InvariantViolation("n_orgs", "must be >= 1")
         if self.repetitions < 1:
             raise InvariantViolation("repetitions", "must be >= 1")
-        if not (0 <= self.base_seed <= MASK64):
-            raise InvariantViolation("base_seed", "must fit in 64 unsigned bits")
+        check_seed(self.base_seed, "base_seed")
         check_radg_count(self.radg_repetitions, self.n_orgs, "radg_repetitions")
         for name in ("gamma_levels", "alpha_d_levels"):
             if not getattr(self, name):
