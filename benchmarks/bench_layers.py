@@ -21,8 +21,7 @@ whose generation costs are scaled by 1e-6, where every organization gains
 by moving up, so the certificate searches each gain for its maximum.
 ``solver.solve_games.two_games`` solves that job's CoCoGen game and its
 zero-competition (WCO) game as the two rows of one ``solve_games`` call,
-as ``cli.scheme_rows`` does; in checkouts without ``solve_games`` it is
-``fpi_solve`` plus ``wco_solve``, the two solves a job made there.
+as ``cli.scheme_rows`` does.
 ``model.load_scenario.example`` reads, parses and validates the shipped
 10-organization example scenario file, as every ``solve`` and ``compare``
 does; ``scenario.load_sweep.preset`` reads and parses the shipped preset
@@ -190,7 +189,7 @@ def _tier1_us(src: str) -> float:
 def measure(repeat: int) -> dict:
     import numpy as np
 
-    from cocogen import baselines, cli, economics, kernels, scaling, solver
+    from cocogen import baselines, cli, economics, game, kernels, scaling, solver
     from cocogen.model import PayoffMode, load_scenario, validate_scenario, with_payoff_mode
     from cocogen.scenario import default_sweep_grid, expand_sweep, load_sweep, sample_scenario
 
@@ -207,19 +206,7 @@ def measure(repeat: int) -> dict:
     floor = np.full(s.n, float(s.bounds.d_min))
     if solver.verify_ne(cheap, floor).is_ne:
         raise RuntimeError("the near-free floor profile was certified")
-    if hasattr(solver, "solve_games"):
-        from cocogen import game
-
-        games = np.vstack([game._linear_coeffs(s), baselines.wco_linear_coeffs(s)])
-
-        def two_games():
-            solver.solve_games(s, games, cfg)
-    else:
-
-        def two_games():
-            solver.fpi_solve(s, cfg)
-            baselines.wco_solve(s, cfg)
-
+    games = np.vstack([game._linear_coeffs(s), baselines.wco_linear_coeffs(s)])
     job_profiles = np.vstack([
         report.profile.d_gen, baselines.vcfl_profile(s).d_gen,
         baselines.wco_solve(s, cfg).profile.d_gen,
@@ -235,7 +222,9 @@ def measure(repeat: int) -> dict:
         ),
         "solver.fpi_solve": _per_call_us(lambda: solver.fpi_solve(s, cfg), 100, repeat),
         "baselines.wco_solve": _per_call_us(lambda: baselines.wco_solve(s, cfg), 100, repeat),
-        "solver.solve_games.two_games": _per_call_us(two_games, 100, repeat),
+        "solver.solve_games.two_games": _per_call_us(
+            lambda: solver.solve_games(s, games, cfg), 100, repeat
+        ),
         "baselines.wco_scenario": _per_call_us(lambda: baselines.wco_scenario(s), 500, repeat),
         "economics.evaluate_profile": _per_call_us(
             lambda: economics.evaluate_profile(s, report.profile), 500, repeat

@@ -1,10 +1,10 @@
 """Command-line entry point: fit, solve, sweep, and compare.
 
 Exit codes: 0 success, 1 a ``compare`` scheme row that failed or a sweep
-whose every job failed, 2 unusable input or output path (and any package
-error a command does not handle), 3 curve fit with too few points or no
-feasible offset, 4 solver non-convergence (suppressed by
-``--allow-nonconverged``).
+whose every job failed, 2 unusable input or output path, or a JSON output
+holding a non-finite number (and any package error a command does not
+handle), 3 curve fit with too few points or no feasible offset, 4 solver
+non-convergence (suppressed by ``--allow-nonconverged``).
 All numeric CSV fields carry 17 significant digits; result CSVs are plain
 RFC 4180 bodies with the run manifest in a JSON sidecar next to them. Every
 manifest records the command line and the Python and numpy versions and CPU
@@ -19,7 +19,6 @@ import collections
 import csv
 import functools
 import io
-import json
 import logging
 import math
 import multiprocessing
@@ -35,14 +34,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, baselines, economics, game, scaling, solver
-from .errors import (
-    CocogenError,
-    InsufficientPoints,
-    InvariantViolation,
-    NonPositiveShifted,
-    UnwritableOutput,
+from .errors import CocogenError, InsufficientPoints, NonPositiveShifted, UnwritableOutput
+from .model import (
+    PayoffMode, check_seed, json_text, load_scenario, validate_scenario, with_payoff_mode,
 )
-from .model import PayoffMode, check_seed, load_scenario, validate_scenario, with_payoff_mode
 from .scenario import (
     PRNG_ID,
     SweepGrid,
@@ -77,6 +72,11 @@ SWEEP_COLUMNS = (
     "converged",
     "realized_gamma_bar",
     "status",
+)
+# The cell summaries' columns; fig4_schemes.csv has the first six.
+AGGREGATE_COLUMNS = (
+    "gamma_level", "alpha_d", "scheme", "n",
+    "welfare_mean", "welfare_std", "mean_d_gen_mean", "mean_d_gen_std",
 )
 
 
@@ -116,12 +116,6 @@ def _manifest(args, config_paths, seed, started: str, solved=None) -> dict:
     return out
 
 
-def _json_text(payload: dict) -> str:
-    """The indented JSON document and its final newline, built in memory so
-    that it reaches the file in one write."""
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _csv_text(header, rows) -> str:
     """An RFC 4180 body: the header, then every row's fields through ``_fmt``."""
     buf = io.StringIO()
@@ -129,6 +123,11 @@ def _csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def _table_text(columns, rows) -> str:
+    """The CSV body of the ``columns`` of dict ``rows``."""
+    return _csv_text(columns, ([r[c] for c in columns] for r in rows))
 
 
 def _write_text(path, text: str, flag: str) -> None:
@@ -139,6 +138,20 @@ def _write_text(path, text: str, flag: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise UnwritableOutput(f"{flag}: cannot write {str(path)!r}: {exc.strerror or exc}") from None
+
+
+class _BadInput(Exception):
+    """An input file that cannot be read or a flag value that is refused;
+    ``main`` prints ``error: `` and the message and exits 2."""
+
+
+def _checked(prefix: str, call, *args):
+    """``call(*args)``; an input it cannot read or refuses is raised as a
+    ``_BadInput`` whose message is ``prefix`` and then the error's."""
+    try:
+        return call(*args)
+    except (OSError, ValueError, CocogenError) as exc:
+        raise _BadInput(f"{prefix}{exc}") from None
 
 
 def _solver_config_from_args(args) -> solver.SolverConfig:
@@ -161,19 +174,15 @@ def _load_scenario_for_args(args, seed: int | None = None):
 
 def cmd_fit(args) -> int:
     started = _now()
-    try:
-        points = scaling.read_curve_csv(args.curve)
-    except (OSError, ValueError, CocogenError) as exc:
-        print(f"error: cannot read curve file: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    points = _checked("cannot read curve file: ", scaling.read_curve_csv, args.curve)
     try:
         result = scaling.fit_scaling_law(points)
     except (InsufficientPoints, NonPositiveShifted) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FIT
-    payload = result.to_dict()
+    payload = asdict(result)
     payload["manifest"] = _manifest(args, [args.curve], None, started)
-    _write_text(args.out, _json_text(payload), "-o/--out")
+    _write_text(args.out, json_text(payload, "-o/--out"), "-o/--out")
     print(
         f"fitted alpha={result.law.alpha:.6g} beta={result.law.beta:.6g} "
         f"delta={result.law.delta:.6g} rmse={result.rmse:.3e}"
@@ -188,21 +197,18 @@ def cmd_fit(args) -> int:
 
 def cmd_solve(args) -> int:
     started = _now()
-    try:
-        s = _load_scenario_for_args(args)
-    except (OSError, ValueError, CocogenError) as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    s = _checked("invalid scenario: ", _load_scenario_for_args, args)
     cfg = _solver_config_from_args(args)
     report = solver.fpi_solve(s, cfg)
     if args.verify_ne:
         report = replace(report, ne_certificate=solver.verify_ne(s, report.profile))
     manifest = _manifest(args, [args.scenario], None, started, (cfg, s.economy.bb_mode))
     payload = {"manifest": manifest, **report.to_dict()}
+    text = json_text(payload, "-o/--out" if args.out else "stdout")
     if args.out:
-        _write_text(args.out, _json_text(payload), "-o/--out")
+        _write_text(args.out, text, "-o/--out")
     else:
-        sys.stdout.write(_json_text(payload))
+        sys.stdout.write(text)
     if args.trace:
         trace = _csv_text(["iteration", "F"], enumerate(report.potential_trace))
         _write_text(args.trace, trace, "--trace")
@@ -320,10 +326,6 @@ def run_sweep_job(grid: SweepGrid, job: SweepJob, cfg: solver.SolverConfig) -> l
     return [{**base, **r, "realized_gamma_bar": gbar} for r in rows]
 
 
-def _write_rows_csv(path, columns, rows, flag: str) -> None:
-    _write_text(path, _csv_text(columns, ([r[c] for c in columns] for r in rows)), flag)
-
-
 def _stdev(values: list[float]) -> float:
     """``statistics.stdev`` of at least two finite floats, in integer
     arithmetic: with every value m / 2**k, the variance is exactly p / q
@@ -341,31 +343,20 @@ def _stdev(values: list[float]) -> float:
 
 
 def _aggregate(rows):
-    """Per-cell, per-scheme mean and sample standard deviation."""
-    groups: dict[tuple, dict[str, list[float]]] = {}
+    """Per-cell, per-scheme mean and sample standard deviation of each
+    ``welfare`` and ``mean_d_gen``, over the rows whose status is ``ok``."""
+    groups: dict[tuple, list[dict]] = {}
     for r in rows:
-        if r["status"] != "ok":
-            continue
-        key = (r["gamma_level"], r["alpha_d"], r["scheme"])
-        g = groups.setdefault(key, {"welfare": [], "mean_d_gen": []})
-        g["welfare"].append(r["welfare"])
-        g["mean_d_gen"].append(r["mean_d_gen"])
+        if r["status"] == "ok":
+            groups.setdefault((r["gamma_level"], r["alpha_d"], r["scheme"]), []).append(r)
     out = []
-    for (gl, ad, scheme), vals in sorted(groups.items()):
-        w = vals["welfare"]
-        m = vals["mean_d_gen"]
-        out.append(
-            {
-                "gamma_level": gl,
-                "alpha_d": ad,
-                "scheme": scheme,
-                "n": len(w),
-                "welfare_mean": statistics.fmean(w),
-                "welfare_std": _stdev(w) if len(w) > 1 else 0.0,
-                "mean_d_gen_mean": statistics.fmean(m),
-                "mean_d_gen_std": _stdev(m) if len(m) > 1 else 0.0,
-            }
-        )
+    for (gl, ad, scheme), members in sorted(groups.items()):
+        cell = {"gamma_level": gl, "alpha_d": ad, "scheme": scheme, "n": len(members)}
+        for name in ("welfare", "mean_d_gen"):
+            values = [r[name] for r in members]
+            cell[f"{name}_mean"] = statistics.fmean(values)
+            cell[f"{name}_std"] = _stdev(values) if len(values) > 1 else 0.0
+        out.append(cell)
     return out
 
 
@@ -454,17 +445,9 @@ def run_sweep(grid: SweepGrid, cfg: solver.SolverConfig, jobs: int = 1):
 
 def cmd_sweep(args) -> int:
     started = _now()
-    try:
-        grid = load_sweep(args.sweep)
-    except (OSError, ValueError, CocogenError) as exc:
-        print(f"error: invalid sweep file: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    grid = _checked("invalid sweep file: ", load_sweep, args.sweep)
     if args.seed is not None:
-        try:
-            grid = replace(grid, base_seed=args.seed)
-        except InvariantViolation as exc:
-            print(f"error: --seed: {exc.detail}", file=sys.stderr)
-            return EXIT_INPUT
+        grid = replace(grid, base_seed=args.seed)
     cfg = _solver_config_from_args(args)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -479,29 +462,23 @@ def cmd_sweep(args) -> int:
         print("error: every sweep job failed", file=sys.stderr)
         return EXIT_FAILED
 
-    flag = "-o/--out-dir"
-    results_path = os.path.join(args.out_dir, "results.csv")
-    _write_rows_csv(results_path, SWEEP_COLUMNS, rows, flag)
-
     agg = _aggregate(rows)
-    agg_columns = (
-        "gamma_level", "alpha_d", "scheme", "n",
-        "welfare_mean", "welfare_std", "mean_d_gen_mean", "mean_d_gen_std",
+    outputs = (
+        ("results.csv", SWEEP_COLUMNS, rows),
+        ("aggregate.csv", AGGREGATE_COLUMNS, agg),
+        ("fig3_cocogen.csv", AGGREGATE_COLUMNS, [r for r in agg if r["scheme"] == "CoCoGen"]),
+        ("fig4_schemes.csv", AGGREGATE_COLUMNS[:6], agg),
     )
-    _write_rows_csv(os.path.join(args.out_dir, "aggregate.csv"), agg_columns, agg, flag)
-    fig3 = [r for r in agg if r["scheme"] == "CoCoGen"]
-    _write_rows_csv(os.path.join(args.out_dir, "fig3_cocogen.csv"), agg_columns, fig3, flag)
-    fig4_columns = ("gamma_level", "alpha_d", "scheme", "n", "welfare_mean", "welfare_std")
-    _write_rows_csv(os.path.join(args.out_dir, "fig4_schemes.csv"), fig4_columns, agg, flag)
-
+    # Every text is built before the first is written, so a refused sidecar
+    # leaves no file behind; the CSVs go first, then their sidecars.
+    flag = "-o/--out-dir"
     manifest = _manifest(args, [args.sweep], args.seed, started, (cfg, grid.economy.bb_mode))
-    for name in ("results.csv", "aggregate.csv", "fig3_cocogen.csv", "fig4_schemes.csv"):
-        _write_text(
-            os.path.join(args.out_dir, name + ".manifest.json"),
-            _json_text({"manifest": manifest, "for_file": name}),
-            flag,
-        )
-    print(f"wrote {len(rows)} rows ({ok} ok) to {results_path}")
+    texts = [(name, _table_text(columns, table)) for name, columns, table in outputs]
+    texts += [(name + ".manifest.json", json_text({"manifest": manifest, "for_file": name}, flag))
+              for name, _, _ in outputs]
+    for name, text in texts:
+        _write_text(os.path.join(args.out_dir, name), text, flag)
+    print(f"wrote {len(rows)} rows ({ok} ok) to {os.path.join(args.out_dir, 'results.csv')}")
     return EXIT_OK
 
 
@@ -512,22 +489,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     started = _now()
-    if args.seed is not None:
-        try:
-            check_seed(args.seed, "--seed")
-        except InvariantViolation as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    try:
-        s = _load_scenario_for_args(args, args.seed)
-    except (OSError, ValueError, CocogenError) as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        check_radg_count(args.radg_reps, s.n, "--radg-reps")
-    except CocogenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    s = _checked("invalid scenario: ", _load_scenario_for_args, args, args.seed)
+    _checked("", check_radg_count, args.radg_reps, s.n, "--radg-reps")
     cfg = _solver_config_from_args(args)
 
     rows, wco = scheme_rows(s, cfg, s.seed, args.radg_reps)
@@ -550,11 +513,12 @@ def cmd_compare(args) -> int:
     print(f"(WCO welfare under its zero-competition clone: {clone_welfare:.6f})")
     if args.out:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")
-        _write_rows_csv(args.out, columns, rows, "-o/--out")
         manifest = _manifest(
             args, [args.scenario], args.seed, started, (cfg, s.economy.bb_mode)
         )
-        _write_text(args.out + ".manifest.json", _json_text({"manifest": manifest}), "-o/--out")
+        sidecar = json_text({"manifest": manifest}, "-o/--out")
+        _write_text(args.out, _table_text(columns, rows), "-o/--out")
+        _write_text(args.out + ".manifest.json", sidecar, "-o/--out")
     if not rows[0]["converged"] and not args.allow_nonconverged:
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -661,16 +625,23 @@ def main(argv=None) -> int:
     ``sys.argv[1:]``.
 
     The ``cmd_<command>`` function is looked up in this module on each call,
-    so a name rebound after the first call is the one that runs. A package
-    error that the command does not handle exits 2 with its type and
-    message.
+    so a name rebound after the first call is the one that runs. A
+    ``--seed`` is checked before the command reads any file. An input that
+    cannot be read or a refused flag exits 2 with ``error: `` and its
+    message; any other package error that the command does not handle exits
+    2 with its type and message.
     """
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _shared_parser().parse_args(argv)
     args.argv = argv  # recorded in the manifest
     try:
+        if getattr(args, "seed", None) is not None:
+            _checked("", check_seed, args.seed, "--seed")
         return globals()[f"cmd_{args.command}"](args)
+    except _BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except CocogenError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

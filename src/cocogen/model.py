@@ -30,6 +30,7 @@ from .errors import (
     InvariantViolation,
     NonNegativeZWeight,
     ScenarioValidationError,
+    UnwritableOutput,
     ZeroTotalData,
 )
 
@@ -48,6 +49,7 @@ __all__ = [
     "scenario_from_dict",
     "load_scenario",
     "save_scenario",
+    "json_text",
     "DEFAULT_ETA",
     "DEFAULT_MU",
     "DEFAULT_C_CMP",
@@ -578,23 +580,34 @@ _SCENARIO = {
 }
 
 
-def scenario_from_dict(obj: dict, validate: bool = True) -> Scenario:
+def scenario_from_dict(obj: dict) -> Scenario:
     fields = _fields(obj, _SCENARIO, "scenario")
     rows = fields.pop("organizations")
     columns = np.array(rows, dtype=np.float64).reshape(-1, len(ORG_COLUMNS)).T
-    s = Scenario(**dict(zip(ORG_COLUMNS, columns)), **fields)
-    return validate_scenario(s) if validate else s
+    return validate_scenario(Scenario(**dict(zip(ORG_COLUMNS, columns)), **fields))
+
+
+def json_text(payload: dict, where: str) -> str:
+    """The indented JSON document of ``payload`` and its final newline: the
+    one JSON writer of scenario files and command outputs, built in memory so
+    that it reaches its file in one write. JSON has no NaN or infinity, so a
+    payload holding one is refused with an UnwritableOutput that names
+    ``where``, the output's flag or path."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise UnwritableOutput(f"{where}: cannot write a non-finite number as JSON") from None
 
 
 def save_scenario(s: Scenario, path) -> None:
+    text = json_text(scenario_to_dict(s), str(path))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
-def load_scenario(path, validate: bool = True) -> Scenario:
+def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh), validate=validate)
+        return scenario_from_dict(json.load(fh))
 
 
 def with_payoff_mode(s: Scenario, mode: PayoffMode) -> Scenario:

@@ -60,17 +60,6 @@ class FitResult:
     rmse: float
     n_points: int
 
-    def to_dict(self) -> dict:
-        return {
-            "law": {
-                "alpha": self.law.alpha,
-                "beta": self.law.beta,
-                "delta": self.law.delta,
-            },
-            "rmse": self.rmse,
-            "n_points": self.n_points,
-        }
-
 
 class _LogLinear:
     """Least squares of log(eps + delta) on log d for one curve.
@@ -92,10 +81,14 @@ class _LogLinear:
         self.x_centred = self.log_d - self.x_mean
         self.sxx = float(np.dot(self.x_centred, self.x_centred))
         self.block = max(1, _BLOCK // self.n)
+        # Set once an offset is refused because its alpha or RMSE overflows.
+        self.overflowed = False
 
     def fit(self, deltas) -> list:
         """(alpha, beta, rmse) of the line through log(eps + delta) for each
-        offset in ``deltas``, in order; None where the offset is infeasible.
+        offset in ``deltas``, in order; None where the offset is infeasible:
+        some eps + delta is not positive, alpha or beta is not positive, or
+        alpha or the RMSE is not finite.
 
         Feasible offsets are priced in blocks of ``block`` offsets, as (K, n)
         arrays whose elementwise steps and last-axis sums give each row the
@@ -122,7 +115,11 @@ class _LogLinear:
             for i, mean in enumerate([y_mean] if one else y_mean.tolist()):
                 slope = float(np.dot(self.x_centred, centred if one else centred[i])) / self.sxx
                 beta = -slope
-                alpha = math.exp(mean - slope * self.x_mean)
+                try:
+                    alpha = math.exp(mean - slope * self.x_mean)
+                except OverflowError:  # log alpha past exp's range
+                    self.overflowed = True
+                    continue
                 if alpha > 0 and beta > 0:
                     keep.append(i)
                     alphas.append(alpha)
@@ -137,13 +134,21 @@ class _LogLinear:
             mse = np.add.reduce((pred - self.eps) ** 2, -1) / self.n
             rmses = [math.sqrt(mse)] if one else np.sqrt(mse).tolist()
             for i, alpha, beta, rmse in zip(keep, alphas, betas, rmses):
-                fits[rows[i]] = (alpha, beta, rmse)
+                if math.isfinite(rmse):
+                    fits[rows[i]] = (alpha, beta, rmse)
+                else:
+                    self.overflowed = True
         return fits
 
 
+# A steep or huge curve's prediction can overflow; that offset's RMSE is then
+# not finite and the offset is refused, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_scaling_law(points: list[CurvePoint]) -> FitResult:
     """Fit (alpha, beta, delta) to observed (d, eps) learning-curve points."""
-    if len(points) < 3 or len({p.d for p in points}) < 3:
+    # Distinct after the log too: integers such as 10**300 and 10**300 + 1
+    # share one float64 log, which would leave the line's slope undefined.
+    if len(points) < 3 or len(set(np.log([float(p.d) for p in points]).tolist())) < 3:
         raise InsufficientPoints("need at least 3 points with 3 distinct d values")
     curve = _LogLinear(points)
 
@@ -157,6 +162,10 @@ def fit_scaling_law(points: list[CurvePoint]) -> FitResult:
         # every candidate was refused for its sign or for its line's slope.
         if curve.eps_min + grid[-1] <= 0:
             raise NonPositiveShifted("eps + delta <= 0 for every offset candidate")
+        if curve.overflowed:
+            raise NonPositiveShifted(
+                "no offset candidate gives a finite alpha and RMSE with a positive alpha and beta"
+            )
         raise NonPositiveShifted("no offset candidate gives a positive alpha and beta")
     best_delta = min(feasible, key=lambda item: item[1][2])[0]
 

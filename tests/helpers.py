@@ -956,7 +956,8 @@ def reference_grid_oracle(s, step=1.0):
 
 def reference_log_linear_fit(curve, delta):
     """(alpha, beta, rmse) of the line through log(eps + delta) on the
-    curve's terms, or None if infeasible."""
+    curve's terms, or None if infeasible: some eps + delta is not positive,
+    alpha or beta is not positive, or alpha or the RMSE is not finite."""
     shifted = curve.eps + delta
     if (shifted <= 0).any():
         return None
@@ -965,9 +966,13 @@ def reference_log_linear_fit(curve, delta):
     sxy = float(np.dot(curve.x_centred, y - y_mean))
     slope = sxy / curve.sxx
     beta = -slope
-    alpha = math.exp(y_mean - slope * curve.x_mean)
+    try:
+        alpha = math.exp(y_mean - slope * curve.x_mean)
+    except OverflowError:
+        return None
     if not (alpha > 0 and beta > 0):
         return None
-    pred = alpha * np.exp(-beta * curve.log_d) - delta
-    rmse = math.sqrt(((pred - curve.eps) ** 2).sum() / curve.n)
-    return alpha, beta, rmse
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = alpha * np.exp(-beta * curve.log_d) - delta
+        rmse = math.sqrt(((pred - curve.eps) ** 2).sum() / curve.n)
+    return (alpha, beta, rmse) if math.isfinite(rmse) else None

@@ -86,6 +86,15 @@ def shipped_example_with(tmp_path, path, value, name="scenario_example.json"):
     return str(edited)
 
 
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def example_scenario(seed=7):
     grid = default_sweep_grid()
     cell = SweepCell(
@@ -156,6 +165,8 @@ class TestFitCommand:
         [
             ("100,0.1\n200,0.2\n400,0.3", "no offset candidate gives a positive alpha and beta"),
             ("100,-5\n200,-5\n400,-5", "eps + delta <= 0 for every offset candidate"),
+            ("1,1e308\n2,1e307\n3,1e306", "no offset candidate gives a finite alpha and RMSE "
+                                         "with a positive alpha and beta"),
         ],
     )
     def test_infeasible_curve_is_fit_error_with_its_cause(self, tmp_path, capsys, rows, message):
@@ -166,6 +177,18 @@ class TestFitCommand:
         assert f"error: NonPositiveShifted: {message}" in err
         assert "Traceback" not in err and not (tmp_path / "o.json").exists()
 
+    def test_curve_whose_zero_offset_overflows_fits_the_others(self, tmp_path, capsys):
+        # Only delta = 0 puts log alpha past exp's range (it ended the command
+        # in an OverflowError before); the other offsets fit finitely.
+        curve = tmp_path / "curve.csv"
+        curve.write_text("d,eps\n1000000,1\n2000000,1e-100\n4000000,1e-200\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["fit", str(curve), "-o", str(tmp_path / "o.json")]) == 0
+        law = strict_json((tmp_path / "o.json").read_text(encoding="utf-8"))["law"]
+        assert law["delta"] > 0 and math.isfinite(law["alpha"])
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("row, count", [("1000,0.2,7", 3), ("1000", 1)])
     def test_wrong_field_count_is_input_error(self, tmp_path, capsys, row, count):
         curve = tmp_path / "curve.csv"
@@ -175,6 +198,26 @@ class TestFitCommand:
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize("out", ["file", "stdout"])
+    def test_non_finite_report_is_refused_before_any_file(self, tmp_path, capsys, out):
+        # Generation costs of 1e306 price every utility at -inf: the report
+        # has no JSON form, so neither it nor the trace is written.
+        path = tmp_path / "scenario.json"
+        payload = scenario_to_dict(example_scenario())
+        for org in payload["organizations"]:
+            org["eta"] = 1e306
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        files = ["-o", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
+        with np.errstate(over="ignore"):
+            code = cli.main(["solve", str(path), *(files if out == "file" else [])])
+        assert code == 2
+        captured = capsys.readouterr()
+        flag = "-o/--out" if out == "file" else "stdout"
+        assert captured.err == (
+            f"error: UnwritableOutput: {flag}: cannot write a non-finite number as JSON\n"
+        )
+        assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
+
     def test_shipped_example_solves_and_certifies(self, tmp_path):
         from importlib import resources
 
@@ -829,6 +872,77 @@ class TestSweepCommand:
         assert (out1 / "results.csv").read_bytes() != (out2 / "results.csv").read_bytes()
 
 
+class TestInputErrorMessages:
+    """The whole stderr of an unreadable input and of a refused ``--seed``,
+    command by command."""
+
+    @pytest.mark.parametrize(
+        "command, what",
+        [("fit", "cannot read curve file"), ("solve", "invalid scenario"),
+         ("sweep", "invalid sweep file"), ("compare", "invalid scenario")],
+    )
+    def test_missing_input_file(self, tmp_path, capsys, command, what):
+        path = str(tmp_path / "missing")
+        assert cli.main([command, path, "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {what}: [Errno 2] No such file or directory: {path!r}\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("fit", "cannot read curve file: curve csv: expected header 'd,eps'"),
+         ("solve", "invalid scenario: Expecting value: line 1 column 1 (char 0)"),
+         ("sweep", "invalid sweep file: Expecting value: line 1 column 1 (char 0)"),
+         ("compare", "invalid scenario: Expecting value: line 1 column 1 (char 0)")],
+    )
+    def test_malformed_input_file(self, tmp_path, capsys, command, message):
+        path = tmp_path / "input"
+        path.write_text("x,y\n", encoding="utf-8")
+        assert cli.main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["input"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_out_of_range_seed_is_reported_before_the_file_is_read(
+        self, tmp_path, capsys, command, seed
+    ):
+        # The input file is missing as well: the seed is checked first.
+        argv = [command, str(tmp_path / "missing"), "--seed", seed, "-o", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: --seed: must fit in 64 unsigned bits\n"
+        assert os.listdir(tmp_path) == []
+
+
+class TestJsonGuard:
+    """No command writes NaN or Infinity: a non-finite number in any JSON
+    output refuses the run's outputs before the first one is written."""
+
+    @staticmethod
+    def _non_finite_manifest(monkeypatch):
+        manifest = cli._manifest
+        monkeypatch.setattr(cli, "_manifest", lambda *a: {**manifest(*a), "x": math.nan})
+
+    def test_sweep_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        self._non_finite_manifest(monkeypatch)
+        out_dir = tmp_path / "out"
+        argv = ["sweep", write_small_sweep(tmp_path), "-o", str(out_dir), "--jobs", "1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: UnwritableOutput: -o/--out-dir: cannot write a non-finite number" in err
+        assert os.listdir(out_dir) == []
+
+    def test_compare_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        self._non_finite_manifest(monkeypatch)
+        path = write_scenario(tmp_path, example_scenario())
+        argv = ["compare", path, "-o", str(tmp_path / "cmp.csv"), "--radg-reps", "5"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: UnwritableOutput: -o/--out: cannot write a non-finite number" in err
+        assert os.listdir(tmp_path) == ["scenario.json"]
+
+
 class TestDispatch:
     """``main`` reuses one parser per process; nothing else carries over."""
 
@@ -1192,6 +1306,37 @@ def _drawn_input(data, command, tmp):
     path = tmp / "input"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# Positive values from 1e-320 (subnormal) to 1e308 on a log scale.
+_LOG_SCALE = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+
+
+class TestFitAcrossTheFloatRange:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ds=st.lists(st.floats(0.0, 308.0).map(lambda e: max(1, int(10.0**e))), min_size=3,
+                    max_size=6),
+        eps=st.lists(st.one_of(_LOG_SCALE, _LOG_SCALE.map(lambda x: -x), st.just(0.0)),
+                     min_size=6, max_size=6),
+    )
+    def test_drawn_curves_exit_with_a_code_and_finite_json(self, ds, eps):
+        with tempfile.TemporaryDirectory() as tmp:
+            curve, out = pathlib.Path(tmp) / "curve.csv", pathlib.Path(tmp) / "fit.json"
+            curve.write_text(
+                "d,eps\n" + "".join(f"{d},{e!r}\n" for d, e in zip(ds, eps)), encoding="utf-8"
+            )
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(["fit", str(curve), "-o", str(out)])
+            assert code in {0, 2, 3}, err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert out.exists() is (code == 0)
+            if code == 0:
+                fit = strict_json(out.read_text(encoding="utf-8"))
+                assert fit["law"]["alpha"] > 0 and fit["law"]["beta"] > 0
 
 
 class TestEveryInputExitsWithACode:

@@ -16,6 +16,7 @@ from cocogen.errors import (
     InvariantViolation,
     NonNegativeZWeight,
     ScenarioValidationError,
+    UnwritableOutput,
     ZeroTotalData,
 )
 from cocogen.model import (
@@ -399,7 +400,7 @@ class TestSerialization:
         payload = self._example()
         del self._object_at(payload, path)[key]
         with pytest.raises(InvariantViolation) as exc:
-            scenario_from_dict(payload, validate=False)
+            scenario_from_dict(payload)
         assert str(exc.value) == f"{where}: missing required key {key!r}"
 
     @pytest.mark.parametrize(
@@ -417,8 +418,16 @@ class TestSerialization:
         payload = self._example()
         self._object_at(payload, path).update(zz=1, extra=2)
         with pytest.raises(InvariantViolation) as exc:
-            scenario_from_dict(payload, validate=False)
+            scenario_from_dict(payload)
         assert str(exc.value) == f"{where}: unknown key(s): ['extra', 'zz']"
+
+    def test_non_finite_scenario_is_not_saved(self, tmp_path):
+        # JSON has no infinity; the one JSON writer refuses it, naming the path.
+        path = tmp_path / "scenario.json"
+        s = build_scenario(n=2, psi=[700.0, math.inf], validate=False)
+        with pytest.raises(UnwritableOutput, match="cannot write a non-finite number as JSON"):
+            save_scenario(s, path)
+        assert not path.exists()
 
     def test_market_arrays_are_read_only(self):
         m = Market(gamma=np.zeros((2, 2)), xi=0.0, phi=np.array([1.0, 2.0]))

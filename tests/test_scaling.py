@@ -58,6 +58,24 @@ class TestFit:
         with pytest.raises(NonPositiveShifted, match="no offset candidate gives a positive alpha"):
             fit_scaling_law(pts)
 
+    def test_curve_with_no_finite_fit_names_the_overflow(self):
+        # Every offset's prediction at d = 1 is about 1e308, so its squared
+        # residual, and with it the RMSE, overflows.
+        pts = [CurvePoint(1, 1e308), CurvePoint(2, 1e307), CurvePoint(3, 1e306)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveShifted) as exc:
+                fit_scaling_law(pts)
+        assert str(exc.value) == (
+            "no offset candidate gives a finite alpha and RMSE with a positive alpha and beta"
+        )
+
+    def test_d_values_that_share_a_float_are_too_few(self):
+        # 10**300 + k for k < 3 are one float64, so the line has no slope.
+        pts = [CurvePoint(10**300 + k, 0.5 - 0.1 * k) for k in range(3)]
+        with pytest.raises(InsufficientPoints):
+            fit_scaling_law(pts)
+
     def test_noisy_beta_recovery_95th_percentile(self):
         # Geometric design: offset and exponent are only jointly identifiable
         # with wide coverage in log d.
@@ -180,6 +198,21 @@ class TestBatchedOffsets:
         offsets = [0.3, -10.0, 0.0, -10.0]
         assert curve.fit(offsets) == [reference_log_linear_fit(curve, dl) for dl in offsets]
         assert curve.fit(offsets)[1::2] == [None, None]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((10**6, 1.0), (2 * 10**6, 1e-100), (4 * 10**6, 1e-200)),
+         ((1, 1e308), (2, 1e307), (3, 1e306))],
+        ids=["alpha_overflows", "rmse_overflows"],
+    )
+    def test_non_finite_offsets_are_infeasible_in_both_shapes(self, rows):
+        curve = scaling._LogLinear([CurvePoint(d, e) for d, e in rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = curve.fit(scaling.DELTA_GRID)
+            lone = [curve.fit([g])[0] for g in scaling.DELTA_GRID]
+        want = [reference_log_linear_fit(curve, g) for g in scaling.DELTA_GRID]
+        assert [_hex(f) for f in block] == [_hex(f) for f in lone] == [_hex(f) for f in want]
+        assert block[0] is None and curve.overflowed
 
     def test_offset_that_zeroes_an_eps_is_infeasible_without_a_warning(self):
         curve = scaling._LogLinear([CurvePoint(10, 0.3), CurvePoint(20, 0.1), CurvePoint(40, -0.05)])
