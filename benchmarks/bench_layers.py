@@ -35,7 +35,10 @@ are the noisiest layers. ``cli.sweep.small.jobs1`` and ``.jobs2`` run
 perfbench's sweep unit the same way (the shipped preset with two
 repetitions, 18 jobs, written to a temporary directory), as the minimum
 over repeated runs; at this size a sweep's fixed costs, such as starting
-its worker processes, weigh most. ``cli._aggregate`` computes the per-cell means and
+its worker processes, weigh most. ``cli._write_text.overwrite`` writes a
+7 kB text over an existing file of the same length, as each repeated sweep
+into one directory rewrites its CSVs and sidecars. ``cli._aggregate``
+computes the per-cell means and
 standard deviations of the 3,600 rows of one in-process ``--jobs 1`` run of
 that preset. ``solver.grid_oracle.n2`` and ``.n3`` run the exhaustive
 oracle on the first preset job's cell drawn with 2 and 3 organizations,
@@ -271,6 +274,12 @@ def measure(repeat: int) -> dict:
     layers["solver.fpi_solve.per_iteration"] = layers["solver.fpi_solve"] / report.iterations
     rows = cli.run_sweep(grid, cfg, jobs=1)
     layers["cli._aggregate"] = _per_call_us(lambda: cli._aggregate(rows), 3, repeat)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, text = os.path.join(tmp, "results.csv"), "0123456789," * 636 + "\r\n"
+        cli._write_text(path, text, "-o/--out-dir")
+        layers["cli._write_text.overwrite"] = _per_call_us(
+            lambda: cli._write_text(path, text, "-o/--out-dir"), 200, repeat
+        )
     for jobs in (1, 2):
         layers[f"cli.sweep.preset.jobs{jobs}"] = _preset_sweep_us(cli, jobs)
     for jobs in (1, 2):

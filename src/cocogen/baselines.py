@@ -9,7 +9,7 @@ import numpy as np
 from . import game, solver
 from .errors import ScenarioValidationError
 from .model import Market, Scenario, StrategyProfile, _accept, _weight_violations, validate_scenario
-from .scenario import FAMILY, family_stream
+from .scenario import FAMILY, _stream
 
 __all__ = [
     "vcfl_profile",
@@ -61,8 +61,8 @@ def wco_solve(s: Scenario, cfg: solver.SolverConfig | None = None) -> solver.Sol
 
 def radg_profiles(s: Scenario, seed: int, count: int) -> np.ndarray:
     """(count, N) float matrix of independent integer-uniform profiles, one
-    row per draw, from one seeded stream."""
-    rng = family_stream(seed, FAMILY.RADG)
+    row per draw, from the stream ``family_stream(seed, FAMILY.RADG)``."""
+    rng = _stream(seed, FAMILY.RADG)
     draws = rng.integers(s.bounds.d_min, s.bounds.d_max, size=(count, s.n), endpoint=True)
     return draws.astype(np.float64)
 

@@ -24,6 +24,7 @@ import math
 import multiprocessing
 import os
 import platform
+import stat
 import statistics
 import sys
 import time
@@ -132,10 +133,14 @@ def _table_text(columns, rows) -> str:
 
 def _write_text(path, text: str, flag: str) -> None:
     """Write one output file in one call; a path that cannot be written is
-    reported against the flag that gave it."""
+    reported against the flag that gave it. A regular file is cut to the new
+    length after the write, which costs less than emptying it on open."""
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(len(data))
     except OSError as exc:
         raise UnwritableOutput(f"{flag}: cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
@@ -228,10 +233,7 @@ def cmd_solve(args) -> int:
 
 def _realized_gamma_bar(gamma: np.ndarray) -> float:
     n = gamma.shape[0]
-    if n < 2:
-        return 0.0
-    off = np.asarray(gamma).sum() / (n * (n - 1))
-    return float(off)
+    return float(gamma.sum() / (n * (n - 1))) if n > 1 else 0.0
 
 
 def _failed_row(scheme: str, exc: CocogenError) -> dict:
@@ -274,36 +276,27 @@ def scheme_rows(
     reports = {}
     if coeffs:
         try:
-            reports = dict(zip(coeffs, solver.solve_games(s, np.vstack(list(coeffs.values())), cfg)))
+            reports = dict(zip(coeffs, solver.solve_games(s, np.array(list(coeffs.values())), cfg)))
         except CocogenError as exc:
             failed.update(dict.fromkeys(coeffs, exc))
-
-    def outcome(scheme):
-        rep = reports.get(scheme)
-        return failed[scheme] if rep is None else (rep.profile.d_gen, rep.converged)
-
-    # Scheme -> (profile, converged), or the error that stopped its solve.
-    solved: dict[str, tuple | CocogenError] = {
-        "CoCoGen": outcome("CoCoGen"),
-        "VCFL": (baselines.vcfl_profile(s).d_gen, True),
-        "WCO": outcome("WCO"),
-    }
-
-    priced = [v[0] for v in solved.values() if not isinstance(v, CocogenError)]
+    # Scheme -> (profile, converged) of each scheme that did not fail, in row order.
+    priced = {scheme: (baselines.vcfl_profile(s).d_gen, True) if scheme == "VCFL"
+              else (reports[scheme].profile.d_gen, reports[scheme].converged)
+              for scheme in SCHEMES[:3] if scheme not in failed}
     draws = baselines.radg_profiles(s, radg_seed, radg_count)
-    ev = economics.evaluate_profiles(s, np.vstack(priced + [draws]))
-    rows, k = [], 0
-    for scheme, v in solved.items():
-        if isinstance(v, CocogenError):
-            rows.append(_failed_row(scheme, v))
-            continue
-        d, converged = v
-        rows.append(_ok_row(scheme, ev.welfare[k], np.mean(d), ev.ir[k].all(),
-                            ev.bb_sum[k], converged))
-        k += 1
-    radg = slice(k, None)
-    rows.append(_ok_row("RaDG", np.mean(ev.welfare[radg]), np.mean(draws.mean(axis=1)),
-                        ev.ir[radg].all(), np.mean(ev.bb_sum[radg]), True))
+    profiles = np.concatenate([[d for d, _ in priced.values()], draws])
+    ev = economics.evaluate_profiles(s, profiles)
+    # Each row's mean volume and verdict in one call; means are sums over
+    # counts, np.mean's bits without its wrapper.
+    k = len(priced)
+    mean_d = profiles.sum(axis=1) / s.n
+    ir_all = ev.ir.all(axis=1)
+    ok = map(_ok_row, priced, ev.welfare[:k].tolist(), mean_d[:k].tolist(), ir_all[:k].tolist(),
+             ev.bb_sum[:k].tolist(), [converged for _, converged in priced.values()])
+    rows = [_failed_row(scheme, failed[scheme]) if scheme in failed else next(ok)
+            for scheme in SCHEMES[:3]]
+    rows.append(_ok_row("RaDG", ev.welfare[k:].sum() / radg_count, mean_d[k:].sum() / radg_count,
+                        ir_all[k:].all(), ev.bb_sum[k:].sum() / radg_count, True))
     return rows, reports.get("WCO")
 
 

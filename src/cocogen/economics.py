@@ -80,9 +80,7 @@ def _floor_errors(s: Scenario) -> np.ndarray:
 
     Local errors fall as data grows, so these are the largest in the box.
     """
-    return s.cached(
-        "floor_errors", lambda: _local_errors(s, np.full(s.n, float(s.bounds.d_min)))
-    )
+    return s.cached("floor_errors", lambda: _local_errors(s, float(s.bounds.d_min)))
 
 
 def _aggregate(s: Scenario, eps: np.ndarray):
@@ -114,8 +112,13 @@ def _f_squared(s: Scenario) -> np.ndarray:
 
 def _marginal_costs(s: Scenario) -> np.ndarray:
     """c_cmp * kappa * (eta + mu) * f^2 per organization: the cost of one
-    more generated sample."""
-    return s.c_cmp * s.kappa * (s.eta + s.mu) * _f_squared(s)
+    more generated sample, built once per scenario."""
+    return s.cached("marginal_costs", lambda: s.c_cmp * s.kappa * (s.eta + s.mu) * _f_squared(s))
+
+
+def _costs(s: Scenario, d) -> np.ndarray:
+    """The price of the energy spent training on the mixed data and generating ``d`` samples."""
+    return s.c_cmp * (s.kappa * (s.eta * (s.d_loc + d) + s.mu * d) * _f_squared(s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,9 +212,7 @@ def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluat
     loss = marginal * losses
 
     revenue = s.psi * (epsilon_zero(s) - err)
-    # The price times the energy spent training on the mixed data and
-    # generating d samples.
-    cost = s.c_cmp * (s.kappa * (s.eta * (s.d_loc + d) + s.mu * d) * _f_squared(s))
+    cost = _costs(s, d)
     c0 = s.economy.c0
     utility = revenue + payoff_in - cost - c0 - loss
     bb_sum = _column_sums(payoff_in)

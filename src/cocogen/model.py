@@ -76,6 +76,14 @@ def _readonly(a) -> np.ndarray:
     return a
 
 
+def _frozen(a) -> np.ndarray:
+    """``_readonly(a)`` without its copy when ``a`` is a float64 array that
+    owns its data: for a fresh result that no one else holds."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.owndata:
+        a.setflags(write=False)
+    return _readonly(a)
+
+
 def _check_number(out: list, where: str, value, ok: Callable, detail: str) -> None:
     """Record a violation of ``where`` if the number, or any entry of the
     array, is NaN or infinite, or else if ``ok(value)`` is false."""
@@ -225,8 +233,9 @@ class StrategyBounds:
 # A scenario's per-organization parameter columns, in the order their
 # violations are reported, with each one's name under ``organizations[i]``.
 ORG_COLUMNS = ("d_loc", "f", "kappa", "eta", "mu", "c_cmp", "psi", "alpha", "beta", "delta")
-# Whether each column must be > 0 (else >= 0).
+# Whether each column must be > 0 (else >= 0), and the least value it allows.
 _STRICT = np.array([[name not in ("d_loc", "psi", "delta")] for name in ORG_COLUMNS])
+_LEAST = np.where(_STRICT, np.nextafter(0.0, 1.0), 0.0)
 # Validation codes one column can earn, 0 meaning none; the last field is the
 # zero-total-data check, appended to the columns.
 _FIELDS = [f"law.{c}" if c in ("alpha", "beta", "delta") else c for c in ORG_COLUMNS] + ["d_loc"]
@@ -274,14 +283,15 @@ class Scenario:
     def cached(self, key: str, build: Callable[[], object]) -> np.ndarray:
         """Read-only float array derived from this scenario, built on first use.
 
-        The cache lives on the instance: copies made with
-        ``dataclasses.replace`` or the constructor start empty, and pickling
-        drops it (see ``__getstate__``), so no copy sees another's arrays.
-        The same holds for the mark :func:`validate_scenario` leaves.
+        ``build``'s fresh result is frozen in place. The cache lives on the
+        instance: copies made with ``dataclasses.replace`` or the constructor
+        start empty, and pickling drops it (see ``__getstate__``), so no copy
+        sees another's arrays. The same holds for the mark
+        :func:`validate_scenario` leaves.
         """
         cache = self.__dict__.setdefault("_cache", {})
         if key not in cache:
-            cache[key] = _readonly(build())
+            cache[key] = _frozen(build())
         return cache[key]
 
     def __getstate__(self):
@@ -326,8 +336,7 @@ def _org_violations(s: Scenario) -> list[CocogenError]:
     """Every organization's violations, organization by organization, each
     in ``ORG_COLUMNS`` order and then the zero-total-data check."""
     values = np.array([getattr(s, name) for name in ORG_COLUMNS])  # (column, organization)
-    out_of_range = np.where(_STRICT, values <= 0, values < 0)
-    codes = np.where(np.isfinite(values), out_of_range * _RANGE_CODE, 1)
+    codes = np.where(np.isfinite(values), (values < _LEAST) * _RANGE_CODE, 1)
     zero_total = (s.d_loc == 0) & (s.bounds.d_min == 0)
     if not (codes.any() or zero_total.any()):
         return []
@@ -385,14 +394,19 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     if not violations:
         # Only meaningful once the market shape checks passed.
-        from .economics import _aggregate, _floor_errors
+        from .economics import _aggregate, _costs, _floor_errors
         from .game import _raw_z_weights
 
         violations.extend(_weight_violations(_raw_z_weights(s)))
         # The all-d_min profile has the largest global and counterfactual
-        # errors in the box.
+        # errors in the box, and the all-d_max profile the largest costs.
         with np.errstate(over="ignore"):
             worst = float(_aggregate(s, _floor_errors(s)))
+            ceiling = _costs(s, float(s.bounds.d_max))
+        violations.extend(
+            InvariantViolation(f"organizations[{n}]", "generation cost at bounds.d_max overflows")
+            for n in np.flatnonzero(~np.isfinite(ceiling))
+        )
         if not math.isfinite(worst):
             violations.append(
                 InvariantViolation(

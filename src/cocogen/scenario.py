@@ -10,8 +10,10 @@ repetition index, so a grid re-ordering does not change any scenario.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
+import threading
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -38,6 +40,7 @@ from .model import (
     _block,
     _check_number,
     _fields,
+    _frozen,
     _non_negative,
     _positive,
     check_seed,
@@ -108,14 +111,21 @@ def family_stream(seed: int, family: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekeyed(gen: np.random.Generator, seed: int, family: int) -> np.random.Generator:
-    """``gen`` in a new ``family_stream(seed, family)``'s state, without the
-    unused OS entropy that a new ``Philox`` draws."""
+_thread = threading.local()
+
+
+def _stream(seed: int, family: int) -> np.random.Generator:
+    """This thread's one generator, made on first use, in a new
+    ``family_stream(seed, family)``'s state, without the unused OS entropy
+    that a new ``Philox`` draws; take its draws before the thread's next call."""
+    if not hasattr(_thread, "generator"):
+        _thread.generator = np.random.Generator(np.random.Philox())
     key = np.array([seed & MASK64, family & MASK64], dtype=np.uint64)
-    gen.bit_generator.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
-                               "state": {"counter": np.zeros(4, np.uint64), "key": key},
-                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gen
+    _thread.generator.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
+        "state": {"counter": np.zeros(4, np.uint64), "key": key},
+        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return _thread.generator
 
 
 def _mix64(x: int) -> int:
@@ -218,31 +228,41 @@ class SweepJob:
     seed: int
 
 
+@functools.lru_cache(maxsize=16)
+def _constant_columns(n: int, defaults: OrgDefaults, law: ScalingLaw) -> tuple[np.ndarray, ...]:
+    """The read-only eta, mu, c_cmp, alpha, beta and delta columns that the
+    scenarios of a cell share."""
+    values = (defaults.eta, defaults.mu, defaults.c_cmp, law.alpha, law.beta, law.delta)
+    return tuple(_frozen(np.full(n, v, dtype=np.float64)) for v in values)
+
+
 def sample_scenario(grid: SweepGrid, cell: SweepCell, seed: int) -> Scenario:
     """Draw one complete scenario for a sweep cell, deterministically."""
     n = grid.n_orgs
-    gen = family_stream(seed, FAMILY.KAPPA)
-    kappa = gen.uniform(2e-18, 5e-18, size=n)
-    d_loc = _rekeyed(gen, seed, FAMILY.D_LOC).integers(1000, 3000, size=n, endpoint=True)
-    phi = _rekeyed(gen, seed, FAMILY.PHI).uniform(2e2, 3e2, size=n)
-    psi = _rekeyed(gen, seed, FAMILY.PSI).uniform(6e2, 9e2, size=n)
-    freq = _rekeyed(gen, seed, FAMILY.FREQ).uniform(1.0, 2.0, size=n)
+    kappa = _stream(seed, FAMILY.KAPPA).uniform(2e-18, 5e-18, size=n)
+    d_loc = _stream(seed, FAMILY.D_LOC).integers(1000, 3000, size=n, endpoint=True)
+    phi = _stream(seed, FAMILY.PHI).uniform(2e2, 3e2, size=n)
+    psi = _stream(seed, FAMILY.PSI).uniform(6e2, 9e2, size=n)
+    freq = _stream(seed, FAMILY.FREQ).uniform(1.0, 2.0, size=n)
     # n*n gamma uniforms drawn row-major; the diagonal is forced to zero.
-    gamma = _rekeyed(gen, seed, FAMILY.GAMMA).uniform(cell.gamma.lo, cell.gamma.hi, size=(n, n))
+    gamma = _stream(seed, FAMILY.GAMMA).uniform(cell.gamma.lo, cell.gamma.hi, size=(n, n))
     np.fill_diagonal(gamma, 0.0)
+    d_loc = d_loc.astype(np.float64)
+    for drawn in (kappa, d_loc, phi, psi, freq, gamma):
+        drawn.setflags(write=False)  # fresh, so the scenario keeps it without a copy
 
-    defaults, law = grid.org_defaults, cell.law
+    eta, mu, c_cmp, alpha, beta, delta = _constant_columns(n, grid.org_defaults, cell.law)
     s = Scenario(
         d_loc=d_loc,
         f=freq,
         kappa=kappa,
-        eta=np.full(n, defaults.eta),
-        mu=np.full(n, defaults.mu),
-        c_cmp=np.full(n, defaults.c_cmp),
+        eta=eta,
+        mu=mu,
+        c_cmp=c_cmp,
         psi=psi,
-        alpha=np.full(n, law.alpha),
-        beta=np.full(n, law.beta),
-        delta=np.full(n, law.delta),
+        alpha=alpha,
+        beta=beta,
+        delta=delta,
         market=Market(gamma=gamma, xi=grid.xi, phi=phi),
         economy=grid.economy,
         bounds=grid.bounds,

@@ -15,7 +15,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -55,8 +56,8 @@ class SolverConfig:
     max_iters: int = 500  # bracket steps
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError("tol must be > 0")
+        if not (0 < self.tol < math.inf):
+            raise ValueError("tol must be finite and > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -64,15 +65,20 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """An equilibrium and how it was found; priced on the scenario it was
-    solved on when ``evaluation`` or ``welfare`` is first read."""
+    solved on when ``evaluation`` or ``welfare`` is first read, and its
+    potential trace computed by ``trace()`` when first read."""
 
     profile: StrategyProfile
     cases: tuple[str, ...]
     iterations: int
-    potential_trace: tuple[float, ...]
+    trace: Callable[[], tuple[float, ...]] = field(compare=False, repr=False)
     converged: bool
     scenario: Scenario = field(compare=False, repr=False)
     ne_certificate: "NeCertificate | None" = None
+
+    @cached_property
+    def potential_trace(self) -> tuple[float, ...]:
+        return self.trace()
 
     @cached_property
     def evaluation(self) -> economics.ProfileMatrixEvaluation:
@@ -200,15 +206,15 @@ def _descend(s: Scenario, d: np.ndarray, lin: np.ndarray) -> np.ndarray:
 class _Bracket:
     """One game's Illinois regula falsi on ``g(t) = t - mean eps(d(t))``,
     guarded by bisection: the bracket [a, b], its g values, the side of the
-    last two steps, the trace of F, and the last point evaluated (its
-    profile and mean local error)."""
+    last two steps, each step's profile and local errors, and the last point
+    evaluated (its profile and mean local error)."""
 
-    __slots__ = ("a", "b", "fa", "fb", "side", "trace", "point")
+    __slots__ = ("a", "b", "fa", "fb", "side", "steps", "point")
 
     def __init__(self, a: float, b: float, fa: float, fb: float, point):
         self.a, self.b, self.fa, self.fb = a, b, fa, fb
         self.side = 0
-        self.trace: list[float] = []
+        self.steps: list[tuple[np.ndarray, np.ndarray]] = []
         self.point = point
         if fa >= 0:
             self.b = a
@@ -240,10 +246,15 @@ def _error_bracket(s: Scenario) -> list[float]:
     profiles, which bracket every game's root; built once per scenario."""
 
     def build():
-        ceiling = economics._local_errors(s, np.full(s.n, float(s.bounds.d_max)))
+        ceiling = economics._local_errors(s, float(s.bounds.d_max))
         return np.array([ceiling.sum(), economics._floor_errors(s).sum()]) / s.n  # np.mean's bits
 
     return s.cached("error_bracket", build).tolist()
+
+
+def _potential_trace(s: Scenario, steps, lin: np.ndarray) -> tuple[float, ...]:
+    """F, with linear coefficient ``lin``, at each step's (profile, local errors)."""
+    return tuple(float(game.potential_from_errors(s, eps, d, lin)) for d, eps in steps)
 
 
 def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -> list[SolveReport]:
@@ -256,7 +267,8 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
     one root between the mean errors of the all-``d_max`` and all-``d_min``
     profiles. Illinois regula falsi, guarded by bisection, narrows each
     game's bracket to width ``tol`` in at most ``max_iters`` steps (else its
-    report says not converged); the trace holds F at each step's profile.
+    report says not converged); the trace holds F at each step's profile,
+    priced when first read.
     The case labels come from the last evaluated point, whose profile is
     rounded half up and then descended by ±1 moves. F is convex along every
     coordinate, so no organization gains from any unilateral lattice
@@ -270,7 +282,7 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
     """
     validate_scenario(s)
     cfg = cfg or SolverConfig()
-    lin = np.asarray(lin, dtype=np.float64)
+    lin = np.array(lin, dtype=np.float64)  # a copy: the traces read it later
     factor = lin * s.n * s.economy.varrho / (s.alpha * s.beta)
     games = len(lin)
     a, b = _error_bracket(s)
@@ -284,7 +296,7 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
     open_ = list(range(games))
     while True:
         open_ = [j for j in open_
-                 if brackets[j].b - brackets[j].a > cfg.tol and len(brackets[j].trace) < cfg.max_iters]
+                 if brackets[j].b - brackets[j].a > cfg.tol and len(brackets[j].steps) < cfg.max_iters]
         if not open_:
             break
         ts = [brackets[j].next_t() for j in open_]
@@ -293,7 +305,7 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
         for i, j in enumerate(open_):
             r = brackets[j]
             r.point = (d[i], mean[i])
-            r.trace.append(float(game.potential_from_errors(s, eps[i], d[i], lin[j])))
+            r.steps.append((d[i], eps[i]))
             r.update(ts[i], ts[i] - mean[i])
 
     profiles = _descend(s, np.floor(np.array([r.point[0] for r in brackets]) + 0.5), lin)
@@ -302,12 +314,12 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
         SolveReport(
             profile=StrategyProfile(profile),
             cases=labels,
-            iterations=len(r.trace),
-            potential_trace=tuple(r.trace),
+            iterations=len(r.steps),
+            trace=partial(_potential_trace, s, r.steps, row),
             converged=r.b - r.a <= cfg.tol,
             scenario=s,
         )
-        for profile, labels, r in zip(profiles, cases, brackets)
+        for profile, labels, r, row in zip(profiles, cases, brackets, lin)
     ]
 
 

@@ -631,7 +631,7 @@ def reference_fpi_solve(s, cfg=None, damping=0.5, init="all_min"):
         profile=StrategyProfile(_ref_restore_integers(s, d)),
         cases=tuple(_ref_case_label(s, d, n) for n in range(s.n)),
         iterations=iterations,
-        potential_trace=tuple(trace),
+        trace=lambda: tuple(trace),
         converged=converged,
         scenario=s,
     )

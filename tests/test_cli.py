@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocogen import baselines, cli, economics, game, solver
-from cocogen.errors import InvalidScenario, ZeroTotalData
+from cocogen.errors import InvalidScenario, UnwritableOutput, ZeroTotalData
 from cocogen.model import (
     PayoffMode,
     ScalingLaw,
@@ -200,12 +201,14 @@ class TestFitCommand:
 class TestSolveCommand:
     @pytest.mark.parametrize("out", ["file", "stdout"])
     def test_non_finite_report_is_refused_before_any_file(self, tmp_path, capsys, out):
-        # Generation costs of 1e306 price every utility at -inf: the report
-        # has no JSON form, so neither it nor the trace is written.
+        # Revenue weights of 1.7e308 under varrho 1 price a welfare beyond
+        # the float64 range: the report has no JSON form, so neither it nor
+        # the trace is written.
         path = tmp_path / "scenario.json"
         payload = scenario_to_dict(example_scenario())
         for org in payload["organizations"]:
-            org["eta"] = 1e306
+            org["psi"] = 1.7e308
+        payload["economy"]["varrho"] = 1.0
         path.write_text(json.dumps(payload), encoding="utf-8")
         files = ["-o", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
         with np.errstate(over="ignore"):
@@ -215,6 +218,23 @@ class TestSolveCommand:
         flag = "-o/--out" if out == "file" else "stdout"
         assert captured.err == (
             f"error: UnwritableOutput: {flag}: cannot write a non-finite number as JSON\n"
+        )
+        assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_overflowing_generation_cost_is_named_before_any_file(self, tmp_path, capsys, command):
+        path = tmp_path / "scenario.json"
+        payload = scenario_to_dict(example_scenario())
+        payload["organizations"][3]["eta"] = 1e306
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, str(path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: invalid scenario: 1 violation(s): "
+            "organizations[3]: generation cost at bounds.d_max overflows\n"
         )
         assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
 
@@ -481,16 +501,17 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "compare"])
     @pytest.mark.parametrize(
-        "flag, value", [("--tol", "0"), ("--max-iters", "0")]
+        "flag, value", [("--tol", "0"), ("--tol", "inf"), ("--max-iters", "0")]
     )
     def test_invalid_solver_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
         path = shipped_example_with(tmp_path, ("seed",), 0)
         if command == "sweep":
             path = write_small_sweep(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            cli.main([command, path, flag, value])
+            cli.main([command, path, flag, value, "-o", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -625,6 +646,30 @@ class TestManifest:
 
 
 class TestSweepCommand:
+    # sha256 of results.csv of the shipped preset with one repetition (nine
+    # jobs) under each payoff mode. A change to any byte of any row fails
+    # here; a deliberate change updates the pin and says why in CHANGES.md.
+    PRESET_RESULTS_SHA256 = {
+        "literal": "e5e1b97d175acad82d08c9780950c0e000eae871c20f2f66e965a7a34c8f6e90",
+        "antisymmetric": "c791ffca1b43cec543106b408b1876ae584f65b60d3212c3b9943ffc3d1b73e8",
+    }
+
+    @pytest.mark.parametrize("mode", ["literal", "antisymmetric"])
+    def test_one_repetition_preset_results_are_pinned(self, tmp_path, capsys, mode):
+        from importlib import resources
+
+        shipped = resources.files("cocogen").joinpath("data/sweep_default.json")
+        payload = json.loads(shipped.read_text(encoding="utf-8"))
+        payload["repetitions"] = 1
+        payload["economy"]["bb_mode"] = mode
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "-o", str(out), "--jobs", "1"]) == 0
+        data = (out / "results.csv").read_bytes()
+        assert data.count(b"\r\n") == 1 + 9 * len(cli.SCHEMES)
+        assert hashlib.sha256(data).hexdigest() == self.PRESET_RESULTS_SHA256[mode]
+
     def test_fixed_block_violations_fail_at_load(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_sweep", _must_not_run)
         path = write_small_sweep(tmp_path)
@@ -913,6 +958,50 @@ class TestInputErrorMessages:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: --seed: must fit in 64 unsigned bits\n"
         assert os.listdir(tmp_path) == []
+
+
+class TestWriteText:
+    """Outputs are written in place: an existing file is written over and
+    then cut to the new text's length, which must leave what a fresh write
+    leaves."""
+
+    def test_shorter_text_over_a_longer_file_leaves_only_the_new_text(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("x" * 7000, encoding="utf-8")
+        cli._write_text(str(path), "a,b\r\n1,é\r\n", "-o/--out")
+        assert path.read_bytes() == "a,b\r\n1,é\r\n".encode("utf-8")
+        cli._write_text(str(path), "y" * 9000, "-o/--out")
+        assert path.read_text(encoding="utf-8") == "y" * 9000
+
+    def test_new_file_gets_the_mode_a_plain_open_gives(self, tmp_path):
+        with open(tmp_path / "plain", "w", encoding="utf-8"):
+            pass
+        cli._write_text(str(tmp_path / "new"), "text", "-o/--out")
+        assert (tmp_path / "new").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_symlink_is_written_through_and_modes_are_kept(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("z" * 5000, encoding="utf-8")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        cli._write_text(str(link), "{}\n", "-o/--out")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text(encoding="utf-8") == "{}\n"
+        assert target.stat().st_mode & 0o777 == 0o640
+
+    def test_non_regular_targets_are_written_without_a_cut(self):
+        cli._write_text(os.devnull, "text\n", "-o/--out")
+        read, write = os.pipe()
+        try:
+            cli._write_text(f"/dev/fd/{write}", "through a pipe\n", "--trace")
+            assert os.read(read, 100) == b"through a pipe\n"
+        finally:
+            os.close(read)
+            os.close(write)
+
+    def test_directory_is_reported_against_its_flag(self, tmp_path):
+        with pytest.raises(UnwritableOutput, match=r"^--trace: cannot write .*: Is a directory$"):
+            cli._write_text(str(tmp_path), "text", "--trace")
 
 
 class TestJsonGuard:

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,30 @@ class TestValidation:
         s = sample_scenario(grid, cell, seed=123)  # validates internally
         assert s.n == 10
         assert np.all(game.z_weights(s) < 0)
+
+    def test_overflowing_generation_cost_names_each_organization(self):
+        # eta * (d_loc + d_max) passes the float64 range, so pricing a
+        # profile at d_max would give a cost of inf; at 5e304 the cost at
+        # d_min (eta * d_loc) is still finite for every organization.
+        from importlib import resources
+
+        shipped = resources.files("cocogen").joinpath("data/scenario_example.json")
+        payload = json.loads(shipped.read_text(encoding="utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eta in (1e306, 5e304):
+                for org in payload["organizations"]:
+                    org["eta"] = eta
+                with pytest.raises(ScenarioValidationError) as exc:
+                    scenario_from_dict(payload)
+                assert [(v.field, v.detail) for v in exc.value.violations] == [
+                    (f"organizations[{n}]", "generation cost at bounds.d_max overflows")
+                    for n in range(len(payload["organizations"]))
+                ]
+            for org in payload["organizations"]:
+                org["eta"] = 1e300  # a large cost that stays finite
+            s = scenario_from_dict(payload)
+        assert np.isfinite(eco.evaluate_profile(s, np.full(s.n, float(s.bounds.d_max))).cost).all()
 
     def test_validation_is_idempotent(self):
         s = build_scenario(n=3)
@@ -286,7 +311,8 @@ COLUMNS = ("d_loc", "f", "kappa", "eta", "mu", "c_cmp", "psi", "alpha", "beta", 
 
 def _cached_arrays(s):
     return [
-        game.z_weights(s), game._linear_coeffs(s), eco._floor_errors(s), eco._f_squared(s)
+        game.z_weights(s), game._linear_coeffs(s), eco._floor_errors(s), eco._f_squared(s),
+        eco._marginal_costs(s),
     ]
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +114,98 @@ class TestSampling:
                "f": s.f, "gamma": s.market.gamma}
         for name, want in expected.items():
             assert np.array_equal(got[name], want), name
+
+    @pytest.mark.parametrize("where", ["alone", "between_other_draws", "second_thread"])
+    @pytest.mark.parametrize("seed", [0, 4242, 2**64 - 1])
+    def test_every_family_draw_is_a_fresh_family_stream(self, seed, where):
+        # The sampler and the RaDG draws reuse one generator per thread,
+        # re-keyed per family; each family's draws must still be the first
+        # draws of a fresh stream for (seed, family), whatever ran before.
+        from cocogen import baselines
+
+        grid, cell, n = default_sweep_grid(), mid_cell(), default_sweep_grid().n_orgs
+
+        def drawn():
+            if where != "alone":
+                other = sample_scenario(grid, cell, seed ^ 1)
+                baselines.radg_profiles(other, seed ^ 2, 3)
+            s = sample_scenario(grid, cell, seed)
+            if where != "alone":
+                baselines.radg_profiles(s, seed ^ 3, 1)  # leaves a part-used buffer
+            return s, baselines.radg_profiles(s, seed, 7)
+
+        if where == "second_thread":
+            out = []
+            worker = threading.Thread(target=lambda: out.append(drawn()))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive() and len(out) == 1
+            s, radg = out[0]
+        else:
+            s, radg = drawn()
+        gamma = family_stream(seed, FAMILY.GAMMA).uniform(cell.gamma.lo, cell.gamma.hi, (n, n))
+        np.fill_diagonal(gamma, 0.0)
+        bounds = (s.bounds.d_min, s.bounds.d_max)
+        expected = {
+            "kappa": family_stream(seed, FAMILY.KAPPA).uniform(2e-18, 5e-18, size=n),
+            "d_loc": family_stream(seed, FAMILY.D_LOC).integers(1000, 3000, n, endpoint=True),
+            "phi": family_stream(seed, FAMILY.PHI).uniform(2e2, 3e2, size=n),
+            "psi": family_stream(seed, FAMILY.PSI).uniform(6e2, 9e2, size=n),
+            "f": family_stream(seed, FAMILY.FREQ).uniform(1.0, 2.0, size=n),
+            "gamma": gamma,
+            "radg": family_stream(seed, FAMILY.RADG).integers(*bounds, (7, n), endpoint=True),
+        }
+        got = {"kappa": s.kappa, "d_loc": s.d_loc, "phi": s.market.phi, "psi": s.psi,
+               "f": s.f, "gamma": s.market.gamma, "radg": radg}
+        assert got.keys() == expected.keys()
+        for name, want in expected.items():
+            assert np.array_equal(got[name], want), name
+
+    def test_threads_sampling_at_once_draw_their_own_streams(self):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a generator shared between threads would mix their draws.
+        from cocogen import baselines
+
+        grid, cell = default_sweep_grid(), mid_cell()
+
+        def draws(seed):
+            s = sample_scenario(grid, cell, seed)
+            return s.kappa.tobytes() + s.market.gamma.tobytes() + baselines.radg_profiles(
+                s, seed, 5).tobytes()
+
+        seeds = {t: range(40 * t, 40 * t + 40) for t in range(4)}
+        want = {t: [draws(seed) for seed in seeds[t]] for t in seeds}
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=lambda t=t: got.__setitem__(
+                t, [draws(seed) for seed in seeds[t]])) for t in seeds]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == want
+
+    def test_cell_constant_columns_are_shared_and_refuse_writes(self):
+        grid, cell = default_sweep_grid(), mid_cell()
+        a, b = sample_scenario(grid, cell, 1), sample_scenario(grid, cell, 2)
+        for name in ("eta", "mu", "c_cmp", "alpha", "beta", "delta"):
+            assert getattr(a, name) is getattr(b, name), name
+        for name in ORG_COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(a, name)[0] = 1.0
+        for name in ("d_loc", "f", "kappa", "psi"):
+            assert getattr(a, name) is not getattr(b, name), name
+        for array in (a.market.gamma, a.market.phi):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        law = heterogeneity_presets()[0.9]
+        other = sample_scenario(grid, SweepCell(cell.gamma, 0.9, law), 1)
+        assert other.alpha is not a.alpha and other.alpha[0] == law.alpha
 
     def test_every_sample_validates(self):
         grid = default_sweep_grid()

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -241,7 +242,7 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan}, {"max_iters": 0}],
+        [{"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan}, {"tol": math.inf}, {"max_iters": 0}],
     )
     def test_rejects_unusable_settings(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -442,6 +443,43 @@ class TestLazyPricing:
         cert = solver.verify_ne(s, rep.profile)
         certified = replace(rep, ne_certificate=cert).to_dict()
         assert certified == {**out, "ne_certificate": cert.to_dict()}
+
+    # sha256 of the potential traces, as float.hex lines, of both games of
+    # the first 90 preset jobs and of the shipped example, as priced at every
+    # bracket step before the trace was computed on first read.
+    TRACES_SHA256 = "c8db95b55e06e74982be10884562c775f67fb1a06decbc14f159a512872d0052"
+
+    def test_trace_equals_the_values_priced_at_each_step(self):
+        from importlib import resources
+
+        from cocogen import baselines
+        from cocogen.model import load_scenario
+
+        grid = default_sweep_grid()
+        reports = []
+        for job in expand_sweep(grid)[:90]:
+            s = sample_scenario(grid, job.cell, job.seed)
+            lin = np.vstack([game._linear_coeffs(s), baselines.wco_linear_coeffs(s)])
+            reports += solver.solve_games(s, lin)
+        shipped = resources.files("cocogen").joinpath("data/scenario_example.json")
+        reports.append(solver.fpi_solve(load_scenario(shipped)))
+        lines = [" ".join(float(x).hex() for x in rep.potential_trace) for rep in reports]
+        assert all(len(rep.potential_trace) == rep.iterations for rep in reports)
+        text = "\n".join(lines) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.TRACES_SHA256
+
+    def test_trace_is_priced_once_on_first_read(self, monkeypatch):
+        calls = []
+        real = game.potential_from_errors
+        monkeypatch.setattr(game, "potential_from_errors", lambda *a: calls.append(1) or real(*a))
+        s = table1_scenario(seed=44)
+        rep = solver.fpi_solve(s, SolverConfig(tol=1e-14))
+        solved = len(calls)  # the descent's pricing alone
+        copy = replace(rep, ne_certificate=None)
+        trace = rep.potential_trace
+        assert len(calls) - solved == rep.iterations == len(trace) > 3
+        assert rep.potential_trace is trace and len(calls) - solved == rep.iterations
+        assert copy.potential_trace == trace  # a copy computes the same values
 
     def test_reports_differing_only_in_scenario_compare_equal(self):
         s = table1_scenario(seed=42)
