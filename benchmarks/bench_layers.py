@@ -9,6 +9,12 @@ CoCoGen, VCFL and WCO profiles and the RaDG draws).
 ``economics.evaluate_profiles.job`` prices that job's 103-row matrix (the
 CoCoGen, VCFL and WCO profiles, then its 100 RaDG draws) in one call, as
 ``cli.scheme_rows`` does.
+``cli.scheme_rows.fresh``, ``solver.solve_games.two_games.fresh`` (both
+games' coefficients built, then solved) and
+``economics.evaluate_profiles.job.fresh`` time the same work on a newly
+sampled copy of that scenario per call, whose cache holds only what
+validation builds, as inside a sweep job; they add the per-scenario cache
+builds that the warm layers leave out. The sampling is not timed.
 ``baselines.wco_scenario`` builds and checks the zero-competition clone of
 that (validated) scenario. ``solver.verify_ne`` certifies that scenario's
 CoCoGen profile against every unilateral move on each organization's
@@ -95,6 +101,19 @@ from importlib import resources
 
 def _per_call_us(fn, number: int, repeat: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
+
+
+def _fresh_us(fn, fresh, number: int, repeat: int) -> float:
+    """Time of ``fn(x)`` per call, each call on a new ``x = fresh()`` made
+    before the timed run, as the minimum over ``repeat`` runs of ``number``."""
+    best = float("inf")
+    for _ in range(repeat):
+        xs = [fresh() for _ in range(number)]
+        t0 = time.perf_counter()
+        for x in xs:
+            fn(x)
+        best = min(best, time.perf_counter() - t0)
+    return best / number * 1e6
 
 
 def _sweep_command(cli, path: str, out: str, jobs: int):
@@ -217,6 +236,10 @@ def measure(repeat: int) -> dict:
     ])
     example = str(resources.files("cocogen").joinpath("data/scenario_example.json"))
     preset = str(resources.files("cocogen").joinpath("data/sweep_default.json"))
+
+    def fresh():
+        return sample_scenario(grid, job.cell, job.seed)
+
     layers = {
         "model.load_scenario.example": _per_call_us(lambda: load_scenario(example), 200, repeat),
         "scenario.load_sweep.preset": _per_call_us(lambda: load_sweep(preset), 200, repeat),
@@ -246,6 +269,18 @@ def measure(repeat: int) -> dict:
         ),
         "solver.verify_ne.not_ne": _per_call_us(
             lambda: solver.verify_ne(cheap, floor), 100, repeat
+        ),
+        "cli.scheme_rows.fresh": _fresh_us(
+            lambda x: cli.scheme_rows(x, cfg, job.seed, grid.radg_repetitions), fresh, 100, repeat
+        ),
+        "solver.solve_games.two_games.fresh": _fresh_us(
+            lambda x: solver.solve_games(
+                x, np.vstack([game._linear_coeffs(x), baselines.wco_linear_coeffs(x)]), cfg
+            ),
+            fresh, 100, repeat,
+        ),
+        "economics.evaluate_profiles.job.fresh": _fresh_us(
+            lambda x: economics.evaluate_profiles(x, job_profiles), fresh, 100, repeat
         ),
         "model.validate_scenario.fresh_copy": _per_call_us(
             lambda: validate_scenario(replace(wco)), 500, repeat

@@ -21,6 +21,7 @@ under antisymmetric ones); :func:`evaluate_profile` is its one-row case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,11 +98,17 @@ def global_error(s: Scenario, profile: ProfileLike) -> float:
     return float(_aggregate(s, local_errors(s, profile)))
 
 
+def _floor_error(s: Scenario) -> np.ndarray:
+    """Global error of the all-``d_min`` profile, the largest in the box,
+    built once per scenario (a 0-d array)."""
+    return s.cached("floor_error", lambda: _aggregate(s, _floor_errors(s)))
+
+
 def epsilon_zero(s: Scenario) -> float:
     """Pre-training global error, per the configured mode."""
     if s.economy.eps0_mode is Eps0Mode.FIXED:
         return float(s.economy.eps0_value)
-    return float(_aggregate(s, _floor_errors(s)))
+    return float(_floor_error(s))
 
 
 def _f_squared(s: Scenario) -> np.ndarray:
@@ -126,7 +133,7 @@ class ProfileMatrixEvaluation:
     """Economic read-out of an (m, N) profile matrix; row k is profile k.
 
     Per-organization terms are (m, N) arrays; ``welfare``, ``bb_sum`` and
-    ``bb_balanced`` are (m,).
+    ``bb_balanced`` are (m,). ``bb_balanced`` is computed when first read.
     """
 
     counterfactual: np.ndarray
@@ -140,7 +147,12 @@ class ProfileMatrixEvaluation:
     welfare: np.ndarray
     ir: np.ndarray
     bb_sum: np.ndarray
-    bb_balanced: np.ndarray
+
+    @cached_property
+    def bb_balanced(self) -> np.ndarray:
+        """Whether each row's transfers sum to zero, relative to their size."""
+        scale = 1.0 + _column_sums(np.abs(self.payoff_in))
+        return np.abs(self.bb_sum) <= BB_RELATIVE_TOLERANCE * scale
 
 
 def _contribution_factors(s: Scenario, eps: np.ndarray) -> np.ndarray:
@@ -215,8 +227,6 @@ def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluat
     cost = _costs(s, d)
     c0 = s.economy.c0
     utility = revenue + payoff_in - cost - c0 - loss
-    bb_sum = _column_sums(payoff_in)
-    scale = 1.0 + _column_sums(np.abs(payoff_in))
     return ProfileMatrixEvaluation(
         counterfactual=err - marginal,
         marginal=marginal,
@@ -228,8 +238,7 @@ def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluat
         utility=utility,
         welfare=_column_sums(utility),
         ir=utility >= -IR_TOLERANCE,
-        bb_sum=bb_sum,
-        bb_balanced=np.abs(bb_sum) <= BB_RELATIVE_TOLERANCE * scale,
+        bb_sum=_column_sums(payoff_in),
     )
 
 

@@ -63,9 +63,10 @@ def z_weights(s: Scenario) -> np.ndarray:
     """Every organization's weight (read-only); raises for the first that is
     not negative."""
     z = _raw_z_weights(s)
-    bad = np.flatnonzero(z >= 0)
-    if bad.size:
-        raise NonNegativeZWeight(int(bad[0]), float(z[bad[0]]))
+    bad = z >= 0
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise NonNegativeZWeight(n, float(z[n]))
     return z
 
 

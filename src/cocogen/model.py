@@ -350,7 +350,21 @@ def _org_violations(s: Scenario) -> list[CocogenError]:
 def _weight_violations(z: np.ndarray) -> list[CocogenError]:
     """One violation per organization whose game weight in ``z`` is not
     negative."""
-    return [NonNegativeZWeight(int(n), float(z[n])) for n in np.flatnonzero(z >= 0)]
+    bad = z >= 0
+    if not bad.any():
+        return []
+    return [NonNegativeZWeight(int(n), float(z[n])) for n in np.flatnonzero(bad)]
+
+
+def _revenue_bound(psi: list[float], span: float) -> float:
+    """A bound on every partial sum of the revenues ``psi_n (eps0 - err)``,
+    where ``span`` is at least ``eps0`` and every global error ``err`` (all
+    positive): each revenue's size is at most ``psi_n span``, and welfare
+    adds them one organization at a time, as this sum does."""
+    total = 0.0
+    for weight in psi:
+        total += weight * span
+    return total
 
 
 def _accept(s: Scenario, violations: list[CocogenError]) -> Scenario:
@@ -394,25 +408,34 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     if not violations:
         # Only meaningful once the market shape checks passed.
-        from .economics import _aggregate, _costs, _floor_errors
+        from .economics import _costs, _floor_error, epsilon_zero
         from .game import _raw_z_weights
 
         violations.extend(_weight_violations(_raw_z_weights(s)))
         # The all-d_min profile has the largest global and counterfactual
         # errors in the box, and the all-d_max profile the largest costs.
         with np.errstate(over="ignore"):
-            worst = float(_aggregate(s, _floor_errors(s)))
+            worst = float(_floor_error(s))
             ceiling = _costs(s, float(s.bounds.d_max))
-        violations.extend(
-            InvariantViolation(f"organizations[{n}]", "generation cost at bounds.d_max overflows")
-            for n in np.flatnonzero(~np.isfinite(ceiling))
-        )
+        finite = np.isfinite(ceiling)
+        if not finite.all():
+            violations.extend(
+                InvariantViolation(f"organizations[{n}]", "generation cost at bounds.d_max overflows")
+                for n in np.flatnonzero(~finite)
+            )
         if not math.isfinite(worst):
             violations.append(
                 InvariantViolation(
                     "economy.varrho",
                     "too small for these error laws: the global error at the "
                     "all-d_min profile overflows",
+                )
+            )
+        elif not math.isfinite(_revenue_bound(s.psi.tolist(), max(worst, epsilon_zero(s)))):
+            violations.append(
+                InvariantViolation(
+                    "organizations[*].psi",
+                    "too large for these error laws: the sum of the revenues can overflow",
                 )
             )
     return _accept(s, violations)

@@ -117,14 +117,21 @@ _thread = threading.local()
 def _stream(seed: int, family: int) -> np.random.Generator:
     """This thread's one generator, made on first use, in a new
     ``family_stream(seed, family)``'s state, without the unused OS entropy
-    that a new ``Philox`` draws; take its draws before the thread's next call."""
+    that a new ``Philox`` draws; take its draws before the thread's next call.
+
+    Each thread keeps one template of that state and rewrites only its key:
+    Philox's state setter copies the arrays, so the generator's draws never
+    reach the template, whose counter and buffer stay zero."""
     if not hasattr(_thread, "generator"):
         _thread.generator = np.random.Generator(np.random.Philox())
-    key = np.array([seed & MASK64, family & MASK64], dtype=np.uint64)
-    _thread.generator.bit_generator.state = {
-        "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
-        "state": {"counter": np.zeros(4, np.uint64), "key": key},
-        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _thread.key = np.zeros(2, np.uint64)
+        _thread.state = {
+            "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
+            "state": {"counter": np.zeros(4, np.uint64), "key": _thread.key},
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    _thread.key[0] = seed & MASK64
+    _thread.key[1] = family & MASK64
+    _thread.generator.bit_generator.state = _thread.state
     return _thread.generator
 
 

@@ -66,15 +66,20 @@ class SolverConfig:
 class SolveReport:
     """An equilibrium and how it was found; priced on the scenario it was
     solved on when ``evaluation`` or ``welfare`` is first read, and its
-    potential trace computed by ``trace()`` when first read."""
+    case labels and potential trace computed by ``labels()`` and
+    ``trace()`` when first read."""
 
     profile: StrategyProfile
-    cases: tuple[str, ...]
+    labels: Callable[[], tuple[str, ...]] = field(compare=False, repr=False)
     iterations: int
     trace: Callable[[], tuple[float, ...]] = field(compare=False, repr=False)
     converged: bool
     scenario: Scenario = field(compare=False, repr=False)
     ne_certificate: "NeCertificate | None" = None
+
+    @cached_property
+    def cases(self) -> tuple[str, ...]:
+        return self.labels()
 
     @cached_property
     def potential_trace(self) -> tuple[float, ...]:
@@ -142,17 +147,15 @@ def _stationary_points(s: Scenario, factor: np.ndarray, a1: list[float]) -> np.n
         return (factor / growth) ** exponent - s.d_loc
 
 
-def _labels(s: Scenario, factor: np.ndarray, a1: list[float]) -> list[tuple[str, ...]]:
-    """Every organization's case label in each of J games at its mean local
-    error ``a1[j]``: where its stationary point lies against the box. F is
-    convex along each coordinate, so a point below (above) the box is the
-    potential's gradient being positive (negative) at that bound."""
+def _labels(s: Scenario, factor: np.ndarray, a1: float) -> tuple[str, ...]:
+    """Every organization's case label in one game, whose row of the
+    stationary factor is ``factor``, at mean local error ``a1``: where its
+    stationary point lies against the box. F is convex along each
+    coordinate, so a point below (above) the box is the potential's gradient
+    being positive (negative) at that bound."""
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    return [
-        tuple(CaseLabel.LOWER_BOUND if x < lo else CaseLabel.UPPER_BOUND if x > hi
-              else CaseLabel.INTERIOR for x in row)
-        for row in _stationary_points(s, factor, a1).tolist()
-    ]
+    return tuple(CaseLabel.LOWER_BOUND if x < lo else CaseLabel.UPPER_BOUND if x > hi
+                 else CaseLabel.INTERIOR for x in _stationary_points(s, factor, [a1]).tolist())
 
 
 def _relaxed(s: Scenario, factor: np.ndarray, t: list[float]):
@@ -269,16 +272,16 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
     game's bracket to width ``tol`` in at most ``max_iters`` steps (else its
     report says not converged); the trace holds F at each step's profile,
     priced when first read.
-    The case labels come from the last evaluated point, whose profile is
-    rounded half up and then descended by ±1 moves. F is convex along every
-    coordinate, so no organization gains from any unilateral lattice
-    deviation after.
+    The case labels come from the last evaluated point, computed when first
+    read, whose profile is rounded half up and then descended by ±1 moves.
+    F is convex along every coordinate, so no organization gains from any
+    unilateral lattice deviation after.
 
     Every game keeps its own bracket, but each step prices every unfinished
-    game in one call, one descent moves every game, and the labels come
-    from one expression. Each report equals the one of solving its game
-    alone, field for field: every numpy step prices a row as it prices that
-    row alone. The reports are priced on ``s`` when read.
+    game in one call and one descent moves every game. Each report equals
+    the one of solving its game alone, field for field: every numpy step
+    prices a row as it prices that row alone. The reports are priced on
+    ``s`` when read.
     """
     validate_scenario(s)
     cfg = cfg or SolverConfig()
@@ -309,17 +312,16 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
             r.update(ts[i], ts[i] - mean[i])
 
     profiles = _descend(s, np.floor(np.array([r.point[0] for r in brackets]) + 0.5), lin)
-    cases = _labels(s, factor, [r.point[1] for r in brackets])
     return [
         SolveReport(
             profile=StrategyProfile(profile),
-            cases=labels,
+            labels=partial(_labels, s, factor_row, r.point[1]),
             iterations=len(r.steps),
             trace=partial(_potential_trace, s, r.steps, row),
             converged=r.b - r.a <= cfg.tol,
             scenario=s,
         )
-        for profile, labels, r, row in zip(profiles, cases, brackets, lin)
+        for profile, r, row, factor_row in zip(profiles, brackets, lin, factor)
     ]
 
 

@@ -627,9 +627,10 @@ def reference_fpi_solve(s, cfg=None, damping=0.5, init="all_min"):
             break
         f_prev = f_k
 
+    cases = tuple(_ref_case_label(s, d, n) for n in range(s.n))
     return solver.SolveReport(
         profile=StrategyProfile(_ref_restore_integers(s, d)),
-        cases=tuple(_ref_case_label(s, d, n) for n in range(s.n)),
+        labels=lambda: cases,
         iterations=iterations,
         trace=lambda: tuple(trace),
         converged=converged,

@@ -199,25 +199,27 @@ class TestFitCommand:
 
 
 class TestSolveCommand:
-    @pytest.mark.parametrize("out", ["file", "stdout"])
-    def test_non_finite_report_is_refused_before_any_file(self, tmp_path, capsys, out):
-        # Revenue weights of 1.7e308 under varrho 1 price a welfare beyond
-        # the float64 range: the report has no JSON form, so neither it nor
-        # the trace is written.
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_overflowing_welfare_sum_is_named_before_any_file(self, tmp_path, capsys, command):
+        # Revenue weights of 1.7e308 under varrho 1 keep every revenue
+        # finite, but their sum, and so the welfare, passes the float64 range.
         path = tmp_path / "scenario.json"
         payload = scenario_to_dict(example_scenario())
         for org in payload["organizations"]:
             org["psi"] = 1.7e308
         payload["economy"]["varrho"] = 1.0
         path.write_text(json.dumps(payload), encoding="utf-8")
-        files = ["-o", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
-        with np.errstate(over="ignore"):
-            code = cli.main(["solve", str(path), *(files if out == "file" else [])])
+        files = ["-o", str(tmp_path / "out")]
+        if command == "solve":
+            files += ["--trace", str(tmp_path / "trace.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, str(path), *files])
         assert code == 2
         captured = capsys.readouterr()
-        flag = "-o/--out" if out == "file" else "stdout"
         assert captured.err == (
-            f"error: UnwritableOutput: {flag}: cannot write a non-finite number as JSON\n"
+            "error: invalid scenario: 1 violation(s): organizations[*].psi: too large for "
+            "these error laws: the sum of the revenues can overflow\n"
         )
         assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
 
@@ -1021,6 +1023,21 @@ class TestJsonGuard:
         err = capsys.readouterr().err
         assert "error: UnwritableOutput: -o/--out-dir: cannot write a non-finite number" in err
         assert os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize("out", ["file", "stdout"])
+    def test_solve_writes_no_file(self, tmp_path, capsys, monkeypatch, out):
+        # Neither the report nor the trace is written, and nothing reaches
+        # stdout.
+        self._non_finite_manifest(monkeypatch)
+        path = write_scenario(tmp_path, example_scenario())
+        files = ["-o", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
+        assert cli.main(["solve", path, *(files if out == "file" else [])]) == 2
+        captured = capsys.readouterr()
+        flag = "-o/--out" if out == "file" else "stdout"
+        assert captured.err == (
+            f"error: UnwritableOutput: {flag}: cannot write a non-finite number as JSON\n"
+        )
+        assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
 
     def test_compare_writes_no_file(self, tmp_path, capsys, monkeypatch):
         self._non_finite_manifest(monkeypatch)

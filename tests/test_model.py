@@ -124,6 +124,31 @@ class TestValidation:
             s = scenario_from_dict(payload)
         assert np.isfinite(eco.evaluate_profile(s, np.full(s.n, float(s.bounds.d_max))).cost).all()
 
+    def test_revenue_weights_whose_sum_can_overflow_are_named(self):
+        # Each revenue psi_n (eps0 - err) is at most psi_n max(eps0, err at
+        # all-d_min) in size. The shipped example fixes eps0 at 1, above its
+        # all-d_min global error of about 0.963: ten weights of 1.8e307 can
+        # sum past the float64 range there, but not with eps0 at that error.
+        from importlib import resources
+
+        shipped = resources.files("cocogen").joinpath("data/scenario_example.json")
+        payload = json.loads(shipped.read_text(encoding="utf-8"))
+        for org in payload["organizations"]:
+            org["psi"] = 1.8e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioValidationError) as exc:
+                scenario_from_dict(payload)
+            assert [(v.field, v.detail) for v in exc.value.violations] == [(
+                "organizations[*].psi",
+                "too large for these error laws: the sum of the revenues can overflow",
+            )]
+            payload["economy"]["eps0_mode"] = "at_zero_generation"
+            s = scenario_from_dict(payload)
+            lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+            ev = eco.evaluate_profiles(s, np.array([np.full(s.n, lo), np.full(s.n, hi)]))
+        assert np.isfinite(ev.welfare).all()
+
     def test_validation_is_idempotent(self):
         s = build_scenario(n=3)
         assert validate_scenario(validate_scenario(s)) is s

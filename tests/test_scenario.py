@@ -115,18 +115,25 @@ class TestSampling:
         for name, want in expected.items():
             assert np.array_equal(got[name], want), name
 
-    @pytest.mark.parametrize("where", ["alone", "between_other_draws", "second_thread"])
+    @pytest.mark.parametrize(
+        "where", ["alone", "between_other_draws", "second_thread", "after_a_long_draw"]
+    )
     @pytest.mark.parametrize("seed", [0, 4242, 2**64 - 1])
     def test_every_family_draw_is_a_fresh_family_stream(self, seed, where):
         # The sampler and the RaDG draws reuse one generator per thread,
         # re-keyed per family; each family's draws must still be the first
         # draws of a fresh stream for (seed, family), whatever ran before.
+        # After a long draw this holds only if the thread's state template
+        # keeps its zero counter and buffer.
         from cocogen import baselines
 
         grid, cell, n = default_sweep_grid(), mid_cell(), default_sweep_grid().n_orgs
 
         def drawn():
-            if where != "alone":
+            if where == "after_a_long_draw":
+                long = baselines.radg_profiles(sample_scenario(grid, cell, seed ^ 1), seed ^ 2, 1000)
+                assert long.size == 10_000
+            elif where != "alone":
                 other = sample_scenario(grid, cell, seed ^ 1)
                 baselines.radg_profiles(other, seed ^ 2, 3)
             s = sample_scenario(grid, cell, seed)

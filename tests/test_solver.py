@@ -56,7 +56,7 @@ def _points(s, a1, factor=None):
 
 
 def _case_labels(s, a1, factor=None):
-    return solver._labels(s, (_factor(s) if factor is None else factor)[None], [a1])[0]
+    return solver._labels(s, _factor(s) if factor is None else factor, a1)
 
 
 class TestStationarityConstants:
@@ -480,6 +480,86 @@ class TestLazyPricing:
         assert len(calls) - solved == rep.iterations == len(trace) > 3
         assert rep.potential_trace is trace and len(calls) - solved == rep.iterations
         assert copy.potential_trace == trace  # a copy computes the same values
+
+    # sha256 of the case labels and of the budget-balance verdicts of both
+    # games of the first 90 preset jobs (with each job's priced matrix:
+    # CoCoGen, VCFL, WCO and the RaDG draws) and of the shipped example and
+    # its symmetric-gamma copy (with 100 RaDG draws), under both payoff
+    # modes, as computed before either was deferred to its first read.
+    LAZY_SHA256 = ("534591d0f9fa2da7efff44faccb3c76a7652917c50e2bb9331b8b1d416dad1d9",
+                   "5cfdfebabefd3fc4b90fd4c6e8a59f68b87e0941d8dab926a792a205912342ce")
+
+    def test_labels_and_verdicts_equal_the_eager_ones(self):
+        from cocogen import baselines
+
+        grid = default_sweep_grid()
+        cases, balanced = hashlib.sha256(), hashlib.sha256()
+
+        def add(reports, evaluations):
+            for rep in reports:
+                cases.update(" ".join(rep.cases).encode() + b"\n")
+            for ev in [rep.evaluation for rep in reports] + evaluations:
+                balanced.update(ev.bb_balanced.tobytes())
+
+        example = scenario_from_dict(_shipped_example())
+        gamma = example.market.gamma
+        symmetric = replace(example, market=Market(
+            gamma=(gamma + gamma.T) / 2, xi=example.market.xi, phi=example.market.phi))
+        for mode in PayoffMode:
+            for job in expand_sweep(grid)[:90]:
+                s = with_payoff_mode(sample_scenario(grid, job.cell, job.seed), mode)
+                lin = np.vstack([game._linear_coeffs(s), baselines.wco_linear_coeffs(s)])
+                reports = solver.solve_games(s, lin)
+                profiles = np.vstack([reports[0].profile.d_gen, baselines.vcfl_profile(s).d_gen,
+                                      reports[1].profile.d_gen,
+                                      baselines.radg_profiles(s, job.seed, grid.radg_repetitions)])
+                add(reports, [eco.evaluate_profiles(s, profiles)])
+            for base in (example, symmetric):
+                s = with_payoff_mode(base, mode)
+                add([solver.fpi_solve(s)], [eco.evaluate_profiles(s, baselines.radg_profiles(s, s.seed, 100))])
+        assert (cases.hexdigest(), balanced.hexdigest()) == self.LAZY_SHA256
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def test_labels_are_computed_once_on_first_read(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, solver, "_labels")
+        s = table1_scenario(seed=45)
+        reports = solver.solve_games(s, np.vstack([game._linear_coeffs(s)] * 2))
+        assert calls == [] and all("cases" not in rep.__dict__ for rep in reports)
+        cases = reports[1].cases
+        assert len(calls) == 1 and "cases" not in reports[0].__dict__
+        assert reports[1].cases is cases and len(calls) == 1
+        assert reports[0].cases == cases and len(calls) == 2
+
+    def test_verdict_is_computed_once_on_first_read(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, eco, "_column_sums")
+        s = table1_scenario(seed=46)
+        ev = eco.evaluate_profiles(s, np.vstack([random_profile(s, k) for k in range(4)]))
+        priced = len(calls)  # welfare and bb_sum
+        assert "bb_balanced" not in ev.__dict__
+        verdict = ev.bb_balanced
+        assert len(calls) == priced + 1 and verdict.shape == (4,)
+        assert ev.bb_balanced is verdict and len(calls) == priced + 1
+
+    def test_a_sweep_job_computes_neither(self, monkeypatch):
+        from cocogen import cli
+
+        labels = self._count_calls(monkeypatch, solver, "_labels")
+        evaluations = []
+        real = eco.evaluate_profiles
+        monkeypatch.setattr(eco, "evaluate_profiles",
+                            lambda *a: evaluations.append(real(*a)) or evaluations[-1])
+        grid = default_sweep_grid()
+        for job in expand_sweep(grid)[:3]:
+            rows = cli.run_sweep_job(grid, job, SolverConfig())
+            assert [r["status"] for r in rows] == ["ok"] * 4
+        assert labels == [] and len(evaluations) == 3
+        assert all("bb_balanced" not in ev.__dict__ for ev in evaluations)
 
     def test_reports_differing_only_in_scenario_compare_equal(self):
         s = table1_scenario(seed=42)
