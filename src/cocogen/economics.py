@@ -165,26 +165,20 @@ def _contribution_factors(s: Scenario, eps: np.ndarray) -> np.ndarray:
     return np.expm1((_floor_errors(s) - eps) / (s.n * s.economy.varrho))
 
 
-def _without_diagonal(rates: np.ndarray) -> np.ndarray:
-    """Zero the n == n' entries of an (N, N) array of pairwise rates, in place."""
-    np.fill_diagonal(rates, 0.0)
-    return rates
-
-
 def _pair_rates(s: Scenario) -> np.ndarray:
-    """``xi * gamma_nn'`` with the n == n' entries zeroed, built once per
-    scenario: the rate at which n is paid on a contribution gap to n'."""
-    return s.cached("pair_rates", lambda: _without_diagonal(s.market.xi * s.market.gamma))
+    """``xi * gamma_nn'``, built once per scenario: the rate at which n is
+    paid on a contribution gap to n'. Validation refuses a nonzero
+    ``gamma_nn``, so the n == n' entries are zero."""
+    return s.cached("pair_rates", lambda: s.market.xi * s.market.gamma)
 
 
 def _transfer_rates(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Per-organization transfer rates on its own contribution gap, built
     once per scenario: ``G_n = sum_{n' != n} xi gamma_nn'`` (payments in)
-    and ``Phi_n = sum_{n' != n} phi_n' gamma_nn'`` (coopetition loss)."""
+    and ``Phi_n = sum_{n' != n} phi_n' gamma_nn'`` (coopetition loss). The
+    game weights are ``G_n - Phi_n - psi_n`` (``game._raw_z_weights``)."""
     gains = s.cached("payoff_rates", lambda: _pair_rates(s).sum(axis=1))
-    losses = s.cached(
-        "loss_rates", lambda: _without_diagonal(s.market.phi * s.market.gamma).sum(axis=1)
-    )
+    losses = s.cached("loss_rates", lambda: (s.market.phi * s.market.gamma).sum(axis=1))
     return gains, losses
 
 

@@ -27,19 +27,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import economics
-from .errors import NonNegativeZWeight
-from .model import PayoffMode, ProfileLike, Scenario, as_dgen
+from .model import PayoffMode, ProfileLike, Scenario, _weight_violations, as_dgen
 
 __all__ = ["z_weights", "potential", "potential_from_errors"]
 
 
 def _raw_z_weights(s: Scenario) -> np.ndarray:
-    """Every organization's weight, signs unchecked, computed once per
-    scenario (read-only)."""
+    """Every organization's weight ``z_n = G_n - Phi_n - psi_n`` from the
+    transfer rates (``economics._transfer_rates``), signs unchecked,
+    computed once per scenario (read-only)."""
 
     def build():
-        rates = s.market.xi - s.market.phi
-        return [np.dot(row, rates) for row in s.market.gamma] - s.psi
+        gains, losses = economics._transfer_rates(s)
+        return gains - losses - s.psi
 
     return s.cached("raw_z_weights", build)
 
@@ -49,24 +49,23 @@ def _deviation_weights(s: Scenario, eps: np.ndarray) -> np.ndarray:
     unilateral moves, at a profile whose local errors are ``eps``.
 
     ``z`` under literal payoffs; under antisymmetric payoffs
-    ``z + xi * gamma @ f``, where ``1 + f_m`` is organization m's
+    ``z + (xi gamma) @ f``, where ``1 + f_m`` is organization m's
     counterfactual error over the global error, unchanged by n's move
     (``economics._contribution_factors``).
     """
     z = _raw_z_weights(s)
     if s.economy.bb_mode is not PayoffMode.ANTISYMMETRIC:
         return z
-    return z + s.market.xi * (s.market.gamma @ economics._contribution_factors(s, eps))
+    return z + economics._pair_rates(s) @ economics._contribution_factors(s, eps)
 
 
 def z_weights(s: Scenario) -> np.ndarray:
     """Every organization's weight (read-only); raises for the first that is
     not negative."""
     z = _raw_z_weights(s)
-    bad = z >= 0
-    if bad.any():
-        n = int(np.argmax(bad))
-        raise NonNegativeZWeight(n, float(z[n]))
+    violations = _weight_violations(z)
+    if violations:
+        raise violations[0]
     return z
 
 

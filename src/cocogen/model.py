@@ -227,6 +227,10 @@ class StrategyBounds:
             out.append(InvariantViolation("bounds.d_min", "must be >= 0"))
         if self.d_max < self.d_min:
             out.append(InvariantViolation("bounds.d_max", "must be >= d_min"))
+        elif self.d_max >= 2**63:
+            out.append(
+                InvariantViolation("bounds.d_max", "must be below 2**63 (RaDG draws int64 volumes)")
+            )
         return out
 
 
@@ -356,17 +360,6 @@ def _weight_violations(z: np.ndarray) -> list[CocogenError]:
     return [NonNegativeZWeight(int(n), float(z[n])) for n in np.flatnonzero(bad)]
 
 
-def _revenue_bound(psi: list[float], span: float) -> float:
-    """A bound on every partial sum of the revenues ``psi_n (eps0 - err)``,
-    where ``span`` is at least ``eps0`` and every global error ``err`` (all
-    positive): each revenue's size is at most ``psi_n span``, and welfare
-    adds them one organization at a time, as this sum does."""
-    total = 0.0
-    for weight in psi:
-        total += weight * span
-    return total
-
-
 def _accept(s: Scenario, violations: list[CocogenError]) -> Scenario:
     """Raise for the violations, if any; else mark ``s`` validated."""
     if violations:
@@ -408,15 +401,25 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     if not violations:
         # Only meaningful once the market shape checks passed.
-        from .economics import _costs, _floor_error, epsilon_zero
+        from .economics import _column_sums, _costs, _floor_error, _transfer_rates, epsilon_zero
         from .game import _raw_z_weights
 
-        violations.extend(_weight_violations(_raw_z_weights(s)))
         # The all-d_min profile has the largest global and counterfactual
         # errors in the box, and the all-d_max profile the largest costs.
-        with np.errstate(over="ignore"):
+        # Each revenue psi_n (eps0 - err) and loss Phi_n (err - counterfactual)
+        # is at most its rate times ``span`` in size, and welfare adds them
+        # one organization at a time, as ``_column_sums`` does; so these
+        # bound every partial sum of both. A non-finite Phi_n makes z_n
+        # non-finite too. Overflows, and the NaNs that inf - inf and 0 * inf
+        # give, are refused below without numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = _raw_z_weights(s)
             worst = float(_floor_error(s))
             ceiling = _costs(s, float(s.bounds.d_max))
+            span = max(worst, epsilon_zero(s))
+            rates = np.array([s.psi, _transfer_rates(s)[1]])
+            revenue_bound, loss_bound = _column_sums(rates * span)
+        violations.extend(_weight_violations(z))
         finite = np.isfinite(ceiling)
         if not finite.all():
             violations.extend(
@@ -431,13 +434,22 @@ def validate_scenario(s: Scenario) -> Scenario:
                     "all-d_min profile overflows",
                 )
             )
-        elif not math.isfinite(_revenue_bound(s.psi.tolist(), max(worst, epsilon_zero(s)))):
-            violations.append(
-                InvariantViolation(
-                    "organizations[*].psi",
-                    "too large for these error laws: the sum of the revenues can overflow",
+        else:
+            if not math.isfinite(revenue_bound):
+                violations.append(
+                    InvariantViolation(
+                        "organizations[*].psi",
+                        "too large for these error laws: the sum of the revenues can overflow",
+                    )
                 )
-            )
+            if not (np.isfinite(z).all() and math.isfinite(loss_bound)):
+                violations.append(
+                    InvariantViolation(
+                        "market.phi",
+                        "too large for these error laws: the game weights or the sum "
+                        "of the coopetition losses can overflow",
+                    )
+                )
     return _accept(s, violations)
 
 

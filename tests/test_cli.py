@@ -224,6 +224,28 @@ class TestSolveCommand:
         assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_overflowing_loss_rates_are_named_before_any_file(self, tmp_path, capsys, command):
+        # Every phi at 1.5e308 passes each entry's checks, but the loss
+        # rates sum_m phi_m gamma_nm, and so the game weights, overflow.
+        path = tmp_path / "scenario.json"
+        payload = scenario_to_dict(example_scenario())
+        payload["market"]["phi"] = [1.5e308] * len(payload["organizations"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        files = ["-o", str(tmp_path / "out")]
+        if command == "solve":
+            files += ["--trace", str(tmp_path / "trace.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, str(path), *files])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: invalid scenario: 1 violation(s): market.phi: too large for these error "
+            "laws: the game weights or the sum of the coopetition losses can overflow\n"
+        )
+        assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_overflowing_generation_cost_is_named_before_any_file(self, tmp_path, capsys, command):
         path = tmp_path / "scenario.json"
         payload = scenario_to_dict(example_scenario())

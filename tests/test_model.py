@@ -33,7 +33,9 @@ from cocogen.model import (
     validate_scenario,
     with_payoff_mode,
 )
-from cocogen.scenario import GammaLevel, SweepCell, default_sweep_grid, sample_scenario
+from cocogen.scenario import (
+    GammaLevel, SweepCell, default_sweep_grid, expand_sweep, sample_scenario,
+)
 from cocogen.scaling import heterogeneity_presets
 
 from helpers import build_scenario, random_profile, table1_scenario
@@ -148,6 +150,33 @@ class TestValidation:
             lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
             ev = eco.evaluate_profiles(s, np.array([np.full(s.n, lo), np.full(s.n, hi)]))
         assert np.isfinite(ev.welfare).all()
+
+    def test_loss_rates_whose_sum_can_overflow_are_named(self):
+        # Each loss Phi_n (err - counterfactual) is at most Phi_n max(eps0,
+        # err at all-d_min) in size, with Phi_n = sum_m phi_m gamma_nm. The
+        # shipped example's gamma sums to about 45.0: every phi at 4.07e306
+        # gives losses that can sum past the float64 range with eps0 fixed
+        # at 1, but not with eps0 at the all-d_min error of about 0.963.
+        from importlib import resources
+
+        shipped = resources.files("cocogen").joinpath("data/scenario_example.json")
+        payload = json.loads(shipped.read_text(encoding="utf-8"))
+        payload["market"]["phi"] = [4.07e306] * len(payload["organizations"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioValidationError) as exc:
+                scenario_from_dict(payload)
+            assert [(v.field, v.detail) for v in exc.value.violations] == [(
+                "market.phi",
+                "too large for these error laws: the game weights or the sum of the "
+                "coopetition losses can overflow",
+            )]
+            payload["economy"]["eps0_mode"] = "at_zero_generation"
+            s = scenario_from_dict(payload)
+            lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+            ev = eco.evaluate_profiles(s, np.array([np.full(s.n, lo), np.full(s.n, hi)]))
+        assert np.isfinite(ev.welfare).all() and np.isfinite(ev.coopetition_loss).all()
+        assert np.isfinite(game.z_weights(s)).all()
 
     def test_validation_is_idempotent(self):
         s = build_scenario(n=3)
@@ -265,15 +294,23 @@ class TestValidation:
         assert first.value.org == 0
         assert game._raw_z_weights(s)[1] == -700.0
 
-    def test_z_weights_match_the_per_organization_formula(self):
-        s = table1_scenario(seed=74)
-        z = game.z_weights(s)
-        by_row = [
-            float(np.dot(s.market.gamma[n], s.market.xi - s.market.phi) - s.psi[n])
-            for n in range(s.n)
-        ]
-        assert z.tolist() == by_row
-        assert game._linear_coeffs(s).tolist() == (-eco._marginal_costs(s) / z).tolist()
+    def test_z_weights_are_the_transfer_rates_less_psi(self):
+        # z_n = G_n - Phi_n - psi_n, from the rates that price the transfers,
+        # on every preset scenario; the per-row sum
+        # sum_m gamma_nm (xi - phi_m) - psi_n agrees up to float rounding.
+        grid = default_sweep_grid()
+        scenarios = [sample_scenario(grid, job.cell, job.seed) for job in expand_sweep(grid)]
+        assert len(scenarios) == 900
+        for s in scenarios + [table1_scenario(seed=74)]:
+            gains, losses = eco._transfer_rates(s)
+            z = game.z_weights(s)
+            assert z.tolist() == (gains - losses - s.psi).tolist()
+            by_row = np.array([
+                np.dot(s.market.gamma[n], s.market.xi - s.market.phi) - s.psi[n]
+                for n in range(s.n)
+            ])
+            assert (np.abs(z - by_row) <= 1e-15 * np.abs(by_row)).all()
+            assert game._linear_coeffs(s).tolist() == (-eco._marginal_costs(s) / z).tolist()
 
     def test_z_weight_raises_directly_for_degenerate_org(self):
         s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, validate=False)
@@ -306,6 +343,8 @@ NON_FINITE_FIELDS = [
     (("organizations", 1, "d_loc"), False, "organizations[1].d_loc"),
     (("bounds", "d_min"), 0.5, "bounds.d_min"),
     (("bounds", "d_max"), "3000", "bounds.d_max"),
+    # Beyond the int64 range of the RaDG draws.
+    (("bounds", "d_max"), 2**63, "bounds.d_max"),
 ]
 
 
@@ -350,6 +389,20 @@ class TestScenarioCache:
             assert a is b
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+    def test_pricing_reads_the_transfer_rates_validation_built(self, monkeypatch):
+        grid = default_sweep_grid()
+        job = expand_sweep(grid)[0]
+        s = sample_scenario(grid, job.cell, job.seed)
+        cache = s.__dict__["_cache"]
+        rates = (cache["payoff_rates"], cache["loss_rates"])
+        read = []
+        real = eco._transfer_rates
+        monkeypatch.setattr(eco, "_transfer_rates", lambda s: read.append(real(s)) or read[-1])
+        eco.evaluate_profiles(s, np.full((2, s.n), float(s.bounds.d_min)))
+        assert len(read) == 1
+        assert all(a is b for a, b in zip(read[0], rates, strict=True))
+        assert cache["payoff_rates"] is rates[0] and cache["loss_rates"] is rates[1]
 
     def test_copies_rebuild_their_own_caches(self, tmp_path):
         s = table1_scenario(seed=22)
