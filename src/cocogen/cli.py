@@ -493,17 +493,18 @@ def cmd_compare(args) -> int:
     if failed:
         return EXIT_FAILED
 
-    header = f"{'scheme':<8} {'welfare':>16} {'mean_d_gen':>12} {'ir_all':>7} {'bb_sum':>14} {'conv':>5}"
+    # Welfare as the CSV writes it: 24 characters hold any float's .17g.
+    header = f"{'scheme':<8} {'welfare':>24} {'mean_d_gen':>12} {'ir_all':>7} {'bb_sum':>14} {'conv':>5}"
     print(header)
     print("-" * len(header))
     for r in rows:
         print(
-            f"{r['scheme']:<8} {r['welfare']:>16.6f} {r['mean_d_gen']:>12.2f} "
+            f"{r['scheme']:<8} {_fmt(r['welfare']):>24} {r['mean_d_gen']:>12.2f} "
             f"{str(r['ir_all']).lower():>7} {r['bb_sum']:>14.6g} "
             f"{str(r['converged']).lower():>5}"
         )
     clone_welfare = replace(wco, scenario=baselines.wco_scenario(s)).welfare
-    print(f"(WCO welfare under its zero-competition clone: {clone_welfare:.6f})")
+    print(f"(WCO welfare under its zero-competition clone: {_fmt(clone_welfare)})")
     if args.out:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")
         manifest = _manifest(

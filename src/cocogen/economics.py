@@ -183,11 +183,10 @@ def _transfer_rates(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
-    """Row totals added one organization at a time, as Python's ``sum`` does."""
-    total = np.zeros(a.shape[0])
-    for n in range(a.shape[1]):
-        total = total + a[:, n]
-    return total
+    """Row totals added one organization at a time, as Python's ``sum`` does.
+    ``accumulate`` starts from the first column, not from 0.0, so adding 0.0
+    turns a row of ``-0.0`` into ``0.0``, as a start of 0.0 would."""
+    return np.add.accumulate(a, axis=1)[:, -1] + 0.0
 
 
 def evaluate_profiles(s: Scenario, profiles: np.ndarray) -> ProfileMatrixEvaluation:

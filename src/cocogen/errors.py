@@ -47,7 +47,8 @@ class ZeroTotalData(CocogenError):
 
 
 class InstanceTooLarge(CocogenError):
-    """Exhaustive grid search refused: too many organizations or grid points."""
+    """Grid oracle refused: the box its proof leaves holds more lattice
+    points than ``solver.MAX_BOX_POINTS``, where the potential is nearly flat."""
 
 
 class UnwritableOutput(CocogenError):

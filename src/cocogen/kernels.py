@@ -1,4 +1,4 @@
-"""Grid-scan kernels of the exhaustive equilibrium oracle, in numpy.
+"""Grid-scan kernels of the full scan of the potential's lattice, in numpy.
 
 Semantics contract:
 
@@ -8,8 +8,9 @@ Semantics contract:
 * The argmin is the first one in lexicographic (i, j, k) order among exact
   float ties.
 
-Each scan is one numpy expression over the rows it is given; the oracle's
-row search hands it one first-axis row per call.
+Each scan is one numpy expression over the rows it is given. The program
+does not call them; the tests' full-scan reference does, and perfbench's
+span targets resolve them in ``cocogen.solver``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Nash-equilibrium computation: the equilibrium solve (a scalar root in
-the mean local error, then rounding and ±1 descent on the potential), an
-exhaustive grid oracle, and equilibrium certification, which finds each
-organization's best unilateral lattice move from its lattice neighbours
-(or the lattice's ends) and the shape of its gain.
+the mean local error, then rounding and ±1 descent on the potential), a
+grid oracle that proves the potential's lattice minimum at any N, and
+equilibrium certification, which finds each organization's best unilateral
+lattice move from its lattice neighbours (or the lattice's ends) and the
+shape of its gain.
 
 Each report labels every organization's coordinate as bound-pinned or
 interior by where its stationary point at the root lies against the box.
@@ -12,7 +13,6 @@ descent alone.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -21,8 +21,9 @@ from typing import Callable
 import numpy as np
 
 from . import economics, game
-from .errors import InstanceTooLarge, InvariantViolation, ZeroTotalData
-from .kernels import argmin_2d, argmin_3d, build_lower_envelope
+from .errors import InstanceTooLarge, InvariantViolation
+# Not called here: perfbench's span targets resolve these names in this module.
+from .kernels import argmin_2d, argmin_3d, build_lower_envelope  # noqa: F401
 from .model import (
     ProfileLike,
     Scenario,
@@ -286,6 +287,24 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
     validate_scenario(s)
     cfg = cfg or SolverConfig()
     lin = np.array(lin, dtype=np.float64)  # a copy: the traces read it later
+    brackets, factor = _brackets(s, lin, cfg)
+    profiles = _descend(s, np.floor(np.array([r.point[0] for r in brackets]) + 0.5), lin)
+    return [
+        SolveReport(
+            profile=StrategyProfile(profile),
+            labels=partial(_labels, s, factor_row, r.point[1]),
+            iterations=len(r.steps),
+            trace=partial(_potential_trace, s, r.steps, row),
+            converged=r.b - r.a <= cfg.tol,
+            scenario=s,
+        )
+        for profile, r, row, factor_row in zip(profiles, brackets, lin, factor)
+    ]
+
+
+def _brackets(s: Scenario, lin: np.ndarray, cfg: SolverConfig):
+    """:func:`solve_games`'s root solve: each game's narrowed bracket, and
+    the (J, N) stationary factor."""
     factor = lin * s.n * s.economy.varrho / (s.alpha * s.beta)
     games = len(lin)
     a, b = _error_bracket(s)
@@ -311,18 +330,7 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
             r.steps.append((d[i], eps[i]))
             r.update(ts[i], ts[i] - mean[i])
 
-    profiles = _descend(s, np.floor(np.array([r.point[0] for r in brackets]) + 0.5), lin)
-    return [
-        SolveReport(
-            profile=StrategyProfile(profile),
-            labels=partial(_labels, s, factor_row, r.point[1]),
-            iterations=len(r.steps),
-            trace=partial(_potential_trace, s, r.steps, row),
-            converged=r.b - r.a <= cfg.tol,
-            scenario=s,
-        )
-        for profile, r, row, factor_row in zip(profiles, brackets, lin, factor)
-    ]
+    return brackets, factor
 
 
 def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
@@ -333,15 +341,38 @@ def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive grid oracle. The potential factorizes over coordinates as
-#   F(d) = exp(-1/varrho) * prod_n exp(eps_n(d_n) / (N varrho)) + sum_n w_n d_n,
-# so the innermost axis of the 3-d scan reduces exactly to a lower-envelope
-# query (see cocogen.kernels); the first axis is searched row by row under
-# chord bounds.
+# Grid oracle: F's lattice minimum, proven from a box around the relaxed
+# minimizer x that solve_games brackets. F is jointly convex (each eps_n is
+# convex, exp of their mean is convex, the rest is linear), so with
+# g = err(x) eps'(x) / (N varrho) + lin,
+#   LB = F(x) + sum_n min(g_n (d_min - x_n), g_n (d_max - x_n))
+# lies below F on the box. On a box [d_min, top] that holds x, F's Hessian
+# is at least diag(m_n), m_n = err(top) eps_n''(top_n) / (N varrho), since
+# err and eps_n'' fall with d. So F(d) >= LB + m_n (d_n - x_n)^2 / 2, and,
+# with d_near the lattice point nearest x, every lattice d with
+# F(d) <= F(d_near) has |d_n - x_n| <= r_n = sqrt(2 (F(d_near) - LB) / m_n).
+# Recomputing m_n at top = min(top, x + r) shrinks the box until its lattice
+# points stop changing, or are few; pricing each of them finds the first
+# argmin.
+#
+# Rounding. F = err + lin . d has two positive terms, and err = exp(A), with
+# A = (mean eps - 1) / varrho computed to within (N + 3) u kappa, u = 2^-53,
+# where kappa = (max_n(|eps_n(d_min)| + 2 |delta_n|) + 1) / varrho bounds
+# the magnitudes A is summed from. So a computed F or m_n is within
+# (N + 8) u (1 + kappa) of the exact one, relatively, and a computed g_n
+# within that of its two terms' magnitudes. rel = _PROOF_ULPS (N + 16) 2u
+# (1 + kappa) leaves a factor of 8 for numpy's pow and exp, a few ulps
+# each. The proof widens each step by rel: a candidate's exact F is at most
+# F(d_near) (1 + 4 rel), which covers both computed values; LB falls by
+# rel times its terms' magnitudes and m_n by rel; and r_n grows by
+# rel (r_n + d_max), which covers the roundings of the index bounds, a few
+# ulps of numbers at most d_max + r_n.
 # ---------------------------------------------------------------------------
 
-MAX_ORACLE_ORGS = 3
-MAX_POINTS_PER_AXIS = 3001
+MAX_BOX_POINTS = 1_000_000
+_PROOF_ULPS = 8
+_BLOCK_ROWS = 4096  # lattice points priced per potential_from_errors call
+_SMALL_BOX = 64  # a box of at most this many points is priced, not shrunk further
 
 
 @dataclass(frozen=True)
@@ -358,131 +389,76 @@ def _last_index(s: Scenario, step: float, name: str) -> int:
     return math.floor(last)
 
 
-def _axis_arrays(s: Scenario, values: np.ndarray, n: int):
-    eps = economics._own_errors(s, n, values)
-    g = np.exp(eps / (s.n * s.economy.varrho))
-    return g, game._linear_coeffs(s)[n] * values
+def _proof_margin(s: Scenario) -> float:
+    """``rel`` of the rounding argument above, built once per scenario."""
+
+    def build():
+        magnitude = np.max(np.abs(economics._floor_errors(s)) + 2.0 * np.abs(s.delta))
+        kappa = (magnitude + 1.0) / s.economy.varrho
+        return _PROOF_ULPS * (s.n + 16) * np.finfo(np.float64).eps * (1.0 + kappa)
+
+    return float(s.cached("proof_margin", build))
 
 
-# Margin of a row bound, relative to the magnitudes it is made of. The
-# kernels price each point with a few roundings of positive terms, and near
-# a breakpoint the 3-d kernel may price a line a few ulps above the exact
-# lower envelope, so every computed row minimum lies within about 1e-15 of
-# the exact one, relatively; 1e-12 is far above that error.
-_BOUND_MARGIN = 1e-12
-
-
-def _row_scan(s: Scenario, values: np.ndarray, bg0: np.ndarray, lin0: np.ndarray):
-    """``scan(r)``: the kernel's exact scan of first-axis row ``r`` for N =
-    2 or 3, as (F, 0, other indices), pricing every point as the full scan
-    does. ``bg0`` and ``lin0`` are the first axis's factors."""
-    g1, lin1 = _axis_arrays(s, values, 1)
-    if s.n == 2:
-        return lambda r: argmin_2d(bg0[r : r + 1], lin0[r : r + 1], g1, lin1)
-    env = build_lower_envelope(*_axis_arrays(s, values, 2))
-    return lambda r: argmin_3d(bg0[r : r + 1], lin0[r : r + 1], g1, lin1, env)
-
-
-def _chord_bounds(rows: np.ndarray, bg0: np.ndarray, lin0: np.ndarray, fa: float, fb: float):
-    """Lower bounds on the row minima of ``rows[1:-1]``, from the computed
-    minima ``fa`` and ``fb`` of the end rows; ``rows`` ascend in ``bg0``.
-
-    Row r's minimum is H(bg0[r]) + lin0[r], where H(q) is the minimum over
-    the other axes of q * g1[j] (* g2[k]) + lin1[j] (+ lin2[k]). H is a
-    minimum of lines in q, so it is concave for every scenario, and between
-    the end rows' q it lies on or above the chord through their H values.
-    """
-    q, lin = bg0[rows], lin0[rows]
-    ha, hb = fa - lin[0], fb - lin[-1]
-    if q[-1] > q[0]:
-        h = ha + (q[1:-1] - q[0]) / (q[-1] - q[0]) * (hb - ha)
-    else:
-        h = np.full(rows.size - 2, min(ha, hb))
-    bound = h + lin[1:-1] - _BOUND_MARGIN * (max(abs(fa), abs(fb)) + np.abs(lin[1:-1]))
-    return np.where(np.isnan(bound), -np.inf, bound)
-
-
-def _row_search(scan, bg0: np.ndarray, lin0: np.ndarray):
-    """(F, row, other indices) of the lexicographically first grid argmin.
-
-    Rows are taken in ascending ``bg0``. The first and last are scanned
-    exactly; then the run of unscanned rows between two scanned ones whose
-    smallest chord bound is lowest has the row at that bound scanned (kept
-    a quarter of the run from either end, so runs shrink geometrically),
-    which splits the run in two. Candidates compare by (F, row), and the
-    search stops once no run's bound is below the best F: the margin makes
-    every bound strictly less than the F its row computes, so no unscanned
-    row can then hold a smaller F, nor an equal F in an earlier row.
-    """
-    order = np.argsort(bg0, kind="stable")
-    m = order.size
-    f = np.empty(m)
-    best = (math.inf, m, ())
-    heap: list[tuple[float, int, int, int]] = []
-
-    def visit(p: int):
-        nonlocal best
-        r = int(order[p])
-        val, _, *rest = scan(r)
-        f[p] = val
-        best = min(best, (val, r, tuple(rest)))
-
-    def push(a: int, b: int):
-        if b - a >= 2:
-            bound = _chord_bounds(order[a : b + 1], bg0, lin0, f[a], f[b])
-            k = int(np.argmin(bound))
-            heapq.heappush(heap, (float(bound[k]), a, b, a + 1 + k))
-
-    visit(0)
-    if m > 1:
-        visit(m - 1)
-        push(0, m - 1)
-    while heap and heap[0][0] < best[0]:
-        _, a, b, p = heapq.heappop(heap)
-        quarter = (b - a) // 4
-        p = min(max(p, a + quarter), b - quarter)
-        visit(p)
-        push(a, p)
-        push(p, b)
-    return best
+def _proof_box(s: Scenario, step: float, last: int, x: np.ndarray):
+    """The first and last lattice index, per organization, of the box around
+    x that holds every lattice point with F at most F(d_near), and LB."""
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    lin, scale, rel = game._linear_coeffs(s), s.n * s.economy.varrho, _proof_margin(s)
+    points = np.array([x, lo + step * np.clip(np.rint((x - lo) / step), 0.0, last)])  # x, d_near
+    eps = economics._local_errors(s, points, in_box=True)
+    f_x, f_near = game.potential_from_errors(s, eps, points).tolist()
+    benefit = economics._aggregate(s, eps[0]) * economics._own_error_slopes(s, np.s_[:], x) / scale
+    g = benefit + lin
+    lb = f_x + np.minimum(g * (lo - x), g * (hi - x)).sum()
+    lb -= rel * (f_x + ((np.abs(benefit) + lin) * (hi - lo)).sum())
+    gap = 2.0 * (f_near * (1.0 + 4.0 * rel) - lb)
+    # m_n, lowered by rel, is err(top) (d_loc + top)^(-beta - 2) times this.
+    curvature = s.alpha * s.beta * (s.beta + 1.0) / scale * (1.0 - rel)
+    top, first, final = np.full(s.n, hi), np.zeros(s.n), np.full(s.n, float(last))
+    with np.errstate(divide="ignore", over="ignore"):
+        while True:
+            err = economics._aggregate(s, economics._local_errors(s, top, in_box=True))
+            r = np.sqrt(gap / (err * curvature * np.power(s.d_loc + top, -s.beta - 2.0)))
+            r += rel * (r + hi)
+            a = np.maximum(first, np.ceil((x - r - lo) / step))
+            b = np.minimum(final, np.floor((x + r - lo) / step))
+            if np.prod(b - a + 1.0) <= _SMALL_BOX or ((a == first).all() and (b == final).all()):
+                return a, b, lb
+            first, final, top = a, b, np.minimum(top, x + r)
 
 
 def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
-    """Exhaustively minimize the potential over the strategy lattice.
-
-    The result is that of a scan of every grid point: the row search skips
-    only first-axis rows that its chord bounds show cannot hold the first
-    minimum, and prices every point it scans as the full scan does. It
-    assumes nothing of the scenario's shape and uses no solver output.
-    Ties break toward the lexicographically smallest profile. The reported
-    minimum re-evaluates the winning profile through :func:`game.potential`
-    so it is directly comparable with solver output.
-    """
+    """The first argmin of :func:`game.potential` (F with the ``z`` weights,
+    also under antisymmetric payoffs) on the lattice ``d_min + step * k``:
+    every point of the proof's box (see above), or of a lattice one block
+    holds, priced through :func:`game.potential_from_errors` in
+    lexicographic order, as a full scan would. ``f_min`` is
+    :func:`game.potential` of it. Raises :class:`InstanceTooLarge` before
+    pricing a box of more than ``MAX_BOX_POINTS`` points."""
     validate_scenario(s)
-    if s.n > MAX_ORACLE_ORGS:
-        raise InstanceTooLarge(f"grid oracle supports N <= {MAX_ORACLE_ORGS}, got {s.n}")
-    count = _last_index(s, step, "step") + 1
-    if count > MAX_POINTS_PER_AXIS:
-        raise InstanceTooLarge(
-            f"{count} points per axis exceeds the {MAX_POINTS_PER_AXIS} guard"
-        )
-    values = float(s.bounds.d_min) + step * np.arange(count)
-    if np.any(s.d_loc + values[0] <= 0):
-        raise ZeroTotalData("grid includes a zero-total-data point")
-
-    b = math.exp(-1.0 / s.economy.varrho)
-    g0, lin0 = _axis_arrays(s, values, 0)
-    bg0 = b * g0
-    if s.n == 1:
-        idx = (int(np.argmin(bg0 + lin0)),)
+    last = _last_index(s, step, "step")
+    lo = float(s.bounds.d_min)
+    if (last + 1) ** s.n <= _BLOCK_ROWS:  # one block prices the whole lattice
+        first, final = np.zeros(s.n), np.full(s.n, float(last))
     else:
-        _, i, rest = _row_search(_row_scan(s, values, bg0, lin0), bg0, lin0)
-        idx = (i, *rest)
-
-    profile = np.array([values[i] for i in idx])
-    return GridOracleResult(
-        profile=StrategyProfile(profile), f_min=game.potential(s, profile)
-    )
+        (bracket,), _ = _brackets(s, game._linear_coeffs(s)[None], SolverConfig())
+        first, final, _ = _proof_box(s, step, last, bracket.point[0])
+    sizes = [int(b - a) + 1 for a, b in zip(first.tolist(), final.tolist())]
+    count = math.prod(sizes)
+    if count > MAX_BOX_POINTS:
+        raise InstanceTooLarge(
+            f"the proof's box holds {count} lattice points, over the {MAX_BOX_POINTS} cap"
+        )
+    best, best_f = None, math.inf
+    for start in range(0, count, _BLOCK_ROWS):
+        k = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, count)), sizes)
+        d = lo + step * (first + np.stack(k, axis=1))
+        f = game.potential_from_errors(s, economics._local_errors(s, d, in_box=True), d)
+        i = int(np.argmin(f))
+        if f[i] < best_f:
+            best, best_f = d[i], f[i]
+    return GridOracleResult(profile=StrategyProfile(best), f_min=game.potential(s, best))
 
 
 # ---------------------------------------------------------------------------

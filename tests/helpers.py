@@ -835,13 +835,13 @@ def reference_root_solve(s, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# Reference grid oracle: the exhaustive scan of every first-axis row, in the
-# kernels' row chunks and with the kernels' float expressions, as
-# ``cocogen.solver.grid_oracle`` ran it before its row search, its N = 3
-# envelope built by the stack loop that ``kernels.build_lower_envelope``
-# first ran. The search must return this scan's profile and a bitwise-equal
-# ``f_min``, and every row bound it uses must lie below the row minimum this
-# scan computes.
+# Reference grid oracle: the exhaustive scan of every lattice point, in
+# first-axis row chunks, through F's per-coordinate factorization and the
+# kernels' float expressions, its N = 3 envelope built by the stack loop
+# that ``kernels.build_lower_envelope`` first ran. ``cocogen.solver.grid_oracle``
+# must return this scan's profile and a bitwise-equal ``f_min``, its proof's
+# lower bound must lie below this scan's minimum, and its box must hold this
+# scan's argmin.
 # ---------------------------------------------------------------------------
 
 
@@ -892,14 +892,22 @@ def reference_lower_envelope(slopes, intercepts):
     )
 
 
+def reference_axis_arrays(s, values, n):
+    """Organization ``n``'s factors of F along the lattice ``values``:
+    ``g = exp(eps_n / (N varrho))`` and ``lin_n * values``, with F =
+    ``exp(-1/varrho) * prod_n g_n + sum_n lin_n * values``."""
+    from cocogen import economics, game
+
+    g = np.exp(economics._own_errors(s, n, values) / (s.n * s.economy.varrho))
+    return g, game._linear_coeffs(s)[n] * values
+
+
 def reference_grid_axes(s, step=1.0):
     """The lattice values and the first axis's factors of F:
     ``bg0 = exp(-1/varrho) * g0`` and ``lin0``."""
-    from cocogen import solver
-
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     values = lo + step * np.arange(int(math.floor((hi - lo) / step)) + 1)
-    g0, lin0 = solver._axis_arrays(s, values, 0)
+    g0, lin0 = reference_axis_arrays(s, values, 0)
     return values, math.exp(-1.0 / s.economy.varrho) * g0, lin0
 
 
@@ -911,14 +919,12 @@ def reference_grid_scan(s, step=1.0):
     first-axis row's smallest F, and the lexicographically first argmin's
     indices (the innermost axis of N = 3 through the reference lower
     envelope)."""
-    from cocogen import solver
-
     values, bg0, lin0 = reference_grid_axes(s, step)
     if s.n == 1:
         f = bg0 + lin0
         return values, f, (int(np.argmin(f)),)
-    g1, lin1 = solver._axis_arrays(s, values, 1)
-    env = reference_lower_envelope(*solver._axis_arrays(s, values, 2)) if s.n == 3 else None
+    g1, lin1 = reference_axis_arrays(s, values, 1)
+    env = reference_lower_envelope(*reference_axis_arrays(s, values, 2)) if s.n == 3 else None
     row_min = np.empty(values.size)
     best_val, best = np.inf, None
     for i0 in range(0, values.size, _SCAN_ROWS):

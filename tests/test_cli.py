@@ -1313,6 +1313,29 @@ class TestCompareCommand:
         assert "error: UnwritableOutput: -o/--out: cannot write" in err
         assert "Traceback" not in err
 
+    def test_welfare_near_the_float_range_keeps_the_table_columns(self, tmp_path, capsys):
+        # Every phi at 4.07e306 validates, and CoCoGen, WCO and RaDG welfare
+        # come out near 1e305: printed as .17g, as the CSV writes them.
+        from importlib import resources
+
+        src = resources.files("cocogen").joinpath("data/scenario_example.json")
+        payload = json.loads(src.read_text(encoding="utf-8"))
+        payload["market"]["phi"] = [4.07e306] * len(payload["organizations"])
+        payload["economy"]["eps0_mode"] = "at_zero_generation"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "cmp.csv"
+        assert cli.main(["compare", str(path), "-o", str(out)]) == 0
+        header, rule, *lines, clone = capsys.readouterr().out.splitlines()
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(lines) == len(rows) == 4
+        assert len(rule) == len(header) and all(len(line) == len(header) for line in lines)
+        assert max(float(r["welfare"]) for r in rows) > 1e304
+        for line, row in zip(lines, rows):
+            assert line.split()[:2] == [row["scheme"], row["welfare"]]
+        assert clone.startswith("(WCO welfare under its zero-competition clone: ")
+
     def test_free_generation_beats_vcfl(self, tmp_path):
         s = table1_scenario(seed=82, cost_scale=1e-6)
         path = write_scenario(tmp_path, s)

@@ -385,6 +385,20 @@ class TestWelfareAndConstraints:
             assert out.bb_balanced
             assert abs(out.bb_sum) <= 1e-9 * (scale + 1)
 
+    def test_column_sums_add_as_the_per_organization_loop(self):
+        def loop(a):
+            total = np.zeros(a.shape[0])
+            for n in range(a.shape[1]):
+                total = total + a[:, n]
+            return total
+
+        rng = np.random.Generator(np.random.Philox(key=np.array([5, 17], dtype=np.uint64)))
+        a = rng.standard_normal((103, 10)) * 10.0 ** rng.integers(-8, 9, size=(103, 10))
+        a[0] = -0.0  # a row of negative zeros sums to +0.0, as from a start of 0.0
+        got, want = eco._column_sums(a), loop(a)
+        assert got.tobytes() == want.tobytes()
+        assert math.copysign(1.0, got[0]) == 1.0
+
     def test_bb_literal_mode_generally_unbalanced(self):
         s = table1_scenario(seed=19)
         p = random_profile(s, 1100, lo=500.0)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cocogen import kernels, solver
+from cocogen import kernels
 from cocogen.kernels import build_lower_envelope
 
 from helpers import (
     build_scenario,
+    reference_axis_arrays,
     reference_grid_axes,
     reference_lower_envelope,
     table1_scenario,
@@ -95,7 +96,7 @@ class TestEnvelopeEqualsReference:
             s = table1_scenario(seed=7300 + seed, n=3, cost_scale=scale)
             values, _, _ = reference_grid_axes(s)
             for axis in range(3):
-                env = _assert_same_envelope(*solver._axis_arrays(s, values, axis))
+                env = _assert_same_envelope(*reference_axis_arrays(s, values, axis))
                 assert env.k.size == values.size  # every line is on the hull
 
     @pytest.mark.parametrize("d_loc", [1e6, 1e8, 1e10])
@@ -105,7 +106,7 @@ class TestEnvelopeEqualsReference:
         # 47 and 10 are kept) and equal slopes appear.
         s = build_scenario(n=3, alpha=21.2, beta=0.52, delta=0.12, d_loc=d_loc)
         values, _, _ = reference_grid_axes(s)
-        env = _assert_same_envelope(*solver._axis_arrays(s, values, 2))
+        env = _assert_same_envelope(*reference_axis_arrays(s, values, 2))
         assert env.k.size < values.size
 
     @pytest.mark.parametrize("seed", range(20))

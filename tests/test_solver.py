@@ -1,8 +1,8 @@
-import collections
 import hashlib
 import itertools
 import json
 import math
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -30,7 +30,6 @@ from helpers import (
     org_row,
     random_profile,
     reference_fpi_solve,
-    reference_grid_axes,
     reference_grid_oracle,
     reference_grid_scan,
     reference_deviation_gains,
@@ -639,11 +638,37 @@ class TestGridOracle:
         res = solver.grid_oracle(s, step=1.0)
         assert res.profile.d_gen[0] == res.profile.d_gen[1]
 
-    def test_guards(self):
-        with pytest.raises(InstanceTooLarge):
-            solver.grid_oracle(table1_scenario(seed=48, n=4), step=1.0)
-        with pytest.raises(InstanceTooLarge):
-            solver.grid_oracle(table1_scenario(seed=49, n=2), step=0.5)
+    def test_box_over_the_point_cap_is_refused(self):
+        # Near-free generation on a long axis leaves the potential almost
+        # flat, so the proof's box holds about 1e10 points: it is refused
+        # before any of them is priced.
+        s = table1_scenario(seed=0, n=10, cost_scale=0.01, d_max=300_000)
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge, match="lattice points"):
+            solver.grid_oracle(s, step=1.0)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_ten_organizations_match_the_solver(self, mode):
+        # Criterion 5's 21 instances and every 10th preset job.
+        scenarios = [table1_scenario(seed=0)] + [table1_scenario(seed=8000 + k) for k in range(20)]
+        grid = default_sweep_grid()
+        scenarios += [sample_scenario(grid, job.cell, job.seed) for job in expand_sweep(grid)[::10]]
+        for s in scenarios:
+            s = with_payoff_mode(s, mode)
+            res = solver.grid_oracle(s, step=1.0)
+            assert np.array_equal(res.profile.d_gen, solver.fpi_solve(s).profile.d_gen)
+            assert res.f_min == game.potential(s, res.profile)
+
+    @pytest.mark.parametrize("n_orgs", [1, 2, 3])
+    @pytest.mark.parametrize("step", [0.5, 2.0, 7.0])
+    def test_other_steps_match_the_full_scan(self, n_orgs, step):
+        for seed in range(4):
+            s = table1_scenario(seed=950 + seed, n=n_orgs, cost_scale=(0.1, 1.0, 10.0, 1e3)[seed],
+                                d_max=41)
+            res = solver.grid_oracle(s, step=step)
+            profile, f_min = reference_grid_oracle(s, step)
+            assert np.array_equal(res.profile.d_gen, profile) and res.f_min == f_min
 
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 5e-324])
     def test_unusable_step_is_refused(self, step):
@@ -664,21 +689,6 @@ class TestGridOracle:
             assert np.all(np.abs(rep.profile.d_gen - res.profile.d_gen) <= 1.0)
 
 
-def _record_row_bounds(monkeypatch):
-    """Make every grid oracle call record the chord bounds it computes, as
-    (rows, bounds) pairs, in the returned list."""
-    bounds = []
-    real = solver._chord_bounds
-
-    def recording_chord_bounds(rows, *args):
-        out = real(rows, *args)
-        bounds.append((rows[1:-1].copy(), out))
-        return out
-
-    monkeypatch.setattr(solver, "_chord_bounds", recording_chord_bounds)
-    return bounds
-
-
 def _assert_matches_full_scan(s):
     res = solver.grid_oracle(s, step=1.0)
     profile, f_min = reference_grid_oracle(s)
@@ -692,46 +702,38 @@ def _criterion_4_instance(n_orgs, seed):
 
 
 class TestRowSearch:
-    """The oracle's first-axis row search against the full scan of every
-    row (``helpers.reference_grid_scan``)."""
+    """The grid oracle against the full scan of every lattice point
+    (``helpers.reference_grid_scan``)."""
 
     @pytest.mark.parametrize("n_orgs", [1, 2, 3])
-    def test_criterion_4_instances_match_the_full_scan(self, monkeypatch, n_orgs):
-        recorded = _record_row_bounds(monkeypatch)
+    def test_criterion_4_instances_match_the_full_scan(self, n_orgs):
         for seed in range(50):
             s = _criterion_4_instance(n_orgs, seed)
-            recorded.clear()
             res = solver.grid_oracle(s, step=1.0)
             values, row_min, idx = reference_grid_scan(s)
             assert np.array_equal(res.profile.d_gen, values[list(idx)]), (seed, idx)
             assert res.f_min == game.potential(s, values[list(idx)])  # bitwise
-            assert bool(recorded) == (n_orgs > 1)  # N = 1 keeps its one-axis argmin
-            # Every bound the search used is below the full scan's row minimum.
-            for rows, bound in recorded:
-                assert np.all(bound < row_min[rows]), (seed, rows)
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n_orgs=st.sampled_from([2, 3]),
+        n_orgs=st.sampled_from([1, 2, 3]),
         seed=st.integers(0, 10**6),
         log_cost=st.floats(-3.0, 3.0),
         varrho=st.sampled_from([0.5, 5.0, 20.0, 200.0]),
         d_max=st.integers(0, 40),
     )
-    def test_every_chord_bound_is_below_the_full_scan(self, n_orgs, seed, log_cost, varrho, d_max):
+    def test_proof_bound_and_box_hold_the_full_scan_minimum(
+        self, n_orgs, seed, log_cost, varrho, d_max
+    ):
+        # The proof itself: the oracle prices lattices this small whole.
         s = table1_scenario(seed=seed, n=n_orgs, cost_scale=10.0**log_cost, varrho=varrho,
                             d_max=d_max)
-        values, row_min, _ = reference_grid_scan(s)
-        _, bg0, lin0 = reference_grid_axes(s)
-        scan = solver._row_scan(s, values, bg0, lin0)
-        for r in range(values.size):
-            assert scan(r)[0] == row_min[r]  # a scanned row is priced as the full scan does
-        order = np.argsort(bg0, kind="stable")
-        for a in range(values.size):
-            for b in range(a + 2, values.size):
-                rows = order[a : b + 1]
-                bound = solver._chord_bounds(rows, bg0, lin0, row_min[rows[0]], row_min[rows[-1]])
-                assert np.all(bound < row_min[rows[1:-1]]), (a, b)
+        (bracket,), _ = solver._brackets(s, game._linear_coeffs(s)[None], SolverConfig())
+        last = solver._last_index(s, 1.0, "step")
+        first, final, lower_bound = solver._proof_box(s, 1.0, last, bracket.point[0])
+        _, row_min, idx = reference_grid_scan(s)
+        assert lower_bound <= row_min.min()
+        assert np.all((first <= idx) & (np.array(idx) <= final)), (first, idx, final)
 
     @pytest.mark.parametrize("n_orgs", [2, 3])
     @pytest.mark.parametrize("d_max", [0, 5, 40])
@@ -760,24 +762,6 @@ class TestRowSearch:
         _, _, idx = reference_grid_scan(s)
         assert idx[0] == s.bounds.d_max
         _assert_matches_full_scan(s)
-
-    @pytest.mark.parametrize("n_orgs", [2, 3])
-    def test_rows_are_scanned_through_the_solver_names(self, monkeypatch, n_orgs):
-        # Span tracing wraps the kernels where ``solver`` looks them up.
-        calls = collections.Counter()
-        for name in ("argmin_2d", "argmin_3d", "build_lower_envelope"):
-            real = getattr(solver, name)
-
-            def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(solver, name, counted)
-        s = _criterion_4_instance(n_orgs, 3)
-        _assert_matches_full_scan(s)
-        kernel = "argmin_2d" if n_orgs == 2 else "argmin_3d"
-        assert 0 < calls[kernel] < s.bounds.d_max
-        assert calls["build_lower_envelope"] == (n_orgs == 3)
 
 
 def _assert_certified_like_the_scan(s, p, grid_step=1.0):
