@@ -2,8 +2,8 @@
 
 Each layer is timed with ``timeit`` as the minimum over ``--repeat`` runs,
 divided by the calls per run. The per-call layers run on the first preset
-sweep job's scenario, on one warm instance (column caches built, already
-validated), so they measure the layer alone; ``cli.scheme_rows`` is one
+sweep job's scenario, on one warm instance (column caches built), so
+they measure the layer alone; ``cli.scheme_rows`` is one
 job's work after sampling (both solves and the one batched pricing of the
 CoCoGen, VCFL and WCO profiles and the RaDG draws).
 ``economics.evaluate_profiles.job`` prices that job's 103-row matrix (the
@@ -15,11 +15,17 @@ games' coefficients built, then solved) and
 sampled copy of that scenario per call, whose cache holds only what
 validation builds, as inside a sweep job; they add the per-scenario cache
 builds that the warm layers leave out. The sampling is not timed.
-``baselines.wco_scenario`` builds and checks the zero-competition clone of
-that (validated) scenario. ``solver.verify_ne`` certifies that scenario's
-CoCoGen profile against every unilateral move on each organization's
-3001-point lattice (at an equilibrium it prices each organization's two
-lattice neighbours; checkouts before that scanned every move), and
+``baselines.wco_scenario`` builds the zero-competition clone of that
+scenario, validated in full (checkouts that validated scenarios by a
+separate call re-checked only the clone's game weights).
+``model.Scenario.fresh_copy`` is ``dataclasses.replace`` of that scenario,
+and ``model.with_payoff_mode`` its copy under antisymmetric payoffs; each
+copy is validated when built (in checkouts that validated scenarios by a
+separate call, the copy alone is timed). ``solver.verify_ne`` certifies
+that scenario's CoCoGen profile against every unilateral move on each
+organization's 3001-point lattice (at an equilibrium it prices each
+organization's two lattice neighbours; checkouts before that scanned every
+move), and
 ``solver.verify_ne.antisymmetric`` does the same for a copy under
 antisymmetric payoffs, at that copy's CoCoGen profile.
 ``solver.verify_ne.not_ne`` certifies the all-``d_min`` profile of a copy
@@ -58,9 +64,10 @@ kernel.
 ``iterations``, which counts the bracket steps of the scalar root solve. In
 checkouts that still solved by damped Jacobi sweeps it counted sweeps, so
 this layer does not compare across that change. ``scaling.fit_scaling_law``
-fits a noiseless 12-point curve of the shipped law. ``cli.main.solve`` and
-``cli.main.fit`` are one in-process request each (``solve`` of the shipped
-example, ``fit`` of that curve), argument parsing and file I/O included;
+fits a noiseless 12-point curve of the shipped law. ``cli.main.solve``,
+``cli.main.compare`` and ``cli.main.fit`` are one in-process request each
+(``solve`` and ``compare`` of the shipped example, ``fit`` of that curve),
+argument parsing and file I/O included;
 being minima over repeated calls in one process, they leave out what only
 a process's first request pays. ``tier1.pytest`` is the wall time of one
 Tier-1 run (``python -m pytest -q --continue-on-collection-errors`` in the
@@ -168,8 +175,9 @@ def _request_us(cli, argv, number: int, repeat: int) -> float:
 
 
 def _request_layers(cli, scaling, repeat: int) -> dict:
-    """``scaling.fit_scaling_law`` on a 12-point curve, and one ``solve`` of
-    the shipped example and one ``fit`` of that curve through ``cli.main``."""
+    """``scaling.fit_scaling_law`` on a 12-point curve, and one ``solve`` and
+    one ``compare`` of the shipped example and one ``fit`` of that curve
+    through ``cli.main``."""
     import numpy as np
 
     from cocogen.model import ScalingLaw
@@ -192,6 +200,9 @@ def _request_layers(cli, scaling, repeat: int) -> dict:
             "cli.main.fit": _request_us(
                 cli, ["fit", curve, "-o", os.path.join(tmp, "fit.json")], 20, repeat
             ),
+            "cli.main.compare": _request_us(
+                cli, ["compare", example, "-o", os.path.join(tmp, "compare.csv")], 10, repeat
+            ),
         }
 
 
@@ -213,7 +224,7 @@ def measure(repeat: int) -> dict:
 
     from cocogen import baselines, cli, economics, game, kernels, scaling, solver
     from cocogen.errors import InstanceTooLarge
-    from cocogen.model import PayoffMode, load_scenario, validate_scenario, with_payoff_mode
+    from cocogen.model import PayoffMode, load_scenario, with_payoff_mode
     from cocogen.scenario import default_sweep_grid, expand_sweep, load_sweep, sample_scenario
 
     grid = default_sweep_grid()
@@ -222,7 +233,6 @@ def measure(repeat: int) -> dict:
     cfg = solver.SolverConfig()
     s = sample_scenario(grid, job.cell, job.seed)
     report = solver.fpi_solve(s, cfg)
-    wco = baselines.wco_scenario(s)
     anti = with_payoff_mode(s, PayoffMode.ANTISYMMETRIC)
     anti_profile = solver.fpi_solve(anti, cfg).profile
     cheap = replace(s, eta=s.eta * 1e-6, mu=s.mu * 1e-6)
@@ -283,11 +293,9 @@ def measure(repeat: int) -> dict:
         "economics.evaluate_profiles.job.fresh": _fresh_us(
             lambda x: economics.evaluate_profiles(x, job_profiles), fresh, 100, repeat
         ),
-        "model.validate_scenario.fresh_copy": _per_call_us(
-            lambda: validate_scenario(replace(wco)), 500, repeat
-        ),
-        "model.validate_scenario.same_instance": _per_call_us(
-            lambda: validate_scenario(wco), 500, repeat
+        "model.Scenario.fresh_copy": _per_call_us(lambda: replace(s), 500, repeat),
+        "model.with_payoff_mode": _per_call_us(
+            lambda: with_payoff_mode(s, PayoffMode.ANTISYMMETRIC), 500, repeat
         ),
         "cli.run_sweep_job.first_90_jobs": _per_call_us(
             lambda: [cli.run_sweep_job(grid, j, cfg) for j in jobs[:90]], 1, repeat

@@ -18,6 +18,5 @@ from .model import (  # noqa: F401
     StrategyProfile,
     load_scenario,
     save_scenario,
-    validate_scenario,
 )
 from .solver import SolveReport, SolverConfig, fpi_solve, grid_oracle, verify_ne  # noqa: F401

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import game, solver
 from .errors import ScenarioValidationError
-from .model import Market, Scenario, StrategyProfile, _accept, _weight_violations, validate_scenario
+from .model import Market, Scenario, StrategyProfile, _weight_violations
 from .scenario import FAMILY, _stream
 
 __all__ = [
@@ -26,25 +26,21 @@ def vcfl_profile(s: Scenario) -> StrategyProfile:
 
 
 def wco_scenario(s: Scenario) -> Scenario:
-    """Validated clone of the (validated) scenario with all competitive
-    intensities zeroed.
+    """Clone of the scenario with all competitive intensities zeroed.
 
-    The clone shares the source's columns, economy and bounds, and its
-    zeroed market passes every market check, so only the game weights need
-    checking again: with no competition, ``z_n = -psi_n``.
+    The clone shares the source's columns, economy and bounds, and is
+    validated like any scenario: with no competition ``z_n = -psi_n``, so it
+    is refused where some ``psi_n`` is 0.
     """
-    validate_scenario(s)
     gamma = np.zeros_like(s.market.gamma)
-    clone = replace(s, market=Market(gamma=gamma, xi=s.market.xi, phi=s.market.phi))
-    return _accept(clone, _weight_violations(game._raw_z_weights(clone)))
+    return replace(s, market=Market(gamma=gamma, xi=s.market.xi, phi=s.market.phi))
 
 
 def wco_linear_coeffs(s: Scenario) -> np.ndarray:
-    """F's linear coefficient in the zero-competition game on the (valid)
+    """F's linear coefficient in the zero-competition game on the
     scenario's own columns, ``c_n / psi_n``, from the clone's weights
     ``z_n = -psi_n``, with no clone built; the same bits as the clone's.
     Raises what :func:`wco_scenario` raises when a weight is not negative."""
-    validate_scenario(s)
     z = -s.psi
     violations = _weight_violations(z)
     if violations:

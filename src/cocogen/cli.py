@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__, baselines, economics, game, scaling, solver
 from .errors import CocogenError, InsufficientPoints, NonPositiveShifted, UnwritableOutput
 from .model import (
-    PayoffMode, check_seed, json_text, load_scenario, validate_scenario, with_payoff_mode,
+    PayoffMode, check_seed, json_text, load_scenario, with_payoff_mode,
 )
 from .scenario import (
     PRNG_ID,
@@ -169,7 +169,7 @@ def _load_scenario_for_args(args, seed: int | None = None):
         s = with_payoff_mode(s, PayoffMode(args.payoff_mode))
     if seed is not None:
         s = replace(s, seed=seed)
-    return validate_scenario(s)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def scheme_rows(
     coeffs, failed = {}, {}
     for scheme, build in (("CoCoGen", game._linear_coeffs), ("WCO", baselines.wco_linear_coeffs)):
         try:
-            coeffs[scheme] = build(validate_scenario(s))
+            coeffs[scheme] = build(s)
         except CocogenError as exc:
             failed[scheme] = exc
     reports = {}

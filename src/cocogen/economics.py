@@ -58,7 +58,7 @@ def _local_errors(s: Scenario, d: np.ndarray, in_box: bool = False) -> np.ndarra
     """Local errors of any array whose last axis runs over organizations.
 
     ``in_box`` skips the zero-total-data check, which no profile inside a
-    validated scenario's box fails.
+    scenario's box fails.
     """
     totals = s.d_loc + d
     if not in_box and (totals <= 0).any():
@@ -167,8 +167,9 @@ def _contribution_factors(s: Scenario, eps: np.ndarray) -> np.ndarray:
 
 def _pair_rates(s: Scenario) -> np.ndarray:
     """``xi * gamma_nn'``, built once per scenario: the rate at which n is
-    paid on a contribution gap to n'. Validation refuses a nonzero
-    ``gamma_nn``, so the n == n' entries are zero."""
+    paid on a contribution gap to n'. A scenario with a nonzero
+    ``gamma_nn`` is refused at construction, so the n == n' entries are
+    zero."""
     return s.cached("pair_rates", lambda: s.market.xi * s.market.gamma)
 
 
@@ -176,7 +177,7 @@ def _transfer_rates(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Per-organization transfer rates on its own contribution gap, built
     once per scenario: ``G_n = sum_{n' != n} xi gamma_nn'`` (payments in)
     and ``Phi_n = sum_{n' != n} phi_n' gamma_nn'`` (coopetition loss). The
-    game weights are ``G_n - Phi_n - psi_n`` (``game._raw_z_weights``)."""
+    game weights are ``G_n - Phi_n - psi_n`` (``game.z_weights``)."""
     gains = s.cached("payoff_rates", lambda: _pair_rates(s).sum(axis=1))
     losses = s.cached("loss_rates", lambda: (s.market.phi * s.market.gamma).sum(axis=1))
     return gains, losses

@@ -27,21 +27,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import economics
-from .model import PayoffMode, ProfileLike, Scenario, _weight_violations, as_dgen
+from .model import PayoffMode, ProfileLike, Scenario, as_dgen
 
 __all__ = ["z_weights", "potential", "potential_from_errors"]
 
 
-def _raw_z_weights(s: Scenario) -> np.ndarray:
+def z_weights(s: Scenario) -> np.ndarray:
     """Every organization's weight ``z_n = G_n - Phi_n - psi_n`` from the
-    transfer rates (``economics._transfer_rates``), signs unchecked,
-    computed once per scenario (read-only)."""
+    transfer rates (``economics._transfer_rates``), computed once per
+    scenario (read-only). A scenario is refused at construction unless every
+    weight is negative, so no caller checks the signs."""
 
     def build():
         gains, losses = economics._transfer_rates(s)
         return gains - losses - s.psi
 
-    return s.cached("raw_z_weights", build)
+    return s.cached("z_weights", build)
 
 
 def _deviation_weights(s: Scenario, eps: np.ndarray) -> np.ndarray:
@@ -53,20 +54,10 @@ def _deviation_weights(s: Scenario, eps: np.ndarray) -> np.ndarray:
     counterfactual error over the global error, unchanged by n's move
     (``economics._contribution_factors``).
     """
-    z = _raw_z_weights(s)
+    z = z_weights(s)
     if s.economy.bb_mode is not PayoffMode.ANTISYMMETRIC:
         return z
     return z + economics._pair_rates(s) @ economics._contribution_factors(s, eps)
-
-
-def z_weights(s: Scenario) -> np.ndarray:
-    """Every organization's weight (read-only); raises for the first that is
-    not negative."""
-    z = _raw_z_weights(s)
-    violations = _weight_violations(z)
-    if violations:
-        raise violations[0]
-    return z
 
 
 def _linear_coeffs(s: Scenario, z: np.ndarray | None = None) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Domain types for one stage game: organizations, market, economy, bounds.
 
 Everything is an immutable dataclass. A scenario holds each organization
-parameter as a read-only column. Construction is permissive except for
-``ScalingLaw`` and the columns' shapes (checked eagerly);
-:func:`validate_scenario` collects the full list of invariant violations so
-a config file can be diagnosed in one pass.
+parameter as a read-only column. A ``Scenario`` checks every invariant when
+it is built, its market, economy and bounds included, and raises
+:class:`ScenarioValidationError` with the full list of violations, so a
+config file can be diagnosed in one pass. So every scenario that exists is
+valid, and so is every copy (``dataclasses.replace``, unpickling).
 
 Scenario files, and the sweep files of :mod:`cocogen.scenario`, are read by
 one table-driven reader (:func:`_fields`, :func:`_block`, :func:`_array`):
@@ -44,7 +45,6 @@ __all__ = [
     "Scenario",
     "StrategyProfile",
     "check_seed",
-    "validate_scenario",
     "scenario_to_dict",
     "scenario_from_dict",
     "load_scenario",
@@ -253,6 +253,8 @@ _DETAILS = (
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A complete game instance. Immutable; safe to share across workers.
+    Built only if valid: construction raises :class:`ScenarioValidationError`
+    with every invariant violation.
 
     Each organization parameter is a read-only float column with one entry
     per organization; ``alpha``, ``beta`` and ``delta`` are the error laws.
@@ -279,6 +281,9 @@ class Scenario:
         shape = self.d_loc.shape
         if len(shape) != 1 or any(getattr(self, name).shape != shape for name in ORG_COLUMNS):
             raise DimensionMismatch("organization columns must be 1-d and of one length")
+        violations = _violations(self)
+        if violations:
+            raise ScenarioValidationError(violations)
 
     @property
     def n(self) -> int:
@@ -290,8 +295,7 @@ class Scenario:
         ``build``'s fresh result is frozen in place. The cache lives on the
         instance: copies made with ``dataclasses.replace`` or the constructor
         start empty, and pickling drops it (see ``__getstate__``), so no copy
-        sees another's arrays. The same holds for the mark
-        :func:`validate_scenario` leaves.
+        sees another's arrays.
         """
         cache = self.__dict__.setdefault("_cache", {})
         if key not in cache:
@@ -301,7 +305,6 @@ class Scenario:
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_cache", None)
-        state.pop("_validated", None)
         return state
 
     def __setstate__(self, state):
@@ -360,14 +363,6 @@ def _weight_violations(z: np.ndarray) -> list[CocogenError]:
     return [NonNegativeZWeight(int(n), float(z[n])) for n in np.flatnonzero(bad)]
 
 
-def _accept(s: Scenario, violations: list[CocogenError]) -> Scenario:
-    """Raise for the violations, if any; else mark ``s`` validated."""
-    if violations:
-        raise ScenarioValidationError(violations)
-    s.__dict__["_validated"] = True
-    return s
-
-
 def check_seed(value: int, field: str) -> None:
     """Refuse a seed that does not fit in 64 unsigned bits, the width of the
     generator key it becomes."""
@@ -375,20 +370,11 @@ def check_seed(value: int, field: str) -> None:
         raise InvariantViolation(field, "must fit in 64 unsigned bits")
 
 
-def validate_scenario(s: Scenario) -> Scenario:
-    """Return ``s`` unchanged iff every invariant holds.
-
-    Raises :class:`ScenarioValidationError` carrying the complete violation
-    list otherwise. Idempotent: a success is remembered on the instance
-    (which is frozen, with read-only arrays), so validating it again is a
-    no-op; copies start unvalidated.
-    """
-    if s.__dict__.get("_validated"):
-        return s
+def _violations(s: Scenario) -> list[CocogenError]:
+    """Every invariant violation of the scenario being built, in report
+    order; an empty list means that it is valid."""
     if s.n < 1:
-        raise ScenarioValidationError(
-            [InvariantViolation("organizations", "need at least one")]
-        )
+        return [InvariantViolation("organizations", "need at least one")]
     violations = _org_violations(s)
     violations.extend(s.market._violations(s.n))
     violations.extend(s.economy._violations())
@@ -402,7 +388,7 @@ def validate_scenario(s: Scenario) -> Scenario:
     if not violations:
         # Only meaningful once the market shape checks passed.
         from .economics import _column_sums, _costs, _floor_error, _transfer_rates, epsilon_zero
-        from .game import _raw_z_weights
+        from .game import z_weights
 
         # The all-d_min profile has the largest global and counterfactual
         # errors in the box, and the all-d_max profile the largest costs.
@@ -413,7 +399,7 @@ def validate_scenario(s: Scenario) -> Scenario:
         # non-finite too. Overflows, and the NaNs that inf - inf and 0 * inf
         # give, are refused below without numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            z = _raw_z_weights(s)
+            z = z_weights(s)
             worst = float(_floor_error(s))
             ceiling = _costs(s, float(s.bounds.d_max))
             span = max(worst, epsilon_zero(s))
@@ -450,7 +436,7 @@ def validate_scenario(s: Scenario) -> Scenario:
                         "of the coopetition losses can overflow",
                     )
                 )
-    return _accept(s, violations)
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +619,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
     fields = _fields(obj, _SCENARIO, "scenario")
     rows = fields.pop("organizations")
     columns = np.array(rows, dtype=np.float64).reshape(-1, len(ORG_COLUMNS)).T
-    return validate_scenario(Scenario(**dict(zip(ORG_COLUMNS, columns)), **fields))
+    return Scenario(**dict(zip(ORG_COLUMNS, columns)), **fields)
 
 
 def json_text(payload: dict, where: str) -> str:

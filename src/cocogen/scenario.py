@@ -44,7 +44,6 @@ from .model import (
     _non_negative,
     _positive,
     check_seed,
-    validate_scenario,
 )
 
 __all__ = [
@@ -259,7 +258,7 @@ def sample_scenario(grid: SweepGrid, cell: SweepCell, seed: int) -> Scenario:
         drawn.setflags(write=False)  # fresh, so the scenario keeps it without a copy
 
     eta, mu, c_cmp, alpha, beta, delta = _constant_columns(n, grid.org_defaults, cell.law)
-    s = Scenario(
+    return Scenario(
         d_loc=d_loc,
         f=freq,
         kappa=kappa,
@@ -275,7 +274,6 @@ def sample_scenario(grid: SweepGrid, cell: SweepCell, seed: int) -> Scenario:
         bounds=grid.bounds,
         seed=seed,
     )
-    return validate_scenario(s)
 
 
 def _preset_laws(alpha_d_levels) -> dict[float, ScalingLaw]:

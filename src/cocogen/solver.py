@@ -24,14 +24,7 @@ from . import economics, game
 from .errors import InstanceTooLarge, InvariantViolation
 # Not called here: perfbench's span targets resolve these names in this module.
 from .kernels import argmin_2d, argmin_3d, build_lower_envelope  # noqa: F401
-from .model import (
-    ProfileLike,
-    Scenario,
-    StrategyProfile,
-    _readonly,
-    as_dgen,
-    validate_scenario,
-)
+from .model import ProfileLike, Scenario, StrategyProfile, _readonly, as_dgen
 
 __all__ = [
     "CaseLabel",
@@ -284,7 +277,6 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
     prices a row as it prices that row alone. The reports are priced on
     ``s`` when read.
     """
-    validate_scenario(s)
     cfg = cfg or SolverConfig()
     lin = np.array(lin, dtype=np.float64)  # a copy: the traces read it later
     brackets, factor = _brackets(s, lin, cfg)
@@ -336,7 +328,6 @@ def _brackets(s: Scenario, lin: np.ndarray, cfg: SolverConfig):
 def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
     """Equilibrium of the scenario's integer game: :func:`solve_games` of
     its own linear coefficient."""
-    validate_scenario(s)
     return solve_games(s, game._linear_coeffs(s)[None, :], cfg)[0]
 
 
@@ -436,7 +427,6 @@ def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
     lexicographic order, as a full scan would. ``f_min`` is
     :func:`game.potential` of it. Raises :class:`InstanceTooLarge` before
     pricing a box of more than ``MAX_BOX_POINTS`` points."""
-    validate_scenario(s)
     last = _last_index(s, step, "step")
     lo = float(s.bounds.d_min)
     if (last + 1) ** s.n <= _BLOCK_ROWS:  # one block prices the whole lattice

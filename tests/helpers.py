@@ -17,7 +17,6 @@ from cocogen.model import (
     ScalingLaw,
     Scenario,
     StrategyBounds,
-    validate_scenario,
 )
 
 # Matches the shipped sweep calibration so sampled instances sit in the
@@ -50,7 +49,6 @@ def build_scenario(
     d_min=0,
     d_max=3000,
     seed=0,
-    validate=True,
 ):
     """Homogeneous scenario with scalar-or-sequence overrides per field."""
 
@@ -64,7 +62,7 @@ def build_scenario(
         np.fill_diagonal(g, 0.0)
     else:
         g = np.asarray(gamma, dtype=float)
-    s = Scenario(
+    return Scenario(
         d_loc=vec(d_loc, int),
         f=vec(f),
         kappa=vec(kappa),
@@ -86,7 +84,6 @@ def build_scenario(
         bounds=StrategyBounds(d_min=d_min, d_max=d_max),
         seed=seed,
     )
-    return validate_scenario(s) if validate else s
 
 
 def table1_scenario(seed, n=10, gamma_range=(0.0, 1.0), cost_scale=1.0, law=None, **kw):
@@ -607,9 +604,8 @@ def reference_fpi_solve(s, cfg=None, damping=0.5, init="all_min"):
     sweeps; ``init`` is ``all_min``, ``all_max`` or ``midpoint``.
     """
     from cocogen import solver
-    from cocogen.model import StrategyProfile, validate_scenario
+    from cocogen.model import StrategyProfile
 
-    validate_scenario(s)
     cfg = cfg or solver.SolverConfig()
     d = _ref_initial_profile(s, init)
     f_prev = _ref_potential(s, d)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cocogen import baselines, economics as eco, game, solver
+from cocogen import baselines, economics as eco, game, model, solver
 from cocogen.errors import NonNegativeZWeight, ScenarioValidationError
-from cocogen.model import ORG_COLUMNS, ScalingLaw, validate_scenario
+from cocogen.model import ORG_COLUMNS, ScalingLaw
 from cocogen.scenario import FAMILY, family_stream
 
 from helpers import build_scenario, table1_scenario
@@ -60,10 +60,13 @@ class TestWco:
         with pytest.raises(ScenarioValidationError):
             baselines.wco_solve(s)
 
-    def test_clone_is_validated_and_shares_the_columns(self):
+    def test_clone_is_checked_in_full_and_shares_the_columns(self, monkeypatch):
         s = table1_scenario(seed=69)
+        checked = []
+        real = model._violations
+        monkeypatch.setattr(model, "_violations", lambda x: checked.append(x) or real(x))
         clone = baselines.wco_scenario(s)
-        assert validate_scenario(clone) is clone
+        assert checked == [clone]
         assert all(getattr(clone, name) is getattr(s, name) for name in ORG_COLUMNS)
         assert not clone.market.gamma.any()
 

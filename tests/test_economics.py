@@ -32,9 +32,11 @@ class TestLocalError:
         assert eco.local_errors(s, [0.0])[0] == 0.0
 
     def test_zero_total_data(self):
-        s = build_scenario(n=1, gamma=[[0.0]], d_loc=0, validate=False)
+        # A scenario with d_loc 0 at d_min 0 is refused at construction; a
+        # profile that takes the local data away reaches the same check.
+        s = build_scenario(n=1, gamma=[[0.0]], d_loc=1500)
         with pytest.raises(ZeroTotalData):
-            eco.local_errors(s, [0.0])
+            eco.local_errors(s, [-1500.0])
 
     def test_matches_fit_prediction(self):
         truth = ScalingLaw(5.0, 0.4, 0.08)
@@ -210,10 +212,10 @@ class TestEnergyAndCost:
 
 class TestRevenue:
     def test_zero_valuation(self):
-        # A zero-valuation org fails validation (no stake); the formula
-        # itself is still well-defined.
-        s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, validate=False)
-        assert _one(s, [1000.0]).revenue[0, 0] == 0.0
+        # Competition alone keeps organization 0's weight negative, so a
+        # zero valuation is valid there; its revenue is zero.
+        s = build_scenario(n=2, psi=[0.0, 700.0])
+        assert _one(s, [1000.0, 1000.0]).revenue[0, 0] == 0.0
 
     def test_cancels_at_baseline_profile(self):
         s = build_scenario(n=3, d_min=0)
@@ -291,11 +293,13 @@ class TestTransfers:
 
 class TestUtility:
     def test_all_terms_vanish(self):
-        s = build_scenario(
-            n=2, gamma=np.zeros((2, 2)), psi=0.0, xi=0.0, c_cmp=1e-300, c0=0.0,
-            validate=False,
-        )
-        assert _one(s, [100.0, 100.0]).utility[0, 0] == pytest.approx(0.0, abs=1e-250)
+        # No valuation, near-free generation, and at the all-d_min profile no
+        # contribution gap, so no transfer either.
+        s = build_scenario(n=2, psi=0.0, c_cmp=1e-300, c0=0.0)
+        out = _one(s, [0.0, 0.0])
+        for term in (out.revenue, out.payoff_in, out.coopetition_loss):
+            assert term[0, 0] == 0.0
+        assert out.utility[0, 0] == pytest.approx(0.0, abs=1e-250)
 
     def test_server_fee_shifts_utility_by_delta(self):
         s0 = build_scenario(n=2, c0=0.0)
@@ -335,8 +339,9 @@ class TestUtility:
 
 class TestWelfareAndConstraints:
     def test_single_org_zero_economics(self):
-        s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, c_cmp=1e-300,
-                           validate=False)
+        # A lone organization at d_min earns no revenue over eps0 (the
+        # all-d_min error) and pays no transfer.
+        s = build_scenario(n=1, gamma=[[0.0]], xi=0.0, c_cmp=1e-300)
         assert eco.evaluate_profile(s, [0.0]).welfare == pytest.approx(0.0, abs=1e-250)
 
     def test_duplicating_noncompeting_org_doubles_welfare(self):
@@ -361,8 +366,9 @@ class TestWelfareAndConstraints:
         assert eco.evaluate_profile(s, p).welfare == pytest.approx(expected, rel=1e-9)
 
     def test_ir_trivial_cases(self):
-        s_zero = build_scenario(n=2, gamma=np.zeros((2, 2)), psi=0.0, xi=0.0,
-                                c_cmp=1e-300, validate=False)
+        # No valuation and near-free generation: the net transfer
+        # marginal * (G_n - Phi_n) is >= 0, since z_n = G_n - Phi_n < 0.
+        s_zero = build_scenario(n=2, psi=0.0, c_cmp=1e-300)
         assert eco.evaluate_profile(s_zero, [10.0, 10.0]).ir[0].tolist() == [True, True]
         s_fee = build_scenario(n=2, c0=1e9)
         assert eco.evaluate_profile(s_fee, [10.0, 10.0]).ir[0].tolist() == [False, False]
@@ -512,10 +518,8 @@ class TestBatchedCore:
                         batch.welfare[i], batch.bb_sum[i]), job
 
     def test_zero_total_data_still_raises(self):
-        s = build_scenario(n=2, d_loc=[0, 1500], d_min=0, validate=False)
-        for profile in ([0.0, 500.0], [500.0, 500.0]):
-            # The second profile has positive totals, but organization 0's
-            # counterfactual at d_min does not.
+        s = build_scenario(n=2, d_loc=[1000, 1500], d_min=0)
+        for profile in ([-1000.0, 500.0], [500.0, -2000.0]):
             with pytest.raises(ZeroTotalData):
                 eco.evaluate_profiles(s, np.array([[700.0, 700.0], profile]))
             with pytest.raises(ZeroTotalData):

@@ -216,7 +216,7 @@ class TestDeviationIdentity:
 
     def test_potential_weights_miss_under_antisymmetric_payoffs(self):
         residuals = self._residuals(
-            PayoffMode.ANTISYMMETRIC, lambda s, eps: game._raw_z_weights(s)
+            PayoffMode.ANTISYMMETRIC, lambda s, eps: game.z_weights(s)
         )
         # Every deviation misses the identity's bound, the worst by 1e4 times.
         assert residuals.min() > 1e-9

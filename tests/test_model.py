@@ -26,11 +26,11 @@ from cocogen.model import (
     Market,
     PayoffMode,
     ScalingLaw,
-    StrategyBounds,
+    Scenario,
+    json_text,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    validate_scenario,
     with_payoff_mode,
 )
 from cocogen.scenario import (
@@ -84,7 +84,6 @@ class TestScalingLaw:
 class TestValidation:
     def test_single_org_no_competition_is_valid(self):
         s = build_scenario(n=1, gamma=[[0.0]], xi=0.0, phi=250.0, psi=700.0)
-        assert validate_scenario(s) is s
         assert game.z_weights(s)[0] == -700.0
 
     def test_gamma_above_one_rejected(self):
@@ -98,7 +97,7 @@ class TestValidation:
         cell = SweepCell(
             gamma=GammaLevel(0.0, 1.0), alpha_d=0.5, law=heterogeneity_presets()[0.5]
         )
-        s = sample_scenario(grid, cell, seed=123)  # validates internally
+        s = sample_scenario(grid, cell, seed=123)
         assert s.n == 10
         assert np.all(game.z_weights(s) < 0)
 
@@ -178,29 +177,48 @@ class TestValidation:
         assert np.isfinite(ev.welfare).all() and np.isfinite(ev.coopetition_loss).all()
         assert np.isfinite(game.z_weights(s)).all()
 
-    def test_validation_is_idempotent(self):
-        s = build_scenario(n=3)
-        assert validate_scenario(validate_scenario(s)) is s
+    @pytest.mark.parametrize("change, field", [("diagonal", "market.gamma"), ("xi", "market.xi")])
+    def test_invalid_copy_is_refused_before_any_pricing(self, change, field):
+        # A copy that breaks one market invariant is refused when built, by
+        # replace and by the constructor alike, so no pricing function
+        # (evaluate_profile, local_errors, potential, verify_ne) can reach it.
+        s = table1_scenario(seed=1)
+        gamma, xi = s.market.gamma.copy(), s.market.xi
+        if change == "diagonal":
+            np.fill_diagonal(gamma, 0.5)
+        else:
+            xi = float(np.nextafter(s.market.phi.min(), math.inf))
+        market = Market(gamma=gamma, xi=xi, phi=s.market.phi)
+        builds = (
+            lambda: replace(s, market=market),
+            lambda: Scenario(
+                **{name: getattr(s, name) for name in ORG_COLUMNS},
+                market=market, economy=s.economy, bounds=s.bounds, seed=s.seed,
+            ),
+        )
+        for build in builds:
+            with pytest.raises(ScenarioValidationError) as exc:
+                build()
+            assert [v.field for v in exc.value.violations] == [field]
 
     def test_collects_multiple_violations(self):
-        s = build_scenario(n=2, validate=False, xi=500.0, c0=-1.0, d_min=5, d_max=2)
         with pytest.raises(ScenarioValidationError) as exc:
-            validate_scenario(s)
+            build_scenario(n=2, xi=500.0, c0=-1.0, d_min=5, d_max=2)
         text = str(exc.value)
         assert "xi" in text and "c0" in text and "d_max" in text
         assert len(exc.value.violations) >= 3
 
     def test_violations_keep_their_order_across_organizations(self):
-        s = build_scenario(
-            n=3, validate=False,
-            d_loc=[1500, 0, -3], f=[math.nan, 1.5, 0.0], kappa=[-1.0, 3.5e-18, math.inf],
-            psi=[-5.0, 700.0, math.nan], mu=[1.79e20, 0.0, 1.79e20],
-            eta=[1.79e20, -math.inf, 1.79e20], c_cmp=[0.0, 1e-7, 1e-7],
-            alpha=[math.inf, 5.0, 5.0], beta=[0.5, math.inf, 0.5], delta=[0.0, 0.0, math.inf],
-            xi=500.0, c0=-1.0, d_min=0, d_max=-1, seed=-2,
-        )
         with pytest.raises(ScenarioValidationError) as exc:
-            validate_scenario(s)
+            build_scenario(
+                n=3,
+                d_loc=[1500, 0, -3], f=[math.nan, 1.5, 0.0], kappa=[-1.0, 3.5e-18, math.inf],
+                psi=[-5.0, 700.0, math.nan], mu=[1.79e20, 0.0, 1.79e20],
+                eta=[1.79e20, -math.inf, 1.79e20], c_cmp=[0.0, 1e-7, 1e-7],
+                alpha=[math.inf, 5.0, 5.0], beta=[0.5, math.inf, 0.5],
+                delta=[0.0, 0.0, math.inf],
+                xi=500.0, c0=-1.0, d_min=0, d_max=-1, seed=-2,
+            )
         assert [str(v) for v in exc.value.violations] == [
             "organizations[0].f: must be finite",
             "organizations[0].kappa: must be > 0",
@@ -249,20 +267,17 @@ class TestValidation:
         assert any(isinstance(v, NonNegativeZWeight) for v in exc.value.violations)
 
     def test_zero_total_data_rejected_with_the_field_named(self):
-        s = build_scenario(n=3, d_loc=[1500, 0, 800], d_min=0, validate=False)
         with pytest.raises(ScenarioValidationError) as exc:
-            validate_scenario(s)
+            build_scenario(n=3, d_loc=[1500, 0, 800], d_min=0)
         assert [v.field for v in exc.value.violations] == ["organizations[1].d_loc"]
         # A positive floor keeps every total positive.
-        validate_scenario(replace(s, bounds=StrategyBounds(d_min=1, d_max=3000)))
+        build_scenario(n=3, d_loc=[1500, 0, 800], d_min=1)
 
-    def test_success_is_remembered_on_the_instance_only(self, monkeypatch):
+    def test_every_copy_is_checked_when_built(self, monkeypatch):
         s = build_scenario(n=3)
         calls = []
-        real = game._raw_z_weights
-        monkeypatch.setattr(game, "_raw_z_weights", lambda s: calls.append(s) or real(s))
-        assert validate_scenario(s) is s
-        assert calls == []
+        real = game.z_weights
+        monkeypatch.setattr(game, "z_weights", lambda s: calls.append(s) or real(s))
         copies = (
             replace(s),
             type(s)(
@@ -270,29 +285,20 @@ class TestValidation:
                 market=s.market, economy=s.economy, bounds=s.bounds,
             ),
             pickle.loads(pickle.dumps(s)),
+            with_payoff_mode(s, PayoffMode.ANTISYMMETRIC),
         )
-        for copy in copies:
-            assert validate_scenario(copy) is copy
         assert len(calls) == len(copies)
         assert all(c is copy for c, copy in zip(calls, copies))
-        bad = replace(s, economy=replace(s.economy, c0=-1.0))
         for _ in range(2):
             with pytest.raises(ScenarioValidationError):
-                validate_scenario(bad)
+                replace(s, economy=replace(s.economy, c0=-1.0))
 
     def test_every_non_negative_weight_is_reported_in_order(self):
-        s = build_scenario(
-            n=3, gamma=np.zeros((3, 3)), psi=[0.0, 700.0, 0.0], xi=0.0, validate=False
-        )
         with pytest.raises(ScenarioValidationError) as exc:
-            validate_scenario(s)
+            build_scenario(n=3, gamma=np.zeros((3, 3)), psi=[0.0, 700.0, 0.0], xi=0.0)
         found = [(v.org, v.value) for v in exc.value.violations]
         assert found == [(0, 0.0), (2, 0.0)]
         assert all(isinstance(v, NonNegativeZWeight) for v in exc.value.violations)
-        with pytest.raises(NonNegativeZWeight) as first:
-            game.z_weights(s)
-        assert first.value.org == 0
-        assert game._raw_z_weights(s)[1] == -700.0
 
     def test_z_weights_are_the_transfer_rates_less_psi(self):
         # z_n = G_n - Phi_n - psi_n, from the rates that price the transfers,
@@ -312,10 +318,12 @@ class TestValidation:
             assert (np.abs(z - by_row) <= 1e-15 * np.abs(by_row)).all()
             assert game._linear_coeffs(s).tolist() == (-eco._marginal_costs(s) / z).tolist()
 
-    def test_z_weight_raises_directly_for_degenerate_org(self):
-        s = build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0, validate=False)
-        with pytest.raises(NonNegativeZWeight):
-            game.z_weights(s)
+    def test_z_weight_of_degenerate_org_is_refused_at_construction(self):
+        with pytest.raises(ScenarioValidationError) as exc:
+            build_scenario(n=1, gamma=[[0.0]], psi=0.0, xi=0.0)
+        assert [(type(v), v.org, str(v)) for v in exc.value.violations] == [
+            (NonNegativeZWeight, 0, "z weight of organization 0 is 0.0, expected < 0")
+        ]
 
 
 NON_FINITE_FIELDS = [
@@ -362,9 +370,8 @@ class TestNonFiniteInputs:
 
     def test_validation_reports_every_non_finite_field(self):
         g = np.array([[0.0, math.nan], [0.5, 0.0]])
-        s = build_scenario(n=2, gamma=g, psi=[700.0, math.inf], validate=False)
         with pytest.raises(ScenarioValidationError) as exc:
-            validate_scenario(s)
+            build_scenario(n=2, gamma=g, psi=[700.0, math.inf])
         named = {(v.field, v.detail) for v in exc.value.violations}
         assert ("market.gamma", "must be finite") in named
         assert ("organizations[1].psi", "must be finite") in named
@@ -449,6 +456,29 @@ class TestScenarioCache:
             assert a.server_fee == b.server_fee
         assert solver.fpi_solve(copy).to_dict() == solver.fpi_solve(s).to_dict()
 
+    def test_pickle_drops_the_cache_and_revalidates(self, monkeypatch):
+        s = table1_scenario(seed=24)
+        _cached_arrays(s)
+        copy = pickle.loads(pickle.dumps(s))
+        assert "_cache" not in s.__getstate__()
+        # The copy's cache holds only what its own validation built.
+        assert "linear_coeffs" in s.__dict__["_cache"]
+        assert "linear_coeffs" not in copy.__dict__["_cache"]
+        for name in COLUMNS:
+            assert np.array_equal(getattr(copy, name), getattr(s, name))
+        assert np.array_equal(copy.market.gamma, s.market.gamma)
+        assert np.array_equal(copy.market.phi, s.market.phi)
+
+        gamma = s.market.gamma.copy()
+        np.fill_diagonal(gamma, 0.5)
+        edited = Market(gamma=gamma, xi=s.market.xi, phi=s.market.phi)
+        state = Scenario.__getstate__
+        monkeypatch.setattr(Scenario, "__getstate__", lambda x: {**state(x), "market": edited})
+        data = pickle.dumps(s)
+        with pytest.raises(ScenarioValidationError) as exc:
+            pickle.loads(data)
+        assert [str(v) for v in exc.value.violations] == ["market.gamma: diagonal must be zero"]
+
 
 class TestSerialization:
     def test_round_trip_is_bit_identical(self):
@@ -526,11 +556,15 @@ class TestSerialization:
         assert str(exc.value) == f"{where}: unknown key(s): ['extra', 'zz']"
 
     def test_non_finite_scenario_is_not_saved(self, tmp_path):
+        # No scenario holds a non-finite value, so none reaches save_scenario.
         # JSON has no infinity; the one JSON writer refuses it, naming the path.
         path = tmp_path / "scenario.json"
-        s = build_scenario(n=2, psi=[700.0, math.inf], validate=False)
+        with pytest.raises(ScenarioValidationError):
+            build_scenario(n=2, psi=[700.0, math.inf])
+        payload = scenario_to_dict(build_scenario(n=2))
+        payload["organizations"][1]["psi"] = math.inf
         with pytest.raises(UnwritableOutput, match="cannot write a non-finite number as JSON"):
-            save_scenario(s, path)
+            json_text(payload, str(path))
         assert not path.exists()
 
     def test_market_arrays_are_read_only(self):

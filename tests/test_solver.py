@@ -201,10 +201,11 @@ class TestSolveGames:
             assert set(together[3].cases) == {CaseLabel.UPPER_BOUND}
 
     def test_invalid_scenario_raises(self):
-        s = table1_scenario(seed=73, validate=False)
-        s = replace(s, market=Market(gamma=s.market.gamma, xi=1e9, phi=s.market.phi))
-        with pytest.raises(ScenarioValidationError):
-            solver.solve_games(s, np.ones((2, s.n)))
+        # Refused at construction, so no solve can be reached with it.
+        s = table1_scenario(seed=73)
+        with pytest.raises(ScenarioValidationError) as exc:
+            replace(s, market=Market(gamma=s.market.gamma, xi=1e9, phi=s.market.phi))
+        assert [v.field for v in exc.value.violations] == ["market.xi"]
 
 
 class TestGradientLabels:
@@ -295,9 +296,10 @@ class TestFpiSolve:
         assert len(rep.potential_trace) == 2
 
     def test_invalid_scenario_raises(self):
-        s = build_scenario(n=2, validate=False, xi=1e9)
-        with pytest.raises(ScenarioValidationError):
-            solver.fpi_solve(s)
+        # Refused at construction, so no solve can be reached with it.
+        with pytest.raises(ScenarioValidationError) as exc:
+            build_scenario(n=2, xi=1e9)
+        assert [v.field for v in exc.value.violations] == ["market.xi"]
 
     def test_report_carries_constraint_verdicts(self):
         s = table1_scenario(seed=42)
