@@ -85,6 +85,11 @@ minimum moves between processes, so alternate the two a few times:
         python benchmarks/bench_layers.py --src src --label change --out BENCH_N.json
     done
 
+Every layer solves with the default ``SolverConfig``. Checkouts whose
+``cli.scheme_rows``, ``cli.run_sweep_job`` and ``cli.run_sweep`` took a
+solver config are timed with their own copy of this script, which passed
+the default one.
+
 Standard library and numpy only.
 """
 
@@ -230,11 +235,10 @@ def measure(repeat: int) -> dict:
     grid = default_sweep_grid()
     jobs = expand_sweep(grid)
     job = jobs[0]
-    cfg = solver.SolverConfig()
     s = sample_scenario(grid, job.cell, job.seed)
-    report = solver.fpi_solve(s, cfg)
+    report = solver.fpi_solve(s)
     anti = with_payoff_mode(s, PayoffMode.ANTISYMMETRIC)
-    anti_profile = solver.fpi_solve(anti, cfg).profile
+    anti_profile = solver.fpi_solve(anti).profile
     cheap = replace(s, eta=s.eta * 1e-6, mu=s.mu * 1e-6)
     floor = np.full(s.n, float(s.bounds.d_min))
     if solver.verify_ne(cheap, floor).is_ne:
@@ -242,7 +246,7 @@ def measure(repeat: int) -> dict:
     games = np.vstack([game._linear_coeffs(s), baselines.wco_linear_coeffs(s)])
     job_profiles = np.vstack([
         report.profile.d_gen, baselines.vcfl_profile(s).d_gen,
-        baselines.wco_solve(s, cfg).profile.d_gen,
+        baselines.wco_solve(s).profile.d_gen,
         baselines.radg_profiles(s, job.seed, grid.radg_repetitions),
     ])
     example = str(resources.files("cocogen").joinpath("data/scenario_example.json"))
@@ -257,10 +261,10 @@ def measure(repeat: int) -> dict:
         "scenario.sample_scenario": _per_call_us(
             lambda: sample_scenario(grid, job.cell, job.seed), 200, repeat
         ),
-        "solver.fpi_solve": _per_call_us(lambda: solver.fpi_solve(s, cfg), 100, repeat),
-        "baselines.wco_solve": _per_call_us(lambda: baselines.wco_solve(s, cfg), 100, repeat),
+        "solver.fpi_solve": _per_call_us(lambda: solver.fpi_solve(s), 100, repeat),
+        "baselines.wco_solve": _per_call_us(lambda: baselines.wco_solve(s), 100, repeat),
         "solver.solve_games.two_games": _per_call_us(
-            lambda: solver.solve_games(s, games, cfg), 100, repeat
+            lambda: solver.solve_games(s, games), 100, repeat
         ),
         "baselines.wco_scenario": _per_call_us(lambda: baselines.wco_scenario(s), 500, repeat),
         "economics.evaluate_profile": _per_call_us(
@@ -270,7 +274,7 @@ def measure(repeat: int) -> dict:
             lambda: economics.evaluate_profiles(s, job_profiles), 500, repeat
         ),
         "cli.scheme_rows": _per_call_us(
-            lambda: cli.scheme_rows(s, cfg, job.seed, grid.radg_repetitions), 100, repeat
+            lambda: cli.scheme_rows(s, job.seed, grid.radg_repetitions), 100, repeat
         ),
         "solver.verify_ne": _per_call_us(
             lambda: solver.verify_ne(s, report.profile), 100, repeat
@@ -282,11 +286,11 @@ def measure(repeat: int) -> dict:
             lambda: solver.verify_ne(cheap, floor), 100, repeat
         ),
         "cli.scheme_rows.fresh": _fresh_us(
-            lambda x: cli.scheme_rows(x, cfg, job.seed, grid.radg_repetitions), fresh, 100, repeat
+            lambda x: cli.scheme_rows(x, job.seed, grid.radg_repetitions), fresh, 100, repeat
         ),
         "solver.solve_games.two_games.fresh": _fresh_us(
             lambda x: solver.solve_games(
-                x, np.vstack([game._linear_coeffs(x), baselines.wco_linear_coeffs(x)]), cfg
+                x, np.vstack([game._linear_coeffs(x), baselines.wco_linear_coeffs(x)])
             ),
             fresh, 100, repeat,
         ),
@@ -298,7 +302,7 @@ def measure(repeat: int) -> dict:
             lambda: with_payoff_mode(s, PayoffMode.ANTISYMMETRIC), 500, repeat
         ),
         "cli.run_sweep_job.first_90_jobs": _per_call_us(
-            lambda: [cli.run_sweep_job(grid, j, cfg) for j in jobs[:90]], 1, repeat
+            lambda: [cli.run_sweep_job(grid, j) for j in jobs[:90]], 1, repeat
         )
         / 90,
     }
@@ -322,7 +326,7 @@ def measure(repeat: int) -> dict:
                 lambda: kernels.build_lower_envelope(*lines), 20, repeat
             )
     layers["solver.fpi_solve.per_iteration"] = layers["solver.fpi_solve"] / report.iterations
-    rows = cli.run_sweep(grid, cfg, jobs=1)
+    rows = cli.run_sweep(grid, jobs=1)
     layers["cli._aggregate"] = _per_call_us(lambda: cli._aggregate(rows), 3, repeat)
     with tempfile.TemporaryDirectory() as tmp:
         path, text = os.path.join(tmp, "results.csv"), "0123456789," * 636 + "\r\n"

@@ -3,13 +3,13 @@
 Exit codes: 0 success, 1 a ``compare`` scheme row that failed or a sweep
 whose every job failed, 2 unusable input or output path, or a JSON output
 holding a non-finite number (and any package error a command does not
-handle), 3 curve fit with too few points or no feasible offset, 4 solver
-non-convergence (suppressed by ``--allow-nonconverged``).
+handle), 3 curve fit with too few points or no feasible offset.
 All numeric CSV fields carry 17 significant digits; result CSVs are plain
 RFC 4180 bodies with the run manifest in a JSON sidecar next to them. Every
 manifest records the command line and the Python and numpy versions and CPU
-count that ran it; that of a command that solves also records its full
-solver configuration and the payoff mode it solved under.
+count that ran it; that of a command that solves also records the payoff
+mode it solved under. Every command solves with the default
+``SolverConfig``.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ import numpy as np
 
 from . import __version__, baselines, economics, game, scaling, solver
 from .errors import CocogenError, InsufficientPoints, NonPositiveShifted, UnwritableOutput
-from .model import (
-    PayoffMode, check_seed, json_text, load_scenario, with_payoff_mode,
-)
+from .model import PayoffMode, check_seed, json_text, load_scenario
 from .scenario import (
     PRNG_ID,
     SweepGrid,
@@ -57,7 +55,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_FIT = 3
-EXIT_NONCONVERGED = 4
 
 SCHEMES = ("CoCoGen", "VCFL", "WCO", "RaDG")
 
@@ -95,8 +92,8 @@ def _now() -> str:
 
 def _manifest(args, config_paths, seed, started: str, solved=None) -> dict:
     """The run manifest of the command ``args`` (as parsed by ``main``),
-    started at ``started``, finished now. ``solved`` is the
-    (SolverConfig, PayoffMode) of a command that solves."""
+    started at ``started``, finished now. ``solved`` is the PayoffMode of a
+    command that solves."""
     out = {
         "command": args.command,
         "argv": args.argv,
@@ -111,9 +108,7 @@ def _manifest(args, config_paths, seed, started: str, solved=None) -> dict:
         "finished": _now(),
     }
     if solved is not None:
-        cfg, mode = solved
-        out["solver_config"] = asdict(cfg)
-        out["payoff_mode"] = mode.value
+        out["payoff_mode"] = solved.value
     return out
 
 
@@ -159,17 +154,14 @@ def _checked(prefix: str, call, *args):
         raise _BadInput(f"{prefix}{exc}") from None
 
 
-def _solver_config_from_args(args) -> solver.SolverConfig:
-    return solver.SolverConfig(tol=args.tol, max_iters=args.max_iters)
-
-
 def _load_scenario_for_args(args, seed: int | None = None):
+    """The scenario file under ``--payoff-mode`` and ``seed``, if given, as
+    one validated copy of the loaded scenario."""
     s = load_scenario(args.scenario)
+    changes = {} if seed is None else {"seed": seed}
     if args.payoff_mode is not None:
-        s = with_payoff_mode(s, PayoffMode(args.payoff_mode))
-    if seed is not None:
-        s = replace(s, seed=seed)
-    return s
+        changes["economy"] = replace(s.economy, bb_mode=PayoffMode(args.payoff_mode))
+    return replace(s, **changes) if changes else s
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +195,10 @@ def cmd_fit(args) -> int:
 def cmd_solve(args) -> int:
     started = _now()
     s = _checked("invalid scenario: ", _load_scenario_for_args, args)
-    cfg = _solver_config_from_args(args)
-    report = solver.fpi_solve(s, cfg)
+    report = solver.fpi_solve(s)
     if args.verify_ne:
         report = replace(report, ne_certificate=solver.verify_ne(s, report.profile))
-    manifest = _manifest(args, [args.scenario], None, started, (cfg, s.economy.bb_mode))
+    manifest = _manifest(args, [args.scenario], None, started, s.economy.bb_mode)
     payload = {"manifest": manifest, **report.to_dict()}
     text = json_text(payload, "-o/--out" if args.out else "stdout")
     if args.out:
@@ -217,12 +208,6 @@ def cmd_solve(args) -> int:
     if args.trace:
         trace = _csv_text(["iteration", "F"], enumerate(report.potential_trace))
         _write_text(args.trace, trace, "--trace")
-    if not report.converged and not args.allow_nonconverged:
-        print(
-            f"error: not converged after {report.iterations} iterations",
-            file=sys.stderr,
-        )
-        return EXIT_NONCONVERGED
     return EXIT_OK
 
 
@@ -252,7 +237,7 @@ def _ok_row(scheme: str, welfare, mean_d, ir_all, bb_sum, converged) -> dict:
 
 
 def scheme_rows(
-    s, cfg: solver.SolverConfig, radg_seed: int, radg_count: int
+    s, radg_seed: int, radg_count: int
 ) -> tuple[list[dict], solver.SolveReport | None]:
     """The CoCoGen, VCFL, WCO and RaDG rows for one scenario, in that order.
 
@@ -276,7 +261,7 @@ def scheme_rows(
     reports = {}
     if coeffs:
         try:
-            reports = dict(zip(coeffs, solver.solve_games(s, np.array(list(coeffs.values())), cfg)))
+            reports = dict(zip(coeffs, solver.solve_games(s, np.array(list(coeffs.values())))))
         except CocogenError as exc:
             failed.update(dict.fromkeys(coeffs, exc))
     # Scheme -> (profile, converged) of each scheme that did not fail, in row order.
@@ -300,7 +285,7 @@ def scheme_rows(
     return rows, reports.get("WCO")
 
 
-def run_sweep_job(grid: SweepGrid, job: SweepJob, cfg: solver.SolverConfig) -> list[dict]:
+def run_sweep_job(grid: SweepGrid, job: SweepJob) -> list[dict]:
     """All four scheme rows for one job; failures land in the status column."""
     base = {
         "gamma_level": job.gamma_index,
@@ -315,7 +300,7 @@ def run_sweep_job(grid: SweepGrid, job: SweepJob, cfg: solver.SolverConfig) -> l
             for scheme in SCHEMES
         ]
     gbar = _realized_gamma_bar(s.market.gamma)
-    rows, _ = scheme_rows(s, cfg, job.seed, grid.radg_repetitions)
+    rows, _ = scheme_rows(s, job.seed, grid.radg_repetitions)
     return [{**base, **r, "realized_gamma_bar": gbar} for r in rows]
 
 
@@ -353,19 +338,19 @@ def _aggregate(rows):
     return out
 
 
-def _share_worker(conn, grid: SweepGrid, share: list[SweepJob], cfg: solver.SolverConfig) -> None:
+def _share_worker(conn, grid: SweepGrid, share: list[SweepJob]) -> None:
     """A worker process's target: run one share of the sweep's jobs and send
     their rows (a list), or the exception that stopped them and its
     formatted traceback (a tuple), in one message."""
     try:
-        message = [run_sweep_job(grid, job, cfg) for job in share]
+        message = [run_sweep_job(grid, job) for job in share]
     except Exception as exc:
         message = (exc, traceback.format_exc())
     conn.send(message)
     conn.close()
 
 
-def run_sweep(grid: SweepGrid, cfg: solver.SolverConfig, jobs: int = 1):
+def run_sweep(grid: SweepGrid, jobs: int = 1):
     """Execute every sweep job; the row order is independent of scheduling.
 
     ``jobs`` is capped at the job count and the CPU count, giving W workers;
@@ -402,12 +387,12 @@ def run_sweep(grid: SweepGrid, cfg: solver.SolverConfig, jobs: int = 1):
     try:
         for share in shares[1:]:
             recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_share_worker, args=(send, grid, share, cfg))
+            child = multiprocessing.Process(target=_share_worker, args=(send, grid, share))
             child.start()
             children.append((child, recv))
             send.close()  # the worker holds the only write end, so its exit ends recv
         for job in shares[0]:
-            results[0].append(run_sweep_job(grid, job, cfg))
+            results[0].append(run_sweep_job(grid, job))
             progress(1)
         for i, (child, recv) in enumerate(children, 1):
             try:
@@ -441,7 +426,6 @@ def cmd_sweep(args) -> int:
     grid = _checked("invalid sweep file: ", load_sweep, args.sweep)
     if args.seed is not None:
         grid = replace(grid, base_seed=args.seed)
-    cfg = _solver_config_from_args(args)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
@@ -449,7 +433,7 @@ def cmd_sweep(args) -> int:
             f"-o/--out-dir: cannot make directory {args.out_dir!r}: {exc.strerror or exc}"
         ) from None
 
-    rows = run_sweep(grid, cfg, jobs=args.jobs)
+    rows = run_sweep(grid, jobs=args.jobs)
     ok = sum(1 for r in rows if r["status"] == "ok")
     if ok == 0:
         print("error: every sweep job failed", file=sys.stderr)
@@ -465,7 +449,7 @@ def cmd_sweep(args) -> int:
     # Every text is built before the first is written, so a refused sidecar
     # leaves no file behind; the CSVs go first, then their sidecars.
     flag = "-o/--out-dir"
-    manifest = _manifest(args, [args.sweep], args.seed, started, (cfg, grid.economy.bb_mode))
+    manifest = _manifest(args, [args.sweep], args.seed, started, grid.economy.bb_mode)
     texts = [(name, _table_text(columns, table)) for name, columns, table in outputs]
     texts += [(name + ".manifest.json", json_text({"manifest": manifest, "for_file": name}, flag))
               for name, _, _ in outputs]
@@ -484,9 +468,8 @@ def cmd_compare(args) -> int:
     started = _now()
     s = _checked("invalid scenario: ", _load_scenario_for_args, args, args.seed)
     _checked("", check_radg_count, args.radg_reps, s.n, "--radg-reps")
-    cfg = _solver_config_from_args(args)
 
-    rows, wco = scheme_rows(s, cfg, s.seed, args.radg_reps)
+    rows, wco = scheme_rows(s, s.seed, args.radg_reps)
     failed = [r for r in rows if r["status"] != "ok"]
     for r in failed:
         print(f"error: {r['scheme']}: {r['status']}", file=sys.stderr)
@@ -507,37 +490,16 @@ def cmd_compare(args) -> int:
     print(f"(WCO welfare under its zero-competition clone: {_fmt(clone_welfare)})")
     if args.out:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")
-        manifest = _manifest(
-            args, [args.scenario], args.seed, started, (cfg, s.economy.bb_mode)
-        )
+        manifest = _manifest(args, [args.scenario], args.seed, started, s.economy.bb_mode)
         sidecar = json_text({"manifest": manifest}, "-o/--out")
         _write_text(args.out, _table_text(columns, rows), "-o/--out")
         _write_text(args.out + ".manifest.json", sidecar, "-o/--out")
-    if not rows[0]["converged"] and not args.allow_nonconverged:
-        return EXIT_NONCONVERGED
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-
-def _solver_field(name: str, convert):
-    """argparse type for a flag that sets ``SolverConfig.<name>``: the value
-    must pass the config's own check, so a bad one is a usage error (exit 2)
-    that names the flag."""
-
-    def parse(text: str):
-        value = convert(text)
-        try:
-            solver.SolverConfig(**{name: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-
-    parse.__name__ = convert.__name__  # argparse's "invalid float value" wording
-    return parse
 
 
 def _jobs_flag(text: str) -> int:
@@ -550,21 +512,6 @@ def _jobs_flag(text: str) -> int:
 
 
 _jobs_flag.__name__ = "int"  # argparse's "invalid int value" wording
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--tol", type=_solver_field("tol", float), default=1e-9,
-        help="stop when the bracket on the equilibrium's mean local error is at most tol wide",
-    )
-    p.add_argument("--max-iters", type=_solver_field("max_iters", int), default=500)
-
-
-def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    """The flags of a command that solves one scenario file: its payoff mode,
-    and whether a solve that does not converge still exits 0."""
-    p.add_argument("--payoff-mode", choices=("literal", "antisymmetric"), default=None)
-    p.add_argument("--allow-nonconverged", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,15 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("-o", "--out", default=None)
     p_solve.add_argument("--trace", default=None, help="write iteration,F CSV here")
     p_solve.add_argument("--verify-ne", action="store_true")
-    _add_solver_flags(p_solve)
-    _add_scenario_flags(p_solve)
 
     p_sweep = sub.add_parser("sweep", help="run the full scheme-comparison sweep")
     p_sweep.add_argument("sweep")
     p_sweep.add_argument("-o", "--out-dir", default="sweep-out")
     p_sweep.add_argument("--jobs", type=_jobs_flag, default=os.cpu_count() or 1)
     p_sweep.add_argument("--seed", type=int, default=None, help="replaces the file's base_seed")
-    _add_solver_flags(p_sweep)
 
     p_cmp = sub.add_parser("compare", help="all four schemes on one scenario")
     p_cmp.add_argument("scenario")
@@ -602,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--seed", type=int, default=None, help="replaces the scenario's seed, which keys the RaDG draws"
     )
-    _add_solver_flags(p_cmp)
-    _add_scenario_flags(p_cmp)
+    for p in (p_solve, p_cmp):
+        p.add_argument("--payoff-mode", choices=("literal", "antisymmetric"), default=None)
     return parser
 
 

@@ -46,7 +46,7 @@ class CaseLabel:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-9  # width of the final bracket on the mean local error
+    tol: float = 1e-9  # the bracket on the mean local error closes at this width
     max_iters: int = 500  # bracket steps
 
     def __post_init__(self):
@@ -61,7 +61,10 @@ class SolveReport:
     """An equilibrium and how it was found; priced on the scenario it was
     solved on when ``evaluation`` or ``welfare`` is first read, and its
     case labels and potential trace computed by ``labels()`` and
-    ``trace()`` when first read."""
+    ``trace()`` when first read. ``converged`` says the root's bracket
+    closed (at most ``tol`` wide, or at float resolution) within
+    ``max_iters`` steps; the profile is a lattice minimum along every
+    coordinate either way."""
 
     profile: StrategyProfile
     labels: Callable[[], tuple[str, ...]] = field(compare=False, repr=False)
@@ -218,6 +221,12 @@ class _Bracket:
         elif fb <= 0:
             self.a = b
 
+    def closed(self, tol: float) -> bool:
+        """At most ``tol`` wide, or two adjacent floats: no midpoint lies
+        strictly inside, so no further step can narrow it."""
+        a, b = self.a, self.b
+        return b - a <= tol or not a < 0.5 * (a + b) < b
+
     def next_t(self) -> float:
         a, b, fa, fb = self.a, self.b, self.fa, self.fb
         t = (a * fb - b * fa) / (fb - fa)
@@ -263,9 +272,10 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
     error t, so ``g(t) = t - mean eps(d(t))`` is strictly increasing, with
     one root between the mean errors of the all-``d_max`` and all-``d_min``
     profiles. Illinois regula falsi, guarded by bisection, narrows each
-    game's bracket to width ``tol`` in at most ``max_iters`` steps (else its
-    report says not converged); the trace holds F at each step's profile,
-    priced when first read.
+    game's bracket until it closes, at most ``tol`` wide or two adjacent
+    floats, in at most ``max_iters`` steps; a report is ``converged`` when
+    its bracket closed. The trace holds F at each step's profile, priced
+    when first read.
     The case labels come from the last evaluated point, computed when first
     read, whose profile is rounded half up and then descended by ±1 moves.
     F is convex along every coordinate, so no organization gains from any
@@ -287,7 +297,7 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
             labels=partial(_labels, s, factor_row, r.point[1]),
             iterations=len(r.steps),
             trace=partial(_potential_trace, s, r.steps, row),
-            converged=r.b - r.a <= cfg.tol,
+            converged=r.closed(cfg.tol),
             scenario=s,
         )
         for profile, r, row, factor_row in zip(profiles, brackets, lin, factor)
@@ -310,7 +320,7 @@ def _brackets(s: Scenario, lin: np.ndarray, cfg: SolverConfig):
     open_ = list(range(games))
     while True:
         open_ = [j for j in open_
-                 if brackets[j].b - brackets[j].a > cfg.tol and len(brackets[j].steps) < cfg.max_iters]
+                 if not brackets[j].closed(cfg.tol) and len(brackets[j].steps) < cfg.max_iters]
         if not open_:
             break
         ts = [brackets[j].next_t() for j in open_]

@@ -111,6 +111,26 @@ def table1_scenario(seed, n=10, gamma_range=(0.0, 1.0), cost_scale=1.0, law=None
     )
 
 
+def float_resolution_scenario():
+    """A preset job scaled so that its mean local errors are 2.6e8 to 4.1e8:
+    the float spacing at the root (3e-8 to 6e-8) is wider than the default
+    ``tol``, so its bracket can close only at float resolution."""
+    from dataclasses import replace
+
+    from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
+
+    grid = default_sweep_grid()
+    job = next(j for j in expand_sweep(grid)[::3] if j.seed == 7914658278984599206)
+    s = sample_scenario(grid, job.cell, job.seed)
+    return replace(s, alpha=s.alpha * 1e9, eta=s.eta * 1e3, mu=s.mu * 1e3,
+                   economy=replace(s.economy, varrho=1e8))
+
+
+# float_resolution_scenario()'s equilibrium: solvers whose bracket never
+# closed there, after 500 steps, gave the same profile.
+FLOAT_RESOLUTION_PROFILE = [3000.0] * 6 + [2772.0, 2877.0, 2078.0, 3000.0]
+
+
 def reference_sample_scenario(grid, cell, seed):
     """The sweep sampler as first written: one record per organization,
     built from the same family streams in the same order, then turned into
@@ -650,7 +670,7 @@ def assert_lattice_equilibrium(s, d):
     assert np.all(f[0] <= f[1:]), (d, f[0] - f[1:])
 
 
-def reference_scheme_rows(s, cfg, radg_seed, radg_count):
+def reference_scheme_rows(s, radg_seed, radg_count):
     """Scheme rows as first written: the CoCoGen, VCFL and WCO profiles each
     priced alone through ``economics.evaluate_profile`` and the RaDG draws as
     their own matrix. Also returns the WCO profile's welfare under its
@@ -674,7 +694,7 @@ def reference_scheme_rows(s, cfg, radg_seed, radg_count):
         )
 
     try:
-        rep = solver.fpi_solve(s, cfg)
+        rep = solver.fpi_solve(s)
         ev = economics.evaluate_profile(s, rep.profile)
         row("CoCoGen", ev.welfare.item(), float(np.mean(rep.profile.d_gen)), all(ev.ir[0]),
             ev.bb_sum.item(), rep.converged)
@@ -688,7 +708,7 @@ def reference_scheme_rows(s, cfg, radg_seed, radg_count):
 
     clone_welfare = math.nan
     try:
-        wco = baselines.wco_solve(s, cfg)
+        wco = baselines.wco_solve(s)
         ev = economics.evaluate_profile(s, wco.profile)
         row("WCO", ev.welfare.item(), float(np.mean(wco.profile.d_gen)), all(ev.ir[0]),
             ev.bb_sum.item(), wco.converged)
@@ -807,7 +827,7 @@ def reference_root_solve(s, cfg=None):
         a = b
     fa, fb = g_a[0], g_b[0]
     side, steps = 0, 0
-    while b - a > cfg.tol and steps < cfg.max_iters:
+    while b - a > cfg.tol and a < 0.5 * (a + b) < b and steps < cfg.max_iters:
         steps += 1
         t = (a * fb - b * fa) / (fb - fa)
         if not a < t < b:

@@ -188,8 +188,7 @@ def test_criterion_5_ne_certification():
 @pytest.fixture(scope="module")
 def sweep_cells():
     grid = default_sweep_grid()
-    cfg = SolverConfig()  # the CLI defaults
-    rows = cli.run_sweep(grid, cfg, jobs=2)
+    rows = cli.run_sweep(grid, jobs=2)
     assert len(rows) == 3 * 3 * grid.repetitions * 4  # jobs x schemes
     assert all(r["status"] == "ok" for r in rows)
     cells = {}

@@ -23,10 +23,12 @@ from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 from cocogen.solver import CaseLabel, SolverConfig
 
 from helpers import (
+    FLOAT_RESOLUTION_PROFILE,
     _ref_case_label,
     _ref_stationary_point,
     assert_lattice_equilibrium,
     build_scenario,
+    float_resolution_scenario,
     org_row,
     random_profile,
     reference_fpi_solve,
@@ -295,6 +297,15 @@ class TestFpiSolve:
         assert rep.iterations == 2
         assert len(rep.potential_trace) == 2
 
+    def test_bracket_closes_at_float_resolution(self):
+        # The bracket cannot get 1e-9 wide around a root near 3e8; it closes
+        # once it is two adjacent floats, a few steps in, with the profile
+        # the unclosed bracket also gave.
+        s = float_resolution_scenario()
+        rep = solver.fpi_solve(s)
+        assert rep.converged and rep.iterations <= 20
+        assert rep.profile.d_gen.tolist() == FLOAT_RESOLUTION_PROFILE
+
     def test_invalid_scenario_raises(self):
         # Refused at construction, so no solve can be reached with it.
         with pytest.raises(ScenarioValidationError) as exc:
@@ -557,7 +568,7 @@ class TestLazyPricing:
                             lambda *a: evaluations.append(real(*a)) or evaluations[-1])
         grid = default_sweep_grid()
         for job in expand_sweep(grid)[:3]:
-            rows = cli.run_sweep_job(grid, job, SolverConfig())
+            rows = cli.run_sweep_job(grid, job)
             assert [r["status"] for r in rows] == ["ok"] * 4
         assert labels == [] and len(evaluations) == 3
         assert all("bb_balanced" not in ev.__dict__ for ev in evaluations)
