@@ -19,9 +19,10 @@ builds that the warm layers leave out. The sampling is not timed.
 scenario, validated in full (checkouts that validated scenarios by a
 separate call re-checked only the clone's game weights).
 ``model.Scenario.fresh_copy`` is ``dataclasses.replace`` of that scenario,
-and ``model.with_payoff_mode`` its copy under antisymmetric payoffs; each
-copy is validated when built (in checkouts that validated scenarios by a
-separate call, the copy alone is timed). ``solver.verify_ne`` certifies
+and ``model.Scenario.antisymmetric_copy`` its copy under antisymmetric
+payoffs (``replace`` of its economy too); each copy is validated when
+built (in checkouts that validated scenarios by a separate call, the copy
+alone is timed). ``solver.verify_ne`` certifies
 that scenario's CoCoGen profile against every unilateral move on each
 organization's 3001-point lattice (at an equilibrium it prices each
 organization's two lattice neighbours; checkouts before that scanned every
@@ -229,7 +230,7 @@ def measure(repeat: int) -> dict:
 
     from cocogen import baselines, cli, economics, game, kernels, scaling, solver
     from cocogen.errors import InstanceTooLarge
-    from cocogen.model import PayoffMode, load_scenario, with_payoff_mode
+    from cocogen.model import PayoffMode, load_scenario
     from cocogen.scenario import default_sweep_grid, expand_sweep, load_sweep, sample_scenario
 
     grid = default_sweep_grid()
@@ -237,7 +238,11 @@ def measure(repeat: int) -> dict:
     job = jobs[0]
     s = sample_scenario(grid, job.cell, job.seed)
     report = solver.fpi_solve(s)
-    anti = with_payoff_mode(s, PayoffMode.ANTISYMMETRIC)
+
+    def antisymmetric():
+        return replace(s, economy=replace(s.economy, bb_mode=PayoffMode.ANTISYMMETRIC))
+
+    anti = antisymmetric()
     anti_profile = solver.fpi_solve(anti).profile
     cheap = replace(s, eta=s.eta * 1e-6, mu=s.mu * 1e-6)
     floor = np.full(s.n, float(s.bounds.d_min))
@@ -298,9 +303,7 @@ def measure(repeat: int) -> dict:
             lambda x: economics.evaluate_profiles(x, job_profiles), fresh, 100, repeat
         ),
         "model.Scenario.fresh_copy": _per_call_us(lambda: replace(s), 500, repeat),
-        "model.with_payoff_mode": _per_call_us(
-            lambda: with_payoff_mode(s, PayoffMode.ANTISYMMETRIC), 500, repeat
-        ),
+        "model.Scenario.antisymmetric_copy": _per_call_us(antisymmetric, 500, repeat),
         "cli.run_sweep_job.first_90_jobs": _per_call_us(
             lambda: [cli.run_sweep_job(grid, j) for j in jobs[:90]], 1, repeat
         )

@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Union
 
@@ -387,7 +387,8 @@ def _violations(s: Scenario) -> list[CocogenError]:
 
     if not violations:
         # Only meaningful once the market shape checks passed.
-        from .economics import _column_sums, _costs, _floor_error, _transfer_rates, epsilon_zero
+        from .economics import _column_sums, _contribution_factors, _costs, _floor_error
+        from .economics import _local_errors, _transfer_rates, epsilon_zero
         from .game import z_weights
 
         # The all-d_min profile has the largest global and counterfactual
@@ -396,8 +397,11 @@ def _violations(s: Scenario) -> list[CocogenError]:
         # is at most its rate times ``span`` in size, and welfare adds them
         # one organization at a time, as ``_column_sums`` does; so these
         # bound every partial sum of both. A non-finite Phi_n makes z_n
-        # non-finite too. Overflows, and the NaNs that inf - inf and 0 * inf
-        # give, are refused below without numpy's warnings.
+        # non-finite too. Each contribution gap is ``-err f_n``, and the
+        # factor f_n >= 0 is largest at d_max, so its product with the
+        # all-d_min error bounds every gap; it is finite only if that error
+        # is. Overflows, and the NaNs that inf - inf and 0 * inf give, are
+        # refused below without numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             z = z_weights(s)
             worst = float(_floor_error(s))
@@ -405,6 +409,8 @@ def _violations(s: Scenario) -> list[CocogenError]:
             span = max(worst, epsilon_zero(s))
             rates = np.array([s.psi, _transfer_rates(s)[1]])
             revenue_bound, loss_bound = _column_sums(rates * span)
+            top = _local_errors(s, float(s.bounds.d_max), in_box=True)
+            gap_bound = _contribution_factors(s, top) * worst
         violations.extend(_weight_violations(z))
         finite = np.isfinite(ceiling)
         if not finite.all():
@@ -412,12 +418,13 @@ def _violations(s: Scenario) -> list[CocogenError]:
                 InvariantViolation(f"organizations[{n}]", "generation cost at bounds.d_max overflows")
                 for n in np.flatnonzero(~finite)
             )
-        if not math.isfinite(worst):
+        if not np.isfinite(gap_bound).all():
             violations.append(
                 InvariantViolation(
                     "economy.varrho",
-                    "too small for these error laws: the global error at the "
-                    "all-d_min profile overflows",
+                    "too small for these error laws: the global error at the all-d_min "
+                    "profile, or its product with a contribution factor at bounds.d_max, "
+                    "overflows",
                 )
             )
         else:
@@ -643,8 +650,3 @@ def save_scenario(s: Scenario, path) -> None:
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def with_payoff_mode(s: Scenario, mode: PayoffMode) -> Scenario:
-    """Copy of the scenario with a different payoff-transfer convention."""
-    return replace(s, economy=replace(s.economy, bb_mode=mode))

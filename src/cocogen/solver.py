@@ -382,12 +382,9 @@ class GridOracleResult:
     f_min: float
 
 
-def _last_index(s: Scenario, step: float, name: str) -> int:
-    """The largest k with ``d_min + step * k <= d_max``."""
-    last = (float(s.bounds.d_max) - float(s.bounds.d_min)) / step if step > 0 else math.nan
-    if not (math.isfinite(step) and math.isfinite(last)):
-        raise InvariantViolation(name, f"must be finite, > 0 and index a float lattice, got {step}")
-    return math.floor(last)
+def _require_unit_step(step: float, name: str) -> None:
+    if step != 1:  # strategies are sample counts: the one lattice is d_min + k
+        raise InvariantViolation(name, f"must be 1 (the integer lattice), got {step}")
 
 
 def _proof_margin(s: Scenario) -> float:
@@ -401,12 +398,12 @@ def _proof_margin(s: Scenario) -> float:
     return float(s.cached("proof_margin", build))
 
 
-def _proof_box(s: Scenario, step: float, last: int, x: np.ndarray):
+def _proof_box(s: Scenario, x: np.ndarray):
     """The first and last lattice index, per organization, of the box around
     x that holds every lattice point with F at most F(d_near), and LB."""
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     lin, scale, rel = game._linear_coeffs(s), s.n * s.economy.varrho, _proof_margin(s)
-    points = np.array([x, lo + step * np.clip(np.rint((x - lo) / step), 0.0, last)])  # x, d_near
+    points = np.array([x, lo + np.clip(np.rint(x - lo), 0.0, hi - lo)])  # x, d_near
     eps = economics._local_errors(s, points, in_box=True)
     f_x, f_near = game.potential_from_errors(s, eps, points).tolist()
     benefit = economics._aggregate(s, eps[0]) * economics._own_error_slopes(s, np.s_[:], x) / scale
@@ -416,14 +413,14 @@ def _proof_box(s: Scenario, step: float, last: int, x: np.ndarray):
     gap = 2.0 * (f_near * (1.0 + 4.0 * rel) - lb)
     # m_n, lowered by rel, is err(top) (d_loc + top)^(-beta - 2) times this.
     curvature = s.alpha * s.beta * (s.beta + 1.0) / scale * (1.0 - rel)
-    top, first, final = np.full(s.n, hi), np.zeros(s.n), np.full(s.n, float(last))
+    top, first, final = np.full(s.n, hi), np.zeros(s.n), np.full(s.n, hi - lo)
     with np.errstate(divide="ignore", over="ignore"):
         while True:
             err = economics._aggregate(s, economics._local_errors(s, top, in_box=True))
             r = np.sqrt(gap / (err * curvature * np.power(s.d_loc + top, -s.beta - 2.0)))
             r += rel * (r + hi)
-            a = np.maximum(first, np.ceil((x - r - lo) / step))
-            b = np.minimum(final, np.floor((x + r - lo) / step))
+            a = np.maximum(first, np.ceil(x - r - lo))
+            b = np.minimum(final, np.floor(x + r - lo))
             if np.prod(b - a + 1.0) <= _SMALL_BOX or ((a == first).all() and (b == final).all()):
                 return a, b, lb
             first, final, top = a, b, np.minimum(top, x + r)
@@ -431,19 +428,19 @@ def _proof_box(s: Scenario, step: float, last: int, x: np.ndarray):
 
 def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
     """The first argmin of :func:`game.potential` (F with the ``z`` weights,
-    also under antisymmetric payoffs) on the lattice ``d_min + step * k``:
-    every point of the proof's box (see above), or of a lattice one block
-    holds, priced through :func:`game.potential_from_errors` in
-    lexicographic order, as a full scan would. ``f_min`` is
+    also under antisymmetric payoffs) on the integer lattice ``d_min + k``
+    (``step`` must be 1): every point of the proof's box (see above), or of
+    a lattice one block holds, priced by :func:`game.potential_from_errors`
+    in lexicographic order, as a full scan would. ``f_min`` is
     :func:`game.potential` of it. Raises :class:`InstanceTooLarge` before
     pricing a box of more than ``MAX_BOX_POINTS`` points."""
-    last = _last_index(s, step, "step")
-    lo = float(s.bounds.d_min)
-    if (last + 1) ** s.n <= _BLOCK_ROWS:  # one block prices the whole lattice
-        first, final = np.zeros(s.n), np.full(s.n, float(last))
+    _require_unit_step(step, "step")
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    if (int(hi - lo) + 1) ** s.n <= _BLOCK_ROWS:  # one block prices the whole lattice
+        first, final = np.zeros(s.n), np.full(s.n, hi - lo)
     else:
         (bracket,), _ = _brackets(s, game._linear_coeffs(s)[None], SolverConfig())
-        first, final, _ = _proof_box(s, step, last, bracket.point[0])
+        first, final, _ = _proof_box(s, bracket.point[0])
     sizes = [int(b - a) + 1 for a, b in zip(first.tolist(), final.tolist())]
     count = math.prod(sizes)
     if count > MAX_BOX_POINTS:
@@ -453,7 +450,7 @@ def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
     best, best_f = None, math.inf
     for start in range(0, count, _BLOCK_ROWS):
         k = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, count)), sizes)
-        d = lo + step * (first + np.stack(k, axis=1))
+        d = lo + (first + np.stack(k, axis=1))
         f = game.potential_from_errors(s, economics._local_errors(s, d, in_box=True), d)
         i = int(np.argmin(f))
         if f[i] < best_f:
@@ -497,10 +494,10 @@ _PROBE_FRACTIONS = np.arange(_SEARCH_PROBES) / (_SEARCH_PROBES - 1)
 _OUTWARD = np.array([-1.0, 1.0])  # a gain's slope below and above d_n, turned outward
 
 
-def _best_deviations(s: Scenario, d: np.ndarray, grid_step: float):
-    """Every organization's best unilateral move on the lattice
-    ``d_min + grid_step * k`` and its gain, as two (N,) arrays; ties go to
-    the smallest volume, and not moving gains 0.0.
+def _best_deviations(s: Scenario, d: np.ndarray):
+    """Every organization's best unilateral move on the integer lattice
+    ``d_min + k`` and its gain, as two (N,) arrays; ties go to the smallest
+    volume, and not moving gains 0.0.
 
     Prices 5 volumes per organization: the lattice's ends, the lattice
     neighbours of ``d_n`` and ``d_n``. Where a gain is concave, it also
@@ -512,14 +509,11 @@ def _best_deviations(s: Scenario, d: np.ndarray, grid_step: float):
     divides the index range it searches by about ``_SEARCH_PROBES / 2``.
     """
     lo = float(s.bounds.d_min)
-    last = float(_last_index(s, grid_step, "grid_step"))
+    last = float(s.bounds.d_max) - lo
     eps = economics._local_errors(s, d)
     weights = game._deviation_weights(s, eps)
     costs = economics._marginal_costs(s)
     rest = eps.sum() - eps  # the others' errors, summed as the whole is
-
-    def volumes(k):
-        return lo + grid_step * k
 
     def errors(orgs, x):
         return np.exp(((rest[orgs] + economics._own_errors(s, orgs, x)) / s.n - 1.0)
@@ -528,18 +522,18 @@ def _best_deviations(s: Scenario, d: np.ndarray, grid_step: float):
     # The lattice neighbours of d_n: k is the lattice index nearest to it,
     # and d_n is on the lattice if k's volume is d_n. A neighbour past an
     # end of the lattice is priced at that end.
-    k = np.clip(np.rint((d - lo) / grid_step), 0.0, last)
-    near = volumes(k)
+    k = np.clip(np.rint(d - lo), 0.0, last)
+    near = lo + k
     lower, upper = k - (near >= d), k + (near <= d)
     # Columns ascending in volume: the low end, the lower neighbour, d_n
     # (its error priced in the same call as the moves'), the upper
     # neighbour and the high end.
     x = np.empty((s.n, 5))
     x[:, 0] = lo
-    x[:, 1] = volumes(np.maximum(lower, 0.0))
+    x[:, 1] = lo + np.maximum(lower, 0.0)
     x[:, 2] = d
-    x[:, 3] = volumes(np.minimum(upper, last))
-    x[:, 4] = volumes(last)
+    x[:, 3] = lo + np.minimum(upper, last)
+    x[:, 4] = lo + last
     every = np.s_[:, None]
     err = errors(every, x)
     err_d = err[:, 2]
@@ -580,12 +574,12 @@ def _best_deviations(s: Scenario, d: np.ndarray, grid_step: float):
         if not wide.size:
             break
         probes = a[wide, None] + np.floor((b - a)[wide, None] * _PROBE_FRACTIONS)
-        x = volumes(probes)
+        x = lo + probes
         i = np.argmax(gains(r[wide], x, errors(r[wide], x)), axis=1)
         rows = np.arange(wide.size)
         a[wide] = probes[rows, np.maximum(i - 1, 0)]
         b[wide] = probes[rows, np.minimum(i + 1, _SEARCH_PROBES - 1)]
-    x = volumes(np.minimum(a[:, None] + np.arange(_SEARCH_PROBES), b[:, None]))
+    x = lo + np.minimum(a[:, None] + np.arange(_SEARCH_PROBES), b[:, None])
     g = gains(r, x, errors(r, x))
     i = np.argmax(g, axis=1)
     rows = np.arange(orgs.size)
@@ -599,11 +593,13 @@ def _best_deviations(s: Scenario, d: np.ndarray, grid_step: float):
 
 def verify_ne(s: Scenario, profile: ProfileLike, grid_step: float = 1.0) -> NeCertificate:
     """Certify that no organization gains more than the tolerance from any
-    unilateral move on the lattice, as a scan of every move would: the
-    worst deviation is the first organization's with the largest gain. The
-    profile's utilities are priced only if some move gains more than 0."""
+    unilateral move on the integer lattice, as a scan of every move would
+    (``grid_step`` must be 1): the worst deviation is the first
+    organization's with the largest gain. The profile's utilities are priced
+    only if some move gains more than 0."""
+    _require_unit_step(grid_step, "grid_step")
     d = as_dgen(profile, s.n)
-    alts, gains = _best_deviations(s, d, grid_step)
+    alts, gains = _best_deviations(s, d)
     worst_gain = -math.inf
     worst_org = 0
     worst_alt = float(d[0])

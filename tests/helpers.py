@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,6 +170,17 @@ def reference_sample_scenario(grid, cell, seed):
         bounds=grid.bounds,
         seed=seed,
     )
+
+
+def with_payoff_mode(s, mode):
+    """Copy of the scenario with a different payoff-transfer convention."""
+    return replace(s, economy=replace(s.economy, bb_mode=mode))
+
+
+def reference_lattice(s):
+    """Every volume of the integer lattice ``d_min + k`` in the box."""
+    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+    return lo + np.arange(int(hi - lo) + 1)
 
 
 def org_row(s, n):
@@ -366,7 +378,7 @@ def reference_unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs:
     return rev + payoff - cost - s.economy.c0 - loss
 
 
-def reference_ne_gains(s, profile, grid_step=1.0):
+def reference_ne_gains(s, profile):
     """The unilateral lattice scan of ``cocogen.solver.verify_ne`` as it
     priced utilities before the deviation identity: per organization, the
     deviation lattice, the gains ``u_n(x) - u_n(d)`` and the verdict with
@@ -374,8 +386,7 @@ def reference_ne_gains(s, profile, grid_step=1.0):
     from cocogen import economics, solver
 
     d = np.asarray(profile, dtype=np.float64)
-    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    xs = lo + grid_step * np.arange(int(math.floor((hi - lo) / grid_step)) + 1)
+    xs = reference_lattice(s)
     current = economics.evaluate_profile(s, d).utility[0].tolist()
     gains = []
     is_ne = True
@@ -412,7 +423,7 @@ def reference_deviation_gains(s, d, xs):
         yield weights[n] * (err[:-1] - err[-1]) + costs[n] * (d[n] - xs)
 
 
-def reference_verify_ne(s, profile, grid_step=1.0):
+def reference_verify_ne(s, profile):
     """``cocogen.solver.verify_ne`` as a scan of every lattice move of every
     organization: the certificate, the lattice, and each organization's
     gains on it (the first maximum wins, so ties go to the smallest
@@ -420,8 +431,7 @@ def reference_verify_ne(s, profile, grid_step=1.0):
     from cocogen import economics, solver
 
     d = np.asarray(profile, dtype=np.float64)
-    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    xs = lo + grid_step * np.arange(int(math.floor((hi - lo) / grid_step)) + 1)
+    xs = reference_lattice(s)
     utilities = economics.evaluate_profiles(s, d[None, :]).utility[0].tolist()
     gains = list(reference_deviation_gains(s, d, xs))
     worst_gain, worst_org, worst_alt, is_ne = -math.inf, 0, float(d[0]), True
@@ -437,7 +447,7 @@ def reference_verify_ne(s, profile, grid_step=1.0):
     return cert, xs, gains
 
 
-def reference_probe_deviations(s, profile, grid_step=1.0, probes=4097):
+def reference_probe_deviations(s, profile, probes=4097):
     """Each organization's best unilateral move and its gain on a lattice
     too long to scan, found by probing: ``probes`` evenly spaced lattice
     indices over the whole lattice, then as many over the two spacings
@@ -448,14 +458,14 @@ def reference_probe_deviations(s, profile, grid_step=1.0, probes=4097):
 
     d = np.asarray(profile, dtype=np.float64)
     lo = float(s.bounds.d_min)
-    last = math.floor((float(s.bounds.d_max) - lo) / grid_step)
+    last = int(float(s.bounds.d_max) - lo)
     utilities = economics.evaluate_profiles(s, d[None, :]).utility[0]
     best_x, best_g = np.empty(s.n), np.empty(s.n)
     for n in range(s.n):
         a, b = 0, last
         while True:
             ks = np.unique(np.linspace(a, b, probes).round())
-            xs = lo + grid_step * ks
+            xs = lo + ks
             g = list(reference_deviation_gains(s, d, xs))[n]
             i = int(np.argmax(g))
             if b - a < probes:
@@ -918,11 +928,10 @@ def reference_axis_arrays(s, values, n):
     return g, game._linear_coeffs(s)[n] * values
 
 
-def reference_grid_axes(s, step=1.0):
+def reference_grid_axes(s):
     """The lattice values and the first axis's factors of F:
     ``bg0 = exp(-1/varrho) * g0`` and ``lin0``."""
-    lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-    values = lo + step * np.arange(int(math.floor((hi - lo) / step)) + 1)
+    values = reference_lattice(s)
     g0, lin0 = reference_axis_arrays(s, values, 0)
     return values, math.exp(-1.0 / s.economy.varrho) * g0, lin0
 
@@ -930,12 +939,12 @@ def reference_grid_axes(s, step=1.0):
 _SCAN_ROWS = 128  # rows per temporary of the full scan
 
 
-def reference_grid_scan(s, step=1.0):
+def reference_grid_scan(s):
     """The full scan of the N <= 3 lattice: the lattice values, each
     first-axis row's smallest F, and the lexicographically first argmin's
     indices (the innermost axis of N = 3 through the reference lower
     envelope)."""
-    values, bg0, lin0 = reference_grid_axes(s, step)
+    values, bg0, lin0 = reference_grid_axes(s)
     if s.n == 1:
         f = bg0 + lin0
         return values, f, (int(np.argmin(f)),)
@@ -961,11 +970,11 @@ def reference_grid_scan(s, step=1.0):
     return values, row_min, best
 
 
-def reference_grid_oracle(s, step=1.0):
+def reference_grid_oracle(s):
     """(profile, f_min) of the full scan, ``f_min`` through ``game.potential``."""
     from cocogen import game
 
-    values, _, idx = reference_grid_scan(s, step)
+    values, _, idx = reference_grid_scan(s)
     profile = values[list(idx)]
     return profile, game.potential(s, profile)
 

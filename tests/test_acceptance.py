@@ -141,7 +141,7 @@ def test_criterion_4_oracle_equivalence():
             scale = (0.5, 1.0, 2.0, 5.0, 20.0)[seed % 5]
             s = table1_scenario(seed=7000 + 100 * n_orgs + seed, n=n_orgs, cost_scale=scale)
             rep = solver.fpi_solve(s, cfg)
-            res = solver.grid_oracle(s, step=1.0)
+            res = solver.grid_oracle(s)
             f_fpi = game.potential(s, rep.profile)
             worst_f = max(worst_f, abs(f_fpi - res.f_min) / (1 + abs(res.f_min)))
             offset = float(np.max(np.abs(rep.profile.d_gen - res.profile.d_gen)))
@@ -168,7 +168,7 @@ def test_criterion_5_ne_certification():
     for s in scenarios:
         rep = solver.fpi_solve(s, cfg)
         assert rep.converged
-        cert = solver.verify_ne(s, rep.profile, grid_step=1.0)
+        cert = solver.verify_ne(s, rep.profile)
         all_ne = all_ne and cert.is_ne
         worst_gain = max(worst_gain, cert.worst_gain)
     elapsed = time.perf_counter() - start

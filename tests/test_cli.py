@@ -28,7 +28,6 @@ from cocogen.model import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    with_payoff_mode,
 )
 from cocogen.scaling import heterogeneity_presets
 from cocogen.scenario import (
@@ -42,6 +41,7 @@ from cocogen.scenario import (
 
 from helpers import (
     FLOAT_RESOLUTION_PROFILE, float_resolution_scenario, reference_scheme_rows, table1_scenario,
+    with_payoff_mode,
 )
 
 
@@ -533,6 +533,22 @@ class TestSolveCommand:
         bad.write_text(json.dumps(payload), encoding="utf-8")
         assert cli.main(["solve", str(bad)]) == 2
         assert "economy.varrho: too small" in capsys.readouterr().err
+
+    def test_overflowing_contribution_factor_is_named_before_any_pricing(self, tmp_path, capsys):
+        # expm1((eps_n(d_min) - eps_n(d_max)) / (N varrho)) overflows, so
+        # pricing a profile near d_max would give NaN transfers.
+        path = shipped_example_with(tmp_path, ("economy", "varrho"), 1e-5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["compare", path, "-o", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: invalid scenario: 1 violation(s): economy.varrho: too small for these "
+            "error laws: the global error at the all-d_min profile, or its product with a "
+            "contribution factor at bounds.d_max, overflows\n"
+        )
+        assert captured.out == "" and os.listdir(tmp_path) == ["edited.json"]
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -9,7 +9,7 @@ from cocogen import baselines, game, solver
 from cocogen import economics as eco
 from cocogen import scaling
 from cocogen.errors import ZeroTotalData
-from cocogen.model import Eps0Mode, Market, PayoffMode, ScalingLaw, with_payoff_mode
+from cocogen.model import Eps0Mode, Market, PayoffMode, ScalingLaw
 from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 
 from helpers import (
@@ -19,6 +19,7 @@ from helpers import (
     reference_evaluation,
     reference_held_out_evaluation,
     table1_scenario,
+    with_payoff_mode,
 )
 
 

@@ -246,7 +246,7 @@ class TestArgminRepresentationInvariance:
         from cocogen import solver
 
         s = table1_scenario(seed=110, n=2, cost_scale=3.0, d_max=300)
-        res = solver.grid_oracle(s, step=1.0)
+        res = solver.grid_oracle(s)
         d = res.profile.d_gen
         xs = np.arange(s.bounds.d_min, s.bounds.d_max + 1, dtype=float)
         for n in range(2):

@@ -31,14 +31,13 @@ from cocogen.model import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    with_payoff_mode,
 )
 from cocogen.scenario import (
     GammaLevel, SweepCell, default_sweep_grid, expand_sweep, sample_scenario,
 )
 from cocogen.scaling import heterogeneity_presets
 
-from helpers import build_scenario, random_profile, table1_scenario
+from helpers import build_scenario, random_profile, table1_scenario, with_payoff_mode
 
 
 class TestScalingLaw:

@@ -17,7 +17,6 @@ from cocogen.model import (
     PayoffMode,
     StrategyProfile,
     scenario_from_dict,
-    with_payoff_mode,
 )
 from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 from cocogen.solver import CaseLabel, SolverConfig
@@ -42,6 +41,7 @@ from helpers import (
     reference_unilateral_utilities,
     reference_verify_ne,
     table1_scenario,
+    with_payoff_mode,
 )
 
 
@@ -350,7 +350,7 @@ class TestFpiSolve:
         s = table1_scenario(seed=35, n=2, cost_scale=4.0, d_max=2000)
         rep = solver.fpi_solve(s, SolverConfig(tol=1e-13, max_iters=2000))
         assert all(c == CaseLabel.INTERIOR for c in rep.cases)
-        res = solver.grid_oracle(s, step=1.0)
+        res = solver.grid_oracle(s)
         assert s.bounds.d_min < res.profile.d_gen[0] < s.bounds.d_max
         assert s.bounds.d_min < res.profile.d_gen[1] < s.bounds.d_max
 
@@ -631,24 +631,24 @@ class TestReferenceEquivalence:
 class TestGridOracle:
     def test_single_org_matches_closed_form(self):
         s = table1_scenario(seed=46, n=1, cost_scale=10.0, gamma_range=(0.0, 0.0), d_max=3000)
-        res = solver.grid_oracle(s, step=1.0)
+        res = solver.grid_oracle(s)
         rep = solver.fpi_solve(s, SolverConfig(tol=1e-14, max_iters=4000))
         assert abs(res.profile.d_gen[0] - rep.profile.d_gen[0]) <= 1.0
 
     def test_cost_dominated_instance_sits_at_floor(self):
         s = table1_scenario(seed=47, n=2, cost_scale=1e6)
-        res = solver.grid_oracle(s, step=1.0)
+        res = solver.grid_oracle(s)
         assert np.all(res.profile.d_gen == s.bounds.d_min)
 
     def test_two_org_symmetric_matches_grid_argmin(self):
         s = build_scenario(n=2, alpha=21.2, beta=0.52, delta=0.12, d_loc=1500, d_max=3000)
         rep = solver.fpi_solve(s, SolverConfig(tol=1e-13, max_iters=3000))
-        res = solver.grid_oracle(s, step=1.0)
+        res = solver.grid_oracle(s)
         assert np.all(np.abs(rep.profile.d_gen - res.profile.d_gen) <= 1.0)
 
     def test_symmetric_two_org_argmin_is_symmetric(self):
         s = build_scenario(n=2, alpha=21.2, beta=0.52, delta=0.12, d_loc=1500)
-        res = solver.grid_oracle(s, step=1.0)
+        res = solver.grid_oracle(s)
         assert res.profile.d_gen[0] == res.profile.d_gen[1]
 
     def test_box_over_the_point_cap_is_refused(self):
@@ -658,7 +658,7 @@ class TestGridOracle:
         s = table1_scenario(seed=0, n=10, cost_scale=0.01, d_max=300_000)
         start = time.perf_counter()
         with pytest.raises(InstanceTooLarge, match="lattice points"):
-            solver.grid_oracle(s, step=1.0)
+            solver.grid_oracle(s)
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("mode", list(PayoffMode))
@@ -669,25 +669,20 @@ class TestGridOracle:
         scenarios += [sample_scenario(grid, job.cell, job.seed) for job in expand_sweep(grid)[::10]]
         for s in scenarios:
             s = with_payoff_mode(s, mode)
-            res = solver.grid_oracle(s, step=1.0)
+            res = solver.grid_oracle(s)
             assert np.array_equal(res.profile.d_gen, solver.fpi_solve(s).profile.d_gen)
             assert res.f_min == game.potential(s, res.profile)
 
-    @pytest.mark.parametrize("n_orgs", [1, 2, 3])
-    @pytest.mark.parametrize("step", [0.5, 2.0, 7.0])
-    def test_other_steps_match_the_full_scan(self, n_orgs, step):
-        for seed in range(4):
-            s = table1_scenario(seed=950 + seed, n=n_orgs, cost_scale=(0.1, 1.0, 10.0, 1e3)[seed],
-                                d_max=41)
-            res = solver.grid_oracle(s, step=step)
-            profile, f_min = reference_grid_oracle(s, step)
-            assert np.array_equal(res.profile.d_gen, profile) and res.f_min == f_min
-
-    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 5e-324])
-    def test_unusable_step_is_refused(self, step):
-        with pytest.raises(InvariantViolation) as err:
-            solver.grid_oracle(table1_scenario(seed=49, n=2), step=step)
-        assert err.value.field == "step"
+    @pytest.mark.parametrize("step", [1, 1.0, 0.5, 2.0, 0.0, math.nan, math.inf])
+    def test_only_the_integer_lattice_is_accepted(self, step):
+        s = table1_scenario(seed=49, n=2)
+        if step == 1:
+            res, want = solver.grid_oracle(s, step=step), solver.grid_oracle(s)
+            assert np.array_equal(res.profile.d_gen, want.profile.d_gen) and res.f_min == want.f_min
+        else:
+            with pytest.raises(InvariantViolation) as err:
+                solver.grid_oracle(s, step=step)
+            assert err.value.field == "step"
 
     @pytest.mark.parametrize("n_orgs", [1, 2, 3])
     def test_oracle_agreement_random_instances(self, n_orgs):
@@ -695,7 +690,7 @@ class TestGridOracle:
             scale = [0.6, 2.0, 6.0][seed % 3]
             s = table1_scenario(seed=500 + 10 * n_orgs + seed, n=n_orgs, cost_scale=scale)
             rep = solver.fpi_solve(s, SolverConfig(tol=1e-13, max_iters=4000))
-            res = solver.grid_oracle(s, step=1.0)
+            res = solver.grid_oracle(s)
             assert rep.converged
             f_fpi = game.potential(s, rep.profile)
             assert abs(f_fpi - res.f_min) <= 1e-6 * (1 + abs(res.f_min))
@@ -703,7 +698,7 @@ class TestGridOracle:
 
 
 def _assert_matches_full_scan(s):
-    res = solver.grid_oracle(s, step=1.0)
+    res = solver.grid_oracle(s)
     profile, f_min = reference_grid_oracle(s)
     assert np.array_equal(res.profile.d_gen, profile), (res.profile.d_gen, profile)
     assert res.f_min == f_min  # bitwise: the same profile through game.potential
@@ -722,7 +717,7 @@ class TestRowSearch:
     def test_criterion_4_instances_match_the_full_scan(self, n_orgs):
         for seed in range(50):
             s = _criterion_4_instance(n_orgs, seed)
-            res = solver.grid_oracle(s, step=1.0)
+            res = solver.grid_oracle(s)
             values, row_min, idx = reference_grid_scan(s)
             assert np.array_equal(res.profile.d_gen, values[list(idx)]), (seed, idx)
             assert res.f_min == game.potential(s, values[list(idx)])  # bitwise
@@ -742,8 +737,7 @@ class TestRowSearch:
         s = table1_scenario(seed=seed, n=n_orgs, cost_scale=10.0**log_cost, varrho=varrho,
                             d_max=d_max)
         (bracket,), _ = solver._brackets(s, game._linear_coeffs(s)[None], SolverConfig())
-        last = solver._last_index(s, 1.0, "step")
-        first, final, lower_bound = solver._proof_box(s, 1.0, last, bracket.point[0])
+        first, final, lower_bound = solver._proof_box(s, bracket.point[0])
         _, row_min, idx = reference_grid_scan(s)
         assert lower_bound <= row_min.min()
         assert np.all((first <= idx) & (np.array(idx) <= final)), (first, idx, final)
@@ -766,7 +760,7 @@ class TestRowSearch:
     @pytest.mark.parametrize("n_orgs", [2, 3])
     def test_cost_dominated_optimum_is_the_floor(self, n_orgs):
         s = table1_scenario(seed=47, n=n_orgs, cost_scale=1e6)
-        assert np.all(solver.grid_oracle(s, step=1.0).profile.d_gen == s.bounds.d_min)
+        assert np.all(solver.grid_oracle(s).profile.d_gen == s.bounds.d_min)
         _assert_matches_full_scan(s)
 
     @pytest.mark.parametrize("n_orgs", [2, 3])
@@ -777,14 +771,14 @@ class TestRowSearch:
         _assert_matches_full_scan(s)
 
 
-def _assert_certified_like_the_scan(s, p, grid_step=1.0):
+def _assert_certified_like_the_scan(s, p):
     """``verify_ne`` gives the full scan's verdict, and every organization's
     best move gains what the scan's best gains, within 1e-12 * (1 + |u_n|),
     at a volume where the scan prices that gain. Returns the scan's
     certificate."""
-    cert, xs, scan_gains = reference_verify_ne(s, p, grid_step)
-    assert solver.verify_ne(s, p, grid_step).is_ne == cert.is_ne
-    alts, gains = solver._best_deviations(s, p, grid_step)
+    cert, xs, scan_gains = reference_verify_ne(s, p)
+    assert solver.verify_ne(s, p).is_ne == cert.is_ne
+    alts, gains = solver._best_deviations(s, p)
     bounds = 1e-12 * (1.0 + np.abs(eco.evaluate_profiles(s, p[None, :]).utility[0]))
     for n, g in enumerate(scan_gains):
         at = np.flatnonzero(xs == alts[n])
@@ -794,32 +788,36 @@ def _assert_certified_like_the_scan(s, p, grid_step=1.0):
 
 
 class TestVerifyNe:
-    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 5e-324])
-    def test_unusable_grid_step_is_refused(self, step):
+    @pytest.mark.parametrize("grid_step", [1, 1.0, 0.5, 2.0, 0.0, math.nan, math.inf])
+    def test_only_the_integer_lattice_is_accepted(self, grid_step):
         s = table1_scenario(seed=51, n=2)
-        with pytest.raises(InvariantViolation) as err:
-            solver.verify_ne(s, np.zeros(s.n), grid_step=step)
-        assert err.value.field == "grid_step"
+        p = np.zeros(s.n)
+        if grid_step == 1:
+            assert solver.verify_ne(s, p, grid_step=grid_step) == solver.verify_ne(s, p)
+        else:
+            with pytest.raises(InvariantViolation) as err:
+                solver.verify_ne(s, p, grid_step=grid_step)
+            assert err.value.field == "grid_step"
 
     def test_solver_output_is_certified(self):
         s = table1_scenario(seed=50)
         rep = solver.fpi_solve(s, SolverConfig(tol=1e-11, max_iters=1000))
-        cert = solver.verify_ne(s, rep.profile, grid_step=1.0)
+        cert = solver.verify_ne(s, rep.profile)
         assert cert.is_ne
 
     def test_floor_profile_fails_when_cost_is_free(self):
         s = table1_scenario(seed=51, cost_scale=1e-6)
-        cert = solver.verify_ne(s, np.zeros(s.n), grid_step=1.0)
+        cert = solver.verify_ne(s, np.zeros(s.n))
         assert not cert.is_ne
         assert cert.worst_gain > 0
         assert cert.worst_d_alt > 0  # upper-direction witness
 
     def test_single_org_ne_iff_potential_coordinate_minimal(self):
         s = table1_scenario(seed=52, n=1, cost_scale=5.0, gamma_range=(0.0, 0.0))
-        res = solver.grid_oracle(s, step=1.0)
-        assert solver.verify_ne(s, res.profile, grid_step=1.0).is_ne
+        res = solver.grid_oracle(s)
+        assert solver.verify_ne(s, res.profile).is_ne
         off = StrategyProfile(res.profile.d_gen + 200.0)
-        assert not solver.verify_ne(s, off, grid_step=1.0).is_ne
+        assert not solver.verify_ne(s, off).is_ne
 
     def test_reference_scan_prices_deviations_like_the_batched_core(self):
         for mode in (PayoffMode.LITERAL, PayoffMode.ANTISYMMETRIC):
@@ -873,7 +871,7 @@ class TestVerifyNe:
             s = table1_scenario(seed=seed, n=n, cost_scale=cost_scale, bb_mode=mode)
             p = np.full(s.n, start)
             assert not _assert_certified_like_the_scan(s, p).is_ne
-            alts, gains = solver._best_deviations(s, p, 1.0)
+            alts, gains = solver._best_deviations(s, p)
             assert np.all(gains > 0) and np.all(np.abs(alts - start) > 1.0)
 
     def test_convex_gains_are_priced_at_the_lattice_ends(self, monkeypatch):
@@ -896,7 +894,7 @@ class TestVerifyNe:
                 with monkeypatch.context() as m:
                     m.setattr(eco, "_own_errors", counted)
                     priced.clear()
-                    alts, _ = solver._best_deviations(s, p, 1.0)
+                    alts, _ = solver._best_deviations(s, p)
                 assert np.all(np.isin(alts[weights >= 0], [0.0, 3000.0]))
                 if np.all(weights >= 0):  # the ends, neighbours and d_n; no search
                     all_convex += 1
@@ -911,16 +909,15 @@ class TestVerifyNe:
             for offset in (-0.3, 0.3):
                 _assert_certified_like_the_scan(s, d + offset)
 
-    @pytest.mark.parametrize("grid_step", [7.0, 2.5])
     @pytest.mark.parametrize("mode", list(PayoffMode))
-    def test_profiles_off_a_coarser_lattice(self, mode, grid_step):
+    def test_profiles_off_the_lattice(self, mode):
         for seed in range(6):
             s = table1_scenario(seed=6300 + seed, n=(2, 4, 10)[seed % 3],
                                 cost_scale=(1e-6, 1.0, 5.0)[seed // 2], bb_mode=mode)
             lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
-            for p in (random_profile(s, 6400 + seed), np.full(s.n, lo - 0.5 * grid_step),
-                      np.full(s.n, hi + 0.5), lo + grid_step * np.floor(random_profile(s, seed) / grid_step)):
-                _assert_certified_like_the_scan(s, p, grid_step)
+            for p in (random_profile(s, 6400 + seed), np.full(s.n, lo - 0.5),
+                      np.full(s.n, hi + 0.5)):
+                _assert_certified_like_the_scan(s, p)
 
     @pytest.mark.parametrize("mode", list(PayoffMode))
     def test_null_deviation_gains_exactly_zero(self, mode):
@@ -932,35 +929,26 @@ class TestVerifyNe:
             assert null.tolist() == [0.0]
             assert math.copysign(1.0, null[0]) == 1.0
 
-    @pytest.mark.parametrize("case", ["tiny_step", "huge_box"])
-    def test_gains_below_rounding_at_the_neighbours_are_searched(self, case):
+    def test_gains_below_rounding_at_the_neighbours_are_searched(self):
         # Where a neighbour's global-error change rounds to 0, its gain is
-        # exactly -c_n * step, so the neighbours alone show no rising side.
-        # tiny_step: free generation from the floor on a 1e-12 lattice,
-        # where every organization gains most at the ceiling. huge_box: a
-        # 2^40 box with generation 1e12 times cheaper, at the all-2^38
-        # profile, where organization 1 gains more than its tolerance
-        # about 1.3e11 samples up, although the upper end gains less than
-        # 0.
-        if case == "tiny_step":
-            s, grid_step = table1_scenario(seed=1, n=3, cost_scale=1e-6), 1e-12
-            p = np.zeros(s.n)
-        else:
-            s = table1_scenario(seed=1, n=3, d_max=2**40)
-            s = replace(s, eta=s.eta * 1e-12, mu=s.mu * 1e-12)
-            p, grid_step = np.full(s.n, 2.0**38), 1.0
-        want_x, want_g, want_ne = reference_probe_deviations(s, p, grid_step)
-        alts, gains = solver._best_deviations(s, p, grid_step)
+        # exactly -c_n, so the neighbours alone show no rising side: a 2^40
+        # box with generation 1e12 times cheaper, at the all-2^38 profile,
+        # where organization 1 gains more than its tolerance about 1.3e11
+        # samples up, although the upper end gains less than 0.
+        s = table1_scenario(seed=1, n=3, d_max=2**40)
+        s = replace(s, eta=s.eta * 1e-12, mu=s.mu * 1e-12)
+        p = np.full(s.n, 2.0**38)
+        want_x, want_g, want_ne = reference_probe_deviations(s, p)
+        alts, gains = solver._best_deviations(s, p)
         bounds = 1e-12 * (1.0 + np.abs(eco.evaluate_profiles(s, p[None, :]).utility[0]))
-        assert not want_ne and not solver.verify_ne(s, p, grid_step).is_ne
+        assert not want_ne and not solver.verify_ne(s, p).is_ne
         assert np.all(gains >= want_g - bounds)
         for n, x in enumerate(alts):
             priced = list(reference_deviation_gains(s, p, np.array([x])))[n][0]
             assert abs(priced - gains[n]) <= bounds[n], n
-        if case == "huge_box":
-            top = list(reference_deviation_gains(s, p, np.array([s.bounds.d_max])))
-            assert all(g[0] < 0 for g in top)
-            assert solver.verify_ne(s, p, grid_step).worst_org == int(np.argmax(want_g)) == 1
+        top = list(reference_deviation_gains(s, p, np.array([s.bounds.d_max])))
+        assert all(g[0] < 0 for g in top)
+        assert solver.verify_ne(s, p).worst_org == int(np.argmax(want_g)) == 1
 
     def test_exact_equilibrium_reports_the_null_deviation(self):
         s = table1_scenario(seed=58)
