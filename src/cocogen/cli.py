@@ -1,9 +1,10 @@
 """Command-line entry point: fit, solve, sweep, and compare.
 
 Exit codes: 0 success, 1 a ``compare`` scheme row that failed or a sweep
-whose every job failed, 2 unusable input or output path, or a JSON output
-holding a non-finite number (and any package error a command does not
-handle), 3 curve fit with too few points or no feasible offset.
+whose every job failed, 2 unusable input (a sweep with no valid scenario
+too) or output path, or a JSON output holding a non-finite number (and any
+package error a command does not handle), 3 curve fit with too few points
+or no feasible offset.
 All numeric CSV fields carry 17 significant digits; result CSVs are plain
 RFC 4180 bodies with the run manifest in a JSON sidecar next to them. Every
 manifest records the command line and the Python and numpy versions and CPU
@@ -25,7 +26,6 @@ import multiprocessing
 import os
 import platform
 import stat
-import statistics
 import sys
 import time
 import traceback
@@ -243,46 +243,40 @@ def scheme_rows(
 
     CoCoGen's game and WCO's zero-competition game share the scenario's
     columns and differ only in F's linear coefficient, so both are solved
-    as the two rows of one ``solver.solve_games`` call. A game whose
-    coefficient cannot be built (WCO's when some ``psi_n`` is 0) gives its
-    row the status ``error:<Type>`` and is left out of the solve; a failed
-    solve fails the row of each game in it. The CoCoGen, VCFL and WCO
-    profiles and the RaDG draws are priced as one profile matrix;
+    as the two rows of one ``solver.solve_games`` call. WCO's coefficient
+    fails where some ``psi_n`` is 0 (its weight ``-psi_n`` is not negative);
+    its row then gets the status ``error:<Type>`` and its game stays out of
+    the solve. Nothing else here raises a ``CocogenError``: a valid scenario
+    has negative weights ``z`` and positive totals ``d_loc + d_min``, so
+    CoCoGen's ``-c/z`` is a plain division and the solve prices only in-box
+    volumes. The profiles and the RaDG draws are priced as one matrix;
     ``evaluate_profiles`` prices each row as if alone, bit for bit. Also
-    returns WCO's report (None if its game failed), priced on ``s`` when
-    first read.
+    returns WCO's report (None if it failed), priced on ``s`` when first read.
     """
-    coeffs, failed = {}, {}
-    for scheme, build in (("CoCoGen", game._linear_coeffs), ("WCO", baselines.wco_linear_coeffs)):
-        try:
-            coeffs[scheme] = build(s)
-        except CocogenError as exc:
-            failed[scheme] = exc
-    reports = {}
-    if coeffs:
-        try:
-            reports = dict(zip(coeffs, solver.solve_games(s, np.array(list(coeffs.values())))))
-        except CocogenError as exc:
-            failed.update(dict.fromkeys(coeffs, exc))
-    # Scheme -> (profile, converged) of each scheme that did not fail, in row order.
-    priced = {scheme: (baselines.vcfl_profile(s).d_gen, True) if scheme == "VCFL"
-              else (reports[scheme].profile.d_gen, reports[scheme].converged)
-              for scheme in SCHEMES[:3] if scheme not in failed}
-    draws = baselines.radg_profiles(s, radg_seed, radg_count)
-    profiles = np.concatenate([[d for d, _ in priced.values()], draws])
+    lin, wco_error = [game._linear_coeffs(s)], None
+    try:
+        lin.append(baselines.wco_linear_coeffs(s))
+    except CocogenError as exc:
+        wco_error = exc
+    reports = solver.solve_games(s, np.array(lin))
+    # CoCoGen, VCFL and, if it was solved, WCO: their profiles and verdicts.
+    solved = [reports[0].profile.d_gen, baselines.vcfl_profile(s).d_gen]
+    solved += [r.profile.d_gen for r in reports[1:]]
+    converged = [reports[0].converged, True] + [r.converged for r in reports[1:]]
+    k = len(solved)
+    profiles = np.concatenate([solved, baselines.radg_profiles(s, radg_seed, radg_count)])
     ev = economics.evaluate_profiles(s, profiles)
     # Each row's mean volume and verdict in one call; means are sums over
     # counts, np.mean's bits without its wrapper.
-    k = len(priced)
     mean_d = profiles.sum(axis=1) / s.n
     ir_all = ev.ir.all(axis=1)
-    ok = map(_ok_row, priced, ev.welfare[:k].tolist(), mean_d[:k].tolist(), ir_all[:k].tolist(),
-             ev.bb_sum[:k].tolist(), [converged for _, converged in priced.values()])
-    rows = [_failed_row(scheme, failed[scheme]) if scheme in failed else next(ok)
-            for scheme in SCHEMES[:3]]
+    rows = list(map(_ok_row, SCHEMES[:k], ev.welfare[:k].tolist(), mean_d[:k].tolist(),
+                    ir_all[:k].tolist(), ev.bb_sum[:k].tolist(), converged))
+    if wco_error is not None:
+        rows.append(_failed_row("WCO", wco_error))
     rows.append(_ok_row("RaDG", ev.welfare[k:].sum() / radg_count, mean_d[k:].sum() / radg_count,
                         ir_all[k:].all(), ev.bb_sum[k:].sum() / radg_count, True))
-    return rows, reports.get("WCO")
+    return rows, reports[1] if wco_error is None else None
 
 
 def run_sweep_job(grid: SweepGrid, job: SweepJob) -> list[dict]:
@@ -332,7 +326,7 @@ def _aggregate(rows):
         cell = {"gamma_level": gl, "alpha_d": ad, "scheme": scheme, "n": len(members)}
         for name in ("welfare", "mean_d_gen"):
             values = [r[name] for r in members]
-            cell[f"{name}_mean"] = statistics.fmean(values)
+            cell[f"{name}_mean"] = math.fsum(values) / len(values)  # statistics.fmean
             cell[f"{name}_std"] = _stdev(values) if len(values) > 1 else 0.0
         out.append(cell)
     return out
@@ -384,10 +378,12 @@ def run_sweep(grid: SweepGrid, jobs: int = 1):
     if workers > 1:
         sys.stdout.flush()  # a forked worker flushes the buffers it inherits
         sys.stderr.flush()
+        # Forked workers inherit the loaded package as it is, patches included.
+        context = multiprocessing.get_context("fork")
     try:
         for share in shares[1:]:
-            recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_share_worker, args=(send, grid, share))
+            recv, send = context.Pipe(duplex=False)
+            child = context.Process(target=_share_worker, args=(send, grid, share))
             child.start()
             children.append((child, recv))
             send.close()  # the worker holds the only write end, so its exit ends recv
@@ -436,6 +432,11 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(grid, jobs=args.jobs)
     ok = sum(1 for r in rows if r["status"] == "ok")
     if ok == 0:
+        if all(r["status"] == "error:ScenarioValidationError" for r in rows):
+            # No scenario was valid: the first job's refusal names the fields.
+            first = expand_sweep(grid)[0]
+            _checked("every sweep job's scenario is invalid, the first with ",
+                     sample_scenario, grid, first.cell, first.seed)
         print("error: every sweep job failed", file=sys.stderr)
         return EXIT_FAILED
 

@@ -80,8 +80,15 @@ def _floor_errors(s: Scenario) -> np.ndarray:
     """Local errors of the all-``d_min`` profile, built once per scenario.
 
     Local errors fall as data grows, so these are the largest in the box.
+    Both box corners skip the zero-total-data check, which validation has
+    passed before it reads them.
     """
-    return s.cached("floor_errors", lambda: _local_errors(s, float(s.bounds.d_min)))
+    return s.cached("floor_errors", lambda: _local_errors(s, float(s.bounds.d_min), in_box=True))
+
+
+def _ceiling_errors(s: Scenario) -> np.ndarray:
+    """Local errors of the all-``d_max`` profile, the smallest in the box, built once."""
+    return s.cached("ceiling_errors", lambda: _local_errors(s, float(s.bounds.d_max), in_box=True))
 
 
 def _aggregate(s: Scenario, eps: np.ndarray):

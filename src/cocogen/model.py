@@ -387,8 +387,8 @@ def _violations(s: Scenario) -> list[CocogenError]:
 
     if not violations:
         # Only meaningful once the market shape checks passed.
-        from .economics import _column_sums, _contribution_factors, _costs, _floor_error
-        from .economics import _local_errors, _transfer_rates, epsilon_zero
+        from .economics import _ceiling_errors, _column_sums, _contribution_factors, _costs
+        from .economics import _floor_error, _transfer_rates, epsilon_zero
         from .game import z_weights
 
         # The all-d_min profile has the largest global and counterfactual
@@ -409,8 +409,7 @@ def _violations(s: Scenario) -> list[CocogenError]:
             span = max(worst, epsilon_zero(s))
             rates = np.array([s.psi, _transfer_rates(s)[1]])
             revenue_bound, loss_bound = _column_sums(rates * span)
-            top = _local_errors(s, float(s.bounds.d_max), in_box=True)
-            gap_bound = _contribution_factors(s, top) * worst
+            gap_bound = _contribution_factors(s, _ceiling_errors(s)) * worst
         violations.extend(_weight_violations(z))
         finite = np.isfinite(ceiling)
         if not finite.all():

@@ -247,17 +247,6 @@ class _Bracket:
             self.a = self.b = t
 
 
-def _error_bracket(s: Scenario) -> list[float]:
-    """The mean local errors of the all-``d_max`` and all-``d_min``
-    profiles, which bracket every game's root; built once per scenario."""
-
-    def build():
-        ceiling = economics._local_errors(s, float(s.bounds.d_max))
-        return np.array([ceiling.sum(), economics._floor_errors(s).sum()]) / s.n  # np.mean's bits
-
-    return s.cached("error_bracket", build).tolist()
-
-
 def _potential_trace(s: Scenario, steps, lin: np.ndarray) -> tuple[float, ...]:
     """F, with linear coefficient ``lin``, at each step's (profile, local errors)."""
     return tuple(float(game.potential_from_errors(s, eps, d, lin)) for d, eps in steps)
@@ -309,7 +298,10 @@ def _brackets(s: Scenario, lin: np.ndarray, cfg: SolverConfig):
     the (J, N) stationary factor."""
     factor = lin * s.n * s.economy.varrho / (s.alpha * s.beta)
     games = len(lin)
-    a, b = _error_bracket(s)
+    # The mean local errors (np.mean's bits) of the all-d_max and all-d_min
+    # profiles bracket every game's root; built once per scenario.
+    a, b = s.cached("error_bracket", lambda: np.array(
+        [economics._ceiling_errors(s).sum(), economics._floor_errors(s).sum()]) / s.n).tolist()
     d, _, mean = _relaxed(s, np.concatenate([factor, factor]), [a] * games + [b] * games)
     brackets = []
     for j in range(games):

@@ -842,13 +842,20 @@ class TestSweepCommand:
             conn = FakeConnection()
             return conn, conn
 
-        fake = types.SimpleNamespace(Process=FakeProcess, Pipe=fake_pipe)
-        monkeypatch.setattr(cli, "multiprocessing", fake)
+        methods = []
+
+        def get_context(method):
+            methods.append(method)
+            return types.SimpleNamespace(Process=FakeProcess, Pipe=fake_pipe)
+
+        monkeypatch.setattr(cli, "multiprocessing", types.SimpleNamespace(get_context=get_context))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         sweep = write_small_sweep(tmp_path, reps=reps, radg=2)  # 4 * reps jobs
         with caplog.at_level(logging.INFO, logger="cocogen"):
             assert cli.main(["sweep", sweep, "-o", str(tmp_path / "out"), "--jobs", str(flag)]) == 0
         assert len(started) == (workers or 1) - 1
+        # Workers are forked, whatever the platform's default start method.
+        assert methods == (["fork"] if started else [])
         capped = [r.getMessage() for r in caplog.records if "capped" in r.getMessage()]
         expected = f"sweep: --jobs {flag} capped at {workers or 1} workers ({4 * reps} jobs, {cpus} CPUs)"
         assert capped == ([] if workers == flag else [expected])
@@ -933,6 +940,34 @@ class TestSweepCommand:
         assert progress[-1].startswith("sweep: 36/36 jobs done")
         assert lines[-1] == "sweep: 144 rows: 144 ok"
         assert len(lines) == len(progress) + 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_with_no_valid_scenario_is_input_error(self, tmp_path, capsys, jobs):
+        # Every sampled scenario's contribution factor overflows.
+        sweep = shipped_example_with(tmp_path, ("repetitions",), 1, name="sweep_default.json")
+        payload = json.loads(pathlib.Path(sweep).read_text(encoding="utf-8"))
+        payload["economy"]["varrho"] = 1e-300
+        pathlib.Path(sweep).write_text(json.dumps(payload), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", sweep, "-o", str(out_dir), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert "error: every sweep job's scenario is invalid, the first with " \
+            "1 violation(s): economy.varrho: too small for these error laws" in err
+        assert "Traceback" not in err and "every sweep job failed" not in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_sweep_whose_jobs_all_fail_otherwise_exits_one(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_sweep_job
+
+        def job(grid, sweep_job):
+            return [{**r, "status": "error:NonFiniteWelfare"} for r in real(grid, sweep_job)]
+
+        monkeypatch.setattr(cli, "run_sweep_job", job)
+        sweep = write_small_sweep(tmp_path, reps=1, radg=2)
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", sweep, "-o", str(out_dir), "--jobs", "1"]) == 1
+        assert "error: every sweep job failed" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_seed_flag_overrides_base_seed(self, tmp_path):
         sweep = write_small_sweep(tmp_path)
@@ -1137,10 +1172,9 @@ class TestSchemeRows:
             assert wco.welfare == rows[2]["welfare"]
             assert replace(wco, scenario=baselines.wco_scenario(s)).welfare == clone_welfare
 
-    @pytest.mark.parametrize("failing", ["CoCoGen", "WCO"])
-    def test_failed_solve_leaves_the_other_rows(self, monkeypatch, failing):
-        # A game drops out of the two-game solve when its linear
-        # coefficient cannot be built; the other game is solved alone.
+    def test_failed_wco_coefficient_leaves_the_other_rows(self, monkeypatch):
+        # WCO's game drops out of the two-game solve when its linear
+        # coefficient cannot be built; CoCoGen's game is solved alone.
         grid, job, s = _preset_job()
         expected, _ = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
         solved = []
@@ -1151,36 +1185,19 @@ class TestSchemeRows:
             return real(scenario, lin)
 
         def fail(s, z=None, _real=game._linear_coeffs):
-            # CoCoGen's coefficient is the scenario's own; WCO's is built
-            # from the zero-competition weights ``z``.
-            if (z is None) == (failing == "CoCoGen"):
+            # WCO's coefficient is built from the zero-competition weights ``z``.
+            if z is not None:
                 raise ZeroTotalData("injected")
             return _real(s, z)
 
         monkeypatch.setattr(game, "_linear_coeffs", fail)
         monkeypatch.setattr(solver, "solve_games", solve_games)
         rows, wco = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
-        k = cli.SCHEMES.index(failing)
         assert solved == [1]
         assert [r["scheme"] for r in rows] == list(cli.SCHEMES)
-        assert rows[k]["status"] == "error:ZeroTotalData"
-        assert math.isnan(rows[k]["welfare"]) and rows[k]["converged"] is False
-        assert rows[:k] + rows[k + 1:] == expected[:k] + expected[k + 1:]
-        assert (wco is None) == (failing == "WCO")
-
-    def test_failed_joint_solve_fails_both_games(self, monkeypatch):
-        grid, job, s = _preset_job()
-        expected, _ = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
-
-        def solve_games(scenario, lin):
-            raise ZeroTotalData("injected")
-
-        monkeypatch.setattr(solver, "solve_games", solve_games)
-        rows, wco = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
-        assert [r["status"] for r in rows] == [
-            "error:ZeroTotalData", "ok", "error:ZeroTotalData", "ok"
-        ]
-        assert [rows[1], rows[3]] == [expected[1], expected[3]]
+        assert rows[2]["status"] == "error:ZeroTotalData"
+        assert math.isnan(rows[2]["welfare"]) and rows[2]["converged"] is False
+        assert rows[:2] + rows[3:] == expected[:2] + expected[3:]
         assert wco is None
 
     def test_both_games_share_one_solve_and_build_no_clone(self, monkeypatch):
@@ -1212,6 +1229,25 @@ class TestSchemeRows:
         assert [r["status"] for r in rows] == ["ok"] * 4
         assert calls == ["evaluate_profiles"]
 
+    def test_sweep_job_builds_the_all_d_max_errors_once(self, monkeypatch):
+        # Validation's contribution-factor bound and the solver's root
+        # bracket read one cached build of these errors.
+        grid, job, _ = _preset_job()
+        top = float(grid.bounds.d_max)
+        built = []
+        real = economics._local_errors
+
+        def local_errors(s, d, in_box=False):
+            # Every priced row that is the all-d_max profile.
+            rows = np.broadcast_to(d, np.shape(d)[:-1] + (s.n,))
+            built.append(int((rows == top).all(axis=-1).sum()))
+            return real(s, d, in_box)
+
+        monkeypatch.setattr(economics, "_local_errors", local_errors)
+        rows = cli.run_sweep_job(grid, job)
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        assert sum(built) == 1
+
 
 class TestNonFiniteWelfare:
     @pytest.fixture
@@ -1242,6 +1278,32 @@ class TestNonFiniteWelfare:
         base = {"gamma_level": 0, "alpha_d": 0.5}
         agg = cli._aggregate([{**base, **ok}, {**base, **bad}])
         assert [a["n"] for a in agg] == [1]
+
+
+class TestAggregate:
+    @pytest.mark.parametrize("mode", ["literal", "antisymmetric"])
+    def test_means_bitwise_equal_to_statistics_fmean(self, tmp_path, mode):
+        sweep = shipped_example_with(tmp_path, ("repetitions",), 1, name="sweep_default.json")
+        payload = json.loads(pathlib.Path(sweep).read_text(encoding="utf-8"))
+        payload["economy"]["bb_mode"] = mode
+        pathlib.Path(sweep).write_text(json.dumps(payload), encoding="utf-8")
+        rows = cli.run_sweep(load_sweep(sweep), jobs=1)
+        cells = cli._aggregate(rows)
+        assert len(cells) == 9 * len(cli.SCHEMES)
+        for cell in cells:
+            members = [r for r in rows if r["status"] == "ok" and all(
+                r[k] == cell[k] for k in ("gamma_level", "alpha_d", "scheme"))]
+            for name in ("welfare", "mean_d_gen"):
+                expected = statistics.fmean(r[name] for r in members)
+                assert cell[f"{name}_mean"] == expected and type(expected) is float, cell
+        rng = np.random.default_rng(2025)
+        for _ in range(1000):
+            n = int(rng.choice([1, 2, 3, 100]))
+            values = (rng.normal(size=n) * 10.0 ** rng.uniform(-9, 9)).tolist()
+            row = {"gamma_level": 0, "alpha_d": 0.5, "scheme": "VCFL", "status": "ok",
+                   "mean_d_gen": 0.0}
+            (cell,) = cli._aggregate([{**row, "welfare": v} for v in values])
+            assert cell["welfare_mean"] == statistics.fmean(values), values
 
 
 class TestStdev:
@@ -1281,7 +1343,7 @@ class TestCompareCommand:
         assert rows["CoCoGen"]["welfare"] == rows["WCO"]["welfare"]
         assert rows["CoCoGen"]["mean_d_gen"] == rows["WCO"]["mean_d_gen"]
 
-    def test_zero_psi_fails_only_the_wco_row(self, tmp_path, capsys):
+    def test_zero_psi_fails_only_the_wco_row(self, tmp_path, capsys, monkeypatch):
         # psi_1 = 0 leaves CoCoGen's weight negative, but WCO's z_1 = -psi_1
         # is 0, so only WCO's game cannot be solved.
         base = table1_scenario(seed=84)
@@ -1291,8 +1353,17 @@ class TestCompareCommand:
         ]})
         rows, wco = cli.scheme_rows(s, s.seed, 5)
         expected, _ = reference_scheme_rows(s, s.seed, 5)
-        assert [r["status"] for r in rows] == ["ok", "ok", "error:ScenarioValidationError", "ok"]
+        statuses = ["ok", "ok", "error:ScenarioValidationError", "ok"]
+        assert [r["status"] for r in rows] == statuses
         assert rows == expected and wco is None
+        # A sweep job on it: the same rows, each with the realized gamma bar.
+        grid, job, _ = _preset_job()
+        monkeypatch.setattr(cli, "sample_scenario", lambda grid, cell, seed: s)
+        job_rows = cli.run_sweep_job(replace(grid, radg_repetitions=5), replace(job, seed=s.seed))
+        assert [r["status"] for r in job_rows] == statuses
+        gbar = cli._realized_gamma_bar(s.market.gamma)
+        assert math.isfinite(gbar) and all(r["realized_gamma_bar"] == gbar for r in job_rows)
+        assert [{k: r[k] for k in rows[0]} for r in job_rows] == rows
         path = write_scenario(tmp_path, s)
         assert cli.main(["compare", path, "--radg-reps", "5"]) == 1
         err = capsys.readouterr().err

@@ -381,8 +381,8 @@ COLUMNS = ("d_loc", "f", "kappa", "eta", "mu", "c_cmp", "psi", "alpha", "beta", 
 
 def _cached_arrays(s):
     return [
-        game.z_weights(s), game._linear_coeffs(s), eco._floor_errors(s), eco._f_squared(s),
-        eco._marginal_costs(s),
+        game.z_weights(s), game._linear_coeffs(s), eco._floor_errors(s), eco._ceiling_errors(s),
+        eco._f_squared(s), eco._marginal_costs(s),
     ]
 
 
