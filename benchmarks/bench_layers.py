@@ -15,9 +15,10 @@ games' coefficients built, then solved) and
 sampled copy of that scenario per call, whose cache holds only what
 validation builds, as inside a sweep job; they add the per-scenario cache
 builds that the warm layers leave out. The sampling is not timed.
-``baselines.wco_scenario`` builds the zero-competition clone of that
-scenario, validated in full (checkouts that validated scenarios by a
-separate call re-checked only the clone's game weights).
+``baselines.wco_solve`` solves that scenario's zero-competition (WCO)
+game on the scenario itself, as a one-row ``solve_games`` call (checkouts
+before it built and validated a copy of the scenario with every ``gamma``
+zeroed, then solved that copy).
 ``model.Scenario.fresh_copy`` is ``dataclasses.replace`` of that scenario,
 and ``model.Scenario.antisymmetric_copy`` its copy under antisymmetric
 payoffs (``replace`` of its economy too); each copy is validated when
@@ -271,7 +272,6 @@ def measure(repeat: int) -> dict:
         "solver.solve_games.two_games": _per_call_us(
             lambda: solver.solve_games(s, games), 100, repeat
         ),
-        "baselines.wco_scenario": _per_call_us(lambda: baselines.wco_scenario(s), 500, repeat),
         "economics.evaluate_profile": _per_call_us(
             lambda: economics.evaluate_profile(s, report.profile), 500, repeat
         ),

@@ -238,7 +238,7 @@ def _ok_row(scheme: str, welfare, mean_d, ir_all, bb_sum, converged) -> dict:
 
 def scheme_rows(
     s, radg_seed: int, radg_count: int
-) -> tuple[list[dict], solver.SolveReport | None]:
+) -> tuple[list[dict], economics.ProfileMatrixEvaluation]:
     """The CoCoGen, VCFL, WCO and RaDG rows for one scenario, in that order.
 
     CoCoGen's game and WCO's zero-competition game share the scenario's
@@ -251,7 +251,8 @@ def scheme_rows(
     CoCoGen's ``-c/z`` is a plain division and the solve prices only in-box
     volumes. The profiles and the RaDG draws are priced as one matrix;
     ``evaluate_profiles`` prices each row as if alone, bit for bit. Also
-    returns WCO's report (None if it failed), priced on ``s`` when first read.
+    returns that pricing, in row order: CoCoGen, VCFL, WCO if it was
+    solved, then the RaDG draws.
     """
     lin, wco_error = [game._linear_coeffs(s)], None
     try:
@@ -276,7 +277,7 @@ def scheme_rows(
         rows.append(_failed_row("WCO", wco_error))
     rows.append(_ok_row("RaDG", ev.welfare[k:].sum() / radg_count, mean_d[k:].sum() / radg_count,
                         ir_all[k:].all(), ev.bb_sum[k:].sum() / radg_count, True))
-    return rows, reports[1] if wco_error is None else None
+    return rows, ev
 
 
 def run_sweep_job(grid: SweepGrid, job: SweepJob) -> list[dict]:
@@ -470,7 +471,7 @@ def cmd_compare(args) -> int:
     s = _checked("invalid scenario: ", _load_scenario_for_args, args, args.seed)
     _checked("", check_radg_count, args.radg_reps, s.n, "--radg-reps")
 
-    rows, wco = scheme_rows(s, s.seed, args.radg_reps)
+    rows, ev = scheme_rows(s, s.seed, args.radg_reps)
     failed = [r for r in rows if r["status"] != "ok"]
     for r in failed:
         print(f"error: {r['scheme']}: {r['status']}", file=sys.stderr)
@@ -487,7 +488,9 @@ def cmd_compare(args) -> int:
             f"{str(r['ir_all']).lower():>7} {r['bb_sum']:>14.6g} "
             f"{str(r['converged']).lower():>5}"
         )
-    clone_welfare = replace(wco, scenario=baselines.wco_scenario(s)).welfare
+    # The zero-competition clone's welfare at WCO's profile: its transfers and
+    # loss are 0, and the rest is subtracted in the utility's order.
+    clone_welfare = economics._column_sums(ev.revenue[2:3] - ev.cost[2:3] - ev.server_fee)[0]
     print(f"(WCO welfare under its zero-competition clone: {_fmt(clone_welfare)})")
     if args.out:
         columns = ("scheme", "welfare", "mean_d_gen", "ir_all", "bb_sum", "converged")

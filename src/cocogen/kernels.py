@@ -9,8 +9,9 @@ Semantics contract:
   float ties.
 
 Each scan is one numpy expression over the rows it is given. The program
-does not call them; the tests' full-scan reference does, and perfbench's
-span targets resolve them in ``cocogen.solver``.
+does not call them; ``tests/test_kernels.py`` checks them against brute-force
+scans and the tests' stack-loop envelope, and perfbench's span targets
+resolve them in ``cocogen.solver``.
 """
 
 from __future__ import annotations

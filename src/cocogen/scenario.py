@@ -164,10 +164,6 @@ class GammaLevel:
     lo: float
     hi: float
 
-    def _violations(self):
-        if not (0 <= self.lo <= self.hi <= 1):
-            raise InvariantViolation("gamma_level", f"need 0 <= lo <= hi <= 1, got {self}")
-
 
 @dataclass(frozen=True)
 class OrgDefaults:
@@ -213,8 +209,11 @@ class SweepGrid:
             raise InvariantViolation(
                 "repetitions", f"the grid has {jobs} jobs, more than {MAX_SWEEP_JOBS}"
             )
-        for lv in self.gamma_levels:
-            lv._violations()
+        for i, lv in enumerate(self.gamma_levels):
+            if not (0 <= lv.lo <= lv.hi <= 1):
+                raise InvariantViolation(
+                    f"gamma_levels[{i}]", f"need 0 <= lo <= hi <= 1, got lo={lv.lo}, hi={lv.hi}"
+                )
         # The blocks every job's scenario shares; the checks that depend on
         # the draws (xi <= min(phi), the game weights) stay with each job.
         violations = self.economy._violations() + self.bounds._violations()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,6 +176,15 @@ def reference_sample_scenario(grid, cell, seed):
 def with_payoff_mode(s, mode):
     """Copy of the scenario with a different payoff-transfer convention."""
     return replace(s, economy=replace(s.economy, bb_mode=mode))
+
+
+def reference_wco_scenario(s):
+    """The zero-competition clone of the scenario, built through the
+    constructor: every ``gamma`` zeroed, so the game weights are
+    ``z_n = -psi_n``. It shares the source's columns, economy and bounds,
+    and is refused where some ``psi_n`` is 0. WCO's game is this clone's."""
+    gamma = np.zeros_like(s.market.gamma)
+    return replace(s, market=Market(gamma=gamma, xi=s.market.xi, phi=s.market.phi))
 
 
 def reference_lattice(s):
@@ -683,8 +693,8 @@ def assert_lattice_equilibrium(s, d):
 def reference_scheme_rows(s, radg_seed, radg_count):
     """Scheme rows as first written: the CoCoGen, VCFL and WCO profiles each
     priced alone through ``economics.evaluate_profile`` and the RaDG draws as
-    their own matrix. Also returns the WCO profile's welfare under its
-    zero-competition clone (NaN if that solve failed)."""
+    their own matrix, WCO's profile from ``fpi_solve`` of the
+    zero-competition clone."""
     from cocogen import baselines, economics, solver
     from cocogen.errors import CocogenError
 
@@ -716,15 +726,11 @@ def reference_scheme_rows(s, radg_seed, radg_count):
     row("VCFL", ev.welfare.item(), float(np.mean(prof.d_gen)), all(ev.ir[0]), ev.bb_sum.item(),
         True)
 
-    clone_welfare = math.nan
     try:
-        wco = baselines.wco_solve(s)
+        wco = solver.fpi_solve(reference_wco_scenario(s))
         ev = economics.evaluate_profile(s, wco.profile)
         row("WCO", ev.welfare.item(), float(np.mean(wco.profile.d_gen)), all(ev.ir[0]),
             ev.bb_sum.item(), wco.converged)
-        clone_welfare = economics.evaluate_profile(
-            baselines.wco_scenario(s), wco.profile
-        ).welfare.item()
     except CocogenError as exc:
         failed("WCO", exc)
 
@@ -732,7 +738,7 @@ def reference_scheme_rows(s, radg_seed, radg_count):
     ev = economics.evaluate_profiles(s, draws)
     row("RaDG", float(np.mean(ev.welfare)), float(np.mean(draws.mean(axis=1))),
         bool(ev.ir.all()), float(np.mean(ev.bb_sum)), True)
-    return rows, clone_welfare
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -862,13 +868,22 @@ def reference_root_solve(s, cfg=None):
 
 # ---------------------------------------------------------------------------
 # Reference grid oracle: the exhaustive scan of every lattice point, in
-# first-axis row chunks, through F's per-coordinate factorization and the
-# kernels' float expressions, its N = 3 envelope built by the stack loop
-# that ``kernels.build_lower_envelope`` first ran. ``cocogen.solver.grid_oracle``
-# must return this scan's profile and a bitwise-equal ``f_min``, its proof's
-# lower bound must lie below this scan's minimum, and its box must hold this
-# scan's argmin.
+# first-axis row chunks, through F's per-coordinate factorization, its
+# N = 3 innermost axis through a lower envelope of lines built by a stack
+# loop. ``cocogen.solver.grid_oracle`` must return this scan's profile and a
+# bitwise-equal ``f_min``, its proof's lower bound must lie below this
+# scan's minimum, and its box must hold this scan's argmin.
 # ---------------------------------------------------------------------------
+
+
+class ReferenceEnvelope(NamedTuple):
+    """The lines kept, left to right: slopes, intercepts, the ``q`` at
+    which each line after the first takes over, and each line's index."""
+
+    slope: np.ndarray
+    inter: np.ndarray
+    thresh: np.ndarray
+    k: np.ndarray
 
 
 def reference_lower_envelope(slopes, intercepts):
@@ -877,8 +892,6 @@ def reference_lower_envelope(slopes, intercepts):
     (``q = 0`` for the first) it reaches at or before; a parallel line
     replaces the kept one only if strictly lower. Slopes must be
     non-increasing."""
-    from cocogen.kernels import Envelope
-
     slopes = np.asarray(slopes, dtype=np.float64)
     intercepts = np.asarray(intercepts, dtype=np.float64)
     ks: list[int] = []
@@ -910,7 +923,7 @@ def reference_lower_envelope(slopes, intercepts):
         sl.append(s)
         it.append(c)
         ks.append(k)
-    return Envelope(
+    return ReferenceEnvelope(
         slope=np.array(sl),
         inter=np.array(it),
         thresh=np.array(th),

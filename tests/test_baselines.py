@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from cocogen import baselines, economics as eco, game, model, solver
+from cocogen import baselines, economics as eco, game, solver
 from cocogen.errors import NonNegativeZWeight, ScenarioValidationError
-from cocogen.model import ORG_COLUMNS, ScalingLaw
+from cocogen.model import PayoffMode, ScalingLaw
 from cocogen.scenario import FAMILY, family_stream
 
-from helpers import build_scenario, table1_scenario
+from helpers import build_scenario, reference_wco_scenario, table1_scenario, with_payoff_mode
 
 
 class TestVcfl:
@@ -43,32 +43,22 @@ class TestWco:
 
     def test_clone_weights_reduce_to_valuation(self):
         s = table1_scenario(seed=65)
-        clone = baselines.wco_scenario(s)
+        clone = reference_wco_scenario(s)
         for n in range(s.n):
             assert game.z_weights(clone)[n] == -s.psi[n]
+        assert baselines.wco_linear_coeffs(s).tolist() == game._linear_coeffs(clone).tolist()
 
-    def test_clone_rejects_an_organization_without_a_stake(self):
-        # Competition alone makes organization 0's weight negative; its clone
-        # has z_0 = -psi_0 = 0.
+    def test_an_organization_without_a_stake_is_refused(self):
+        # Competition alone makes organization 0's weight negative; in the
+        # zero-competition game z_0 = -psi_0 = 0.
         s = build_scenario(n=2, psi=[0.0, 700.0])
         assert game.z_weights(s)[0] < 0
-        with pytest.raises(ScenarioValidationError) as exc:
-            baselines.wco_scenario(s)
-        assert [(type(v), v.org, v.value) for v in exc.value.violations] == [
-            (NonNegativeZWeight, 0, 0.0)
-        ]
-        with pytest.raises(ScenarioValidationError):
-            baselines.wco_solve(s)
-
-    def test_clone_is_checked_in_full_and_shares_the_columns(self, monkeypatch):
-        s = table1_scenario(seed=69)
-        checked = []
-        real = model._violations
-        monkeypatch.setattr(model, "_violations", lambda x: checked.append(x) or real(x))
-        clone = baselines.wco_scenario(s)
-        assert checked == [clone]
-        assert all(getattr(clone, name) is getattr(s, name) for name in ORG_COLUMNS)
-        assert not clone.market.gamma.any()
+        for call in (baselines.wco_linear_coeffs, baselines.wco_solve):
+            with pytest.raises(ScenarioValidationError) as exc:
+                call(s)
+            assert [(type(v), v.org, v.value) for v in exc.value.violations] == [
+                (NonNegativeZWeight, 0, 0.0)
+            ]
 
     def test_clone_passes_validation_and_generates_less(self):
         s = table1_scenario(seed=66)
@@ -77,14 +67,17 @@ class TestWco:
         assert out.converged
         assert float(np.mean(out.profile.d_gen)) < float(np.mean(rep.profile.d_gen))
 
-    def test_report_is_the_clone_solve_priced_on_the_clone(self):
-        s = table1_scenario(seed=73)
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_report_is_the_clone_solve_priced_on_s(self, mode):
+        s = with_payoff_mode(table1_scenario(seed=73), mode)
         out = baselines.wco_solve(s)
-        clone = baselines.wco_scenario(s)
-        direct = solver.fpi_solve(clone)
+        direct = solver.fpi_solve(reference_wco_scenario(s))
         assert np.array_equal(out.profile.d_gen, direct.profile.d_gen)
-        assert (out.cases, out.potential_trace) == (direct.cases, direct.potential_trace)
-        assert out.welfare == eco.evaluate_profile(clone, out.profile).welfare
+        assert (out.cases, out.potential_trace, out.converged) == (
+            direct.cases, direct.potential_trace, direct.converged
+        )
+        assert out.scenario is s
+        assert out.welfare == eco.evaluate_profile(s, out.profile).welfare
 
     def test_original_market_welfare_is_the_comparison_number(self):
         s = table1_scenario(seed=67)

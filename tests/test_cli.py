@@ -25,6 +25,7 @@ from cocogen.errors import InvalidScenario, UnwritableOutput, ZeroTotalData
 from cocogen.model import (
     PayoffMode,
     ScalingLaw,
+    load_scenario,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -40,8 +41,8 @@ from cocogen.scenario import (
 )
 
 from helpers import (
-    FLOAT_RESOLUTION_PROFILE, float_resolution_scenario, reference_scheme_rows, table1_scenario,
-    with_payoff_mode,
+    FLOAT_RESOLUTION_PROFILE, float_resolution_scenario, reference_scheme_rows,
+    reference_wco_scenario, table1_scenario, with_payoff_mode,
 )
 
 
@@ -713,6 +714,20 @@ class TestSweepCommand:
             "org_defaults.eta: must be > 0; org_defaults.c_cmp: must be > 0" in err
         assert not out_dir.exists()
 
+    def test_reversed_gamma_level_names_its_index(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+        path = write_small_sweep(tmp_path)
+        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        payload["gamma_levels"][1] = {"lo": 0.9, "hi": 0.2}
+        pathlib.Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", path, "-o", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: invalid sweep file: gamma_levels[1]: need 0 <= lo <= hi <= 1, got lo=0.9, hi=0.2"
+        ]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("given_by", ["flag", "file"])
     def test_out_of_range_sweep_seed_is_input_error(
@@ -1163,14 +1178,13 @@ class TestSchemeRows:
         grid = default_sweep_grid()
         for job in expand_sweep(grid)[:90]:
             s = with_payoff_mode(sample_scenario(grid, job.cell, job.seed), mode)
-            rows, wco = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
-            expected, clone_welfare = reference_scheme_rows(s, job.seed, grid.radg_repetitions)
+            rows, ev = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
+            expected = reference_scheme_rows(s, job.seed, grid.radg_repetitions)
             assert rows == expected
             assert _row_types(rows) == _row_types(expected)
-            # WCO's report is solved and priced on s's columns, as its row
-            # is; compare prices its profile under the clone itself.
-            assert wco.welfare == rows[2]["welfare"]
-            assert replace(wco, scenario=baselines.wco_scenario(s)).welfare == clone_welfare
+            # The pricing is returned in row order, then the RaDG draws.
+            assert ev.welfare[:3].tolist() == [r["welfare"] for r in rows[:3]]
+            assert ev.welfare.shape == (3 + grid.radg_repetitions,)
 
     def test_failed_wco_coefficient_leaves_the_other_rows(self, monkeypatch):
         # WCO's game drops out of the two-game solve when its linear
@@ -1192,13 +1206,13 @@ class TestSchemeRows:
 
         monkeypatch.setattr(game, "_linear_coeffs", fail)
         monkeypatch.setattr(solver, "solve_games", solve_games)
-        rows, wco = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
+        rows, ev = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
         assert solved == [1]
         assert [r["scheme"] for r in rows] == list(cli.SCHEMES)
         assert rows[2]["status"] == "error:ZeroTotalData"
         assert math.isnan(rows[2]["welfare"]) and rows[2]["converged"] is False
         assert rows[:2] + rows[3:] == expected[:2] + expected[3:]
-        assert wco is None
+        assert ev.welfare.shape == (2 + grid.radg_repetitions,)  # no WCO row priced
 
     def test_both_games_share_one_solve_and_build_no_clone(self, monkeypatch):
         grid, job, s = _preset_job()
@@ -1208,13 +1222,13 @@ class TestSchemeRows:
         monkeypatch.setattr(
             solver, "solve_games", lambda s, lin: calls.append(len(lin)) or real(s, lin)
         )
-        monkeypatch.setattr(baselines, "wco_scenario", _must_not_run)
-        _, wco = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
+        # No scenario is built: the zero-competition game is solved on s.
+        monkeypatch.setattr(model, "_violations", _must_not_run)
+        rows, _ = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
         assert calls == [2]
-        assert np.array_equal(wco.profile.d_gen, alone.profile.d_gen)
-        assert (wco.cases, wco.potential_trace, wco.converged) == (
-            alone.cases, alone.potential_trace, alone.converged
-        )
+        assert rows[2]["welfare"] == alone.welfare
+        assert rows[2]["mean_d_gen"] == alone.profile.d_gen.sum() / s.n
+        assert rows[2]["converged"] is alone.converged
 
     def test_sweep_job_prices_its_scenario_in_one_call(self, monkeypatch):
         grid, job, _ = _preset_job()
@@ -1333,6 +1347,32 @@ class TestCompareCommand:
         assert len(checked) == 2  # the load and the one copy
         assert s.seed == 5 and s.economy.bb_mode is PayoffMode.ANTISYMMETRIC
 
+    def test_without_flags_validates_once(self, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path, example_scenario())
+        checked = []
+        real = model._violations
+        monkeypatch.setattr(model, "_violations", lambda s: checked.append(s) or real(s))
+        assert cli.main(["compare", path, "--radg-reps", "5"]) == 0
+        assert len(checked) == 1  # the load
+
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_clone_line_is_the_clone_welfare(self, tmp_path, capsys, mode):
+        # The printed WCO welfare under its zero-competition clone equals,
+        # bit for bit, the clone scenario's own pricing of WCO's profile;
+        # half the drawn scenarios charge a server fee.
+        grid = default_sweep_grid()
+        scenarios = [sample_scenario(grid, job.cell, job.seed) for job in expand_sweep(grid)[::3]]
+        scenarios += [table1_scenario(seed=seed, cost_scale=scale, c0=2.5 * (seed % 2))
+                      for seed in range(8000, 8020) for scale in (0.1, 1.0, 10.0)]
+        for k, s in enumerate(scenarios):
+            s = with_payoff_mode(s, mode)
+            path = write_scenario(tmp_path, s)
+            assert cli.main(["compare", path, "--radg-reps", "1"]) == 0, k
+            line = capsys.readouterr().out.splitlines()[-1]
+            clone = reference_wco_scenario(load_scenario(path))
+            welfare = solver.fpi_solve(clone).welfare
+            assert line == f"(WCO welfare under its zero-competition clone: {welfare:.17g})", k
+
     def test_zero_gamma_makes_cocogen_equal_wco(self, tmp_path, capsys):
         s = table1_scenario(seed=81, gamma_range=(0.0, 0.0))
         path = write_scenario(tmp_path, s)
@@ -1351,11 +1391,11 @@ class TestCompareCommand:
             {**org, "psi": 0.0} if n == 1 else org
             for n, org in enumerate(scenario_to_dict(base)["organizations"])
         ]})
-        rows, wco = cli.scheme_rows(s, s.seed, 5)
-        expected, _ = reference_scheme_rows(s, s.seed, 5)
+        rows, ev = cli.scheme_rows(s, s.seed, 5)
+        expected = reference_scheme_rows(s, s.seed, 5)
         statuses = ["ok", "ok", "error:ScenarioValidationError", "ok"]
         assert [r["status"] for r in rows] == statuses
-        assert rows == expected and wco is None
+        assert rows == expected and ev.welfare.shape == (2 + 5,)
         # A sweep job on it: the same rows, each with the realized gamma bar.
         grid, job, _ = _preset_job()
         monkeypatch.setattr(cli, "sample_scenario", lambda grid, cell, seed: s)

@@ -5,6 +5,7 @@ from cocogen import kernels
 from cocogen.kernels import build_lower_envelope
 
 from helpers import (
+    ReferenceEnvelope,
     build_scenario,
     reference_axis_arrays,
     reference_grid_axes,
@@ -77,7 +78,7 @@ class TestEnvelope:
 def _assert_same_envelope(slopes, inters):
     got = build_lower_envelope(slopes, inters)
     want = reference_lower_envelope(slopes, inters)
-    for name in ("slope", "inter", "thresh", "k"):
+    for name in ReferenceEnvelope._fields:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     return got

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cocogen import baselines, cli, game, solver
+from cocogen import cli, game, solver
 from cocogen import economics as eco
 from cocogen.errors import (
     CocogenError,
@@ -37,7 +37,9 @@ from cocogen.scenario import (
 )
 from cocogen.scaling import heterogeneity_presets
 
-from helpers import build_scenario, random_profile, table1_scenario, with_payoff_mode
+from helpers import (
+    build_scenario, random_profile, reference_wco_scenario, table1_scenario, with_payoff_mode,
+)
 
 
 class TestScalingLaw:
@@ -413,7 +415,7 @@ class TestScenarioCache:
     def test_copies_rebuild_their_own_caches(self, tmp_path):
         s = table1_scenario(seed=22)
         warm = _cached_arrays(s)
-        clone = baselines.wco_scenario(s)
+        clone = reference_wco_scenario(s)
         assert not np.array_equal(game.z_weights(clone), game.z_weights(s))
         assert np.array_equal(game.z_weights(clone), -s.psi)
 

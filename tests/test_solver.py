@@ -40,6 +40,7 @@ from helpers import (
     reference_probe_deviations,
     reference_unilateral_utilities,
     reference_verify_ne,
+    reference_wco_scenario,
     table1_scenario,
     with_payoff_mode,
 )
@@ -142,13 +143,11 @@ class TestScalarStationarityGate:
     written (``tests/helpers.reference_root_solve``)."""
 
     def test_sweep_preset_and_wco_clones(self):
-        from cocogen import baselines
-
         grid = default_sweep_grid()
         solved = 0
         for job in expand_sweep(grid):
             s = sample_scenario(grid, job.cell, job.seed)
-            for x in (s, baselines.wco_scenario(s)):
+            for x in (s, reference_wco_scenario(s)):
                 rep = solver.fpi_solve(x)
                 want_d, want_cases = reference_root_solve(x)
                 assert np.array_equal(rep.profile.d_gen, want_d), job
@@ -166,7 +165,7 @@ class TestScalarStationarityGate:
         grid = default_sweep_grid()
         for job in expand_sweep(grid):
             s = with_payoff_mode(sample_scenario(grid, job.cell, job.seed), mode)
-            clone = baselines.wco_scenario(s)
+            clone = reference_wco_scenario(s)
             lin = np.vstack([game._linear_coeffs(s), baselines.wco_linear_coeffs(s)])
             assert lin[1].tolist() == game._linear_coeffs(clone).tolist()
             two = solver.solve_games(s, lin)
@@ -618,14 +617,12 @@ class TestReferenceEquivalence:
             assert not rep.converged and rep.iterations == 2
 
     def test_sweep_preset_scenarios_and_wco_clones(self):
-        from cocogen import baselines
-
         grid = default_sweep_grid()
         cfg = SolverConfig(tol=1e-14)
         for job in expand_sweep(grid)[:: grid.repetitions // 4]:
             s = sample_scenario(grid, job.cell, job.seed)
             assert_same_equilibrium(s, cfg)
-            assert_same_equilibrium(baselines.wco_scenario(s), cfg)
+            assert_same_equilibrium(reference_wco_scenario(s), cfg)
 
 
 class TestGridOracle:
@@ -709,7 +706,7 @@ def _criterion_4_instance(n_orgs, seed):
     return table1_scenario(seed=7000 + 100 * n_orgs + seed, n=n_orgs, cost_scale=scale)
 
 
-class TestRowSearch:
+class TestProofBoxAgainstFullScan:
     """The grid oracle against the full scan of every lattice point
     (``helpers.reference_grid_scan``)."""
 
