@@ -187,11 +187,9 @@ def _request_layers(cli, scaling, repeat: int) -> dict:
     through ``cli.main``."""
     import numpy as np
 
-    from cocogen.model import ScalingLaw
-
-    law = ScalingLaw(alpha=21.2, beta=0.52, delta=0.12)
     ds = np.unique(np.geomspace(200, 20000, 12).astype(int))
-    points = [scaling.CurvePoint(d=int(d), eps=float(law.error_at(float(d)))) for d in ds]
+    eps = 21.2 * np.power(ds.astype(float), -0.52) - 0.12  # the example's error law
+    points = [scaling.CurvePoint(d=int(d), eps=float(e)) for d, e in zip(ds, eps)]
     example = str(resources.files("cocogen").joinpath("data/scenario_example.json"))
     with tempfile.TemporaryDirectory() as tmp:
         curve = os.path.join(tmp, "curve.csv")
@@ -323,8 +321,8 @@ def measure(repeat: int) -> dict:
             lo, hi = float(oracle_s.bounds.d_min), float(oracle_s.bounds.d_max)
             values = lo + np.arange(int(hi - lo) + 1)
             scale = oracle_s.n * oracle_s.economy.varrho
-            lines = (np.exp(economics._own_errors(oracle_s, 2, values) / scale),
-                     game._linear_coeffs(oracle_s)[2] * values)
+            eps = economics._local_errors(oracle_s, values[:, None])[:, 2]
+            lines = (np.exp(eps / scale), game._linear_coeffs(oracle_s)[2] * values)
             layers["kernels.build_lower_envelope"] = _per_call_us(
                 lambda: kernels.build_lower_envelope(*lines), 20, repeat
             )

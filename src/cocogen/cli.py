@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, baselines, economics, game, scaling, solver
 from .errors import CocogenError, InsufficientPoints, NonPositiveShifted, UnwritableOutput
-from .model import PayoffMode, check_seed, json_text, load_scenario
+from .model import PayoffMode, Scenario, _scenario_file_fields, check_seed, json_text
 from .scenario import (
     PRNG_ID,
     SweepGrid,
@@ -155,13 +155,14 @@ def _checked(prefix: str, call, *args):
 
 
 def _load_scenario_for_args(args, seed: int | None = None):
-    """The scenario file under ``--payoff-mode`` and ``seed``, if given, as
-    one validated copy of the loaded scenario."""
-    s = load_scenario(args.scenario)
-    changes = {} if seed is None else {"seed": seed}
+    """The scenario file under ``--payoff-mode`` and ``seed``, if given: the
+    whole file is read, the flags set their fields, and one Scenario is built."""
+    fields = _scenario_file_fields(args.scenario)
+    if seed is not None:
+        fields["seed"] = seed
     if args.payoff_mode is not None:
-        changes["economy"] = replace(s.economy, bb_mode=PayoffMode(args.payoff_mode))
-    return replace(s, **changes) if changes else s
+        fields["economy"] = replace(fields["economy"], bb_mode=PayoffMode(args.payoff_mode))
+    return Scenario(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,21 @@ def _ok_row(scheme: str, welfare, mean_d, ir_all, bb_sum, converged) -> dict:
             "status": "ok" if finite else "error:NonFiniteWelfare"}
 
 
+def _mean(values, total) -> float:
+    """``total(values)`` over their count. Where the sum of finite values
+    passes the float range, it is taken of them scaled by ``2**-e`` and
+    scaled back, so that their mean comes out finite."""
+    with np.errstate(over="ignore"):
+        try:
+            mean = total(values) / len(values)
+        except OverflowError:  # math.fsum's
+            mean = math.inf
+    if math.isinf(mean):
+        e = len(values).bit_length() + 1
+        mean = math.ldexp(total(np.ldexp(values, -e)) / len(values), e)
+    return mean
+
+
 def scheme_rows(
     s, radg_seed: int, radg_count: int
 ) -> tuple[list[dict], economics.ProfileMatrixEvaluation]:
@@ -275,8 +291,9 @@ def scheme_rows(
                     ir_all[:k].tolist(), ev.bb_sum[:k].tolist(), converged))
     if wco_error is not None:
         rows.append(_failed_row("WCO", wco_error))
-    rows.append(_ok_row("RaDG", ev.welfare[k:].sum() / radg_count, mean_d[k:].sum() / radg_count,
-                        ir_all[k:].all(), ev.bb_sum[k:].sum() / radg_count, True))
+    rows.append(_ok_row("RaDG", _mean(ev.welfare[k:], np.add.reduce),
+                        mean_d[k:].sum() / radg_count, ir_all[k:].all(),
+                        _mean(ev.bb_sum[k:], np.add.reduce), True))
     return rows, ev
 
 
@@ -312,7 +329,10 @@ def _stdev(values: list[float]) -> float:
     e = (p.bit_length() - q.bit_length()) // 2 - 56
     a, rem = divmod(p, q << 2 * e) if e >= 0 else divmod(p << -2 * e, q)
     r = math.isqrt(a)
-    return math.ldexp(r | (rem > 0 or r * r != a), e)
+    try:
+        return math.ldexp(r | (rem > 0 or r * r != a), e)
+    except OverflowError:  # a spread beyond the float range
+        return math.inf
 
 
 def _aggregate(rows):
@@ -327,7 +347,7 @@ def _aggregate(rows):
         cell = {"gamma_level": gl, "alpha_d": ad, "scheme": scheme, "n": len(members)}
         for name in ("welfare", "mean_d_gen"):
             values = [r[name] for r in members]
-            cell[f"{name}_mean"] = math.fsum(values) / len(values)  # statistics.fmean
+            cell[f"{name}_mean"] = _mean(values, math.fsum)  # statistics.fmean
             cell[f"{name}_std"] = _stdev(values) if len(values) > 1 else 0.0
         out.append(cell)
     return out

@@ -54,21 +54,19 @@ def local_errors(s: Scenario, profile: ProfileLike) -> np.ndarray:
     return _local_errors(s, as_dgen(profile, s.n))
 
 
-def _local_errors(s: Scenario, d: np.ndarray, in_box: bool = False) -> np.ndarray:
-    """Local errors of any array whose last axis runs over organizations.
+def _local_errors(s: Scenario, d: np.ndarray, in_box: bool = False, orgs=None) -> np.ndarray:
+    """The one evaluation of the error law: the local errors of organizations
+    ``orgs`` (all if None) at volumes ``d``, which broadcast against them.
 
     ``in_box`` skips the zero-total-data check, which no profile inside a
     scenario's box fails.
     """
-    totals = s.d_loc + d
+    law = (s.d_loc, s.alpha, s.beta, s.delta)
+    d_loc, alpha, beta, delta = law if orgs is None else [c[orgs] for c in law]
+    totals = d_loc + d
     if not in_box and (totals <= 0).any():
         raise ZeroTotalData("some organization has zero local plus generated data")
-    return s.alpha * np.power(totals, -s.beta) - s.delta
-
-
-def _own_errors(s: Scenario, n: int, d):
-    """Organization ``n``'s local errors at generated volume(s) ``d``."""
-    return s.alpha[n] * np.power(s.d_loc[n] + d, -s.beta[n]) - s.delta[n]
+    return alpha * np.power(totals, -beta) - delta
 
 
 def _own_error_slopes(s: Scenario, n: int, d):

@@ -32,7 +32,6 @@ from .errors import (
     NonNegativeZWeight,
     ScenarioValidationError,
     UnwritableOutput,
-    ZeroTotalData,
 )
 
 __all__ = [
@@ -120,17 +119,6 @@ class ScalingLaw:
             raise InvariantViolation("beta", f"must be > 0, got {self.beta!r}")
         if not (self.delta >= 0):
             raise InvariantViolation("delta", f"must be >= 0, got {self.delta!r}")
-
-    def error_at(self, d_total):
-        """Predicted local error at a total data volume (scalar or array).
-
-        May be negative for very large volumes; the offset permits this.
-        """
-        d = np.asarray(d_total, dtype=np.float64)
-        if np.any(d <= 0):
-            raise ZeroTotalData("error law requires total data volume > 0")
-        out = self.alpha * np.power(d, -self.beta) - self.delta
-        return float(out) if np.isscalar(d_total) or d.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,20 +309,17 @@ class StrategyProfile:
     def __post_init__(self):
         object.__setattr__(self, "d_gen", _readonly(np.atleast_1d(self.d_gen)))
 
-    def __len__(self) -> int:
-        return self.d_gen.shape[0]
-
 
 ProfileLike = Union[StrategyProfile, np.ndarray, Sequence[float]]
 
 
-def as_dgen(profile: ProfileLike, n_orgs: int | None = None) -> np.ndarray:
+def as_dgen(profile: ProfileLike, n_orgs: int) -> np.ndarray:
     """Coerce a profile-like object to a float64 vector; check its length."""
     d = profile.d_gen if isinstance(profile, StrategyProfile) else profile
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1:
         raise DimensionMismatch(f"profile must be 1-d, got shape {d.shape}")
-    if n_orgs is not None and d.shape[0] != n_orgs:
+    if d.shape[0] != n_orgs:
         raise DimensionMismatch(f"profile has length {d.shape[0]}, expected {n_orgs}")
     return d
 
@@ -392,7 +377,9 @@ def _violations(s: Scenario) -> list[CocogenError]:
         from .game import z_weights
 
         # The all-d_min profile has the largest global and counterfactual
-        # errors in the box, and the all-d_max profile the largest costs.
+        # errors in the box, and the all-d_max profile the largest costs;
+        # summed over organizations, alone and with each one's server fee,
+        # they bound every partial sum of what welfare subtracts for them.
         # Each revenue psi_n (eps0 - err) and loss Phi_n (err - counterfactual)
         # is at most its rate times ``span`` in size, and welfare adds them
         # one organization at a time, as ``_column_sums`` does; so these
@@ -406,6 +393,7 @@ def _violations(s: Scenario) -> list[CocogenError]:
             z = z_weights(s)
             worst = float(_floor_error(s))
             ceiling = _costs(s, float(s.bounds.d_max))
+            cost_bound, charge_bound = _column_sums(np.array([ceiling, ceiling + s.economy.c0]))
             span = max(worst, epsilon_zero(s))
             rates = np.array([s.psi, _transfer_rates(s)[1]])
             revenue_bound, loss_bound = _column_sums(rates * span)
@@ -416,6 +404,20 @@ def _violations(s: Scenario) -> list[CocogenError]:
             violations.extend(
                 InvariantViolation(f"organizations[{n}]", "generation cost at bounds.d_max overflows")
                 for n in np.flatnonzero(~finite)
+            )
+        elif not math.isfinite(cost_bound):
+            violations.append(
+                InvariantViolation(
+                    "organizations[*]", "the sum of the generation costs at bounds.d_max overflows"
+                )
+            )
+        elif not math.isfinite(charge_bound):
+            violations.append(
+                InvariantViolation(
+                    "economy.c0",
+                    "too large for these costs: the sum of the generation costs and "
+                    "server fees can overflow",
+                )
             )
         if not np.isfinite(gap_bound).all():
             violations.append(
@@ -621,11 +623,16 @@ _SCENARIO = {
 }
 
 
-def scenario_from_dict(obj: dict) -> Scenario:
+def _scenario_fields(obj) -> dict:
+    """The ``Scenario`` arguments of a scenario file's JSON object, every key read."""
     fields = _fields(obj, _SCENARIO, "scenario")
     rows = fields.pop("organizations")
     columns = np.array(rows, dtype=np.float64).reshape(-1, len(ORG_COLUMNS)).T
-    return Scenario(**dict(zip(ORG_COLUMNS, columns)), **fields)
+    return {**dict(zip(ORG_COLUMNS, columns)), **fields}
+
+
+def scenario_from_dict(obj: dict) -> Scenario:
+    return Scenario(**_scenario_fields(obj))
 
 
 def json_text(payload: dict, where: str) -> str:
@@ -646,6 +653,11 @@ def save_scenario(s: Scenario, path) -> None:
         fh.write(text)
 
 
-def load_scenario(path) -> Scenario:
+def _scenario_file_fields(path) -> dict:
+    """The ``Scenario`` arguments of a whole scenario file (``_scenario_fields``)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+        return _scenario_fields(json.load(fh))
+
+
+def load_scenario(path) -> Scenario:
+    return Scenario(**_scenario_file_fields(path))

@@ -508,7 +508,7 @@ def _best_deviations(s: Scenario, d: np.ndarray):
     rest = eps.sum() - eps  # the others' errors, summed as the whole is
 
     def errors(orgs, x):
-        return np.exp(((rest[orgs] + economics._own_errors(s, orgs, x)) / s.n - 1.0)
+        return np.exp(((rest[orgs] + economics._local_errors(s, x, True, orgs)) / s.n - 1.0)
                       / s.economy.varrho)
 
     # The lattice neighbours of d_n: k is the lattice index nearest to it,
@@ -592,12 +592,8 @@ def verify_ne(s: Scenario, profile: ProfileLike, grid_step: float = 1.0) -> NeCe
     _require_unit_step(grid_step, "grid_step")
     d = as_dgen(profile, s.n)
     alts, gains = _best_deviations(s, d)
-    worst_gain = -math.inf
-    worst_org = 0
-    worst_alt = float(d[0])
-    for n, (alt, gain) in enumerate(zip(alts.tolist(), gains.tolist())):
-        if gain > worst_gain:
-            worst_gain, worst_org, worst_alt = gain, n, alt
+    worst_org = int(np.argmax(gains))  # the first of the largest gains
+    worst_gain, worst_alt = float(gains[worst_org]), float(alts[worst_org])
     is_ne = True
     if worst_gain > 0:
         utilities = economics.evaluate_profiles(s, d[None, :]).utility[0]

@@ -88,6 +88,13 @@ def build_scenario(
     )
 
 
+def law_error(law, d):
+    """The error law ``alpha d**-beta - delta`` of ``law`` at total volume(s)
+    ``d``: a float for a scalar, else an array."""
+    out = law.alpha * np.power(np.asarray(d, dtype=np.float64), -law.beta) - law.delta
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def table1_scenario(seed, n=10, gamma_range=(0.0, 1.0), cost_scale=1.0, law=None, **kw):
     """Random instance drawn from the published parameter ranges."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 99], dtype=np.uint64)))
@@ -355,7 +362,7 @@ def reference_unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs:
 
     eps_base = economics.local_errors(s, profile)
     varrho = s.economy.varrho
-    eps_n = economics._own_errors(s, n, xs)
+    eps_n = economics._local_errors(s, xs, True, n)
     others = float(eps_base.sum() - eps_base[n])
     err = np.exp(((others + eps_n) / s.n - 1.0) / varrho)
 
@@ -364,7 +371,7 @@ def reference_unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs:
     gamma_row[n] = 0.0
 
     # Counterfactual with n itself at d_min: constant in the deviation.
-    eps_n_min = float(economics._own_errors(s, n, d_min))
+    eps_n_min = float(economics._local_errors(s, d_min, True, n))
     err_cf_n = math.exp(((others + eps_n_min) / s.n - 1.0) / varrho)
     mc_n = err - err_cf_n
 
@@ -373,7 +380,7 @@ def reference_unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs:
         for m in range(s.n):
             if m == n or gamma_row[m] == 0.0:
                 continue
-            eps_m_min = float(economics._own_errors(s, m, d_min))
+            eps_m_min = float(economics._local_errors(s, d_min, True, m))
             others_m = others - eps_base[m] + eps_m_min
             err_cf_m = np.exp(((others_m + eps_n) / s.n - 1.0) / varrho)
             payoff += s.market.xi * gamma_row[m] * (mc_n - (err - err_cf_m))
@@ -427,7 +434,7 @@ def reference_deviation_gains(s, d, xs):
     costs = economics._marginal_costs(s)
     total = eps.sum()
     for n in range(s.n):
-        eps_n = economics._own_errors(s, n, np.append(xs, d[n]))
+        eps_n = economics._local_errors(s, np.append(xs, d[n]), True, n)
         err = np.exp(((total - eps[n] + eps_n) / s.n - 1.0) / s.economy.varrho)
         # Adding the cost term keeps the null deviation's 0.0 unsigned.
         yield weights[n] * (err[:-1] - err[-1]) + costs[n] * (d[n] - xs)
@@ -937,7 +944,7 @@ def reference_axis_arrays(s, values, n):
     ``exp(-1/varrho) * prod_n g_n + sum_n lin_n * values``."""
     from cocogen import economics, game
 
-    g = np.exp(economics._own_errors(s, n, values) / (s.n * s.economy.varrho))
+    g = np.exp(economics._local_errors(s, values, True, n) / (s.n * s.economy.varrho))
     return g, game._linear_coeffs(s)[n] * values
 
 

@@ -30,6 +30,7 @@ from cocogen.solver import SolverConfig
 
 from helpers import (
     convexity_margins,
+    law_error,
     random_profile,
     reference_potential_gradient,
     table1_scenario,
@@ -280,7 +281,7 @@ def test_criterion_8_scaling_fit():
     start = time.perf_counter()
     truth = ScalingLaw(5.0, 0.4, 0.08)
     noiseless = [
-        CurvePoint(d, truth.error_at(d)) for d in (500, 1000, 2000, 4000, 8000)
+        CurvePoint(d, law_error(truth, d)) for d in (500, 1000, 2000, 4000, 8000)
     ]
     fit = fit_scaling_law(noiseless)
     exact = (
@@ -294,7 +295,7 @@ def test_criterion_8_scaling_fit():
     for seed in range(100):
         rng = _philox(9000 + seed)
         pts = [
-            CurvePoint(int(d), float(truth.error_at(int(d)) + rng.normal(0.0, 0.005)))
+            CurvePoint(int(d), float(law_error(truth, int(d)) + rng.normal(0.0, 0.005)))
             for d in ds
         ]
         noisy = fit_scaling_law(pts)

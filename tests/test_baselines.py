@@ -6,7 +6,9 @@ from cocogen.errors import NonNegativeZWeight, ScenarioValidationError
 from cocogen.model import PayoffMode, ScalingLaw
 from cocogen.scenario import FAMILY, family_stream
 
-from helpers import build_scenario, reference_wco_scenario, table1_scenario, with_payoff_mode
+from helpers import (
+    build_scenario, law_error, reference_wco_scenario, table1_scenario, with_payoff_mode,
+)
 
 
 class TestVcfl:
@@ -29,7 +31,7 @@ class TestVcfl:
         errs = eco.local_errors(s, p)
         for n in range(s.n):
             law = ScalingLaw(s.alpha[n], s.beta[n], s.delta[n])
-            assert errs[n] == law.error_at(s.d_loc[n])
+            assert errs[n] == law_error(law, s.d_loc[n])
 
 
 class TestWco:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import fractions
 import hashlib
 import io
 import json
@@ -41,7 +42,7 @@ from cocogen.scenario import (
 )
 
 from helpers import (
-    FLOAT_RESOLUTION_PROFILE, float_resolution_scenario, reference_scheme_rows,
+    FLOAT_RESOLUTION_PROFILE, float_resolution_scenario, law_error, reference_scheme_rows,
     reference_wco_scenario, table1_scenario, with_payoff_mode,
 )
 
@@ -111,7 +112,7 @@ class TestFitCommand:
     def test_fit_round_trip(self, tmp_path):
         law = ScalingLaw(5.0, 0.4, 0.08)
         curve = tmp_path / "curve.csv"
-        rows = ["d,eps"] + [f"{d},{law.error_at(d)!r}" for d in (500, 1000, 2000, 4000, 8000)]
+        rows = ["d,eps"] + [f"{d},{law_error(law, d)!r}" for d in (500, 1000, 2000, 4000, 8000)]
         curve.write_text("\n".join(rows) + "\n", encoding="utf-8")
         out = tmp_path / "fit.json"
         assert cli.main(["fit", str(curve), "-o", str(out)]) == 0
@@ -137,7 +138,7 @@ class TestFitCommand:
     def test_output_in_a_missing_directory_is_input_error(self, tmp_path, capsys):
         law = ScalingLaw(5.0, 0.4, 0.08)
         curve = tmp_path / "curve.csv"
-        rows = ["d,eps"] + [f"{d},{law.error_at(d)!r}" for d in (500, 1000, 2000, 4000)]
+        rows = ["d,eps"] + [f"{d},{law_error(law, d)!r}" for d in (500, 1000, 2000, 4000)]
         curve.write_text("\n".join(rows) + "\n", encoding="utf-8")
         out = tmp_path / "missing" / "fit.json"
         assert cli.main(["fit", str(curve), "-o", str(out)]) == 2
@@ -273,6 +274,34 @@ class TestSolveCommand:
             "organizations[3]: generation cost at bounds.d_max overflows\n"
         )
         assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("summed, message", [
+        ("costs", "organizations[*]: the sum of the generation costs at bounds.d_max overflows"),
+        ("fees", "economy.c0: too large for these costs: the sum of the generation costs and "
+                 "server fees can overflow"),
+    ])
+    def test_overflowing_cost_or_fee_sum_is_named_before_any_file(
+        self, tmp_path, capsys, command, summed, message
+    ):
+        # Each organization's cost at d_max (5e307), or the server fee
+        # (2e307), is finite, but summed over the ten organizations of the
+        # shipped example it passes the float64 range, and so does welfare.
+        path = shipped_example_with(tmp_path, ("economy", "c0"), 2e307 if summed == "fees" else 0.0)
+        if summed == "costs":
+            s = load_scenario(path)
+            costs = economics._costs(s, float(s.bounds.d_max))
+            payload = scenario_to_dict(s)
+            for org, cost in zip(payload["organizations"], costs):
+                org["c_cmp"] *= 5e307 / cost
+            pathlib.Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, path, "-o", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid scenario: 1 violation(s): {message}\n"
+        assert captured.out == "" and os.listdir(tmp_path) == ["edited.json"]
 
     def test_shipped_example_solves_and_certifies(self, tmp_path):
         from importlib import resources
@@ -472,13 +501,14 @@ class TestSolveCommand:
         # organization's lattice ends, neighbours and volume, plus a probe
         # search where a gain rises.
         priced = []
-        own_errors = economics._own_errors
+        local_errors = economics._local_errors
 
-        def counted(s, n, d):
-            priced.append(np.size(d))
-            return own_errors(s, n, d)
+        def counted(s, d, in_box=False, *orgs):
+            if orgs:  # a move's errors, priced for some organizations
+                priced.append(np.size(d))
+            return local_errors(s, d, in_box, *orgs)
 
-        monkeypatch.setattr(economics, "_own_errors", counted)
+        monkeypatch.setattr(economics, "_local_errors", counted)
         path = shipped_example_with(tmp_path, ("bounds", "d_max"), 2**40)
         out = tmp_path / "r.json"
         assert cli.main(["solve", path, "-o", str(out), "--verify-ne"]) == 0
@@ -641,7 +671,7 @@ class TestManifest:
         law = ScalingLaw(21.2, 0.52, 0.12)
         curve = tmp_path / "curve.csv"
         curve.write_text("d,eps\n" + "".join(
-            f"{d},{law.error_at(float(d))!r}\n" for d in (200, 500, 1000, 2000, 5000, 9000)))
+            f"{d},{law_error(law, float(d))!r}\n" for d in (200, 500, 1000, 2000, 5000, 9000)))
         scenario = write_scenario(tmp_path, example_scenario())
         runs = {
             "fit.json": ["fit", str(curve), "-o", str(tmp_path / "fit.json")],
@@ -664,7 +694,7 @@ class TestManifest:
         law = ScalingLaw(21.2, 0.52, 0.12)
         curve = tmp_path / "curve.csv"
         curve.write_text("d,eps\n" + "".join(
-            f"{d},{law.error_at(float(d))!r}\n" for d in (200, 500, 1000, 2000, 5000, 9000)))
+            f"{d},{law_error(law, float(d))!r}\n" for d in (200, 500, 1000, 2000, 5000, 9000)))
         out = tmp_path / "fit.json"
         assert cli.main(["fit", str(curve), "-o", str(out)]) == 0
         manifest = json.loads(out.read_text())["manifest"]
@@ -695,6 +725,30 @@ class TestSweepCommand:
         data = (out / "results.csv").read_bytes()
         assert data.count(b"\r\n") == 1 + 9 * len(cli.SCHEMES)
         assert hashlib.sha256(data).hexdigest() == self.PRESET_RESULTS_SHA256[mode]
+
+    def test_cell_means_of_finite_welfares_are_finite(self, tmp_path, capsys):
+        # The shipped preset with a server fee of 1e307: each welfare is
+        # finite, near -1e308, but a cell's three sum past the float64 range.
+        path = shipped_example_with(tmp_path, ("economy", "c0"), 1e307, name="sweep_default.json")
+        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        payload["repetitions"] = 3
+        pathlib.Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sweep", path, "-o", str(out), "--jobs", "1"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        results = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
+        assert {r["status"] for r in results} == {"ok"}
+        for cell in csv.DictReader((out / "aggregate.csv").read_text().splitlines()):
+            welfares = [float(r["welfare"]) for r in results
+                        if (r["gamma_level"], r["alpha_d"], r["scheme"])
+                        == (cell["gamma_level"], cell["alpha_d"], cell["scheme"])]
+            with pytest.raises(OverflowError):
+                math.fsum(welfares)
+            exact = sum(map(fractions.Fraction, welfares)) / len(welfares)
+            assert float(cell["welfare_mean"]) == pytest.approx(float(exact), rel=1e-15)
+            assert math.isfinite(float(cell["welfare_std"]))
 
     def test_fixed_block_violations_fail_at_load(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_sweep", _must_not_run)
@@ -1251,11 +1305,12 @@ class TestSchemeRows:
         built = []
         real = economics._local_errors
 
-        def local_errors(s, d, in_box=False):
-            # Every priced row that is the all-d_max profile.
-            rows = np.broadcast_to(d, np.shape(d)[:-1] + (s.n,))
-            built.append(int((rows == top).all(axis=-1).sum()))
-            return real(s, d, in_box)
+        def local_errors(s, d, in_box=False, *orgs):
+            # Every priced row of all organizations that is the all-d_max profile.
+            if not orgs:
+                rows = np.broadcast_to(d, np.shape(d)[:-1] + (s.n,))
+                built.append(int((rows == top).all(axis=-1).sum()))
+            return real(s, d, in_box, *orgs)
 
         monkeypatch.setattr(economics, "_local_errors", local_errors)
         rows = cli.run_sweep_job(grid, job)
@@ -1333,9 +1388,13 @@ class TestStdev:
             assert got == statistics.stdev(values) and type(got) is float, values
         assert cli._stdev([2.0, 2.0]) == 0.0
 
+    def test_spread_beyond_the_float_range_is_infinite(self):
+        assert cli._stdev([1.7e308, -1.7e308]) == math.inf
+        assert cli._stdev([1.7e308, 1.7e308, -1.7e308]) == math.inf
+
 
 class TestCompareCommand:
-    def test_payoff_mode_and_seed_make_one_validated_copy(self, tmp_path, monkeypatch):
+    def test_payoff_mode_and_seed_enter_the_one_validated_scenario(self, tmp_path, monkeypatch):
         path = write_scenario(tmp_path, example_scenario())  # literal payoffs, seed 7
         checked = []
         real = model._violations
@@ -1344,8 +1403,39 @@ class TestCompareCommand:
             ["compare", path, "--payoff-mode", "antisymmetric", "--seed", "5"]
         )
         s = cli._load_scenario_for_args(args, args.seed)
-        assert len(checked) == 2  # the load and the one copy
+        assert len(checked) == 1  # the one scenario, flags applied
         assert s.seed == 5 and s.economy.bb_mode is PayoffMode.ANTISYMMETRIC
+
+    def test_radg_mean_of_finite_welfares_is_finite(self, tmp_path, capsys):
+        # A server fee of 1e307 puts each welfare near -1e308: finite, but
+        # the sum of the 100 RaDG draws' welfares passes the float64 range.
+        path = shipped_example_with(tmp_path, ("economy", "c0"), 1e307)
+        out = tmp_path / "rows.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["compare", path, "-o", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        printed = {r["scheme"]: r for r in csv.DictReader(out.read_text().splitlines())}
+        s = load_scenario(path)
+        rows, ev = cli.scheme_rows(s, s.seed, 100)
+        draws = ev.welfare[3:]
+        with np.errstate(over="ignore"):
+            assert math.isinf(draws.sum()) and np.isfinite(draws).all()
+        welfare = rows[3]["welfare"]
+        assert rows[3]["status"] == "ok" and welfare == float(printed["RaDG"]["welfare"])
+        exact = sum(map(fractions.Fraction, draws.tolist())) / draws.size
+        assert welfare == pytest.approx(float(exact), rel=1e-15)
+
+    def test_seed_flag_replaces_an_out_of_range_file_seed(self, tmp_path, capsys):
+        # The flag sets the seed before the one validation; without it the
+        # file's seed is refused.
+        path = shipped_example_with(tmp_path, ("seed",), 2**64)
+        assert cli.main(["compare", path, "--seed", "5", "--radg-reps", "3"]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main(["compare", path, "--radg-reps", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid scenario: 1 violation(s): seed: must fit in 64 unsigned bits\n"
+        )
 
     def test_without_flags_validates_once(self, tmp_path, monkeypatch):
         path = write_scenario(tmp_path, example_scenario())
@@ -1553,7 +1643,7 @@ def _drawn_input(data, command, tmp):
 
     if command == "fit":
         law = ScalingLaw(21.2, 0.52, 0.12)
-        rows = [[d, repr(law.error_at(float(d)))] for d in (200, 500, 1000, 2000, 5000, 9000)]
+        rows = [[d, repr(law_error(law, float(d)))] for d in (200, 500, 1000, 2000, 5000, 9000)]
         rows = _mutated(data, rows)
         header = data.draw(st.sampled_from(["d,eps", "d,eps", "eps,d", "d", ""]))
         text = header + "\n" + "".join(

@@ -14,6 +14,7 @@ from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
 
 from helpers import (
     build_scenario,
+    law_error,
     org_row,
     random_profile,
     reference_evaluation,
@@ -41,14 +42,14 @@ class TestLocalError:
 
     def test_matches_fit_prediction(self):
         truth = ScalingLaw(5.0, 0.4, 0.08)
-        points = [scaling.CurvePoint(d, truth.error_at(d)) for d in (500, 1000, 2000, 4000, 8000)]
+        points = [scaling.CurvePoint(d, law_error(truth, d)) for d in (500, 1000, 2000, 4000, 8000)]
         fit = scaling.fit_scaling_law(points)
         law = fit.law
         s = build_scenario(
             n=1, gamma=[[0.0]], alpha=law.alpha, beta=law.beta, delta=law.delta, d_loc=1000
         )
-        assert eco.local_errors(s, [2000.0])[0] == law.error_at(3000)
-        assert eco.local_errors(s, [2000.0])[0] == pytest.approx(truth.error_at(3000), rel=1e-6)
+        assert eco.local_errors(s, [2000.0])[0] == law_error(law, 3000)
+        assert eco.local_errors(s, [2000.0])[0] == pytest.approx(law_error(truth, 3000), rel=1e-6)
 
 
 class TestGlobalError:

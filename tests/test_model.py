@@ -51,9 +51,15 @@ class TestScalingLaw:
         with pytest.raises(InvariantViolation):
             ScalingLaw(alpha=1.0, beta=1.0, delta=-0.1)
 
-    def test_error_at_zero_total_raises(self):
+
+class TestErrorLaw:
+    """The one error law, ``economics.local_errors``, of one organization
+    holding ``d`` local samples, at generated volumes 0 and ``step``."""
+
+    def test_zero_total_data_raises(self):
+        s = build_scenario(n=1, d_loc=1500)
         with pytest.raises(ZeroTotalData):
-            ScalingLaw(1.0, 1.0).error_at(0)
+            eco.local_errors(s, [-1500.0])
 
     # Without an offset one more sample lowers the error by a relative
     # beta / d >= 5e-8, far above one ulp; with one, the drop can be below
@@ -66,8 +72,8 @@ class TestScalingLaw:
     )
     @example(alpha=0.5, beta=1.90625, d=399948, step=1)
     def test_error_strictly_decreasing(self, alpha, beta, d, step):
-        law = ScalingLaw(alpha, beta)
-        assert law.error_at(d) > law.error_at(d + step)
+        s = build_scenario(n=1, alpha=alpha, beta=beta, d_loc=d)
+        assert eco.local_errors(s, [0.0])[0] > eco.local_errors(s, [float(step)])[0]
 
     @given(
         alpha=st.floats(0.1, 50),
@@ -78,8 +84,8 @@ class TestScalingLaw:
     )
     @example(alpha=0.5, beta=1.90625, delta=0.5, d=399948, step=1)
     def test_error_non_increasing_with_offset(self, alpha, beta, delta, d, step):
-        law = ScalingLaw(alpha, beta, delta)
-        assert law.error_at(d) >= law.error_at(d + step)
+        s = build_scenario(n=1, alpha=alpha, beta=beta, delta=delta, d_loc=d)
+        assert eco.local_errors(s, [0.0])[0] >= eco.local_errors(s, [float(step)])[0]
 
 
 class TestValidation:

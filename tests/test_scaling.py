@@ -3,19 +3,19 @@ import warnings
 import numpy as np
 import pytest
 
-from cocogen import scaling
+from cocogen import economics, scaling
 from cocogen.errors import InsufficientPoints, InvariantViolation, NonPositiveShifted
 from cocogen.model import ScalingLaw
 from cocogen.scaling import CurvePoint, fit_scaling_law, heterogeneity_presets
 
-from helpers import reference_log_linear_fit
+from helpers import build_scenario, law_error, reference_log_linear_fit
 
 
 def synth_points(law, ds, sigma=0.0, seed=0):
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 8], dtype=np.uint64)))
     pts = []
     for d in ds:
-        eps = law.error_at(d) + (rng.normal(0.0, sigma) if sigma else 0.0)
+        eps = law_error(law, d) + (rng.normal(0.0, sigma) if sigma else 0.0)
         pts.append(CurvePoint(d=int(d), eps=float(eps)))
     return pts
 
@@ -225,21 +225,20 @@ class TestBatchedOffsets:
 
 class TestPredict:
     def test_direct_value(self):
-        assert ScalingLaw(1.0, 1.0, 0.0).error_at(100) == pytest.approx(
-            0.01, rel=1e-15
-        )
+        s = build_scenario(n=1, alpha=1.0, beta=1.0, delta=0.0, d_loc=100)
+        assert economics.local_errors(s, [0.0])[0] == pytest.approx(0.01, rel=1e-15)
 
     def test_rmse_is_residual_rmse_at_input_points(self):
         truth = ScalingLaw(5.0, 0.4, 0.08)
         pts = synth_points(truth, DS, sigma=0.004, seed=5)
         fit = fit_scaling_law(pts)
-        resid = [fit.law.error_at(p.d) - p.eps for p in pts]
+        resid = [law_error(fit.law, p.d) - p.eps for p in pts]
         assert fit.rmse == pytest.approx(float(np.sqrt(np.mean(np.square(resid)))), rel=1e-12)
 
     def test_monotone_decreasing(self):
-        law = ScalingLaw(3.0, 0.3, 0.05)
-        ds = np.arange(1, 5000, 13)
-        vals = law.error_at(ds.astype(float))
+        # Totals 1, 14, ..., 4992: one local sample plus the generated ones.
+        s = build_scenario(n=1, alpha=3.0, beta=0.3, delta=0.05, d_loc=1)
+        vals = economics._local_errors(s, np.arange(0.0, 4999.0, 13.0), orgs=0)
         assert np.all(np.diff(vals) < 0)
 
 
@@ -295,16 +294,16 @@ class TestPresets:
         assert set(presets) == {0.1, 0.5, 0.9}
         for d in (500, 3000, 6000):
             assert (
-                presets[0.1].error_at(d)
-                > presets[0.5].error_at(d)
-                > presets[0.9].error_at(d)
+                law_error(presets[0.1], d)
+                > law_error(presets[0.5], d)
+                > law_error(presets[0.9], d)
             )
 
     def test_curves_do_not_cross_on_range(self):
         presets = heterogeneity_presets()
         d = np.arange(1, 6001, dtype=float)
-        assert np.all(presets[0.1].error_at(d) > presets[0.5].error_at(d))
-        assert np.all(presets[0.5].error_at(d) > presets[0.9].error_at(d))
+        assert np.all(law_error(presets[0.1], d) > law_error(presets[0.5], d))
+        assert np.all(law_error(presets[0.5], d) > law_error(presets[0.9], d))
 
     def test_presets_satisfy_law_invariants(self):
         for law in heterogeneity_presets().values():

@@ -875,11 +875,12 @@ class TestVerifyNe:
         # At a small varrho the others' counterfactual ratios r_m grow large,
         # so under antisymmetric payoffs some weights A_n are not negative.
         priced = []
-        own_errors = eco._own_errors
+        local_errors = eco._local_errors
 
-        def counted(s, n, d):
-            priced.append(np.size(d))
-            return own_errors(s, n, d)
+        def counted(s, d, in_box=False, *orgs):
+            if orgs:  # a move's errors, priced for some organizations
+                priced.append(np.size(d))
+            return local_errors(s, d, in_box, *orgs)
 
         convex = all_convex = 0
         for seed in range(900, 905):
@@ -889,7 +890,7 @@ class TestVerifyNe:
                 convex += int(np.sum(weights >= 0))
                 _assert_certified_like_the_scan(s, p)
                 with monkeypatch.context() as m:
-                    m.setattr(eco, "_own_errors", counted)
+                    m.setattr(eco, "_local_errors", counted)
                     priced.clear()
                     alts, _ = solver._best_deviations(s, p)
                 assert np.all(np.isin(alts[weights >= 0], [0.0, 3000.0]))
