@@ -30,6 +30,9 @@ organization's two lattice neighbours; checkouts before that scanned every
 move), and
 ``solver.verify_ne.antisymmetric`` does the same for a copy under
 antisymmetric payoffs, at that copy's CoCoGen profile.
+``solver.fpi_solve.antisymmetric`` solves that copy's game: on this job,
+its first solve and two re-solves at the deviation weights, the second of
+which confirms the profile (checkouts before the re-solves made one solve).
 ``solver.verify_ne.not_ne`` certifies the all-``d_min`` profile of a copy
 whose generation costs are scaled by 1e-6, where every organization gains
 by moving up, so the certificate searches each gain for its maximum.
@@ -266,6 +269,9 @@ def measure(repeat: int) -> dict:
             lambda: sample_scenario(grid, job.cell, job.seed), 200, repeat
         ),
         "solver.fpi_solve": _per_call_us(lambda: solver.fpi_solve(s), 100, repeat),
+        "solver.fpi_solve.antisymmetric": _per_call_us(
+            lambda: solver.fpi_solve(anti), 100, repeat
+        ),
         "baselines.wco_solve": _per_call_us(lambda: baselines.wco_solve(s), 100, repeat),
         "solver.solve_games.two_games": _per_call_us(
             lambda: solver.solve_games(s, games), 100, repeat

@@ -275,7 +275,7 @@ def scheme_rows(
         lin.append(baselines.wco_linear_coeffs(s))
     except CocogenError as exc:
         wco_error = exc
-    reports = solver.solve_games(s, np.array(lin))
+    reports = solver._equilibria(s, np.array(lin))
     # CoCoGen, VCFL and, if it was solved, WCO: their profiles and verdicts.
     solved = [reports[0].profile.d_gen, baselines.vcfl_profile(s).d_gen]
     solved += [r.profile.d_gen for r in reports[1:]]

@@ -14,9 +14,13 @@ F(cur)) and the game is a weighted potential game. Under antisymmetric
 payoffs A_n = z_n + xi * sum_m gamma_nm * f_m, where
 f_m = expm1((eps_m(d_min) - eps_m(d_m)) / (N varrho)) >= 0 does not depend on
 d_n but does on the others' volumes (:func:`_deviation_weights`); there the
-identity holds with A_n and not with z_n. The cost coefficient includes the
-per-energy price: the utility's cost term carries it, and the identities
-only hold with it present.
+identity holds with A_n and not with z_n. So a move's gain is A_n times the
+fall of F with the linear coefficient ``-c / A`` (:func:`_linear_coeffs` of
+A), and a lattice minimum of that F along every coordinate, with A read at
+the minimum itself, is an equilibrium: the solver's passes find one, and
+the ``z``-weighted F here is only their first. The cost coefficient
+includes the per-energy price: the utility's cost term carries it, and the
+identities only hold with it present.
 
 F's gradient and convexity are checked by the tests (``tests/helpers.py``);
 this module holds only what the solver and the certificate run.

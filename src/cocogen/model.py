@@ -395,10 +395,18 @@ def _violations(s: Scenario) -> list[CocogenError]:
             ceiling = _costs(s, float(s.bounds.d_max))
             cost_bound, charge_bound = _column_sums(np.array([ceiling, ceiling + s.economy.c0]))
             span = max(worst, epsilon_zero(s))
-            rates = np.array([s.psi, _transfer_rates(s)[1]])
+            gains, losses = _transfer_rates(s)
+            rates = np.array([s.psi, losses])
             revenue_bound, loss_bound = _column_sums(rates * span)
             gap_bound = _contribution_factors(s, _ceiling_errors(s)) * worst
+            # Each payment in is at most G_n times span in size too (under
+            # antisymmetric payoffs its two parts have opposite signs), so
+            # this bounds every partial sum of welfare.
+            welfare_bound = _column_sums(
+                ((s.psi + gains + losses) * span + (ceiling + s.economy.c0))[None]
+            )[0]
         violations.extend(_weight_violations(z))
+        n_bounded = len(violations)
         finite = np.isfinite(ceiling)
         if not finite.all():
             violations.extend(
@@ -444,6 +452,14 @@ def _violations(s: Scenario) -> list[CocogenError]:
                         "of the coopetition losses can overflow",
                     )
                 )
+        if len(violations) == n_bounded and not math.isfinite(welfare_bound):
+            violations.append(
+                InvariantViolation(
+                    "organizations[*].psi",
+                    "too large for these error laws and costs: the welfare sum of the "
+                    "revenues, payments, losses, costs and server fees can overflow",
+                )
+            )
     return violations
 
 

@@ -1,9 +1,12 @@
 """Nash-equilibrium computation: the equilibrium solve (a scalar root in
-the mean local error, then rounding and ±1 descent on the potential), a
-grid oracle that proves the potential's lattice minimum at any N, and
-equilibrium certification, which finds each organization's best unilateral
-lattice move from its lattice neighbours (or the lattice's ends) and the
-shape of its gain.
+the mean local error, then rounding and ±1 descent on the potential, again
+at the deviation weights until the profile is a fixed point), a grid
+oracle that proves the ``z``-weighted potential's lattice minimum at any
+N, and equilibrium certification, which finds each organization's best
+unilateral lattice move from its lattice neighbours (or the lattice's
+ends) and the shape of its gain. An equilibrium is a profile from which no
+such move gains anything. Under antisymmetric payoffs the oracle proves
+the solve's first pass, not the equilibrium.
 
 Each report labels every organization's coordinate as bound-pinned or
 interior by where its stationary point at the root lies against the box.
@@ -14,7 +17,7 @@ descent alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from typing import Callable
 
@@ -24,7 +27,7 @@ from . import economics, game
 from .errors import InstanceTooLarge, InvariantViolation
 # Not called here: perfbench's span targets resolve these names in this module.
 from .kernels import argmin_2d, argmin_3d, build_lower_envelope  # noqa: F401
-from .model import ProfileLike, Scenario, StrategyProfile, _readonly, as_dgen
+from .model import PayoffMode, ProfileLike, Scenario, StrategyProfile, _readonly, as_dgen
 
 __all__ = [
     "CaseLabel",
@@ -63,8 +66,9 @@ class SolveReport:
     case labels and potential trace computed by ``labels()`` and
     ``trace()`` when first read. ``converged`` says the root's bracket
     closed (at most ``tol`` wide, or at float resolution) within
-    ``max_iters`` steps; the profile is a lattice minimum along every
-    coordinate either way."""
+    ``max_iters`` steps and, for an equilibrium, that its passes reached a
+    fixed point (``_equilibria``); the profile is a lattice minimum along
+    every coordinate of its pass's F either way."""
 
     profile: StrategyProfile
     labels: Callable[[], tuple[str, ...]] = field(compare=False, repr=False)
@@ -267,8 +271,8 @@ def solve_games(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
     when first read.
     The case labels come from the last evaluated point, computed when first
     read, whose profile is rounded half up and then descended by ±1 moves.
-    F is convex along every coordinate, so no organization gains from any
-    unilateral lattice deviation after.
+    F is convex along every coordinate, so no unilateral lattice move
+    lowers it after.
 
     Every game keeps its own bracket, but each step prices every unfinished
     game in one call and one descent moves every game. Each report equals
@@ -327,10 +331,47 @@ def _brackets(s: Scenario, lin: np.ndarray, cfg: SolverConfig):
     return brackets, factor
 
 
+# Solves of the scenario's own game per equilibrium (see _equilibria).
+_MAX_PASSES = 20
+
+
+def _equilibria(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -> list[SolveReport]:
+    """:func:`solve_games` of the (J, N) rows ``lin``, whose row 0 is F's
+    own linear coefficient, with row 0's report replaced by the scenario's
+    equilibrium.
+
+    Organization n's gain from a move is ``A_n`` times the fall of F with
+    the linear coefficient ``-c / A``, where ``A`` is
+    :func:`game._deviation_weights` at the profile, and ``A_n`` does not
+    depend on ``d_n``. So a lattice minimum along every coordinate of that
+    F, with ``A`` read at the minimum itself, leaves no move that gains
+    anything. Each pass solves the game again at the coefficient ``-c / A``
+    of the last profile, until a profile gives back the coefficient it was
+    solved at. Under literal payoffs ``A`` is ``z``, so that is the first
+    pass's; the other rows' games (WCO's) have constant weights and are
+    solved once. The report is the last pass's, and not ``converged`` when
+    ``_MAX_PASSES`` passes end at a profile that is not yet a fixed point.
+    """
+    reports = solve_games(s, lin, cfg)
+    if s.economy.bb_mode is not PayoffMode.ANTISYMMETRIC:
+        return reports
+    own, coeffs, passes = reports[0], lin[0], 1
+    while True:
+        eps = economics._local_errors(s, own.profile.d_gen, in_box=True)
+        fixed = game._linear_coeffs(s, game._deviation_weights(s, eps))
+        if np.array_equal(fixed, coeffs):
+            break
+        if passes == _MAX_PASSES:
+            own = replace(own, converged=False)
+            break
+        (own,), coeffs, passes = solve_games(s, fixed[None], cfg), fixed, passes + 1
+    return [own, *reports[1:]]
+
+
 def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:
-    """Equilibrium of the scenario's integer game: :func:`solve_games` of
-    its own linear coefficient."""
-    return solve_games(s, game._linear_coeffs(s)[None, :], cfg)[0]
+    """Equilibrium of the scenario's integer game, from its own linear
+    coefficient (:func:`_equilibria`)."""
+    return _equilibria(s, game._linear_coeffs(s)[None, :], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +460,15 @@ def _proof_box(s: Scenario, x: np.ndarray):
 
 
 def grid_oracle(s: Scenario, step: float = 1.0) -> GridOracleResult:
-    """The first argmin of :func:`game.potential` (F with the ``z`` weights,
-    also under antisymmetric payoffs) on the integer lattice ``d_min + k``
-    (``step`` must be 1): every point of the proof's box (see above), or of
-    a lattice one block holds, priced by :func:`game.potential_from_errors`
-    in lexicographic order, as a full scan would. ``f_min`` is
-    :func:`game.potential` of it. Raises :class:`InstanceTooLarge` before
-    pricing a box of more than ``MAX_BOX_POINTS`` points."""
+    """The first argmin of :func:`game.potential` (F with the ``z`` weights)
+    on the integer lattice ``d_min + k`` (``step`` must be 1). Under
+    antisymmetric payoffs that is the F of :func:`fpi_solve`'s first pass,
+    not the equilibrium, which later passes solve at other weights. Every
+    point of the proof's box (see above), or of a lattice one block holds,
+    is priced by :func:`game.potential_from_errors` in lexicographic order,
+    as a full scan would. ``f_min`` is :func:`game.potential` of it. Raises
+    :class:`InstanceTooLarge` before pricing a box of more than
+    ``MAX_BOX_POINTS`` points."""
     _require_unit_step(step, "step")
     lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
     if (int(hi - lo) + 1) ** s.n <= _BLOCK_ROWS:  # one block prices the whole lattice
@@ -480,7 +523,6 @@ class NeCertificate:
         }
 
 
-NE_IMPROVEMENT_TOLERANCE = 1e-6
 _SEARCH_PROBES = 64
 _PROBE_FRACTIONS = np.arange(_SEARCH_PROBES) / (_SEARCH_PROBES - 1)
 _OUTWARD = np.array([-1.0, 1.0])  # a gain's slope below and above d_n, turned outward
@@ -584,20 +626,15 @@ def _best_deviations(s: Scenario, d: np.ndarray):
 
 
 def verify_ne(s: Scenario, profile: ProfileLike, grid_step: float = 1.0) -> NeCertificate:
-    """Certify that no organization gains more than the tolerance from any
-    unilateral move on the integer lattice, as a scan of every move would
-    (``grid_step`` must be 1): the worst deviation is the first
-    organization's with the largest gain. The profile's utilities are priced
-    only if some move gains more than 0."""
+    """Certify that no organization gains anything from any unilateral move
+    on the integer lattice, as a scan of every move would (``grid_step``
+    must be 1): the worst deviation is the first organization's with the
+    largest gain, and the profile is an equilibrium when that gain is at
+    most 0."""
     _require_unit_step(grid_step, "grid_step")
-    d = as_dgen(profile, s.n)
-    alts, gains = _best_deviations(s, d)
+    alts, gains = _best_deviations(s, as_dgen(profile, s.n))
     worst_org = int(np.argmax(gains))  # the first of the largest gains
     worst_gain, worst_alt = float(gains[worst_org]), float(alts[worst_org])
-    is_ne = True
-    if worst_gain > 0:
-        utilities = economics.evaluate_profiles(s, d[None, :]).utility[0]
-        is_ne = not np.any(gains > NE_IMPROVEMENT_TOLERANCE * (1.0 + np.abs(utilities)))
     return NeCertificate(
-        is_ne=is_ne, worst_org=worst_org, worst_d_alt=worst_alt, worst_gain=worst_gain
+        is_ne=worst_gain <= 0, worst_org=worst_org, worst_d_alt=worst_alt, worst_gain=worst_gain
     )

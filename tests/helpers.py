@@ -398,22 +398,16 @@ def reference_unilateral_utilities(s: Scenario, profile: np.ndarray, n: int, xs:
 def reference_ne_gains(s, profile):
     """The unilateral lattice scan of ``cocogen.solver.verify_ne`` as it
     priced utilities before the deviation identity: per organization, the
-    deviation lattice, the gains ``u_n(x) - u_n(d)`` and the verdict with
-    the solver's tolerance."""
-    from cocogen import economics, solver
-
+    deviation lattice, the gains ``u_n(x) - u_n(d)`` and the verdict, that
+    the largest gain is at most 0. ``u_n(d)`` is priced in the same call as
+    the moves' utilities, so the null move gains exactly 0.0."""
     d = np.asarray(profile, dtype=np.float64)
     xs = reference_lattice(s)
-    current = economics.evaluate_profile(s, d).utility[0].tolist()
     gains = []
-    is_ne = True
     for n in range(s.n):
-        u_ref = current[n]
-        g = reference_unilateral_utilities(s, d, n, xs) - u_ref
-        gains.append(g)
-        if g.max() > solver.NE_IMPROVEMENT_TOLERANCE * (1.0 + abs(u_ref)):
-            is_ne = False
-    return xs, gains, is_ne
+        u = reference_unilateral_utilities(s, d, n, np.append(xs, d[n]))
+        gains.append(u[:-1] - u[-1])
+    return xs, gains, max(g.max() for g in gains) <= 0
 
 
 def reference_deviation_gains(s, d, xs):
@@ -444,22 +438,19 @@ def reference_verify_ne(s, profile):
     """``cocogen.solver.verify_ne`` as a scan of every lattice move of every
     organization: the certificate, the lattice, and each organization's
     gains on it (the first maximum wins, so ties go to the smallest
-    volume)."""
-    from cocogen import economics, solver
+    volume), whose verdict is that the largest gain is at most 0."""
+    from cocogen import solver
 
     d = np.asarray(profile, dtype=np.float64)
     xs = reference_lattice(s)
-    utilities = economics.evaluate_profiles(s, d[None, :]).utility[0].tolist()
     gains = list(reference_deviation_gains(s, d, xs))
-    worst_gain, worst_org, worst_alt, is_ne = -math.inf, 0, float(d[0]), True
+    worst_gain, worst_org, worst_alt = -math.inf, 0, float(d[0])
     for n, g in enumerate(gains):
         k = int(np.argmax(g))
         if g[k] > worst_gain:
             worst_gain, worst_org, worst_alt = float(g[k]), n, float(xs[k])
-        if g[k] > solver.NE_IMPROVEMENT_TOLERANCE * (1.0 + abs(utilities[n])):
-            is_ne = False
     cert = solver.NeCertificate(
-        is_ne=is_ne, worst_org=worst_org, worst_d_alt=worst_alt, worst_gain=worst_gain
+        is_ne=worst_gain <= 0, worst_org=worst_org, worst_d_alt=worst_alt, worst_gain=worst_gain
     )
     return cert, xs, gains
 
@@ -470,13 +461,10 @@ def reference_probe_deviations(s, profile, probes=4097):
     indices over the whole lattice, then as many over the two spacings
     around the best probe, and so on until the spacing is one index. Gains
     come from :func:`reference_deviation_gains`. Returns the moves, the
-    gains and the verdict with the solver's tolerance."""
-    from cocogen import economics, solver
-
+    gains and the verdict, that the largest gain is at most 0."""
     d = np.asarray(profile, dtype=np.float64)
     lo = float(s.bounds.d_min)
     last = int(float(s.bounds.d_max) - lo)
-    utilities = economics.evaluate_profiles(s, d[None, :]).utility[0]
     best_x, best_g = np.empty(s.n), np.empty(s.n)
     for n in range(s.n):
         a, b = 0, last
@@ -489,8 +477,7 @@ def reference_probe_deviations(s, profile, probes=4097):
                 break
             a, b = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
         best_x[n], best_g[n] = xs[i], g[i]
-    is_ne = not np.any(best_g > solver.NE_IMPROVEMENT_TOLERANCE * (1.0 + np.abs(utilities)))
-    return best_x, best_g, is_ne
+    return best_x, best_g, best_g.max() <= 0
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,32 @@ class TestSolveCommand:
         assert captured.err == f"error: invalid scenario: 1 violation(s): {message}\n"
         assert captured.out == "" and os.listdir(tmp_path) == ["edited.json"]
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_overflowing_utility_sum_is_named_before_any_file(self, tmp_path, capsys, command):
+        # Every revenue, loss, cost and server fee sum is finite, but with
+        # eps0 at 1e-300 each revenue is about -psi err, so each of the ten
+        # utilities is about -2e307 and their sum, welfare, overflows.
+        from importlib import resources
+
+        src = resources.files("cocogen").joinpath("data/scenario_example.json")
+        payload = json.loads(src.read_text(encoding="utf-8"))
+        payload["economy"].update(eps0_mode="fixed", eps0_value=1e-300, c0=1e307)
+        for org in payload["organizations"]:
+            org["psi"] = 1e307
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, str(path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: invalid scenario: 1 violation(s): organizations[*].psi: too large for "
+            "these error laws and costs: the welfare sum of the revenues, payments, losses, "
+            "costs and server fees can overflow\n"
+        )
+        assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
+
     def test_shipped_example_solves_and_certifies(self, tmp_path):
         from importlib import resources
 
@@ -707,7 +733,7 @@ class TestSweepCommand:
     # here; a deliberate change updates the pin and says why in CHANGES.md.
     PRESET_RESULTS_SHA256 = {
         "literal": "e5e1b97d175acad82d08c9780950c0e000eae871c20f2f66e965a7a34c8f6e90",
-        "antisymmetric": "c791ffca1b43cec543106b408b1876ae584f65b60d3212c3b9943ffc3d1b73e8",
+        "antisymmetric": "d7ae0e147197408f21a3175a4f1ce49890a683948118427ca90de4db31b9fa06",
     }
 
     @pytest.mark.parametrize("mode", ["literal", "antisymmetric"])
@@ -1248,9 +1274,9 @@ class TestSchemeRows:
         solved = []
         real = solver.solve_games
 
-        def solve_games(scenario, lin):
+        def solve_games(scenario, lin, cfg=None):
             solved.append(len(lin))
-            return real(scenario, lin)
+            return real(scenario, lin, cfg)
 
         def fail(s, z=None, _real=game._linear_coeffs):
             # WCO's coefficient is built from the zero-competition weights ``z``.
@@ -1274,7 +1300,8 @@ class TestSchemeRows:
         calls = []
         real = solver.solve_games
         monkeypatch.setattr(
-            solver, "solve_games", lambda s, lin: calls.append(len(lin)) or real(s, lin)
+            solver, "solve_games",
+            lambda s, lin, cfg=None: calls.append(len(lin)) or real(s, lin, cfg),
         )
         # No scenario is built: the zero-competition game is solved on s.
         monkeypatch.setattr(model, "_violations", _must_not_run)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocogen import economics as eco
-from cocogen import game, solver
+from cocogen import cli, game, solver
 from cocogen.errors import InstanceTooLarge, InvariantViolation, ScenarioValidationError
 from cocogen.model import (
     Market,
@@ -158,8 +158,9 @@ class TestScalarStationarityGate:
     @pytest.mark.parametrize("mode", list(PayoffMode))
     def test_two_game_solve_equals_each_game_alone(self, mode):
         # Each job's CoCoGen game and its zero-competition game, solved as
-        # the two rows of one pass on the job's columns, report what each
-        # game solved alone reports, field for field.
+        # the two rows of one solve on the job's columns (and CoCoGen's
+        # game again at each outer pass), report what each game solved
+        # alone reports, field for field.
         from cocogen import baselines
 
         grid = default_sweep_grid()
@@ -168,7 +169,7 @@ class TestScalarStationarityGate:
             clone = reference_wco_scenario(s)
             lin = np.vstack([game._linear_coeffs(s), baselines.wco_linear_coeffs(s)])
             assert lin[1].tolist() == game._linear_coeffs(clone).tolist()
-            two = solver.solve_games(s, lin)
+            two = solver._equilibria(s, lin)
             for got, alone in zip(two, (solver.fpi_solve(s), solver.fpi_solve(clone))):
                 assert _report_fields(got) == _report_fields(alone), job
                 assert got.scenario is s
@@ -582,10 +583,12 @@ class TestLazyPricing:
 
 
 def assert_same_equilibrium(s, cfg, init="all_min"):
-    """The solver and the Jacobi reference started from ``init`` agree on
-    the integer profile and the case labels at ``cfg``, and the profile
-    passes the ±1 lattice check."""
-    got = solver.fpi_solve(s, cfg)
+    """The solver's first pass (``solve_games`` at F's own coefficient, the
+    ``z`` weights', which under literal payoffs is the whole solve) and the
+    Jacobi reference started from ``init`` agree on the integer profile and
+    the case labels at ``cfg``, and the profile passes the ±1 lattice
+    check."""
+    got = solver.solve_games(s, game._linear_coeffs(s)[None], cfg)[0]
     want = reference_fpi_solve(s, replace(cfg, max_iters=5000), init=init)
     assert got.converged and want.converged
     assert np.array_equal(got.profile.d_gen, want.profile.d_gen)
@@ -667,7 +670,9 @@ class TestGridOracle:
         for s in scenarios:
             s = with_payoff_mode(s, mode)
             res = solver.grid_oracle(s)
-            assert np.array_equal(res.profile.d_gen, solver.fpi_solve(s).profile.d_gen)
+            # The oracle proves the z-weighted F, the solve's first pass.
+            first = solver.solve_games(s, game._linear_coeffs(s)[None])[0]
+            assert np.array_equal(res.profile.d_gen, first.profile.d_gen)
             assert res.f_min == game.potential(s, res.profile)
 
     @pytest.mark.parametrize("step", [1, 1.0, 0.5, 2.0, 0.0, math.nan, math.inf])
@@ -784,7 +789,90 @@ def _assert_certified_like_the_scan(s, p):
     return cert
 
 
+def _count_solves(monkeypatch, name):
+    """Record each call of ``solver.<name>`` (``solve_games`` or
+    ``_brackets``) by its number of games."""
+    calls, real = [], getattr(solver, name)
+    monkeypatch.setattr(solver, name, lambda s, lin, cfg=None: calls.append(len(lin))
+                        or real(s, lin, cfg))
+    return calls
+
+
+class TestEquilibriumPasses:
+    """``fpi_solve`` re-solves the scenario's game at F's coefficient
+    ``-c / A(d)`` until its profile is a fixed point (``solver._equilibria``),
+    so no move gains anything under either payoff mode."""
+
+    @pytest.mark.parametrize("mode", list(PayoffMode))
+    def test_no_move_gains_anything(self, mode):
+        # Every 10th preset job, and criterion 5's 21 instances with costs
+        # x0.1, x1 and x10: 153 instances per mode.
+        grid = default_sweep_grid()
+        scenarios = [sample_scenario(grid, job.cell, job.seed) for job in expand_sweep(grid)[::10]]
+        scenarios += [table1_scenario(seed=seed, cost_scale=scale)
+                      for seed in (0, *range(8000, 8020)) for scale in (0.1, 1.0, 10.0)]
+        for s in scenarios:
+            s = with_payoff_mode(s, mode)
+            rep = solver.fpi_solve(s)
+            cert = solver.verify_ne(s, rep.profile)
+            assert rep.converged and cert.is_ne and cert.worst_gain == 0.0, s.seed
+
+    def test_literal_payoffs_take_one_root_solve(self, monkeypatch):
+        grid = default_sweep_grid()
+        job = expand_sweep(grid)[0]
+        s = sample_scenario(grid, job.cell, job.seed)
+        calls = _count_solves(monkeypatch, "_brackets")
+        solver.fpi_solve(s)
+        assert calls == [1]
+        calls.clear()
+        cli.scheme_rows(s, job.seed, grid.radg_repetitions)
+        assert calls == [2]
+
+    def test_antisymmetric_passes_solve_only_the_scenarios_game(self, monkeypatch):
+        grid = default_sweep_grid()
+        job = expand_sweep(grid)[0]
+        s = with_payoff_mode(sample_scenario(grid, job.cell, job.seed), PayoffMode.ANTISYMMETRIC)
+        calls = _count_solves(monkeypatch, "solve_games")
+        rows, _ = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
+        assert calls == [2, 1, 1]  # both games, then CoCoGen's twice
+        assert rows[0]["welfare"] == solver.fpi_solve(s).welfare
+
+    def test_pass_cap_reads_as_not_converged(self, monkeypatch):
+        s = table1_scenario(seed=8000, bb_mode=PayoffMode.ANTISYMMETRIC)
+        calls = _count_solves(monkeypatch, "solve_games")
+        assert solver.fpi_solve(s).converged and len(calls) == 2  # one re-solve
+        first = solver.solve_games(s, game._linear_coeffs(s)[None])[0]
+        monkeypatch.setattr(solver, "_MAX_PASSES", 1)
+        capped = solver.fpi_solve(s)
+        assert not capped.converged
+        assert capped.profile.d_gen.tolist() == first.profile.d_gen.tolist()
+
+    def test_report_describes_the_pass_it_returns(self):
+        s = table1_scenario(seed=8002, bb_mode=PayoffMode.ANTISYMMETRIC)
+        rep = solver.fpi_solve(s)
+        weights = game._deviation_weights(s, eco._local_errors(s, rep.profile.d_gen))
+        own = solver.solve_games(s, game._linear_coeffs(s, weights)[None])[0]
+        first = solver.solve_games(s, game._linear_coeffs(s)[None])[0]
+        assert _report_fields(rep) == _report_fields(own)
+        assert rep.profile.d_gen.tolist() != first.profile.d_gen.tolist()
+
+
 class TestVerifyNe:
+    def test_verdict_is_the_sign_of_the_worst_gain(self, monkeypatch):
+        # No utility is priced: the verdict reads the gains alone.
+        def priced(*args):
+            raise AssertionError("verify_ne priced utilities")
+
+        monkeypatch.setattr(eco, "evaluate_profiles", priced)
+        verdicts = set()
+        for seed, scale in ((51, 1e-6), (50, 1.0), (52, 5.0)):
+            s = table1_scenario(seed=seed, cost_scale=scale)
+            for p in (solver.fpi_solve(s).profile.d_gen, np.zeros(s.n), random_profile(s, seed)):
+                cert = solver.verify_ne(s, p)
+                assert cert.is_ne == (cert.worst_gain <= 0)
+                verdicts.add(cert.is_ne)
+        assert verdicts == {True, False}
+
     @pytest.mark.parametrize("grid_step", [1, 1.0, 0.5, 2.0, 0.0, math.nan, math.inf])
     def test_only_the_integer_lattice_is_accepted(self, grid_step):
         s = table1_scenario(seed=51, n=2)
@@ -931,8 +1019,8 @@ class TestVerifyNe:
         # Where a neighbour's global-error change rounds to 0, its gain is
         # exactly -c_n, so the neighbours alone show no rising side: a 2^40
         # box with generation 1e12 times cheaper, at the all-2^38 profile,
-        # where organization 1 gains more than its tolerance about 1.3e11
-        # samples up, although the upper end gains less than 0.
+        # where organization 1's best move, about 1.3e11 samples up, gains
+        # more than 0, although the upper end gains less than 0.
         s = table1_scenario(seed=1, n=3, d_max=2**40)
         s = replace(s, eta=s.eta * 1e-12, mu=s.mu * 1e-12)
         p = np.full(s.n, 2.0**38)
