@@ -31,8 +31,8 @@ move), and
 ``solver.verify_ne.antisymmetric`` does the same for a copy under
 antisymmetric payoffs, at that copy's CoCoGen profile.
 ``solver.fpi_solve.antisymmetric`` solves that copy's game: on this job,
-its first solve and two re-solves at the deviation weights, the second of
-which confirms the profile (checkouts before the re-solves made one solve).
+its root solve and two descents at the deviation weights, the second of
+which confirms the profile (checkouts before those passes made one solve).
 ``solver.verify_ne.not_ne`` certifies the all-``d_min`` profile of a copy
 whose generation costs are scaled by 1e-6, where every organization gains
 by moving up, so the certificate searches each gain for its maximum.

@@ -1,12 +1,13 @@
 """Nash-equilibrium computation: the equilibrium solve (a scalar root in
-the mean local error, then rounding and ±1 descent on the potential, again
-at the deviation weights until the profile is a fixed point), a grid
-oracle that proves the ``z``-weighted potential's lattice minimum at any
-N, and equilibrium certification, which finds each organization's best
-unilateral lattice move from its lattice neighbours (or the lattice's
-ends) and the shape of its gain. An equilibrium is a profile from which no
-such move gains anything. Under antisymmetric payoffs the oracle proves
-the solve's first pass, not the equilibrium.
+the mean local error, then rounding and ±1 descent on the potential, and
+under antisymmetric payoffs more descent at the deviation weights until
+the profile stays), a grid oracle that proves the ``z``-weighted
+potential's lattice minimum at any N, and equilibrium certification, which
+finds each organization's best unilateral lattice move from its lattice
+neighbours (or the lattice's ends) and the shape of its gain. An
+equilibrium is a profile from which no such move gains anything. Under
+antisymmetric payoffs the oracle proves the solve's first pass, not the
+equilibrium.
 
 Each report labels every organization's coordinate as bound-pinned or
 interior by where its stationary point at the root lies against the box.
@@ -67,8 +68,9 @@ class SolveReport:
     ``trace()`` when first read. ``converged`` says the root's bracket
     closed (at most ``tol`` wide, or at float resolution) within
     ``max_iters`` steps and, for an equilibrium, that its passes reached a
-    fixed point (``_equilibria``); the profile is a lattice minimum along
-    every coordinate of its pass's F either way."""
+    fixed point with every deviation weight negative (``_equilibria``);
+    the profile is a lattice minimum along every coordinate of its last
+    pass's F either way."""
 
     profile: StrategyProfile
     labels: Callable[[], tuple[str, ...]] = field(compare=False, repr=False)
@@ -331,41 +333,43 @@ def _brackets(s: Scenario, lin: np.ndarray, cfg: SolverConfig):
     return brackets, factor
 
 
-# Solves of the scenario's own game per equilibrium (see _equilibria).
+# Descents at the deviation weights per equilibrium (see _equilibria).
 _MAX_PASSES = 20
 
 
 def _equilibria(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -> list[SolveReport]:
     """:func:`solve_games` of the (J, N) rows ``lin``, whose row 0 is F's
-    own linear coefficient, with row 0's report replaced by the scenario's
+    own linear coefficient, with row 0's profile replaced by the scenario's
     equilibrium.
 
     Organization n's gain from a move is ``A_n`` times the fall of F with
     the linear coefficient ``-c / A``, where ``A`` is
     :func:`game._deviation_weights` at the profile, and ``A_n`` does not
-    depend on ``d_n``. So a lattice minimum along every coordinate of that
-    F, with ``A`` read at the minimum itself, leaves no move that gains
-    anything. Each pass solves the game again at the coefficient ``-c / A``
-    of the last profile, until a profile gives back the coefficient it was
-    solved at. Under literal payoffs ``A`` is ``z``, so that is the first
-    pass's; the other rows' games (WCO's) have constant weights and are
-    solved once. The report is the last pass's, and not ``converged`` when
-    ``_MAX_PASSES`` passes end at a profile that is not yet a fixed point.
+    depend on ``d_n``. So while every ``A_n`` is negative, a lattice
+    minimum along every coordinate of that F, with ``A`` read at the
+    minimum itself, leaves no move that gains anything. Each pass descends
+    the last profile on the F of its own ``A`` (:func:`_descend`; F is
+    convex along each coordinate), until a descent leaves it where it is.
+    Under literal payoffs ``A`` is ``z``, so the root solve's profile is
+    already that minimum and no pass runs; the other rows' games (WCO's)
+    have constant weights. The report keeps the root solve's
+    ``iterations``, trace and labels. It is not ``converged`` when a pass
+    meets some ``A_n >= 0``, where that F is no potential of n's moves, or
+    when each of ``_MAX_PASSES`` descents moves the profile.
     """
     reports = solve_games(s, lin, cfg)
     if s.economy.bb_mode is not PayoffMode.ANTISYMMETRIC:
         return reports
-    own, coeffs, passes = reports[0], lin[0], 1
-    while True:
-        eps = economics._local_errors(s, own.profile.d_gen, in_box=True)
-        fixed = game._linear_coeffs(s, game._deviation_weights(s, eps))
-        if np.array_equal(fixed, coeffs):
+    own, d = reports[0], reports[0].profile.d_gen
+    for _ in range(_MAX_PASSES):
+        weights = game._deviation_weights(s, economics._local_errors(s, d, in_box=True))
+        if not (weights < 0).all():
             break
-        if passes == _MAX_PASSES:
-            own = replace(own, converged=False)
-            break
-        (own,), coeffs, passes = solve_games(s, fixed[None], cfg), fixed, passes + 1
-    return [own, *reports[1:]]
+        moved = _descend(s, d[None].copy(), game._linear_coeffs(s, weights)[None])[0]
+        if np.array_equal(moved, d):
+            return [replace(own, profile=StrategyProfile(d)), *reports[1:]]
+        d = moved
+    return [replace(own, profile=StrategyProfile(d), converged=False), *reports[1:]]
 
 
 def fpi_solve(s: Scenario, cfg: SolverConfig | None = None) -> SolveReport:

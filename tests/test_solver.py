@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from cocogen.model import (
     Market,
     PayoffMode,
     StrategyProfile,
+    save_scenario,
     scenario_from_dict,
 )
 from cocogen.scenario import default_sweep_grid, expand_sweep, sample_scenario
@@ -789,19 +791,19 @@ def _assert_certified_like_the_scan(s, p):
     return cert
 
 
-def _count_solves(monkeypatch, name):
-    """Record each call of ``solver.<name>`` (``solve_games`` or
-    ``_brackets``) by its number of games."""
+def _count_calls(monkeypatch, name):
+    """Record each call of ``solver.<name>`` (``_brackets`` or
+    ``_descend``) by its number of games."""
     calls, real = [], getattr(solver, name)
-    monkeypatch.setattr(solver, name, lambda s, lin, cfg=None: calls.append(len(lin))
-                        or real(s, lin, cfg))
+    monkeypatch.setattr(solver, name, lambda s, rows, *rest: calls.append(len(rows))
+                        or real(s, rows, *rest))
     return calls
 
 
 class TestEquilibriumPasses:
-    """``fpi_solve`` re-solves the scenario's game at F's coefficient
-    ``-c / A(d)`` until its profile is a fixed point (``solver._equilibria``),
-    so no move gains anything under either payoff mode."""
+    """``fpi_solve`` descends its profile on F's coefficient ``-c / A(d)``
+    until a descent leaves it where it is (``solver._equilibria``), so no
+    move gains anything under either payoff mode."""
 
     @pytest.mark.parametrize("mode", list(PayoffMode))
     def test_no_move_gains_anything(self, mode):
@@ -821,40 +823,78 @@ class TestEquilibriumPasses:
         grid = default_sweep_grid()
         job = expand_sweep(grid)[0]
         s = sample_scenario(grid, job.cell, job.seed)
-        calls = _count_solves(monkeypatch, "_brackets")
+        solves = _count_calls(monkeypatch, "_brackets")
+        descents = _count_calls(monkeypatch, "_descend")
         solver.fpi_solve(s)
-        assert calls == [1]
-        calls.clear()
+        assert solves == [1] and descents == [1]  # the root solve's own descent
+        solves.clear()
+        descents.clear()
         cli.scheme_rows(s, job.seed, grid.radg_repetitions)
-        assert calls == [2]
+        assert solves == [2] and descents == [2]
 
-    def test_antisymmetric_passes_solve_only_the_scenarios_game(self, monkeypatch):
+    def test_antisymmetric_passes_descend_only_the_scenarios_game(self, monkeypatch):
         grid = default_sweep_grid()
         job = expand_sweep(grid)[0]
         s = with_payoff_mode(sample_scenario(grid, job.cell, job.seed), PayoffMode.ANTISYMMETRIC)
-        calls = _count_solves(monkeypatch, "solve_games")
+        solves = _count_calls(monkeypatch, "_brackets")
+        descents = _count_calls(monkeypatch, "_descend")
         rows, _ = cli.scheme_rows(s, job.seed, grid.radg_repetitions)
-        assert calls == [2, 1, 1]  # both games, then CoCoGen's twice
+        assert solves == [2]  # both games' roots, and no second root solve
+        assert descents[0] == 2 and len(descents) > 1 and set(descents[1:]) == {1}
         assert rows[0]["welfare"] == solver.fpi_solve(s).welfare
 
     def test_pass_cap_reads_as_not_converged(self, monkeypatch):
-        s = table1_scenario(seed=8000, bb_mode=PayoffMode.ANTISYMMETRIC)
-        calls = _count_solves(monkeypatch, "solve_games")
-        assert solver.fpi_solve(s).converged and len(calls) == 2  # one re-solve
+        s = table1_scenario(seed=8002, bb_mode=PayoffMode.ANTISYMMETRIC)
         first = solver.solve_games(s, game._linear_coeffs(s)[None])[0]
+        descents = _count_calls(monkeypatch, "_descend")
+        rep = solver.fpi_solve(s)
+        # The root solve's descent, the pass that moves and the one that does not.
+        assert rep.converged and descents == [1, 1, 1]
+        assert rep.profile.d_gen.tolist() != first.profile.d_gen.tolist()
+        # One descent moves the profile, and none is left to confirm it.
         monkeypatch.setattr(solver, "_MAX_PASSES", 1)
+        descents.clear()
         capped = solver.fpi_solve(s)
-        assert not capped.converged
-        assert capped.profile.d_gen.tolist() == first.profile.d_gen.tolist()
+        assert not capped.converged and descents == [1, 1]
+        assert capped.profile.d_gen.tolist() == rep.profile.d_gen.tolist()
 
-    def test_report_describes_the_pass_it_returns(self):
+    def test_report_keeps_the_root_solve(self):
         s = table1_scenario(seed=8002, bb_mode=PayoffMode.ANTISYMMETRIC)
         rep = solver.fpi_solve(s)
-        weights = game._deviation_weights(s, eco._local_errors(s, rep.profile.d_gen))
-        own = solver.solve_games(s, game._linear_coeffs(s, weights)[None])[0]
         first = solver.solve_games(s, game._linear_coeffs(s)[None])[0]
-        assert _report_fields(rep) == _report_fields(own)
+        assert _report_fields(rep)[1:] == _report_fields(first)[1:]
         assert rep.profile.d_gen.tolist() != first.profile.d_gen.tolist()
+        # The profile is a lattice minimum of the F of its own weights.
+        weights = game._deviation_weights(s, eco._local_errors(s, rep.profile.d_gen))
+        d = rep.profile.d_gen[None].copy()
+        assert solver._descend(s, d, game._linear_coeffs(s, weights)[None]).tolist() == [
+            rep.profile.d_gen.tolist()]
+
+    @pytest.mark.parametrize("seed", [900, 902, 908])
+    def test_nonnegative_deviation_weights_read_as_not_converged(self, seed, tmp_path, capsys):
+        # At tiny costs and a small varrho the root solve's profile leaves
+        # some A_n >= 0, where F at -c / A is no potential of n's moves.
+        s = table1_scenario(seed=seed, n=4, varrho=0.01, cost_scale=1e-30,
+                            bb_mode=PayoffMode.ANTISYMMETRIC)
+        first = solver.solve_games(s, game._linear_coeffs(s)[None])[0]
+        weights = game._deviation_weights(s, eco._local_errors(s, first.profile.d_gen))
+        assert (weights >= 0).any()
+        path = tmp_path / "scenario.json"
+        save_scenario(s, path)
+        out = tmp_path / "solve.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solver.fpi_solve(s)
+            rows, _ = cli.scheme_rows(s, seed, 5)
+            assert cli.main(["solve", str(path), "--verify-ne", "-o", str(out)]) == 0
+            assert cli.main(["compare", str(path)]) == 0
+        assert not rep.converged and not rows[0]["converged"]
+        assert rep.profile.d_gen.tolist() == first.profile.d_gen.tolist()
+        payload = json.loads(out.read_text())
+        assert payload["converged"] is False
+        assert payload["ne_certificate"]["is_ne"] is False
+        cocogen = [line for line in capsys.readouterr().out.splitlines() if "CoCoGen" in line]
+        assert len(cocogen) == 1 and cocogen[0].split()[-1] == "false"
 
 
 class TestVerifyNe:
