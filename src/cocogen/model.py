@@ -355,6 +355,11 @@ def check_seed(value: int, field: str) -> None:
         raise InvariantViolation(field, "must fit in 64 unsigned bits")
 
 
+# The field named when welfare can overflow, by its largest term's sum: the
+# revenues, the losses (which bound the payments), the costs, the server fees.
+_TERM_FIELDS = ("organizations[*].psi", "market.phi", "organizations[*]", "economy.c0")
+
+
 def _violations(s: Scenario) -> list[CocogenError]:
     """Every invariant violation of the scenario being built, in report
     order; an empty list means that it is valid."""
@@ -376,57 +381,39 @@ def _violations(s: Scenario) -> list[CocogenError]:
         from .economics import _floor_error, _transfer_rates, epsilon_zero
         from .game import z_weights
 
-        # The all-d_min profile has the largest global and counterfactual
-        # errors in the box, and the all-d_max profile the largest costs;
-        # summed over organizations, alone and with each one's server fee,
-        # they bound every partial sum of what welfare subtracts for them.
-        # Each revenue psi_n (eps0 - err) and loss Phi_n (err - counterfactual)
-        # is at most its rate times ``span`` in size, and welfare adds them
-        # one organization at a time, as ``_column_sums`` does; so these
-        # bound every partial sum of both. A non-finite Phi_n makes z_n
-        # non-finite too. Each contribution gap is ``-err f_n``, and the
-        # factor f_n >= 0 is largest at d_max, so its product with the
-        # all-d_min error bounds every gap; it is finite only if that error
-        # is. Overflows, and the NaNs that inf - inf and 0 * inf give, are
-        # refused below without numpy's warnings.
+        # Welfare adds, one organization at a time, each one's revenue
+        # psi_n (eps0 - err), payment in, loss Phi_n (err - counterfactual),
+        # cost and server fee. The all-d_min profile has the largest global
+        # and counterfactual errors in the box, and the all-d_max profile
+        # the largest costs, so each revenue, payment and loss is at most
+        # its rate times ``span`` in size (under antisymmetric payoffs a
+        # payment's two parts have opposite signs), and the first row
+        # bounds every partial sum of welfare and of each of its terms. The
+        # other rows bound the terms but the payments (G_n <= Phi_n, since
+        # xi <= min(phi)); the largest of their sums names the field. Each
+        # contribution gap is ``-err f_n``, and the factor f_n >= 0 is
+        # largest at d_max, so its product with the all-d_min error bounds
+        # every gap; it is finite only if that error is. Overflows, and the
+        # NaNs that inf - inf and 0 * inf give, are refused below without
+        # numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             z = z_weights(s)
             worst = float(_floor_error(s))
             ceiling = _costs(s, float(s.bounds.d_max))
-            cost_bound, charge_bound = _column_sums(np.array([ceiling, ceiling + s.economy.c0]))
             span = max(worst, epsilon_zero(s))
             gains, losses = _transfer_rates(s)
-            rates = np.array([s.psi, losses])
-            revenue_bound, loss_bound = _column_sums(rates * span)
+            c0 = s.economy.c0
+            welfare_bound, *term_bounds = _column_sums(np.array([
+                (s.psi + gains + losses) * span + (ceiling + c0),
+                s.psi * span, losses * span, ceiling, np.full(s.n, c0),
+            ]))
             gap_bound = _contribution_factors(s, _ceiling_errors(s)) * worst
-            # Each payment in is at most G_n times span in size too (under
-            # antisymmetric payoffs its two parts have opposite signs), so
-            # this bounds every partial sum of welfare.
-            welfare_bound = _column_sums(
-                ((s.psi + gains + losses) * span + (ceiling + s.economy.c0))[None]
-            )[0]
         violations.extend(_weight_violations(z))
         n_bounded = len(violations)
-        finite = np.isfinite(ceiling)
-        if not finite.all():
-            violations.extend(
-                InvariantViolation(f"organizations[{n}]", "generation cost at bounds.d_max overflows")
-                for n in np.flatnonzero(~finite)
-            )
-        elif not math.isfinite(cost_bound):
-            violations.append(
-                InvariantViolation(
-                    "organizations[*]", "the sum of the generation costs at bounds.d_max overflows"
-                )
-            )
-        elif not math.isfinite(charge_bound):
-            violations.append(
-                InvariantViolation(
-                    "economy.c0",
-                    "too large for these costs: the sum of the generation costs and "
-                    "server fees can overflow",
-                )
-            )
+        violations.extend(
+            InvariantViolation(f"organizations[{n}]", "generation cost at bounds.d_max overflows")
+            for n in np.flatnonzero(~np.isfinite(ceiling))
+        )
         if not np.isfinite(gap_bound).all():
             violations.append(
                 InvariantViolation(
@@ -436,26 +423,14 @@ def _violations(s: Scenario) -> list[CocogenError]:
                     "overflows",
                 )
             )
-        else:
-            if not math.isfinite(revenue_bound):
-                violations.append(
-                    InvariantViolation(
-                        "organizations[*].psi",
-                        "too large for these error laws: the sum of the revenues can overflow",
-                    )
-                )
-            if not (np.isfinite(z).all() and math.isfinite(loss_bound)):
-                violations.append(
-                    InvariantViolation(
-                        "market.phi",
-                        "too large for these error laws: the game weights or the sum "
-                        "of the coopetition losses can overflow",
-                    )
-                )
+        elif not np.isfinite(z).all():
+            violations.append(
+                InvariantViolation("market.phi", "too large: the game weights overflow")
+            )
         if len(violations) == n_bounded and not math.isfinite(welfare_bound):
             violations.append(
                 InvariantViolation(
-                    "organizations[*].psi",
+                    _TERM_FIELDS[int(np.argmax(term_bounds))],
                     "too large for these error laws and costs: the welfare sum of the "
                     "revenues, payments, losses, costs and server fees can overflow",
                 )

@@ -68,9 +68,9 @@ class SolveReport:
     ``trace()`` when first read. ``converged`` says the root's bracket
     closed (at most ``tol`` wide, or at float resolution) within
     ``max_iters`` steps and, for an equilibrium, that its passes reached a
-    fixed point with every deviation weight negative (``_equilibria``);
-    the profile is a lattice minimum along every coordinate of its last
-    pass's F either way."""
+    profile from which no move gains anything (``_equilibria``); a
+    :func:`solve_games` profile is a lattice minimum along every coordinate
+    of its F either way."""
 
     profile: StrategyProfile
     labels: Callable[[], tuple[str, ...]] = field(compare=False, repr=False)
@@ -350,12 +350,15 @@ def _equilibria(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
     minimum itself, leaves no move that gains anything. Each pass descends
     the last profile on the F of its own ``A`` (:func:`_descend`; F is
     convex along each coordinate), until a descent leaves it where it is.
+    Where some ``A_n >= 0``, that F is no potential of n's moves, so the
+    pass instead moves the first organization with the largest gain to its
+    best move (:func:`_best_deviations`; for such an n, ``d_min``), or
+    stops where no move gains anything.
     Under literal payoffs ``A`` is ``z``, so the root solve's profile is
     already that minimum and no pass runs; the other rows' games (WCO's)
     have constant weights. The report keeps the root solve's
-    ``iterations``, trace and labels. It is not ``converged`` when a pass
-    meets some ``A_n >= 0``, where that F is no potential of n's moves, or
-    when each of ``_MAX_PASSES`` descents moves the profile.
+    ``iterations``, trace and labels. It is not ``converged`` when each of
+    ``_MAX_PASSES`` passes moves the profile.
     """
     reports = solve_games(s, lin, cfg)
     if s.economy.bb_mode is not PayoffMode.ANTISYMMETRIC:
@@ -363,9 +366,14 @@ def _equilibria(s: Scenario, lin: np.ndarray, cfg: SolverConfig | None = None) -
     own, d = reports[0], reports[0].profile.d_gen
     for _ in range(_MAX_PASSES):
         weights = game._deviation_weights(s, economics._local_errors(s, d, in_box=True))
-        if not (weights < 0).all():
-            break
-        moved = _descend(s, d[None].copy(), game._linear_coeffs(s, weights)[None])[0]
+        if (weights < 0).all():
+            moved = _descend(s, d[None].copy(), game._linear_coeffs(s, weights)[None])[0]
+        else:
+            alts, gains = _best_deviations(s, d)
+            n = int(np.argmax(gains))  # the first of the largest gains
+            moved = d.copy()
+            if gains[n] > 0:
+                moved[n] = alts[n]
         if np.array_equal(moved, d):
             return [replace(own, profile=StrategyProfile(d)), *reports[1:]]
         d = moved

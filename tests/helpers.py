@@ -27,6 +27,13 @@ ETA = 1.79e20
 MU = 1.79e20
 C_CMP = 0.3438 / 3.6e6
 
+# What validation says, after the field it names, of a scenario whose
+# welfare can overflow.
+WELFARE_OVERFLOW = (
+    "too large for these error laws and costs: the welfare sum of the revenues, "
+    "payments, losses, costs and server fees can overflow"
+)
+
 
 def build_scenario(
     n=2,

@@ -42,8 +42,8 @@ from cocogen.scenario import (
 )
 
 from helpers import (
-    FLOAT_RESOLUTION_PROFILE, float_resolution_scenario, law_error, reference_scheme_rows,
-    reference_wco_scenario, table1_scenario, with_payoff_mode,
+    FLOAT_RESOLUTION_PROFILE, WELFARE_OVERFLOW, float_resolution_scenario, law_error,
+    reference_scheme_rows, reference_wco_scenario, table1_scenario, with_payoff_mode,
 )
 
 
@@ -215,7 +215,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_overflowing_welfare_sum_is_named_before_any_file(self, tmp_path, capsys, command):
         # Revenue weights of 1.7e308 under varrho 1 keep every revenue
-        # finite, but their sum, and so the welfare, passes the float64 range.
+        # finite, but their sum, and so the welfare, passes the float64
+        # range; they are welfare's largest term.
         path = tmp_path / "scenario.json"
         payload = scenario_to_dict(example_scenario())
         for org in payload["organizations"]:
@@ -231,8 +232,7 @@ class TestSolveCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: invalid scenario: 1 violation(s): organizations[*].psi: too large for "
-            "these error laws: the sum of the revenues can overflow\n"
+            f"error: invalid scenario: 1 violation(s): organizations[*].psi: {WELFARE_OVERFLOW}\n"
         )
         assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
 
@@ -253,8 +253,8 @@ class TestSolveCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: invalid scenario: 1 violation(s): market.phi: too large for these error "
-            "laws: the game weights or the sum of the coopetition losses can overflow\n"
+            "error: invalid scenario: 1 violation(s): market.phi: too large: the game "
+            "weights overflow\n"
         )
         assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
 
@@ -276,17 +276,16 @@ class TestSolveCommand:
         assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
-    @pytest.mark.parametrize("summed, message", [
-        ("costs", "organizations[*]: the sum of the generation costs at bounds.d_max overflows"),
-        ("fees", "economy.c0: too large for these costs: the sum of the generation costs and "
-                 "server fees can overflow"),
+    @pytest.mark.parametrize("summed, field", [
+        ("costs", "organizations[*]"), ("fees", "economy.c0"),
     ])
     def test_overflowing_cost_or_fee_sum_is_named_before_any_file(
-        self, tmp_path, capsys, command, summed, message
+        self, tmp_path, capsys, command, summed, field
     ):
         # Each organization's cost at d_max (5e307), or the server fee
         # (2e307), is finite, but summed over the ten organizations of the
-        # shipped example it passes the float64 range, and so does welfare.
+        # shipped example it passes the float64 range, and so does welfare;
+        # the costs, or the fees, are its largest term.
         path = shipped_example_with(tmp_path, ("economy", "c0"), 2e307 if summed == "fees" else 0.0)
         if summed == "costs":
             s = load_scenario(path)
@@ -300,14 +299,17 @@ class TestSolveCommand:
             code = cli.main([command, path, "-o", str(tmp_path / "out")])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: invalid scenario: 1 violation(s): {message}\n"
+        assert captured.err == (
+            f"error: invalid scenario: 1 violation(s): {field}: {WELFARE_OVERFLOW}\n"
+        )
         assert captured.out == "" and os.listdir(tmp_path) == ["edited.json"]
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_overflowing_utility_sum_is_named_before_any_file(self, tmp_path, capsys, command):
         # Every revenue, loss, cost and server fee sum is finite, but with
         # eps0 at 1e-300 each revenue is about -psi err, so each of the ten
-        # utilities is about -2e307 and their sum, welfare, overflows.
+        # utilities is about -2e307 and their sum, welfare, overflows. The
+        # fees' sum, 1e308, is its largest term.
         from importlib import resources
 
         src = resources.files("cocogen").joinpath("data/scenario_example.json")
@@ -323,9 +325,7 @@ class TestSolveCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: invalid scenario: 1 violation(s): organizations[*].psi: too large for "
-            "these error laws and costs: the welfare sum of the revenues, payments, losses, "
-            "costs and server fees can overflow\n"
+            f"error: invalid scenario: 1 violation(s): economy.c0: {WELFARE_OVERFLOW}\n"
         )
         assert captured.out == "" and os.listdir(tmp_path) == ["scenario.json"]
 

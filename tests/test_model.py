@@ -2,12 +2,13 @@ import argparse
 import json
 import math
 import pickle
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cocogen import cli, game, solver
 from cocogen import economics as eco
@@ -38,7 +39,8 @@ from cocogen.scenario import (
 from cocogen.scaling import heterogeneity_presets
 
 from helpers import (
-    build_scenario, random_profile, reference_wco_scenario, table1_scenario, with_payoff_mode,
+    WELFARE_OVERFLOW, build_scenario, random_profile, reference_wco_scenario, table1_scenario,
+    with_payoff_mode,
 )
 
 
@@ -137,6 +139,7 @@ class TestValidation:
         # all-d_min) in size. The shipped example fixes eps0 at 1, above its
         # all-d_min global error of about 0.963: ten weights of 1.8e307 can
         # sum past the float64 range there, but not with eps0 at that error.
+        # The revenues are welfare's largest term, so they are named.
         from importlib import resources
 
         shipped = resources.files("cocogen").joinpath("data/scenario_example.json")
@@ -147,10 +150,9 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ScenarioValidationError) as exc:
                 scenario_from_dict(payload)
-            assert [(v.field, v.detail) for v in exc.value.violations] == [(
-                "organizations[*].psi",
-                "too large for these error laws: the sum of the revenues can overflow",
-            )]
+            assert [(v.field, v.detail) for v in exc.value.violations] == [
+                ("organizations[*].psi", WELFARE_OVERFLOW)
+            ]
             payload["economy"]["eps0_mode"] = "at_zero_generation"
             s = scenario_from_dict(payload)
             lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
@@ -163,6 +165,7 @@ class TestValidation:
         # shipped example's gamma sums to about 45.0: every phi at 4.07e306
         # gives losses that can sum past the float64 range with eps0 fixed
         # at 1, but not with eps0 at the all-d_min error of about 0.963.
+        # The losses are welfare's largest term, so market.phi is named.
         from importlib import resources
 
         shipped = resources.files("cocogen").joinpath("data/scenario_example.json")
@@ -172,17 +175,62 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ScenarioValidationError) as exc:
                 scenario_from_dict(payload)
-            assert [(v.field, v.detail) for v in exc.value.violations] == [(
-                "market.phi",
-                "too large for these error laws: the game weights or the sum of the "
-                "coopetition losses can overflow",
-            )]
+            assert [(v.field, v.detail) for v in exc.value.violations] == [
+                ("market.phi", WELFARE_OVERFLOW)
+            ]
             payload["economy"]["eps0_mode"] = "at_zero_generation"
             s = scenario_from_dict(payload)
             lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
             ev = eco.evaluate_profiles(s, np.array([np.full(s.n, lo), np.full(s.n, hi)]))
         assert np.isfinite(ev.welfare).all() and np.isfinite(ev.coopetition_loss).all()
         assert np.isfinite(game.z_weights(s)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({
+        key: st.integers(lo, hi) for key, (lo, hi) in {
+            "psi": (-5, 305), "eta": (-20, 285), "c_cmp": (-20, 300), "phi": (-2, 305),
+            "c0": (-5, 308), "varrho": (-6, 3), "eps0_value": (-320, 0),
+        }.items()
+    }))
+    # Welfare's bound just past, and just within, the float64 range.
+    @example(powers=dict(psi=304, eta=0, c_cmp=0, phi=0, c0=308, varrho=0, eps0_value=0))
+    @example(powers=dict(psi=304, eta=0, c_cmp=0, phi=0, c0=307, varrho=0, eps0_value=0))
+    def test_scaled_inputs_are_named_or_price_finite_welfare(self, powers):
+        # The shipped example with psi, eta, c_cmp, phi, varrho and
+        # eps0_value times drawn powers of ten, and c0 (0 there) a power of
+        # ten, is refused by one of the overflow rule's fields (or market.xi,
+        # where phi falls below xi), or prices finite welfare at the lattice's
+        # corners and at RaDG draws under both payoff modes.
+        from importlib import resources
+
+        from cocogen.baselines import radg_profiles
+
+        shipped = resources.files("cocogen").joinpath("data/scenario_example.json")
+        payload = json.loads(shipped.read_text(encoding="utf-8"))
+        scale = {key: float(f"1e{power}") for key, power in powers.items()}
+        for org in payload["organizations"]:
+            for key in ("psi", "eta", "c_cmp"):
+                org[key] *= scale[key]
+        payload["market"]["phi"] = [phi * scale["phi"] for phi in payload["market"]["phi"]]
+        payload["economy"]["c0"] = scale["c0"]
+        payload["economy"]["varrho"] *= scale["varrho"]
+        payload["economy"]["eps0_value"] *= scale["eps0_value"]
+        named = re.compile(r"organizations\[(\d+|\*)\]|organizations\[\*\]\.psi|"
+                           r"market\.(phi|xi)|economy\.(varrho|c0)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                s = scenario_from_dict(payload)
+            except ScenarioValidationError as exc:
+                assert all(isinstance(v, InvariantViolation) and named.fullmatch(v.field)
+                           for v in exc.violations), exc
+                return
+            for mode in PayoffMode:
+                s = with_payoff_mode(s, mode)
+                lo, hi = float(s.bounds.d_min), float(s.bounds.d_max)
+                profiles = np.vstack([np.full((1, s.n), lo), np.full((1, s.n), hi),
+                                      radg_profiles(s, s.seed, 5)])
+                assert np.isfinite(eco.evaluate_profiles(s, profiles).welfare).all()
 
     @pytest.mark.parametrize("change, field", [("diagonal", "market.gamma"), ("xi", "market.xi")])
     def test_invalid_copy_is_refused_before_any_pricing(self, change, field):

@@ -871,9 +871,10 @@ class TestEquilibriumPasses:
             rep.profile.d_gen.tolist()]
 
     @pytest.mark.parametrize("seed", [900, 902, 908])
-    def test_nonnegative_deviation_weights_read_as_not_converged(self, seed, tmp_path, capsys):
+    def test_nonnegative_deviation_weights_move_to_an_equilibrium(self, seed, tmp_path, capsys):
         # At tiny costs and a small varrho the root solve's profile leaves
-        # some A_n >= 0, where F at -c / A is no potential of n's moves.
+        # some A_n >= 0, where F at -c / A is no potential of n's moves, so
+        # the passes move the organization that gains most to its best move.
         s = table1_scenario(seed=seed, n=4, varrho=0.01, cost_scale=1e-30,
                             bb_mode=PayoffMode.ANTISYMMETRIC)
         first = solver.solve_games(s, game._linear_coeffs(s)[None])[0]
@@ -885,16 +886,18 @@ class TestEquilibriumPasses:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = solver.fpi_solve(s)
+            cert = solver.verify_ne(s, rep.profile)
             rows, _ = cli.scheme_rows(s, seed, 5)
             assert cli.main(["solve", str(path), "--verify-ne", "-o", str(out)]) == 0
             assert cli.main(["compare", str(path)]) == 0
-        assert not rep.converged and not rows[0]["converged"]
-        assert rep.profile.d_gen.tolist() == first.profile.d_gen.tolist()
+        assert rep.converged and rows[0]["converged"]
+        assert cert.is_ne and cert.worst_gain == 0.0
+        assert rep.profile.d_gen.tolist() != first.profile.d_gen.tolist()
         payload = json.loads(out.read_text())
-        assert payload["converged"] is False
-        assert payload["ne_certificate"]["is_ne"] is False
+        assert payload["converged"] is True
+        assert payload["ne_certificate"]["is_ne"] is True
         cocogen = [line for line in capsys.readouterr().out.splitlines() if "CoCoGen" in line]
-        assert len(cocogen) == 1 and cocogen[0].split()[-1] == "false"
+        assert len(cocogen) == 1 and cocogen[0].split()[-1] == "true"
 
 
 class TestVerifyNe:
